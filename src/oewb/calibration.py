@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import objectives
+from . import nn_core
 from .errors import InputError, ParameterError
 
 
@@ -122,12 +122,36 @@ def tune_temperature(logits, labels, grid_points: int = 200) -> float:
         raise InputError("tuning needs a nonempty (n, k) logit matrix")
     if labels.shape != (logits.shape[0],):
         raise InputError("labels must supply one class per row")
+    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
+        raise InputError("class label out of range")
+
+    rows = np.arange(logits.shape[0])
+    # temperatures per chunk: each (T, n, k) temporary stays within 2**15
+    # entries (256 KiB), so the batching adds no visible peak memory
+    chunk = max(1, 2**15 // logits.size)
+
+    def _nll_at(temps) -> np.ndarray:
+        """Mean cross-entropy of logits / t for every t in temps.
+
+        Bit-identical to objectives.ce_loss(logits / t, labels): the same
+        elementwise log-softmax, and each row's mean as a 1-D reduction
+        (an axis mean would sum in another order).
+        """
+        temps = np.asarray(temps, dtype=np.float64)
+        out = np.empty(temps.size)
+        for start in range(0, temps.size, chunk):
+            t = temps[start : start + chunk]
+            lp = nn_core.log_softmax(logits[None, :, :] / t[:, None, None])
+            picked = -lp[:, rows, labels]
+            for j, row in enumerate(picked):
+                out[start + j] = np.add.reduce(row) / rows.size
+        return out
 
     def nll_at(t: float) -> float:
-        return objectives.ce_loss(logits / t, labels)
+        return float(_nll_at([t])[0])
 
     grid = np.unique(np.concatenate((np.logspace(-2.0, 2.0, int(grid_points)), [1.0])))
-    ces = np.array([nll_at(t) for t in grid])
+    ces = _nll_at(grid)
     best = int(np.argmin(ces))
     lo = math.log(grid[max(best - 1, 0)])
     hi = math.log(grid[min(best + 1, grid.size - 1)])

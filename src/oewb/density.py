@@ -18,6 +18,7 @@ import numpy as np
 
 from . import nn_core
 from .errors import ConfigurationError, DataError, ParameterError
+from .objectives import ObjectiveSpec
 
 LN2 = float(np.log(2.0))
 
@@ -103,14 +104,19 @@ def context_features(seqs, context_window: int, alphabet_size: int):
     return feats, arr.reshape(n * length)
 
 
+def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape) -> np.ndarray:
+    """Per-sequence NLL in nats from the logits of every position row."""
+    lp = nn_core.log_softmax(logits)
+    tok = lp[np.arange(targets.size), targets]
+    return -tok.reshape(shape).sum(axis=1)
+
+
 def nll_batch(model: ARModelParams, seqs) -> np.ndarray:
     """Per-sequence negative log-likelihood in nats for equal-length sequences."""
     arr = _as_seq_matrix(seqs, model.alphabet_size)
     feats, targets = context_features(arr, model.context_window, model.alphabet_size)
     logits, _, _ = nn_core.forward_cached(model.net, feats)
-    lp = nn_core.log_softmax(logits)
-    tok = lp[np.arange(targets.size), targets]
-    return -tok.reshape(arr.shape).sum(axis=1)
+    return _sequence_nll(logits, targets, arr.shape)
 
 
 def nll(model: ARModelParams, seq) -> float:
@@ -146,31 +152,25 @@ def train_density(
     weight_decay: float = 5e-4,
     seed: int = 0,
 ) -> ARModelParams:
-    """Maximum-likelihood training on inlier sequences; returns a new model."""
+    """Maximum-likelihood training on inlier sequences; returns a new model.
+
+    Minibatches are position rows of the one-hot context windows, trained
+    with the plain cross-entropy objective of nn_core.
+    """
     arr = _as_seq_matrix(data, model.alphabet_size)
-    if epochs < 1:
-        raise ParameterError("epochs must be >= 1")
     feats, targets = context_features(arr, model.context_window, model.alphabet_size)
-    rows = feats.shape[0]
-    bs = min(int(batch_size), rows)
-    steps_per_epoch = (rows + bs - 1) // bs
-    net = model.net.copy()
-    state = nn_core.init_optimizer(
-        net, lr0, total_steps=epochs * steps_per_epoch, momentum=momentum, weight_decay=weight_decay
+    net = nn_core.train_classifier(
+        model.net, ObjectiveSpec("plain_ce"), nn_core.Batch(feats, targets),
+        epochs=epochs, batch_size=batch_size, lr0=lr0, momentum=momentum,
+        weight_decay=weight_decay, seed=seed,
     )
-    rng = np.random.default_rng(seed)
-    k = model.alphabet_size
-    for _ in range(epochs):
-        perm = rng.permutation(rows)
-        for start in range(0, rows, bs):
-            idx = perm[start : start + bs]
-            logits, _, cache = nn_core.forward_cached(net, feats[idx])
-            onehot = np.zeros((idx.size, k))
-            onehot[np.arange(idx.size), targets[idx]] = 1.0
-            dlog = (nn_core.softmax(logits) - onehot) / idx.size
-            g = nn_core.backward(net, cache, dlog)
-            net, state = nn_core.sgd_step(net, g, state)
     return ARModelParams(model.context_window, model.alphabet_size, net)
+
+
+def _weighted_ce_backward(net, logits, cache, targets, w) -> np.ndarray:
+    dlog = nn_core.ce_logit_grad(logits, targets)
+    dlog *= w[:, None]
+    return nn_core.backward(net, cache, dlog)
 
 
 def margin_grad(
@@ -180,13 +180,16 @@ def margin_grad(
     margin: float,
     mle_weight: float = 1.0,
     margin_weight: float = 1.0,
-) -> nn_core.Grads:
+) -> np.ndarray:
     """Exact gradient of mle_weight * mean-position CE on inliers plus
-    margin_weight * mean hinge max(0, margin + nll_in - nll_out).
+    margin_weight * mean hinge max(0, margin + nll_in - nll_out), as a
+    vector in the layout of model.net.vector.
 
     Pairs are matched by batch position, so both groups must have equal
     counts. Per active pair the hinge contributes +1 to every inlier
     position row and -1 to every outlier position row, scaled by 1/n_pairs.
+    Each group is featurized and run forward once; its NLL and its backward
+    pass share those logits.
     """
     if not margin > 0:
         raise ParameterError("margin must be positive")
@@ -196,29 +199,23 @@ def margin_grad(
         raise ConfigurationError("margin pairs require equally sized inlier/outlier batches")
     n_pairs = a.shape[0]
     c, V = model.context_window, model.alphabet_size
-    nll_in = nll_batch(model, a)
-    nll_out = nll_batch(model, b)
-    active = (margin + nll_in - nll_out) > 0
-
     feats_in, t_in = context_features(a, c, V)
     feats_out, t_out = context_features(b, c, V)
+    logits_in, _, cache_in = nn_core.forward_cached(model.net, feats_in)
+    logits_out, _, cache_out = nn_core.forward_cached(model.net, feats_out)
+    nll_in = _sequence_nll(logits_in, t_in, a.shape)
+    nll_out = _sequence_nll(logits_out, t_out, b.shape)
+    active = (margin + nll_in - nll_out) > 0
+
     # per-row weights: the MLE mean over all inlier rows plus the hinge
     # share of each active pair, spread over that pair's position rows
     w_in_seq = mle_weight / (n_pairs * a.shape[1]) + margin_weight * active / n_pairs
     w_out_seq = -margin_weight * active / n_pairs
     w_in = np.repeat(w_in_seq, a.shape[1])
     w_out = np.repeat(w_out_seq, b.shape[1])
-
-    def _weighted_backward(feats, targets, w):
-        logits, _, cache = nn_core.forward_cached(model.net, feats)
-        onehot = np.zeros((targets.size, V))
-        onehot[np.arange(targets.size), targets] = 1.0
-        dlog = (nn_core.softmax(logits) - onehot) * w[:, None]
-        return nn_core.backward(model.net, cache, dlog)
-
-    return nn_core.add_grads(
-        _weighted_backward(feats_in, t_in, w_in), _weighted_backward(feats_out, t_out, w_out)
-    )
+    g = _weighted_ce_backward(model.net, logits_in, cache_in, t_in, w_in)
+    g += _weighted_ce_backward(model.net, logits_out, cache_out, t_out, w_out)
+    return g
 
 
 def finetune_density_oe(
@@ -235,61 +232,32 @@ def finetune_density_oe(
     mle_weight: float = 1.0,
     margin_weight: float = 1.0,
     seed: int = 0,
-    oe_objective: str = "margin",
-    lam: float = 1.0,
 ) -> ARModelParams:
-    """Exposure fine-tuning of a trained density model.
+    """Exposure fine-tuning of a trained density model with the paired
+    margin objective (margin_grad).
 
     Epoch length follows the inlier set; outlier batches are drawn
     cyclically from a fixed seeded permutation and paired with inlier
     batches by position. margin defaults to the sequence length in nats.
-    oe_objective selects the paired hinge ("margin") or a per-token
-    uniformity penalty ("token_uniform") weighted by lam.
     """
     a = _as_seq_matrix(inlier_seqs, model.alphabet_size)
     b = _as_seq_matrix(oe_seqs, model.alphabet_size)
     if b.shape[0] == 0:
         raise ConfigurationError("exposure fine-tuning needs a nonempty outlier set")
-    if oe_objective not in ("margin", "token_uniform"):
-        raise ConfigurationError(f"unknown density exposure objective {oe_objective!r}")
     if margin is None:
         margin = float(a.shape[1])
     if not margin > 0:
         raise ParameterError("margin must be positive")
-    n_in = a.shape[0]
-    bs = min(int(batch_size), n_in)
-    steps_per_epoch = (n_in + bs - 1) // bs
-    cur = model.copy()
-    state = nn_core.init_optimizer(
-        cur.net, lr0, total_steps=epochs * steps_per_epoch, momentum=momentum, weight_decay=weight_decay
+    c, V = model.context_window, model.alphabet_size
+
+    def loss_grad(net, idx, oe_idx):
+        return margin_grad(ARModelParams(c, V, net), a[idx], b[oe_idx], margin, mle_weight, margin_weight)
+
+    net = nn_core.train_loop(
+        model.net, loss_grad, a.shape[0], n_oe=b.shape[0], epochs=epochs, batch_size=batch_size,
+        lr0=lr0, momentum=momentum, weight_decay=weight_decay, seed=seed,
     )
-    rng = np.random.default_rng(seed)
-    oe_order = rng.permutation(b.shape[0])
-    oe_ptr = 0
-    V = model.alphabet_size
-    for _ in range(epochs):
-        perm = rng.permutation(n_in)
-        for start in range(0, n_in, bs):
-            idx = perm[start : start + bs]
-            take = idx.size
-            oe_idx = np.array([oe_order[(oe_ptr + j) % b.shape[0]] for j in range(take)])
-            oe_ptr = (oe_ptr + take) % b.shape[0]
-            if oe_objective == "margin":
-                g = margin_grad(cur, a[idx], b[oe_idx], margin, mle_weight, margin_weight)
-            else:
-                feats_in, t_in = context_features(a[idx], cur.context_window, V)
-                logits, _, cache = nn_core.forward_cached(cur.net, feats_in)
-                onehot = np.zeros((t_in.size, V))
-                onehot[np.arange(t_in.size), t_in] = 1.0
-                dlog = mle_weight * (nn_core.softmax(logits) - onehot) / t_in.size
-                g = nn_core.backward(cur.net, cache, dlog)
-                feats_oe, _ = context_features(b[oe_idx], cur.context_window, V)
-                ologits, _, ocache = nn_core.forward_cached(cur.net, feats_oe)
-                doe = lam * (nn_core.softmax(ologits) - 1.0 / V) / feats_oe.shape[0]
-                g = nn_core.add_grads(g, nn_core.backward(cur.net, ocache, doe))
-            new_net, state = nn_core.sgd_step(cur.net, g, state)
-            cur = ARModelParams(cur.context_window, V, new_net)
-    return cur
+    return ARModelParams(c, V, net)
 
 
 def save_ar_model(model: ARModelParams, path) -> None:

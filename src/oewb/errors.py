@@ -2,7 +2,8 @@
 
 Everything user-facing derives from ValidationError so the CLI can map
 rejected inputs and configs to exit code 1 while genuine crashes keep
-exit code 2.
+exit code 2. DivergenceError deliberately does not: a run whose training
+blows up was given valid input.
 """
 
 
@@ -24,3 +25,8 @@ class DataError(ValidationError):
 
 class InputError(ValidationError):
     """Runtime inputs that cannot be processed (empty pools, bad sizes)."""
+
+
+class DivergenceError(Exception):
+    """Training left non-finite parameters. The inputs were accepted, so
+    this is a run failure (exit code 2), not a ValidationError."""

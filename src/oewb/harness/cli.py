@@ -2,7 +2,8 @@
 
 Subcommands: run, train, finetune, eval, calibrate, gen-outliers,
 make-data. Exit codes: 0 on success, 1 when a config/parameter/data
-validation fails, 2 on any other runtime failure.
+validation fails, 2 on any other runtime failure, including training that
+diverges to non-finite parameters.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from .. import calibration as calib_mod
 from .. import density as density_mod
 from .. import nn_core
-from ..errors import ConfigurationError, DataError, ValidationError
+from ..errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from . import pipeline, reports
 from .config import ExperimentConfig, load_config
 from .datasets import (
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except DivergenceError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 2
     except Exception as exc:  # runtime failure, distinct from bad input

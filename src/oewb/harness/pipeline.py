@@ -9,6 +9,7 @@ validation outlier sets are the only sets hyperparameter selection may read.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from .. import density as density_mod
 from .. import metrics as metrics_mod
 from .. import nn_core
 from .. import scoring as scoring_mod
-from ..errors import ConfigurationError, DataError
+from ..errors import ConfigurationError, DataError, DivergenceError
 from ..objectives import ObjectiveSpec
 from .config import ExperimentConfig
 from .datasets import SequenceDataset, VectorDataset, check_disjoint, materialize
@@ -133,38 +134,29 @@ def _train_classifier(
     model_settings,
     shuffle_seed,
 ) -> nn_core.NetworkParams:
-    X, y = train_data.features, train_data.labels
-    if y is None:
+    """nn_core.train_classifier over the whole training and outlier sets."""
+    if train_data.labels is None:
         raise DataError("classifier training needs labeled in-distribution data")
-    n = X.shape[0]
-    bs = min(int(model_settings.batch_size), n)
-    steps_per_epoch = (n + bs - 1) // bs
-    state = nn_core.init_optimizer(
-        params, lr0, total_steps=epochs * steps_per_epoch,
-        momentum=model_settings.momentum, weight_decay=model_settings.weight_decay,
-    )
-    rng = np.random.default_rng(shuffle_seed)
-    use_oe = objective.lam > 0
-    if use_oe:
+    oe_batch = None
+    if objective.lam > 0:
         if oe_data is None:
             raise ConfigurationError("exposure training needs auxiliary outlier data")
-        oe_X = oe_data.features
-        oe_order = rng.permutation(oe_X.shape[0])
-        oe_ptr = 0
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, bs):
-            idx = perm[start : start + bs]
-            in_batch = nn_core.Batch(X[idx], y[idx])
-            oe_batch = None
-            if use_oe:
-                take = idx.size
-                sel = (oe_ptr + np.arange(take)) % oe_X.shape[0]
-                oe_ptr = int((oe_ptr + take) % oe_X.shape[0])
-                oe_batch = nn_core.Batch(oe_X[oe_order[sel]])
-            g = nn_core.grad(params, objective, in_batch, oe_batch)
-            params, state = nn_core.sgd_step(params, g, state)
-    return params
+        oe_batch = nn_core.Batch(oe_data.features)
+    return nn_core.train_classifier(
+        params, objective, nn_core.Batch(train_data.features, train_data.labels), oe_batch,
+        epochs=epochs, batch_size=model_settings.batch_size, lr0=lr0,
+        momentum=model_settings.momentum, weight_decay=model_settings.weight_decay,
+        seed=shuffle_seed,
+    )
+
+
+@contextmanager
+def _stage(name: str, seed: int):
+    """Name the seed and stage in a divergence raised by the training loop."""
+    try:
+        yield
+    except DivergenceError as exc:
+        raise DivergenceError(f"seed {seed}, stage {name}: {exc}") from exc
 
 
 def _init_classifier(config: ExperimentConfig, bundle: DataBundle, seed: int) -> nn_core.NetworkParams:
@@ -178,72 +170,75 @@ def _init_classifier(config: ExperimentConfig, bundle: DataBundle, seed: int) ->
 def train_baseline(config: ExperimentConfig, bundle: DataBundle, seed: int):
     """In-distribution-only training (λ = 0); the starting point every
     exposure pipeline shares."""
-    if config.detector == "density_bpp":
-        model = density_mod.init_ar_model(
-            bundle.din_train.alphabet_size, config.model.context_window,
-            config.model.hidden_dims, seed=_ss(seed, ROLE_INIT), activation=config.model.activation,
+    with _stage("train_baseline", seed):
+        if config.detector == "density_bpp":
+            model = density_mod.init_ar_model(
+                bundle.din_train.alphabet_size, config.model.context_window,
+                config.model.hidden_dims, seed=_ss(seed, ROLE_INIT), activation=config.model.activation,
+            )
+            return density_mod.train_density(
+                model, bundle.din_train.sequences,
+                epochs=config.epochs, batch_size=config.model.batch_size, lr0=config.model.lr0,
+                momentum=config.model.momentum, weight_decay=config.model.weight_decay,
+                seed=_ss(seed, ROLE_TRAIN_SHUFFLE),
+            )
+        params = _init_classifier(config, bundle, seed)
+        return _train_classifier(
+            params, bundle.din_train, None, _classifier_objective(config, exposed=False),
+            epochs=config.epochs, lr0=config.model.lr0, model_settings=config.model,
+            shuffle_seed=_ss(seed, ROLE_TRAIN_SHUFFLE),
         )
-        return density_mod.train_density(
-            model, bundle.din_train.sequences,
-            epochs=config.epochs, batch_size=config.model.batch_size, lr0=config.model.lr0,
-            momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-            seed=_ss(seed, ROLE_TRAIN_SHUFFLE),
-        )
-    params = _init_classifier(config, bundle, seed)
-    return _train_classifier(
-        params, bundle.din_train, None, _classifier_objective(config, exposed=False),
-        epochs=config.epochs, lr0=config.model.lr0, model_settings=config.model,
-        shuffle_seed=_ss(seed, ROLE_TRAIN_SHUFFLE),
-    )
 
 
 def finetune_oe(config: ExperimentConfig, bundle: DataBundle, baseline, seed: int, lam=None):
     """Exposure fine-tuning from a trained baseline at the fine-tune rate."""
     if config.finetune_epochs == 0:
         return baseline
-    if config.detector == "density_bpp":
-        return density_mod.finetune_density_oe(
-            baseline, bundle.din_train.sequences, bundle.oe.sequences,
-            margin=config.model.margin, epochs=config.finetune_epochs,
-            batch_size=config.model.batch_size, lr0=config.model.finetune_lr0,
-            momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-            mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
-            seed=_ss(seed, ROLE_FINETUNE_SHUFFLE),
+    with _stage("finetune_oe", seed):
+        if config.detector == "density_bpp":
+            return density_mod.finetune_density_oe(
+                baseline, bundle.din_train.sequences, bundle.oe.sequences,
+                margin=config.model.margin, epochs=config.finetune_epochs,
+                batch_size=config.model.batch_size, lr0=config.model.finetune_lr0,
+                momentum=config.model.momentum, weight_decay=config.model.weight_decay,
+                mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
+                seed=_ss(seed, ROLE_FINETUNE_SHUFFLE),
+            )
+        objective = _classifier_objective(config, exposed=True)
+        if lam is not None:
+            objective = ObjectiveSpec(objective.kind, lam=float(lam))
+        return _train_classifier(
+            baseline, bundle.din_train, bundle.oe, objective,
+            epochs=config.finetune_epochs, lr0=config.model.finetune_lr0,
+            model_settings=config.model, shuffle_seed=_ss(seed, ROLE_FINETUNE_SHUFFLE),
         )
-    objective = _classifier_objective(config, exposed=True)
-    if lam is not None:
-        objective = ObjectiveSpec(objective.kind, lam=float(lam))
-    return _train_classifier(
-        baseline.copy(), bundle.din_train, bundle.oe, objective,
-        epochs=config.finetune_epochs, lr0=config.model.finetune_lr0,
-        model_settings=config.model, shuffle_seed=_ss(seed, ROLE_FINETUNE_SHUFFLE),
-    )
 
 
 def train_scratch_oe(config: ExperimentConfig, bundle: DataBundle, seed: int):
     """Exposure training from random init for the full epoch budget."""
-    total_epochs = config.epochs + config.finetune_epochs
-    if config.detector == "density_bpp":
-        model = density_mod.init_ar_model(
-            bundle.din_train.alphabet_size, config.model.context_window,
-            config.model.hidden_dims, seed=_ss(seed, ROLE_INIT), activation=config.model.activation,
+    with _stage("train_scratch_oe", seed):
+        total_epochs = config.epochs + config.finetune_epochs
+        if config.detector == "density_bpp":
+            model = density_mod.init_ar_model(
+                bundle.din_train.alphabet_size, config.model.context_window,
+                config.model.hidden_dims, seed=_ss(seed, ROLE_INIT), activation=config.model.activation,
+            )
+            # The paired margin objective already carries the MLE term, so
+            # training it from scratch is the simultaneous form.
+            return density_mod.finetune_density_oe(
+                model, bundle.din_train.sequences, bundle.oe.sequences,
+                margin=config.model.margin, epochs=total_epochs,
+                batch_size=config.model.batch_size, lr0=config.model.lr0,
+                momentum=config.model.momentum, weight_decay=config.model.weight_decay,
+                mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
+                seed=_ss(seed, ROLE_SCRATCH_SHUFFLE),
+            )
+        params = _init_classifier(config, bundle, seed)
+        return _train_classifier(
+            params, bundle.din_train, bundle.oe, _classifier_objective(config, exposed=True),
+            epochs=total_epochs, lr0=config.model.lr0, model_settings=config.model,
+            shuffle_seed=_ss(seed, ROLE_SCRATCH_SHUFFLE),
         )
-        # The paired margin objective already carries the MLE term, so
-        # training it from scratch is the simultaneous form.
-        return density_mod.finetune_density_oe(
-            model, bundle.din_train.sequences, bundle.oe.sequences,
-            margin=config.model.margin, epochs=total_epochs,
-            batch_size=config.model.batch_size, lr0=config.model.lr0,
-            momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-            mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
-            seed=_ss(seed, ROLE_SCRATCH_SHUFFLE),
-        )
-    params = _init_classifier(config, bundle, seed)
-    return _train_classifier(
-        params, bundle.din_train, bundle.oe, _classifier_objective(config, exposed=True),
-        epochs=total_epochs, lr0=config.model.lr0, model_settings=config.model,
-        shuffle_seed=_ss(seed, ROLE_SCRATCH_SHUFFLE),
-    )
 
 
 def classifier_accuracy(params: nn_core.NetworkParams, data: VectorDataset) -> float:

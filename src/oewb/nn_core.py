@@ -1,21 +1,25 @@
-"""Dense feed-forward classifiers with hand-derived gradients.
+"""Dense feed-forward classifiers with hand-derived gradients, and the one
+minibatch SGD loop every model in the package trains with.
 
-Everything here is plain NumPy in float64. A network is a list of
-(out, in)-shaped weight matrices plus biases, with an optional scalar
-confidence head read off the last hidden layer. All operations are pure:
-they return fresh arrays and never mutate their inputs, which is what
-makes seeded training runs bitwise reproducible.
+Everything here is plain NumPy in float64. A network's weights, biases and
+optional scalar confidence head are views into one contiguous parameter
+vector; gradients and the optimizer velocity are vectors with the same
+layout. Forward and backward passes never mutate the parameters.
+train_loop copies its input parameters once and then updates that copy in
+place. Seeded runs are bitwise reproducible because every step applies the
+same elementwise operations in a fixed order to that loop-owned copy.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ParameterError
+from .errors import ConfigurationError, DataError, DivergenceError, ParameterError
 
 PARAMS_MAGIC = b"OEWB"
 PARAMS_VERSION = 1
@@ -60,13 +64,38 @@ class BranchHead:
     bias: np.ndarray  # (1,)
 
 
-@dataclass
 class NetworkParams:
-    layer_dims: list[int]
-    weights: list[np.ndarray]  # weights[i] has shape (layer_dims[i+1], layer_dims[i])
-    biases: list[np.ndarray]
-    branch: BranchHead | None = None
-    activation: str = "relu"
+    """Dense network parameters stored in one contiguous float64 vector.
+
+    weights[i] has shape (layer_dims[i+1], layer_dims[i]). The weights,
+    biases and confidence head are views into `vector`, laid out as
+    w0, b0, w1, b1, ..., head weight, head bias; writing through a view
+    writes the vector. Gradients and optimizer velocities use this layout.
+    """
+
+    def __init__(self, layer_dims, weights, biases, branch: BranchHead | None = None,
+                 activation: str = "relu"):
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        if branch is not None:
+            arrays += [branch.weight, branch.bias]
+        self.layer_dims = [int(d) for d in layer_dims]
+        self.activation = activation
+        self._slots, start = [], 0  # (start, stop, shape) of each array in the vector
+        for a in arrays:
+            stop = start + math.prod(np.shape(a))
+            self._slots.append((start, stop, np.shape(a)))
+            start = stop
+        flat = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
+        self.vector = np.concatenate(flat) if flat else np.empty(0)
+        views = self.arrays()
+        n = len(weights)
+        self.weights = views[0 : 2 * n : 2]
+        self.biases = views[1 : 2 * n : 2]
+        self.branch = BranchHead(*views[2 * n :]) if branch is not None else None
+
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views into a vector of this layout, in arrays() order."""
+        return [vector[start:stop].reshape(shape) for start, stop, shape in self._slots]
 
     def validate(self) -> "NetworkParams":
         dims = self.layer_dims
@@ -97,60 +126,12 @@ class NetworkParams:
         return self.layer_dims[-1]
 
     def copy(self) -> "NetworkParams":
-        br = None
-        if self.branch is not None:
-            br = BranchHead(self.branch.weight.copy(), self.branch.bias.copy())
-        return NetworkParams(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            br,
-            self.activation,
-        )
+        """Same layout over a fresh copy of the parameter vector."""
+        return NetworkParams(self.layer_dims, self.weights, self.biases, self.branch, self.activation)
 
     def arrays(self) -> list[np.ndarray]:
-        """Parameter arrays in the fixed order shared with Grads and the optimizer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        if self.branch is not None:
-            out.append(self.branch.weight)
-            out.append(self.branch.bias)
-        return out
-
-
-@dataclass
-class Grads:
-    """Gradient arrays mirroring NetworkParams.arrays() order."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    branch_weight: np.ndarray | None = None
-    branch_bias: np.ndarray | None = None
-
-    def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        if self.branch_weight is not None:
-            out.append(self.branch_weight)
-            out.append(self.branch_bias)
-        return out
-
-
-def add_grads(a: Grads, b: Grads) -> Grads:
-    bw = bb = None
-    if a.branch_weight is not None:
-        bw = a.branch_weight + b.branch_weight
-        bb = a.branch_bias + b.branch_bias
-    return Grads(
-        [x + y for x, y in zip(a.weights, b.weights)],
-        [x + y for x, y in zip(a.biases, b.biases)],
-        bw,
-        bb,
-    )
+        """Per-layer views of the parameter vector, in layout order."""
+        return self.split(self.vector)
 
 
 def init_network(layer_dims, seed, activation: str = "relu", with_branch: bool = False) -> NetworkParams:
@@ -180,11 +161,12 @@ def _act(z: np.ndarray, name: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _act_grad(z: np.ndarray, name: str) -> np.ndarray:
+def _act_backward(da: np.ndarray, z: np.ndarray, name: str) -> np.ndarray:
+    """da * act'(z), written over da."""
     if name == "relu":
-        return (z > 0).astype(np.float64)
+        return np.multiply(da, z > 0, out=da)
     t = np.tanh(z)
-    return 1.0 - t * t
+    return np.multiply(da, 1.0 - t * t, out=da)
 
 
 def forward_cached(params: NetworkParams, inputs) -> tuple:
@@ -201,7 +183,8 @@ def forward_cached(params: NetworkParams, inputs) -> tuple:
     a = X
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         pres.append(z)
         if i < last:
             a = _act(z, params.activation)
@@ -224,7 +207,9 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax of logits / temperature, max-subtracted for stability."""
     if not temperature > 0:
         raise ParameterError("temperature must be positive")
-    z = np.asarray(logits, dtype=np.float64) / temperature
+    z = np.asarray(logits, dtype=np.float64)
+    if temperature != 1.0:
+        z = z / temperature
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -254,46 +239,49 @@ def log_sigmoid(u) -> np.ndarray:
     return np.where(u >= 0, -np.log1p(np.exp(-np.abs(u))), u - np.log1p(np.exp(-np.abs(u))))
 
 
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    if np.any(labels >= k):
-        raise DataError(f"class label out of range for {k} classes")
-    out = np.zeros((labels.shape[0], k))
-    out[np.arange(labels.shape[0]), labels] = 1.0
+def ce_logit_grad(logits, labels: np.ndarray) -> np.ndarray:
+    """softmax(logits) - one_hot(labels): the gradient of the summed
+    cross-entropy with respect to the logits, as a fresh array."""
+    out = softmax(logits)
+    out[np.arange(labels.shape[0]), labels] -= 1.0
     return out
 
 
-def backward(params: NetworkParams, cache, dlogits, dbranch_pre=None) -> Grads:
-    """Parameter gradients from per-example gradients at the network outputs.
+def backward(params: NetworkParams, cache, dlogits, dbranch_pre=None) -> np.ndarray:
+    """Parameter gradient from per-example gradients at the network outputs.
 
     dlogits is (n, k); dbranch_pre, when given, is (n,) with respect to the
     raw confidence pre-activation. The caller bakes any 1/n factors into
     these upstream gradients; this routine only applies the chain rule.
+    Returns a fresh vector in the layout of params.vector.
     """
     acts, pres = cache
     n_layers = len(params.weights)
-    gw: list = [None] * n_layers
-    gb: list = [None] * n_layers
-    gbw = gbb = None
+    out = np.empty_like(params.vector)
+    views = params.split(out)
     branch_delta = None
     if params.branch is not None:
+        gbw, gbb = views[-2], views[-1]
         if dbranch_pre is None:
-            gbw = np.zeros_like(params.branch.weight)
-            gbb = np.zeros(1)
+            gbw[...] = 0.0
+            gbb[...] = 0.0
         else:
             branch_delta = np.asarray(dbranch_pre, dtype=np.float64)
-            h = acts[n_layers - 1]
-            gbw = h.T @ branch_delta
-            gbb = np.array([branch_delta.sum()])
+            np.matmul(acts[n_layers - 1].T, branch_delta, out=gbw)
+            gbb[0] = branch_delta.sum()
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(n_layers - 1, -1, -1):
-        gw[i] = delta.T @ acts[i]
-        gb[i] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=views[2 * i])
+        np.add.reduce(delta, axis=0, out=views[2 * i + 1])
         if i > 0:
             da = delta @ params.weights[i]
             if i == n_layers - 1 and branch_delta is not None:
                 da = da + branch_delta[:, None] * params.branch.weight[None, :]
-            delta = da * _act_grad(pres[i - 1], params.activation)
-    return Grads(gw, gb, gbw, gbb)
+            delta = _act_backward(da, pres[i - 1], params.activation)
+    return out
+
+
+_ROW_OBJECTIVES = ("plain_ce", "multiclass_oe", "token_uniform_ce", "confidence_branch_oe")
 
 
 def _require_labeled(batch, what: str) -> None:
@@ -303,69 +291,74 @@ def _require_labeled(batch, what: str) -> None:
         raise ConfigurationError(f"{what} needs labels on the in-distribution batch")
 
 
-def _require_oe(batch) -> None:
-    if batch is None or len(batch) == 0:
+def _check_objective(params: NetworkParams, objective, in_batch, oe_batch) -> bool:
+    """Reject batches the objective cannot use; returns whether it reads outliers."""
+    kind = objective.kind
+    if kind == "density_margin":
+        raise ConfigurationError("margin objectives pair whole sequences; use density.margin_grad")
+    if kind not in _ROW_OBJECTIVES:
+        raise ConfigurationError(f"unknown objective kind {kind!r}")
+    if kind == "confidence_branch_oe" and params.branch is None:
+        raise ConfigurationError("confidence-branch objective needs a network with a confidence head")
+    if kind != "token_uniform_ce":
+        _require_labeled(in_batch, kind)
+        if np.any(in_batch.labels >= params.n_classes):
+            raise DataError(f"class label out of range for {params.n_classes} classes")
+    uses_oe = kind == "token_uniform_ce" or (kind != "plain_ce" and float(objective.lam) > 0)
+    if uses_oe and (oe_batch is None or len(oe_batch) == 0):
         raise ConfigurationError("exposure objective needs a nonempty outlier batch")
+    return uses_oe
 
 
-def grad(params: NetworkParams, objective, in_batch: Batch | None = None, oe_batch: Batch | None = None) -> Grads:
-    """Exact gradient of a training objective with respect to every parameter.
+def _objective_grad(params: NetworkParams, objective, X, y, oe_X) -> np.ndarray:
+    """The gradient behind grad and train_classifier, on checked rows.
+
+    Inlier and outlier terms keep separate forward/backward passes whose
+    gradients are summed with one +=: one pass over the concatenated rows
+    would sum the weight gradients in another order and move the bits.
+    """
+    kind = objective.kind
+    k = params.n_classes
+    lam = float(objective.lam)
+    if kind == "token_uniform_ce":
+        logits, _, cache = forward_cached(params, oe_X)
+        return backward(params, cache, (softmax(logits) - 1.0 / k) / oe_X.shape[0])
+    logits, bpre, cache = forward_cached(params, X)
+    n = X.shape[0]
+    dlog = ce_logit_grad(logits, y)
+    dlog /= n
+    if kind == "confidence_branch_oe":
+        # d(-log sigmoid(u))/du = sigmoid(u) - 1
+        g = backward(params, cache, dlog, BRANCH_FIT_WEIGHT * (sigmoid(bpre) - 1.0) / n)
+        if lam > 0:
+            _, obpre, ocache = forward_cached(params, oe_X)
+            m = oe_X.shape[0]
+            g += backward(params, ocache, np.zeros((m, k)), lam * (1.0 - sigmoid(obpre)) / m)
+        return g
+    g = backward(params, cache, dlog)
+    if kind == "multiclass_oe" and lam > 0:
+        ologits, _, ocache = forward_cached(params, oe_X)
+        g += backward(params, ocache, lam * (softmax(ologits) - 1.0 / k) / oe_X.shape[0])
+    return g
+
+
+def grad(params: NetworkParams, objective, in_batch: Batch | None = None, oe_batch: Batch | None = None) -> np.ndarray:
+    """Exact gradient of a training objective, as a vector in the layout of
+    params.vector.
 
     in_batch supplies labeled in-distribution examples; oe_batch supplies
     auxiliary outliers for the exposure objectives. The sequence-paired
     margin objective lives with the density model (density.margin_grad)
     because its batches are whole sequences, not rows.
     """
-    kind = objective.kind
-    k = params.n_classes
-    if kind == "plain_ce":
-        _require_labeled(in_batch, "plain_ce")
-        logits, _, cache = forward_cached(params, in_batch.inputs)
-        dlog = (softmax(logits) - _one_hot(in_batch.labels, k)) / len(in_batch)
-        return backward(params, cache, dlog)
-    if kind == "multiclass_oe":
-        _require_labeled(in_batch, "multiclass_oe")
-        logits, _, cache = forward_cached(params, in_batch.inputs)
-        dlog = (softmax(logits) - _one_hot(in_batch.labels, k)) / len(in_batch)
-        g = backward(params, cache, dlog)
-        lam = float(objective.lam)
-        if lam > 0:
-            _require_oe(oe_batch)
-            ologits, _, ocache = forward_cached(params, oe_batch.inputs)
-            doe = lam * (softmax(ologits) - 1.0 / k) / len(oe_batch)
-            g = add_grads(g, backward(params, ocache, doe))
-        return g
-    if kind == "token_uniform_ce":
-        _require_oe(oe_batch)
-        logits, _, cache = forward_cached(params, oe_batch.inputs)
-        dlog = (softmax(logits) - 1.0 / k) / len(oe_batch)
-        return backward(params, cache, dlog)
-    if kind == "confidence_branch_oe":
-        if params.branch is None:
-            raise ConfigurationError("confidence-branch objective needs a network with a confidence head")
-        _require_labeled(in_batch, "confidence_branch_oe")
-        logits, bpre, cache = forward_cached(params, in_batch.inputs)
-        n = len(in_batch)
-        dlog = (softmax(logits) - _one_hot(in_batch.labels, k)) / n
-        # d(-log sigmoid(u))/du = sigmoid(u) - 1
-        dbranch = BRANCH_FIT_WEIGHT * (sigmoid(bpre) - 1.0) / n
-        g = backward(params, cache, dlog, dbranch)
-        lam = float(objective.lam)
-        if lam > 0:
-            _require_oe(oe_batch)
-            _, obpre, ocache = forward_cached(params, oe_batch.inputs)
-            doeb = lam * (1.0 - sigmoid(obpre)) / len(oe_batch)
-            zeros = np.zeros((len(oe_batch), k))
-            g = add_grads(g, backward(params, ocache, zeros, doeb))
-        return g
-    if kind == "density_margin":
-        raise ConfigurationError("margin objectives pair whole sequences; use density.margin_grad")
-    raise ConfigurationError(f"unknown objective kind {kind!r}")
+    uses_oe = _check_objective(params, objective, in_batch, oe_batch)
+    X, y = (None, None) if in_batch is None else (in_batch.inputs, in_batch.labels)
+    return _objective_grad(params, objective, X, y, oe_batch.inputs if uses_oe else None)
 
 
 @dataclass
 class OptimizerState:
-    velocity: list[np.ndarray]
+    velocity: np.ndarray  # layout of NetworkParams.vector
     step_count: int
     lr0: float
     momentum: float
@@ -388,8 +381,9 @@ def init_optimizer(
         raise ParameterError("weight_decay must be nonnegative")
     if int(total_steps) < 1:
         raise ParameterError("total_steps must be positive")
-    vel = [np.zeros_like(a) for a in params.arrays()]
-    return OptimizerState(vel, 0, float(lr0), float(momentum), float(weight_decay), int(total_steps))
+    return OptimizerState(
+        np.zeros_like(params.vector), 0, float(lr0), float(momentum), float(weight_decay), int(total_steps)
+    )
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -403,47 +397,97 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return float(lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps)))
 
 
-def sgd_step(params: NetworkParams, grads: Grads, state: OptimizerState):
-    """One Nesterov SGD update; weight decay is added to the raw gradients
-    and the learning rate follows the cosine schedule. Returns new
-    (params, state) without touching the inputs."""
-    p_arrays = params.arrays()
-    g_arrays = grads.arrays()
-    if len(p_arrays) != len(g_arrays) or len(state.velocity) != len(p_arrays):
+def sgd_step(params: NetworkParams, grads: np.ndarray, state: OptimizerState) -> None:
+    """One Nesterov SGD update of params.vector and state.velocity, in place.
+
+    Weight decay joins the raw gradient and the learning rate follows the
+    cosine schedule: gd = g + wd * p; v = m * v + gd; p -= lr * (gd + m * v).
+    The gradient vector is only read.
+    """
+    p, v = params.vector, state.velocity
+    if np.shape(grads) != p.shape or v.shape != p.shape:
         raise ConfigurationError("parameter, gradient, and velocity layouts differ")
     lr = cosine_lr(state.step_count, state.total_steps, state.lr0)
-    new_params = params.copy()
-    out_arrays = new_params.arrays()
-    new_vel = []
-    for slot, (p, g, v) in enumerate(zip(p_arrays, g_arrays, state.velocity)):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise ConfigurationError("gradient shape mismatch")
-        gd = g + state.weight_decay * p
-        vn = state.momentum * v + gd
-        out_arrays[slot][...] = p - lr * (gd + state.momentum * vn)
-        new_vel.append(vn)
-    new_state = OptimizerState(
-        new_vel, state.step_count + 1, state.lr0, state.momentum, state.weight_decay, state.total_steps
+    gd = grads + state.weight_decay * p
+    v *= state.momentum
+    v += gd
+    p -= lr * (gd + state.momentum * v)
+    state.step_count += 1
+
+
+def train_loop(
+    params: NetworkParams,
+    loss_grad,
+    n_rows: int,
+    *,
+    n_oe: int = 0,
+    epochs: int,
+    batch_size: int,
+    lr0: float,
+    momentum: float = 0.9,
+    weight_decay: float = 5e-4,
+    seed=0,
+) -> NetworkParams:
+    """Minibatch Nesterov SGD on a cosine schedule; returns the trained copy.
+
+    The input parameters are copied once and never touched. Each epoch
+    visits the n_rows inlier rows in a fresh seeded permutation, in batches
+    of batch_size (the last may be short). With n_oe > 0, outlier rows come
+    cyclically from one seeded permutation drawn before the first epoch and
+    are paired with inlier batches by position. loss_grad(net, idx, oe_idx)
+    returns the gradient at net for those row indices (oe_idx is None
+    without outliers). Raises DivergenceError after the first epoch that
+    leaves a non-finite parameter.
+    """
+    if epochs < 1:
+        raise ParameterError("epochs must be >= 1")
+    if n_rows < 1:
+        raise ConfigurationError("training needs at least one inlier row")
+    net = params.copy()
+    bs = min(int(batch_size), n_rows)
+    steps_per_epoch = (n_rows + bs - 1) // bs
+    state = init_optimizer(
+        net, lr0, total_steps=epochs * steps_per_epoch, momentum=momentum, weight_decay=weight_decay
     )
-    return new_params, new_state
+    rng = np.random.default_rng(seed)
+    if n_oe:
+        oe_order = rng.permutation(n_oe)
+        oe_ptr = 0
+    for epoch in range(epochs):
+        perm = rng.permutation(n_rows)
+        for start in range(0, n_rows, bs):
+            idx = perm[start : start + bs]
+            oe_idx = None
+            if n_oe:
+                oe_idx = oe_order[(oe_ptr + np.arange(idx.size)) % n_oe]
+                oe_ptr = (oe_ptr + idx.size) % n_oe
+            sgd_step(net, loss_grad(net, idx, oe_idx), state)
+        if not np.isfinite(net.vector).all():
+            raise DivergenceError(f"parameters became non-finite in epoch {epoch + 1} of {epochs}")
+    return net
 
 
-def flatten_params(params: NetworkParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.arrays()])
+def train_classifier(
+    params: NetworkParams,
+    objective,
+    in_batch: Batch,
+    oe_batch: Batch | None = None,
+    **settings,
+) -> NetworkParams:
+    """train_loop on one of grad's objectives over whole-set batches.
 
+    The batches are checked once per run; each step slices rows from them.
+    settings are train_loop's keyword arguments other than n_oe.
+    """
+    _require_labeled(in_batch, "classifier training")
+    uses_oe = _check_objective(params, objective, in_batch, oe_batch)
+    X, y = in_batch.inputs, in_batch.labels
+    oe_X = oe_batch.inputs if uses_oe else None
 
-def unflatten_params(template: NetworkParams, vec: np.ndarray) -> NetworkParams:
-    vec = np.asarray(vec, dtype=np.float64)
-    out = template.copy()
-    arrays = out.arrays()
-    if vec.size != sum(a.size for a in arrays):
-        raise ConfigurationError("flat vector length does not match the parameter count")
-    i = 0
-    for a in arrays:
-        n = a.size
-        a[...] = vec[i : i + n].reshape(a.shape)
-        i += n
-    return out
+    def loss_grad(net, idx, oe_idx):
+        return _objective_grad(net, objective, X[idx], y[idx], None if oe_idx is None else oe_X[oe_idx])
+
+    return train_loop(params, loss_grad, X.shape[0], n_oe=0 if oe_X is None else oe_X.shape[0], **settings)
 
 
 def save_params(params: NetworkParams, path) -> None:
@@ -458,17 +502,16 @@ def save_params(params: NetworkParams, path) -> None:
         struct.pack(f"<{len(dims)}I", *dims),
         struct.pack("<BB", _ACT_CODES[params.activation], 1 if params.branch is not None else 0),
     ]
-    for w, b in zip(params.weights, params.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    if params.branch is not None:
-        parts.append(np.ascontiguousarray(params.branch.weight, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(params.branch.bias, dtype="<f8").tobytes())
+    # the blocks are the parameter vector's layout, in order
+    parts.append(np.ascontiguousarray(params.vector, dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
 def load_params(path) -> NetworkParams:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read parameter file {path}: {exc.strerror or exc}") from exc
     if len(raw) < 12 or raw[:4] != PARAMS_MAGIC:
         raise DataError("not a parameter file (bad magic)")
     (version,) = struct.unpack_from("<I", raw, 4)

@@ -5,23 +5,23 @@ import numpy as np
 from oewb import nn_core
 
 
-def flatten_grads(grads) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in grads.arrays()])
+def with_vector(params, vec) -> "nn_core.NetworkParams":
+    """A copy of params whose parameter vector is vec."""
+    out = params.copy()
+    out.vector[...] = vec
+    return out
 
 
 def fd_gradient(params, loss_fn, h: float = 1e-5) -> np.ndarray:
-    """Central differences of loss_fn over every parameter coordinate."""
-    vec = nn_core.flatten_params(params)
+    """Central differences of loss_fn over every coordinate of params.vector."""
+    vec = params.vector
     grad = np.zeros_like(vec)
     for i in range(vec.size):
         up = vec.copy()
         up[i] += h
         down = vec.copy()
         down[i] -= h
-        grad[i] = (
-            loss_fn(nn_core.unflatten_params(params, up))
-            - loss_fn(nn_core.unflatten_params(params, down))
-        ) / (2.0 * h)
+        grad[i] = (loss_fn(with_vector(params, up)) - loss_fn(with_vector(params, down))) / (2.0 * h)
     return grad
 
 

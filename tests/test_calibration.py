@@ -137,6 +137,34 @@ def _calibrated_logits(rng, n, k, scale=1.0):
     return z * scale, labels
 
 
+def _scalar_loop_temperature(logits, labels, grid_points=200):
+    """tune_temperature as one objectives.ce_loss call per temperature."""
+
+    def nll_at(t):
+        return objectives.ce_loss(logits / t, labels)
+
+    grid = np.unique(np.concatenate((np.logspace(-2.0, 2.0, grid_points), [1.0])))
+    ces = np.array([nll_at(t) for t in grid])
+    best = int(np.argmin(ces))
+    a = math.log(grid[max(best - 1, 0)])
+    b = math.log(grid[min(best + 1, grid.size - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = nll_at(math.exp(c)), nll_at(math.exp(d))
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = nll_at(math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = nll_at(math.exp(d))
+    refined = math.exp((a + b) / 2.0)
+    return float(refined) if nll_at(refined) < ces[best] else float(grid[best])
+
+
 class TestTuneTemperature:
     def test_recovers_unit_temperature(self):
         rng = np.random.default_rng(6)
@@ -163,6 +191,18 @@ class TestTuneTemperature:
             cal.tune_temperature(np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(InputError):
             cal.tune_temperature(np.zeros((4, 3)), np.zeros(2, dtype=int))
+        with pytest.raises(InputError):
+            cal.tune_temperature(np.zeros((2, 3)), np.array([0, 3]))
+        with pytest.raises(InputError):
+            cal.tune_temperature(np.zeros((2, 3)), np.array([-1, 0]))
+
+    def test_equals_scalar_loop_exactly(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n, k = int(rng.integers(1, 300)), int(rng.integers(2, 12))
+            logits = rng.normal(size=(n, k)) * rng.uniform(0.1, 20.0)
+            labels = rng.integers(0, k, size=n)
+            assert cal.tune_temperature(logits, labels) == _scalar_loop_temperature(logits, labels)
 
     def test_scaling_preserves_argmax(self):
         rng = np.random.default_rng(9)

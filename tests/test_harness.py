@@ -583,7 +583,7 @@ class TestTrainingPipeline:
             for start in range(0, n, bs):
                 idx = perm[start : start + bs]
                 g = nn_core.grad(params, objective, nn_core.Batch(X[idx], y[idx]), None)
-                params, state = nn_core.sgd_step(params, g, state)
+                nn_core.sgd_step(params, g, state)
 
         for a, b in zip(tuned.arrays(), params.arrays()):
             assert np.array_equal(a, b)
@@ -910,6 +910,28 @@ class TestCli:
         rc = cli.main(["eval", "-c", str(path), "-o", str(tmp_path / "out"), "-q",
                        "--params", str(bad)])
         assert rc == 1
+
+    def test_missing_params_file_is_usage_error(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        missing = tmp_path / "no_such_model.bin"
+        for command in ("eval", "finetune"):
+            rc = cli.main([command, "-c", str(path), "-o", str(tmp_path / "out"), "-q",
+                           "--params", str(missing)])
+            assert rc == 1, command
+            err = capsys.readouterr().err
+            assert str(missing) in err and "internal error" not in err, command
+
+    def test_diverging_run_exits_two_and_names_seed_stage_epoch(self, tmp_path, capsys):
+        path = self._write_config(
+            tmp_path, model=ModelSettings(hidden_dims=(8,), lr0=1e100, finetune_lr0=0.05, batch_size=32)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "training diverged" in err
+        assert "seed 0, stage train_baseline" in err
+        assert "epoch 1 of 3" in err
 
     def test_gen_outliers(self, tmp_path, capsys):
         path = self._write_config(tmp_path)

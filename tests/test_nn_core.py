@@ -146,8 +146,7 @@ class TestGrad:
         oe = nn_core.Batch(rng.normal(size=(5, 3)))
         g_oe = nn_core.grad(p, objectives.ObjectiveSpec("multiclass_oe", lam=0.0), batch, oe)
         g_ce = nn_core.grad(p, objectives.ObjectiveSpec("plain_ce"), batch)
-        for a, b in zip(g_oe.arrays(), g_ce.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(g_oe, g_ce)
 
     def test_missing_oe_batch_rejected(self):
         rng = np.random.default_rng(0)
@@ -176,7 +175,7 @@ class TestGrad:
         batch = _labeled_batch(rng, 6, 2, 3)
         oe = nn_core.Batch(rng.normal(size=(4, 2)))
         spec = objectives.ObjectiveSpec("multiclass_oe", lam=0.5)
-        analytic = fd.flatten_grads(nn_core.grad(p, spec, batch, oe))
+        analytic = nn_core.grad(p, spec, batch, oe)
 
         def loss(q):
             return objectives.multiclass_oe_loss(batch, oe, q, lam=0.5)
@@ -190,7 +189,7 @@ class TestGrad:
         batch = _labeled_batch(rng, 6, 2, 3)
         oe = nn_core.Batch(rng.normal(size=(4, 2)))
         spec = objectives.ObjectiveSpec("confidence_branch_oe", lam=0.5)
-        analytic = fd.flatten_grads(nn_core.grad(p, spec, batch, oe))
+        analytic = nn_core.grad(p, spec, batch, oe)
 
         def loss(q):
             return objectives.confidence_branch_oe_loss(batch, oe, q, lam=0.5)
@@ -205,7 +204,7 @@ class TestGrad:
         p = nn_core.init_network([2, 6, 3], seed=3, activation="tanh")
         batch = _labeled_batch(rng, 8, 2, 3)
         spec = objectives.ObjectiveSpec("plain_ce")
-        g = fd.flatten_grads(nn_core.grad(p, spec, batch))
+        g = nn_core.grad(p, spec, batch)
 
         def loss(q):
             logits, _ = nn_core.forward(q, batch.inputs)
@@ -215,11 +214,11 @@ class TestGrad:
         d -= (d @ g) / (g @ g) * g
         d /= np.linalg.norm(d)
         eps = 1e-4
-        base = nn_core.flatten_params(p)
+        base = p.vector
         f0 = loss(p)
-        ortho = abs(loss(nn_core.unflatten_params(p, base + eps * d)) - f0)
+        ortho = abs(loss(fd.with_vector(p, base + eps * d)) - f0)
         gdir = g / np.linalg.norm(g)
-        along = abs(loss(nn_core.unflatten_params(p, base + eps * gdir)) - f0)
+        along = abs(loss(fd.with_vector(p, base + eps * gdir)) - f0)
         assert ortho < 1e-6
         assert ortho < along / 100.0
 
@@ -227,28 +226,29 @@ class TestGrad:
 class TestSgdStep:
     def test_plain_sgd_without_momentum_or_decay(self):
         p = nn_core.init_network([2, 3], seed=1)
-        g = nn_core.Grads([np.ones_like(p.weights[0])], [np.ones_like(p.biases[0])])
+        before = p.copy()
+        g = np.ones_like(p.vector)
         state = nn_core.init_optimizer(p, lr0=0.5, total_steps=10, momentum=0.0, weight_decay=0.0)
-        p2, state2 = nn_core.sgd_step(p, g, state)
-        assert np.allclose(p2.weights[0], p.weights[0] - 0.5, atol=1e-15)
-        assert np.allclose(p2.biases[0], p.biases[0] - 0.5, atol=1e-15)
-        assert state2.step_count == 1
-        # inputs untouched
-        assert state.step_count == 0
+        nn_core.sgd_step(p, g, state)
+        assert np.allclose(p.weights[0], before.weights[0] - 0.5, atol=1e-15)
+        assert np.allclose(p.biases[0], before.biases[0] - 0.5, atol=1e-15)
+        assert state.step_count == 1
+        # the gradient is only read
+        assert np.array_equal(g, np.ones_like(p.vector))
 
     def test_zero_gradient_zero_velocity_is_a_fixed_point(self):
         p = nn_core.init_network([2, 3], seed=1)
-        g = nn_core.Grads([np.zeros_like(p.weights[0])], [np.zeros_like(p.biases[0])])
+        before = p.vector.copy()
         state = nn_core.init_optimizer(p, lr0=0.5, total_steps=10, momentum=0.9, weight_decay=0.0)
-        p2, _ = nn_core.sgd_step(p, g, state)
-        for a, b in zip(p.arrays(), p2.arrays()):
-            assert np.array_equal(a, b)
+        nn_core.sgd_step(p, np.zeros_like(p.vector), state)
+        assert np.array_equal(p.vector, before)
+        assert np.array_equal(state.velocity, np.zeros_like(before))
 
     def test_two_steps_match_hand_unrolled_recurrence(self):
         p = nn_core.init_network([1, 1], seed=0)
         p.weights[0][...] = 2.0
         p.biases[0][...] = 0.0
-        g = nn_core.Grads([np.full((1, 1), 0.25)], [np.zeros(1)])
+        g = np.array([0.25, 0.0])  # layout: w0 (1x1), b0 (1,)
         mu, wd, lr0, total = 0.9, 0.01, 0.1, 4
         state = nn_core.init_optimizer(p, lr0=lr0, total_steps=total, momentum=mu, weight_decay=wd)
 
@@ -259,16 +259,15 @@ class TestSgdStep:
             v = mu * v + gd
             w = w - lr * (gd + mu * v)
 
-        p1, state = nn_core.sgd_step(p, g, state)
-        p2, state = nn_core.sgd_step(p1, g, state)
-        assert abs(p2.weights[0][0, 0] - w) < 1e-15
+        nn_core.sgd_step(p, g, state)
+        nn_core.sgd_step(p, g, state)
+        assert abs(p.weights[0][0, 0] - w) < 1e-15
 
     def test_shape_mismatch_rejected(self):
         p = nn_core.init_network([2, 3], seed=1)
-        g = nn_core.Grads([np.zeros((1, 1))], [np.zeros(3)])
         state = nn_core.init_optimizer(p, lr0=0.1, total_steps=1)
         with pytest.raises(ConfigurationError):
-            nn_core.sgd_step(p, g, state)
+            nn_core.sgd_step(p, np.zeros(p.vector.size - 1), state)
 
     def test_optimizer_hyperparameter_validation(self):
         p = nn_core.init_network([2, 3], seed=1)
@@ -322,7 +321,7 @@ def _full_batch_epochs(seed, epochs=50):
         logits, _ = nn_core.forward(p, batch.inputs)
         lp = nn_core.log_softmax(logits)
         losses.append(float(np.mean(-lp[np.arange(len(batch)), batch.labels])))
-        p, state = nn_core.sgd_step(p, nn_core.grad(p, spec, batch), state)
+        nn_core.sgd_step(p, nn_core.grad(p, spec, batch), state)
     return p, losses
 
 
@@ -379,14 +378,18 @@ class TestSerialization:
         with pytest.raises(DataError):
             nn_core.load_params(path)
 
-    def test_flatten_unflatten_round_trip(self):
+    def test_arrays_are_views_of_the_parameter_vector(self):
         p = nn_core.init_network([3, 5, 4], seed=2, with_branch=True)
-        vec = nn_core.flatten_params(p)
-        q = nn_core.unflatten_params(p, vec.copy())
-        for a, b in zip(p.arrays(), q.arrays()):
-            assert np.array_equal(a, b)
-        with pytest.raises(ConfigurationError):
-            nn_core.unflatten_params(p, vec[:-1])
+        arrays = p.arrays()
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), p.vector)
+        assert all(np.shares_memory(a, p.vector) for a in arrays)
+        p.vector[-1] = 3.5  # the last slot is the confidence head's bias
+        assert p.branch.bias[0] == 3.5
+        q = p.copy()
+        assert not np.shares_memory(q.vector, p.vector)
+        assert np.array_equal(q.vector, p.vector)
+        q.weights[0][0, 0] += 1.0
+        assert q.vector[0] == p.vector[0] + 1.0
 
 
 class TestInit:

@@ -302,7 +302,7 @@ class TestExposureTrainingEffect:
         state = nn_core.init_optimizer(p, lr0=0.2, total_steps=60, weight_decay=0.0)
         ce = objectives.ObjectiveSpec("plain_ce")
         for _ in range(60):
-            p, state = nn_core.sgd_step(p, nn_core.grad(p, ce, inb), state)
+            nn_core.sgd_step(p, nn_core.grad(p, ce, inb), state)
 
         def held_out_uce(q):
             logits, _ = nn_core.forward(q, oe_held.inputs)
@@ -316,6 +316,6 @@ class TestExposureTrainingEffect:
             idx = order[start : start + 10]
             sub = nn_core.Batch(inb.inputs[idx], labels=inb.labels[idx])
             osub = nn_core.Batch(oe_train.inputs[start % 54 : start % 54 + 10])
-            p, state = nn_core.sgd_step(p, nn_core.grad(p, spec, sub, osub), state)
+            nn_core.sgd_step(p, nn_core.grad(p, spec, sub, osub), state)
         after = held_out_uce(p)
         assert after < before

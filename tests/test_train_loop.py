@@ -1,0 +1,87 @@
+"""The single training loop against the reference composition, bit for bit."""
+
+import numpy as np
+import pytest
+
+import reference_training as ref
+from oewb import density, nn_core
+from oewb.errors import DivergenceError
+from oewb.objectives import ObjectiveSpec
+
+SETTINGS = dict(epochs=2, batch_size=16, lr0=0.2, momentum=0.9, weight_decay=5e-4, seed=7)
+
+
+def _assert_same(trained: nn_core.NetworkParams, reference: ref.RefNet):
+    arrays = trained.arrays()
+    assert len(arrays) == len(reference.arrays)
+    for a, b in zip(arrays, reference.arrays):
+        assert np.array_equal(a, b)
+
+
+def _classifier_data():
+    rng = np.random.default_rng(3)
+    # 53 rows in batches of 16 leave a short last batch; 23 outliers make
+    # the cyclic outlier pointer wrap mid-batch
+    X = rng.normal(size=(53, 2)) * 2.0
+    y = rng.integers(0, 3, size=53)
+    oe_X = rng.uniform(-6.0, 6.0, size=(23, 2))
+    return X, y, oe_X
+
+
+@pytest.mark.parametrize(
+    "kind, lam, activation",
+    [
+        ("plain_ce", 0.0, "relu"),
+        ("multiclass_oe", 0.5, "relu"),
+        ("multiclass_oe", 0.5, "tanh"),
+        ("confidence_branch_oe", 0.5, "relu"),
+    ],
+)
+def test_classifier_loop_matches_reference(kind, lam, activation):
+    X, y, oe_X = _classifier_data()
+    params = nn_core.init_network(
+        [2, 8, 8, 3], seed=5, activation=activation, with_branch=kind == "confidence_branch_oe"
+    )
+    before = params.vector.tobytes()
+    trained = nn_core.train_classifier(
+        params, ObjectiveSpec(kind, lam=lam), nn_core.Batch(X, y), nn_core.Batch(oe_X), **SETTINGS
+    )
+    reference = ref.train_classifier(params, kind, lam, X, y, oe_X, **SETTINGS)
+    _assert_same(trained, reference)
+    assert params.vector.tobytes() == before
+
+
+def _sequences():
+    rng = np.random.default_rng(11)
+    inliers = (np.arange(9)[None, :] + rng.integers(0, 5, size=(37, 1))) % 5
+    noisy = rng.random(inliers.shape) < 0.2
+    inliers[noisy] = rng.integers(0, 5, size=int(noisy.sum()))
+    outliers = rng.integers(0, 5, size=(13, 9))
+    return inliers, outliers
+
+
+def test_density_mle_loop_matches_reference():
+    seqs, _ = _sequences()
+    model = density.init_ar_model(5, 2, (8,), seed=2)
+    before = model.net.vector.tobytes()
+    trained = density.train_density(model, seqs, **SETTINGS)
+    _assert_same(trained.net, ref.train_density(model, seqs, **SETTINGS))
+    assert model.net.vector.tobytes() == before
+
+
+def test_density_margin_finetune_matches_reference():
+    inliers, outliers = _sequences()
+    model = density.train_density(density.init_ar_model(5, 2, (8,), seed=2), inliers, **SETTINGS)
+    before = model.net.vector.tobytes()
+    extra = dict(margin=9.0, mle_weight=1.0, margin_weight=0.7)
+    trained = density.finetune_density_oe(model, inliers, outliers, **extra, **SETTINGS)
+    _assert_same(trained.net, ref.finetune_density(model, inliers, outliers, **extra, **SETTINGS))
+    assert model.net.vector.tobytes() == before
+
+
+def test_divergence_names_the_epoch():
+    X, y, _ = _classifier_data()
+    params = nn_core.init_network([2, 8, 3], seed=0)
+    settings = {**SETTINGS, "lr0": 1e100, "epochs": 3}
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="epoch 1 of 3"):
+        nn_core.train_classifier(params, ObjectiveSpec("plain_ce"), nn_core.Batch(X, y), **settings)
