@@ -14,19 +14,6 @@ from . import nn_core
 from .errors import InputError, ParameterError
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    confidence: float
-    correct: bool
-
-    def __post_init__(self):
-        c = float(self.confidence)
-        if not (math.isfinite(c) and 0.0 <= c <= 1.0):
-            raise ParameterError("confidence must lie in [0, 1]")
-        object.__setattr__(self, "confidence", c)
-        object.__setattr__(self, "correct", bool(self.correct))
-
-
 @dataclass
 class CalibrationReport:
     rms_error: float
@@ -38,61 +25,70 @@ class CalibrationReport:
     soft_f1_degenerate: bool = False
 
 
-def _conf_correct(records):
-    if len(records) == 0:
+def _predictions(confidence, correct):
+    """Validated confidence array and 0/1 float correctness array; one
+    record per position."""
+    conf = np.asarray(confidence, dtype=np.float64).ravel()
+    corr = np.asarray(correct).ravel()
+    if conf.size == 0:
         raise InputError("no prediction records")
-    conf = np.array([r.confidence for r in records], dtype=np.float64)
-    corr = np.array([1.0 if r.correct else 0.0 for r in records], dtype=np.float64)
-    return conf, corr
+    if corr.shape != conf.shape:
+        raise InputError("confidences and correctness flags must align")
+    if not np.all((conf >= 0.0) & (conf <= 1.0)):  # also rejects NaN
+        raise ParameterError("confidence must lie in [0, 1]")
+    return conf, corr.astype(bool).astype(np.float64)
 
 
-def adaptive_bins(records, target_per_bin: int = 100):
-    """Split confidence-sorted records into contiguous near-equal-count bins.
+def adaptive_bins(confidence, target_per_bin: int = 100):
+    """Split records, sorted by confidence, into contiguous near-equal-count bins.
 
     Bin count is max(1, round(n / target_per_bin)); bin sizes differ by at
-    most one. Returns the bins as lists of records.
+    most one. Returns each bin as an array of record indices in ascending
+    confidence order.
     """
     if target_per_bin < 1:
         raise ParameterError("target_per_bin must be positive")
-    conf, _ = _conf_correct(records)
-    n = len(records)
+    conf = np.asarray(confidence, dtype=np.float64).ravel()
+    if conf.size == 0:
+        raise InputError("no prediction records")
+    n = conf.size
     order = np.argsort(conf, kind="mergesort")
     b = max(1, round(n / target_per_bin))
     base, rem = divmod(n, b)
-    bins = []
-    start = 0
-    for i in range(b):
-        size = base + (1 if i < rem else 0)
-        bins.append([records[j] for j in order[start : start + size]])
-        start += size
-    return bins
+    sizes = [base + (1 if i < rem else 0) for i in range(b)]
+    return np.split(order, np.cumsum(sizes)[:-1])
 
 
-def _bin_gaps(records, target_per_bin: int):
-    bins = adaptive_bins(records, target_per_bin)
-    n = len(records)
-    weights, gaps = [], []
-    for chunk in bins:
-        conf, corr = _conf_correct(chunk)
-        weights.append(len(chunk) / n)
-        gaps.append(float(corr.mean() - conf.mean()))
-    return weights, gaps, len(bins)
+def _bin_gaps(conf, corr, target_per_bin: int):
+    """Per-bin weights |B_b| / n and gaps accuracy_b - mean confidence_b."""
+    bins = adaptive_bins(conf, target_per_bin)
+    n = conf.size
+    weights = [idx.size / n for idx in bins]
+    gaps = [float(corr[idx].mean() - conf[idx].mean()) for idx in bins]
+    return weights, gaps
 
 
-def rms_calibration_error(records, target_per_bin: int = 100) -> float:
-    """sqrt(sum_b (|B_b| / n) * (accuracy_b - mean confidence_b)^2)."""
-    weights, gaps, _ = _bin_gaps(records, target_per_bin)
+def _rms(weights, gaps) -> float:
     return float(math.sqrt(math.fsum(w * g * g for w, g in zip(weights, gaps))))
 
 
-def mad_calibration_error(records, target_per_bin: int = 100) -> float:
-    """sum_b (|B_b| / n) * |accuracy_b - mean confidence_b|; never exceeds RMS."""
-    weights, gaps, _ = _bin_gaps(records, target_per_bin)
+def _mad(weights, gaps) -> float:
     return float(math.fsum(w * abs(g) for w, g in zip(weights, gaps)))
 
 
-def _soft_f1_flagged(records):
-    conf, corr = _conf_correct(records)
+def rms_calibration_error(confidence, correct, target_per_bin: int = 100) -> float:
+    """sqrt(sum_b (|B_b| / n) * (accuracy_b - mean confidence_b)^2)."""
+    conf, corr = _predictions(confidence, correct)
+    return _rms(*_bin_gaps(conf, corr, target_per_bin))
+
+
+def mad_calibration_error(confidence, correct, target_per_bin: int = 100) -> float:
+    """sum_b (|B_b| / n) * |accuracy_b - mean confidence_b|; never exceeds RMS."""
+    conf, corr = _predictions(confidence, correct)
+    return _mad(*_bin_gaps(conf, corr, target_per_bin))
+
+
+def _soft_f1_flagged(conf, corr):
     anomaly = 1.0 - conf
     mistake = 1.0 - corr
     num = float(anomaly @ mistake)
@@ -103,9 +99,10 @@ def _soft_f1_flagged(records):
     return num / den, False
 
 
-def soft_f1(records) -> float:
+def soft_f1(confidence, correct) -> float:
     """Soft F1 of mistake flagging with 1 - confidence as the flag strength."""
-    value, _ = _soft_f1_flagged(records)
+    conf, corr = _predictions(confidence, correct)
+    value, _ = _soft_f1_flagged(conf, corr)
     return value
 
 
@@ -175,20 +172,24 @@ def tune_temperature(logits, labels, grid_points: int = 200) -> float:
     return float(grid[best])
 
 
-def posterior_rescale(p_max: float, k: int) -> float:
+def posterior_rescale(p_max, k: int):
     """(p - 1/k) / (1 - 1/k): maps the uniform floor to exactly 0 and full
-    confidence to exactly 1."""
+    confidence to exactly 1. Takes a scalar or an array of max posteriors."""
     if int(k) < 2:
         raise ParameterError("k must be >= 2")
     floor = 1.0 / k
-    if not (0.0 <= p_max <= 1.0) or p_max < floor:
-        raise InputError(f"p_max = {p_max} is impossible for a {k}-class posterior")
-    return float((p_max - floor) / (1.0 - floor))
+    p = np.asarray(p_max, dtype=np.float64)
+    bad = ~((p >= floor) & (p <= 1.0))
+    if np.any(bad):
+        raise InputError(f"p_max = {p[bad].flat[0]} is impossible for a {k}-class posterior")
+    out = (p - floor) / (1.0 - floor)
+    return float(out) if out.ndim == 0 else out
 
 
 def mixed_prediction_records(in_conf, in_correct, ood_conf, seed=0):
-    """Equal-count evaluation pool: inliers keep their correctness flags,
-    every out-of-distribution example counts as incorrect."""
+    """Equal-count evaluation pool as (confidence, correct) arrays: inliers
+    keep their correctness flags, every out-of-distribution example counts
+    as incorrect."""
     in_conf = np.asarray(in_conf, dtype=np.float64).ravel()
     in_correct = np.asarray(in_correct).ravel().astype(bool)
     ood_conf = np.asarray(ood_conf, dtype=np.float64).ravel()
@@ -204,15 +205,15 @@ def mixed_prediction_records(in_conf, in_correct, ood_conf, seed=0):
     if ood_conf.size > m:
         keep = np.sort(rng.choice(ood_conf.size, size=m, replace=False))
         ood_conf = ood_conf[keep]
-    records = [PredictionRecord(c, bool(f)) for c, f in zip(in_conf, in_correct)]
-    records += [PredictionRecord(c, False) for c in ood_conf]
-    return records
+    return np.concatenate((in_conf, ood_conf)), np.concatenate((in_correct, np.zeros(m, dtype=bool)))
 
 
-def report_from_records(records, temperature: float = 1.0, rescaled: bool = False,
+def report_from_records(confidence, correct, temperature: float = 1.0, rescaled: bool = False,
                         target_per_bin: int = 100) -> CalibrationReport:
-    weights, gaps, bin_count = _bin_gaps(records, target_per_bin)
-    rms = float(math.sqrt(math.fsum(w * g * g for w, g in zip(weights, gaps))))
-    mad = float(math.fsum(w * abs(g) for w, g in zip(weights, gaps)))
-    f1, degenerate = _soft_f1_flagged(records)
-    return CalibrationReport(rms, mad, f1, float(temperature), bool(rescaled), bin_count, degenerate)
+    """RMS and MAD calibration errors and soft F1 of (confidence, correct) records."""
+    conf, corr = _predictions(confidence, correct)
+    weights, gaps = _bin_gaps(conf, corr, target_per_bin)
+    f1, degenerate = _soft_f1_flagged(conf, corr)
+    return CalibrationReport(
+        _rms(weights, gaps), _mad(weights, gaps), f1, float(temperature), bool(rescaled), len(gaps), degenerate
+    )

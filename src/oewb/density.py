@@ -24,26 +24,6 @@ LN2 = float(np.log(2.0))
 
 
 @dataclass
-class DiscreteSequence:
-    """Symbols drawn from {0, ..., alphabet_size - 1}."""
-
-    symbols: np.ndarray
-    alphabet_size: int
-
-    def __post_init__(self):
-        self.symbols = np.asarray(self.symbols, dtype=np.int64).ravel()
-        if self.symbols.size < 1:
-            raise ConfigurationError("sequence must be nonempty")
-        if self.alphabet_size < 2:
-            raise ConfigurationError("alphabet_size must be >= 2")
-        if np.any(self.symbols < 0) or np.any(self.symbols >= self.alphabet_size):
-            raise DataError("symbol outside the alphabet")
-
-    def __len__(self):
-        return self.symbols.size
-
-
-@dataclass
 class ARModelParams:
     context_window: int
     alphabet_size: int
@@ -75,10 +55,6 @@ def init_ar_model(alphabet_size, context_window, hidden_dims, seed, activation="
 
 
 def _as_seq_matrix(seqs, alphabet_size: int) -> np.ndarray:
-    if isinstance(seqs, DiscreteSequence):
-        if seqs.alphabet_size != alphabet_size:
-            raise DataError("sequence alphabet does not match the model")
-        return seqs.symbols[None, :]
     arr = np.asarray(seqs, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -119,26 +95,10 @@ def nll_batch(model: ARModelParams, seqs) -> np.ndarray:
     return _sequence_nll(logits, targets, arr.shape)
 
 
-def nll(model: ARModelParams, seq) -> float:
-    """Total negative log-likelihood of one sequence, in nats (always >= 0)."""
-    return float(nll_batch(model, seq)[0])
-
-
-def bits_per_dim(model: ARModelParams, seq) -> float:
-    """nll / (D * ln 2): average bits per symbol."""
-    arr = _as_seq_matrix(seq, model.alphabet_size)
-    if arr.shape[0] != 1:
-        raise ConfigurationError("bits_per_dim scores one sequence; use bits_per_dim_batch")
-    return float(nll_batch(model, arr)[0] / (arr.shape[1] * LN2))
-
-
 def bits_per_dim_batch(model: ARModelParams, seqs) -> np.ndarray:
+    """Per-sequence nll_batch / (D * ln 2): average bits per symbol."""
     arr = _as_seq_matrix(seqs, model.alphabet_size)
     return nll_batch(model, arr) / (arr.shape[1] * LN2)
-
-
-def mean_nll(model: ARModelParams, seqs) -> float:
-    return float(np.mean(nll_batch(model, seqs)))
 
 
 def train_density(

@@ -16,7 +16,6 @@ from .pipeline import (
     prepare_data,
     run_experiment,
     run_seed,
-    select_lambda,
 )
 from .presets import PRESET_NAMES, get_preset, preset_2d, preset_density
 from .reports import display_percent, render_table, write_reports
@@ -39,7 +38,6 @@ __all__ = [
     "prepare_data",
     "run_experiment",
     "run_seed",
-    "select_lambda",
     "PRESET_NAMES",
     "get_preset",
     "preset_2d",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -126,10 +127,15 @@ def cmd_eval(args) -> int:
 
 
 def _read_predictions_csv(path: str):
+    """(confidence, correct) lists from a CSV with those two columns.
+
+    Every row must hold a finite confidence in [0, 1] and a correct flag of
+    0 or 1; the first row that does not is reported as file:line.
+    """
     p = Path(path)
     if not p.exists():
         raise DataError(f"prediction file {p} does not exist")
-    records = []
+    conf, correct = [], []
     with p.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -143,19 +149,23 @@ def _read_predictions_csv(path: str):
             if not row:
                 continue
             try:
-                records.append(
-                    calib_mod.PredictionRecord(float(row[ci]), bool(int(row[xi])))
-                )
+                c, x = float(row[ci]), int(row[xi])
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{p}:{lineno}: {exc}") from exc
-    if not records:
+            if not (math.isfinite(c) and 0.0 <= c <= 1.0):
+                raise DataError(f"{p}:{lineno}: confidence {row[ci]!r} is not a finite number in [0, 1]")
+            if x not in (0, 1):
+                raise DataError(f"{p}:{lineno}: correct {row[xi]!r} is not 0 or 1")
+            conf.append(c)
+            correct.append(x == 1)
+    if not conf:
         raise DataError(f"{p}: no prediction rows")
-    return records
+    return conf, correct
 
 
 def cmd_calibrate(args) -> int:
-    records = _read_predictions_csv(args.predictions)
-    report = calib_mod.report_from_records(records)
+    conf, correct = _read_predictions_csv(args.predictions)
+    report = calib_mod.report_from_records(conf, correct)
     out = _out_dir(args, ".")
     path = out / (Path(args.predictions).stem + "_calibration.json")
     path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
@@ -166,28 +176,18 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_gen_outliers(args) -> int:
+    """Write one outlier set exactly as run and make-data materialize it."""
     config = _resolve_config(args.config)
     seed = _pick_seed(config, args)
     out = _out_dir(args, f"runs/{config.name}")
-    specs = {s.name: s for s in config.d_out_test + config.d_out_val}
-    if config.d_out_oe is not None:
-        specs[config.d_out_oe.name] = config.d_out_oe
-    name = args.name or (config.d_out_oe.name if config.d_out_oe else next(iter(specs)))
-    if name not in specs:
-        raise ConfigurationError(f"no outlier spec named {name!r}; have {sorted(specs)}")
-    spec = specs[name]
-    bundle_dim = None
-    din = None
-    if spec.kind == "generator" and spec.params.get("generator") != "markov_chain":
-        bundle = pipeline.prepare_data(config, seed)
-        bundle_dim = None if bundle.sequence else bundle.din_train.dim
-        din = bundle.din_train
-    from .datasets import materialize
-
-    data = materialize(
-        spec, n=int(spec.params.get("n", 200)), seed=pipeline._ss(seed, pipeline.ROLE_OE),
-        dim=bundle_dim, din=din,
-    )
+    bundle = pipeline.prepare_data(config, seed)
+    sets = {**bundle.vals, **bundle.tests}
+    if bundle.oe is not None:
+        sets[config.d_out_oe.name] = bundle.oe
+    name = args.name or (config.d_out_oe.name if config.d_out_oe else config.d_out_test[0].name)
+    if name not in sets:
+        raise ConfigurationError(f"no outlier spec named {name!r}; have {sorted(sets)}")
+    data = sets[name]
     path = out / f"{name}_seed{seed}.csv"
     _write_dataset(path, data)
     if not args.quiet:

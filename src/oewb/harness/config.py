@@ -2,9 +2,10 @@
 
 Configs are flat JSON documents. The validation here is structural: the
 auxiliary outlier spec must differ from every test outlier spec (the
-materialized rows are additionally scanned for duplicates at run time),
-and nothing downstream of a test outlier set can feed training or
-hyperparameter selection because only d_out_val is ever consulted for it.
+materialized rows are additionally scanned for duplicates at run time).
+Validation outlier specs (d_out_val) are materialized for make-data and
+gen-outliers and echoed in the resolved config; no stage of a run reads
+them, and nothing selects hyperparameters.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import outlier_gen
-from ..density import DiscreteSequence
 from ..errors import ConfigurationError, DataError
 from .config import DatasetSpec
 
@@ -76,9 +75,6 @@ class SequenceDataset:
 
     def subset(self, idx) -> "SequenceDataset":
         return SequenceDataset(self.sequences[idx], self.alphabet_size)
-
-    def as_sequences(self) -> list:
-        return [DiscreteSequence(row, self.alphabet_size) for row in self.sequences]
 
 
 def _cluster_means(k: int, dim: int, separation: float) -> np.ndarray:

@@ -3,8 +3,9 @@
 Seeds are fully independent; every random draw inside one seed flows from
 np.random.SeedSequence([seed, *role]) with a fixed role id per purpose, so
 any stage can be recomputed in isolation and reruns are bit-identical.
-Test outlier sets influence nothing upstream of final evaluation; the
-validation outlier sets are the only sets hyperparameter selection may read.
+Test outlier sets influence nothing upstream of final evaluation. The
+validation outlier sets (d_out_val) are materialized into the data bundle
+for make-data and gen-outliers; no stage of a run reads them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ ROLE_TRAIN_SHUFFLE = 11
 ROLE_FINETUNE_SHUFFLE = 12
 ROLE_SCRATCH_SHUFFLE = 13
 ROLE_BASE_RATE = 20
-ROLE_VAL_BASE_RATE = 21
 ROLE_CALIBRATION = 30
 
 
@@ -52,10 +52,6 @@ class DataBundle:
     tests: dict
     vals: dict
     n_classes: int | None = None
-
-    @property
-    def sequence(self) -> bool:
-        return isinstance(self.din_train, SequenceDataset)
 
 
 def _spec_n(spec, default: int = 200) -> int:
@@ -190,7 +186,7 @@ def train_baseline(config: ExperimentConfig, bundle: DataBundle, seed: int):
         )
 
 
-def finetune_oe(config: ExperimentConfig, bundle: DataBundle, baseline, seed: int, lam=None):
+def finetune_oe(config: ExperimentConfig, bundle: DataBundle, baseline, seed: int):
     """Exposure fine-tuning from a trained baseline at the fine-tune rate."""
     if config.finetune_epochs == 0:
         return baseline
@@ -204,11 +200,8 @@ def finetune_oe(config: ExperimentConfig, bundle: DataBundle, baseline, seed: in
                 mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
                 seed=_ss(seed, ROLE_FINETUNE_SHUFFLE),
             )
-        objective = _classifier_objective(config, exposed=True)
-        if lam is not None:
-            objective = ObjectiveSpec(objective.kind, lam=float(lam))
         return _train_classifier(
-            baseline, bundle.din_train, bundle.oe, objective,
+            baseline, bundle.din_train, bundle.oe, _classifier_objective(config, exposed=True),
             epochs=config.finetune_epochs, lr0=config.model.finetune_lr0,
             model_settings=config.model, shuffle_seed=_ss(seed, ROLE_FINETUNE_SHUFFLE),
         )
@@ -254,44 +247,23 @@ def _raw(data) -> np.ndarray:
     return data.sequences if isinstance(data, SequenceDataset) else data.features
 
 
-def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed: int,
-                      detector: str | None = None, outlier_sets: dict | None = None,
-                      base_rate_role: int = ROLE_BASE_RATE):
-    """Scored base-rate pools and detection reports for every outlier set.
+def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed: int):
+    """Scored base-rate pools and detection reports for every test outlier set.
 
     Returns (reports, pools) keyed by set name; the subsample that fixes
     the out:in ratio is seeded per set, so baseline and fine-tuned models
     are compared on identical example pools.
     """
-    kind = detector or config.detector
-    sets = bundle.tests if outlier_sets is None else outlier_sets
-    in_scores = scoring_mod.score_dataset(model, kind, _raw(bundle.din_test))
+    in_scores = scoring_mod.score_dataset(model, config.detector, _raw(bundle.din_test))
     reports, pools = {}, {}
-    for i, (name, data) in enumerate(sets.items()):
-        out_scores = scoring_mod.score_dataset(model, kind, _raw(data))
+    for i, (name, data) in enumerate(bundle.tests.items()):
+        out_scores = scoring_mod.score_dataset(model, config.detector, _raw(data))
         pool = metrics_mod.enforce_base_rate(
-            in_scores, out_scores, ratio=config.base_rate, seed=_ss(seed, base_rate_role, i)
+            in_scores, out_scores, ratio=config.base_rate, seed=_ss(seed, ROLE_BASE_RATE, i)
         )
         reports[name] = metrics_mod.detection_report(pool, config.n_level)
         pools[name] = pool
     return reports, pools
-
-
-def select_lambda(config: ExperimentConfig, bundle: DataBundle, baseline, seed: int,
-                  candidates=(0.0, 0.1, 0.5, 1.0, 2.0)):
-    """Pick λ by mean AUROC on the validation outlier sets only. Test
-    outlier sets are never consulted here."""
-    if not bundle.vals:
-        raise ConfigurationError("lambda selection needs at least one validation outlier set")
-    table = {}
-    for lam in candidates:
-        tuned = finetune_oe(config, bundle, baseline, seed, lam=lam)
-        reports, _ = evaluate_detector(
-            tuned, config, bundle, seed, outlier_sets=bundle.vals, base_rate_role=ROLE_VAL_BASE_RATE
-        )
-        table[float(lam)] = float(np.mean([r.auroc for r in reports.values()]))
-    best = max(table, key=lambda lam: (table[lam], -lam))
-    return best, table
 
 
 def _confidences(params, data: VectorDataset, temperature: float):
@@ -316,20 +288,16 @@ def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, fin
     for tag, model in (("baseline", baseline), ("final", final)):
         val_logits, _ = nn_core.forward(model, bundle.din_val.features)
         temp = calib_mod.tune_temperature(val_logits, bundle.din_val.labels)
-        conf_in, correct = _confidences(model, bundle.din_test, temp)
+        conf_in, correct_in = _confidences(model, bundle.din_test, temp)
         ood_logits, _ = nn_core.forward(model, ood_rows)
         conf_ood = nn_core.softmax(ood_logits, temperature=temp).max(axis=1)
-        records = calib_mod.mixed_prediction_records(
-            conf_in, correct, conf_ood, seed=_ss(seed, ROLE_CALIBRATION)
+        conf, correct = calib_mod.mixed_prediction_records(
+            conf_in, correct_in, conf_ood, seed=_ss(seed, ROLE_CALIBRATION)
         )
-        out[f"{tag}_temp"] = calib_mod.report_from_records(records, temperature=temp)
+        out[f"{tag}_temp"] = calib_mod.report_from_records(conf, correct, temperature=temp)
         if tag == "final":
-            rescaled = [
-                calib_mod.PredictionRecord(calib_mod.posterior_rescale(r.confidence, k), r.correct)
-                for r in records
-            ]
             out["final_temp_rescaled"] = calib_mod.report_from_records(
-                rescaled, temperature=temp, rescaled=True
+                calib_mod.posterior_rescale(conf, k), correct, temperature=temp, rescaled=True
             )
     return out
 

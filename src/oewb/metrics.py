@@ -74,23 +74,30 @@ def auroc(s: ScoredSet) -> float:
     return float((r_out - n_out * (n_out + 1) / 2.0) / (n_out * n_in))
 
 
-def aupr(s: ScoredSet) -> float:
-    """Average precision of outlier retrieval over descending distinct thresholds."""
-    _check(s)
-    n_out = s.out_scores.size
+def _sweep(s: ScoredSet):
+    """Cumulative (tp, fp) counts at the end of each distinct-score block,
+    in descending score order."""
     scores = np.concatenate((s.out_scores, s.in_scores))
-    is_out = np.concatenate((np.ones(n_out, dtype=bool), np.zeros(s.in_scores.size, dtype=bool)))
+    is_out = np.concatenate(
+        (np.ones(s.out_scores.size, dtype=bool), np.zeros(s.in_scores.size, dtype=bool))
+    )
     order = np.argsort(-scores, kind="mergesort")
     ss = scores[order]
     oo = is_out[order]
-    # last index of each distinct threshold block in descending order
     block_end = np.flatnonzero(np.append(ss[1:] != ss[:-1], True))
     tp = np.cumsum(oo)[block_end]
     fp = np.cumsum(~oo)[block_end]
-    recall = tp / n_out
+    return tp, fp
+
+
+def aupr(s: ScoredSet) -> float:
+    """Average precision of outlier retrieval over descending distinct thresholds."""
+    _check(s)
+    tp, fp = _sweep(s)
+    recall = tp / s.out_scores.size
     precision = tp / (tp + fp)
     prev = np.concatenate(([0.0], recall[:-1]))
-    return float(math.fsum((r - p) * q for r, p, q in zip(recall, prev, precision)))
+    return float(math.fsum((recall - prev) * precision))
 
 
 def fpr_at_tpr(s: ScoredSet, n_percent: float) -> float:
@@ -135,20 +142,6 @@ def detection_report(s: ScoredSet, n_level: float = 95.0, base_rate: str | None 
     """AUROC / AUPR / FPR@N for one scored pair of test sets."""
     label = base_rate if base_rate is not None else ratio_label(s.out_scores.size, s.in_scores.size)
     return DetectionReport(auroc(s), aupr(s), fpr_at_tpr(s, n_level), float(n_level), label)
-
-
-def _sweep(s: ScoredSet):
-    scores = np.concatenate((s.out_scores, s.in_scores))
-    is_out = np.concatenate(
-        (np.ones(s.out_scores.size, dtype=bool), np.zeros(s.in_scores.size, dtype=bool))
-    )
-    order = np.argsort(-scores, kind="mergesort")
-    ss = scores[order]
-    oo = is_out[order]
-    block_end = np.flatnonzero(np.append(ss[1:] != ss[:-1], True))
-    tp = np.cumsum(oo)[block_end]
-    fp = np.cumsum(~oo)[block_end]
-    return tp, fp
 
 
 def roc_points(s: ScoredSet):

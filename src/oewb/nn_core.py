@@ -281,30 +281,23 @@ def backward(params: NetworkParams, cache, dlogits, dbranch_pre=None) -> np.ndar
     return out
 
 
-_ROW_OBJECTIVES = ("plain_ce", "multiclass_oe", "token_uniform_ce", "confidence_branch_oe")
-
-
-def _require_labeled(batch, what: str) -> None:
-    if batch is None or len(batch) == 0:
-        raise ConfigurationError(f"{what} needs a nonempty in-distribution batch")
-    if batch.labels is None:
-        raise ConfigurationError(f"{what} needs labels on the in-distribution batch")
+_OBJECTIVES = ("plain_ce", "multiclass_oe", "confidence_branch_oe")
 
 
 def _check_objective(params: NetworkParams, objective, in_batch, oe_batch) -> bool:
     """Reject batches the objective cannot use; returns whether it reads outliers."""
     kind = objective.kind
-    if kind == "density_margin":
-        raise ConfigurationError("margin objectives pair whole sequences; use density.margin_grad")
-    if kind not in _ROW_OBJECTIVES:
+    if kind not in _OBJECTIVES:
         raise ConfigurationError(f"unknown objective kind {kind!r}")
     if kind == "confidence_branch_oe" and params.branch is None:
         raise ConfigurationError("confidence-branch objective needs a network with a confidence head")
-    if kind != "token_uniform_ce":
-        _require_labeled(in_batch, kind)
-        if np.any(in_batch.labels >= params.n_classes):
-            raise DataError(f"class label out of range for {params.n_classes} classes")
-    uses_oe = kind == "token_uniform_ce" or (kind != "plain_ce" and float(objective.lam) > 0)
+    if in_batch is None or len(in_batch) == 0:
+        raise ConfigurationError(f"{kind} needs a nonempty in-distribution batch")
+    if in_batch.labels is None:
+        raise ConfigurationError(f"{kind} needs labels on the in-distribution batch")
+    if np.any(in_batch.labels >= params.n_classes):
+        raise DataError(f"class label out of range for {params.n_classes} classes")
+    uses_oe = kind != "plain_ce" and float(objective.lam) > 0
     if uses_oe and (oe_batch is None or len(oe_batch) == 0):
         raise ConfigurationError("exposure objective needs a nonempty outlier batch")
     return uses_oe
@@ -320,9 +313,6 @@ def _objective_grad(params: NetworkParams, objective, X, y, oe_X) -> np.ndarray:
     kind = objective.kind
     k = params.n_classes
     lam = float(objective.lam)
-    if kind == "token_uniform_ce":
-        logits, _, cache = forward_cached(params, oe_X)
-        return backward(params, cache, (softmax(logits) - 1.0 / k) / oe_X.shape[0])
     logits, bpre, cache = forward_cached(params, X)
     n = X.shape[0]
     dlog = ce_logit_grad(logits, y)
@@ -342,7 +332,7 @@ def _objective_grad(params: NetworkParams, objective, X, y, oe_X) -> np.ndarray:
     return g
 
 
-def grad(params: NetworkParams, objective, in_batch: Batch | None = None, oe_batch: Batch | None = None) -> np.ndarray:
+def grad(params: NetworkParams, objective, in_batch: Batch, oe_batch: Batch | None = None) -> np.ndarray:
     """Exact gradient of a training objective, as a vector in the layout of
     params.vector.
 
@@ -352,8 +342,9 @@ def grad(params: NetworkParams, objective, in_batch: Batch | None = None, oe_bat
     because its batches are whole sequences, not rows.
     """
     uses_oe = _check_objective(params, objective, in_batch, oe_batch)
-    X, y = (None, None) if in_batch is None else (in_batch.inputs, in_batch.labels)
-    return _objective_grad(params, objective, X, y, oe_batch.inputs if uses_oe else None)
+    return _objective_grad(
+        params, objective, in_batch.inputs, in_batch.labels, oe_batch.inputs if uses_oe else None
+    )
 
 
 @dataclass
@@ -479,7 +470,6 @@ def train_classifier(
     The batches are checked once per run; each step slices rows from them.
     settings are train_loop's keyword arguments other than n_oe.
     """
-    _require_labeled(in_batch, "classifier training")
     uses_oe = _check_objective(params, objective, in_batch, oe_batch)
     X, y = in_batch.inputs, in_batch.labels
     oe_X = oe_batch.inputs if uses_oe else None

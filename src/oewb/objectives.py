@@ -16,32 +16,23 @@ import numpy as np
 from . import nn_core
 from .errors import ConfigurationError, DataError, ParameterError
 
-OBJECTIVE_KINDS = (
-    "plain_ce",
-    "multiclass_oe",
-    "confidence_branch_oe",
-    "density_margin",
-    "token_uniform_ce",
-)
+OBJECTIVE_KINDS = ("plain_ce", "multiclass_oe", "confidence_branch_oe")
 
 _PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Which loss to optimize, the outlier-term weight, and the hinge margin (nats)."""
+    """Which loss to optimize and the weight of its outlier term."""
 
     kind: str
     lam: float = 0.0
-    margin: float = 0.0
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
         if self.lam < 0:
             raise ParameterError("lam must be nonnegative")
-        if self.kind == "density_margin" and not self.margin > 0:
-            raise ParameterError("density_margin needs a positive margin")
 
 
 def _log_probs(values, from_logits: bool) -> np.ndarray:
@@ -76,11 +67,6 @@ def uniform_ce(values, from_logits: bool = True) -> float:
     if lp.shape[1] < 2:
         raise ConfigurationError("uniform cross-entropy needs k >= 2 classes")
     return float(np.mean(-lp.mean(axis=1)))
-
-
-def token_uniform_ce(token_logits, from_logits: bool = True) -> float:
-    """Uniformity cross-entropy per token position, averaged over positions."""
-    return uniform_ce(token_logits, from_logits=from_logits)
 
 
 def multiclass_oe_loss(in_batch, oe_batch, params, lam: float) -> float:

@@ -15,38 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import density as density_mod
-from . import nn_core, objectives
-from .errors import ConfigurationError, DataError, ParameterError
+from . import nn_core
+from .errors import ConfigurationError, DataError
 
 DETECTOR_KINDS = ("msp", "uniform_ce", "confidence_branch", "density_bpp")
-
-
-def msp_score(probs) -> float:
-    """Negated maximum class probability of one posterior vector."""
-    p = np.asarray(probs, dtype=np.float64).ravel()
-    if p.size < 2:
-        raise ParameterError("posterior needs k >= 2 entries")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-6:
-        raise ParameterError("not a probability vector")
-    return float(-p.max())
-
-
-def uniform_ce_score(values, from_logits: bool = True) -> float:
-    """-H(U; p) for one posterior: maximal (= -log k) at the uniform posterior."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    return float(-objectives.uniform_ce(v[None, :], from_logits=from_logits))
-
-
-def branch_score(b: float) -> float:
-    """1 - b: the confidence head inverted into an anomaly score."""
-    if not 0.0 <= b <= 1.0:
-        raise ParameterError("confidence must lie in [0, 1]")
-    return float(1.0 - b)
-
-
-def bpp_score(model, seq) -> float:
-    """Bits per dimension of one sequence under the density model."""
-    return density_mod.bits_per_dim(model, seq)
 
 
 def score_dataset(model, kind: str, dataset) -> np.ndarray:
@@ -72,7 +44,9 @@ def score_dataset(model, kind: str, dataset) -> np.ndarray:
         return nn_core.log_softmax(logits).mean(axis=1)
     if bpre is None:
         raise ConfigurationError("confidence_branch scoring needs a network with a confidence head")
-    return 1.0 - nn_core.sigmoid(bpre)
+    # sigmoid(-u) rather than 1 - sigmoid(u): the subtraction rounds a
+    # saturated head (u above about 36.7) to exactly 0 and erases its ranking
+    return nn_core.sigmoid(-bpre)
 
 
 def write_scores_csv(path, scores, is_ood, ids=None) -> None:

@@ -106,13 +106,6 @@ def _classifier_case(rng, kind: str, lam: float):
         def loss(p):
             return objectives.multiclass_oe_loss(batch, oe if lam > 0 else None, p, lam=lam)
 
-    elif kind == "token_uniform_ce":
-        analytic = nn_core.grad(params, spec, oe_batch=oe)
-
-        def loss(p):
-            logits, _ = nn_core.forward(p, Xoe)
-            return objectives.token_uniform_ce(logits)
-
     else:  # confidence_branch_oe
         analytic = nn_core.grad(params, spec, batch, oe)
 
@@ -161,7 +154,6 @@ def test_criterion_1_gradient_correctness(capsys):
         ("multiclass_oe", 0.5),
         ("multiclass_oe", 1.0),
         ("confidence_branch_oe", 0.5),
-        ("token_uniform_ce", 0.0),
         ("density_margin", 0.0),
     )
     worst = 0.0

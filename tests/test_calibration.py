@@ -11,61 +11,66 @@ from oewb.errors import InputError, ParameterError
 
 
 def _records(confs, corrects):
-    return [cal.PredictionRecord(c, k) for c, k in zip(confs, corrects)]
+    return np.asarray(confs, dtype=np.float64), np.asarray(corrects, dtype=bool)
 
 
 def _random_records(rng, n):
     conf = rng.random(n)
     correct = rng.random(n) < conf
-    return _records(conf, correct)
+    return conf, correct
 
 
 class TestPredictionRecord:
     def test_validation(self):
-        cal.PredictionRecord(0.5, True)
-        with pytest.raises(ParameterError):
-            cal.PredictionRecord(1.5, True)
-        with pytest.raises(ParameterError):
-            cal.PredictionRecord(-0.1, False)
-        with pytest.raises(ParameterError):
-            cal.PredictionRecord(float("nan"), True)
+        cal.report_from_records([0.5], [True])
+        for bad in (1.5, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                cal.report_from_records([0.5, bad], [True, True])
+        with pytest.raises(InputError):
+            cal.report_from_records([0.5, 0.5], [True])
+        with pytest.raises(InputError):
+            cal.report_from_records([], [])
 
 
 class TestAdaptiveBins:
     def test_exactly_one_hundred_records_one_bin(self):
-        bins = cal.adaptive_bins(_random_records(np.random.default_rng(0), 100))
+        conf, _ = _random_records(np.random.default_rng(0), 100)
+        bins = cal.adaptive_bins(conf)
         assert len(bins) == 1
         assert len(bins[0]) == 100
 
     def test_two_hundred_fifty_records(self):
-        bins = cal.adaptive_bins(_random_records(np.random.default_rng(1), 250))
+        conf, _ = _random_records(np.random.default_rng(1), 250)
+        bins = cal.adaptive_bins(conf)
         assert len(bins) == round(250 / 100)
         sizes = [len(b) for b in bins]
         assert sum(sizes) == 250
         assert max(sizes) - min(sizes) <= 1
 
     def test_single_record(self):
-        bins = cal.adaptive_bins(_records([0.5], [True]))
+        bins = cal.adaptive_bins([0.5])
         assert len(bins) == 1 and len(bins[0]) == 1
 
     def test_sizes_within_one_for_many_counts(self):
         rng = np.random.default_rng(2)
         for n in (1, 7, 99, 101, 149, 151, 320, 1000):
-            bins = cal.adaptive_bins(_random_records(rng, n))
+            conf, _ = _random_records(rng, n)
+            bins = cal.adaptive_bins(conf)
             sizes = [len(b) for b in bins]
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
             assert len(bins) == max(1, round(n / 100))
+            assert np.array_equal(np.sort(np.concatenate(bins)), np.arange(n))
 
     def test_bins_are_contiguous_in_confidence(self):
-        recs = _random_records(np.random.default_rng(3), 500)
-        bins = cal.adaptive_bins(recs)
+        conf, _ = _random_records(np.random.default_rng(3), 500)
+        bins = cal.adaptive_bins(conf)
         for a, b in zip(bins, bins[1:]):
-            assert max(r.confidence for r in a) <= min(r.confidence for r in b)
+            assert conf[a].max() <= conf[b].min()
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ParameterError):
-            cal.adaptive_bins(_records([0.5], [True]), target_per_bin=0)
+            cal.adaptive_bins([0.5], target_per_bin=0)
         with pytest.raises(InputError):
             cal.adaptive_bins([])
 
@@ -73,59 +78,60 @@ class TestAdaptiveBins:
 class TestRmsError:
     def test_perfectly_calibrated_single_bin(self):
         recs = _records([0.7] * 10, [True] * 7 + [False] * 3)
-        assert cal.rms_calibration_error(recs) == pytest.approx(0.0, abs=1e-15)
+        assert cal.rms_calibration_error(*recs) == pytest.approx(0.0, abs=1e-15)
 
     def test_fully_confident_half_correct(self):
         recs = _records([1.0] * 10, [True, False] * 5)
-        assert cal.rms_calibration_error(recs) == pytest.approx(0.5, abs=1e-15)
+        assert cal.rms_calibration_error(*recs) == pytest.approx(0.5, abs=1e-15)
 
     def test_fully_confident_all_correct(self):
         recs = _records([1.0] * 10, [True] * 10)
-        assert cal.rms_calibration_error(recs) == 0.0
+        assert cal.rms_calibration_error(*recs) == 0.0
 
 
 class TestMadError:
     def test_matches_rms_on_the_boundary_cases(self):
         half = _records([1.0] * 10, [True, False] * 5)
-        assert cal.mad_calibration_error(half) == pytest.approx(0.5, abs=1e-15)
+        assert cal.mad_calibration_error(*half) == pytest.approx(0.5, abs=1e-15)
         cal_recs = _records([0.7] * 10, [True] * 7 + [False] * 3)
-        assert cal.mad_calibration_error(cal_recs) == pytest.approx(0.0, abs=1e-15)
+        assert cal.mad_calibration_error(*cal_recs) == pytest.approx(0.0, abs=1e-15)
 
     def test_never_exceeds_rms_on_random_sets(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
             n = int(rng.integers(1, 400))
             recs = _random_records(rng, n)
-            mad = cal.mad_calibration_error(recs)
-            rms = cal.rms_calibration_error(recs)
+            mad = cal.mad_calibration_error(*recs)
+            rms = cal.rms_calibration_error(*recs)
             assert mad <= rms + 1e-15
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        recs = _random_records(rng, 437)
-        shuffled = [recs[i] for i in rng.permutation(len(recs))]
-        assert cal.rms_calibration_error(shuffled) == cal.rms_calibration_error(recs)
-        assert cal.mad_calibration_error(shuffled) == cal.mad_calibration_error(recs)
+        conf, correct = _random_records(rng, 437)
+        perm = rng.permutation(conf.size)
+        shuffled = conf[perm], correct[perm]
+        assert cal.rms_calibration_error(*shuffled) == cal.rms_calibration_error(conf, correct)
+        assert cal.mad_calibration_error(*shuffled) == cal.mad_calibration_error(conf, correct)
 
 
 class TestSoftF1:
     def test_two_record_example(self):
         recs = _records([0.3, 0.9], [False, True])
-        assert cal.soft_f1(recs) == pytest.approx(0.7 / 0.9, abs=1e-12)
+        assert cal.soft_f1(*recs) == pytest.approx(0.7 / 0.9, abs=1e-12)
 
     def test_perfect_anomaly_flagging(self):
         recs = _records([0.0] * 5, [False] * 5)
-        assert cal.soft_f1(recs) == pytest.approx(1.0, abs=1e-15)
+        assert cal.soft_f1(*recs) == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_all_confident_correct(self):
         recs = _records([1.0] * 5, [True] * 5)
-        assert cal.soft_f1(recs) == 1.0
-        report = cal.report_from_records(recs)
+        assert cal.soft_f1(*recs) == 1.0
+        report = cal.report_from_records(*recs)
         assert report.soft_f1_degenerate
 
     def test_normal_case_not_flagged(self):
         recs = _records([0.3, 0.9], [False, True])
-        assert not cal.report_from_records(recs).soft_f1_degenerate
+        assert not cal.report_from_records(*recs).soft_f1_degenerate
 
 
 def _calibrated_logits(rng, n, k, scale=1.0):
@@ -227,6 +233,8 @@ class TestPosteriorRescale:
             cal.posterior_rescale(0.2, 4)
         with pytest.raises(InputError):
             cal.posterior_rescale(1.2, 4)
+        with pytest.raises(InputError):
+            cal.posterior_rescale(np.array([0.5, 0.2, float("nan")]), 4)
         with pytest.raises(ParameterError):
             cal.posterior_rescale(0.9, 1)
 
@@ -235,6 +243,7 @@ class TestPosteriorRescale:
         ps = np.linspace(1.0 / k, 1.0, 50)
         vals = [cal.posterior_rescale(p, k) for p in ps]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert np.array_equal(cal.posterior_rescale(ps, k), vals)
 
 
 class TestMixedRecords:
@@ -243,18 +252,19 @@ class TestMixedRecords:
         in_conf = rng.random(120)
         in_correct = rng.random(120) < 0.9
         ood_conf = rng.random(80)
-        recs = cal.mixed_prediction_records(in_conf, in_correct, ood_conf, seed=0)
-        assert len(recs) == 160
-        assert sum(1 for r in recs[80:] if r.correct) == 0
+        conf, correct = cal.mixed_prediction_records(in_conf, in_correct, ood_conf, seed=0)
+        assert conf.shape == correct.shape == (160,)
+        assert not correct[80:].any()
+        assert np.array_equal(conf[80:], ood_conf)
 
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(11)
         in_conf = rng.random(200)
         in_correct = np.ones(200, dtype=bool)
         ood_conf = rng.random(50)
-        a = cal.mixed_prediction_records(in_conf, in_correct, ood_conf, seed=3)
-        b = cal.mixed_prediction_records(in_conf, in_correct, ood_conf, seed=3)
-        assert [r.confidence for r in a] == [r.confidence for r in b]
+        a, _ = cal.mixed_prediction_records(in_conf, in_correct, ood_conf, seed=3)
+        b, _ = cal.mixed_prediction_records(in_conf, in_correct, ood_conf, seed=3)
+        assert np.array_equal(a, b)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(InputError):
@@ -266,9 +276,11 @@ class TestMixedRecords:
 class TestReport:
     def test_fields_filled(self):
         recs = _random_records(np.random.default_rng(12), 300)
-        r = cal.report_from_records(recs, temperature=2.5, rescaled=True)
+        r = cal.report_from_records(*recs, temperature=2.5, rescaled=True)
         assert r.bin_count == 3
         assert r.temperature == 2.5
         assert r.rescaled
+        assert r.rms_error == cal.rms_calibration_error(*recs)
+        assert r.mad_error == cal.mad_calibration_error(*recs)
         assert r.mad_error <= r.rms_error + 1e-15
         assert 0.0 <= r.soft_f1 <= 1.0

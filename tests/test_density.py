@@ -34,13 +34,14 @@ def _walks(rng, n, length, V, p_step=0.9, starts=None):
 
 class TestDiscreteSequence:
     def test_validation(self):
+        m = _uniform_model(V=4)
         with pytest.raises(ConfigurationError):
-            density.DiscreteSequence([], 4)
+            density.nll_batch(m, np.zeros((2, 0), dtype=np.int64))
         with pytest.raises(ConfigurationError):
-            density.DiscreteSequence([0], 1)
+            density.init_ar_model(1, 2, (4,), seed=0)
         with pytest.raises(DataError):
-            density.DiscreteSequence([0, 4], 4)
-        assert len(density.DiscreteSequence([0, 1, 2], 4)) == 3
+            density.nll_batch(m, [0, 4])
+        assert density.nll_batch(m, [0, 1, 2]).shape == (1,)
 
     def test_model_shape_validation(self):
         net = nn_core.init_network([5, 4, 3], seed=0)
@@ -52,12 +53,11 @@ class TestNll:
     def test_uniform_model_gives_d_log_v(self):
         m = _uniform_model(V=5)
         seq = [0, 3, 1, 4, 2, 2, 0]
-        assert density.nll(m, seq) == pytest.approx(7 * math.log(5), abs=1e-12)
+        assert density.nll_batch(m, seq)[0] == pytest.approx(7 * math.log(5), abs=1e-12)
 
     def test_single_position_half_probability(self):
         m = _uniform_model(V=2)
-        assert density.nll(m, [0]) == pytest.approx(LN2, abs=1e-15)
-        assert density.nll(m, [1]) == pytest.approx(LN2, abs=1e-15)
+        assert np.allclose(density.nll_batch(m, [[0], [1]]), LN2, rtol=0, atol=1e-15)
 
     def test_matches_per_step_chain_rule_oracle(self):
         V, c = 4, 3
@@ -74,61 +74,56 @@ class TestNll:
             logits, _ = nn_core.forward(m.net, feat)
             p = nn_core.softmax(logits)[0]
             total += -math.log(p[seq[t]])
-        assert density.nll(m, seq) == pytest.approx(total, abs=1e-10)
-        assert density.nll(m, seq) >= 0.0
+        got = density.nll_batch(m, seq)[0]
+        assert got == pytest.approx(total, abs=1e-10)
+        assert got >= 0.0
 
     def test_batch_matches_singles(self):
         V = 3
         m = density.init_ar_model(V, 2, (5,), seed=1)
         seqs = np.random.default_rng(2).integers(0, V, size=(6, 7))
         batch = density.nll_batch(m, seqs)
-        singles = np.array([density.nll(m, s) for s in seqs])
+        singles = np.array([density.nll_batch(m, s)[0] for s in seqs])
         assert np.max(np.abs(batch - singles)) < 1e-12
 
     def test_symbol_outside_alphabet_rejected(self):
         m = _uniform_model(V=3)
         with pytest.raises(DataError):
-            density.nll(m, [0, 3])
+            density.nll_batch(m, [0, 3])
         with pytest.raises(DataError):
-            density.nll(m, [-1])
+            density.nll_batch(m, [-1])
 
 
 class TestBitsPerDim:
     def test_exact_nats_to_bits_conversion(self):
         m = density.init_ar_model(4, 2, (6,), seed=3)
         seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
-        for s in seqs:
-            assert density.bits_per_dim(m, s) == density.nll(m, s) / (9 * LN2)
+        assert np.array_equal(density.bits_per_dim_batch(m, seqs), density.nll_batch(m, seqs) / (9 * LN2))
 
     def test_uniform_model_gives_log2_v(self):
         m = _uniform_model(V=8)
-        assert density.bits_per_dim(m, [0, 1, 2, 3]) == pytest.approx(3.0, abs=1e-12)
+        assert density.bits_per_dim_batch(m, [0, 1, 2, 3])[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_byte_alphabet_uniform_is_eight_bits(self):
         m = _uniform_model(V=256, c=1, hidden=(2,))
         seq = [0, 17, 255, 128]
-        assert density.bits_per_dim(m, seq) == pytest.approx(8.0, abs=1e-12)
+        assert density.bits_per_dim_batch(m, seq)[0] == pytest.approx(8.0, abs=1e-12)
 
     def test_batch_variant_agrees(self):
         m = density.init_ar_model(4, 2, (6,), seed=3)
         seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
         batch = density.bits_per_dim_batch(m, seqs)
-        singles = [density.bits_per_dim(m, s) for s in seqs]
+        singles = [density.bits_per_dim_batch(m, s)[0] for s in seqs]
         assert np.max(np.abs(batch - np.array(singles))) < 1e-12
-
-    def test_rejects_multirow_input(self):
-        m = _uniform_model(V=4)
-        with pytest.raises(ConfigurationError):
-            density.bits_per_dim(m, np.zeros((2, 5), dtype=np.int64))
 
 
 class TestTrainDensity:
     def test_constant_sequences_drive_nll_toward_zero(self):
         data = np.zeros((50, 8), dtype=np.int64)
         m = density.init_ar_model(2, 2, (8,), seed=0)
-        before = density.mean_nll(m, data)
+        before = np.mean(density.nll_batch(m, data))
         trained = density.train_density(m, data, epochs=30, lr0=0.5, seed=0)
-        after = density.mean_nll(trained, data)
+        after = np.mean(density.nll_batch(trained, data))
         assert after < before
         assert after < 0.05
 
@@ -293,13 +288,13 @@ class TestFinetune:
         state = nn_core.init_optimizer(m.net, lr0=1e-3, total_steps=20)
         margin = float(D)
         for _ in range(20):
-            mle_before = density.mean_nll(m, a) / D
+            mle_before = np.mean(density.nll_batch(m, a)) / D
             hinge = float(
                 np.mean(np.maximum(0.0, margin + density.nll_batch(m, a) - density.nll_batch(m, b)))
             )
             g = density.margin_grad(m, a, b, margin)
             nn_core.sgd_step(m.net, g, state)
-            mle_after = density.mean_nll(m, a) / D
+            mle_after = np.mean(density.nll_batch(m, a)) / D
             assert mle_after - mle_before <= abs(hinge) + 1e-12
 
 

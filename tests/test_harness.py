@@ -504,7 +504,7 @@ class TestPrepareData:
         assert bundle.din_val.n == round(0.15 * n)
         assert bundle.din_test.n == n - bundle.din_train.n - bundle.din_val.n
         assert bundle.n_classes == 3
-        assert not bundle.sequence
+        assert isinstance(bundle.din_train, datasets.VectorDataset)
         assert set(bundle.tests) == {"ring"}
         assert set(bundle.vals) == {"val_shift"}
         assert bundle.oe.n == 120
@@ -558,11 +558,11 @@ class TestTrainingPipeline:
     def test_lambda_zero_finetune_is_plain_training(self):
         # With the outlier term switched off, exposure fine-tuning must be
         # bit-identical to ordinary cross-entropy epochs from the baseline.
-        config = _tiny_config()
+        config = _tiny_config(lam=0.0)
         seed = 3
         bundle = pipeline.prepare_data(config, seed)
         baseline = pipeline.train_baseline(config, bundle, seed)
-        tuned = pipeline.finetune_oe(config, bundle, baseline, seed, lam=0.0)
+        tuned = pipeline.finetune_oe(config, bundle, baseline, seed)
 
         X, y = bundle.din_train.features, bundle.din_train.labels
         n = X.shape[0]
@@ -671,57 +671,6 @@ class TestEvaluation:
         _, pf = pipeline.evaluate_detector(tuned, config, bundle, seed=0)
         assert pb["ring"].in_scores.size == pf["ring"].in_scores.size
         assert pb["ring"].out_scores.size == pf["ring"].out_scores.size
-
-    def test_validation_sets_use_their_own_role(self):
-        config = _tiny_config()
-        bundle = pipeline.prepare_data(config, seed=0)
-        model = pipeline.train_baseline(config, bundle, seed=0)
-        reports, pools = pipeline.evaluate_detector(
-            model, config, bundle, seed=0, outlier_sets=bundle.vals,
-            base_rate_role=pipeline.ROLE_VAL_BASE_RATE,
-        )
-        assert set(reports) == {"val_shift"}
-        assert set(pools) == {"val_shift"}
-
-    def test_select_lambda_prefers_smaller_on_ties(self):
-        # A tight blob at the origin sits equidistant from all three cluster
-        # means, so every fine-tuned model scores it maximally ambiguous and
-        # both candidates saturate AUROC; the tie must resolve toward the
-        # smaller lambda.
-        config = _tiny_config(
-            epochs=12,
-            d_out_val=[
-                DatasetSpec(
-                    "generator",
-                    "val_center",
-                    {"generator": "scaled_gaussian", "sigma": 0.01, "n": 40},
-                )
-            ],
-        )
-        bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, bundle, seed=0)
-        best, table = pipeline.select_lambda(
-            config, bundle, baseline, seed=0, candidates=(0.0, 0.5)
-        )
-        assert table[0.0] == 1.0 and table[0.5] == 1.0
-        assert best == 0.0
-
-    def test_select_lambda_consistent_with_table(self):
-        config = _tiny_config()
-        bundle = pipeline.prepare_data(config, seed=1)
-        baseline = pipeline.train_baseline(config, bundle, seed=1)
-        best, table = pipeline.select_lambda(
-            config, bundle, baseline, seed=1, candidates=(0.0, 0.5)
-        )
-        assert set(table) == {0.0, 0.5}
-        assert best == max(table, key=lambda lam: (table[lam], -lam))
-
-    def test_select_lambda_needs_validation_sets(self):
-        config = _tiny_config(d_out_val=[])
-        bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, bundle, seed=0)
-        with pytest.raises(ConfigurationError, match="validation"):
-            pipeline.select_lambda(config, bundle, baseline, seed=0)
 
     def test_calibration_eval_structure(self):
         config = _tiny_config(calibration=True, epochs=8)
@@ -943,6 +892,15 @@ class TestCli:
                        "--name", "nonesuch"])
         assert rc == 1
 
+    def test_gen_outliers_writes_the_rows_make_data_writes(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        gen, made = tmp_path / "gen", tmp_path / "made"
+        assert cli.main(["make-data", "-c", str(path), "-o", str(made), "-q"]) == 0
+        for name, stem in (("ring", "test_ring"), ("box", "oe_box"), ("val_shift", "val_val_shift")):
+            rc = cli.main(["gen-outliers", "-c", str(path), "-o", str(gen), "-q", "--name", name])
+            assert rc == 0
+            assert (gen / f"{name}_seed0.csv").read_bytes() == (made / f"{stem}_seed0.csv").read_bytes()
+
     def test_make_data(self, tmp_path, capsys):
         path = self._write_config(tmp_path)
         out = tmp_path / "out"
@@ -971,6 +929,19 @@ class TestCli:
         pred = tmp_path / "preds.csv"
         pred.write_text("conf,ok\n0.5,1\n")
         assert cli.main(["calibrate", str(pred), "-q"]) == 1
+
+    @pytest.mark.parametrize(
+        "row,what",
+        [("nan,1", "confidence"), ("inf,1", "confidence"), ("1.5,1", "confidence"),
+         ("-0.1,0", "confidence"), ("0.5,2", "correct"), ("0.5,-1", "correct")],
+    )
+    def test_calibrate_rejects_bad_rows_with_file_and_line(self, tmp_path, capsys, row, what):
+        pred = tmp_path / "preds.csv"
+        pred.write_text(f"confidence,correct\n0.5,1\n{row}\n")
+        assert cli.main(["calibrate", str(pred), "-o", str(tmp_path), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert f"{pred}:3:" in err and what in err
+        assert not (tmp_path / "preds_calibration.json").exists()
 
     def test_module_entrypoint(self, tmp_path):
         cfg = self._write_config(tmp_path)

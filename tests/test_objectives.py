@@ -21,11 +21,6 @@ class TestObjectiveSpec:
         with pytest.raises(ParameterError):
             objectives.ObjectiveSpec("multiclass_oe", lam=-0.1)
 
-    def test_density_margin_needs_positive_margin(self):
-        with pytest.raises(ParameterError):
-            objectives.ObjectiveSpec("density_margin", margin=0.0)
-        objectives.ObjectiveSpec("density_margin", margin=16.0)
-
     def test_lam_zero_permitted(self):
         objectives.ObjectiveSpec("multiclass_oe", lam=0.0)
 
@@ -97,23 +92,6 @@ class TestUniformCe:
     def test_single_class_rejected(self):
         with pytest.raises(ConfigurationError):
             objectives.uniform_ce([[1.0]], from_logits=False)
-
-
-class TestTokenUniformCe:
-    def test_uniform_tokens_give_log_v(self):
-        logits = np.zeros((7, 5))
-        assert objectives.token_uniform_ce(logits) == pytest.approx(math.log(5), abs=1e-12)
-
-    def test_single_position_quarter_split(self):
-        v = objectives.token_uniform_ce([[0.75, 0.25]], from_logits=False)
-        assert v == pytest.approx(0.8369882167858357, abs=1e-12)
-
-    def test_identical_positions_equal_single_position(self):
-        row = np.array([[1.3, -0.2, 0.8]])
-        stacked = np.repeat(row, 6, axis=0)
-        assert objectives.token_uniform_ce(stacked) == pytest.approx(
-            objectives.token_uniform_ce(row), abs=1e-12
-        )
 
 
 def _batches(seed=0):

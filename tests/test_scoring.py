@@ -6,42 +6,67 @@ import numpy as np
 import pytest
 
 from oewb import density, nn_core, scoring
-from oewb.errors import ConfigurationError, DataError, ParameterError
+from oewb.errors import ConfigurationError, DataError
+
+
+def _identity_net(k):
+    """One linear layer whose logits equal its inputs, so each row of X is
+    scored as the logit vector it is."""
+    p = nn_core.init_network([k, k], seed=0)
+    p.weights[0][...] = np.eye(k)
+    return p
+
+
+def _logit_scores(kind, logits):
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    return scoring.score_dataset(_identity_net(logits.shape[1]), kind, logits)
+
+
+def _head_net():
+    """A network whose confidence pre-activation u equals its scalar input:
+    hidden units relu(x) and relu(-x), head weights (1, -1)."""
+    p = nn_core.init_network([1, 2, 2], seed=0, with_branch=True)
+    p.weights[0][...] = [[1.0], [-1.0]]
+    p.branch.weight[...] = [1.0, -1.0]
+    return p
+
+
+def _branch_scores(u):
+    return scoring.score_dataset(_head_net(), "confidence_branch", np.reshape(u, (-1, 1)))
+
+
+def _uniform_density(V, c=2, hidden=(4,)):
+    m = density.init_ar_model(V, c, hidden, seed=0)
+    m.net.vector[...] = 0.0
+    return m
 
 
 class TestMspScore:
     def test_one_hot_is_least_anomalous(self):
-        assert scoring.msp_score([1.0, 0.0, 0.0]) == -1.0
+        assert _logit_scores("msp", [50.0, 0.0, 0.0])[0] == -1.0
 
     def test_uniform_is_most_anomalous(self):
-        assert scoring.msp_score([0.1] * 10) == pytest.approx(-0.1, abs=1e-15)
+        # uniform logits give msp = -1/k
+        for k in (2, 3, 10):
+            assert _logit_scores("msp", np.zeros(k))[0] == pytest.approx(-1.0 / k, abs=1e-15)
 
     def test_direct_read(self):
-        assert scoring.msp_score([0.9, 0.1]) == pytest.approx(-0.9, abs=1e-15)
-
-    def test_rejects_non_probability_vectors(self):
-        with pytest.raises(ParameterError):
-            scoring.msp_score([0.9, 0.3])
-        with pytest.raises(ParameterError):
-            scoring.msp_score([-0.1, 1.1])
-        with pytest.raises(ParameterError):
-            scoring.msp_score([1.0])
+        assert _logit_scores("msp", np.log([0.9, 0.1]))[0] == pytest.approx(-0.9, abs=1e-15)
 
 
 class TestUniformCeScore:
     def test_uniform_posterior_attains_the_maximum(self):
-        v = scoring.uniform_ce_score([0.1] * 10, from_logits=False)
+        # uniform logits give uniform_ce = -log k
+        v = _logit_scores("uniform_ce", np.zeros(10))[0]
         assert v == pytest.approx(-math.log(10), abs=1e-12)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            z = rng.normal(size=10) * 2
-            assert scoring.uniform_ce_score(z) <= v + 1e-12
+        z = np.random.default_rng(0).normal(size=(100, 10)) * 2
+        assert np.all(_logit_scores("uniform_ce", z) <= v + 1e-12)
 
     def test_confident_posterior_runs_toward_minus_infinity(self):
-        assert scoring.uniform_ce_score([30.0, -30.0]) < -25.0
+        assert _logit_scores("uniform_ce", [30.0, -30.0])[0] < -25.0
 
     def test_quarter_split(self):
-        assert scoring.uniform_ce_score([0.75, 0.25], from_logits=False) == pytest.approx(
+        assert _logit_scores("uniform_ce", np.log([0.75, 0.25]))[0] == pytest.approx(
             -0.8369882167858357, abs=1e-12
         )
 
@@ -49,46 +74,56 @@ class TestUniformCeScore:
 class TestBranchScore:
     @pytest.mark.parametrize("b,expected", [(1.0, 0.0), (0.0, 1.0), (0.3, 0.7)])
     def test_affine_flip(self, b, expected):
-        assert scoring.branch_score(b) == pytest.approx(expected, abs=1e-15)
+        # the head's confidence b = sigmoid(u) is scored as 1 - b
+        u = 40.0 if b == 1.0 else -40.0 if b == 0.0 else math.log(b / (1.0 - b))
+        assert _branch_scores([u])[0] == pytest.approx(expected, abs=1e-15)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ParameterError):
-            scoring.branch_score(1.5)
-        with pytest.raises(ParameterError):
-            scoring.branch_score(-0.1)
+    def test_saturated_head_keeps_resolution(self):
+        # 1 - sigmoid(u) rounds to exactly 0 for u above about 36.7
+        s = _branch_scores([38.0, 40.0])
+        assert s[0] > s[1] > 0.0
 
 
 class TestBppScore:
     def test_delegates_to_bits_per_dim(self):
         m = density.init_ar_model(4, 2, (6,), seed=0)
-        seq = [0, 3, 1, 2]
-        assert scoring.bpp_score(m, seq) == density.bits_per_dim(m, seq)
+        seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
+        assert np.array_equal(
+            scoring.score_dataset(m, "density_bpp", seqs), density.bits_per_dim_batch(m, seqs)
+        )
+
+    def test_zero_weight_model_gives_log2_v(self):
+        for V in (2, 5, 8):
+            seqs = np.random.default_rng(V).integers(0, V, size=(3, 6))
+            got = scoring.score_dataset(_uniform_density(V), "density_bpp", seqs)
+            assert np.max(np.abs(got - math.log2(V))) < 1e-12
 
 
 class TestOrientation:
     def test_every_detector_ranks_the_obvious_outlier_higher(self):
         # uniform posterior vs one-hot
-        assert scoring.msp_score([0.25] * 4) > scoring.msp_score([1.0, 0.0, 0.0, 0.0])
-        assert scoring.uniform_ce_score([0.0, 0.0], from_logits=True) > scoring.uniform_ce_score(
-            [20.0, -20.0]
-        )
+        assert _logit_scores("msp", [0.0] * 4)[0] > _logit_scores("msp", [20.0, 0.0, 0.0, 0.0])[0]
+        assert _logit_scores("uniform_ce", [0.0, 0.0])[0] > _logit_scores("uniform_ce", [20.0, -20.0])[0]
         # tiny confidence vs full confidence
-        assert scoring.branch_score(0.01) > scoring.branch_score(1.0)
+        low, full = _branch_scores([-4.6, 40.0])
+        assert low > full
         # improbable sequence vs the training pattern
         data = np.zeros((50, 8), dtype=np.int64)
         m = density.init_ar_model(2, 2, (8,), seed=0)
         m = density.train_density(m, data, epochs=20, lr0=0.5, seed=0)
         pattern = np.zeros(8, dtype=np.int64)
         weird = np.array([0, 1] * 4, dtype=np.int64)
-        assert scoring.bpp_score(m, weird) > scoring.bpp_score(m, pattern)
+        scores = scoring.score_dataset(m, "density_bpp", np.stack([weird, pattern]))
+        assert scores[0] > scores[1]
 
 
 class TestTwoClassRankEquivalence:
     def test_msp_and_uniform_ce_order_identically_when_k_is_two(self):
         rng = np.random.default_rng(3)
         p = np.unique(rng.uniform(0.5, 1.0 - 1e-6, size=200))
-        msp = np.array([scoring.msp_score([q, 1 - q]) for q in p])
-        uce = np.array([scoring.uniform_ce_score([q, 1 - q], from_logits=False) for q in p])
+        logits = np.log(np.stack([p, 1 - p], axis=1))
+        msp = _logit_scores("msp", logits)
+        uce = _logit_scores("uniform_ce", logits)
         assert np.array_equal(np.argsort(msp), np.argsort(uce))
 
 
@@ -107,21 +142,19 @@ class TestScoreDataset:
         p = _classifier(with_branch=True)
         x = np.array([[0.4, -1.3]])
         logits, bpre = nn_core.forward(p, x)
-        probs = nn_core.softmax(logits)[0]
-        assert scoring.score_dataset(p, "msp", x)[0] == pytest.approx(
-            scoring.msp_score(probs), abs=1e-12
-        )
+        z = logits[0]
+        probs = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+        assert scoring.score_dataset(p, "msp", x)[0] == pytest.approx(-probs.max(), abs=1e-12)
         assert scoring.score_dataset(p, "uniform_ce", x)[0] == pytest.approx(
-            scoring.uniform_ce_score(logits[0]), abs=1e-12
+            np.mean(np.log(probs)), abs=1e-12
         )
-        b = float(nn_core.sigmoid(bpre)[0])
         assert scoring.score_dataset(p, "confidence_branch", x)[0] == pytest.approx(
-            scoring.branch_score(b), abs=1e-12
+            1.0 - 1.0 / (1.0 + math.exp(-bpre[0])), abs=1e-12
         )
         m = density.init_ar_model(3, 2, (4,), seed=1)
         seq = np.array([[0, 2, 1, 0]], dtype=np.int64)
         assert scoring.score_dataset(m, "density_bpp", seq)[0] == pytest.approx(
-            scoring.bpp_score(m, seq[0]), abs=1e-12
+            density.nll_batch(m, seq)[0] / (4 * math.log(2.0)), abs=1e-12
         )
 
     def test_permutation_equivariance(self):
