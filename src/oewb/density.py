@@ -91,7 +91,7 @@ def nll_batch(model: ARModelParams, seqs) -> np.ndarray:
     """Per-sequence negative log-likelihood in nats for equal-length sequences."""
     arr = _as_seq_matrix(seqs, model.alphabet_size)
     feats, targets = context_features(arr, model.context_window, model.alphabet_size)
-    logits, _, _ = nn_core.forward_cached(model.net, feats)
+    logits, _ = nn_core.forward(model.net, feats)
     return _sequence_nll(logits, targets, arr.shape)
 
 

@@ -114,12 +114,8 @@ def cmd_eval(args) -> int:
     rep, pools = pipeline.evaluate_detector(model, config, bundle, seed)
     payload = {name: asdict(r) for name, r in rep.items()}
     (out / f"eval_seed{seed}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    from ..scoring import write_scores_csv
-
     for name, pool in pools.items():
-        scores = list(pool.in_scores) + list(pool.out_scores)
-        flags = [0] * pool.in_scores.size + [1] * pool.out_scores.size
-        write_scores_csv(out / f"scores_{name}_seed{seed}.csv", scores, flags)
+        reports.write_pool_scores(out / f"scores_{name}_seed{seed}.csv", pool)
     if not args.quiet:
         for name, r in rep.items():
             print(f"{name}: auroc={r.auroc:.4f} aupr={r.aupr:.4f} fpr@{r.n_level:g}={r.fpr_at_n:.4f}")
@@ -176,12 +172,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_gen_outliers(args) -> int:
-    """Write one outlier set exactly as run and make-data materialize it."""
+    """Write one outlier set exactly as make-data writes it."""
     config = _resolve_config(args.config)
     seed = _pick_seed(config, args)
     out = _out_dir(args, f"runs/{config.name}")
     bundle = pipeline.prepare_data(config, seed)
-    sets = {**bundle.vals, **bundle.tests}
+    sets = {**pipeline.validation_sets(config, bundle, seed), **bundle.tests}
     if bundle.oe is not None:
         sets[config.d_out_oe.name] = bundle.oe
     name = args.name or (config.d_out_oe.name if config.d_out_oe else config.d_out_test[0].name)
@@ -209,7 +205,7 @@ def cmd_make_data(args) -> int:
         named["oe_" + config.d_out_oe.name] = bundle.oe
     for name, data in bundle.tests.items():
         named["test_" + name] = data
-    for name, data in bundle.vals.items():
+    for name, data in pipeline.validation_sets(config, bundle, seed).items():
         named["val_" + name] = data
     for name, data in named.items():
         _write_dataset(out / f"{name}_seed{seed}.csv", data)

@@ -463,16 +463,24 @@ def materialize(
     return materialize_generator(p, n, dim, seed, din)
 
 
-def _row_bytes(data) -> set:
-    if isinstance(data, SequenceDataset):
-        return {row.tobytes() for row in np.ascontiguousarray(data.sequences)}
-    return {row.tobytes() for row in np.ascontiguousarray(data.features)}
+def _rows(data) -> np.ndarray:
+    return np.ascontiguousarray(data.sequences if isinstance(data, SequenceDataset) else data.features)
 
 
 def check_disjoint(oe_data, test_data, oe_name: str, test_name: str) -> None:
     """Refuse to run when any auxiliary training row also appears in a test
-    outlier set; shared rows would let test information leak into tuning."""
-    shared = _row_bytes(oe_data) & _row_bytes(test_data)
+    outlier set; shared rows would let test information leak into tuning.
+
+    Rows count as shared when their bytes are equal, so 0.0 and -0.0 differ.
+    Byte-equal rows have byte-equal first columns, so only rows whose first
+    column's bytes (as int64) occur more than once among both sets' first
+    columns are compared whole; usually there are none."""
+    a, b = _rows(oe_data), _rows(test_data)
+    key_a, key_b = a[:, 0].view(np.int64), b[:, 0].view(np.int64)
+    keys = np.sort(np.concatenate((key_a, key_b)))
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    a, b = a[np.isin(key_a, repeated)], b[np.isin(key_b, repeated)]
+    shared = {row.tobytes() for row in a} & {row.tobytes() for row in b}
     if shared:
         raise ConfigurationError(
             f"auxiliary outlier set {oe_name!r} shares {len(shared)} row(s) "

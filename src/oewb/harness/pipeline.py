@@ -4,8 +4,9 @@ Seeds are fully independent; every random draw inside one seed flows from
 np.random.SeedSequence([seed, *role]) with a fixed role id per purpose, so
 any stage can be recomputed in isolation and reruns are bit-identical.
 Test outlier sets influence nothing upstream of final evaluation. The
-validation outlier sets (d_out_val) are materialized into the data bundle
-for make-data and gen-outliers; no stage of a run reads them.
+validation outlier sets (d_out_val) are materialized only by
+validation_sets, for make-data and gen-outliers; no stage of a run reads
+them.
 """
 
 from __future__ import annotations
@@ -50,12 +51,22 @@ class DataBundle:
     din_test: object
     oe: object | None
     tests: dict
-    vals: dict
     n_classes: int | None = None
 
 
 def _spec_n(spec, default: int = 200) -> int:
     return int(spec.params.get("n", default))
+
+
+def _check_kind(config: ExperimentConfig, named) -> None:
+    """Refuse datasets of the wrong kind (sequence vs vector) for the detector."""
+    wants_sequences = config.detector == "density_bpp"
+    for name, data in named:
+        if data is None:
+            continue
+        if isinstance(data, SequenceDataset) != wants_sequences:
+            kind = "sequence" if wants_sequences else "vector"
+            raise ConfigurationError(f"detector {config.detector!r} needs {kind} data, but {name!r} is not")
 
 
 def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
@@ -87,26 +98,29 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
         )
         if oe is not None:
             check_disjoint(oe, tests[spec.name], config.d_out_oe.name, spec.name)
-    vals = {}
-    for i, spec in enumerate(config.d_out_val):
-        vals[spec.name] = materialize(
-            spec, n=_spec_n(spec), seed=_ss(seed, ROLE_VAL, i), dim=dim, din=din_train
-        )
-
-    wants_sequences = config.detector == "density_bpp"
-    for name, data in [("d_in", din), ("d_out_oe", oe), *tests.items(), *vals.items()]:
-        if data is None:
-            continue
-        if isinstance(data, SequenceDataset) != wants_sequences:
-            kind = "sequence" if wants_sequences else "vector"
-            raise ConfigurationError(f"detector {config.detector!r} needs {kind} data, but {name!r} is not")
+    _check_kind(config, [("d_in", din), ("d_out_oe", oe), *tests.items()])
 
     n_classes = None
     if isinstance(din, VectorDataset) and din.labels is not None:
         n_classes = int(din.labels.max()) + 1
         if n_classes < 2:
             raise ConfigurationError("classification needs at least two classes")
-    return DataBundle(din_train, din_val, din_test, oe, tests, vals, n_classes)
+    return DataBundle(din_train, din_val, din_test, oe, tests, n_classes)
+
+
+def validation_sets(config: ExperimentConfig, bundle: DataBundle, seed: int) -> dict:
+    """The validation outlier sets (d_out_val) of one seed, keyed by name.
+
+    Each is seeded by its own ROLE_VAL index and drawn against the bundle's
+    training split, so it does not depend on which other sets are built."""
+    din = bundle.din_train
+    dim = None if isinstance(din, SequenceDataset) else din.dim
+    vals = {
+        spec.name: materialize(spec, n=_spec_n(spec), seed=_ss(seed, ROLE_VAL, i), dim=dim, din=din)
+        for i, spec in enumerate(config.d_out_val)
+    }
+    _check_kind(config, vals.items())
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ import math
 from dataclasses import asdict
 from pathlib import Path
 
-from ..metrics import pr_points, roc_points
+import numpy as np
+
+from ..metrics import ScoredSet, pr_points, roc_points
 from ..scoring import write_scores_csv
 from .pipeline import ExperimentResult
 
@@ -109,21 +111,33 @@ def render_table(exp: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reprs(values: np.ndarray, memo: dict) -> list:
+    """repr() of each float64 in values, memoized by bit pattern so that 0.0
+    and -0.0 keep their own strings. repr is most of the cost of a curve file."""
+    return [memo.get(k) or memo.setdefault(k, repr(x))
+            for x, k in zip(values.tolist(), values.view(np.int64).tolist())]
+
+
 def write_curves(out_dir: Path, exp: ExperimentResult) -> None:
     curve_dir = out_dir / "curves"
     curve_dir.mkdir(parents=True, exist_ok=True)
     for sr in exp.seed_results:
+        memo = {}  # one seed's curves repeat their rates: fractions k/n of the same pool sizes
         for name, pool in sr.pools.items():
             for stem, (xs, ys), cols in (
                 ("roc", roc_points(pool), ("fpr", "tpr")),
                 ("pr", pr_points(pool), ("recall", "precision")),
             ):
+                rows = [f"{a},{b}\n" for a, b in zip(_reprs(xs, memo), _reprs(ys, memo))]
                 path = curve_dir / f"{stem}_{name}_seed{sr.seed}.csv"
                 with path.open("w", newline="") as fh:
-                    w = csv.writer(fh, lineterminator="\n")
-                    w.writerow(cols)
-                    for a, b in zip(xs, ys):
-                        w.writerow([repr(float(a)), repr(float(b))])
+                    fh.write(",".join(cols) + "\n" + "".join(rows))
+
+
+def write_pool_scores(path, pool: ScoredSet) -> None:
+    """A pool's score file: its inlier rows (is_ood 0), then its outlier rows (1)."""
+    flags = np.repeat([0, 1], [pool.in_scores.size, pool.out_scores.size])
+    write_scores_csv(path, np.concatenate((pool.in_scores, pool.out_scores)), flags)
 
 
 def write_score_files(out_dir: Path, exp: ExperimentResult) -> None:
@@ -131,9 +145,7 @@ def write_score_files(out_dir: Path, exp: ExperimentResult) -> None:
     score_dir.mkdir(parents=True, exist_ok=True)
     for sr in exp.seed_results:
         for name, pool in sr.pools.items():
-            scores = list(pool.in_scores) + list(pool.out_scores)
-            flags = [0] * pool.in_scores.size + [1] * pool.out_scores.size
-            write_scores_csv(score_dir / f"{name}_seed{sr.seed}.csv", scores, flags)
+            write_pool_scores(score_dir / f"{name}_seed{sr.seed}.csv", pool)
 
 
 def write_reports(out_dir, exp: ExperimentResult) -> None:

@@ -55,12 +55,12 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x, kind="mergesort")
     sx = x[order]
     n = x.size
-    ranks = np.empty(n, dtype=np.float64)
     edges = np.flatnonzero(sx[1:] != sx[:-1]) + 1
     starts = np.concatenate(([0], edges))
     stops = np.concatenate((edges, [n]))
-    for a, b in zip(starts, stops):
-        ranks[order[a:b]] = 0.5 * (a + 1 + b)  # mean of ranks a+1 .. b
+    ranks = np.empty(n, dtype=np.float64)
+    # the block [a, b) of sorted positions holds ranks a+1 .. b, mean 0.5 * (a + 1 + b)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
     return ranks
 
 

@@ -169,8 +169,7 @@ def _act_backward(da: np.ndarray, z: np.ndarray, name: str) -> np.ndarray:
     return np.multiply(da, 1.0 - t * t, out=da)
 
 
-def forward_cached(params: NetworkParams, inputs) -> tuple:
-    """Forward pass keeping activations; returns (logits, branch_pre, cache)."""
+def _input_matrix(params: NetworkParams, inputs) -> np.ndarray:
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2:
         raise ConfigurationError("inputs must form an (n, d) matrix")
@@ -178,6 +177,12 @@ def forward_cached(params: NetworkParams, inputs) -> tuple:
         raise ConfigurationError(
             f"input width {X.shape[1]} does not match network input dim {params.input_dim}"
         )
+    return X
+
+
+def forward_cached(params: NetworkParams, inputs) -> tuple:
+    """Forward pass keeping activations; returns (logits, branch_pre, cache)."""
+    X = _input_matrix(params, inputs)
     acts = [X]
     pres = []
     a = X
@@ -197,10 +202,27 @@ def forward_cached(params: NetworkParams, inputs) -> tuple:
 
 
 def forward(params: NetworkParams, batch):
-    """Class logits for a batch, plus the confidence pre-activation when a head exists."""
-    X = batch.inputs if isinstance(batch, Batch) else batch
-    logits, branch_pre, _ = forward_cached(params, X)
-    return logits, branch_pre
+    """Class logits for a batch, plus the confidence pre-activation when a head exists.
+
+    The same arithmetic as forward_cached without the cache: each hidden
+    activation is applied in place to its layer's fresh matmul output and
+    is dropped once the next layer has read it.
+    """
+    a = _input_matrix(params, batch.inputs if isinstance(batch, Batch) else batch)
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w.T
+        z += b
+        if i == last:
+            break
+        if params.activation == "relu":
+            a = np.maximum(z, 0.0, out=z)
+        else:
+            a = np.tanh(z, out=z)
+    branch_pre = None
+    if params.branch is not None:
+        branch_pre = a @ params.branch.weight + params.branch.bias[0]
+    return z, branch_pre
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:

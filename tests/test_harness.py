@@ -23,6 +23,8 @@ from oewb.harness.config import (
 from oewb.harness.presets import PRESET_NAMES, get_preset
 from oewb.objectives import ObjectiveSpec
 
+import reference_reports
+
 
 def _tiny_config(**over):
     """Three well-separated 2D clusters, one ring test set, one val set.
@@ -451,6 +453,39 @@ class TestDatasetFiles:
         with pytest.raises(ConfigurationError, match="share"):
             datasets.check_disjoint(a, a, "oe", "test")
 
+    def test_check_disjoint_same_first_column_is_not_shared(self):
+        a = datasets.VectorDataset([[1.0, 2.0], [3.0, 4.0]])
+        b = datasets.VectorDataset([[1.0, 2.5], [3.0, -4.0], [5.0, 4.0]])
+        datasets.check_disjoint(a, b, "oe", "test")
+
+    def test_check_disjoint_signed_zeros_differ(self):
+        a = datasets.VectorDataset([[0.0, 1.0], [2.0, 0.0]])
+        b = datasets.VectorDataset([[-0.0, 1.0], [2.0, -0.0]])
+        datasets.check_disjoint(a, b, "oe", "test")
+        with pytest.raises(ConfigurationError, match="shares 1 row"):
+            datasets.check_disjoint(a, datasets.VectorDataset([[-0.0, 1.0], [2.0, 0.0]]), "oe", "test")
+
+    def test_check_disjoint_counts_distinct_shared_rows(self):
+        a = datasets.VectorDataset([[1.0, 2.0], [1.0, 2.0], [7.0, 8.0], [9.0, 9.0]])
+        b = datasets.VectorDataset([[1.0, 2.0], [7.0, 8.0], [7.0, 8.0], [1.0, 3.0]])
+        with pytest.raises(ConfigurationError) as info:
+            datasets.check_disjoint(a, b, "box", "ring")
+        assert "'box' shares 2 row(s) with test outlier set 'ring'" in str(info.value)
+
+    def test_check_disjoint_one_column(self):
+        a = datasets.VectorDataset([[1.0], [2.0], [2.0]])
+        datasets.check_disjoint(a, datasets.VectorDataset([[3.0], [-1.0]]), "oe", "test")
+        with pytest.raises(ConfigurationError, match="shares 1 row"):
+            datasets.check_disjoint(a, datasets.VectorDataset([[3.0], [2.0]]), "oe", "test")
+
+    def test_check_disjoint_sequences_sharing_a_start(self):
+        a = datasets.SequenceDataset([[0, 1, 2], [0, 1, 1], [2, 2, 2]], 3)
+        b = datasets.SequenceDataset([[0, 2, 2], [0, 1, 0], [2, 2, 1]], 3)
+        datasets.check_disjoint(a, b, "oe", "test")
+        c = datasets.SequenceDataset([[0, 2, 2], [2, 2, 2], [0, 1, 1], [0, 1, 1]], 3)
+        with pytest.raises(ConfigurationError, match="shares 2 row"):
+            datasets.check_disjoint(a, c, "oe", "test")
+
 
 class TestMaterialize:
     def test_generator_needs_dim(self):
@@ -506,8 +541,26 @@ class TestPrepareData:
         assert bundle.n_classes == 3
         assert isinstance(bundle.din_train, datasets.VectorDataset)
         assert set(bundle.tests) == {"ring"}
-        assert set(bundle.vals) == {"val_shift"}
         assert bundle.oe.n == 120
+
+    def test_validation_sets_are_built_on_request(self):
+        config = _tiny_config()
+        bundle = pipeline.prepare_data(config, seed=0)
+        vals = pipeline.validation_sets(config, bundle, seed=0)
+        assert set(vals) == {"val_shift"}
+        seed = pipeline._ss(0, pipeline.ROLE_VAL, 0)
+        direct = datasets.materialize(config.d_out_val[0], n=60, seed=seed, dim=2, din=bundle.din_train)
+        assert np.array_equal(vals["val_shift"].features, direct.features)
+
+    def test_validation_sets_check_the_data_kind(self):
+        config = _tiny_config()
+        config.d_out_val = [DatasetSpec(
+            "generator", "walks",
+            {"generator": "markov_chain", "length": 5, "alphabet_size": 3, "p_step": 0.9, "p_stay": 0.1},
+        )]
+        bundle = pipeline.prepare_data(config, seed=0)
+        with pytest.raises(ConfigurationError, match="'walks' is not"):
+            pipeline.validation_sets(config, bundle, seed=0)
 
     def test_split_is_a_partition(self):
         config = _tiny_config()
@@ -851,6 +904,11 @@ class TestCli:
         payload = json.loads((out / "eval_seed0.json").read_text())
         assert "ring" in payload
         assert 0.0 <= payload["ring"]["auroc"] <= 1.0
+
+        config = load_config(path)
+        _, pools = pipeline.evaluate_detector(nn_core.load_params(tuned), config, pipeline.prepare_data(config, 0), 0)
+        reference_reports.write_pool_scores(tmp_path / "reference.csv", pools["ring"])
+        assert (out / "scores_ring_seed0.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_eval_rejects_corrupt_params(self, tmp_path, capsys):
         path = self._write_config(tmp_path)

@@ -57,10 +57,31 @@ class TestForward:
         _, bpre = nn_core.forward(p, x)
         assert np.max(np.abs(bpre - expected)) < 1e-12
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize(
+        "dims,with_branch",
+        [([3, 2], False), ([3, 16, 4], False), ([3, 16, 4], True), ([3, 16, 8, 4], False),
+         ([3, 16, 8, 4], True)],
+    )
+    def test_equals_forward_cached_bit_for_bit(self, activation, dims, with_branch):
+        p = nn_core.init_network(dims, seed=5, activation=activation, with_branch=with_branch)
+        x = np.random.default_rng(1).normal(size=(257, 3)) * 3.0
+        logits, bpre = nn_core.forward(p, nn_core.Batch(x))
+        cached_logits, cached_bpre, _ = nn_core.forward_cached(p, x)
+        assert np.array_equal(logits, cached_logits)
+        if with_branch:
+            assert np.array_equal(bpre, cached_bpre)
+        else:
+            assert bpre is None and cached_bpre is None
+
     def test_dimension_mismatch_rejected(self):
         p = nn_core.init_network([2, 4, 3], seed=0)
         with pytest.raises(ConfigurationError):
             nn_core.forward(p, np.zeros((1, 5)))
+        with pytest.raises(ConfigurationError):
+            nn_core.forward_cached(p, np.zeros((1, 5)))
+        with pytest.raises(ConfigurationError):
+            nn_core.forward(p, np.zeros(2))
 
     def test_batch_validation(self):
         with pytest.raises(ConfigurationError):
