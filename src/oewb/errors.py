@@ -29,4 +29,11 @@ class InputError(ValidationError):
 
 class DivergenceError(Exception):
     """Training left non-finite parameters. The inputs were accepted, so
-    this is a run failure (exit code 2), not a ValidationError."""
+    this is a run failure (exit code 2), not a ValidationError.
+
+    member is the position, within a stack of nets trained together, of
+    the first net that diverged (0 for a single net)."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member

@@ -83,7 +83,7 @@ def cmd_train(args) -> int:
     seed = _pick_seed(config, args)
     out = _out_dir(args, f"runs/{config.name}")
     bundle = pipeline.prepare_data(config, seed)
-    model = pipeline.train_baseline(config, bundle, seed)
+    [model] = pipeline.train_baseline(config, pipeline.training_set([bundle], [seed]))
     path = out / f"baseline_seed{seed}.bin"
     _save_model(model, path)
     if not args.quiet:
@@ -97,7 +97,7 @@ def cmd_finetune(args) -> int:
     out = _out_dir(args, f"runs/{config.name}")
     bundle = pipeline.prepare_data(config, seed)
     baseline = _load_model(config, args.params)
-    model = pipeline.finetune_oe(config, bundle, baseline, seed)
+    [model] = pipeline.finetune_oe(config, pipeline.training_set([bundle], [seed]), [baseline])
     path = out / f"finetuned_seed{seed}.bin"
     _save_model(model, path)
     if not args.quiet:

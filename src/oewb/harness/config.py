@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ConfigurationError("lambda must be nonnegative")
         if len(self.seeds) == 0:
             raise ConfigurationError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.epochs < 1 or self.finetune_epochs < 0:
             raise ConfigurationError("epoch counts out of range")
         if len(self.base_rate) != 2 or min(self.base_rate) < 1:

@@ -3,6 +3,14 @@
 Seeds are fully independent; every random draw inside one seed flows from
 np.random.SeedSequence([seed, *role]) with a fixed role id per purpose, so
 any stage can be recomputed in isolation and reruns are bit-identical.
+
+run_experiment goes stage by stage across the seeds. It prepares every
+seed's data (refusing auxiliary outliers that reappear in a test set
+before anything trains), trains all baselines in lockstep as one stack of
+nets, then fine-tunes (or trains scratch_oe) all of them in lockstep, and
+finally evaluates, calibrates and reports one seed at a time in run_seed.
+A seed's models are bit-identical to the ones it would train alone, as a
+stack of one, which is how the train and finetune commands train them.
 Test outlier sets influence nothing upstream of final evaluation. The
 validation outlier sets (d_out_val) are materialized only by
 validation_sets, for make-data and gen-outliers; no stage of a run reads
@@ -52,6 +60,10 @@ class DataBundle:
     oe: object | None
     tests: dict
     n_classes: int | None = None
+
+
+def _raw(data) -> np.ndarray:
+    return data.sequences if isinstance(data, SequenceDataset) else data.features
 
 
 def _spec_n(spec, default: int = 200) -> int:
@@ -124,7 +136,42 @@ def validation_sets(config: ExperimentConfig, bundle: DataBundle, seed: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# Training
+# Training. Every stage trains the seeds of a TrainingSet in lockstep, as one
+# stack of nets on nn_core's engine, and returns one model per seed.
+
+
+@dataclass
+class TrainingSet:
+    """What training reads of every seed, stacked along a leading seed axis:
+    each seed's training split and its auxiliary outliers."""
+
+    seeds: list
+    rows: np.ndarray  # (S, n, d) features or (S, n, D) symbol sequences
+    labels: np.ndarray | None  # (S, n) class labels of vector data
+    oe_rows: np.ndarray | None  # (S, m, ...) auxiliary outliers
+    n_classes: int | None = None
+    alphabet_size: int | None = None
+
+
+def training_set(bundles, seeds) -> TrainingSet:
+    """Stack the training part of one bundle per seed, in seed order.
+
+    bundles may be a generator: only the training part of each bundle is
+    kept once the next one is drawn. Symbol sequences are stacked in the
+    smallest unsigned dtype that holds their alphabet.
+    """
+    kept = [(b.din_train, b.oe, b.n_classes) for b in bundles]
+    din, oe, n_classes = kept[0]
+    alphabet = getattr(din, "alphabet_size", None)
+    dtype = np.float64 if alphabet is None else np.min_scalar_type(alphabet)
+    return TrainingSet(
+        [int(s) for s in seeds],
+        np.stack([_raw(d) for d, _, _ in kept]).astype(dtype, copy=False),
+        None if getattr(din, "labels", None) is None else np.stack([d.labels for d, _, _ in kept]),
+        None if oe is None else np.stack([_raw(o) for _, o, _ in kept]).astype(dtype, copy=False),
+        n_classes,
+        alphabet,
+    )
 
 
 def _classifier_objective(config: ExperimentConfig, *, exposed: bool) -> ObjectiveSpec:
@@ -133,119 +180,151 @@ def _classifier_objective(config: ExperimentConfig, *, exposed: bool) -> Objecti
     return ObjectiveSpec("multiclass_oe", lam=config.lam if exposed else 0.0)
 
 
+def _oe_rows(train: TrainingSet) -> np.ndarray:
+    if train.oe_rows is None:
+        raise ConfigurationError("exposure training needs auxiliary outlier data")
+    return train.oe_rows
+
+
 def _train_classifier(
     params: nn_core.NetworkParams,
-    train_data: VectorDataset,
-    oe_data,
+    train: TrainingSet,
     objective: ObjectiveSpec,
     *,
     epochs: int,
     lr0: float,
     model_settings,
-    shuffle_seed,
+    shuffle_seeds,
 ) -> nn_core.NetworkParams:
-    """nn_core.train_classifier over the whole training and outlier sets."""
-    if train_data.labels is None:
+    """nn_core.train_classifier of a stack over every seed's whole training
+    split and, when the objective reads them, its auxiliary outliers."""
+    if train.labels is None:
         raise DataError("classifier training needs labeled in-distribution data")
-    oe_batch = None
-    if objective.lam > 0:
-        if oe_data is None:
-            raise ConfigurationError("exposure training needs auxiliary outlier data")
-        oe_batch = nn_core.Batch(oe_data.features)
+    oe_batch = nn_core.Batch(_oe_rows(train)) if objective.lam > 0 else None
     return nn_core.train_classifier(
-        params, objective, nn_core.Batch(train_data.features, train_data.labels), oe_batch,
+        params, objective, nn_core.Batch(train.rows, train.labels), oe_batch,
         epochs=epochs, batch_size=model_settings.batch_size, lr0=lr0,
         momentum=model_settings.momentum, weight_decay=model_settings.weight_decay,
-        seed=shuffle_seed,
+        seed=shuffle_seeds,
     )
 
 
 @contextmanager
-def _stage(name: str, seed: int):
+def _stage(name: str, seeds):
     """Name the seed and stage in a divergence raised by the training loop."""
     try:
         yield
     except DivergenceError as exc:
-        raise DivergenceError(f"seed {seed}, stage {name}: {exc}") from exc
+        raise DivergenceError(f"seed {seeds[exc.member]}, stage {name}: {exc}", exc.member) from exc
 
 
-def _init_classifier(config: ExperimentConfig, bundle: DataBundle, seed: int) -> nn_core.NetworkParams:
-    dims = (bundle.din_train.dim, *config.model.hidden_dims, bundle.n_classes)
-    return nn_core.init_network(
-        dims, seed=_ss(seed, ROLE_INIT), activation=config.model.activation,
-        with_branch=config.detector == "confidence_branch",
+def _initial_stack(config: ExperimentConfig, train: TrainingSet):
+    """Every seed's freshly initialised model, as one stacked model."""
+    if config.detector == "density_bpp":
+        return density_mod.ARModelParams.stack([
+            density_mod.init_ar_model(
+                train.alphabet_size, config.model.context_window, config.model.hidden_dims,
+                seed=_ss(s, ROLE_INIT), activation=config.model.activation,
+            )
+            for s in train.seeds
+        ])
+    dims = (train.rows.shape[-1], *config.model.hidden_dims, train.n_classes)
+    return nn_core.NetworkParams.stack([
+        nn_core.init_network(
+            dims, seed=_ss(s, ROLE_INIT), activation=config.model.activation,
+            with_branch=config.detector == "confidence_branch",
+        )
+        for s in train.seeds
+    ])
+
+
+def _density_margin_training(config, model, train: TrainingSet, *, epochs: int, lr0: float, shuffle_seeds):
+    """density.finetune_density_oe of a stacked model over every seed's sets."""
+    return density_mod.finetune_density_oe(
+        model, train.rows, _oe_rows(train),
+        margin=config.model.margin, epochs=epochs,
+        batch_size=config.model.batch_size, lr0=lr0,
+        momentum=config.model.momentum, weight_decay=config.model.weight_decay,
+        mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
+        seed=shuffle_seeds,
     )
 
 
-def train_baseline(config: ExperimentConfig, bundle: DataBundle, seed: int):
-    """In-distribution-only training (λ = 0); the starting point every
-    exposure pipeline shares."""
-    with _stage("train_baseline", seed):
+def train_baseline(config: ExperimentConfig, train: TrainingSet) -> list:
+    """In-distribution-only training (λ = 0) of every seed, one model per
+    seed; the starting point every exposure pipeline shares."""
+    shuffle = [_ss(s, ROLE_TRAIN_SHUFFLE) for s in train.seeds]
+    model = _initial_stack(config, train)
+    with _stage("train_baseline", train.seeds):
         if config.detector == "density_bpp":
-            model = density_mod.init_ar_model(
-                bundle.din_train.alphabet_size, config.model.context_window,
-                config.model.hidden_dims, seed=_ss(seed, ROLE_INIT), activation=config.model.activation,
-            )
             return density_mod.train_density(
-                model, bundle.din_train.sequences,
+                model, train.rows,
                 epochs=config.epochs, batch_size=config.model.batch_size, lr0=config.model.lr0,
                 momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-                seed=_ss(seed, ROLE_TRAIN_SHUFFLE),
-            )
-        params = _init_classifier(config, bundle, seed)
+                seed=shuffle,
+            ).unstack()
         return _train_classifier(
-            params, bundle.din_train, None, _classifier_objective(config, exposed=False),
+            model, train, _classifier_objective(config, exposed=False),
             epochs=config.epochs, lr0=config.model.lr0, model_settings=config.model,
-            shuffle_seed=_ss(seed, ROLE_TRAIN_SHUFFLE),
-        )
+            shuffle_seeds=shuffle,
+        ).unstack()
 
 
-def finetune_oe(config: ExperimentConfig, bundle: DataBundle, baseline, seed: int):
-    """Exposure fine-tuning from a trained baseline at the fine-tune rate."""
+def finetune_oe(config: ExperimentConfig, train: TrainingSet, baselines) -> list:
+    """Exposure fine-tuning of every seed's trained baseline at the
+    fine-tune rate, one model per seed."""
     if config.finetune_epochs == 0:
-        return baseline
-    with _stage("finetune_oe", seed):
+        return list(baselines)
+    shuffle = [_ss(s, ROLE_FINETUNE_SHUFFLE) for s in train.seeds]
+    with _stage("finetune_oe", train.seeds):
         if config.detector == "density_bpp":
-            return density_mod.finetune_density_oe(
-                baseline, bundle.din_train.sequences, bundle.oe.sequences,
-                margin=config.model.margin, epochs=config.finetune_epochs,
-                batch_size=config.model.batch_size, lr0=config.model.finetune_lr0,
-                momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-                mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
-                seed=_ss(seed, ROLE_FINETUNE_SHUFFLE),
-            )
+            return _density_margin_training(
+                config, density_mod.ARModelParams.stack(baselines), train,
+                epochs=config.finetune_epochs, lr0=config.model.finetune_lr0, shuffle_seeds=shuffle,
+            ).unstack()
         return _train_classifier(
-            baseline, bundle.din_train, bundle.oe, _classifier_objective(config, exposed=True),
+            nn_core.NetworkParams.stack(baselines), train, _classifier_objective(config, exposed=True),
             epochs=config.finetune_epochs, lr0=config.model.finetune_lr0,
-            model_settings=config.model, shuffle_seed=_ss(seed, ROLE_FINETUNE_SHUFFLE),
-        )
+            model_settings=config.model, shuffle_seeds=shuffle,
+        ).unstack()
 
 
-def train_scratch_oe(config: ExperimentConfig, bundle: DataBundle, seed: int):
-    """Exposure training from random init for the full epoch budget."""
-    with _stage("train_scratch_oe", seed):
-        total_epochs = config.epochs + config.finetune_epochs
+def train_scratch_oe(config: ExperimentConfig, train: TrainingSet) -> list:
+    """Exposure training of every seed from random init for the full epoch
+    budget, one model per seed."""
+    total_epochs = config.epochs + config.finetune_epochs
+    shuffle = [_ss(s, ROLE_SCRATCH_SHUFFLE) for s in train.seeds]
+    model = _initial_stack(config, train)
+    with _stage("train_scratch_oe", train.seeds):
         if config.detector == "density_bpp":
-            model = density_mod.init_ar_model(
-                bundle.din_train.alphabet_size, config.model.context_window,
-                config.model.hidden_dims, seed=_ss(seed, ROLE_INIT), activation=config.model.activation,
-            )
             # The paired margin objective already carries the MLE term, so
             # training it from scratch is the simultaneous form.
-            return density_mod.finetune_density_oe(
-                model, bundle.din_train.sequences, bundle.oe.sequences,
-                margin=config.model.margin, epochs=total_epochs,
-                batch_size=config.model.batch_size, lr0=config.model.lr0,
-                momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-                mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
-                seed=_ss(seed, ROLE_SCRATCH_SHUFFLE),
-            )
-        params = _init_classifier(config, bundle, seed)
+            return _density_margin_training(
+                config, model, train, epochs=total_epochs, lr0=config.model.lr0, shuffle_seeds=shuffle,
+            ).unstack()
         return _train_classifier(
-            params, bundle.din_train, bundle.oe, _classifier_objective(config, exposed=True),
+            model, train, _classifier_objective(config, exposed=True),
             epochs=total_epochs, lr0=config.model.lr0, model_settings=config.model,
-            shuffle_seed=_ss(seed, ROLE_SCRATCH_SHUFFLE),
-        )
+            shuffle_seeds=shuffle,
+        ).unstack()
+
+
+def train_models(config: ExperimentConfig, seeds) -> list:
+    """(baseline, final) models of every seed, each stage trained in
+    lockstep across the seeds.
+
+    Every seed's data are prepared, and checked for auxiliary-outlier
+    overlap, before any training starts; only their training set is kept.
+    """
+    train = training_set((prepare_data(config, s) for s in seeds), seeds)
+    baselines = train_baseline(config, train)
+    if config.pipeline == "finetune_oe":
+        finals = finetune_oe(config, train, baselines)
+    elif config.pipeline == "scratch_oe":
+        finals = train_scratch_oe(config, train)
+    else:
+        finals = baselines
+    return list(zip(baselines, finals))
 
 
 def classifier_accuracy(params: nn_core.NetworkParams, data: VectorDataset) -> float:
@@ -255,10 +334,6 @@ def classifier_accuracy(params: nn_core.NetworkParams, data: VectorDataset) -> f
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-
-def _raw(data) -> np.ndarray:
-    return data.sequences if isinstance(data, SequenceDataset) else data.features
 
 
 def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed: int):
@@ -336,15 +411,13 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
+def run_seed(config: ExperimentConfig, seed: int, models=None) -> SeedResult:
+    """Evaluation, calibration and accuracy of one seed's (baseline, final)
+    models from train_models. Without models the seed trains first, as a
+    stack of one. The seed's data are rebuilt here, so a run holds test
+    sets for one seed at a time."""
+    baseline, final = models if models is not None else train_models(config, [seed])[0]
     bundle = prepare_data(config, seed)
-    baseline = train_baseline(config, bundle, seed)
-    if config.pipeline == "finetune_oe":
-        final = finetune_oe(config, bundle, baseline, seed)
-    elif config.pipeline == "scratch_oe":
-        final = train_scratch_oe(config, bundle, seed)
-    else:
-        final = baseline
     base_reports, _ = evaluate_detector(baseline, config, bundle, seed)
     final_reports, pools = evaluate_detector(final, config, bundle, seed)
     cal = None
@@ -379,7 +452,8 @@ def summarize(config: ExperimentConfig, seed_results) -> dict:
 
 def run_experiment(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> ExperimentResult:
     config.validate()
-    results = [run_seed(config, s) for s in config.seeds]
+    trained = train_models(config, config.seeds)
+    results = [run_seed(config, s, models) for s, models in zip(config.seeds, trained)]
     summary = summarize(config, results)
     exp = ExperimentResult(config, results, summary)
     if out_dir is not None:

@@ -34,10 +34,12 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def min_hidden_preact_gap(params, inputs) -> float:
     """Distance of the closest hidden pre-activation to the relu kink; used
     to reject configurations where finite differences would straddle it.
-    The cache's last pre-activation block is the logits, which never pass
-    through the activation, so it is excluded."""
-    _, _, (_, pres) = nn_core.forward_cached(params, np.asarray(inputs, dtype=np.float64))
-    hidden = pres[:-1]
-    if not hidden:
-        return np.inf
-    return float(min(np.min(np.abs(z)) for z in hidden))
+    The last layer's pre-activations are the logits, which never pass
+    through the activation, so they are excluded."""
+    a = np.asarray(inputs, dtype=np.float64)
+    gap = np.inf
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w.T + b
+        gap = min(gap, float(np.min(np.abs(z))))
+        a = np.maximum(z, 0.0) if params.activation == "relu" else np.tanh(z)
+    return gap

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oewb import nn_core
-from oewb.errors import ConfigurationError, DataError, ValidationError
+from oewb.errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from oewb.harness import cli, datasets, pipeline, reports
 from oewb.harness.config import (
     DatasetSpec,
@@ -141,6 +141,10 @@ class TestConfigValidation:
     def test_empty_seeds(self):
         with pytest.raises(ConfigurationError, match="seeds"):
             _tiny_config(seeds=())
+
+    def test_duplicate_seeds(self):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            _tiny_config(seeds=(0, 1, 0))
 
     def test_epoch_ranges(self):
         with pytest.raises(ConfigurationError, match="epoch"):
@@ -614,8 +618,8 @@ class TestTrainingPipeline:
         config = _tiny_config(lam=0.0)
         seed = 3
         bundle = pipeline.prepare_data(config, seed)
-        baseline = pipeline.train_baseline(config, bundle, seed)
-        tuned = pipeline.finetune_oe(config, bundle, baseline, seed)
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [seed]))[0]
+        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle], [seed]), [baseline])[0]
 
         X, y = bundle.din_train.features, bundle.din_train.labels
         n = X.shape[0]
@@ -644,30 +648,30 @@ class TestTrainingPipeline:
     def test_zero_finetune_epochs_returns_baseline(self):
         config = _tiny_config(finetune_epochs=0)
         bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, bundle, seed=0)
-        assert pipeline.finetune_oe(config, bundle, baseline, seed=0) is baseline
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
+        assert pipeline.finetune_oe(config, pipeline.training_set([bundle], [0]), [baseline])[0] is baseline
 
     def test_baseline_is_deterministic(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=4)
-        a = pipeline.train_baseline(config, bundle, seed=4)
-        b = pipeline.train_baseline(config, bundle, seed=4)
+        a = pipeline.train_baseline(config, pipeline.training_set([bundle], [4]))[0]
+        b = pipeline.train_baseline(config, pipeline.training_set([bundle], [4]))[0]
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
     def test_baseline_fits_separable_clusters(self):
         config = _tiny_config(epochs=20)
         bundle = pipeline.prepare_data(config, seed=0)
-        model = pipeline.train_baseline(config, bundle, seed=0)
+        model = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
         assert pipeline.classifier_accuracy(model, bundle.din_train) >= 0.95
         assert pipeline.classifier_accuracy(model, bundle.din_val) >= 0.9
 
     def test_scratch_differs_from_finetune(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, bundle, seed=0)
-        tuned = pipeline.finetune_oe(config, bundle, baseline, seed=0)
-        scratch = pipeline.train_scratch_oe(config, bundle, seed=0)
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
+        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle], [0]), [baseline])[0]
+        scratch = pipeline.train_scratch_oe(config, pipeline.training_set([bundle], [0]))[0]
         assert any(
             not np.array_equal(a, b) for a, b in zip(tuned.arrays(), scratch.arrays())
         )
@@ -675,11 +679,20 @@ class TestTrainingPipeline:
     def test_finetune_leaves_baseline_untouched(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, bundle, seed=0)
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
         before = [a.copy() for a in baseline.arrays()]
-        pipeline.finetune_oe(config, bundle, baseline, seed=0)
+        pipeline.finetune_oe(config, pipeline.training_set([bundle], [0]), [baseline])[0]
         for a, b in zip(baseline.arrays(), before):
             assert np.array_equal(a, b)
+
+    def test_stacked_divergence_names_the_diverging_seed(self):
+        config = _tiny_config(seeds=(3, 4))
+        train = pipeline.training_set((pipeline.prepare_data(config, s) for s in config.seeds), config.seeds)
+        train.rows[1] *= 1e300
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            pipeline.train_baseline(config, train)
+        assert err.value.member == 1
+        assert str(err.value).startswith("seed 4, stage train_baseline: parameters became non-finite in step ")
 
     def test_density_seed_run(self):
         config = _tiny_density_config()
@@ -696,7 +709,7 @@ class TestEvaluation:
     def test_pools_respect_base_rate(self):
         config = _tiny_config(base_rate=(1, 2))
         bundle = pipeline.prepare_data(config, seed=0)
-        model = pipeline.train_baseline(config, bundle, seed=0)
+        model = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
         _, pools = pipeline.evaluate_detector(model, config, bundle, seed=0)
         pool = pools["ring"]
         n_in, n_out = bundle.din_test.n, bundle.tests["ring"].n
@@ -707,7 +720,7 @@ class TestEvaluation:
     def test_pool_subsample_is_seeded_per_set(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=5)
-        model = pipeline.train_baseline(config, bundle, seed=5)
+        model = pipeline.train_baseline(config, pipeline.training_set([bundle], [5]))[0]
         _, p1 = pipeline.evaluate_detector(model, config, bundle, seed=5)
         _, p2 = pipeline.evaluate_detector(model, config, bundle, seed=5)
         assert np.array_equal(p1["ring"].in_scores, p2["ring"].in_scores)
@@ -718,8 +731,8 @@ class TestEvaluation:
         # score that both models agree on lands in both pools or neither.
         config = _tiny_config(base_rate=(1, 1))
         bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, bundle, seed=0)
-        tuned = pipeline.finetune_oe(config, bundle, baseline, seed=0)
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
+        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle], [0]), [baseline])[0]
         _, pb = pipeline.evaluate_detector(baseline, config, bundle, seed=0)
         _, pf = pipeline.evaluate_detector(tuned, config, bundle, seed=0)
         assert pb["ring"].in_scores.size == pf["ring"].in_scores.size
@@ -939,6 +952,46 @@ class TestCli:
         assert "training diverged" in err
         assert "seed 0, stage train_baseline" in err
         assert "epoch 1 of 3" in err
+
+    def test_run_rejects_duplicate_seeds(self, tmp_path, capsys):
+        # A repeated seed would write its report files twice and count it
+        # twice in the summary means.
+        path = tmp_path / "cfg.json"
+        body = _tiny_config(seeds=(0, 1)).to_dict()
+        body["seeds"] = [0, 1, 0]
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert "seeds must be distinct" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("preset", ["preset_2d", "preset_density"])
+    def test_train_and_finetune_reproduce_the_models_of_a_stacked_run(self, tmp_path, monkeypatch, preset):
+        # run trains its three seeds as one stack; train and finetune train
+        # one seed on its own. The saved parameter files must not differ.
+        config = get_preset(preset, seeds=(0, 1, 2))
+        config.epochs, config.finetune_epochs = (3, 2) if preset == "preset_2d" else (2, 1)
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        run_models = {}
+        run_seed = pipeline.run_seed
+
+        def recording_run_seed(config, seed, models=None):
+            run_models[seed] = models
+            return run_seed(config, seed, models)
+
+        monkeypatch.setattr(pipeline, "run_seed", recording_run_seed)
+        assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "run"), "-q"]) == 0
+        assert sorted(run_models) == [0, 1, 2]
+
+        seed, out = 1, tmp_path / "cli"
+        common = ["-c", str(path), "--seed", str(seed), "-o", str(out), "-q"]
+        assert cli.main(["train", *common]) == 0
+        assert cli.main(["finetune", *common, "--params", str(out / f"baseline_seed{seed}.bin")]) == 0
+        for name, model in zip(("baseline", "finetuned"), run_models[seed]):
+            expected = tmp_path / f"run_{name}.bin"
+            cli._save_model(model, expected)
+            assert (out / f"{name}_seed{seed}.bin").read_bytes() == expected.read_bytes(), name
 
     def test_gen_outliers(self, tmp_path, capsys):
         path = self._write_config(tmp_path)

@@ -411,6 +411,21 @@ class TestSerialization:
         q.weights[0][0, 0] += 1.0
         assert q.vector[0] == p.vector[0] + 1.0
 
+    def test_stack_rows_are_the_nets_and_views_share_the_matrix(self):
+        nets = [nn_core.init_network([3, 5, 4], seed=s, with_branch=True) for s in range(3)]
+        stack = nn_core.NetworkParams.stack(nets)
+        assert stack.vector.shape == (3, nets[0].vector.size)
+        assert all(np.shares_memory(a, stack.vector) for a in stack.arrays())
+        assert stack.weights[0].shape == (3, 5, 3) and stack.branch.bias.shape == (3, 1)
+        stack.weights[1][2, 0, 0] = 7.0
+        back = stack.unstack()
+        assert back[2].weights[1][0, 0] == 7.0
+        assert not np.shares_memory(back[2].vector, stack.vector)
+        for net, got in zip(nets[:2], back[:2]):
+            assert np.array_equal(net.vector, got.vector)
+        with pytest.raises(ConfigurationError):
+            nn_core.NetworkParams.stack([nets[0], nn_core.init_network([3, 6, 4], seed=0, with_branch=True)])
+
 
 class TestInit:
     def test_glorot_scale_bound_and_zero_biases(self):
