@@ -119,7 +119,7 @@ def context_features(seqs, context_window: int, alphabet_size: int):
 def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape) -> np.ndarray:
     """Per-sequence NLL in nats from the logits of every position row: the
     target entries of nn_core.log_softmax(logits), without forming it."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - nn_core.class_max(logits)
     tok = np.take_along_axis(z, targets[..., None], axis=-1)
     np.exp(z, out=z)
     tok -= np.log(z.sum(axis=-1, keepdims=True))

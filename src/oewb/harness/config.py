@@ -2,8 +2,8 @@
 
 Configs are flat JSON documents. The validation here is structural: the
 auxiliary outlier spec must differ from every test outlier spec (the
-materialized rows are additionally scanned for duplicates at run time).
-Validation outlier specs (d_out_val) are materialized for make-data and
+materialized rows are additionally scanned for duplicates at run time),
+and the detector x pipeline pairs in REFUSED_PAIRS are rejected. Validation outlier specs (d_out_val) are materialized for make-data and
 gen-outliers and echoed in the resolved config; no stage of a run reads
 them, and nothing selects hyperparameters.
 """
@@ -19,6 +19,12 @@ from ..errors import ConfigurationError
 DETECTORS = ("msp", "uniform_ce", "confidence_branch", "density_bpp")
 PIPELINES = ("baseline_only", "finetune_oe", "scratch_oe")
 DATASET_KINDS = ("file", "synthetic_gaussian_mixture", "generator")
+# Detector x pipeline pairs that do not work on the presets, refused with why.
+REFUSED_PAIRS = {
+    ("confidence_branch", "finetune_oe"): "exposure leaves the saturated branch head unchanged",
+    ("confidence_branch", "scratch_oe"): "training diverges to non-finite parameters",
+    ("density_bpp", "scratch_oe"): "the margin objective from random init does not learn to detect",
+}
 
 
 def _reject_unknown_keys(d: dict, allowed: tuple, what: str) -> None:
@@ -116,6 +122,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown detector {self.detector!r}")
         if self.pipeline not in PIPELINES:
             raise ConfigurationError(f"unknown pipeline {self.pipeline!r}")
+        refused = REFUSED_PAIRS.get((self.detector, self.pipeline))
+        if refused:
+            raise ConfigurationError(
+                f"detector {self.detector!r} with pipeline {self.pipeline!r} is not supported: {refused}"
+            )
         if self.lam < 0:
             raise ConfigurationError("lambda must be nonnegative")
         if len(self.seeds) == 0:

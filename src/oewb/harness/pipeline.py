@@ -238,18 +238,6 @@ def _initial_stack(config: ExperimentConfig, train: TrainingSet):
     ])
 
 
-def _density_margin_training(config, model, train: TrainingSet, *, epochs: int, lr0: float, shuffle_seeds):
-    """density.finetune_density_oe of a stacked model over every seed's sets."""
-    return density_mod.finetune_density_oe(
-        model, train.rows, _oe_rows(train),
-        margin=config.model.margin, epochs=epochs,
-        batch_size=config.model.batch_size, lr0=lr0,
-        momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-        mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
-        seed=shuffle_seeds,
-    )
-
-
 def train_baseline(config: ExperimentConfig, train: TrainingSet) -> list:
     """In-distribution-only training (λ = 0) of every seed, one model per
     seed; the starting point every exposure pipeline shares."""
@@ -278,9 +266,13 @@ def finetune_oe(config: ExperimentConfig, train: TrainingSet, baselines) -> list
     shuffle = [_ss(s, ROLE_FINETUNE_SHUFFLE) for s in train.seeds]
     with _stage("finetune_oe", train.seeds):
         if config.detector == "density_bpp":
-            return _density_margin_training(
-                config, density_mod.ARModelParams.stack(baselines), train,
-                epochs=config.finetune_epochs, lr0=config.model.finetune_lr0, shuffle_seeds=shuffle,
+            return density_mod.finetune_density_oe(
+                density_mod.ARModelParams.stack(baselines), train.rows, _oe_rows(train),
+                margin=config.model.margin, epochs=config.finetune_epochs,
+                batch_size=config.model.batch_size, lr0=config.model.finetune_lr0,
+                momentum=config.model.momentum, weight_decay=config.model.weight_decay,
+                mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
+                seed=shuffle,
             ).unstack()
         return _train_classifier(
             nn_core.NetworkParams.stack(baselines), train, _classifier_objective(config, exposed=True),
@@ -290,18 +282,12 @@ def finetune_oe(config: ExperimentConfig, train: TrainingSet, baselines) -> list
 
 
 def train_scratch_oe(config: ExperimentConfig, train: TrainingSet) -> list:
-    """Exposure training of every seed from random init for the full epoch
-    budget, one model per seed."""
+    """Exposure training of every seed's classifier from random init for the
+    full epoch budget, one model per seed."""
     total_epochs = config.epochs + config.finetune_epochs
     shuffle = [_ss(s, ROLE_SCRATCH_SHUFFLE) for s in train.seeds]
     model = _initial_stack(config, train)
     with _stage("train_scratch_oe", train.seeds):
-        if config.detector == "density_bpp":
-            # The paired margin objective already carries the MLE term, so
-            # training it from scratch is the simultaneous form.
-            return _density_margin_training(
-                config, model, train, epochs=total_epochs, lr0=config.model.lr0, shuffle_seeds=shuffle,
-            ).unstack()
         return _train_classifier(
             model, train, _classifier_objective(config, exposed=True),
             epochs=total_epochs, lr0=config.model.lr0, model_settings=config.model,

@@ -302,6 +302,16 @@ def forward(params: NetworkParams, batch):
     return z, branch_pre
 
 
+def class_max(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=-1, keepdims=True), as one np.maximum per class column:
+    over a handful of classes that is several times faster than a reduce
+    along the short last axis, and the values are the same."""
+    m = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(m, z[..., j:j + 1], out=m)
+    return m
+
+
 def softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
     """Row-wise softmax of logits / temperature, max-subtracted for stability.
 
@@ -312,7 +322,7 @@ def softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if temperature != 1.0:
         z = z / temperature
-    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    e = np.subtract(z, class_max(z), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -322,7 +332,7 @@ def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
     if not temperature > 0:
         raise ParameterError("temperature must be positive")
     z = np.asarray(logits, dtype=np.float64) / temperature
-    z -= z.max(axis=-1, keepdims=True)
+    z -= class_max(z)
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError, ParameterError
 
@@ -85,6 +84,30 @@ def gen_uniform_noise(n, shape: GridShape, seed) -> np.ndarray:
     return rng.uniform(lo, hi, size=(int(n), shape.dim))
 
 
+def _wrapped_running_mean(x: np.ndarray, width: int, axis: int) -> np.ndarray:
+    """Mean over a centred window of `width` along `axis`, wrapping at the
+    edges. Output k averages x[(k - width // 2 + j) % n] for j < width.
+
+    The arithmetic is scipy.ndimage.uniform_filter1d's, so the bits match
+    it: one sequential running sum (the first window, then x[k + width - 1]
+    - x[k - 1] per step), divided by width after the sum.
+    """
+    if width == 1:
+        return x
+    n = x.shape[axis]
+    ext = np.moveaxis(np.take(x, (np.arange(n + width - 1) - width // 2) % n, axis=axis), axis, -1)
+    steps = ext.copy()
+    steps[..., width:] -= ext[..., :-width]
+    sums = np.cumsum(steps, axis=-1)[..., width - 1:]
+    return np.moveaxis(sums / width, -1, axis)
+
+
+def _box_filter(imgs: np.ndarray, width: int) -> np.ndarray:
+    """Wrapped width x width box mean of each (n, h, w) image: along the
+    height axis, then the width axis, as scipy.ndimage.uniform_filter does."""
+    return _wrapped_running_mean(_wrapped_running_mean(imgs, width, 1), width, 2)
+
+
 def gen_blobs(n, shape: GridShape, seed) -> np.ndarray:
     """Amorphous two-valued shapes: uniform noise smoothed twice by a
     normalized box filter of width ceil(min(h, w) / 4), then thresholded
@@ -96,8 +119,7 @@ def gen_blobs(n, shape: GridShape, seed) -> np.ndarray:
     width = int(np.ceil(min(h, w) / 4))
     rng = np.random.default_rng(seed)
     noise = rng.random((int(n), h, w))
-    smooth = ndimage.uniform_filter(noise, size=(1, width, width), mode="wrap")
-    smooth = ndimage.uniform_filter(smooth, size=(1, width, width), mode="wrap")
+    smooth = _box_filter(_box_filter(noise, width), width)
     med = np.median(smooth, axis=(1, 2), keepdims=True)
     lo, hi = shape.value_range
     img = np.where(smooth >= med, hi, lo)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,9 @@ from oewb import nn_core
 from oewb.errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from oewb.harness import cli, datasets, pipeline, reports
 from oewb.harness.config import (
+    DETECTORS,
+    PIPELINES,
+    REFUSED_PAIRS,
     DatasetSpec,
     ExperimentConfig,
     ModelSettings,
@@ -237,6 +241,26 @@ class TestConfigValidation:
         d["d_in"]["generator"] = "ring"
         with pytest.raises(ConfigurationError, match="dataset spec"):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "detector,pipe",
+        [("confidence_branch", "finetune_oe"), ("confidence_branch", "scratch_oe"),
+         ("density_bpp", "scratch_oe")],
+    )
+    def test_refused_detector_pipeline_pairs(self, detector, pipe):
+        make = _tiny_density_config if detector == "density_bpp" else _tiny_config
+        with pytest.raises(ConfigurationError, match=f"detector '{detector}' with pipeline '{pipe}'"):
+            make(detector=detector, pipeline=pipe)
+
+    @pytest.mark.parametrize(
+        "detector,pipe",
+        [(d, p) for d in DETECTORS for p in PIPELINES if (d, p) not in REFUSED_PAIRS],
+    )
+    def test_every_other_pair_is_accepted(self, detector, pipe):
+        if detector == "density_bpp":
+            assert _tiny_density_config(pipeline=pipe).pipeline == pipe
+        else:
+            assert _tiny_config(detector=detector, pipeline=pipe).detector == detector
 
 
 class TestConfigSerialization:
@@ -885,6 +909,16 @@ class TestCli:
         path.write_text("{\"name\": \"x\"}")
         assert cli.main(["run", "-c", str(path)]) == 1
 
+    def test_refused_pair_exits_one_and_names_it(self, tmp_path, capsys):
+        d = _tiny_config(detector="confidence_branch", pipeline="baseline_only").to_dict()
+        d["pipeline"] = "scratch_oe"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert "'confidence_branch' with pipeline 'scratch_oe'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_internal_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         path = self._write_config(tmp_path)
 
@@ -1064,3 +1098,14 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "din_train_seed0.csv").exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, oewb.harness.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

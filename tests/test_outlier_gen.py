@@ -1,6 +1,8 @@
 """Noise generators and in-distribution corruptors: ranges, round trips,
 distributional sanity, and seeded determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,77 @@ class TestGenBlobs:
         imgs = shape.unflatten(og.gen_blobs(4, shape, seed=1))
         assert np.array_equal(imgs[..., 0], imgs[..., 1])
         assert np.array_equal(imgs[..., 0], imgs[..., 2])
+
+    # SHA-256 of gen_blobs(n, GridShape(h, w, c, value_range), seed).tobytes(),
+    # recorded when the box filter was scipy.ndimage.uniform_filter(mode="wrap").
+    @pytest.mark.parametrize(
+        "n,grid,seed,digest",
+        [
+            (6, (4, 4, 1, (0.0, 1.0)), 0, "0661067ea01641fd3803a4242fd5a22db087091178e3260d84ea5242747c11ee"),  # width 1
+            (5, (3, 9, 1, (0.0, 1.0)), 1, "51a64bc308138cc18878f12164bc90beb959c3e51623da8b1b472a7b77696a57"),  # width 1
+            (4, (2, 1, 1, (0.0, 1.0)), 2, "12ebbf5c5332d6e5d2fd2ba2bb1c6b050c785c741872dcadbf7cb5737e5f0c54"),  # width 1
+            (7, (12, 12, 1, (0.0, 1.0)), 3, "152acbedf48bdb2009f2caccba3f643f7f2d988a29de71f2d57f5b9643c85ee7"),  # width 3
+            (5, (16, 16, 1, (0.0, 1.0)), 4, "7f31a140b3d83e82f064c291abf8b9cfac7b3bd938507913b1dc11cf4422775f"),  # width 4
+            (4, (10, 23, 3, (0.0, 1.0)), 5, "eb23b1f38a01c093d252c73e803da21a7f1ee0f056fb832e9008f9a5e1a725ab"),  # width 3
+            (3, (32, 20, 1, (-1.0, 1.0)), 6, "387c5b82f541325a133aab304d4ac7671913b7d758348126ba58617d0ebc2644"),  # width 5
+            (3, (28, 28, 3, (-1.0, 1.0)), 7, "6b5ced56c2ba38ce229bf51e41ed0816577206f57a93d83e72bbb964d1bc1459"),  # width 7
+            (2, (32, 32, 3, (0.0, 1.0)), 8, "c0bdb89c9bf6beef1bd1d00e56d4f807dff361874f096bd8fb7433ac1b9ab500"),  # width 8
+            (2, (45, 31, 1, (-1.0, 1.0)), 9, "aa600290fcd93e377f090d41d04f5cca3b2df43a104e8d2207950ee495995958"),  # width 8
+        ],
+    )
+    def test_bytes_pinned(self, n, grid, seed, digest):
+        x = og.gen_blobs(n, og.GridShape(*grid[:3], value_range=grid[3]), seed)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+
+def _window_mean_oracle(x, width, axis, offset=0):
+    """out[k] = mean of x[(k - width // 2 + offset + j) % n] for j < width,
+    one output position at a time."""
+    n = x.shape[axis]
+    out = np.empty_like(x)
+    for k in range(n):
+        idx = [(k - width // 2 + offset + j) % n for j in range(width)]
+        np.moveaxis(out, axis, 0)[k] = np.take(x, idx, axis=axis).mean(axis=axis)
+    return out
+
+
+class TestBoxFilter:
+    @pytest.mark.parametrize(
+        "h,w,width", [(5, 5, 1), (6, 9, 2), (7, 4, 3), (12, 12, 4), (9, 13, 5), (8, 10, 7), (16, 11, 6)]
+    )
+    def test_matches_modular_index_window_mean(self, h, w, width):
+        x = np.random.default_rng(h * 100 + w).random((3, h, w))
+        want = _window_mean_oracle(_window_mean_oracle(x, width, 1), width, 2)
+        assert np.allclose(og._box_filter(x, width), want, rtol=1e-12, atol=0.0)
+        if width > 1:
+            for off in (-1, 1):
+                shifted = _window_mean_oracle(_window_mean_oracle(x, width, 1, off), width, 2, off)
+                assert not np.allclose(og._box_filter(x, width), shifted, rtol=1e-12, atol=0.0)
+
+    def test_width_one_returns_input(self):
+        x = np.random.default_rng(0).random((2, 3, 4))
+        assert og._box_filter(x, 1) is x
+
+    # SHA-256 of the twice-filtered noise rng(seed).random((n, h, w)) at the
+    # gen_blobs width, recorded from scipy.ndimage.uniform_filter(x, (1, width,
+    # width), mode="wrap") applied twice (scipy 1.17.1).
+    @pytest.mark.parametrize(
+        "n,h,w,seed,digest",
+        [
+            (3, 4, 4, 0, "71d0a8ee82e06cfa44af70419eadbff481a641ead79231d8a9d1c492018b359b"),  # width 1
+            (3, 12, 12, 1, "8befe94a664c6f554aa0a5efaaec4fb103c137896f404979e9f737a26e2a0eb0"),  # width 3
+            (2, 16, 16, 2, "426ffac17fa3bdac6ca268aea19b69bfcbc471308cdd1c569a36f58b8cc48cee"),  # width 4
+            (2, 10, 23, 3, "ca39515e95c892cf515a67ee02e4f0e1ee302ad9bb30461e73bf3d28e2712d3b"),  # width 3
+            (2, 32, 20, 4, "eafccd14bb229c693d3b0e793ff0a25a0d4a2e7d9f2c3ea02697bb934972b1db"),  # width 5
+            (1, 45, 31, 5, "00967972928c1e2ec11ba66123b3dd754e4ee53099d915028939036fc334959c"),  # width 8
+            (1, 64, 64, 6, "71c519729c9580f65b7c2ad5cf149bd3ba9198be9f4efec44f0513e94dd11d80"),  # width 16
+        ],
+    )
+    def test_bits_match_recorded_scipy_output(self, n, h, w, seed, digest):
+        width = int(np.ceil(min(h, w) / 4))
+        x = np.random.default_rng(seed).random((n, h, w))
+        smooth = og._box_filter(og._box_filter(x, width), width)
+        assert hashlib.sha256(smooth.tobytes()).hexdigest() == digest
 
 
 class TestArithmeticMean:
