@@ -1,7 +1,7 @@
 """Outlier-exposure workbench.
 
 Dense classifiers and a tiny autoregressive density model, trained from
-scratch in numpy with exact analytic gradients; exposure objectives that
+scratch in numpy with exact analytic gradients; exposure losses that
 teach them to flag what they were never trained on; anomaly scores,
 threshold-free detection metrics, synthetic outlier sources, confidence
 calibration, and a config-driven experiment harness around it all.

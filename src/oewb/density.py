@@ -22,7 +22,6 @@ import numpy as np
 
 from . import nn_core
 from .errors import ConfigurationError, DataError, ParameterError
-from .objectives import ObjectiveSpec
 
 LN2 = float(np.log(2.0))
 
@@ -130,7 +129,7 @@ def nll_batch(model: ARModelParams, seqs) -> np.ndarray:
     """Per-sequence negative log-likelihood in nats for equal-length sequences."""
     arr = _as_seq_matrix(seqs, model.alphabet_size)
     feats, targets = context_features(arr, model.context_window, model.alphabet_size)
-    logits, _ = nn_core.forward(model.net, feats)
+    logits = nn_core.forward(model.net, feats)
     return _sequence_nll(logits, targets, arr.shape)
 
 
@@ -156,17 +155,16 @@ def train_density(
     model is one model with (n, D) sequences and one seed, or a stack
     (ARModelParams.stack) with (S, n, D) sequences and one seed per model.
     Minibatches are position rows of the context windows, one-hot encoded
-    per step, trained with the plain cross-entropy objective of nn_core.
+    per step, trained with nn_core's cross-entropy gradient at lam = 0.
     """
     c, V = model.context_window, model.alphabet_size
     windows, targets = nn_core.with_seed_axis(model.net, *context_windows(data, c, V))
     rows = np.arange(windows.shape[0])[:, None]
-    plain_ce = ObjectiveSpec("plain_ce")
     work = nn_core.Workspace()
 
     def loss_grad(net, idx, oe_idx):
         feats = one_hot_windows(windows[rows, idx], V)
-        return nn_core._objective_grad(net, plain_ce, feats, targets[rows, idx], None, work)
+        return nn_core._objective_grad(net, 0.0, feats, targets[rows, idx], None, work)
 
     net = nn_core.train_loop(
         model.net, loss_grad, windows.shape[1], epochs=epochs, batch_size=batch_size,
@@ -178,7 +176,7 @@ def train_density(
 def _group_pass(model: ARModelParams, seqs: np.ndarray, work):
     """Forward pass over one group's position rows: (logits, targets, cache)."""
     feats, targets = context_features(seqs, model.context_window, model.alphabet_size)
-    logits, _, cache = nn_core.forward_cached(model.net, feats, work)
+    logits, cache = nn_core.forward_cached(model.net, feats, work)
     return logits, targets, cache
 
 
@@ -252,7 +250,7 @@ def finetune_density_oe(
     seed: int = 0,
 ) -> ARModelParams:
     """Exposure fine-tuning of a trained density model with the paired
-    margin objective (margin_grad).
+    margin loss (margin_grad).
 
     Epoch length follows the inlier set; outlier batches are drawn
     cyclically from a fixed seeded permutation and paired with inlier
@@ -299,6 +297,9 @@ def load_ar_model(path) -> ARModelParams:
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if not meta_path.exists():
         raise DataError(f"missing density model sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    net = nn_core.load_params(path)
-    return ARModelParams(int(meta["context_window"]), int(meta["alphabet_size"]), net).validate()
+    try:
+        meta = json.loads(meta_path.read_text())
+        window, alphabet = int(meta["context_window"]), int(meta["alphabet_size"])
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad density model sidecar {meta_path}: {type(exc).__name__}: {exc}") from exc
+    return ARModelParams(window, alphabet, nn_core.load_params(path)).validate()

@@ -2,10 +2,11 @@
 
 Configs are flat JSON documents. The validation here is structural: the
 auxiliary outlier spec must differ from every test outlier spec (the
-materialized rows are additionally scanned for duplicates at run time),
-and the detector x pipeline pairs in REFUSED_PAIRS are rejected. Validation outlier specs (d_out_val) are materialized for make-data and
-gen-outliers and echoed in the resolved config; no stage of a run reads
-them, and nothing selects hyperparameters.
+materialized rows are additionally scanned for duplicates at run time).
+The detector x pipeline pairs in REFUSED_PAIRS are rejected. Validation
+outlier specs (d_out_val) are materialized for make-data and gen-outliers
+and echoed in the resolved config; no stage of a run reads them, and
+nothing selects hyperparameters.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigurationError
+from ..scoring import DETECTORS
 
-DETECTORS = ("msp", "uniform_ce", "confidence_branch", "density_bpp")
 PIPELINES = ("baseline_only", "finetune_oe", "scratch_oe")
 DATASET_KINDS = ("file", "synthetic_gaussian_mixture", "generator")
 # Detector x pipeline pairs that do not work on the presets, refused with why.
 REFUSED_PAIRS = {
-    ("confidence_branch", "finetune_oe"): "exposure leaves the saturated branch head unchanged",
-    ("confidence_branch", "scratch_oe"): "training diverges to non-finite parameters",
-    ("density_bpp", "scratch_oe"): "the margin objective from random init does not learn to detect",
+    ("density_bpp", "scratch_oe"): "the margin loss from random init does not learn to detect",
 }
 
 
@@ -127,7 +126,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"detector {self.detector!r} with pipeline {self.pipeline!r} is not supported: {refused}"
             )
-        if self.lam < 0:
+        if not self.lam >= 0:  # NaN too: it would fail only once training starts
             raise ConfigurationError("lambda must be nonnegative")
         if len(self.seeds) == 0:
             raise ConfigurationError("seeds must be nonempty")

@@ -30,7 +30,6 @@ from .. import metrics as metrics_mod
 from .. import nn_core
 from .. import scoring as scoring_mod
 from ..errors import ConfigurationError, DataError, DivergenceError
-from ..objectives import ObjectiveSpec
 from .config import ExperimentConfig
 from .datasets import SequenceDataset, VectorDataset, check_disjoint, materialize
 
@@ -174,12 +173,6 @@ def training_set(bundles, seeds) -> TrainingSet:
     )
 
 
-def _classifier_objective(config: ExperimentConfig, *, exposed: bool) -> ObjectiveSpec:
-    if config.detector == "confidence_branch":
-        return ObjectiveSpec("confidence_branch_oe", lam=config.lam if exposed else 0.0)
-    return ObjectiveSpec("multiclass_oe", lam=config.lam if exposed else 0.0)
-
-
 def _oe_rows(train: TrainingSet) -> np.ndarray:
     if train.oe_rows is None:
         raise ConfigurationError("exposure training needs auxiliary outlier data")
@@ -189,20 +182,20 @@ def _oe_rows(train: TrainingSet) -> np.ndarray:
 def _train_classifier(
     params: nn_core.NetworkParams,
     train: TrainingSet,
-    objective: ObjectiveSpec,
     *,
+    lam: float,
     epochs: int,
     lr0: float,
     model_settings,
     shuffle_seeds,
 ) -> nn_core.NetworkParams:
     """nn_core.train_classifier of a stack over every seed's whole training
-    split and, when the objective reads them, its auxiliary outliers."""
+    split and, when lam > 0, its auxiliary outliers."""
     if train.labels is None:
         raise DataError("classifier training needs labeled in-distribution data")
-    oe_batch = nn_core.Batch(_oe_rows(train)) if objective.lam > 0 else None
+    oe_batch = nn_core.Batch(_oe_rows(train)) if lam > 0 else None
     return nn_core.train_classifier(
-        params, objective, nn_core.Batch(train.rows, train.labels), oe_batch,
+        params, lam, nn_core.Batch(train.rows, train.labels), oe_batch,
         epochs=epochs, batch_size=model_settings.batch_size, lr0=lr0,
         momentum=model_settings.momentum, weight_decay=model_settings.weight_decay,
         seed=shuffle_seeds,
@@ -230,10 +223,7 @@ def _initial_stack(config: ExperimentConfig, train: TrainingSet):
         ])
     dims = (train.rows.shape[-1], *config.model.hidden_dims, train.n_classes)
     return nn_core.NetworkParams.stack([
-        nn_core.init_network(
-            dims, seed=_ss(s, ROLE_INIT), activation=config.model.activation,
-            with_branch=config.detector == "confidence_branch",
-        )
+        nn_core.init_network(dims, seed=_ss(s, ROLE_INIT), activation=config.model.activation)
         for s in train.seeds
     ])
 
@@ -252,7 +242,7 @@ def train_baseline(config: ExperimentConfig, train: TrainingSet) -> list:
                 seed=shuffle,
             ).unstack()
         return _train_classifier(
-            model, train, _classifier_objective(config, exposed=False),
+            model, train, lam=0.0,
             epochs=config.epochs, lr0=config.model.lr0, model_settings=config.model,
             shuffle_seeds=shuffle,
         ).unstack()
@@ -275,7 +265,7 @@ def finetune_oe(config: ExperimentConfig, train: TrainingSet, baselines) -> list
                 seed=shuffle,
             ).unstack()
         return _train_classifier(
-            nn_core.NetworkParams.stack(baselines), train, _classifier_objective(config, exposed=True),
+            nn_core.NetworkParams.stack(baselines), train, lam=config.lam,
             epochs=config.finetune_epochs, lr0=config.model.finetune_lr0,
             model_settings=config.model, shuffle_seeds=shuffle,
         ).unstack()
@@ -289,7 +279,7 @@ def train_scratch_oe(config: ExperimentConfig, train: TrainingSet) -> list:
     model = _initial_stack(config, train)
     with _stage("train_scratch_oe", train.seeds):
         return _train_classifier(
-            model, train, _classifier_objective(config, exposed=True),
+            model, train, lam=config.lam,
             epochs=total_epochs, lr0=config.model.lr0, model_settings=config.model,
             shuffle_seeds=shuffle,
         ).unstack()
@@ -314,7 +304,7 @@ def train_models(config: ExperimentConfig, seeds) -> list:
 
 
 def classifier_accuracy(params: nn_core.NetworkParams, data: VectorDataset) -> float:
-    logits, _ = nn_core.forward(params, data.features)
+    logits = nn_core.forward(params, data.features)
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))
 
 
@@ -342,7 +332,7 @@ def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed:
 
 
 def _confidences(params, data: VectorDataset, temperature: float):
-    logits, _ = nn_core.forward(params, data.features)
+    logits = nn_core.forward(params, data.features)
     probs = nn_core.softmax(logits, temperature=temperature)
     conf = probs.max(axis=1)
     correct = np.argmax(logits, axis=1) == data.labels
@@ -361,10 +351,10 @@ def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, fin
     ood_rows = np.concatenate([_raw(d) for d in bundle.tests.values()], axis=0)
     out = {}
     for tag, model in (("baseline", baseline), ("final", final)):
-        val_logits, _ = nn_core.forward(model, bundle.din_val.features)
+        val_logits = nn_core.forward(model, bundle.din_val.features)
         temp = calib_mod.tune_temperature(val_logits, bundle.din_val.labels)
         conf_in, correct_in = _confidences(model, bundle.din_test, temp)
-        ood_logits, _ = nn_core.forward(model, ood_rows)
+        ood_logits = nn_core.forward(model, ood_rows)
         conf_ood = nn_core.softmax(ood_logits, temperature=temp).max(axis=1)
         conf, correct = calib_mod.mixed_prediction_records(
             conf_in, correct_in, conf_ood, seed=_ss(seed, ROLE_CALIBRATION)

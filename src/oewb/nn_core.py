@@ -1,15 +1,19 @@
 """Dense feed-forward classifiers with hand-derived gradients, and the one
 minibatch SGD loop every model in the package trains with.
 
-Everything here is plain NumPy in float64. A network's weights, biases and
-optional scalar confidence head are views into one contiguous parameter
-array: a vector of shape (P,) for one net, or an (S, P) matrix for a stack
-of S nets of one layout, one row per net. Gradients and the optimizer
-velocity share that layout. forward_cached, backward, sgd_step and the
-objective gradients work on either form: every matmul, bias add and
-reduction runs over the last axes, so a stack puts one per-net BLAS call
-of the same shape and transpose flags behind each layer, and every net of
-a stack gets the same bits it would get on its own.
+Everything here is plain NumPy in float64. A network's weights and biases
+are views into one contiguous parameter array: a vector of shape (P,) for
+one net, or an (S, P) matrix for a stack of S nets of one layout, one row
+per net. Gradients and the optimizer velocity share that layout.
+forward_cached, backward, sgd_step and the training gradient work on
+either form: every matmul, bias add and reduction runs over the last axes,
+so a stack puts one per-net BLAS call of the same shape and transpose flags
+behind each layer, and every net of a stack gets the same bits it would get
+on its own.
+
+The classifier loss is the mean cross-entropy on labeled inliers plus lam
+times the mean cross-entropy from the uniform distribution on auxiliary
+outliers; lam = 0 is plain cross-entropy and reads no outliers.
 
 train_loop steps a stack in lockstep: each net draws its own seeded
 permutations and outlier order, and one Nesterov step updates the whole
@@ -34,10 +38,6 @@ PARAMS_VERSION = 1
 
 _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
-
-# Weight of the -log b(x) term that pulls the confidence head toward 1 on
-# in-distribution samples when training with the confidence-branch objective.
-BRANCH_FIT_WEIGHT = 1.0
 
 
 @dataclass
@@ -66,30 +66,19 @@ class Batch:
         return self.inputs.shape[-2]
 
 
-@dataclass
-class BranchHead:
-    """Scalar confidence head: maps the last hidden layer to one real."""
-
-    weight: np.ndarray  # (..., last_hidden_dim)
-    bias: np.ndarray  # (..., 1)
-
-
 class NetworkParams:
     """Dense network parameters stored in one contiguous float64 array.
 
-    weights[i] has shape (layer_dims[i+1], layer_dims[i]). The weights,
-    biases and confidence head are views into `vector`, laid out as
-    w0, b0, w1, b1, ..., head weight, head bias; writing through a view
-    writes the vector. Gradients and optimizer velocities use this layout.
-    A stack (NetworkParams.stack) holds S nets as the rows of an (S, P)
-    `vector`, and every view gains a leading axis of length S.
+    weights[i] has shape (layer_dims[i+1], layer_dims[i]). The weights and
+    biases are views into `vector`, laid out as w0, b0, w1, b1, ...;
+    writing through a view writes the vector. Gradients and optimizer
+    velocities use this layout. A stack (NetworkParams.stack) holds S nets
+    as the rows of an (S, P) `vector`, and every view gains a leading axis
+    of length S.
     """
 
-    def __init__(self, layer_dims, weights, biases, branch: BranchHead | None = None,
-                 activation: str = "relu"):
+    def __init__(self, layer_dims, weights, biases, activation: str = "relu"):
         arrays = [a for pair in zip(weights, biases) for a in pair]
-        if branch is not None:
-            arrays += [branch.weight, branch.bias]
         self.layer_dims = [int(d) for d in layer_dims]
         self.activation = activation
         self._slots, start = [], 0  # (start, stop, shape) of each array in a net's row
@@ -98,21 +87,19 @@ class NetworkParams:
             self._slots.append((start, stop, np.shape(a)))
             start = stop
         flat = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
-        self._bind(np.concatenate(flat) if flat else np.empty(0), branch is not None)
+        self._bind(np.concatenate(flat) if flat else np.empty(0))
 
-    def _bind(self, vector: np.ndarray, has_branch: bool) -> None:
+    def _bind(self, vector: np.ndarray) -> None:
         self.vector = vector
         views = self.arrays()
-        n = len(views) - 2 if has_branch else len(views)
-        self.weights = views[0:n:2]
-        self.biases = views[1:n:2]
-        self.branch = BranchHead(*views[n:]) if has_branch else None
+        self.weights = views[0::2]
+        self.biases = views[1::2]
 
     def _with_vector(self, vector: np.ndarray) -> "NetworkParams":
         """Same layout over another parameter array, taken without copying."""
         out = object.__new__(NetworkParams)
         out.layer_dims, out.activation, out._slots = self.layer_dims, self.activation, self._slots
-        out._bind(vector, self.branch is not None)
+        out._bind(vector)
         return out
 
     @classmethod
@@ -148,11 +135,6 @@ class NetworkParams:
                 raise DataError(f"layer {i} has non-finite parameters")
         if self.activation not in _ACT_CODES:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if self.branch is not None:
-            if shapes[-2] != (dims[-2],) or shapes[-1] != (1,):
-                raise ConfigurationError("confidence head must map the last hidden layer to one value")
-            if not (np.all(np.isfinite(self.branch.weight)) and np.all(np.isfinite(self.branch.bias))):
-                raise DataError("confidence head has non-finite parameters")
         return self
 
     @property
@@ -172,12 +154,9 @@ class NetworkParams:
         return self.split(self.vector)
 
 
-def init_network(layer_dims, seed, activation: str = "relu", with_branch: bool = False) -> NetworkParams:
-    """Seeded uniform init with per-layer scale sqrt(6 / (fan_in + fan_out)).
-
-    Biases start at zero. The confidence head, when requested, follows the
-    same rule with fan_out = 1.
-    """
+def init_network(layer_dims, seed, activation: str = "relu") -> NetworkParams:
+    """Seeded uniform init with per-layer scale sqrt(6 / (fan_in + fan_out));
+    biases start at zero."""
     rng = np.random.default_rng(seed)
     dims = [int(d) for d in layer_dims]
     weights, biases = [], []
@@ -185,12 +164,7 @@ def init_network(layer_dims, seed, activation: str = "relu", with_branch: bool =
         s = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    branch = None
-    if with_branch:
-        h = dims[-2]
-        s = np.sqrt(6.0 / (h + 1))
-        branch = BranchHead(rng.uniform(-s, s, size=h), np.zeros(1))
-    return NetworkParams(dims, weights, biases, branch, activation).validate()
+    return NetworkParams(dims, weights, biases, activation).validate()
 
 
 class Workspace:
@@ -225,11 +199,10 @@ def _act(z: np.ndarray, name: str) -> np.ndarray:
     return np.tanh(z, out=z)
 
 
-def _delta_below(params: NetworkParams, i: int, delta, a, branch_delta, work: Workspace | None) -> np.ndarray:
+def _delta_below(params: NetworkParams, i: int, delta, a, work: Workspace | None) -> np.ndarray:
     """The delta at the pre-activation of hidden layer i-1, written over its
     activation a = act(z) once a has been read: (delta @ W_i) * act'(z),
-    where relu'(z) is a > 0 and tanh'(z) is 1 - a * a. branch_delta, when
-    given, adds the confidence head's share of the backpropagated delta."""
+    where relu'(z) is a > 0 and tanh'(z) is 1 - a * a."""
     w = params.weights[i]
     if params.activation == "relu":
         mask = a > 0
@@ -238,8 +211,6 @@ def _delta_below(params: NetworkParams, i: int, delta, a, branch_delta, work: Wo
         mask = np.multiply(a, a, out=a)
         np.subtract(1.0, mask, out=mask)
         da = np.matmul(delta, w, out=_out(work, "delta", a.shape))
-    if branch_delta is not None:
-        da += branch_delta[..., :, None] * params.branch.weight[..., None, :]
     return np.multiply(da, mask, out=a)
 
 
@@ -257,7 +228,7 @@ def _input_matrix(params: NetworkParams, inputs) -> np.ndarray:
 
 
 def forward_cached(params: NetworkParams, inputs, work: Workspace | None = None) -> tuple:
-    """Forward pass keeping activations; returns (logits, branch_pre, cache).
+    """Forward pass keeping activations; returns (logits, cache).
 
     The cache lists the input of every layer: the rows, then each hidden
     activation, which is applied in place to its pre-activation. For a
@@ -275,15 +246,11 @@ def forward_cached(params: NetworkParams, inputs, work: Workspace | None = None)
         if i < last:
             a = _act(z, params.activation)
             acts.append(a)
-    branch_pre = None
-    if params.branch is not None:
-        head = params.branch
-        branch_pre = (acts[-1] @ head.weight[..., None])[..., 0] + head.bias
-    return z, branch_pre, acts
+    return z, acts
 
 
-def forward(params: NetworkParams, batch):
-    """Class logits for a batch, plus the confidence pre-activation when a head exists.
+def forward(params: NetworkParams, batch) -> np.ndarray:
+    """Class logits for a batch of one net.
 
     The same arithmetic as forward_cached without the cache: each hidden
     activation is dropped once the next layer has read it.
@@ -296,10 +263,7 @@ def forward(params: NetworkParams, batch):
         if i == last:
             break
         a = _act(z, params.activation)
-    branch_pre = None
-    if params.branch is not None:
-        branch_pre = a @ params.branch.weight + params.branch.bias[0]
-    return z, branch_pre
+    return z
 
 
 def class_max(z: np.ndarray) -> np.ndarray:
@@ -337,22 +301,6 @@ def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return z
 
 
-def sigmoid(u) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def log_sigmoid(u) -> np.ndarray:
-    """log(sigmoid(u)) computed without ever forming sigmoid(u) = 0."""
-    u = np.asarray(u, dtype=np.float64)
-    return np.where(u >= 0, -np.log1p(np.exp(-np.abs(u))), u - np.log1p(np.exp(-np.abs(u))))
-
-
 def ce_logit_grad(logits, labels: np.ndarray, out=None) -> np.ndarray:
     """softmax(logits) - one_hot(labels): the gradient of the summed
     cross-entropy with respect to the logits, as a fresh array or in out
@@ -362,13 +310,12 @@ def ce_logit_grad(logits, labels: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def backward(params: NetworkParams, cache, dlogits, dbranch_pre=None, work: Workspace | None = None) -> np.ndarray:
-    """Parameter gradient from per-example gradients at the network outputs.
+def backward(params: NetworkParams, cache, dlogits, work: Workspace | None = None) -> np.ndarray:
+    """Parameter gradient from per-example gradients at the logits.
 
-    dlogits is (n, k); dbranch_pre, when given, is (n,) with respect to the
-    raw confidence pre-activation; a stack adds its seed axis in front. The
-    caller bakes any 1/n factors into these upstream gradients; this
-    routine only applies the chain rule. It uses up the cache: each hidden
+    dlogits is (n, k); a stack adds its seed axis in front. The caller
+    bakes any 1/n factors into this upstream gradient; this routine only
+    applies the chain rule. It uses up the cache: each hidden
     activation is overwritten by the delta below it once it has been read.
     Returns a fresh array in the layout of params.vector.
     """
@@ -376,92 +323,64 @@ def backward(params: NetworkParams, cache, dlogits, dbranch_pre=None, work: Work
     n_layers = len(params.weights)
     out = np.empty_like(params.vector)
     views = params.split(out)
-    branch_delta = None
-    if params.branch is not None:
-        gbw, gbb = views[-2], views[-1]
-        if dbranch_pre is None:
-            gbw[...] = 0.0
-            gbb[...] = 0.0
-        else:
-            branch_delta = np.asarray(dbranch_pre, dtype=np.float64)
-            np.matmul(acts[n_layers - 1].swapaxes(-1, -2), branch_delta[..., None], out=gbw[..., None])
-            gbb[...] = branch_delta.sum(axis=-1, keepdims=True)
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(n_layers - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=views[2 * i])
         np.add.reduce(delta, axis=-2, out=views[2 * i + 1])
         if i > 0:
-            head_delta = branch_delta if i == n_layers - 1 else None
-            delta = _delta_below(params, i, delta, acts[i], head_delta, work)
+            delta = _delta_below(params, i, delta, acts[i], work)
     return out
 
 
-_OBJECTIVES = ("plain_ce", "multiclass_oe", "confidence_branch_oe")
-
-
-def _check_objective(params: NetworkParams, objective, in_batch, oe_batch) -> bool:
-    """Reject batches the objective cannot use; returns whether it reads outliers."""
-    kind = objective.kind
-    if kind not in _OBJECTIVES:
-        raise ConfigurationError(f"unknown objective kind {kind!r}")
-    if kind == "confidence_branch_oe" and params.branch is None:
-        raise ConfigurationError("confidence-branch objective needs a network with a confidence head")
+def _check_batches(params: NetworkParams, lam, in_batch, oe_batch) -> float:
+    """Reject a negative lam and batches the loss cannot use; returns lam
+    as a float. The outlier batch is needed, and read, only when lam > 0."""
+    lam = float(lam)
+    if not lam >= 0:
+        raise ParameterError("lam must be nonnegative")
     if in_batch is None or len(in_batch) == 0:
-        raise ConfigurationError(f"{kind} needs a nonempty in-distribution batch")
+        raise ConfigurationError("training needs a nonempty in-distribution batch")
     if in_batch.labels is None:
-        raise ConfigurationError(f"{kind} needs labels on the in-distribution batch")
+        raise ConfigurationError("training needs labels on the in-distribution batch")
     if np.any(in_batch.labels >= params.n_classes):
         raise DataError(f"class label out of range for {params.n_classes} classes")
-    uses_oe = kind != "plain_ce" and float(objective.lam) > 0
-    if uses_oe and (oe_batch is None or len(oe_batch) == 0):
-        raise ConfigurationError("exposure objective needs a nonempty outlier batch")
-    return uses_oe
+    if lam > 0 and (oe_batch is None or len(oe_batch) == 0):
+        raise ConfigurationError("positive lam needs a nonempty outlier batch")
+    return lam
 
 
-def _objective_grad(params: NetworkParams, objective, X, y, oe_X, work: Workspace | None = None) -> np.ndarray:
+def _objective_grad(params: NetworkParams, lam: float, X, y, oe_X, work: Workspace | None = None) -> np.ndarray:
     """The gradient behind grad and train_classifier, on checked rows.
 
-    X, y and oe_X carry the seed axis of a stack when params is one. The
-    inlier pass is done with the workspace before the outlier pass takes it.
-    Inlier and outlier terms keep separate forward/backward passes whose
-    gradients are summed with one +=: one pass over the concatenated rows
-    would sum the weight gradients in another order and move the bits.
+    X, y and oe_X carry the seed axis of a stack when params is one; oe_X
+    is read only when lam > 0. The inlier pass is done with the workspace
+    before the outlier pass takes it. Inlier and outlier terms keep
+    separate forward/backward passes whose gradients are summed with one
+    +=: one pass over the concatenated rows would sum the weight gradients
+    in another order and move the bits.
     """
-    kind = objective.kind
-    k = params.n_classes
-    lam = float(objective.lam)
-    logits, bpre, cache = forward_cached(params, X, work)
-    n = X.shape[-2]
+    logits, cache = forward_cached(params, X, work)
     dlog = ce_logit_grad(logits, y)
-    dlog /= n
-    if kind == "confidence_branch_oe":
-        # d(-log sigmoid(u))/du = sigmoid(u) - 1
-        g = backward(params, cache, dlog, BRANCH_FIT_WEIGHT * (sigmoid(bpre) - 1.0) / n, work)
-        if lam > 0:
-            _, obpre, ocache = forward_cached(params, oe_X, work)
-            m = oe_X.shape[-2]
-            g += backward(params, ocache, np.zeros((*obpre.shape, k)), lam * (1.0 - sigmoid(obpre)) / m, work)
-        return g
-    g = backward(params, cache, dlog, work=work)
-    if kind == "multiclass_oe" and lam > 0:
-        ologits, _, ocache = forward_cached(params, oe_X, work)
-        g += backward(params, ocache, lam * (softmax(ologits) - 1.0 / k) / oe_X.shape[-2], work=work)
+    dlog /= X.shape[-2]
+    g = backward(params, cache, dlog, work)
+    if lam > 0:
+        ologits, ocache = forward_cached(params, oe_X, work)
+        g += backward(params, ocache, lam * (softmax(ologits) - 1.0 / params.n_classes) / oe_X.shape[-2], work)
     return g
 
 
-def grad(params: NetworkParams, objective, in_batch: Batch, oe_batch: Batch | None = None) -> np.ndarray:
-    """Exact gradient of a training objective, as an array in the layout of
-    params.vector (one row per net for a stack with stacked batches).
+def grad(params: NetworkParams, lam: float, in_batch: Batch, oe_batch: Batch | None = None) -> np.ndarray:
+    """Exact gradient of the classifier loss at outlier weight lam, as an
+    array in the layout of params.vector (one row per net for a stack with
+    stacked batches).
 
     in_batch supplies labeled in-distribution examples; oe_batch supplies
-    auxiliary outliers for the exposure objectives. The sequence-paired
-    margin objective lives with the density model (density.margin_grad)
-    because its batches are whole sequences, not rows.
+    auxiliary outliers, read only when lam > 0. The sequence-paired margin
+    loss lives with the density model (density.margin_grad) because its
+    batches are whole sequences, not rows.
     """
-    uses_oe = _check_objective(params, objective, in_batch, oe_batch)
-    return _objective_grad(
-        params, objective, in_batch.inputs, in_batch.labels, oe_batch.inputs if uses_oe else None
-    )
+    lam = _check_batches(params, lam, in_batch, oe_batch)
+    return _objective_grad(params, lam, in_batch.inputs, in_batch.labels, oe_batch.inputs if lam > 0 else None)
 
 
 @dataclass
@@ -602,33 +521,37 @@ def with_seed_axis(params: NetworkParams, *arrays) -> tuple:
 
 def train_classifier(
     params: NetworkParams,
-    objective,
+    lam: float,
     in_batch: Batch,
     oe_batch: Batch | None = None,
     **settings,
 ) -> NetworkParams:
-    """train_loop on one of grad's objectives over whole-set batches.
+    """train_loop on grad's classifier loss at outlier weight lam, over
+    whole-set batches.
 
     One net takes (n, d) batches; a stack of S nets takes (S, n, d) batches
     that hold each net's rows, and one seed per net. The batches are
     checked once per run; each step gathers every net's rows from them.
     settings are train_loop's keyword arguments other than n_oe.
     """
-    uses_oe = _check_objective(params, objective, in_batch, oe_batch)
-    X, y, oe_X = with_seed_axis(params, in_batch.inputs, in_batch.labels, oe_batch.inputs if uses_oe else None)
+    lam = _check_batches(params, lam, in_batch, oe_batch)
+    X, y, oe_X = with_seed_axis(params, in_batch.inputs, in_batch.labels, oe_batch.inputs if lam > 0 else None)
     rows = np.arange(X.shape[0])[:, None]
     work = Workspace()
 
     def loss_grad(net, idx, oe_idx):
         oe_rows = None if oe_idx is None else oe_X[rows, oe_idx]
-        return _objective_grad(net, objective, X[rows, idx], y[rows, idx], oe_rows, work)
+        return _objective_grad(net, lam, X[rows, idx], y[rows, idx], oe_rows, work)
 
     return train_loop(params, loss_grad, X.shape[1], n_oe=0 if oe_X is None else oe_X.shape[1], **settings)
 
 
 def save_params(params: NetworkParams, path) -> None:
     """Write parameters as little-endian binary: magic 'OEWB', version,
-    layer count, dims, activation and head flags, then row-major f64 blocks."""
+    layer count, dims, activation code, a head-flag byte, then row-major
+    f64 blocks. The head flag marked an extra output head in files of an
+    earlier layout; it is always written as 0, and load_params refuses any
+    other value."""
     params.validate()
     dims = params.layer_dims
     parts = [
@@ -636,7 +559,7 @@ def save_params(params: NetworkParams, path) -> None:
         struct.pack("<I", PARAMS_VERSION),
         struct.pack("<I", len(dims)),
         struct.pack(f"<{len(dims)}I", *dims),
-        struct.pack("<BB", _ACT_CODES[params.activation], 1 if params.branch is not None else 0),
+        struct.pack("<BB", _ACT_CODES[params.activation], 0),
     ]
     # the blocks are the parameter vector's layout, in order
     parts.append(np.ascontiguousarray(params.vector, dtype="<f8").tobytes())
@@ -658,10 +581,12 @@ def load_params(path) -> NetworkParams:
     try:
         dims = list(struct.unpack_from(f"<{n_dims}I", raw, off))
         off += 4 * n_dims
-        act_code, has_branch = struct.unpack_from("<BB", raw, off)
+        act_code, head_flag = struct.unpack_from("<BB", raw, off)
         off += 2
         if act_code not in _ACT_NAMES:
             raise DataError(f"unknown activation code {act_code}")
+        if head_flag != 0:
+            raise DataError(f"parameter file {path} has head flag {head_flag}; only head-less nets (flag 0) load")
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             w_bytes = 8 * fan_in * fan_out
@@ -671,16 +596,8 @@ def load_params(path) -> NetworkParams:
             off += w_bytes
             biases.append(np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off).copy())
             off += 8 * fan_out
-        branch = None
-        if has_branch:
-            h = dims[-2]
-            bw = np.frombuffer(raw, dtype="<f8", count=h, offset=off).copy()
-            off += 8 * h
-            bb = np.frombuffer(raw, dtype="<f8", count=1, offset=off).copy()
-            off += 8
-            branch = BranchHead(bw, bb)
     except (struct.error, ValueError) as exc:
         raise DataError(f"truncated or corrupt parameter file: {exc}") from exc
     if off != len(raw):
         raise DataError("parameter file has trailing or missing bytes")
-    return NetworkParams(dims, weights, biases, branch, _ACT_NAMES[act_code]).validate()
+    return NetworkParams(dims, weights, biases, _ACT_NAMES[act_code]).validate()

@@ -1,5 +1,5 @@
-"""Training objectives: cross-entropy, uniformity pressure on auxiliary
-outliers, confidence-head penalties, and the sequence-likelihood margin.
+"""Loss values: cross-entropy, uniformity pressure on auxiliary outliers,
+and the sequence-likelihood margin.
 
 Losses are scalar batch means. The matching exact gradients live in
 nn_core.grad and density.margin_grad, which keeps the value path and the
@@ -9,30 +9,12 @@ independent implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn_core
 from .errors import ConfigurationError, DataError, ParameterError
 
-OBJECTIVE_KINDS = ("plain_ce", "multiclass_oe", "confidence_branch_oe")
-
 _PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """Which loss to optimize and the weight of its outlier term."""
-
-    kind: str
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise ConfigurationError(f"unknown objective kind {self.kind!r}")
-        if self.lam < 0:
-            raise ParameterError("lam must be nonnegative")
 
 
 def _log_probs(values, from_logits: bool) -> np.ndarray:
@@ -79,49 +61,15 @@ def multiclass_oe_loss(in_batch, oe_batch, params, lam: float) -> float:
         raise ParameterError("lam must be nonnegative")
     if in_batch.labels is None:
         raise ConfigurationError("in-distribution batch needs labels")
-    logits_in, _ = nn_core.forward(params, in_batch)
+    logits_in = nn_core.forward(params, in_batch)
     loss = ce_loss(logits_in, in_batch.labels)
     if lam > 0:
         if oe_batch is None or len(oe_batch) == 0:
             raise ConfigurationError("positive lam needs a nonempty outlier batch")
         if oe_batch.labels is not None:
             raise ConfigurationError("outlier batch must be unlabeled")
-        logits_oe, _ = nn_core.forward(params, oe_batch)
+        logits_oe = nn_core.forward(params, oe_batch)
         loss += lam * uniform_ce(logits_oe)
-    return float(loss)
-
-
-def confidence_branch_oe_term(branch_probs) -> float:
-    """0.5 * mean(log b) over outlier confidences; minimizing drives b -> 0.
-
-    Confidences are clamped below at 1e-12 so an exactly-zero b cannot
-    produce -inf.
-    """
-    b = np.asarray(branch_probs, dtype=np.float64)
-    if b.size == 0:
-        raise ConfigurationError("empty confidence batch")
-    if np.any(b < 0.0) or np.any(b > 1.0):
-        raise ParameterError("confidences must lie in [0, 1]")
-    return float(0.5 * np.mean(np.log(np.clip(b, _PROB_FLOOR, None))))
-
-
-def confidence_branch_oe_loss(in_batch, oe_batch, params, lam: float = 0.5) -> float:
-    """Classifier cross-entropy, a fit term pulling b -> 1 on inliers, and
-    lam * mean(log b) on the outlier batch (the exposure penalty)."""
-    if params.branch is None:
-        raise ConfigurationError("network has no confidence head")
-    if in_batch.labels is None:
-        raise ConfigurationError("in-distribution batch needs labels")
-    if lam < 0:
-        raise ParameterError("lam must be nonnegative")
-    logits, bpre = nn_core.forward(params, in_batch)
-    loss = ce_loss(logits, in_batch.labels)
-    loss += nn_core.BRANCH_FIT_WEIGHT * float(np.mean(-nn_core.log_sigmoid(bpre)))
-    if lam > 0:
-        if oe_batch is None or len(oe_batch) == 0:
-            raise ConfigurationError("positive lam needs a nonempty outlier batch")
-        _, bpre_oe = nn_core.forward(params, oe_batch)
-        loss += lam * float(np.mean(nn_core.log_sigmoid(bpre_oe)))
     return float(loss)
 
 

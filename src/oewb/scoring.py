@@ -18,12 +18,12 @@ from . import density as density_mod
 from . import nn_core
 from .errors import ConfigurationError, DataError
 
-DETECTOR_KINDS = ("msp", "uniform_ce", "confidence_branch", "density_bpp")
+DETECTORS = ("msp", "uniform_ce", "density_bpp")
 
 
 def score_dataset(model, kind: str, dataset) -> np.ndarray:
     """Per-example anomaly scores for a whole dataset, in input order."""
-    if kind not in DETECTOR_KINDS:
+    if kind not in DETECTORS:
         raise ConfigurationError(f"unknown detector kind {kind!r}")
     if kind == "density_bpp":
         if not isinstance(model, density_mod.ARModelParams):
@@ -37,16 +37,10 @@ def score_dataset(model, kind: str, dataset) -> np.ndarray:
     X = np.asarray(dataset, dtype=np.float64)
     if X.size == 0:
         return np.zeros(0)
-    logits, bpre = nn_core.forward(model, X)
+    logits = nn_core.forward(model, X)
     if kind == "msp":
         return -nn_core.softmax(logits).max(axis=1)
-    if kind == "uniform_ce":
-        return nn_core.log_softmax(logits).mean(axis=1)
-    if bpre is None:
-        raise ConfigurationError("confidence_branch scoring needs a network with a confidence head")
-    # sigmoid(-u) rather than 1 - sigmoid(u): the subtraction rounds a
-    # saturated head (u above about 36.7) to exactly 0 and erases its ranking
-    return nn_core.sigmoid(-bpre)
+    return nn_core.log_softmax(logits).mean(axis=1)
 
 
 def write_scores_csv(path, scores, is_ood) -> None:

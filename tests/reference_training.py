@@ -14,13 +14,12 @@ from oewb import density, nn_core
 
 
 class RefNet:
-    """Separate parameter arrays in the order w0, b0, w1, b1, ..., head."""
+    """Separate parameter arrays in the order w0, b0, w1, b1, ..."""
 
     def __init__(self, params: nn_core.NetworkParams):
         self.arrays = [a.copy() for a in params.arrays()]
         self.n_layers = len(params.weights)
         self.activation = params.activation
-        self.has_branch = params.branch is not None
 
     def replaced(self, arrays) -> "RefNet":
         out = object.__new__(RefNet)
@@ -73,57 +72,34 @@ def forward_cached(net: RefNet, X):
         if i < net.n_layers - 1:
             a = _act(z, net.activation)
             acts.append(a)
-    branch_pre = None
-    if net.has_branch:
-        branch_pre = acts[-1] @ net.arrays[-2] + net.arrays[-1][0]
-    return pres[-1], branch_pre, (acts, pres)
+    return pres[-1], (acts, pres)
 
 
-def backward(net: RefNet, cache, dlogits, dbranch_pre=None):
+def backward(net: RefNet, cache, dlogits):
     acts, pres = cache
     n = net.n_layers
     gw, gb = [None] * n, [None] * n
-    head = []
-    branch_delta = None
-    if net.has_branch:
-        if dbranch_pre is None:
-            head = [np.zeros_like(net.arrays[-2]), np.zeros(1)]
-        else:
-            branch_delta = np.asarray(dbranch_pre, dtype=np.float64)
-            head = [acts[n - 1].T @ branch_delta, np.array([branch_delta.sum()])]
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(n - 1, -1, -1):
         gw[i] = delta.T @ acts[i]
         gb[i] = delta.sum(axis=0)
         if i > 0:
-            da = delta @ net.weight(i)
-            if i == n - 1 and branch_delta is not None:
-                da = da + branch_delta[:, None] * net.arrays[-2][None, :]
-            delta = da * _act_grad(pres[i - 1], net.activation)
-    return [a for pair in zip(gw, gb) for a in pair] + head
+            delta = (delta @ net.weight(i)) * _act_grad(pres[i - 1], net.activation)
+    return [a for pair in zip(gw, gb) for a in pair]
 
 
 def add_grads(a, b):
     return [x + y for x, y in zip(a, b)]
 
 
-def grad(net: RefNet, kind, lam, in_batch, oe_batch=None):
-    """Gradient lists of plain_ce, multiclass_oe and confidence_branch_oe."""
-    logits, bpre, cache = forward_cached(net, in_batch.inputs)
+def grad(net: RefNet, lam, in_batch, oe_batch=None):
+    """Gradient list of cross-entropy plus lam times uniform CE on outliers."""
+    logits, cache = forward_cached(net, in_batch.inputs)
     k = logits.shape[1]
-    n = len(in_batch)
-    dlog = (softmax(logits) - one_hot(in_batch.labels, k)) / n
-    if kind == "confidence_branch_oe":
-        dbranch = nn_core.BRANCH_FIT_WEIGHT * (nn_core.sigmoid(bpre) - 1.0) / n
-        g = backward(net, cache, dlog, dbranch)
-        if lam > 0:
-            _, obpre, ocache = forward_cached(net, oe_batch.inputs)
-            doeb = lam * (1.0 - nn_core.sigmoid(obpre)) / len(oe_batch)
-            g = add_grads(g, backward(net, ocache, np.zeros((len(oe_batch), k)), doeb))
-        return g
+    dlog = (softmax(logits) - one_hot(in_batch.labels, k)) / len(in_batch)
     g = backward(net, cache, dlog)
-    if kind == "multiclass_oe" and lam > 0:
-        ologits, _, ocache = forward_cached(net, oe_batch.inputs)
+    if lam > 0:
+        ologits, ocache = forward_cached(net, oe_batch.inputs)
         doe = lam * (softmax(ologits) - 1.0 / k) / len(oe_batch)
         g = add_grads(g, backward(net, ocache, doe))
     return g
@@ -153,7 +129,7 @@ def sgd_step(net: RefNet, grads, state: RefOptimizer) -> RefNet:
     return net.replaced(new_arrays)
 
 
-def train_classifier(params, kind, lam, X, y, oe_X, *, epochs, batch_size, lr0, momentum,
+def train_classifier(params, lam, X, y, oe_X, *, epochs, batch_size, lr0, momentum,
                      weight_decay, seed):
     """Minibatch loop with a per-step Batch and a cyclic outlier pointer."""
     net = RefNet(params)
@@ -161,8 +137,7 @@ def train_classifier(params, kind, lam, X, y, oe_X, *, epochs, batch_size, lr0, 
     bs = min(batch_size, n)
     state = RefOptimizer(net, lr0, epochs * ((n + bs - 1) // bs), momentum, weight_decay)
     rng = np.random.default_rng(seed)
-    use_oe = kind != "plain_ce" and lam > 0
-    if use_oe:
+    if lam > 0:
         oe_order = rng.permutation(oe_X.shape[0])
         oe_ptr = 0
     for _ in range(epochs):
@@ -171,17 +146,17 @@ def train_classifier(params, kind, lam, X, y, oe_X, *, epochs, batch_size, lr0, 
             idx = perm[start : start + bs]
             in_batch = nn_core.Batch(X[idx], y[idx])
             oe_batch = None
-            if use_oe:
+            if lam > 0:
                 sel = (oe_ptr + np.arange(idx.size)) % oe_X.shape[0]
                 oe_ptr = int((oe_ptr + idx.size) % oe_X.shape[0])
                 oe_batch = nn_core.Batch(oe_X[oe_order[sel]])
-            net = sgd_step(net, grad(net, kind, lam, in_batch, oe_batch), state)
+            net = sgd_step(net, grad(net, lam, in_batch, oe_batch), state)
     return net
 
 
 def nll_batch(net: RefNet, seqs, c, V):
     feats, targets = density.context_features(seqs, c, V)
-    logits, _, _ = forward_cached(net, feats)
+    logits, _ = forward_cached(net, feats)
     lp = log_softmax(logits)
     return -lp[np.arange(targets.size), targets].reshape(seqs.shape).sum(axis=1)
 
@@ -195,7 +170,7 @@ def margin_grad(net: RefNet, a, b, c, V, margin, mle_weight, margin_weight):
 
     def weighted_backward(seqs, w):
         feats, targets = density.context_features(seqs, c, V)
-        logits, _, cache = forward_cached(net, feats)
+        logits, cache = forward_cached(net, feats)
         return backward(net, cache, (softmax(logits) - one_hot(targets, V)) * w[:, None])
 
     return add_grads(weighted_backward(a, w_in), weighted_backward(b, w_out))
@@ -213,7 +188,7 @@ def train_density(model, seqs, *, epochs, batch_size, lr0, momentum, weight_deca
         perm = rng.permutation(rows)
         for start in range(0, rows, bs):
             idx = perm[start : start + bs]
-            logits, _, cache = forward_cached(net, feats[idx])
+            logits, cache = forward_cached(net, feats[idx])
             dlog = (softmax(logits) - one_hot(targets[idx], model.alphabet_size)) / idx.size
             net = sgd_step(net, backward(net, cache, dlog), state)
     return net

@@ -22,7 +22,7 @@ import oracles
 from oewb import density, metrics, nn_core, objectives, outlier_gen
 from oewb.calibration import posterior_rescale
 from oewb.harness import pipeline
-from oewb.harness.config import save_config
+from oewb.harness.config import DETECTORS, PIPELINES, REFUSED_PAIRS, save_config
 from oewb.harness.presets import get_preset
 
 
@@ -56,6 +56,11 @@ def scratch_run():
 
 
 @pytest.fixture(scope="module")
+def uce_scratch_run():
+    return _timed_run(detector="uniform_ce", pipeline="scratch_oe")
+
+
+@pytest.fixture(scope="module")
 def density_run():
     return _timed_run(preset="preset_density")
 
@@ -74,14 +79,8 @@ def _classifier_case(rng, kind: str, lam: float):
     X = rng.standard_normal((n_in, d))
     y = rng.integers(0, k, size=n_in)
     Xoe = rng.standard_normal((n_oe, d))
-    with_branch = kind == "confidence_branch_oe"
     for attempt in range(60):
-        params = nn_core.init_network(
-            (d, *hidden, k),
-            seed=int(rng.integers(0, 2**31)),
-            activation=act,
-            with_branch=with_branch,
-        )
+        params = nn_core.init_network((d, *hidden, k), seed=int(rng.integers(0, 2**31)), activation=act)
         if act == "tanh":
             break
         gap = fd.min_hidden_preact_gap(params, np.concatenate([X, Xoe]))
@@ -92,25 +91,17 @@ def _classifier_case(rng, kind: str, lam: float):
 
     batch = nn_core.Batch(X, y)
     oe = nn_core.Batch(Xoe)
-    spec = objectives.ObjectiveSpec(kind, lam=lam)
     if kind == "plain_ce":
-        analytic = nn_core.grad(params, spec, batch)
+        analytic = nn_core.grad(params, 0.0, batch)
 
         def loss(p):
-            logits, _ = nn_core.forward(p, X)
-            return objectives.ce_loss(logits, y)
+            return objectives.ce_loss(nn_core.forward(p, X), y)
 
-    elif kind == "multiclass_oe":
-        analytic = nn_core.grad(params, spec, batch, oe if lam > 0 else None)
+    else:  # multiclass_oe
+        analytic = nn_core.grad(params, lam, batch, oe if lam > 0 else None)
 
         def loss(p):
             return objectives.multiclass_oe_loss(batch, oe if lam > 0 else None, p, lam=lam)
-
-    else:  # confidence_branch_oe
-        analytic = nn_core.grad(params, spec, batch, oe)
-
-        def loss(p):
-            return objectives.confidence_branch_oe_loss(batch, oe, p, lam=lam)
 
     numeric = fd.fd_gradient(params, loss)
     return fd.max_rel_err(analytic, numeric)
@@ -153,7 +144,6 @@ def test_criterion_1_gradient_correctness(capsys):
         ("multiclass_oe", 0.0),
         ("multiclass_oe", 0.5),
         ("multiclass_oe", 1.0),
-        ("confidence_branch_oe", 0.5),
         ("density_margin", 0.0),
     )
     worst = 0.0
@@ -168,7 +158,7 @@ def test_criterion_1_gradient_correctness(capsys):
     ok = worst < 1e-4 and elapsed < 30.0
     _report(
         capsys, 1, ok,
-        f"every objective's analytic gradient matches central differences over "
+        f"every loss's analytic gradient matches central differences over "
         f"100 random configurations, max relative error {worst:.2e}",
         elapsed,
     )
@@ -206,11 +196,25 @@ def test_criterion_2_metric_oracles(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 3: exposure fine-tuning improves MSP detection on every held-out set
+# 3: exposure improves detection on every held-out set, for every accepted
+# classifier pair (density_bpp is criterion 5's)
+
+EXPOSURE_PAIRS = [
+    (d, p) for d in DETECTORS for p in PIPELINES
+    if d != "density_bpp" and p != "baseline_only" and (d, p) not in REFUSED_PAIRS
+]
+RUN_FIXTURES = {
+    ("msp", "finetune_oe"): "msp_run",
+    ("uniform_ce", "finetune_oe"): "uce_run",
+    ("msp", "scratch_oe"): "scratch_run",
+    ("uniform_ce", "scratch_oe"): "uce_scratch_run",
+}
 
 
-def test_criterion_3_oe_improves_msp(capsys, msp_run):
-    exp, elapsed = msp_run
+@pytest.mark.parametrize("detector,pipe", EXPOSURE_PAIRS)
+def test_criterion_3_exposure_improves_detection(capsys, request, detector, pipe):
+    # a pair without a run fixture fails here: every accepted pair is gated
+    exp, elapsed = request.getfixturevalue(RUN_FIXTURES[detector, pipe])
     gains, fpr_drops = {}, {}
     for name in exp.summary["final"]:
         base = exp.summary["baseline"][name]
@@ -225,7 +229,7 @@ def test_criterion_3_oe_improves_msp(capsys, msp_run):
     worst = min(gains, key=gains.get)
     _report(
         capsys, 3, ok,
-        f"mean MSP AUROC over 10 seeds rises >= 5 points on every test set "
+        f"{detector} x {pipe}: mean AUROC over 10 seeds rises >= 5 points on every test set "
         f"(smallest gain {100 * gains[worst]:.1f} on {worst}) and FPR95 falls on all",
         elapsed,
     )

@@ -71,7 +71,7 @@ class TestNll:
         for t in range(seq.size):
             window = padded[t : t + c]
             feat = eye[window].reshape(1, -1)
-            logits, _ = nn_core.forward(m.net, feat)
+            logits = nn_core.forward(m.net, feat)
             p = nn_core.softmax(logits)[0]
             total += -math.log(p[seq[t]])
         got = density.nll_batch(m, seq)[0]
@@ -303,7 +303,7 @@ class TestNormalization:
         m = density.init_ar_model(5, 3, (7,), seed=11)
         seqs = np.random.default_rng(1).integers(0, 5, size=(4, 6))
         feats, _ = density.context_features(seqs, m.context_window, m.alphabet_size)
-        logits, _, _ = nn_core.forward_cached(m.net, feats)
+        logits, _ = nn_core.forward_cached(m.net, feats)
         p = nn_core.softmax(logits)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 

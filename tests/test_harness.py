@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oewb import nn_core
+from oewb import density, nn_core
 from oewb.errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from oewb.harness import cli, datasets, pipeline, reports
 from oewb.harness.config import (
@@ -25,7 +25,6 @@ from oewb.harness.config import (
     save_config,
 )
 from oewb.harness.presets import PRESET_NAMES, get_preset
-from oewb.objectives import ObjectiveSpec
 
 import reference_reports
 
@@ -131,16 +130,18 @@ class TestConfigValidation:
         assert cfg.detector == "msp"
 
     def test_unknown_detector(self):
-        with pytest.raises(ConfigurationError, match="detector"):
-            _tiny_config(detector="energy")
+        for name in ("energy", "confidence_branch"):
+            with pytest.raises(ConfigurationError, match=f"unknown detector '{name}'"):
+                _tiny_config(detector=name)
 
     def test_unknown_pipeline(self):
         with pytest.raises(ConfigurationError, match="pipeline"):
             _tiny_config(pipeline="distill")
 
     def test_negative_lambda(self):
-        with pytest.raises(ConfigurationError, match="lambda"):
-            _tiny_config(lam=-0.1)
+        for lam in (-0.1, float("nan")):
+            with pytest.raises(ConfigurationError, match="lambda"):
+                _tiny_config(lam=lam)
 
     def test_empty_seeds(self):
         with pytest.raises(ConfigurationError, match="seeds"):
@@ -242,15 +243,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="dataset spec"):
             ExperimentConfig.from_dict(d)
 
-    @pytest.mark.parametrize(
-        "detector,pipe",
-        [("confidence_branch", "finetune_oe"), ("confidence_branch", "scratch_oe"),
-         ("density_bpp", "scratch_oe")],
-    )
+    @pytest.mark.parametrize("detector,pipe", [("density_bpp", "scratch_oe")])
     def test_refused_detector_pipeline_pairs(self, detector, pipe):
-        make = _tiny_density_config if detector == "density_bpp" else _tiny_config
         with pytest.raises(ConfigurationError, match=f"detector '{detector}' with pipeline '{pipe}'"):
-            make(detector=detector, pipeline=pipe)
+            _tiny_density_config(detector=detector, pipeline=pipe)
 
     @pytest.mark.parametrize(
         "detector,pipe",
@@ -658,12 +654,11 @@ class TestTrainingPipeline:
             weight_decay=config.model.weight_decay,
         )
         rng = np.random.default_rng(pipeline._ss(seed, pipeline.ROLE_FINETUNE_SHUFFLE))
-        objective = ObjectiveSpec("plain_ce")
         for _ in range(config.finetune_epochs):
             perm = rng.permutation(n)
             for start in range(0, n, bs):
                 idx = perm[start : start + bs]
-                g = nn_core.grad(params, objective, nn_core.Batch(X[idx], y[idx]), None)
+                g = nn_core.grad(params, 0.0, nn_core.Batch(X[idx], y[idx]), None)
                 nn_core.sgd_step(params, g, state)
 
         for a, b in zip(tuned.arrays(), params.arrays()):
@@ -910,13 +905,13 @@ class TestCli:
         assert cli.main(["run", "-c", str(path)]) == 1
 
     def test_refused_pair_exits_one_and_names_it(self, tmp_path, capsys):
-        d = _tiny_config(detector="confidence_branch", pipeline="baseline_only").to_dict()
+        d = _tiny_density_config().to_dict()
         d["pipeline"] = "scratch_oe"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
         out = tmp_path / "out"
         assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
-        assert "'confidence_branch' with pipeline 'scratch_oe'" in capsys.readouterr().err
+        assert "'density_bpp' with pipeline 'scratch_oe'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_internal_failure_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -964,6 +959,31 @@ class TestCli:
         rc = cli.main(["eval", "-c", str(path), "-o", str(tmp_path / "out"), "-q",
                        "--params", str(bad)])
         assert rc == 1
+
+    def test_eval_refuses_a_set_head_flag(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        params = tmp_path / "net.bin"
+        nn_core.save_params(nn_core.init_network([2, 8, 3], seed=0), params)
+        blob = bytearray(params.read_bytes())
+        blob[12 + 4 * 3 + 1] = 1  # the byte after the three dims and the activation code
+        params.write_bytes(bytes(blob))
+        rc = cli.main(["eval", "-c", str(path), "-o", str(tmp_path / "out"), "-q", "--params", str(params)])
+        assert rc == 1
+        assert "head flag 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", ["truncated", "{}"], ids=["truncated", "empty_object"])
+    def test_eval_rejects_a_bad_density_sidecar(self, tmp_path, capsys, sidecar):
+        path = tmp_path / "cfg.json"
+        save_config(_tiny_density_config(), path)
+        params = tmp_path / "density.bin"
+        density.save_ar_model(density.init_ar_model(4, 2, (8,), seed=0), params)
+        meta = tmp_path / "density.bin.meta.json"
+        body = meta.read_text()
+        meta.write_text(body[: len(body) // 2] if sidecar == "truncated" else sidecar)
+        rc = cli.main(["eval", "-c", str(path), "-o", str(tmp_path / "out"), "-q", "--params", str(params)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(meta) in err and "internal error" not in err
 
     def test_missing_params_file_is_usage_error(self, tmp_path, capsys):
         path = self._write_config(tmp_path)

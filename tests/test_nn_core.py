@@ -11,8 +11,8 @@ from oewb.errors import ConfigurationError, DataError, ParameterError
 import fd
 
 
-def _zeroed(dims, activation="relu", with_branch=False):
-    p = nn_core.init_network(dims, seed=0, activation=activation, with_branch=with_branch)
+def _zeroed(dims, activation="relu"):
+    p = nn_core.init_network(dims, seed=0, activation=activation)
     for a in p.arrays():
         a[...] = 0.0
     return p
@@ -21,16 +21,14 @@ def _zeroed(dims, activation="relu", with_branch=False):
 class TestForward:
     def test_zero_parameters_give_zero_logits(self):
         p = _zeroed([3, 4, 2])
-        logits, _ = nn_core.forward(p, np.random.default_rng(0).normal(size=(5, 3)))
+        logits = nn_core.forward(p, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.array_equal(logits, np.zeros((5, 2)))
 
     def test_single_identity_layer_passes_input_through(self):
         p = _zeroed([3, 3])
         p.weights[0][...] = np.eye(3)
         x = np.arange(12.0).reshape(4, 3)
-        logits, bpre = nn_core.forward(p, x)
-        assert np.array_equal(logits, x)
-        assert bpre is None
+        assert np.array_equal(nn_core.forward(p, x), x)
 
     def test_matches_explicit_matrix_arithmetic(self):
         # straight-line oracle for a 2-4-3 relu net on a fixed input
@@ -38,7 +36,7 @@ class TestForward:
         x = np.array([[0.3, -1.2], [2.0, 0.5]])
         h = np.maximum(x @ p.weights[0].T + p.biases[0], 0.0)
         expected = h @ p.weights[1].T + p.biases[1]
-        logits, _ = nn_core.forward(p, x)
+        logits = nn_core.forward(p, x)
         assert np.max(np.abs(logits - expected)) < 1e-12
 
     def test_tanh_variant_matches_oracle(self):
@@ -46,33 +44,22 @@ class TestForward:
         x = np.array([[0.3, -1.2]])
         h = np.tanh(x @ p.weights[0].T + p.biases[0])
         expected = h @ p.weights[1].T + p.biases[1]
-        logits, _ = nn_core.forward(p, x)
+        logits = nn_core.forward(p, x)
         assert np.max(np.abs(logits - expected)) < 1e-12
-
-    def test_branch_head_is_linear_in_last_hidden(self):
-        p = nn_core.init_network([2, 4, 3], seed=3, with_branch=True)
-        x = np.array([[1.0, -2.0], [0.0, 0.25]])
-        h = np.maximum(x @ p.weights[0].T + p.biases[0], 0.0)
-        expected = h @ p.branch.weight + p.branch.bias[0]
-        _, bpre = nn_core.forward(p, x)
-        assert np.max(np.abs(bpre - expected)) < 1e-12
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize(
-        "dims,with_branch",
+        "dims,as_batch",
         [([3, 2], False), ([3, 16, 4], False), ([3, 16, 4], True), ([3, 16, 8, 4], False),
          ([3, 16, 8, 4], True)],
     )
-    def test_equals_forward_cached_bit_for_bit(self, activation, dims, with_branch):
-        p = nn_core.init_network(dims, seed=5, activation=activation, with_branch=with_branch)
+    def test_equals_forward_cached_bit_for_bit(self, activation, dims, as_batch):
+        # forward takes a Batch or the raw rows
+        p = nn_core.init_network(dims, seed=5, activation=activation)
         x = np.random.default_rng(1).normal(size=(257, 3)) * 3.0
-        logits, bpre = nn_core.forward(p, nn_core.Batch(x))
-        cached_logits, cached_bpre, _ = nn_core.forward_cached(p, x)
+        logits = nn_core.forward(p, nn_core.Batch(x) if as_batch else x)
+        cached_logits, _ = nn_core.forward_cached(p, x)
         assert np.array_equal(logits, cached_logits)
-        if with_branch:
-            assert np.array_equal(bpre, cached_bpre)
-        else:
-            assert bpre is None and cached_bpre is None
 
     def test_dimension_mismatch_rejected(self):
         p = nn_core.init_network([2, 4, 3], seed=0)
@@ -142,19 +129,6 @@ class TestSoftmax:
         assert abs(lp[0, 0]) < 1e-12
 
 
-class TestSigmoid:
-    def test_matches_closed_form(self):
-        u = np.linspace(-30, 30, 61)
-        assert np.max(np.abs(nn_core.sigmoid(u) - 1.0 / (1.0 + np.exp(-u)))) < 1e-15
-
-    def test_log_sigmoid_never_underflows_to_minus_inf(self):
-        u = np.array([-800.0, -50.0, 0.0, 50.0, 800.0])
-        out = nn_core.log_sigmoid(u)
-        assert np.all(np.isfinite(out))
-        assert abs(out[2] - np.log(0.5)) < 1e-15
-        assert abs(out[0] - (-800.0)) < 1e-12
-
-
 def _labeled_batch(rng, n, d, k):
     return nn_core.Batch(rng.normal(size=(n, d)), labels=rng.integers(0, k, size=n))
 
@@ -165,8 +139,9 @@ class TestGrad:
         p = nn_core.init_network([3, 6, 4], seed=11)
         batch = _labeled_batch(rng, 8, 3, 4)
         oe = nn_core.Batch(rng.normal(size=(5, 3)))
-        g_oe = nn_core.grad(p, objectives.ObjectiveSpec("multiclass_oe", lam=0.0), batch, oe)
-        g_ce = nn_core.grad(p, objectives.ObjectiveSpec("plain_ce"), batch)
+        # at lam = 0 the outlier batch is not read
+        g_oe = nn_core.grad(p, 0.0, batch, oe)
+        g_ce = nn_core.grad(p, 0.0, batch)
         assert np.array_equal(g_oe, g_ce)
 
     def test_missing_oe_batch_rejected(self):
@@ -174,45 +149,27 @@ class TestGrad:
         p = nn_core.init_network([3, 6, 4], seed=0)
         batch = _labeled_batch(rng, 4, 3, 4)
         with pytest.raises(ConfigurationError):
-            nn_core.grad(p, objectives.ObjectiveSpec("multiclass_oe", lam=0.5), batch, None)
+            nn_core.grad(p, 0.5, batch, None)
 
-    def test_branch_objective_needs_branch_head(self):
+    def test_negative_lam_rejected(self):
         rng = np.random.default_rng(0)
         p = nn_core.init_network([3, 6, 4], seed=0)
         batch = _labeled_batch(rng, 4, 3, 4)
-        with pytest.raises(ConfigurationError):
-            nn_core.grad(p, objectives.ObjectiveSpec("confidence_branch_oe", lam=0.5), batch, batch)
-
-    def test_margin_objective_redirected_to_density_module(self):
-        # the sequence margin pairs whole sequences, so no row objective
-        # names it; its gradient is density.margin_grad
-        with pytest.raises(ConfigurationError):
-            objectives.ObjectiveSpec("density_margin")
+        oe = nn_core.Batch(rng.normal(size=(4, 3)))
+        with pytest.raises(ParameterError):
+            nn_core.grad(p, -0.1, batch, oe)
+        with pytest.raises(ParameterError):
+            nn_core.train_classifier(p, -0.1, batch, oe, epochs=1, batch_size=4, lr0=0.1)
 
     def test_matches_finite_differences_on_2_8_3_net(self):
         rng = np.random.default_rng(5)
         p = nn_core.init_network([2, 8, 3], seed=5, activation="tanh")
         batch = _labeled_batch(rng, 6, 2, 3)
         oe = nn_core.Batch(rng.normal(size=(4, 2)))
-        spec = objectives.ObjectiveSpec("multiclass_oe", lam=0.5)
-        analytic = nn_core.grad(p, spec, batch, oe)
+        analytic = nn_core.grad(p, 0.5, batch, oe)
 
         def loss(q):
             return objectives.multiclass_oe_loss(batch, oe, q, lam=0.5)
-
-        numeric = fd.fd_gradient(p, loss)
-        assert fd.max_rel_err(analytic, numeric) < 1e-4
-
-    def test_branch_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        p = nn_core.init_network([2, 8, 3], seed=9, activation="tanh", with_branch=True)
-        batch = _labeled_batch(rng, 6, 2, 3)
-        oe = nn_core.Batch(rng.normal(size=(4, 2)))
-        spec = objectives.ObjectiveSpec("confidence_branch_oe", lam=0.5)
-        analytic = nn_core.grad(p, spec, batch, oe)
-
-        def loss(q):
-            return objectives.confidence_branch_oe_loss(batch, oe, q, lam=0.5)
 
         numeric = fd.fd_gradient(p, loss)
         assert fd.max_rel_err(analytic, numeric) < 1e-4
@@ -223,12 +180,10 @@ class TestGrad:
         rng = np.random.default_rng(3)
         p = nn_core.init_network([2, 6, 3], seed=3, activation="tanh")
         batch = _labeled_batch(rng, 8, 2, 3)
-        spec = objectives.ObjectiveSpec("plain_ce")
-        g = nn_core.grad(p, spec, batch)
+        g = nn_core.grad(p, 0.0, batch)
 
         def loss(q):
-            logits, _ = nn_core.forward(q, batch.inputs)
-            return objectives.ce_loss(logits, batch.labels)
+            return objectives.ce_loss(nn_core.forward(q, batch.inputs), batch.labels)
 
         d = rng.normal(size=g.size)
         d -= (d @ g) / (g @ g) * g
@@ -335,13 +290,11 @@ def _full_batch_epochs(seed, epochs=50):
     batch = _separable_2class(rng)
     p = nn_core.init_network([2, 8, 2], seed=seed)
     state = nn_core.init_optimizer(p, lr0=0.05, total_steps=epochs, weight_decay=0.0)
-    spec = objectives.ObjectiveSpec("plain_ce")
     losses = []
     for _ in range(epochs):
-        logits, _ = nn_core.forward(p, batch.inputs)
-        lp = nn_core.log_softmax(logits)
+        lp = nn_core.log_softmax(nn_core.forward(p, batch.inputs))
         losses.append(float(np.mean(-lp[np.arange(len(batch)), batch.labels])))
-        nn_core.sgd_step(p, nn_core.grad(p, spec, batch), state)
+        nn_core.sgd_step(p, nn_core.grad(p, 0.0, batch), state)
     return p, losses
 
 
@@ -366,7 +319,7 @@ class TestTrainingBehaviour:
 
 class TestSerialization:
     def test_round_trip_is_bitwise(self, tmp_path):
-        p = nn_core.init_network([3, 5, 4], seed=2, activation="tanh", with_branch=True)
+        p = nn_core.init_network([3, 5, 4], seed=2, activation="tanh")
         path = tmp_path / "net.bin"
         nn_core.save_params(p, path)
         q = nn_core.load_params(path)
@@ -376,12 +329,13 @@ class TestSerialization:
             assert np.array_equal(a, b)
 
     def test_round_trip_without_branch(self, tmp_path):
+        # the head-flag byte after the dims and activation code is always 0
         p = nn_core.init_network([2, 3], seed=0)
         path = tmp_path / "net.bin"
         nn_core.save_params(p, path)
+        assert path.read_bytes()[12 + 4 * 2 + 1] == 0
         q = nn_core.load_params(path)
-        assert q.branch is None
-        assert np.array_equal(q.weights[0], p.weights[0])
+        assert np.array_equal(q.vector, p.vector)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -399,12 +353,12 @@ class TestSerialization:
             nn_core.load_params(path)
 
     def test_arrays_are_views_of_the_parameter_vector(self):
-        p = nn_core.init_network([3, 5, 4], seed=2, with_branch=True)
+        p = nn_core.init_network([3, 5, 4], seed=2)
         arrays = p.arrays()
         assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), p.vector)
         assert all(np.shares_memory(a, p.vector) for a in arrays)
-        p.vector[-1] = 3.5  # the last slot is the confidence head's bias
-        assert p.branch.bias[0] == 3.5
+        p.vector[-1] = 3.5  # the last slot is the last bias
+        assert p.biases[-1][-1] == 3.5
         q = p.copy()
         assert not np.shares_memory(q.vector, p.vector)
         assert np.array_equal(q.vector, p.vector)
@@ -412,11 +366,11 @@ class TestSerialization:
         assert q.vector[0] == p.vector[0] + 1.0
 
     def test_stack_rows_are_the_nets_and_views_share_the_matrix(self):
-        nets = [nn_core.init_network([3, 5, 4], seed=s, with_branch=True) for s in range(3)]
+        nets = [nn_core.init_network([3, 5, 4], seed=s) for s in range(3)]
         stack = nn_core.NetworkParams.stack(nets)
         assert stack.vector.shape == (3, nets[0].vector.size)
         assert all(np.shares_memory(a, stack.vector) for a in stack.arrays())
-        assert stack.weights[0].shape == (3, 5, 3) and stack.branch.bias.shape == (3, 1)
+        assert stack.weights[0].shape == (3, 5, 3) and stack.biases[1].shape == (3, 4)
         stack.weights[1][2, 0, 0] = 7.0
         back = stack.unstack()
         assert back[2].weights[1][0, 0] == 7.0
@@ -424,7 +378,7 @@ class TestSerialization:
         for net, got in zip(nets[:2], back[:2]):
             assert np.array_equal(net.vector, got.vector)
         with pytest.raises(ConfigurationError):
-            nn_core.NetworkParams.stack([nets[0], nn_core.init_network([3, 6, 4], seed=0, with_branch=True)])
+            nn_core.NetworkParams.stack([nets[0], nn_core.init_network([3, 6, 4], seed=0)])
 
 
 class TestInit:

@@ -1,4 +1,4 @@
-"""Loss functions: cross-entropy, uniformity pressure, branch and margin terms."""
+"""Loss functions: cross-entropy, uniformity pressure and the margin term."""
 
 import math
 
@@ -10,19 +10,6 @@ from oewb.errors import ConfigurationError, DataError, ParameterError
 
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
-
-
-class TestObjectiveSpec:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            objectives.ObjectiveSpec("hinge_of_doom")
-
-    def test_negative_lam_rejected(self):
-        with pytest.raises(ParameterError):
-            objectives.ObjectiveSpec("multiclass_oe", lam=-0.1)
-
-    def test_lam_zero_permitted(self):
-        objectives.ObjectiveSpec("multiclass_oe", lam=0.0)
 
 
 class TestCeLoss:
@@ -105,7 +92,7 @@ class TestMulticlassOeLoss:
     def test_lam_zero_reduces_to_plain_ce(self):
         inb, oe = _batches()
         p = nn_core.init_network([2, 6, 3], seed=1)
-        logits, _ = nn_core.forward(p, inb.inputs)
+        logits = nn_core.forward(p, inb.inputs)
         assert objectives.multiclass_oe_loss(inb, oe, p, lam=0.0) == objectives.ce_loss(
             logits, inb.labels
         )
@@ -113,8 +100,8 @@ class TestMulticlassOeLoss:
     def test_linear_combination_of_components(self):
         inb, oe = _batches()
         p = nn_core.init_network([2, 6, 3], seed=1)
-        logits_in, _ = nn_core.forward(p, inb.inputs)
-        logits_oe, _ = nn_core.forward(p, oe.inputs)
+        logits_in = nn_core.forward(p, inb.inputs)
+        logits_oe = nn_core.forward(p, oe.inputs)
         expected = objectives.ce_loss(logits_in, inb.labels) + 0.5 * objectives.uniform_ce(logits_oe)
         assert objectives.multiclass_oe_loss(inb, oe, p, lam=0.5) == pytest.approx(expected, abs=1e-12)
 
@@ -128,8 +115,8 @@ class TestMulticlassOeLoss:
         a = (1.0 + math.sqrt(1.0 - 4.0 * math.exp(-2.0))) / 2.0  # -(log a + log(1-a))/2 = 1
         inb = nn_core.Batch([[math.log(p_true / (1 - p_true)), 0.0]], labels=[0])
         oe = nn_core.Batch([[math.log(a / (1 - a)), 0.0]])
-        assert objectives.ce_loss(nn_core.forward(p, inb.inputs)[0], [0]) == pytest.approx(1.0, abs=1e-12)
-        assert objectives.uniform_ce(nn_core.forward(p, oe.inputs)[0]) == pytest.approx(1.0, abs=1e-12)
+        assert objectives.ce_loss(nn_core.forward(p, inb.inputs), [0]) == pytest.approx(1.0, abs=1e-12)
+        assert objectives.uniform_ce(nn_core.forward(p, oe.inputs)) == pytest.approx(1.0, abs=1e-12)
         assert objectives.multiclass_oe_loss(inb, oe, p, lam=0.5) == pytest.approx(1.5, abs=1e-12)
 
     def test_monotone_nondecreasing_in_lam(self):
@@ -155,61 +142,6 @@ class TestMulticlassOeLoss:
         p = nn_core.init_network([2, 6, 3], seed=1)
         with pytest.raises(ParameterError):
             objectives.multiclass_oe_loss(inb, oe, p, lam=-1.0)
-
-
-class TestConfidenceBranchTerm:
-    def test_full_confidence_gives_zero(self):
-        assert objectives.confidence_branch_oe_term([1.0, 1.0, 1.0]) == 0.0
-
-    def test_e_minus_two_gives_minus_one(self):
-        assert objectives.confidence_branch_oe_term([math.exp(-2.0)] * 4) == pytest.approx(
-            -1.0, abs=1e-12
-        )
-
-    def test_mean_then_scale(self):
-        assert objectives.confidence_branch_oe_term([1.0, math.exp(-2.0)]) == pytest.approx(
-            -0.5, abs=1e-12
-        )
-
-    def test_zero_confidence_clamped_finite(self):
-        assert math.isfinite(objectives.confidence_branch_oe_term([0.0]))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ParameterError):
-            objectives.confidence_branch_oe_term([1.2])
-        with pytest.raises(ConfigurationError):
-            objectives.confidence_branch_oe_term([])
-
-
-class TestConfidenceBranchLoss:
-    def test_requires_branch_head(self):
-        inb, oe = _batches()
-        p = nn_core.init_network([2, 6, 3], seed=1)
-        with pytest.raises(ConfigurationError):
-            objectives.confidence_branch_oe_loss(inb, oe, p)
-
-    def test_component_identity(self):
-        inb, oe = _batches()
-        p = nn_core.init_network([2, 6, 3], seed=1, with_branch=True)
-        logits, bpre = nn_core.forward(p, inb.inputs)
-        _, bpre_oe = nn_core.forward(p, oe.inputs)
-        expected = (
-            objectives.ce_loss(logits, inb.labels)
-            + nn_core.BRANCH_FIT_WEIGHT * float(np.mean(-nn_core.log_sigmoid(bpre)))
-            + 0.5 * float(np.mean(nn_core.log_sigmoid(bpre_oe)))
-        )
-        got = objectives.confidence_branch_oe_loss(inb, oe, p, lam=0.5)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_exposure_term_pulls_loss_down_when_branch_unconfident_on_outliers(self):
-        inb, oe = _batches()
-        p = nn_core.init_network([2, 6, 3], seed=1, with_branch=True)
-        with_term = objectives.confidence_branch_oe_loss(inb, oe, p, lam=0.5)
-        without = objectives.confidence_branch_oe_loss(inb, oe, p, lam=0.0)
-        _, bpre_oe = nn_core.forward(p, oe.inputs)
-        assert with_term - without == pytest.approx(
-            0.5 * float(np.mean(nn_core.log_sigmoid(bpre_oe))), abs=1e-12
-        )
 
 
 class TestDensityMarginLoss:
@@ -278,22 +210,19 @@ class TestExposureTrainingEffect:
 
         p = nn_core.init_network([2, 16, 2], seed=7)
         state = nn_core.init_optimizer(p, lr0=0.2, total_steps=60, weight_decay=0.0)
-        ce = objectives.ObjectiveSpec("plain_ce")
         for _ in range(60):
-            nn_core.sgd_step(p, nn_core.grad(p, ce, inb), state)
+            nn_core.sgd_step(p, nn_core.grad(p, 0.0, inb), state)
 
         def held_out_uce(q):
-            logits, _ = nn_core.forward(q, oe_held.inputs)
-            return objectives.uniform_ce(logits)
+            return objectives.uniform_ce(nn_core.forward(q, oe_held.inputs))
 
         before = held_out_uce(p)
-        spec = objectives.ObjectiveSpec("multiclass_oe", lam=0.5)
         state = nn_core.init_optimizer(p, lr0=0.05, total_steps=8, weight_decay=0.0)
         order = np.random.default_rng(0).permutation(len(inb))
         for start in range(0, len(inb), 10):
             idx = order[start : start + 10]
             sub = nn_core.Batch(inb.inputs[idx], labels=inb.labels[idx])
             osub = nn_core.Batch(oe_train.inputs[start % 54 : start % 54 + 10])
-            nn_core.sgd_step(p, nn_core.grad(p, spec, sub, osub), state)
+            nn_core.sgd_step(p, nn_core.grad(p, 0.5, sub, osub), state)
         after = held_out_uce(p)
         assert after < before

@@ -22,19 +22,6 @@ def _logit_scores(kind, logits):
     return scoring.score_dataset(_identity_net(logits.shape[1]), kind, logits)
 
 
-def _head_net():
-    """A network whose confidence pre-activation u equals its scalar input:
-    hidden units relu(x) and relu(-x), head weights (1, -1)."""
-    p = nn_core.init_network([1, 2, 2], seed=0, with_branch=True)
-    p.weights[0][...] = [[1.0], [-1.0]]
-    p.branch.weight[...] = [1.0, -1.0]
-    return p
-
-
-def _branch_scores(u):
-    return scoring.score_dataset(_head_net(), "confidence_branch", np.reshape(u, (-1, 1)))
-
-
 def _uniform_density(V, c=2, hidden=(4,)):
     m = density.init_ar_model(V, c, hidden, seed=0)
     m.net.vector[...] = 0.0
@@ -71,19 +58,6 @@ class TestUniformCeScore:
         )
 
 
-class TestBranchScore:
-    @pytest.mark.parametrize("b,expected", [(1.0, 0.0), (0.0, 1.0), (0.3, 0.7)])
-    def test_affine_flip(self, b, expected):
-        # the head's confidence b = sigmoid(u) is scored as 1 - b
-        u = 40.0 if b == 1.0 else -40.0 if b == 0.0 else math.log(b / (1.0 - b))
-        assert _branch_scores([u])[0] == pytest.approx(expected, abs=1e-15)
-
-    def test_saturated_head_keeps_resolution(self):
-        # 1 - sigmoid(u) rounds to exactly 0 for u above about 36.7
-        s = _branch_scores([38.0, 40.0])
-        assert s[0] > s[1] > 0.0
-
-
 class TestBppScore:
     def test_delegates_to_bits_per_dim(self):
         m = density.init_ar_model(4, 2, (6,), seed=0)
@@ -104,9 +78,6 @@ class TestOrientation:
         # uniform posterior vs one-hot
         assert _logit_scores("msp", [0.0] * 4)[0] > _logit_scores("msp", [20.0, 0.0, 0.0, 0.0])[0]
         assert _logit_scores("uniform_ce", [0.0, 0.0])[0] > _logit_scores("uniform_ce", [20.0, -20.0])[0]
-        # tiny confidence vs full confidence
-        low, full = _branch_scores([-4.6, 40.0])
-        assert low > full
         # improbable sequence vs the training pattern
         data = np.zeros((50, 8), dtype=np.int64)
         m = density.init_ar_model(2, 2, (8,), seed=0)
@@ -127,8 +98,8 @@ class TestTwoClassRankEquivalence:
         assert np.array_equal(np.argsort(msp), np.argsort(uce))
 
 
-def _classifier(with_branch=False):
-    return nn_core.init_network([2, 6, 3], seed=5, with_branch=with_branch)
+def _classifier():
+    return nn_core.init_network([2, 6, 3], seed=5)
 
 
 class TestScoreDataset:
@@ -139,17 +110,13 @@ class TestScoreDataset:
         assert scoring.score_dataset(m, "density_bpp", np.zeros((0, 5), dtype=np.int64)).size == 0
 
     def test_singleton_matches_pointwise_ops(self):
-        p = _classifier(with_branch=True)
+        p = _classifier()
         x = np.array([[0.4, -1.3]])
-        logits, bpre = nn_core.forward(p, x)
-        z = logits[0]
+        z = nn_core.forward(p, x)[0]
         probs = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
         assert scoring.score_dataset(p, "msp", x)[0] == pytest.approx(-probs.max(), abs=1e-12)
         assert scoring.score_dataset(p, "uniform_ce", x)[0] == pytest.approx(
             np.mean(np.log(probs)), abs=1e-12
-        )
-        assert scoring.score_dataset(p, "confidence_branch", x)[0] == pytest.approx(
-            1.0 - 1.0 / (1.0 + math.exp(-bpre[0])), abs=1e-12
         )
         m = density.init_ar_model(3, 2, (4,), seed=1)
         seq = np.array([[0, 2, 1, 0]], dtype=np.int64)
@@ -174,8 +141,6 @@ class TestScoreDataset:
             scoring.score_dataset(p, "density_bpp", X)
         with pytest.raises(ConfigurationError):
             scoring.score_dataset(m, "msp", seqs)
-        with pytest.raises(ConfigurationError):
-            scoring.score_dataset(p, "confidence_branch", X)  # no head on this net
         with pytest.raises(ConfigurationError):
             scoring.score_dataset(p, "mahalanobis", X)
 

@@ -6,7 +6,6 @@ import pytest
 import reference_training as ref
 from oewb import density, nn_core
 from oewb.errors import DivergenceError
-from oewb.objectives import ObjectiveSpec
 
 SETTINGS = dict(epochs=2, batch_size=16, lr0=0.2, momentum=0.9, weight_decay=5e-4, seed=7)
 
@@ -28,25 +27,21 @@ def _classifier_data():
     return X, y, oe_X
 
 
-@pytest.mark.parametrize(
-    "kind, lam, activation",
-    [
-        ("plain_ce", 0.0, "relu"),
-        ("multiclass_oe", 0.5, "relu"),
-        ("multiclass_oe", 0.5, "tanh"),
-        ("confidence_branch_oe", 0.5, "relu"),
-    ],
-)
-def test_classifier_loop_matches_reference(kind, lam, activation):
+# plain cross-entropy (lam = 0) and exposure at lam = 0.5, named by the loss
+LOSSES = [
+    pytest.param(0.0, "relu", id="plain_ce-0.0-relu"),
+    pytest.param(0.5, "relu", id="multiclass_oe-0.5-relu"),
+    pytest.param(0.5, "tanh", id="multiclass_oe-0.5-tanh"),
+]
+
+
+@pytest.mark.parametrize("lam, activation", LOSSES)
+def test_classifier_loop_matches_reference(lam, activation):
     X, y, oe_X = _classifier_data()
-    params = nn_core.init_network(
-        [2, 8, 8, 3], seed=5, activation=activation, with_branch=kind == "confidence_branch_oe"
-    )
+    params = nn_core.init_network([2, 8, 8, 3], seed=5, activation=activation)
     before = params.vector.tobytes()
-    trained = nn_core.train_classifier(
-        params, ObjectiveSpec(kind, lam=lam), nn_core.Batch(X, y), nn_core.Batch(oe_X), **SETTINGS
-    )
-    reference = ref.train_classifier(params, kind, lam, X, y, oe_X, **SETTINGS)
+    trained = nn_core.train_classifier(params, lam, nn_core.Batch(X, y), nn_core.Batch(oe_X), **SETTINGS)
+    reference = ref.train_classifier(params, lam, X, y, oe_X, **SETTINGS)
     _assert_same(trained, reference)
     assert params.vector.tobytes() == before
 
@@ -84,7 +79,7 @@ def test_divergence_names_the_epoch():
     params = nn_core.init_network([2, 8, 3], seed=0)
     settings = {**SETTINGS, "lr0": 1e100, "epochs": 3}
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="epoch 1 of 3"):
-        nn_core.train_classifier(params, ObjectiveSpec("plain_ce"), nn_core.Batch(X, y), **settings)
+        nn_core.train_classifier(params, 0.0, nn_core.Batch(X, y), **settings)
 
 
 # Stacks: three nets that differ in seed, data and initialisation train in
@@ -106,32 +101,20 @@ def _classifier_data_for(member):
     return X, y, oe_X
 
 
-@pytest.mark.parametrize(
-    "kind, lam, activation",
-    [
-        ("plain_ce", 0.0, "relu"),
-        ("multiclass_oe", 0.5, "relu"),
-        ("multiclass_oe", 0.5, "tanh"),
-        ("confidence_branch_oe", 0.5, "relu"),
-    ],
-)
-def test_stacked_classifier_loop_matches_reference_per_member(kind, lam, activation):
+@pytest.mark.parametrize("lam, activation", LOSSES)
+def test_stacked_classifier_loop_matches_reference_per_member(lam, activation):
     data = [_classifier_data_for(m) for m in range(3)]
-    nets = [
-        nn_core.init_network([2, 8, 8, 3], seed=40 + m, activation=activation,
-                             with_branch=kind == "confidence_branch_oe")
-        for m in range(3)
-    ]
+    nets = [nn_core.init_network([2, 8, 8, 3], seed=40 + m, activation=activation) for m in range(3)]
     stack = nn_core.NetworkParams.stack(nets)
     before = stack.vector.copy()
     X, y, oe_X = (np.stack(parts) for parts in zip(*data))
     trained = nn_core.train_classifier(
-        stack, ObjectiveSpec(kind, lam=lam), nn_core.Batch(X, y), nn_core.Batch(oe_X), **_stack_settings()
+        stack, lam, nn_core.Batch(X, y), nn_core.Batch(oe_X), **_stack_settings()
     )
     assert np.array_equal(stack.vector, before)
     assert trained.vector.shape == before.shape
     for net, (Xm, ym, oe_m), seed, got in zip(nets, data, STACK_SEEDS, trained.unstack()):
-        _assert_same(got, ref.train_classifier(net, kind, lam, Xm, ym, oe_m, **{**SETTINGS, "seed": seed}))
+        _assert_same(got, ref.train_classifier(net, lam, Xm, ym, oe_m, **{**SETTINGS, "seed": seed}))
 
 
 def _sequences_for(member):
@@ -178,7 +161,7 @@ def test_divergence_names_the_member_and_its_step():
     X, y, _ = (np.stack(parts) for parts in zip(*data))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
         nn_core.train_classifier(
-            nn_core.NetworkParams.stack(nets), ObjectiveSpec("plain_ce"), nn_core.Batch(X, y), **_stack_settings()
+            nn_core.NetworkParams.stack(nets), 0.0, nn_core.Batch(X, y), **_stack_settings()
         )
     assert err.value.member == 1
     assert str(err.value) == "parameters became non-finite in step 1 of 4 of epoch 1 of 2"
