@@ -7,16 +7,14 @@ chain-rule factorization is exact at every position and total probability
 over the sequence space sums to one -- checkable by brute-force
 enumeration for tiny alphabets.
 
-Training runs on nn_core's stacked engine: a stack of models (ARModelParams
-over a stacked net) trains on (S, n, D) sequence arrays with one seed per
-model, and a single model trains as a stack of one.
+A model is a plain nn_core.NetworkParams: its widths fix the window and
+alphabet, with c*(V+1) one-hot input columns and V output logits, and
+layout reads (c, V) back from them. Training runs on nn_core's stacked
+engine: a stack of nets (NetworkParams.stack) trains on (S, n, D) sequence
+arrays with one seed per net, and a single net trains as a stack of one.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -26,50 +24,29 @@ from .errors import ConfigurationError, DataError, ParameterError
 LN2 = float(np.log(2.0))
 
 
-@dataclass
-class ARModelParams:
-    context_window: int
-    alphabet_size: int
-    net: nn_core.NetworkParams
-
-    def validate(self) -> "ARModelParams":
-        if self.context_window < 1:
-            raise ConfigurationError("context_window must be >= 1")
-        if self.alphabet_size < 2:
-            raise ConfigurationError("alphabet_size must be >= 2")
-        expected_in = self.context_window * (self.alphabet_size + 1)
-        if self.net.input_dim != expected_in:
-            raise ConfigurationError(
-                f"network input dim {self.net.input_dim} != context_window * (V + 1) = {expected_in}"
-            )
-        if self.net.n_classes != self.alphabet_size:
-            raise ConfigurationError("network output dim must equal the alphabet size")
-        self.net.validate()
-        return self
-
-    def copy(self) -> "ARModelParams":
-        return ARModelParams(self.context_window, self.alphabet_size, self.net.copy())
-
-    @classmethod
-    def stack(cls, models) -> "ARModelParams":
-        """Models of one window and alphabet as one model over a stacked net."""
-        c, V = models[0].context_window, models[0].alphabet_size
-        if any((m.context_window, m.alphabet_size) != (c, V) for m in models):
-            raise ConfigurationError("only models of one window and alphabet can be stacked")
-        return cls(c, V, nn_core.NetworkParams.stack([m.net for m in models]))
-
-    def unstack(self) -> list:
-        return [ARModelParams(self.context_window, self.alphabet_size, net) for net in self.net.unstack()]
+def layout(net: nn_core.NetworkParams) -> tuple[int, int]:
+    """(context_window, alphabet_size) of a density net, read from its
+    widths: input c*(V+1) for c >= 1, output V >= 2."""
+    V = net.n_classes
+    c, rest = divmod(net.input_dim, V + 1)
+    if V < 2 or c < 1 or rest:
+        raise ConfigurationError(
+            f"layer widths {net.layer_dims} are not a density layout: the input width must be "
+            f"a positive multiple of V + 1 for an output width V >= 2"
+        )
+    return c, V
 
 
-def init_ar_model(alphabet_size, context_window, hidden_dims, seed, activation="relu") -> ARModelParams:
+def init_ar_model(alphabet_size, context_window, hidden_dims, seed, activation="relu") -> nn_core.NetworkParams:
+    """A seeded density net over the window and alphabet (init_network)."""
     dims = [int(context_window) * (int(alphabet_size) + 1), *[int(h) for h in hidden_dims], int(alphabet_size)]
     net = nn_core.init_network(dims, seed, activation=activation)
-    return ARModelParams(int(context_window), int(alphabet_size), net).validate()
+    layout(net)
+    return net
 
 
 def _as_seq_matrix(seqs, alphabet_size: int) -> np.ndarray:
-    """(n, D) symbols, or (S, n, D) for a stack of models. Integer arrays
+    """(n, D) symbols, or (S, n, D) for a stack of nets. Integer arrays
     keep their dtype, so a compact stack is not widened."""
     arr = np.asarray(seqs)
     if arr.dtype.kind not in "iu":
@@ -125,22 +102,23 @@ def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape) -> np.ndarray:
     return -tok.reshape(shape).sum(axis=-1)
 
 
-def nll_batch(model: ARModelParams, seqs) -> np.ndarray:
+def nll_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
     """Per-sequence negative log-likelihood in nats for equal-length sequences."""
-    arr = _as_seq_matrix(seqs, model.alphabet_size)
-    feats, targets = context_features(arr, model.context_window, model.alphabet_size)
-    logits = nn_core.forward(model.net, feats)
+    c, V = layout(net)
+    arr = _as_seq_matrix(seqs, V)
+    feats, targets = context_features(arr, c, V)
+    logits = nn_core.forward(net, feats)
     return _sequence_nll(logits, targets, arr.shape)
 
 
-def bits_per_dim_batch(model: ARModelParams, seqs) -> np.ndarray:
+def bits_per_dim_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
     """Per-sequence nll_batch / (D * ln 2): average bits per symbol."""
-    arr = _as_seq_matrix(seqs, model.alphabet_size)
-    return nll_batch(model, arr) / (arr.shape[1] * LN2)
+    arr = _as_seq_matrix(seqs, layout(net)[1])
+    return nll_batch(net, arr) / (arr.shape[1] * LN2)
 
 
 def train_density(
-    model: ARModelParams,
+    net: nn_core.NetworkParams,
     data,
     *,
     epochs: int = 10,
@@ -149,16 +127,16 @@ def train_density(
     momentum: float = 0.9,
     weight_decay: float = 5e-4,
     seed: int = 0,
-) -> ARModelParams:
-    """Maximum-likelihood training on inlier sequences; returns a new model.
+) -> nn_core.NetworkParams:
+    """Maximum-likelihood training on inlier sequences; returns a new net.
 
-    model is one model with (n, D) sequences and one seed, or a stack
-    (ARModelParams.stack) with (S, n, D) sequences and one seed per model.
+    net is one net with (n, D) sequences and one seed, or a stack
+    (NetworkParams.stack) with (S, n, D) sequences and one seed per net.
     Minibatches are position rows of the context windows, one-hot encoded
     per step, trained with nn_core's cross-entropy gradient at lam = 0.
     """
-    c, V = model.context_window, model.alphabet_size
-    windows, targets = nn_core.with_seed_axis(model.net, *context_windows(data, c, V))
+    c, V = layout(net)
+    windows, targets = nn_core.with_seed_axis(net, *context_windows(data, c, V))
     rows = np.arange(windows.shape[0])[:, None]
     work = nn_core.Workspace()
 
@@ -166,17 +144,16 @@ def train_density(
         feats = one_hot_windows(windows[rows, idx], V)
         return nn_core._objective_grad(net, 0.0, feats, targets[rows, idx], None, work)
 
-    net = nn_core.train_loop(
-        model.net, loss_grad, windows.shape[1], epochs=epochs, batch_size=batch_size,
+    return nn_core.train_loop(
+        net, loss_grad, windows.shape[1], epochs=epochs, batch_size=batch_size,
         lr0=lr0, momentum=momentum, weight_decay=weight_decay, seed=seed,
     )
-    return ARModelParams(c, V, net)
 
 
-def _group_pass(model: ARModelParams, seqs: np.ndarray, work):
+def _group_pass(net, seqs: np.ndarray, c: int, V: int, work):
     """Forward pass over one group's position rows: (logits, targets, cache)."""
-    feats, targets = context_features(seqs, model.context_window, model.alphabet_size)
-    logits, cache = nn_core.forward_cached(model.net, feats, work)
+    feats, targets = context_features(seqs, c, V)
+    logits, cache = nn_core.forward_cached(net, feats, work)
     return logits, targets, cache
 
 
@@ -188,7 +165,7 @@ def _weighted_ce_backward(net, logits, cache, targets, w, work) -> np.ndarray:
 
 
 def margin_grad(
-    model: ARModelParams,
+    net: nn_core.NetworkParams,
     in_seqs,
     out_seqs,
     margin: float,
@@ -198,8 +175,8 @@ def margin_grad(
 ) -> np.ndarray:
     """Exact gradient of mle_weight * mean-position CE on inliers plus
     margin_weight * mean hinge max(0, margin + nll_in - nll_out), as an
-    array in the layout of model.net.vector. A stacked model takes
-    (S, n, D) batches and gives one gradient row per model.
+    array in the layout of net.vector. A stack takes (S, n, D) batches and
+    gives one gradient row per net.
 
     Pairs are matched by batch position, so both groups must have equal
     counts. Per active pair the hinge contributes +1 to every inlier
@@ -210,14 +187,15 @@ def margin_grad(
     """
     if not margin > 0:
         raise ParameterError("margin must be positive")
-    a = _as_seq_matrix(in_seqs, model.alphabet_size)
-    b = _as_seq_matrix(out_seqs, model.alphabet_size)
+    c, V = layout(net)
+    a = _as_seq_matrix(in_seqs, V)
+    b = _as_seq_matrix(out_seqs, V)
     if a.shape[:-1] != b.shape[:-1]:
         raise ConfigurationError("margin pairs require equally sized inlier/outlier batches")
     n_pairs = a.shape[-2]
-    logits, t_out = _group_pass(model, b, work)[:2]
+    logits, t_out = _group_pass(net, b, c, V, work)[:2]
     nll_out = _sequence_nll(logits, t_out, b.shape)
-    logits, t_in, cache = _group_pass(model, a, work)
+    logits, t_in, cache = _group_pass(net, a, c, V, work)
     nll_in = _sequence_nll(logits, t_in, a.shape)
     active = (margin + nll_in - nll_out) > 0
 
@@ -227,15 +205,15 @@ def margin_grad(
     w_out_seq = -margin_weight * active / n_pairs
     w_in = np.repeat(w_in_seq, a.shape[-1], axis=-1)
     w_out = np.repeat(w_out_seq, b.shape[-1], axis=-1)
-    g = _weighted_ce_backward(model.net, logits, cache, t_in, w_in, work)
+    g = _weighted_ce_backward(net, logits, cache, t_in, w_in, work)
     del cache  # the inlier rows go before the outlier pass runs again
-    logits, _, cache = _group_pass(model, b, work)
-    g += _weighted_ce_backward(model.net, logits, cache, t_out, w_out, work)
+    logits, _, cache = _group_pass(net, b, c, V, work)
+    g += _weighted_ce_backward(net, logits, cache, t_out, w_out, work)
     return g
 
 
 def finetune_density_oe(
-    model: ARModelParams,
+    net: nn_core.NetworkParams,
     inlier_seqs,
     oe_seqs,
     *,
@@ -248,58 +226,33 @@ def finetune_density_oe(
     mle_weight: float = 1.0,
     margin_weight: float = 1.0,
     seed: int = 0,
-) -> ARModelParams:
-    """Exposure fine-tuning of a trained density model with the paired
+) -> nn_core.NetworkParams:
+    """Exposure fine-tuning of a trained density net with the paired
     margin loss (margin_grad).
 
     Epoch length follows the inlier set; outlier batches are drawn
     cyclically from a fixed seeded permutation and paired with inlier
     batches by position. margin defaults to the sequence length in nats.
-    A stack takes (S, n, D) sequence arrays and one seed per model, as in
+    A stack takes (S, n, D) sequence arrays and one seed per net, as in
     train_density.
     """
-    a = _as_seq_matrix(inlier_seqs, model.alphabet_size)
-    b = _as_seq_matrix(oe_seqs, model.alphabet_size)
+    V = layout(net)[1]
+    a = _as_seq_matrix(inlier_seqs, V)
+    b = _as_seq_matrix(oe_seqs, V)
     if b.shape[-2] == 0:
         raise ConfigurationError("exposure fine-tuning needs a nonempty outlier set")
     if margin is None:
         margin = float(a.shape[-1])
     if not margin > 0:
         raise ParameterError("margin must be positive")
-    c, V = model.context_window, model.alphabet_size
-    a, b = nn_core.with_seed_axis(model.net, a, b)
+    a, b = nn_core.with_seed_axis(net, a, b)
     rows = np.arange(a.shape[0])[:, None]
     work = nn_core.Workspace()
 
     def loss_grad(net, idx, oe_idx):
-        return margin_grad(
-            ARModelParams(c, V, net), a[rows, idx], b[rows, oe_idx], margin, mle_weight, margin_weight, work
-        )
+        return margin_grad(net, a[rows, idx], b[rows, oe_idx], margin, mle_weight, margin_weight, work)
 
-    net = nn_core.train_loop(
-        model.net, loss_grad, a.shape[1], n_oe=b.shape[1], epochs=epochs, batch_size=batch_size,
+    return nn_core.train_loop(
+        net, loss_grad, a.shape[1], n_oe=b.shape[1], epochs=epochs, batch_size=batch_size,
         lr0=lr0, momentum=momentum, weight_decay=weight_decay, seed=seed,
     )
-    return ARModelParams(c, V, net)
-
-
-def save_ar_model(model: ARModelParams, path) -> None:
-    """Net parameters as the binary format plus a JSON sidecar for the
-    window and alphabet."""
-    path = Path(path)
-    nn_core.save_params(model.net, path)
-    meta = {"context_window": model.context_window, "alphabet_size": model.alphabet_size}
-    path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-
-
-def load_ar_model(path) -> ARModelParams:
-    path = Path(path)
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    if not meta_path.exists():
-        raise DataError(f"missing density model sidecar {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-        window, alphabet = int(meta["context_window"]), int(meta["alphabet_size"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad density model sidecar {meta_path}: {type(exc).__name__}: {exc}") from exc
-    return ARModelParams(window, alphabet, nn_core.load_params(path)).validate()

@@ -37,7 +37,12 @@ def _resolve_config(value: str) -> ExperimentConfig:
 
 
 def _pick_seed(config: ExperimentConfig, args) -> int:
-    return int(args.seed) if args.seed is not None else int(config.seeds[0])
+    """The --seed override, validated as the config's only seed, or else
+    the config's first seed."""
+    if args.seed is not None:
+        config.seeds = (args.seed,)
+        config.validate()
+    return config.seeds[0]
 
 
 def _out_dir(args, default: str) -> Path:
@@ -46,17 +51,15 @@ def _out_dir(args, default: str) -> Path:
     return out
 
 
-def _save_model(model, path: Path) -> None:
-    if isinstance(model, density_mod.ARModelParams):
-        density_mod.save_ar_model(model, path)
-    else:
-        nn_core.save_params(model, path)
-
-
-def _load_model(config: ExperimentConfig, path: str):
+def _load_model(config: ExperimentConfig, path: str) -> nn_core.NetworkParams:
+    """A saved net; under density_bpp its widths must be a density layout."""
+    net = nn_core.load_params(path)
     if config.detector == "density_bpp":
-        return density_mod.load_ar_model(path)
-    return nn_core.load_params(path)
+        try:
+            density_mod.layout(net)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
+    return net
 
 
 def _write_dataset(path: Path, data) -> None:
@@ -68,9 +71,7 @@ def _write_dataset(path: Path, data) -> None:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args.config)
-    if args.seed is not None:
-        config.seeds = (int(args.seed),)
-        config.validate()
+    _pick_seed(config, args)
     out = _out_dir(args, f"runs/{config.name}")
     pipeline.run_experiment(config, out_dir=out, quiet=args.quiet)
     if not args.quiet:
@@ -85,7 +86,7 @@ def cmd_train(args) -> int:
     bundle = pipeline.prepare_data(config, seed)
     [model] = pipeline.train_baseline(config, pipeline.training_set([bundle], [seed]))
     path = out / f"baseline_seed{seed}.bin"
-    _save_model(model, path)
+    nn_core.save_params(model, path)
     if not args.quiet:
         print(f"baseline model written to {path}")
     return 0
@@ -99,7 +100,7 @@ def cmd_finetune(args) -> int:
     baseline = _load_model(config, args.params)
     [model] = pipeline.finetune_oe(config, pipeline.training_set([bundle], [seed]), [baseline])
     path = out / f"finetuned_seed{seed}.bin"
-    _save_model(model, path)
+    nn_core.save_params(model, path)
     if not args.quiet:
         print(f"fine-tuned model written to {path}")
     return 0

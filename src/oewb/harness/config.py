@@ -12,6 +12,7 @@ nothing selects hyperparameters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,13 @@ def _reject_unknown_keys(d: dict, allowed: tuple, what: str) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigurationError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
+def _int_list(value, what: str) -> tuple:
+    # A string would otherwise be split into its characters ("32" -> 3, 2).
+    if not isinstance(value, (list, tuple)) or not all(type(v) is int for v in value):
+        raise ConfigurationError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -93,6 +101,8 @@ class ModelSettings:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         if any(int(h) < 1 for h in self.hidden_dims):
             raise ConfigurationError("hidden_dims must be positive")
+        if self.context_window < 1:
+            raise ConfigurationError("context_window must be >= 1")
         if self.margin is not None and not self.margin > 0:
             raise ConfigurationError("margin must be positive when given")
         return self
@@ -126,10 +136,13 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"detector {self.detector!r} with pipeline {self.pipeline!r} is not supported: {refused}"
             )
-        if not self.lam >= 0:  # NaN too: it would fail only once training starts
-            raise ConfigurationError("lambda must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):  # NaN and inf would fail only in training
+            raise ConfigurationError(f"lambda must be finite and nonnegative, got {self.lam}")
         if len(self.seeds) == 0:
             raise ConfigurationError("seeds must be nonempty")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise ConfigurationError(f"seeds must be nonnegative, got {negative[0]}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.epochs < 1 or self.finetune_epochs < 0:
@@ -223,7 +236,7 @@ class ExperimentConfig:
                 base_rate = (int(base_rate[0]), int(base_rate[1]))
             m = d.get("model", {})
             model = ModelSettings(
-                hidden_dims=tuple(m.get("hidden_dims", (32, 32))),
+                hidden_dims=_int_list(m.get("hidden_dims", (32, 32)), "hidden_dims"),
                 activation=m.get("activation", "relu"),
                 lr0=float(m.get("lr0", 0.1)),
                 finetune_lr0=float(m.get("finetune_lr0", 1e-3)),
@@ -244,7 +257,7 @@ class ExperimentConfig:
                 detector=d.get("detector", "msp"),
                 pipeline=d.get("pipeline", "finetune_oe"),
                 lam=float(d.get("lambda", 0.5)),
-                seeds=tuple(int(s) for s in d.get("seeds", (0,))),
+                seeds=_int_list(d.get("seeds", (0,)), "seeds"),
                 epochs=int(d.get("epochs", 30)),
                 finetune_epochs=int(d.get("finetune_epochs", 10)),
                 base_rate=base_rate,

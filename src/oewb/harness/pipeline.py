@@ -9,6 +9,8 @@ seed's data (refusing auxiliary outliers that reappear in a test set
 before anything trains), trains all baselines in lockstep as one stack of
 nets, then fine-tunes (or trains scratch_oe) all of them in lockstep, and
 finally evaluates, calibrates and reports one seed at a time in run_seed.
+Every detector's model is a plain nn_core.NetworkParams, a classifier or
+a density net (density.layout), so one stack serves both kinds.
 A seed's models are bit-identical to the ones it would train alone, as a
 stack of one, which is how the train and finetune commands train them.
 Test outlier sets influence nothing upstream of final evaluation. The
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -211,21 +214,15 @@ def _stage(name: str, seeds):
         raise DivergenceError(f"seed {seeds[exc.member]}, stage {name}: {exc}", exc.member) from exc
 
 
-def _initial_stack(config: ExperimentConfig, train: TrainingSet):
-    """Every seed's freshly initialised model, as one stacked model."""
+def _initial_stack(config: ExperimentConfig, train: TrainingSet) -> nn_core.NetworkParams:
+    """Every seed's freshly initialised net, as one stack."""
+    m = config.model
     if config.detector == "density_bpp":
-        return density_mod.ARModelParams.stack([
-            density_mod.init_ar_model(
-                train.alphabet_size, config.model.context_window, config.model.hidden_dims,
-                seed=_ss(s, ROLE_INIT), activation=config.model.activation,
-            )
-            for s in train.seeds
-        ])
-    dims = (train.rows.shape[-1], *config.model.hidden_dims, train.n_classes)
-    return nn_core.NetworkParams.stack([
-        nn_core.init_network(dims, seed=_ss(s, ROLE_INIT), activation=config.model.activation)
-        for s in train.seeds
-    ])
+        init = partial(density_mod.init_ar_model, train.alphabet_size, m.context_window, m.hidden_dims)
+    else:
+        init = partial(nn_core.init_network, (train.rows.shape[-1], *m.hidden_dims, train.n_classes))
+    nets = [init(seed=_ss(s, ROLE_INIT), activation=m.activation) for s in train.seeds]
+    return nn_core.NetworkParams.stack(nets)
 
 
 def train_baseline(config: ExperimentConfig, train: TrainingSet) -> list:
@@ -254,10 +251,11 @@ def finetune_oe(config: ExperimentConfig, train: TrainingSet, baselines) -> list
     if config.finetune_epochs == 0:
         return list(baselines)
     shuffle = [_ss(s, ROLE_FINETUNE_SHUFFLE) for s in train.seeds]
+    stack = nn_core.NetworkParams.stack(baselines)
     with _stage("finetune_oe", train.seeds):
         if config.detector == "density_bpp":
             return density_mod.finetune_density_oe(
-                density_mod.ARModelParams.stack(baselines), train.rows, _oe_rows(train),
+                stack, train.rows, _oe_rows(train),
                 margin=config.model.margin, epochs=config.finetune_epochs,
                 batch_size=config.model.batch_size, lr0=config.model.finetune_lr0,
                 momentum=config.model.momentum, weight_decay=config.model.weight_decay,
@@ -265,7 +263,7 @@ def finetune_oe(config: ExperimentConfig, train: TrainingSet, baselines) -> list
                 seed=shuffle,
             ).unstack()
         return _train_classifier(
-            nn_core.NetworkParams.stack(baselines), train, lam=config.lam,
+            stack, train, lam=config.lam,
             epochs=config.finetune_epochs, lr0=config.model.finetune_lr0,
             model_settings=config.model, shuffle_seeds=shuffle,
         ).unstack()

@@ -25,15 +25,13 @@ def score_dataset(model, kind: str, dataset) -> np.ndarray:
     """Per-example anomaly scores for a whole dataset, in input order."""
     if kind not in DETECTORS:
         raise ConfigurationError(f"unknown detector kind {kind!r}")
+    if not isinstance(model, nn_core.NetworkParams):
+        raise ConfigurationError(f"{kind} scoring needs network parameters")
     if kind == "density_bpp":
-        if not isinstance(model, density_mod.ARModelParams):
-            raise ConfigurationError("density_bpp scoring needs an autoregressive density model")
         seqs = np.asarray(dataset, dtype=np.int64)
         if seqs.size == 0:
             return np.zeros(0)
         return density_mod.bits_per_dim_batch(model, seqs)
-    if not isinstance(model, nn_core.NetworkParams):
-        raise ConfigurationError(f"{kind} scoring needs classifier parameters")
     X = np.asarray(dataset, dtype=np.float64)
     if X.size == 0:
         return np.zeros(0)

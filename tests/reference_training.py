@@ -178,8 +178,9 @@ def margin_grad(net: RefNet, a, b, c, V, margin, mle_weight, margin_weight):
 
 def train_density(model, seqs, *, epochs, batch_size, lr0, momentum, weight_decay, seed):
     """Maximum likelihood over position rows, one-hot built per step."""
-    feats, targets = density.context_features(seqs, model.context_window, model.alphabet_size)
-    net = RefNet(model.net)
+    c, V = density.layout(model)
+    feats, targets = density.context_features(seqs, c, V)
+    net = RefNet(model)
     rows = feats.shape[0]
     bs = min(batch_size, rows)
     state = RefOptimizer(net, lr0, epochs * ((rows + bs - 1) // bs), momentum, weight_decay)
@@ -189,7 +190,7 @@ def train_density(model, seqs, *, epochs, batch_size, lr0, momentum, weight_deca
         for start in range(0, rows, bs):
             idx = perm[start : start + bs]
             logits, cache = forward_cached(net, feats[idx])
-            dlog = (softmax(logits) - one_hot(targets[idx], model.alphabet_size)) / idx.size
+            dlog = (softmax(logits) - one_hot(targets[idx], V)) / idx.size
             net = sgd_step(net, backward(net, cache, dlog), state)
     return net
 
@@ -197,8 +198,8 @@ def train_density(model, seqs, *, epochs, batch_size, lr0, momentum, weight_deca
 def finetune_density(model, a, b, *, margin, epochs, batch_size, lr0, momentum, weight_decay,
                      mle_weight, margin_weight, seed):
     """Paired margin fine-tuning with outliers drawn cyclically by position."""
-    c, V = model.context_window, model.alphabet_size
-    net = RefNet(model.net)
+    c, V = density.layout(model)
+    net = RefNet(model)
     n_in = a.shape[0]
     bs = min(batch_size, n_in)
     state = RefOptimizer(net, lr0, epochs * ((n_in + bs - 1) // bs), momentum, weight_decay)

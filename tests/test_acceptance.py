@@ -124,15 +124,14 @@ def _density_case(rng):
     mw, gw = 1.0, 0.7
     analytic = density.margin_grad(model, a, b, margin, mle_weight=mw, margin_weight=gw)
 
-    def loss(net):
-        q = density.ARModelParams(c, V, net)
+    def loss(q):
         mle = float(np.mean(density.nll_batch(q, a) / D))
         hinge = float(
             np.mean(np.maximum(0.0, margin + density.nll_batch(q, a) - density.nll_batch(q, b)))
         )
         return mw * mle + gw * hinge
 
-    numeric = fd.fd_gradient(model.net, loss)
+    numeric = fd.fd_gradient(model, loss)
     return fd.max_rel_err(analytic, numeric)
 
 

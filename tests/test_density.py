@@ -16,8 +16,7 @@ LN2 = math.log(2.0)
 
 def _uniform_model(V, c=2, hidden=(4,)):
     m = density.init_ar_model(V, c, hidden, seed=0)
-    for a in m.net.arrays():
-        a[...] = 0.0
+    m.vector[...] = 0.0
     return m
 
 
@@ -44,9 +43,16 @@ class TestDiscreteSequence:
         assert density.nll_batch(m, [0, 1, 2]).shape == (1,)
 
     def test_model_shape_validation(self):
-        net = nn_core.init_network([5, 4, 3], seed=0)
-        with pytest.raises(ConfigurationError):
-            density.ARModelParams(2, 3, net).validate()  # needs input dim 2*(3+1)=8
+        assert density.layout(density.init_ar_model(3, 2, (4,), seed=0)) == (2, 3)
+        assert density.layout(nn_core.init_network([15, 4, 4], seed=0)) == (3, 4)
+        # input 5 is no positive multiple of V + 1 = 4; input 3 < V + 1;
+        # an output width of 1 is no alphabet
+        for dims in ([5, 4, 3], [3, 4, 3], [6, 4, 1]):
+            net = nn_core.init_network(dims, seed=0)
+            with pytest.raises(ConfigurationError, match="not a density layout"):
+                density.layout(net)
+            with pytest.raises(ConfigurationError, match="not a density layout"):
+                density.nll_batch(net, [0, 0])
 
 
 class TestNll:
@@ -71,7 +77,7 @@ class TestNll:
         for t in range(seq.size):
             window = padded[t : t + c]
             feat = eye[window].reshape(1, -1)
-            logits = nn_core.forward(m.net, feat)
+            logits = nn_core.forward(m, feat)
             p = nn_core.softmax(logits)[0]
             total += -math.log(p[seq[t]])
         got = density.nll_batch(m, seq)[0]
@@ -152,7 +158,7 @@ class TestTrainDensity:
         m = density.init_ar_model(3, 2, (6,), seed=2)
         a = density.train_density(m, data, epochs=3, seed=9)
         b = density.train_density(m, data, epochs=3, seed=9)
-        for x, y in zip(a.net.arrays(), b.net.arrays()):
+        for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
     def test_epoch_validation(self):
@@ -181,15 +187,14 @@ class TestMarginGrad:
 
         analytic = density.margin_grad(m, a, b, margin, mle_weight=mw, margin_weight=gw)
 
-        def loss(net):
-            q = density.ARModelParams(c, V, net)
+        def loss(q):
             mle = float(np.mean(density.nll_batch(q, a) / D))
             hinge = float(
                 np.mean(np.maximum(0.0, margin + density.nll_batch(q, a) - density.nll_batch(q, b)))
             )
             return mw * mle + gw * hinge
 
-        numeric = fd.fd_gradient(m.net, lambda q: loss(q))
+        numeric = fd.fd_gradient(m, loss)
         assert fd.max_rel_err(analytic, numeric) < 1e-4
 
     def test_satisfied_margin_leaves_only_the_mle_term(self):
@@ -285,7 +290,7 @@ class TestFinetune:
         b = rng.integers(0, V, size=(40, D))
         m = density.init_ar_model(V, 2, (8,), seed=6)
         m = density.train_density(m, a, epochs=5, lr0=0.2, seed=6)
-        state = nn_core.init_optimizer(m.net, lr0=1e-3, total_steps=20)
+        state = nn_core.init_optimizer(m, lr0=1e-3, total_steps=20)
         margin = float(D)
         for _ in range(20):
             mle_before = np.mean(density.nll_batch(m, a)) / D
@@ -293,7 +298,7 @@ class TestFinetune:
                 np.mean(np.maximum(0.0, margin + density.nll_batch(m, a) - density.nll_batch(m, b)))
             )
             g = density.margin_grad(m, a, b, margin)
-            nn_core.sgd_step(m.net, g, state)
+            nn_core.sgd_step(m, g, state)
             mle_after = np.mean(density.nll_batch(m, a)) / D
             assert mle_after - mle_before <= abs(hinge) + 1e-12
 
@@ -302,8 +307,8 @@ class TestNormalization:
     def test_predictive_rows_sum_to_one(self):
         m = density.init_ar_model(5, 3, (7,), seed=11)
         seqs = np.random.default_rng(1).integers(0, 5, size=(4, 6))
-        feats, _ = density.context_features(seqs, m.context_window, m.alphabet_size)
-        logits, _ = nn_core.forward_cached(m.net, feats)
+        feats, _ = density.context_features(seqs, *density.layout(m))
+        logits, _ = nn_core.forward_cached(m, feats)
         p = nn_core.softmax(logits)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
@@ -328,25 +333,17 @@ class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         m = density.init_ar_model(5, 2, (8, 4), seed=9, activation="tanh")
         path = tmp_path / "density.bin"
-        density.save_ar_model(m, path)
-        q = density.load_ar_model(path)
-        assert q.context_window == m.context_window
-        assert q.alphabet_size == m.alphabet_size
-        assert q.net.activation == "tanh"
-        for x, y in zip(m.net.arrays(), q.net.arrays()):
+        nn_core.save_params(m, path)
+        q = nn_core.load_params(path)
+        assert density.layout(q) == (2, 5)
+        assert q.activation == "tanh"
+        for x, y in zip(m.arrays(), q.arrays()):
             assert np.array_equal(x, y)
-
-    def test_missing_sidecar_rejected(self, tmp_path):
-        m = density.init_ar_model(3, 2, (4,), seed=0)
-        path = tmp_path / "density.bin"
-        nn_core.save_params(m.net, path)  # no sidecar
-        with pytest.raises(DataError):
-            density.load_ar_model(path)
 
     def test_scores_survive_round_trip(self, tmp_path):
         m = density.init_ar_model(3, 2, (4,), seed=2)
         seqs = np.random.default_rng(3).integers(0, 3, size=(5, 6))
         path = tmp_path / "density.bin"
-        density.save_ar_model(m, path)
-        q = density.load_ar_model(path)
+        nn_core.save_params(m, path)
+        q = nn_core.load_params(path)
         assert np.array_equal(density.nll_batch(m, seqs), density.nll_batch(q, seqs))

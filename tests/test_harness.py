@@ -139,7 +139,7 @@ class TestConfigValidation:
             _tiny_config(pipeline="distill")
 
     def test_negative_lambda(self):
-        for lam in (-0.1, float("nan")):
+        for lam in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="lambda"):
                 _tiny_config(lam=lam)
 
@@ -150,6 +150,25 @@ class TestConfigValidation:
     def test_duplicate_seeds(self):
         with pytest.raises(ConfigurationError, match="distinct"):
             _tiny_config(seeds=(0, 1, 0))
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seeds must be nonnegative, got -1"):
+            _tiny_config(seeds=(0, -1))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seeds", "012"), ("seeds", [0, 1.0]), ("seeds", [True]), ("hidden_dims", "32"), ("hidden_dims", [8, "4"])],
+    )
+    def test_integer_lists_refuse_strings_and_non_integers(self, key, value):
+        d = _tiny_config().to_dict()
+        (d["model"] if key == "hidden_dims" else d)[key] = value
+        with pytest.raises(ConfigurationError, match=f"{key} must be a list of integers"):
+            ExperimentConfig.from_dict(d)
+
+    def test_context_window_below_one(self):
+        # validation runs before prepare_data builds any dataset
+        with pytest.raises(ConfigurationError, match="context_window must be >= 1"):
+            _tiny_density_config(model=ModelSettings(hidden_dims=(8,), context_window=0))
 
     def test_epoch_ranges(self):
         with pytest.raises(ConfigurationError, match="epoch"):
@@ -926,31 +945,38 @@ class TestCli:
         assert "internal error" in capsys.readouterr().err
 
     def test_train_finetune_eval_chain(self, tmp_path, capsys):
-        path = self._write_config(tmp_path)
-        out = tmp_path / "out"
-        assert cli.main(["train", "-c", str(path), "-o", str(out), "-q"]) == 0
-        baseline = out / "baseline_seed0.bin"
-        assert baseline.exists()
-        params = nn_core.load_params(baseline)
-        assert params.layer_dims[0] == 2
+        # a classifier and a density model each go through train, finetune
+        # and eval as one .bin; eval's score file is the pool evaluate_detector
+        # scores for the same model
+        density_config = get_preset("preset_density", seeds=(0,))
+        density_config.epochs, density_config.finetune_epochs = 2, 1
+        cases = [
+            ("msp", self._write_config(tmp_path), [2, 8, 3], "ring"),
+            ("density_bpp", tmp_path / "density.json", [2 * (8 + 1), 32, 8], "periodic_even"),
+        ]
+        save_config(density_config, cases[1][1])
+        for detector, path, dims, test_set in cases:
+            out = tmp_path / detector
+            assert cli.main(["train", "-c", str(path), "-o", str(out), "-q"]) == 0
+            baseline = out / "baseline_seed0.bin"
+            assert nn_core.load_params(baseline).layer_dims == dims
 
-        rc = cli.main(
-            ["finetune", "-c", str(path), "-o", str(out), "-q", "--params", str(baseline)]
-        )
-        assert rc == 0
-        tuned = out / "finetuned_seed0.bin"
-        assert tuned.exists()
+            rc = cli.main(["finetune", "-c", str(path), "-o", str(out), "-q", "--params", str(baseline)])
+            assert rc == 0
+            tuned = out / "finetuned_seed0.bin"
+            assert sorted(p.name for p in out.iterdir()) == ["baseline_seed0.bin", "finetuned_seed0.bin"]
 
-        rc = cli.main(["eval", "-c", str(path), "-o", str(out), "-q", "--params", str(tuned)])
-        assert rc == 0
-        payload = json.loads((out / "eval_seed0.json").read_text())
-        assert "ring" in payload
-        assert 0.0 <= payload["ring"]["auroc"] <= 1.0
+            rc = cli.main(["eval", "-c", str(path), "-o", str(out), "-q", "--params", str(tuned)])
+            assert rc == 0
+            payload = json.loads((out / "eval_seed0.json").read_text())
+            assert 0.0 <= payload[test_set]["auroc"] <= 1.0
 
-        config = load_config(path)
-        _, pools = pipeline.evaluate_detector(nn_core.load_params(tuned), config, pipeline.prepare_data(config, 0), 0)
-        reference_reports.write_pool_scores(tmp_path / "reference.csv", pools["ring"])
-        assert (out / "scores_ring_seed0.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            config = load_config(path)
+            model = nn_core.load_params(tuned)
+            _, pools = pipeline.evaluate_detector(model, config, pipeline.prepare_data(config, 0), 0)
+            reference = tmp_path / f"reference_{detector}.csv"
+            reference_reports.write_pool_scores(reference, pools[test_set])
+            assert (out / f"scores_{test_set}_seed0.csv").read_bytes() == reference.read_bytes(), detector
 
     def test_eval_rejects_corrupt_params(self, tmp_path, capsys):
         path = self._write_config(tmp_path)
@@ -971,19 +997,27 @@ class TestCli:
         assert rc == 1
         assert "head flag 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sidecar", ["truncated", "{}"], ids=["truncated", "empty_object"])
-    def test_eval_rejects_a_bad_density_sidecar(self, tmp_path, capsys, sidecar):
+    def test_eval_and_finetune_refuse_a_net_that_is_no_density_layout(self, tmp_path, capsys):
+        # input width 10 is no multiple of V + 1 = 4 for the 3 output symbols
+        path = tmp_path / "cfg.json"
+        save_config(_tiny_density_config(), path)
+        params = tmp_path / "net.bin"
+        nn_core.save_params(nn_core.init_network([10, 8, 3], seed=0), params)
+        for command in ("eval", "finetune"):
+            rc = cli.main([command, "-c", str(path), "-o", str(tmp_path / "out"), "-q", "--params", str(params)])
+            assert rc == 1, command
+            err = capsys.readouterr().err
+            assert str(params) in err and "not a density layout" in err, command
+
+    def test_eval_ignores_a_sidecar_left_by_older_runs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         save_config(_tiny_density_config(), path)
         params = tmp_path / "density.bin"
-        density.save_ar_model(density.init_ar_model(4, 2, (8,), seed=0), params)
-        meta = tmp_path / "density.bin.meta.json"
-        body = meta.read_text()
-        meta.write_text(body[: len(body) // 2] if sidecar == "truncated" else sidecar)
-        rc = cli.main(["eval", "-c", str(path), "-o", str(tmp_path / "out"), "-q", "--params", str(params)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert str(meta) in err and "internal error" not in err
+        nn_core.save_params(density.init_ar_model(4, 2, (8,), seed=0), params)
+        (tmp_path / "density.bin.meta.json").write_text("not json")
+        out = tmp_path / "out"
+        assert cli.main(["eval", "-c", str(path), "-o", str(out), "-q", "--params", str(params)]) == 0
+        assert (out / "scores_periodic_seed0.csv").exists()
 
     def test_missing_params_file_is_usage_error(self, tmp_path, capsys):
         path = self._write_config(tmp_path)
@@ -1006,6 +1040,25 @@ class TestCli:
         assert "training diverged" in err
         assert "seed 0, stage train_baseline" in err
         assert "epoch 1 of 3" in err
+
+    @pytest.mark.parametrize("command", ["run", "train", "finetune", "eval", "gen-outliers", "make-data"])
+    def test_negative_seed_override_exits_one_and_names_it(self, tmp_path, capsys, command):
+        path = self._write_config(tmp_path)
+        extra = ["--params", str(tmp_path / "unread.bin")] if command in ("finetune", "eval") else []
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q", "--seed", "-1", *extra]) == 1
+        err = capsys.readouterr().err
+        assert "seeds must be nonnegative, got -1" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("key, value", [("seeds", [-1]), ("lambda", float("inf"))])
+    def test_config_with_a_bad_seed_or_lambda_exits_one(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        body = _tiny_config().to_dict()
+        body[key] = value
+        path.write_text(json.dumps(body))
+        assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "internal error" not in err
 
     def test_run_rejects_duplicate_seeds(self, tmp_path, capsys):
         # A repeated seed would write its report files twice and count it
@@ -1044,7 +1097,7 @@ class TestCli:
         assert cli.main(["finetune", *common, "--params", str(out / f"baseline_seed{seed}.bin")]) == 0
         for name, model in zip(("baseline", "finetuned"), run_models[seed]):
             expected = tmp_path / f"run_{name}.bin"
-            cli._save_model(model, expected)
+            nn_core.save_params(model, expected)
             assert (out / f"{name}_seed{seed}.bin").read_bytes() == expected.read_bytes(), name
 
     def test_gen_outliers(self, tmp_path, capsys):

@@ -24,7 +24,7 @@ def _logit_scores(kind, logits):
 
 def _uniform_density(V, c=2, hidden=(4,)):
     m = density.init_ar_model(V, c, hidden, seed=0)
-    m.net.vector[...] = 0.0
+    m.vector[...] = 0.0
     return m
 
 

@@ -58,20 +58,20 @@ def _sequences():
 def test_density_mle_loop_matches_reference():
     seqs, _ = _sequences()
     model = density.init_ar_model(5, 2, (8,), seed=2)
-    before = model.net.vector.tobytes()
+    before = model.vector.tobytes()
     trained = density.train_density(model, seqs, **SETTINGS)
-    _assert_same(trained.net, ref.train_density(model, seqs, **SETTINGS))
-    assert model.net.vector.tobytes() == before
+    _assert_same(trained, ref.train_density(model, seqs, **SETTINGS))
+    assert model.vector.tobytes() == before
 
 
 def test_density_margin_finetune_matches_reference():
     inliers, outliers = _sequences()
     model = density.train_density(density.init_ar_model(5, 2, (8,), seed=2), inliers, **SETTINGS)
-    before = model.net.vector.tobytes()
+    before = model.vector.tobytes()
     extra = dict(margin=9.0, mle_weight=1.0, margin_weight=0.7)
     trained = density.finetune_density_oe(model, inliers, outliers, **extra, **SETTINGS)
-    _assert_same(trained.net, ref.finetune_density(model, inliers, outliers, **extra, **SETTINGS))
-    assert model.net.vector.tobytes() == before
+    _assert_same(trained, ref.finetune_density(model, inliers, outliers, **extra, **SETTINGS))
+    assert model.vector.tobytes() == before
 
 
 def test_divergence_names_the_epoch():
@@ -129,12 +129,12 @@ def _sequences_for(member):
 def test_stacked_density_mle_matches_reference_per_member():
     seqs = [_sequences_for(m)[0] for m in range(3)]
     models = [density.init_ar_model(5, 2, (8,), seed=60 + m) for m in range(3)]
-    stack = density.ARModelParams.stack(models)
-    before = stack.net.vector.copy()
+    stack = nn_core.NetworkParams.stack(models)
+    before = stack.vector.copy()
     trained = density.train_density(stack, np.stack(seqs), **_stack_settings())
-    assert np.array_equal(stack.net.vector, before)
+    assert np.array_equal(stack.vector, before)
     for model, s, seed, got in zip(models, seqs, STACK_SEEDS, trained.unstack()):
-        _assert_same(got.net, ref.train_density(model, s, **{**SETTINGS, "seed": seed}))
+        _assert_same(got, ref.train_density(model, s, **{**SETTINGS, "seed": seed}))
 
 
 def test_stacked_density_margin_finetune_matches_reference_per_member():
@@ -143,14 +143,14 @@ def test_stacked_density_margin_finetune_matches_reference_per_member():
         density.train_density(density.init_ar_model(5, 2, (8,), seed=60 + m), pairs[m][0], **SETTINGS)
         for m in range(3)
     ]
-    stack = density.ARModelParams.stack(models)
-    before = stack.net.vector.copy()
+    stack = nn_core.NetworkParams.stack(models)
+    before = stack.vector.copy()
     inliers, outliers = (np.stack(parts) for parts in zip(*pairs))
     extra = dict(margin=9.0, mle_weight=1.0, margin_weight=0.7)
     trained = density.finetune_density_oe(stack, inliers, outliers, **extra, **_stack_settings())
-    assert np.array_equal(stack.net.vector, before)
+    assert np.array_equal(stack.vector, before)
     for model, (a, b), seed, got in zip(models, pairs, STACK_SEEDS, trained.unstack()):
-        _assert_same(got.net, ref.finetune_density(model, a, b, **extra, **{**SETTINGS, "seed": seed}))
+        _assert_same(got, ref.finetune_density(model, a, b, **extra, **{**SETTINGS, "seed": seed}))
 
 
 def test_divergence_names_the_member_and_its_step():
