@@ -39,29 +39,27 @@ def _predictions(confidence, correct):
     return conf, corr.astype(bool).astype(np.float64)
 
 
-def adaptive_bins(confidence, target_per_bin: int = 100):
+def adaptive_bins(confidence):
     """Split records, sorted by confidence, into contiguous near-equal-count bins.
 
-    Bin count is max(1, round(n / target_per_bin)); bin sizes differ by at
+    Bin count is max(1, round(n / 100)); bin sizes differ by at
     most one. Returns each bin as an array of record indices in ascending
     confidence order.
     """
-    if target_per_bin < 1:
-        raise ParameterError("target_per_bin must be positive")
     conf = np.asarray(confidence, dtype=np.float64).ravel()
     if conf.size == 0:
         raise InputError("no prediction records")
     n = conf.size
     order = np.argsort(conf, kind="mergesort")
-    b = max(1, round(n / target_per_bin))
+    b = max(1, round(n / 100))
     base, rem = divmod(n, b)
     sizes = [base + (1 if i < rem else 0) for i in range(b)]
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
-def _bin_gaps(conf, corr, target_per_bin: int):
+def _bin_gaps(conf, corr):
     """Per-bin weights |B_b| / n and gaps accuracy_b - mean confidence_b."""
-    bins = adaptive_bins(conf, target_per_bin)
+    bins = adaptive_bins(conf)
     n = conf.size
     weights = [idx.size / n for idx in bins]
     gaps = [float(corr[idx].mean() - conf[idx].mean()) for idx in bins]
@@ -76,16 +74,16 @@ def _mad(weights, gaps) -> float:
     return float(math.fsum(w * abs(g) for w, g in zip(weights, gaps)))
 
 
-def rms_calibration_error(confidence, correct, target_per_bin: int = 100) -> float:
+def rms_calibration_error(confidence, correct) -> float:
     """sqrt(sum_b (|B_b| / n) * (accuracy_b - mean confidence_b)^2)."""
     conf, corr = _predictions(confidence, correct)
-    return _rms(*_bin_gaps(conf, corr, target_per_bin))
+    return _rms(*_bin_gaps(conf, corr))
 
 
-def mad_calibration_error(confidence, correct, target_per_bin: int = 100) -> float:
+def mad_calibration_error(confidence, correct) -> float:
     """sum_b (|B_b| / n) * |accuracy_b - mean confidence_b|; never exceeds RMS."""
     conf, corr = _predictions(confidence, correct)
-    return _mad(*_bin_gaps(conf, corr, target_per_bin))
+    return _mad(*_bin_gaps(conf, corr))
 
 
 def _soft_f1_flagged(conf, corr):
@@ -106,11 +104,11 @@ def soft_f1(confidence, correct) -> float:
     return value
 
 
-def tune_temperature(logits, labels, grid_points: int = 200) -> float:
+def tune_temperature(logits, labels) -> float:
     """Scalar temperature minimizing cross-entropy of logits / T on a held-out set.
 
-    Searches a log-spaced grid over [0.01, 100] (with T = 1 included
-    exactly) and refines between the best point's neighbors by
+    Searches a 200-point log-spaced grid over [0.01, 100] (with T = 1
+    included exactly) and refines between the best point's neighbors by
     golden-section search. Network parameters are untouched.
     """
     logits = np.asarray(logits, dtype=np.float64)
@@ -147,7 +145,7 @@ def tune_temperature(logits, labels, grid_points: int = 200) -> float:
     def nll_at(t: float) -> float:
         return float(_nll_at([t])[0])
 
-    grid = np.unique(np.concatenate((np.logspace(-2.0, 2.0, int(grid_points)), [1.0])))
+    grid = np.unique(np.concatenate((np.logspace(-2.0, 2.0, 200), [1.0])))
     ces = _nll_at(grid)
     best = int(np.argmin(ces))
     lo = math.log(grid[max(best - 1, 0)])
@@ -208,11 +206,10 @@ def mixed_prediction_records(in_conf, in_correct, ood_conf, seed=0):
     return np.concatenate((in_conf, ood_conf)), np.concatenate((in_correct, np.zeros(m, dtype=bool)))
 
 
-def report_from_records(confidence, correct, temperature: float = 1.0, rescaled: bool = False,
-                        target_per_bin: int = 100) -> CalibrationReport:
+def report_from_records(confidence, correct, temperature: float = 1.0, rescaled: bool = False) -> CalibrationReport:
     """RMS and MAD calibration errors and soft F1 of (confidence, correct) records."""
     conf, corr = _predictions(confidence, correct)
-    weights, gaps = _bin_gaps(conf, corr, target_per_bin)
+    weights, gaps = _bin_gaps(conf, corr)
     f1, degenerate = _soft_f1_flagged(conf, corr)
     return CalibrationReport(
         _rms(weights, gaps), _mad(weights, gaps), f1, float(temperature), bool(rescaled), len(gaps), degenerate

@@ -37,10 +37,14 @@ def layout(net: nn_core.NetworkParams) -> tuple[int, int]:
     return c, V
 
 
+def ar_layer_dims(alphabet_size, context_window, hidden_dims) -> list:
+    """The widths of a density net over the window and alphabet (layout reads them back)."""
+    return [int(context_window) * (int(alphabet_size) + 1), *[int(h) for h in hidden_dims], int(alphabet_size)]
+
+
 def init_ar_model(alphabet_size, context_window, hidden_dims, seed, activation="relu") -> nn_core.NetworkParams:
     """A seeded density net over the window and alphabet (init_network)."""
-    dims = [int(context_window) * (int(alphabet_size) + 1), *[int(h) for h in hidden_dims], int(alphabet_size)]
-    net = nn_core.init_network(dims, seed, activation=activation)
+    net = nn_core.init_network(ar_layer_dims(alphabet_size, context_window, hidden_dims), seed, activation=activation)
     layout(net)
     return net
 

@@ -17,7 +17,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .. import calibration as calib_mod
-from .. import density as density_mod
 from .. import nn_core
 from ..errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from . import pipeline, reports
@@ -51,14 +50,13 @@ def _out_dir(args, default: str) -> Path:
     return out
 
 
-def _load_model(config: ExperimentConfig, path: str) -> nn_core.NetworkParams:
-    """A saved net; under density_bpp its widths must be a density layout."""
+def _load_model(config: ExperimentConfig, train: pipeline.TrainingSet, path: str) -> nn_core.NetworkParams:
+    """A saved net, refused unless it has the widths and activation the config builds on these data."""
     net = nn_core.load_params(path)
-    if config.detector == "density_bpp":
-        try:
-            density_mod.layout(net)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
+    want = pipeline.layer_dims(config, train)
+    if net.layer_dims != want or net.activation != config.model.activation:
+        raise ConfigurationError(f"{path}: the net has layer widths {net.layer_dims} and activation "
+                                 f"{net.activation!r}, but this config builds {want} with {config.model.activation!r}")
     return net
 
 
@@ -96,9 +94,8 @@ def cmd_finetune(args) -> int:
     config = _resolve_config(args.config)
     seed = _pick_seed(config, args)
     out = _out_dir(args, f"runs/{config.name}")
-    bundle = pipeline.prepare_data(config, seed)
-    baseline = _load_model(config, args.params)
-    [model] = pipeline.finetune_oe(config, pipeline.training_set([bundle], [seed]), [baseline])
+    train = pipeline.training_set([pipeline.prepare_data(config, seed)], [seed])
+    [model] = pipeline.finetune_oe(config, train, [_load_model(config, train, args.params)])
     path = out / f"finetuned_seed{seed}.bin"
     nn_core.save_params(model, path)
     if not args.quiet:
@@ -111,7 +108,7 @@ def cmd_eval(args) -> int:
     seed = _pick_seed(config, args)
     out = _out_dir(args, f"runs/{config.name}")
     bundle = pipeline.prepare_data(config, seed)
-    model = _load_model(config, args.params)
+    model = _load_model(config, pipeline.training_set([bundle], [seed]), args.params)
     rep, pools = pipeline.evaluate_detector(model, config, bundle, seed)
     payload = {name: asdict(r) for name, r in rep.items()}
     (out / f"eval_seed{seed}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

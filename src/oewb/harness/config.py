@@ -1,19 +1,26 @@
 """Experiment configuration: dataset specs, model settings, validation.
 
-Configs are flat JSON documents. The validation here is structural: the
-auxiliary outlier spec must differ from every test outlier spec (the
-materialized rows are additionally scanned for duplicates at run time).
-The detector x pipeline pairs in REFUSED_PAIRS are rejected. Validation
-outlier specs (d_out_val) are materialized for make-data and gen-outliers
-and echoed in the resolved config; no stage of a run reads them, and
-nothing selects hyperparameters.
+The three dataclasses are the config schema. A JSON config's keys are
+their fields, with lam written "lambda" and base_rate as "out:in". Each
+value must already have its field's declared type: nothing is cast, and
+the one value accepted for another type is an integer for a number. An
+absent field keeps its dataclass default. Validation then checks ranges
+and structure: the auxiliary outlier spec must differ from every test
+outlier spec (the materialized rows are additionally scanned for
+duplicates at run time), and the detector x pipeline pairs in
+REFUSED_PAIRS are rejected. Validation outlier specs (d_out_val) are
+materialized for make-data and gen-outliers and echoed in the resolved
+config; no stage of a run reads them, and nothing selects
+hyperparameters.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import re
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from ..errors import ConfigurationError
@@ -27,18 +34,65 @@ REFUSED_PAIRS = {
 }
 
 
-def _reject_unknown_keys(d: dict, allowed: tuple, what: str) -> None:
-    # A typo'd key would otherwise fall back to its default and run anyway.
-    unknown = sorted(set(d) - set(allowed))
+# The one field whose JSON key differs from its name; the key is a Python keyword.
+_WIRE_NAMES = {"lam": "lambda"}
+_TYPE_NAMES = {bool: ("true or false", "booleans"), int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), dict: ("a JSON object", "objects")}
+
+
+def _is(value, t) -> bool:
+    """Whether a JSON value has type t, uncast: a bool is no number, and an
+    int is a float but a float is no int."""
+    if isinstance(value, bool):
+        return t is bool
+    return isinstance(value, (int, float) if t is float else t)
+
+
+def _typed(value, hint, key: str):
+    """value as a field declared `hint`, refused unless it already has that type."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _typed(value, args[0], key)
+    if is_dataclass(hint):
+        return _from_json(hint, value, key)
+    origin = typing.get_origin(hint)
+    if origin in (list, tuple):
+        item = args[0]
+        nested = is_dataclass(item)
+        if not isinstance(value, (list, tuple)) or not (nested or all(_is(v, item) for v in value)):
+            items = "objects" if nested else _TYPE_NAMES[item][1]
+            raise ConfigurationError(f"{key} must be a list of {items}, got {value!r}")
+        return origin(_typed(v, item, f"{key}[{i}]") for i, v in enumerate(value))
+    if not _is(value, hint):
+        raise ConfigurationError(f"{key} must be {_TYPE_NAMES[hint][0]}, got {value!r}")
+    return float(value) if hint is float else value
+
+
+def _from_json(cls, d, path: str = ""):
+    """A cls built from the JSON object d. Its keys are the dataclass fields
+    (under their wire names), each value of its field's declared type;
+    absent fields keep their defaults. path names d in errors."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{path or 'a config'} must be a JSON object, got {d!r}")
+    by_key = {_WIRE_NAMES.get(f.name, f.name): f for f in fields(cls)}
+    where = f" in {path}" if path else ""
+    unknown = sorted(set(d) - set(by_key))
     if unknown:
-        raise ConfigurationError(f"unknown {what} key(s): {', '.join(unknown)}")
+        # A typo'd key would otherwise fall back to its default and run anyway.
+        label = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+        raise ConfigurationError(f"unknown {label} key(s){where}: {', '.join(unknown)}")
+    missing = [k for k, f in by_key.items() if k not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"missing key(s){where}: {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        f.name: _typed(d[k], hints[f.name], f"{path}.{k}" if path else k) for k, f in by_key.items() if k in d
+    })
 
 
-def _int_list(value, what: str) -> tuple:
-    # A string would otherwise be split into its characters ("32" -> 3, 2).
-    if not isinstance(value, (list, tuple)) or not all(type(v) is int for v in value):
-        raise ConfigurationError(f"{what} must be a list of integers, got {value!r}")
-    return tuple(value)
+def _wire(items) -> dict:
+    """asdict's dict_factory: wire names, and tuples as JSON lists."""
+    return {_WIRE_NAMES.get(k, k): list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
 @dataclass
@@ -55,31 +109,18 @@ class DatasetSpec:
             raise ConfigurationError("dataset spec needs a name")
         if self.kind == "file" and not self.path:
             raise ConfigurationError(f"file dataset {self.name!r} needs a path")
-        if self.kind == "generator" and "generator" not in self.params:
-            raise ConfigurationError(f"generator dataset {self.name!r} needs params['generator']")
+        if self.kind == "generator" and not isinstance(self.params.get("generator"), str):
+            raise ConfigurationError(f"generator dataset {self.name!r} needs params['generator'] as a string")
         return self
 
     def fingerprint(self) -> str:
         body = {"kind": self.kind, "params": self.params, "path": self.path}
         return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSpec":
-        _reject_unknown_keys(d, ("kind", "name", "params", "path"), "dataset spec")
-        return cls(
-            kind=d.get("kind", ""),
-            name=d.get("name", ""),
-            params=dict(d.get("params", {})),
-            path=d.get("path"),
-        ).validate()
-
 
 @dataclass
 class ModelSettings:
-    hidden_dims: tuple = (32, 32)
+    hidden_dims: tuple[int, ...] = (32, 32)
     activation: str = "relu"
     lr0: float = 0.1
     finetune_lr0: float = 1e-3
@@ -93,35 +134,42 @@ class ModelSettings:
     margin: float | None = None  # None -> sequence length, in nats
 
     def validate(self) -> "ModelSettings":
-        if not self.lr0 > 0 or not self.finetune_lr0 > 0:
-            raise ConfigurationError("learning rates must be positive")
+        # Each refusal here would otherwise surface only in training, or not at all.
+        if not all(math.isfinite(r) and r > 0 for r in (self.lr0, self.finetune_lr0)):
+            raise ConfigurationError("learning rates must be finite and positive")
+        if not 0 <= self.momentum < 1:
+            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
+        for key in ("weight_decay", "mle_weight", "margin_weight"):
+            if not (math.isfinite(getattr(self, key)) and getattr(self, key) >= 0):
+                raise ConfigurationError(f"{key} must be finite and nonnegative, got {getattr(self, key)}")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be positive")
         if self.activation not in ("relu", "tanh"):
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if any(int(h) < 1 for h in self.hidden_dims):
+        if any(h < 1 for h in self.hidden_dims):
             raise ConfigurationError("hidden_dims must be positive")
         if self.context_window < 1:
             raise ConfigurationError("context_window must be >= 1")
-        if self.margin is not None and not self.margin > 0:
-            raise ConfigurationError("margin must be positive when given")
+        if self.margin is not None and not (math.isfinite(self.margin) and self.margin > 0):
+            raise ConfigurationError("margin must be finite and positive when given")
         return self
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    name: str
+    # Declared in the order to_dict writes them.
+    name: str = "experiment"
     d_in: DatasetSpec
-    d_out_test: list
     d_out_oe: DatasetSpec | None = None
-    d_out_val: list = field(default_factory=list)
+    d_out_test: list[DatasetSpec]
+    d_out_val: list[DatasetSpec] = field(default_factory=list)
     detector: str = "msp"
     pipeline: str = "finetune_oe"
-    lam: float = 0.5
-    seeds: tuple = (0,)
+    lam: float = 0.5  # "lambda" in JSON
+    seeds: tuple[int, ...] = (0,)
     epochs: int = 30
     finetune_epochs: int = 10
-    base_rate: tuple = (1, 5)
+    base_rate: tuple[int, int] = (1, 5)  # "out:in" in JSON
     n_level: float = 95.0
     calibration: bool = False
     model: ModelSettings = field(default_factory=ModelSettings)
@@ -151,16 +199,13 @@ class ExperimentConfig:
             raise ConfigurationError("base_rate must be two positive integers (out, in)")
         if not 0 < self.n_level <= 100:
             raise ConfigurationError("n_level must lie in (0, 100]")
-        self.d_in.validate()
         if not self.d_out_test:
             raise ConfigurationError("at least one test outlier spec is required")
         names = [t.name for t in self.d_out_test]
         if len(set(names)) != len(names):
             raise ConfigurationError("test outlier spec names must be unique")
-        for t in self.d_out_test:
-            t.validate()
-        for v in self.d_out_val:
-            v.validate()
+        for spec in (self.d_in, *self.d_out_test, *self.d_out_val):
+            spec.validate()
         needs_oe = self.pipeline in ("finetune_oe", "scratch_oe") and (
             self.lam > 0 or self.detector == "density_bpp"
         )
@@ -179,95 +224,19 @@ class ExperimentConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "d_in": self.d_in.to_dict(),
-            "d_out_oe": self.d_out_oe.to_dict() if self.d_out_oe else None,
-            "d_out_test": [t.to_dict() for t in self.d_out_test],
-            "d_out_val": [v.to_dict() for v in self.d_out_val],
-            "detector": self.detector,
-            "pipeline": self.pipeline,
-            "lambda": self.lam,
-            "seeds": list(self.seeds),
-            "epochs": self.epochs,
-            "finetune_epochs": self.finetune_epochs,
-            "base_rate": f"{self.base_rate[0]}:{self.base_rate[1]}",
-            "n_level": self.n_level,
-            "calibration": self.calibration,
-            "model": {
-                "hidden_dims": list(self.model.hidden_dims),
-                "activation": self.model.activation,
-                "lr0": self.model.lr0,
-                "finetune_lr0": self.model.finetune_lr0,
-                "batch_size": self.model.batch_size,
-                "momentum": self.model.momentum,
-                "weight_decay": self.model.weight_decay,
-                "context_window": self.model.context_window,
-                "mle_weight": self.model.mle_weight,
-                "margin_weight": self.model.margin_weight,
-                "margin": self.model.margin,
-            },
-        }
+        d = asdict(self, dict_factory=_wire)
+        d["base_rate"] = "{}:{}".format(*self.base_rate)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _reject_unknown_keys(
-            d,
-            ("name", "d_in", "d_out_oe", "d_out_test", "d_out_val", "detector",
-             "pipeline", "lambda", "seeds", "epochs", "finetune_epochs",
-             "base_rate", "n_level", "calibration", "model"),
-            "config",
-        )
-        _reject_unknown_keys(
-            d.get("model", {}),
-            ("hidden_dims", "activation", "lr0", "finetune_lr0", "batch_size",
-             "momentum", "weight_decay", "context_window", "mle_weight",
-             "margin_weight", "margin"),
-            "model setting",
-        )
-        try:
-            base_rate = d.get("base_rate", "1:5")
-            if isinstance(base_rate, str):
-                parts = base_rate.split(":")
-                if len(parts) != 2:
-                    raise ConfigurationError(f"bad base_rate {base_rate!r}, expected 'out:in'")
-                base_rate = (int(parts[0]), int(parts[1]))
-            else:
-                base_rate = (int(base_rate[0]), int(base_rate[1]))
-            m = d.get("model", {})
-            model = ModelSettings(
-                hidden_dims=_int_list(m.get("hidden_dims", (32, 32)), "hidden_dims"),
-                activation=m.get("activation", "relu"),
-                lr0=float(m.get("lr0", 0.1)),
-                finetune_lr0=float(m.get("finetune_lr0", 1e-3)),
-                batch_size=int(m.get("batch_size", 64)),
-                momentum=float(m.get("momentum", 0.9)),
-                weight_decay=float(m.get("weight_decay", 5e-4)),
-                context_window=int(m.get("context_window", 2)),
-                mle_weight=float(m.get("mle_weight", 1.0)),
-                margin_weight=float(m.get("margin_weight", 1.0)),
-                margin=None if m.get("margin") is None else float(m["margin"]),
-            )
-            cfg = cls(
-                name=d.get("name", "experiment"),
-                d_in=DatasetSpec.from_dict(d["d_in"]),
-                d_out_oe=DatasetSpec.from_dict(d["d_out_oe"]) if d.get("d_out_oe") else None,
-                d_out_test=[DatasetSpec.from_dict(t) for t in d.get("d_out_test", [])],
-                d_out_val=[DatasetSpec.from_dict(v) for v in d.get("d_out_val", [])],
-                detector=d.get("detector", "msp"),
-                pipeline=d.get("pipeline", "finetune_oe"),
-                lam=float(d.get("lambda", 0.5)),
-                seeds=_int_list(d.get("seeds", (0,)), "seeds"),
-                epochs=int(d.get("epochs", 30)),
-                finetune_epochs=int(d.get("finetune_epochs", 10)),
-                base_rate=base_rate,
-                n_level=float(d.get("n_level", 95.0)),
-                calibration=bool(d.get("calibration", False)),
-                model=model,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad experiment config: {exc}") from exc
-        return cfg.validate()
+        rate = d.get("base_rate") if isinstance(d, dict) else None
+        if isinstance(rate, str):  # the wire form "out:in"; a 2-list is type-checked as is
+            parts = rate.split(":")
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                raise ConfigurationError(f"bad base_rate {rate!r}, expected 'out:in'")
+            d = {**d, "base_rate": [int(p) for p in parts]}
+        return _from_json(cls, d).validate()
 
 
 def load_config(path) -> ExperimentConfig:

@@ -318,6 +318,34 @@ def ingest_dataset(path, label_column: str | None = "label") -> VectorDataset:
 # Generator registry
 
 
+# The params keys each dataset kind, or each generator, reads. A generator
+# of vector rows also reads n, scale and offset; markov_chain reads n.
+_PARAM_KEYS = {
+    "file": "sequence alphabet_size label_column",
+    "synthetic_gaussian_mixture": "n k n_per_cluster dim separation class_subset",
+    "markov_chain": "generator n length alphabet_size p_step p_stay starts",
+}
+_VECTOR_GENERATOR_KEYS = {
+    "uniform": "shape value_range", "blobs": "shape value_range", "jigsaw": "shape value_range",
+    "rgb_ghost": "shape value_range", "invert": "shape value_range channel_mask",
+    "gaussian": "value_range", "geometric_mean": "value_range", "speckle": "intensity value_range",
+    "rademacher": "", "arithmetic_mean": "", "bernoulli": "p", "uniform_box": "low high",
+    "ring": "radius width", "shifted_gaussian": "mean", "scaled_gaussian": "sigma",
+}
+
+
+def check_params(spec: DatasetSpec) -> None:
+    """Refuse params keys that nothing reads for this spec, so a misspelled
+    setting fails instead of running at its default."""
+    kind = spec.params.get("generator") if spec.kind == "generator" else spec.kind
+    # an unknown generator passes here; materialize_generator refuses it
+    allowed = (_PARAM_KEYS.get(kind) or "generator n scale offset " + _VECTOR_GENERATOR_KEYS.get(kind, "")).split()
+    unknown = sorted(set(spec.params) - set(allowed))
+    if unknown:
+        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key(s) "
+                                 f"{', '.join(unknown)}; it reads {', '.join(sorted(allowed))}")
+
+
 def _grid_shape(params: dict) -> outlier_gen.GridShape:
     try:
         shape = params["shape"]
@@ -430,6 +458,7 @@ def materialize(
     """Produce the rows a spec describes. Synthetic inliers carry labels;
     everything else is unlabeled. Sequence specs return SequenceDataset."""
     spec.validate()
+    check_params(spec)
     if spec.kind == "file":
         if spec.params.get("sequence"):
             return read_sequences_csv(spec.path, int(spec.params["alphabet_size"]))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .. import nn_core
 from .. import scoring as scoring_mod
 from ..errors import ConfigurationError, DataError, DivergenceError
 from .config import ExperimentConfig
-from .datasets import SequenceDataset, VectorDataset, check_disjoint, materialize
+from .datasets import SequenceDataset, VectorDataset, check_disjoint, check_params, materialize
 
 # Role ids for seed derivation. Never renumber: stored artifacts depend on them.
 ROLE_DIN = 0
@@ -87,6 +86,8 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     """Materialize and split every dataset the config names, then refuse to
     continue if any auxiliary outlier row reappears in a test outlier set."""
     config.validate()
+    for spec in config.d_out_val:  # built by make-data and gen-outliers only, but no typo may pass
+        check_params(spec)
     din = materialize(config.d_in, n=config.d_in.params.get("n"), seed=_ss(seed, ROLE_DIN))
     n = din.n
     order = np.random.default_rng(_ss(seed, ROLE_SPLIT)).permutation(n)
@@ -214,14 +215,18 @@ def _stage(name: str, seeds):
         raise DivergenceError(f"seed {seeds[exc.member]}, stage {name}: {exc}", exc.member) from exc
 
 
-def _initial_stack(config: ExperimentConfig, train: TrainingSet) -> nn_core.NetworkParams:
-    """Every seed's freshly initialised net, as one stack."""
+def layer_dims(config: ExperimentConfig, train: TrainingSet) -> list:
+    """The layer widths of the nets this config trains on these data."""
     m = config.model
     if config.detector == "density_bpp":
-        init = partial(density_mod.init_ar_model, train.alphabet_size, m.context_window, m.hidden_dims)
-    else:
-        init = partial(nn_core.init_network, (train.rows.shape[-1], *m.hidden_dims, train.n_classes))
-    nets = [init(seed=_ss(s, ROLE_INIT), activation=m.activation) for s in train.seeds]
+        return density_mod.ar_layer_dims(train.alphabet_size, m.context_window, m.hidden_dims)
+    return [train.rows.shape[-1], *m.hidden_dims, train.n_classes]
+
+
+def _initial_stack(config: ExperimentConfig, train: TrainingSet) -> nn_core.NetworkParams:
+    """Every seed's freshly initialised net, as one stack."""
+    dims = layer_dims(config, train)
+    nets = [nn_core.init_network(dims, _ss(s, ROLE_INIT), config.model.activation) for s in train.seeds]
     return nn_core.NetworkParams.stack(nets)
 
 

@@ -131,21 +131,13 @@ def preset_density(
         d_in=d_in,
         d_out_oe=d_out_oe,
         d_out_test=d_out_test,
-        d_out_val=[],
         detector="density_bpp",
         pipeline=pipeline,
         lam=1.0,
         seeds=tuple(seeds),
         epochs=10,
         finetune_epochs=2,
-        calibration=False,
-        model=ModelSettings(
-            hidden_dims=(32,),
-            lr0=0.1,
-            finetune_lr0=0.05,
-            context_window=2,
-            margin=None,
-        ),
+        model=ModelSettings(hidden_dims=(32,), lr0=0.1, finetune_lr0=0.05, context_window=2),
     ).validate()
 
 

@@ -138,9 +138,9 @@ def ratio_label(n_out: int, n_in: int) -> str:
     return f"{n_out // g}:{n_in // g}"
 
 
-def detection_report(s: ScoredSet, n_level: float = 95.0, base_rate: str | None = None) -> DetectionReport:
+def detection_report(s: ScoredSet, n_level: float = 95.0) -> DetectionReport:
     """AUROC / AUPR / FPR@N for one scored pair of test sets."""
-    label = base_rate if base_rate is not None else ratio_label(s.out_scores.size, s.in_scores.size)
+    label = ratio_label(s.out_scores.size, s.in_scores.size)
     return DetectionReport(auroc(s), aupr(s), fpr_at_tpr(s, n_level), float(n_level), label)
 
 

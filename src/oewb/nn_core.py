@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DivergenceError, ParameterError
+from .errors import ConfigurationError, DataError, DivergenceError, ParameterError, ValidationError
 
 PARAMS_MAGIC = b"OEWB"
 PARAMS_VERSION = 1
@@ -567,18 +567,18 @@ def save_params(params: NetworkParams, path) -> None:
 
 
 def load_params(path) -> NetworkParams:
+    """The net save_params wrote to path; every refusal is a DataError naming the file."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read parameter file {path}: {exc.strerror or exc}") from exc
-    if len(raw) < 12 or raw[:4] != PARAMS_MAGIC:
-        raise DataError("not a parameter file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != PARAMS_VERSION:
-        raise DataError(f"unsupported parameter file version {version}")
-    (n_dims,) = struct.unpack_from("<I", raw, 8)
-    off = 12
     try:
+        if len(raw) < 12 or raw[:4] != PARAMS_MAGIC:
+            raise DataError("not a parameter file (bad magic)")
+        version, n_dims = struct.unpack_from("<II", raw, 4)
+        if version != PARAMS_VERSION:
+            raise DataError(f"unsupported parameter file version {version}")
+        off = 12
         dims = list(struct.unpack_from(f"<{n_dims}I", raw, off))
         off += 4 * n_dims
         act_code, head_flag = struct.unpack_from("<BB", raw, off)
@@ -586,18 +586,17 @@ def load_params(path) -> NetworkParams:
         if act_code not in _ACT_NAMES:
             raise DataError(f"unknown activation code {act_code}")
         if head_flag != 0:
-            raise DataError(f"parameter file {path} has head flag {head_flag}; only head-less nets (flag 0) load")
+            raise DataError(f"head flag {head_flag}; only head-less nets (flag 0) load")
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w_bytes = 8 * fan_in * fan_out
             weights.append(
                 np.frombuffer(raw, dtype="<f8", count=fan_in * fan_out, offset=off).reshape(fan_out, fan_in).copy()
             )
-            off += w_bytes
+            off += 8 * fan_in * fan_out
             biases.append(np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off).copy())
             off += 8 * fan_out
-    except (struct.error, ValueError) as exc:
-        raise DataError(f"truncated or corrupt parameter file: {exc}") from exc
-    if off != len(raw):
-        raise DataError("parameter file has trailing or missing bytes")
-    return NetworkParams(dims, weights, biases, _ACT_NAMES[act_code]).validate()
+        if off != len(raw):
+            raise DataError("trailing or missing bytes")
+        return NetworkParams(dims, weights, biases, _ACT_NAMES[act_code]).validate()
+    except (struct.error, ValueError, ValidationError) as exc:  # struct and numpy raise on truncation
+        raise DataError(f"bad parameter file {path}: {exc}") from exc

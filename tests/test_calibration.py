@@ -68,9 +68,7 @@ class TestAdaptiveBins:
         for a, b in zip(bins, bins[1:]):
             assert conf[a].max() <= conf[b].min()
 
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ParameterError):
-            cal.adaptive_bins([0.5], target_per_bin=0)
+    def test_empty_records_rejected(self):
         with pytest.raises(InputError):
             cal.adaptive_bins([])
 

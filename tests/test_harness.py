@@ -1,6 +1,7 @@
 """Experiment harness: configs, dataset plumbing, pipelines, reports, CLI."""
 
 import copy
+import dataclasses
 import json
 import os
 import shutil
@@ -234,6 +235,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             _tiny_config(model=ModelSettings(margin=-1.0))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("momentum", -0.1), ("momentum", 1.0), ("momentum", float("nan")),
+         ("weight_decay", -1e-4), ("weight_decay", float("inf")),
+         ("lr0", float("inf")), ("finetune_lr0", float("nan")),
+         ("mle_weight", -1.0), ("mle_weight", float("inf")),
+         ("margin_weight", -0.5), ("margin_weight", float("nan")), ("margin", float("inf"))],
+    )
+    def test_model_numbers_training_would_misuse_are_refused(self, key, value):
+        # refused by validate, which runs before prepare_data builds anything
+        with pytest.raises(ConfigurationError, match="learning rates" if "lr0" in key else key):
+            _tiny_density_config(model=ModelSettings(hidden_dims=(8,), **{key: value}))
+
     def test_dataset_spec_validation(self):
         with pytest.raises(ConfigurationError, match="kind"):
             DatasetSpec("parquet", "x").validate()
@@ -292,6 +306,50 @@ class TestConfigSerialization:
         assert back.to_dict() == cfg.to_dict()
         assert back.seeds == (3, 7)
         assert back.base_rate == (2, 9)
+
+    def test_every_field_survives_a_round_trip(self):
+        # every field of the three dataclasses differs from its default, so
+        # a field that from_dict drops or to_dict omits fails the comparison
+        spec = DatasetSpec(kind="file", name="rows", params={"label_column": "y"}, path="rows.csv")
+        cfg = ExperimentConfig(
+            name="all_fields",
+            d_in=spec,
+            d_out_oe=DatasetSpec("generator", "box", {"generator": "uniform_box", "n": 50}),
+            d_out_test=[DatasetSpec("generator", "ring", {"generator": "ring", "radius": 6.0})],
+            d_out_val=[DatasetSpec("generator", "shift", {"generator": "shifted_gaussian"})],
+            detector="uniform_ce",
+            pipeline="scratch_oe",
+            lam=0.25,
+            seeds=(4, 2),
+            epochs=7,
+            finetune_epochs=3,
+            base_rate=(2, 3),
+            n_level=90.0,
+            calibration=True,
+            model=ModelSettings(
+                hidden_dims=(5, 6), activation="tanh", lr0=0.2, finetune_lr0=0.02, batch_size=16,
+                momentum=0.5, weight_decay=1e-3, context_window=3, mle_weight=0.5,
+                margin_weight=2.0, margin=4.0,
+            ),
+        ).validate()
+        for obj, cls in ((cfg, ExperimentConfig), (cfg.model, ModelSettings), (spec, DatasetSpec)):
+            for f in dataclasses.fields(cls):
+                default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+                assert getattr(obj, f.name) != default, f"{cls.__name__}.{f.name} is at its default"
+        wire = json.loads(json.dumps(cfg.to_dict()))
+        assert ExperimentConfig.from_dict(wire) == cfg
+        assert ExperimentConfig.from_dict(wire).to_dict() == cfg.to_dict()
+
+    def test_absent_fields_take_the_dataclass_defaults(self):
+        d = _tiny_config().to_dict()
+        for key in ("name", "d_out_val", "seeds", "base_rate", "calibration", "lambda"):
+            del d[key]
+        d["model"] = {}
+        cfg = ExperimentConfig.from_dict(d)
+        assert (cfg.name, cfg.d_out_val, cfg.seeds, cfg.base_rate, cfg.calibration, cfg.lam) == (
+            "experiment", [], (0,), (1, 5), False, 0.5
+        )
+        assert cfg.model == ModelSettings()
 
     def test_file_round_trip(self, tmp_path):
         cfg = _tiny_config(calibration=True)
@@ -547,6 +605,20 @@ class TestMaterialize:
         spec = DatasetSpec("generator", "g", {"generator": "perlin"})
         with pytest.raises(ConfigurationError, match="perlin"):
             datasets.materialize(spec, n=5, seed=0, dim=3)
+
+    @pytest.mark.parametrize(
+        "spec, unread",
+        [
+            (DatasetSpec("generator", "r", {"generator": "ring", "radus": 6.0}), "radus"),
+            (DatasetSpec("generator", "w", {"generator": "markov_chain", "length": 4, "alphabet_size": 3,
+                                            "scale": 2.0}), "scale"),
+            (DatasetSpec("synthetic_gaussian_mixture", "m", {"k": 3, "seperation": 2.0}), "seperation"),
+            (DatasetSpec("file", "f", {"n": 10}, path="rows.csv"), "n"),
+        ],
+    )
+    def test_params_nothing_reads_are_refused(self, spec, unread):
+        with pytest.raises(ConfigurationError, match=f"does not read params key\\(s\\) {unread};"):
+            datasets.materialize(spec, n=5, seed=0, dim=2)
 
     def test_corruptor_needs_source(self):
         spec = DatasetSpec("generator", "g", {"generator": "speckle"})
@@ -923,6 +995,67 @@ class TestCli:
         path.write_text("{\"name\": \"x\"}")
         assert cli.main(["run", "-c", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("calibration", "false"), ("epochs", 2.9), ("epochs", True), ("lambda", True), ("n_level", True),
+         ("model.batch_size", 64.9), ("model.context_window", "2"), ("model.lr0", "0.1"),
+         ("seeds", [0.0]), ("d_out_test", {"kind": "generator"}), ("d_in.name", 3), ("d_in.params", [])],
+    )
+    def test_mistyped_value_exits_one_naming_the_field(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr(pipeline, "train_models", None)  # nothing may train
+        body = _tiny_config().to_dict()
+        *parents, leaf = key.split(".")
+        target = body
+        for name in parents:
+            target = target[name]
+        target[leaf] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key} must be " in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "role, name, generator, key, typo",
+        [("d_out_test", "ring", "ring", "radius", "radus"),
+         ("d_out_val", "val_shift", "shifted_gaussian", "mean", "meen")],
+    )
+    def test_misspelled_dataset_param_exits_one_before_training(
+        self, tmp_path, capsys, monkeypatch, role, name, generator, key, typo
+    ):
+        # run never builds the d_out_val sets, and still refuses a typo there
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        body = _tiny_config().to_dict()
+        body[role][0]["params"][typo] = body[role][0]["params"].pop(key)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert f"dataset '{name}' ({generator}) does not read params key(s) {typo};" in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "finetune"])
+    @pytest.mark.parametrize("case", ["density_window", "classifier_width", "classifier_activation"])
+    def test_a_net_of_other_widths_or_activation_is_refused(self, tmp_path, capsys, command, case):
+        # the net was built for another config: density window 3 against the
+        # config's 2, hidden width 16 against 8, or tanh against relu
+        if case == "density_window":
+            config, net = _tiny_density_config(), density.init_ar_model(4, 3, (8,), seed=0)
+        else:
+            config = _tiny_config()
+            width, activation = (16, "relu") if case == "classifier_width" else (8, "tanh")
+            net = nn_core.init_network([2, width, 3], seed=0, activation=activation)
+        path, params = tmp_path / "cfg.json", tmp_path / "net.bin"
+        save_config(config, path)
+        nn_core.save_params(net, params)
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q", "--params", str(params)]) == 1
+        err = capsys.readouterr().err
+        assert f"{params}: the net has layer widths {net.layer_dims}" in err, err
+        assert "internal error" not in err
+        assert not any(out.iterdir())
+
     def test_refused_pair_exits_one_and_names_it(self, tmp_path, capsys):
         d = _tiny_density_config().to_dict()
         d["pipeline"] = "scratch_oe"
@@ -1007,7 +1140,7 @@ class TestCli:
             rc = cli.main([command, "-c", str(path), "-o", str(tmp_path / "out"), "-q", "--params", str(params)])
             assert rc == 1, command
             err = capsys.readouterr().err
-            assert str(params) in err and "not a density layout" in err, command
+            assert f"{params}: the net has layer widths [10, 8, 3]" in err, command
 
     def test_eval_ignores_a_sidecar_left_by_older_runs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -175,12 +175,6 @@ class TestDetectionReport:
         assert r.n_level == 95.0
         assert r.base_rate == "1:5"
 
-    def test_explicit_label_override(self):
-        s = _ss([0.0], [1.0])
-        r = metrics.detection_report(s, n_level=90.0, base_rate="1:5")
-        assert r.base_rate == "1:5"
-        assert r.n_level == 90.0
-
 
 class TestCurvePoints:
     def test_roc_matches_sweep_oracle(self):

@@ -1,5 +1,7 @@
 """Dense network forward/backward, optimizer, schedule, and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,6 +352,25 @@ class TestSerialization:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 9])
         with pytest.raises(DataError):
+            nn_core.load_params(path)
+
+    @pytest.mark.parametrize("case", ["magic", "version", "activation", "truncated", "trailing"])
+    def test_every_refusal_names_the_file(self, tmp_path, case):
+        path = tmp_path / "net.bin"
+        nn_core.save_params(nn_core.init_network([3, 5, 4], seed=2), path)
+        blob = bytearray(path.read_bytes())
+        if case == "magic":
+            blob[:4] = b"NOPE"
+        elif case == "version":
+            blob[4] = 9
+        elif case == "activation":
+            blob[12 + 4 * 3] = 7  # the byte after the three dims
+        elif case == "truncated":
+            blob = blob[:-9]
+        else:
+            blob += b"\x00"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=f"^bad parameter file {re.escape(str(path))}: "):
             nn_core.load_params(path)
 
     def test_arrays_are_views_of_the_parameter_vector(self):
