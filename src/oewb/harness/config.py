@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -48,23 +49,37 @@ def _is(value, t) -> bool:
     return isinstance(value, (int, float) if t is float else t)
 
 
-def _typed(value, hint, key: str):
-    """value as a field declared `hint`, refused unless it already has that type."""
+def _type_name(hint) -> str:
+    if typing.get_origin(hint) in (list, tuple):
+        item = typing.get_args(hint)[0]
+        return "a list of " + ("objects" if is_dataclass(item) else _TYPE_NAMES[item][1])
+    return _TYPE_NAMES[hint][0]
+
+
+def typed(value, hint, key: str):
+    """value as a field declared `hint`, refused unless it already has that
+    type. key names the value in the error."""
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
-        return None if value is None else _typed(value, args[0], key)
+        return None if value is None else typed(value, args[0], key)
     if is_dataclass(hint):
         return _from_json(hint, value, key)
     origin = typing.get_origin(hint)
+    if origin is types.UnionType:  # X | Y: the first that fits
+        for arm in args:
+            try:
+                return typed(value, arm, key)
+            except ConfigurationError:
+                pass
+        raise ConfigurationError(f"{key} must be {' or '.join(map(_type_name, args))}, got {value!r}")
     if origin in (list, tuple):
         item = args[0]
         nested = is_dataclass(item)
         if not isinstance(value, (list, tuple)) or not (nested or all(_is(v, item) for v in value)):
-            items = "objects" if nested else _TYPE_NAMES[item][1]
-            raise ConfigurationError(f"{key} must be a list of {items}, got {value!r}")
-        return origin(_typed(v, item, f"{key}[{i}]") for i, v in enumerate(value))
+            raise ConfigurationError(f"{key} must be {_type_name(hint)}, got {value!r}")
+        return origin(typed(v, item, f"{key}[{i}]") for i, v in enumerate(value))
     if not _is(value, hint):
-        raise ConfigurationError(f"{key} must be {_TYPE_NAMES[hint][0]}, got {value!r}")
+        raise ConfigurationError(f"{key} must be {_type_name(hint)}, got {value!r}")
     return float(value) if hint is float else value
 
 
@@ -86,7 +101,7 @@ def _from_json(cls, d, path: str = ""):
         raise ConfigurationError(f"missing key(s){where}: {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
     return cls(**{
-        f.name: _typed(d[k], hints[f.name], f"{path}.{k}" if path else k) for k, f in by_key.items() if k in d
+        f.name: typed(d[k], hints[f.name], f"{path}.{k}" if path else k) for k, f in by_key.items() if k in d
     })
 
 

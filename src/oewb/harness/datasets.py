@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import outlier_gen
 from ..errors import ConfigurationError, DataError
-from .config import DatasetSpec
+from .config import DatasetSpec, typed
 
 DATA_MAGIC = b"OEWD"
 DATA_VERSION = 1
@@ -318,32 +318,59 @@ def ingest_dataset(path, label_column: str | None = "label") -> VectorDataset:
 # Generator registry
 
 
-# The params keys each dataset kind, or each generator, reads. A generator
-# of vector rows also reads n, scale and offset; markov_chain reads n.
-_PARAM_KEYS = {
-    "file": "sequence alphabet_size label_column",
-    "synthetic_gaussian_mixture": "n k n_per_cluster dim separation class_subset",
-    "markov_chain": "generator n length alphabet_size p_step p_stay starts",
+# The params keys each dataset kind, or each generator, reads, and the type
+# each value must already have (as for config fields: nothing is cast, and
+# an integer is accepted as a number). A generator of vector rows also reads
+# the _VECTOR_ROWS keys.
+_PARAM_TYPES = {
+    "file": {"sequence": bool, "alphabet_size": int, "label_column": str | None},
+    "synthetic_gaussian_mixture": {"n": int, "k": int, "n_per_cluster": int, "dim": int, "separation": float,
+                                   "class_subset": list[int]},
+    "markov_chain": {"generator": str, "n": int, "length": int, "alphabet_size": int, "p_step": float,
+                     "p_stay": float, "starts": list[int]},
 }
-_VECTOR_GENERATOR_KEYS = {
-    "uniform": "shape value_range", "blobs": "shape value_range", "jigsaw": "shape value_range",
-    "rgb_ghost": "shape value_range", "invert": "shape value_range channel_mask",
-    "gaussian": "value_range", "geometric_mean": "value_range", "speckle": "intensity value_range",
-    "rademacher": "", "arithmetic_mean": "", "bernoulli": "p", "uniform_box": "low high",
-    "ring": "radius width", "shifted_gaussian": "mean", "scaled_gaussian": "sigma",
+_VECTOR_ROWS = {"generator": str, "n": int, "scale": float, "offset": float | list[float]}
+_GRID = {"shape": list[int], "value_range": list[float]}
+_VECTOR_GENERATOR_TYPES = {
+    "uniform": _GRID, "blobs": _GRID, "jigsaw": _GRID, "rgb_ghost": _GRID,
+    "invert": {**_GRID, "channel_mask": list[bool]},
+    "gaussian": {"value_range": list[float]}, "geometric_mean": {"value_range": list[float]},
+    "speckle": {"intensity": float, "value_range": list[float]},
+    "rademacher": {}, "arithmetic_mean": {}, "bernoulli": {"p": float}, "uniform_box": {"low": float, "high": float},
+    "ring": {"radius": float, "width": float}, "shifted_gaussian": {"mean": list[float]},
+    "scaled_gaussian": {"sigma": float},
 }
+
+
+def _unread_on_this_path(kind: str, params: dict) -> str | None:
+    """A key the kind reads on some paths but not on the one params select."""
+    if kind == "synthetic_gaussian_mixture" and "n" in params and "n_per_cluster" in params:
+        return "n_per_cluster, since n sets the row count"
+    if kind == "file" and params.get("sequence") and "label_column" in params:
+        return "label_column, since sequence files have no labels"
+    if kind == "file" and not params.get("sequence") and "alphabet_size" in params:
+        return "alphabet_size, which only sequence files read"
+    return None
 
 
 def check_params(spec: DatasetSpec) -> None:
     """Refuse params keys that nothing reads for this spec, so a misspelled
-    setting fails instead of running at its default."""
+    or contradictory setting fails instead of running at its default, and
+    values of the wrong type, so nothing is silently cast."""
     kind = spec.params.get("generator") if spec.kind == "generator" else spec.kind
     # an unknown generator passes here; materialize_generator refuses it
-    allowed = (_PARAM_KEYS.get(kind) or "generator n scale offset " + _VECTOR_GENERATOR_KEYS.get(kind, "")).split()
-    unknown = sorted(set(spec.params) - set(allowed))
+    expected = _PARAM_TYPES.get(kind) or {**_VECTOR_ROWS, **_VECTOR_GENERATOR_TYPES.get(kind, {})}
+    unknown = sorted(set(spec.params) - set(expected))
     if unknown:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key(s) "
-                                 f"{', '.join(unknown)}; it reads {', '.join(sorted(allowed))}")
+                                 f"{', '.join(unknown)}; it reads {', '.join(sorted(expected))}")
+    for key, value in spec.params.items():
+        typed(value, expected[key], f"dataset {spec.name!r} params.{key}")
+    unread = _unread_on_this_path(kind, spec.params)
+    if unread:
+        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key {unread}")
+    if kind == "file" and spec.params.get("sequence") and "alphabet_size" not in spec.params:
+        raise ConfigurationError(f"dataset {spec.name!r} (file) reads sequences only with params.alphabet_size")
 
 
 def _grid_shape(params: dict) -> outlier_gen.GridShape:

@@ -336,8 +336,7 @@ def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed:
 
 def _confidences(params, data: VectorDataset, temperature: float):
     logits = nn_core.forward(params, data.features)
-    probs = nn_core.softmax(logits, temperature=temperature)
-    conf = probs.max(axis=1)
+    conf = nn_core.max_softmax(logits, temperature)
     correct = np.argmax(logits, axis=1) == data.labels
     return conf, correct
 
@@ -358,7 +357,7 @@ def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, fin
         temp = calib_mod.tune_temperature(val_logits, bundle.din_val.labels)
         conf_in, correct_in = _confidences(model, bundle.din_test, temp)
         ood_logits = nn_core.forward(model, ood_rows)
-        conf_ood = nn_core.softmax(ood_logits, temperature=temp).max(axis=1)
+        conf_ood = nn_core.max_softmax(ood_logits, temp)
         conf, correct = calib_mod.mixed_prediction_records(
             conf_in, correct_in, conf_ood, seed=_ss(seed, ROLE_CALIBRATION)
         )

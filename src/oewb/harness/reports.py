@@ -5,6 +5,11 @@ fixed row order, repr-formatted floats, and "\n" line endings, so a rerun
 of the same config produces byte-identical files. Display rounding (one
 decimal of a percent, saturating at "100.") is applied only in the
 rendered table; CSV and JSON keep full precision.
+
+Curve and score files are formatted whole. A pool's ROC and PR files come
+from one metrics.sweep: fpr, tpr and recall are counts over a pool size,
+so their strings are a per-run table of repr(k / n) indexed by count, and
+only precision is repr'd, once per distinct value.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..metrics import ScoredSet, pr_points, roc_points
+from ..metrics import ScoredSet, sweep
 from ..scoring import write_scores_csv
 from .pipeline import ExperimentResult
 
@@ -111,27 +116,48 @@ def render_table(exp: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reprs(values: np.ndarray, memo: dict) -> list:
-    """repr() of each float64 in values, memoized by bit pattern so that 0.0
-    and -0.0 keep their own strings. repr is most of the cost of a curve file."""
-    return [memo.get(k) or memo.setdefault(k, repr(x))
-            for x, k in zip(values.tolist(), values.view(np.int64).tolist())]
+def _rate_strings(n: int, tables: dict) -> list:
+    """[repr(k / n) for k = 0..n], built once per pool size. numpy's int64
+    count / n and Python's k / n are both correctly rounded, so a rate's
+    string is this table indexed by its count."""
+    if n not in tables:
+        tables[n] = [repr(k / n) for k in range(n + 1)]
+    return tables[n]
+
+
+def _distinct_reprs(values: np.ndarray) -> list:
+    """repr() of each float64 in values, formatted once per distinct bit
+    pattern, so 0.0 and -0.0 keep their own strings."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    strings = list(map(repr, keys.view(np.float64).tolist()))
+    return list(map(strings.__getitem__, inverse.tolist()))
+
+
+def _csv(cols, xs, ys) -> str:
+    return ",".join(cols) + "\n" + "\n".join(map(",".join, zip(xs, ys))) + "\n"
 
 
 def write_curves(out_dir: Path, exp: ExperimentResult) -> None:
+    """ROC and PR files from one sweep per pool. fpr, tpr and recall are
+    counts over a pool size, so their strings come from _rate_strings;
+    precision strings are formatted per distinct value."""
     curve_dir = out_dir / "curves"
     curve_dir.mkdir(parents=True, exist_ok=True)
+    tables = {}
     for sr in exp.seed_results:
-        memo = {}  # one seed's curves repeat their rates: fractions k/n of the same pool sizes
         for name, pool in sr.pools.items():
-            for stem, (xs, ys), cols in (
-                ("roc", roc_points(pool), ("fpr", "tpr")),
-                ("pr", pr_points(pool), ("recall", "precision")),
+            tp, fp = sweep(pool)
+            by_out = _rate_strings(pool.out_scores.size, tables)
+            by_in = _rate_strings(pool.in_scores.size, tables)
+            recall = list(map(by_out.__getitem__, tp.tolist()))
+            fpr = list(map(by_in.__getitem__, fp.tolist()))
+            precision = _distinct_reprs(tp / (tp + fp))
+            for stem, text in (
+                ("roc", _csv(("fpr", "tpr"), [by_in[0], *fpr], [by_out[0], *recall])),
+                ("pr", _csv(("recall", "precision"), recall, precision)),
             ):
-                rows = [f"{a},{b}\n" for a, b in zip(_reprs(xs, memo), _reprs(ys, memo))]
-                path = curve_dir / f"{stem}_{name}_seed{sr.seed}.csv"
-                with path.open("w", newline="") as fh:
-                    fh.write(",".join(cols) + "\n" + "".join(rows))
+                with (curve_dir / f"{stem}_{name}_seed{sr.seed}.csv").open("w", newline="") as fh:
+                    fh.write(text)
 
 
 def write_pool_scores(path, pool: ScoredSet) -> None:

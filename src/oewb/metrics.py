@@ -10,6 +10,13 @@ oracles in the test suite:
   thresholds (step curve, no trapezoid interpolation).
 * FPR@N: threshold at the ceil(N% * n_out)-th largest outlier score;
   detection means score >= threshold, ties included on the detect side.
+
+All three, and the ROC/PR curve points, are read off one sweep: a single
+sort of the pool, giving the cumulative outlier (tp) and inlier (fp)
+counts at the end of each block of tied scores. AUROC is the exact
+integer Mann-Whitney count over those blocks, AUPR sums over them, and
+FPR@N indexes the first block whose tp reaches ceil(N% * n_out).
+detection_report sweeps each pool once for all three.
 """
 
 from __future__ import annotations
@@ -50,65 +57,61 @@ def _check(s: ScoredSet) -> None:
         raise InputError("scores must be finite")
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of the ranks they cover."""
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    n = x.size
-    edges = np.flatnonzero(sx[1:] != sx[:-1]) + 1
-    starts = np.concatenate(([0], edges))
-    stops = np.concatenate((edges, [n]))
-    ranks = np.empty(n, dtype=np.float64)
-    # the block [a, b) of sorted positions holds ranks a+1 .. b, mean 0.5 * (a + 1 + b)
-    ranks[order] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
-    return ranks
-
-
-def auroc(s: ScoredSet) -> float:
-    """Probability a random outlier outscores a random inlier (ties count half)."""
-    _check(s)
-    n_out = s.out_scores.size
-    n_in = s.in_scores.size
-    ranks = _average_ranks(np.concatenate((s.out_scores, s.in_scores)))
-    r_out = float(ranks[:n_out].sum())
-    return float((r_out - n_out * (n_out + 1) / 2.0) / (n_out * n_in))
-
-
-def _sweep(s: ScoredSet):
+def sweep(s: ScoredSet):
     """Cumulative (tp, fp) counts at the end of each distinct-score block,
-    in descending score order."""
-    scores = np.concatenate((s.out_scores, s.in_scores))
-    is_out = np.concatenate(
-        (np.ones(s.out_scores.size, dtype=bool), np.zeros(s.in_scores.size, dtype=bool))
-    )
-    order = np.argsort(-scores, kind="mergesort")
-    ss = scores[order]
-    oo = is_out[order]
-    block_end = np.flatnonzero(np.append(ss[1:] != ss[:-1], True))
-    tp = np.cumsum(oo)[block_end]
-    fp = np.cumsum(~oo)[block_end]
-    return tp, fp
-
-
-def aupr(s: ScoredSet) -> float:
-    """Average precision of outlier retrieval over descending distinct thresholds."""
+    in descending score order: one sort of the pool. The counts at a block's
+    end do not depend on the order inside it, so the sort need not be
+    stable. The last block holds every score, so tp[-1] and fp[-1] are the
+    pool sizes."""
     _check(s)
-    tp, fp = _sweep(s)
-    recall = tp / s.out_scores.size
+    scores = np.concatenate((s.out_scores, s.in_scores))
+    order = np.argsort(-scores)
+    ss = scores[order]
+    block_end = np.flatnonzero(np.append(ss[1:] != ss[:-1], True))
+    tp = np.cumsum(order < s.out_scores.size)[block_end]  # outliers come first in scores
+    return tp, block_end + 1 - tp
+
+
+def _auroc(tp, fp) -> float:
+    """The Mann-Whitney U over blocks, in integers: each of a block's fp_inc
+    inliers is outscored by the tp_prev outliers of the blocks above and tied
+    with the block's own tp_inc, so 2U = sum of fp_inc * (2 * tp_prev + tp_inc)
+    = sum of fp_inc * (tp_prev + tp). U is an exact float (it stays far
+    below 2**53), so only the final quotient rounds."""
+    tp_prev = np.concatenate(([0], tp[:-1]))
+    two_u = int(np.dot(np.diff(fp, prepend=0), tp_prev + tp))
+    return (two_u / 2.0) / (int(tp[-1]) * int(fp[-1]))
+
+
+def _aupr(tp, fp) -> float:
+    recall = tp / tp[-1]
     precision = tp / (tp + fp)
     prev = np.concatenate(([0.0], recall[:-1]))
     return float(math.fsum((recall - prev) * precision))
 
 
-def fpr_at_tpr(s: ScoredSet, n_percent: float) -> float:
-    """False-positive rate at the threshold catching >= n_percent of outliers."""
-    _check(s)
+def _fpr_at_tpr(tp, fp, n_percent: float) -> float:
+    """The k-th largest outlier score, k = ceil(N% * n_out), closes the first
+    block whose cumulative tp reaches k; fp counts the inliers at or above it."""
     if not 0 < n_percent <= 100:
         raise InputError("n_percent must lie in (0, 100]")
-    n_out = s.out_scores.size
-    k = math.ceil(n_percent * n_out / 100.0)
-    t = np.sort(s.out_scores)[n_out - k]
-    return float(np.count_nonzero(s.in_scores >= t) / s.in_scores.size)
+    k = math.ceil(n_percent * int(tp[-1]) / 100.0)
+    return int(fp[np.searchsorted(tp, k)]) / int(fp[-1])
+
+
+def auroc(s: ScoredSet) -> float:
+    """Probability a random outlier outscores a random inlier (ties count half)."""
+    return _auroc(*sweep(s))
+
+
+def aupr(s: ScoredSet) -> float:
+    """Average precision of outlier retrieval over descending distinct thresholds."""
+    return _aupr(*sweep(s))
+
+
+def fpr_at_tpr(s: ScoredSet, n_percent: float) -> float:
+    """False-positive rate at the threshold catching >= n_percent of outliers."""
+    return _fpr_at_tpr(*sweep(s), n_percent)
 
 
 def enforce_base_rate(in_scores, out_scores, ratio=(1, 5), seed=0) -> ScoredSet:
@@ -141,13 +144,13 @@ def ratio_label(n_out: int, n_in: int) -> str:
 def detection_report(s: ScoredSet, n_level: float = 95.0) -> DetectionReport:
     """AUROC / AUPR / FPR@N for one scored pair of test sets."""
     label = ratio_label(s.out_scores.size, s.in_scores.size)
-    return DetectionReport(auroc(s), aupr(s), fpr_at_tpr(s, n_level), float(n_level), label)
+    tp, fp = sweep(s)
+    return DetectionReport(_auroc(tp, fp), _aupr(tp, fp), _fpr_at_tpr(tp, fp, n_level), float(n_level), label)
 
 
 def roc_points(s: ScoredSet):
     """(fpr, tpr) arrays over descending thresholds, starting from (0, 0)."""
-    _check(s)
-    tp, fp = _sweep(s)
+    tp, fp = sweep(s)
     tpr = np.concatenate(([0.0], tp / s.out_scores.size))
     fpr = np.concatenate(([0.0], fp / s.in_scores.size))
     return fpr, tpr
@@ -155,8 +158,7 @@ def roc_points(s: ScoredSet):
 
 def pr_points(s: ScoredSet):
     """(recall, precision) arrays over descending thresholds."""
-    _check(s)
-    tp, fp = _sweep(s)
+    tp, fp = sweep(s)
     recall = tp / s.out_scores.size
     precision = tp / (tp + fp)
     return recall, precision

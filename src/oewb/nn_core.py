@@ -276,20 +276,35 @@ def class_max(z: np.ndarray) -> np.ndarray:
     return m
 
 
-def softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
-    """Row-wise softmax of logits / temperature, max-subtracted for stability.
-
-    out, when given, receives the result and may be the logits array.
-    """
+def _shifted_exp(logits, temperature: float, out=None) -> np.ndarray:
+    """exp(z - max z) per row, z = logits / temperature: softmax's numerators."""
     if not temperature > 0:
         raise ParameterError("temperature must be positive")
     z = np.asarray(logits, dtype=np.float64)
     if temperature != 1.0:
         z = z / temperature
     e = np.subtract(z, class_max(z), out=out)
-    np.exp(e, out=e)
+    return np.exp(e, out=e)
+
+
+def softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
+    """Row-wise softmax of logits / temperature, max-subtracted for stability.
+
+    out, when given, receives the result and may be the logits array.
+    """
+    e = _shifted_exp(logits, temperature, out)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def max_softmax(logits, temperature: float = 1.0) -> np.ndarray:
+    """softmax(logits, temperature).max(axis=-1), bit for bit, as 1 / sum.
+
+    The largest numerator is exp(0) = 1 exactly, and dividing every entry
+    by the same sum is monotone, so no quotient rounds above 1 / sum. The
+    sum is softmax's own reduction, whose order sets the bits.
+    """
+    return 1.0 / _shifted_exp(logits, temperature).sum(axis=-1)
 
 
 def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:

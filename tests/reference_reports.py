@@ -1,11 +1,10 @@
-"""Reference report writers and tie ranks, kept to check the fast ones against.
+"""Reference report writers, kept to check the fast ones against.
 
-This is how the workbench wrote curve and score files and ranked tied
-scores before it formatted whole files at once: a csv.writer row per point
-with repr(float(x)) cells, score and flag lists built by hand, and one
-Python iteration per block of tied scores. The current code must reproduce
-these bytes and values exactly, so nothing here may be "simplified" into the
-code under test.
+This is how the workbench wrote curve and score files before it formatted
+whole files at once: a csv.writer row per point with repr(float(x)) cells
+of the metrics module's curve arrays, and score and flag lists built by
+hand. The current code must reproduce these bytes exactly, so nothing here
+may be "simplified" into the code under test.
 """
 
 import csv
@@ -13,19 +12,6 @@ import csv
 import numpy as np
 
 from oewb.metrics import pr_points, roc_points
-
-
-def average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    n = x.size
-    ranks = np.empty(n, dtype=np.float64)
-    edges = np.flatnonzero(sx[1:] != sx[:-1]) + 1
-    starts = np.concatenate(([0], edges))
-    stops = np.concatenate((edges, [n]))
-    for a, b in zip(starts, stops):
-        ranks[order[a:b]] = 0.5 * (a + 1 + b)  # mean of ranks a+1 .. b
-    return ranks
 
 
 def write_scores_csv(path, scores, is_ood, ids=None) -> None:

@@ -620,6 +620,37 @@ class TestMaterialize:
         with pytest.raises(ConfigurationError, match=f"does not read params key\\(s\\) {unread};"):
             datasets.materialize(spec, n=5, seed=0, dim=2)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (DatasetSpec("generator", "r", {"generator": "ring", "radius": True}),
+             "dataset 'r' params.radius must be a number, got True"),
+            (DatasetSpec("generator", "s", {"generator": "shifted_gaussian", "mean": ["6", 0.0]}),
+             "dataset 's' params.mean must be a list of numbers, got ['6', 0.0]"),
+            (DatasetSpec("generator", "b", {"generator": "bernoulli", "offset": "1"}),
+             "dataset 'b' params.offset must be a number or a list of numbers, got '1'"),
+            (DatasetSpec("synthetic_gaussian_mixture", "m", {"k": 3.0}),
+             "dataset 'm' params.k must be an integer, got 3.0"),
+            (DatasetSpec("generator", "w", {"generator": "markov_chain", "length": 4, "alphabet_size": 3,
+                                            "starts": [0.5]}),
+             "dataset 'w' params.starts must be a list of integers, got [0.5]"),
+            (DatasetSpec("file", "f", {"label_column": 1}, path="rows.csv"),
+             "dataset 'f' params.label_column must be a string, got 1"),
+        ],
+    )
+    def test_params_of_the_wrong_type_are_refused(self, spec, message):
+        with pytest.raises(ConfigurationError) as info:
+            datasets.materialize(spec, n=5, seed=0, dim=2)
+        assert str(info.value) == message
+
+    def test_params_of_the_declared_types_are_accepted(self, tmp_path):
+        spec = DatasetSpec("generator", "b", {"generator": "bernoulli", "p": 1, "offset": [1, -1.0]})
+        assert datasets.materialize(spec, n=3, seed=0, dim=2).features.tolist() == [[2.0, 0.0]] * 3
+        data = datasets.make_synthetic_din(2, 5, 2, 4.0, seed=0)
+        datasets.write_vectors_csv(tmp_path / "d.csv", data)
+        spec = DatasetSpec("file", "f", {"sequence": False, "label_column": None}, path=str(tmp_path / "d.csv"))
+        assert datasets.materialize(spec, n=None, seed=0).labels is None
+
     def test_corruptor_needs_source(self):
         spec = DatasetSpec("generator", "g", {"generator": "speckle"})
         with pytest.raises(ConfigurationError, match="source"):
@@ -1034,6 +1065,55 @@ class TestCli:
         assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
         err = capsys.readouterr().err
         assert f"dataset '{name}' ({generator}) does not read params key(s) {typo};" in err, err
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(True, "a number, got True"), ("6", "a number, got '6'"), ([6.0], "a number, got [6.0]")],
+    )
+    def test_mistyped_dataset_param_exits_one_naming_dataset_and_key(
+        self, tmp_path, capsys, monkeypatch, value, expected
+    ):
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        body = _tiny_config().to_dict()
+        body["d_out_test"][0]["params"]["radius"] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: dataset 'ring' params.radius must be {expected}" in err, err
+        assert not any(out.iterdir())  # no report was written
+
+    @pytest.mark.parametrize(
+        "d_in, unread",
+        [
+            ({"kind": "synthetic_gaussian_mixture", "name": "blobs",
+              "params": {"k": 3, "n": 120, "n_per_cluster": 40, "dim": 2}},
+             "dataset 'blobs' (synthetic_gaussian_mixture) does not read params key n_per_cluster"),
+            ({"kind": "file", "name": "rows", "path": "rows.csv", "params": {"alphabet_size": 4}},
+             "dataset 'rows' (file) does not read params key alphabet_size"),
+            ({"kind": "file", "name": "rows", "path": "rows.csv",
+              "params": {"sequence": False, "alphabet_size": 4}},
+             "dataset 'rows' (file) does not read params key alphabet_size"),
+            ({"kind": "file", "name": "rows", "path": "rows.csv",
+              "params": {"sequence": True, "alphabet_size": 4, "label_column": "y"}},
+             "dataset 'rows' (file) does not read params key label_column"),
+            ({"kind": "file", "name": "rows", "path": "rows.csv", "params": {"sequence": True}},
+             "dataset 'rows' (file) reads sequences only with params.alphabet_size"),
+        ],
+    )
+    def test_dataset_param_the_spec_never_reads_exits_one(self, tmp_path, capsys, monkeypatch, d_in, unread):
+        # each key is read on some paths of its kind, but not on the one the spec takes
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        body = _tiny_config().to_dict()
+        body["d_in"] = d_in
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {unread}" in err, err
+        assert not any(out.iterdir())  # no report was written
 
     @pytest.mark.parametrize("command", ["eval", "finetune"])
     @pytest.mark.parametrize("case", ["density_window", "classifier_width", "classifier_activation"])

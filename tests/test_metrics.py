@@ -175,6 +175,30 @@ class TestDetectionReport:
         assert r.n_level == 95.0
         assert r.base_rate == "1:5"
 
+    @given(
+        ins=st.lists(st.integers(-4, 4), min_size=1, max_size=60),
+        outs=st.lists(st.integers(-4, 4), min_size=1, max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_sweep_equals_the_oracles_on_heavy_ties(self, ins, outs):
+        # nine dyadic levels over up to 120 scores: most blocks mix both sides
+        a = np.array(ins) / 8.0
+        b = np.array(outs) / 8.0
+        for n_level in (1.0, 50.0, 95.0, 100.0):
+            r = metrics.detection_report(_ss(a, b), n_level)
+            assert r.auroc == oracles.auroc_pairwise(a, b)
+            assert r.aupr == oracles.aupr_sweep(a, b)
+            assert r.fpr_at_n == oracles.fpr_at_tpr_sweep(a, b, n_level)
+
+    def test_sweep_ends_at_the_pool_sizes(self):
+        tp, fp = metrics.sweep(_ss([0.5, 0.5, 0.25, 1.0], [0.5, 1.0, 2.0]))
+        assert tp.tolist() == [1, 2, 3, 3] and fp.tolist() == [0, 1, 3, 4]
+
+    def test_n_level_out_of_range_rejected(self):
+        for n_level in (0.0, 100.5):
+            with pytest.raises(InputError, match="n_percent"):
+                metrics.detection_report(_ss([0.0], [1.0]), n_level)
+
 
 class TestCurvePoints:
     def test_roc_matches_sweep_oracle(self):

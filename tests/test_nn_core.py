@@ -83,7 +83,37 @@ class TestForward:
             nn_core.Batch(np.zeros((1, 2)), labels=[-1])
 
 
+@st.composite
+def _logit_rows(draw):
+    """(n, k) logits, k in {4, 8}; each row is plain, has a tied maximum, or
+    is saturated (every other entry more than 800 below its maximum)."""
+    k = draw(st.sampled_from([4, 8]))
+    n = draw(st.integers(1, 30))
+    z = np.array(draw(st.lists(st.floats(-60, 60), min_size=n * k, max_size=n * k))).reshape(n, k)
+    for row in z:
+        top = int(np.argmax(row))
+        kind = draw(st.sampled_from(["plain", "tie", "saturated"]))
+        if kind == "tie":
+            row[draw(st.integers(0, k - 1).filter(lambda j: j != top))] = row[top]
+        elif kind == "saturated":
+            gap = draw(st.floats(800.5, 5000.0))
+            row -= gap
+            row[top] += gap
+    return z
+
+
 class TestSoftmax:
+    @given(z=_logit_rows(), t=st.sampled_from([0.01, 1.0, 37.5, 100.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_max_softmax_is_the_softmax_max_bit_for_bit(self, z, t):
+        got = nn_core.max_softmax(z, t)
+        want = nn_core.softmax(z, t).max(axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_max_softmax_of_a_saturated_row_is_one(self):
+        assert nn_core.max_softmax([[900.0, 0.0, -5.0, 1.0]]).tolist() == [1.0]
+
     def test_symmetric_pair(self):
         assert np.allclose(nn_core.softmax([[0.0, 0.0]]), [[0.5, 0.5]], atol=1e-15)
 
@@ -104,6 +134,8 @@ class TestSoftmax:
             nn_core.softmax([[1.0, 2.0]], temperature=t)
         with pytest.raises(ParameterError):
             nn_core.log_softmax([[1.0, 2.0]], temperature=t)
+        with pytest.raises(ParameterError):
+            nn_core.max_softmax([[1.0, 2.0]], temperature=t)
 
     @given(
         rows=st.lists(

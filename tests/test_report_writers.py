@@ -1,12 +1,11 @@
-"""Curve and score files, and tie ranks, against the reference
-implementations in reference_reports.py: the same bytes and the same
-values, on pools built to hit the formatting edge cases."""
+"""Curve and score files against the reference writers in
+reference_reports.py: the same bytes, on pools built to hit the formatting
+edge cases."""
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
-from oewb import metrics, scoring
+from oewb import scoring
 from oewb.harness import reports
 from oewb.harness.pipeline import ExperimentResult, SeedResult
 from oewb.metrics import ScoredSet
@@ -30,6 +29,11 @@ def _pools(seed):
         "wide": ScoredSet(rng.normal(size=300), rng.normal(1.0, size=200)),
         "wide_again": ScoredSet(rng.normal(size=300), rng.normal(0.5, size=200)),
         "coarse": ScoredSet(rng.integers(0, 4, size=60) / 4.0, rng.integers(2, 6, size=40) / 4.0),
+        # eval-sized pools whose sizes differ between seeds, so the per-run
+        # rate tables serve several pool sizes
+        "large": ScoredSet(rng.normal(size=3000), rng.normal(0.7, size=3000 - 1000 * seed)),
+        "large_ties": ScoredSet(np.round(rng.normal(size=2000 + 1000 * seed), 1),
+                                np.round(rng.normal(0.5, size=3000), 1)),
     }
 
 
@@ -44,16 +48,28 @@ def test_curve_files_match_the_reference_bytes(tmp_path):
     reports.write_curves(new, exp)
     ref.write_curves(old, exp)
     got, want = _tree(new), _tree(old)
-    assert set(got) == set(want) and len(got) == 2 * 2 * 6
+    assert set(got) == set(want) and len(got) == 2 * 2 * 8
     assert got == want
     assert all(got[rel].startswith(b"fpr,tpr\n0.0,0.0\n") for rel in got if rel.startswith("curves/roc_"))
 
 
-def test_curve_rates_keep_their_own_strings():
-    # the memo is keyed by bit pattern, so -0.0 can never stand in for 0.0
-    memo = {}
-    assert reports._reprs(np.array([0.0, -0.0, 0.0, -0.0]), memo) == ["0.0", "-0.0", "0.0", "-0.0"]
-    assert reports._reprs(np.array(EDGE_VALUES), memo) == [repr(x) for x in EDGE_VALUES]
+@pytest.mark.parametrize("n", [1, 3, 3000, 2**20 + 1])
+def test_rate_table_holds_the_repr_of_every_count_over_n(n):
+    # the writer indexes the table by numpy's int64 counts: count / n in
+    # numpy must have the bits of k / n in Python for every k
+    tables = {}
+    table = reports._rate_strings(n, tables)
+    python_rates = [k / n for k in range(n + 1)]
+    assert table == list(map(repr, python_rates))
+    assert np.array_equal((np.arange(n + 1) / n).view(np.int64), np.array(python_rates).view(np.int64))
+    assert reports._rate_strings(n, tables) is table
+
+
+def test_precision_strings_are_keyed_by_bit_pattern():
+    # 0.0 == -0.0, but they are distinct bit patterns with distinct strings
+    assert reports._distinct_reprs(np.array([0.0, -0.0, 0.0, -0.0])) == ["0.0", "-0.0", "0.0", "-0.0"]
+    values = np.array(EDGE_VALUES * 2)
+    assert reports._distinct_reprs(values) == [repr(x) for x in values.tolist()]
 
 
 def test_score_files_match_the_reference_bytes(tmp_path):
@@ -62,7 +78,7 @@ def test_score_files_match_the_reference_bytes(tmp_path):
     reports.write_score_files(new, exp)
     ref.write_score_files(old, exp)
     got, want = _tree(new), _tree(old)
-    assert set(got) == set(want) and len(got) == 2 * 6
+    assert set(got) == set(want) and len(got) == 2 * 8
     assert got == want
     assert b"\n1,-0.0,0\n" in got["scores/zeros_seed0.csv"]
     assert b"\n1,-5e-324,0\n" in got["scores/extremes_seed0.csv"]
@@ -77,21 +93,3 @@ def test_write_scores_csv_matches_the_reference_bytes(tmp_path):
     scoring.write_scores_csv(tmp_path / "new.csv", [], [])
     ref.write_scores_csv(tmp_path / "old.csv", [], [])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes() == b"example_id,score,is_ood\n"
-
-
-@given(st.lists(st.sampled_from(EDGE_VALUES + (2.0, 2.0, 2.0, -1.0)), min_size=1, max_size=300))
-@settings(max_examples=300, deadline=None)
-def test_tie_ranks_equal_the_per_block_loop(values):
-    x = np.array(values)
-    assert np.array_equal(metrics._average_ranks(x), ref.average_ranks(x))
-
-
-@given(
-    st.integers(0, 3).flatmap(
-        lambda k: st.lists(st.integers(0, k), min_size=1, max_size=2000)
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_tie_ranks_equal_the_loop_on_few_distinct_values(levels):
-    x = np.array(levels, dtype=np.float64)
-    assert np.array_equal(metrics._average_ranks(x), ref.average_ranks(x))

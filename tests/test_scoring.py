@@ -40,6 +40,13 @@ class TestMspScore:
     def test_direct_read(self):
         assert _logit_scores("msp", np.log([0.9, 0.1]))[0] == pytest.approx(-0.9, abs=1e-15)
 
+    def test_equals_the_negated_softmax_max_bit_for_bit(self):
+        net = nn_core.init_network([2, 16, 4], seed=1)
+        X = np.random.default_rng(3).normal(scale=4.0, size=(500, 2))
+        got = scoring.score_dataset(net, "msp", X)
+        want = -nn_core.softmax(nn_core.forward(net, X)).max(axis=1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestUniformCeScore:
     def test_uniform_posterior_attains_the_maximum(self):
