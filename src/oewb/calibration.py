@@ -1,6 +1,6 @@
-"""Confidence calibration: adaptive equal-count binning, RMS and MAD
-calibration errors, a soft F1 for mistake flagging, scalar temperature
-fitting, and posterior rescaling onto [0, 1].
+"""Confidence calibration: adaptive equal-count binning, scalar
+temperature fitting, posterior rescaling onto [0, 1], and one report of
+RMS and MAD calibration errors and a soft F1 for mistake flagging.
 """
 
 from __future__ import annotations
@@ -55,53 +55,6 @@ def adaptive_bins(confidence):
     base, rem = divmod(n, b)
     sizes = [base + (1 if i < rem else 0) for i in range(b)]
     return np.split(order, np.cumsum(sizes)[:-1])
-
-
-def _bin_gaps(conf, corr):
-    """Per-bin weights |B_b| / n and gaps accuracy_b - mean confidence_b."""
-    bins = adaptive_bins(conf)
-    n = conf.size
-    weights = [idx.size / n for idx in bins]
-    gaps = [float(corr[idx].mean() - conf[idx].mean()) for idx in bins]
-    return weights, gaps
-
-
-def _rms(weights, gaps) -> float:
-    return float(math.sqrt(math.fsum(w * g * g for w, g in zip(weights, gaps))))
-
-
-def _mad(weights, gaps) -> float:
-    return float(math.fsum(w * abs(g) for w, g in zip(weights, gaps)))
-
-
-def rms_calibration_error(confidence, correct) -> float:
-    """sqrt(sum_b (|B_b| / n) * (accuracy_b - mean confidence_b)^2)."""
-    conf, corr = _predictions(confidence, correct)
-    return _rms(*_bin_gaps(conf, corr))
-
-
-def mad_calibration_error(confidence, correct) -> float:
-    """sum_b (|B_b| / n) * |accuracy_b - mean confidence_b|; never exceeds RMS."""
-    conf, corr = _predictions(confidence, correct)
-    return _mad(*_bin_gaps(conf, corr))
-
-
-def _soft_f1_flagged(conf, corr):
-    anomaly = 1.0 - conf
-    mistake = 1.0 - corr
-    num = float(anomaly @ mistake)
-    den = float((anomaly + mistake).sum() / 2.0)
-    if den == 0.0:
-        # every record fully confident and correct: nothing to flag
-        return 1.0, True
-    return num / den, False
-
-
-def soft_f1(confidence, correct) -> float:
-    """Soft F1 of mistake flagging with 1 - confidence as the flag strength."""
-    conf, corr = _predictions(confidence, correct)
-    value, _ = _soft_f1_flagged(conf, corr)
-    return value
 
 
 def tune_temperature(logits, labels) -> float:
@@ -207,10 +160,25 @@ def mixed_prediction_records(in_conf, in_correct, ood_conf, seed=0):
 
 
 def report_from_records(confidence, correct, temperature: float = 1.0, rescaled: bool = False) -> CalibrationReport:
-    """RMS and MAD calibration errors and soft F1 of (confidence, correct) records."""
+    """Calibration errors and soft F1 of (confidence, correct) records.
+
+    Over the adaptive bins B_b, with gap_b = accuracy_b - mean confidence_b,
+    the RMS error is sqrt(sum_b (|B_b| / n) * gap_b^2) and the MAD error
+    sum_b (|B_b| / n) * |gap_b|, which never exceeds it. Soft F1 scores
+    mistake flagging with 1 - confidence as the flag strength; when every
+    record is fully confident and correct there is nothing to flag, so it
+    is 1 and soft_f1_degenerate is set.
+    """
     conf, corr = _predictions(confidence, correct)
-    weights, gaps = _bin_gaps(conf, corr)
-    f1, degenerate = _soft_f1_flagged(conf, corr)
+    bins = adaptive_bins(conf)
+    weights = [idx.size / conf.size for idx in bins]
+    gaps = [float(corr[idx].mean() - conf[idx].mean()) for idx in bins]
+    anomaly, mistake = 1.0 - conf, 1.0 - corr
+    den = float((anomaly + mistake).sum() / 2.0)
+    degenerate = den == 0.0
     return CalibrationReport(
-        _rms(weights, gaps), _mad(weights, gaps), f1, float(temperature), bool(rescaled), len(gaps), degenerate
+        float(math.sqrt(math.fsum(w * g * g for w, g in zip(weights, gaps)))),
+        float(math.fsum(w * abs(g) for w, g in zip(weights, gaps))),
+        1.0 if degenerate else float(anomaly @ mistake) / den,
+        float(temperature), bool(rescaled), len(gaps), degenerate,
     )

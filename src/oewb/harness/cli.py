@@ -9,7 +9,6 @@ diverges to non-finite parameters.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -21,11 +20,7 @@ from .. import nn_core
 from ..errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from . import pipeline, reports
 from .config import ExperimentConfig, load_config
-from .datasets import (
-    SequenceDataset,
-    write_sequences_csv,
-    write_vectors_csv,
-)
+from .datasets import SequenceDataset, read_csv_rows, write_sequences_csv, write_vectors_csv
 from .presets import PRESET_NAMES, get_preset
 
 
@@ -123,35 +118,28 @@ def cmd_eval(args) -> int:
 def _read_predictions_csv(path: str):
     """(confidence, correct) lists from a CSV with those two columns.
 
-    Every row must hold a finite confidence in [0, 1] and a correct flag of
-    0 or 1; the first row that does not is reported as file:line.
+    Every row must be as wide as the header and hold a finite confidence
+    in [0, 1] and a correct flag of 0 or 1; the first row that does not is
+    reported as file:line.
     """
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"prediction file {p} does not exist")
+    rows = read_csv_rows(p, "prediction file")
+    header = [h.strip().lower() for h in next(rows)[1]]
+    if "confidence" not in header or "correct" not in header:
+        raise DataError(f"{p}: prediction files need 'confidence' and 'correct' columns")
+    ci, xi = header.index("confidence"), header.index("correct")
     conf, correct = [], []
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{p}: empty prediction file")
-        header = [h.strip().lower() for h in header]
-        if "confidence" not in header or "correct" not in header:
-            raise DataError(f"{p}: prediction files need 'confidence' and 'correct' columns")
-        ci, xi = header.index("confidence"), header.index("correct")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                c, x = float(row[ci]), int(row[xi])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{p}:{lineno}: {exc}") from exc
-            if not (math.isfinite(c) and 0.0 <= c <= 1.0):
-                raise DataError(f"{p}:{lineno}: confidence {row[ci]!r} is not a finite number in [0, 1]")
-            if x not in (0, 1):
-                raise DataError(f"{p}:{lineno}: correct {row[xi]!r} is not 0 or 1")
-            conf.append(c)
-            correct.append(x == 1)
+    for lineno, row in rows:
+        try:
+            c, x = float(row[ci]), int(row[xi])
+        except ValueError as exc:
+            raise DataError(f"{p}:{lineno}: {exc}") from exc
+        if not (math.isfinite(c) and 0.0 <= c <= 1.0):
+            raise DataError(f"{p}:{lineno}: confidence {row[ci]!r} is not a finite number in [0, 1]")
+        if x not in (0, 1):
+            raise DataError(f"{p}:{lineno}: correct {row[xi]!r} is not 0 or 1")
+        conf.append(c)
+        correct.append(x == 1)
     if not conf:
         raise DataError(f"{p}: no prediction rows")
     return conf, correct

@@ -259,7 +259,9 @@ def load_config(path) -> ExperimentConfig:
     if not p.exists():
         raise ConfigurationError(f"config file {p} does not exist")
     try:
-        payload = json.loads(p.read_text())
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {p}: {getattr(exc, 'strerror', None) or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(payload)

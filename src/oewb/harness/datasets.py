@@ -196,36 +196,50 @@ def write_vectors_csv(path, data: VectorDataset) -> None:
             w.writerow(row)
 
 
-def read_vectors_csv(path, label_column: str | None = "label") -> VectorDataset:
+def read_csv_rows(path, what: str):
+    """(line number, cells) of a CSV file: the header, then every nonblank
+    row, each refused unless it is as wide as the header. Every refusal,
+    a file that cannot be read or decoded included, is a DataError naming
+    the file; what names the kind of file."""
     p = Path(path)
     if not p.exists():
-        raise DataError(f"dataset file {p} does not exist")
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
+        raise DataError(f"{what} {p} does not exist")
+    try:
+        with open(p, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{p}: empty {what}")
+            yield 1, header
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{p}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {what} {p}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_vectors_csv(path, label_column: str | None = "label") -> VectorDataset:
+    p = Path(path)
+    rows = read_csv_rows(p, "dataset file")
+    header = [h.strip() for h in next(rows)[1]]
+    label_idx = None
+    if label_column is not None and label_column in header:
+        label_idx = header.index(label_column)
+    feat_idx = [i for i in range(len(header)) if i != label_idx]
+    if not feat_idx:
+        raise DataError(f"{p}: no feature columns")
+    feats = []
+    labels = []
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{p}: empty dataset file") from None
-        header = [h.strip() for h in header]
-        label_idx = None
-        if label_column is not None and label_column in header:
-            label_idx = header.index(label_column)
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feat_idx:
-            raise DataError(f"{p}: no feature columns")
-        feats = []
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{p}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                feats.append([float(row[i]) for i in feat_idx])
-                if label_idx is not None:
-                    labels.append(int(row[label_idx]))
-            except ValueError as exc:
-                raise DataError(f"{p}:{lineno}: {exc}") from exc
+            feats.append([float(row[i]) for i in feat_idx])
+            if label_idx is not None:
+                labels.append(int(row[label_idx]))
+        except ValueError as exc:
+            raise DataError(f"{p}:{lineno}: {exc}") from exc
     if not feats:
         raise DataError(f"{p}: dataset has a header but no rows")
     lab = np.asarray(labels, dtype=np.int64) if label_idx is not None else None
@@ -244,28 +258,17 @@ def write_sequences_csv(path, data: SequenceDataset) -> None:
 
 def read_sequences_csv(path, alphabet_size: int) -> SequenceDataset:
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"dataset file {p} does not exist")
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
+    rows = read_csv_rows(p, "dataset file")
+    next(rows)
+    seqs = []
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{p}: empty dataset file") from None
-        width = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataError(f"{p}:{lineno}: expected {width} fields, got {len(row)}")
-            try:
-                rows.append([int(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{p}:{lineno}: {exc}") from exc
-    if not rows:
+            seqs.append([int(v) for v in row])
+        except ValueError as exc:
+            raise DataError(f"{p}:{lineno}: {exc}") from exc
+    if not seqs:
         raise DataError(f"{p}: dataset has a header but no rows")
-    return SequenceDataset(np.asarray(rows, dtype=np.int64), alphabet_size)
+    return SequenceDataset(np.asarray(seqs, dtype=np.int64), alphabet_size)
 
 
 def write_vectors_binary(path, data: VectorDataset) -> None:
@@ -285,7 +288,10 @@ def read_vectors_binary(path) -> VectorDataset:
     p = Path(path)
     if not p.exists():
         raise DataError(f"dataset file {p} does not exist")
-    blob = p.read_bytes()
+    try:
+        blob = p.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read dataset file {p}: {exc.strerror or exc}") from exc
     if blob[:4] != DATA_MAGIC:
         raise DataError(f"{p}: bad magic, not a dataset container")
     off = 4
@@ -340,6 +346,10 @@ _VECTOR_GENERATOR_TYPES = {
     "ring": {"radius": float, "width": float}, "shifted_gaussian": {"mean": list[float]},
     "scaled_gaussian": {"sigma": float},
 }
+# Keys a kind cannot run without, and list-valued keys of a fixed length.
+_REQUIRED = {"markov_chain": ("length", "alphabet_size"),
+             **{g: ("shape",) for g, keys in _VECTOR_GENERATOR_TYPES.items() if "shape" in keys}}
+_LENGTHS = {"shape": 3, "value_range": 2}
 
 
 def _unread_on_this_path(kind: str, params: dict) -> str | None:
@@ -366,6 +376,12 @@ def check_params(spec: DatasetSpec) -> None:
                                  f"{', '.join(unknown)}; it reads {', '.join(sorted(expected))}")
     for key, value in spec.params.items():
         typed(value, expected[key], f"dataset {spec.name!r} params.{key}")
+        if key in _LENGTHS and len(value) != _LENGTHS[key]:
+            raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have {_LENGTHS[key]} entries, "
+                                     f"got {value!r}")
+    missing = [key for key in _REQUIRED.get(kind, ()) if key not in spec.params]
+    if missing:
+        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) needs params key(s) {', '.join(missing)}")
     unread = _unread_on_this_path(kind, spec.params)
     if unread:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key {unread}")
@@ -374,14 +390,10 @@ def check_params(spec: DatasetSpec) -> None:
 
 
 def _grid_shape(params: dict) -> outlier_gen.GridShape:
-    try:
-        shape = params["shape"]
-        vr = params.get("value_range", (0.0, 1.0))
-        return outlier_gen.GridShape(
-            int(shape[0]), int(shape[1]), int(shape[2]), (float(vr[0]), float(vr[1]))
-        )
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ConfigurationError(f"generator needs params['shape'] = [h, w, c]: {exc}") from exc
+    """check_params has made shape [h, w, c] and value_range [low, high]."""
+    h, w, c = params["shape"]
+    lo, hi = params.get("value_range", (0.0, 1.0))
+    return outlier_gen.GridShape(h, w, c, (float(lo), float(hi)))
 
 
 def _post_transform(rows: np.ndarray, params: dict) -> np.ndarray:
@@ -425,8 +437,6 @@ def materialize_generator(params: dict, n: int, dim: int, seed, din: VectorDatas
             rows[:, 2:] = rng.standard_normal((n, dim - 2))
     elif kind == "shifted_gaussian":
         mean = np.asarray(params.get("mean", [0.0] * dim), dtype=np.float64)
-        if mean.shape != (dim,):
-            raise ConfigurationError(f"mean must have {dim} entries")
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((n, dim)) + mean
     elif kind == "scaled_gaussian":
@@ -505,6 +515,10 @@ def materialize(
     # generator
     p = spec.params
     if p.get("generator") == "markov_chain":
+        if n is None:
+            raise ConfigurationError(
+                f"dataset {spec.name!r} (markov_chain) needs params key n: nothing else sets its row count"
+            )
         return make_markov_sequences(
             n=n,
             length=int(p["length"]),
@@ -516,6 +530,10 @@ def materialize(
         )
     if dim is None:
         raise ConfigurationError("generator specs need the experiment dimension")
+    for key in ("offset", "mean"):
+        if isinstance(p.get(key), list) and len(p[key]) != dim:
+            raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have one entry per "
+                                     f"dimension ({dim}), got {p[key]!r}")
     return materialize_generator(p, n, dim, seed, din)
 
 

@@ -21,7 +21,6 @@ them.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,44 +176,6 @@ def training_set(bundles, seeds) -> TrainingSet:
     )
 
 
-def _oe_rows(train: TrainingSet) -> np.ndarray:
-    if train.oe_rows is None:
-        raise ConfigurationError("exposure training needs auxiliary outlier data")
-    return train.oe_rows
-
-
-def _train_classifier(
-    params: nn_core.NetworkParams,
-    train: TrainingSet,
-    *,
-    lam: float,
-    epochs: int,
-    lr0: float,
-    model_settings,
-    shuffle_seeds,
-) -> nn_core.NetworkParams:
-    """nn_core.train_classifier of a stack over every seed's whole training
-    split and, when lam > 0, its auxiliary outliers."""
-    if train.labels is None:
-        raise DataError("classifier training needs labeled in-distribution data")
-    oe_batch = nn_core.Batch(_oe_rows(train)) if lam > 0 else None
-    return nn_core.train_classifier(
-        params, lam, nn_core.Batch(train.rows, train.labels), oe_batch,
-        epochs=epochs, batch_size=model_settings.batch_size, lr0=lr0,
-        momentum=model_settings.momentum, weight_decay=model_settings.weight_decay,
-        seed=shuffle_seeds,
-    )
-
-
-@contextmanager
-def _stage(name: str, seeds):
-    """Name the seed and stage in a divergence raised by the training loop."""
-    try:
-        yield
-    except DivergenceError as exc:
-        raise DivergenceError(f"seed {seeds[exc.member]}, stage {name}: {exc}", exc.member) from exc
-
-
 def layer_dims(config: ExperimentConfig, train: TrainingSet) -> list:
     """The layer widths of the nets this config trains on these data."""
     m = config.model
@@ -230,24 +191,47 @@ def _initial_stack(config: ExperimentConfig, train: TrainingSet) -> nn_core.Netw
     return nn_core.NetworkParams.stack(nets)
 
 
+def _fit(config: ExperimentConfig, stack, train: TrainingSet, stage: str, role: int, *,
+         exposed: bool, epochs: int, lr0: float) -> list:
+    """One training stage of a stack over every seed's whole training split,
+    one model per seed. Each seed shuffles by its own (seed, role) stream.
+
+    exposed adds the auxiliary outliers: a classifier's outlier term at
+    weight λ, or a density net's margin loss. A divergence is re-raised
+    naming the seed and stage.
+    """
+    m = config.model
+    density = config.detector == "density_bpp"
+    if exposed and (density or config.lam > 0) and train.oe_rows is None:
+        raise ConfigurationError("exposure training needs auxiliary outlier data")
+    if not density and train.labels is None:
+        raise DataError("classifier training needs labeled in-distribution data")
+    settings = dict(epochs=epochs, batch_size=m.batch_size, lr0=lr0, momentum=m.momentum,
+                    weight_decay=m.weight_decay, seed=[_ss(s, role) for s in train.seeds])
+    try:
+        if density and exposed:
+            stack = density_mod.finetune_density_oe(
+                stack, train.rows, train.oe_rows, margin=m.margin,
+                mle_weight=m.mle_weight, margin_weight=m.margin_weight, **settings,
+            )
+        elif density:
+            stack = density_mod.train_density(stack, train.rows, **settings)
+        else:
+            lam = config.lam if exposed else 0.0
+            oe_batch = nn_core.Batch(train.oe_rows) if lam > 0 else None
+            stack = nn_core.train_classifier(
+                stack, lam, nn_core.Batch(train.rows, train.labels), oe_batch, **settings
+            )
+    except DivergenceError as exc:
+        raise DivergenceError(f"seed {train.seeds[exc.member]}, stage {stage}: {exc}", exc.member) from exc
+    return stack.unstack()
+
+
 def train_baseline(config: ExperimentConfig, train: TrainingSet) -> list:
     """In-distribution-only training (λ = 0) of every seed, one model per
     seed; the starting point every exposure pipeline shares."""
-    shuffle = [_ss(s, ROLE_TRAIN_SHUFFLE) for s in train.seeds]
-    model = _initial_stack(config, train)
-    with _stage("train_baseline", train.seeds):
-        if config.detector == "density_bpp":
-            return density_mod.train_density(
-                model, train.rows,
-                epochs=config.epochs, batch_size=config.model.batch_size, lr0=config.model.lr0,
-                momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-                seed=shuffle,
-            ).unstack()
-        return _train_classifier(
-            model, train, lam=0.0,
-            epochs=config.epochs, lr0=config.model.lr0, model_settings=config.model,
-            shuffle_seeds=shuffle,
-        ).unstack()
+    return _fit(config, _initial_stack(config, train), train, "train_baseline", ROLE_TRAIN_SHUFFLE,
+                exposed=False, epochs=config.epochs, lr0=config.model.lr0)
 
 
 def finetune_oe(config: ExperimentConfig, train: TrainingSet, baselines) -> list:
@@ -255,37 +239,15 @@ def finetune_oe(config: ExperimentConfig, train: TrainingSet, baselines) -> list
     fine-tune rate, one model per seed."""
     if config.finetune_epochs == 0:
         return list(baselines)
-    shuffle = [_ss(s, ROLE_FINETUNE_SHUFFLE) for s in train.seeds]
-    stack = nn_core.NetworkParams.stack(baselines)
-    with _stage("finetune_oe", train.seeds):
-        if config.detector == "density_bpp":
-            return density_mod.finetune_density_oe(
-                stack, train.rows, _oe_rows(train),
-                margin=config.model.margin, epochs=config.finetune_epochs,
-                batch_size=config.model.batch_size, lr0=config.model.finetune_lr0,
-                momentum=config.model.momentum, weight_decay=config.model.weight_decay,
-                mle_weight=config.model.mle_weight, margin_weight=config.model.margin_weight,
-                seed=shuffle,
-            ).unstack()
-        return _train_classifier(
-            stack, train, lam=config.lam,
-            epochs=config.finetune_epochs, lr0=config.model.finetune_lr0,
-            model_settings=config.model, shuffle_seeds=shuffle,
-        ).unstack()
+    return _fit(config, nn_core.NetworkParams.stack(baselines), train, "finetune_oe", ROLE_FINETUNE_SHUFFLE,
+                exposed=True, epochs=config.finetune_epochs, lr0=config.model.finetune_lr0)
 
 
 def train_scratch_oe(config: ExperimentConfig, train: TrainingSet) -> list:
     """Exposure training of every seed's classifier from random init for the
     full epoch budget, one model per seed."""
-    total_epochs = config.epochs + config.finetune_epochs
-    shuffle = [_ss(s, ROLE_SCRATCH_SHUFFLE) for s in train.seeds]
-    model = _initial_stack(config, train)
-    with _stage("train_scratch_oe", train.seeds):
-        return _train_classifier(
-            model, train, lam=config.lam,
-            epochs=total_epochs, lr0=config.model.lr0, model_settings=config.model,
-            shuffle_seeds=shuffle,
-        ).unstack()
+    return _fit(config, _initial_stack(config, train), train, "train_scratch_oe", ROLE_SCRATCH_SHUFFLE,
+                exposed=True, epochs=config.epochs + config.finetune_epochs, lr0=config.model.lr0)
 
 
 def train_models(config: ExperimentConfig, seeds) -> list:

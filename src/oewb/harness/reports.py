@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from ..metrics import ScoredSet, sweep
-from ..scoring import write_scores_csv
 from .pipeline import ExperimentResult
 
 
@@ -161,9 +160,17 @@ def write_curves(out_dir: Path, exp: ExperimentResult) -> None:
 
 
 def write_pool_scores(path, pool: ScoredSet) -> None:
-    """A pool's score file: its inlier rows (is_ood 0), then its outlier rows (1)."""
-    flags = np.repeat([0, 1], [pool.in_scores.size, pool.out_scores.size])
-    write_scores_csv(path, np.concatenate((pool.in_scores, pool.out_scores)), flags)
+    """A pool's score file: columns example_id (the row index), score (repr
+    precision) and is_ood, with its inlier rows (0), then its outlier rows (1)."""
+    n_in, n_out = pool.in_scores.size, pool.out_scores.size
+    n = n_in + n_out
+    cells = [None] * (3 * n)
+    cells[0::3] = range(n)
+    cells[1::3] = np.concatenate((pool.in_scores, pool.out_scores)).tolist()
+    cells[2::3] = [0] * n_in + [1] * n_out
+    with Path(path).open("w", newline="") as fh:
+        # one % formats every row in C; %r is repr
+        fh.write("example_id,score,is_ood\n" + ("%d,%r,%d\n" * n) % tuple(cells))
 
 
 def write_score_files(out_dir: Path, exp: ExperimentResult) -> None:

@@ -1,4 +1,4 @@
-"""Adaptive-bin calibration errors, soft F1, temperature fitting, rescaling."""
+"""Adaptive-bin calibration errors and soft F1 (one report), temperature fitting, rescaling."""
 
 import math
 
@@ -73,58 +73,78 @@ class TestAdaptiveBins:
             cal.adaptive_bins([])
 
 
+def _rms(*recs):
+    return cal.report_from_records(*recs).rms_error
+
+
+def _mad(*recs):
+    return cal.report_from_records(*recs).mad_error
+
+
+def _soft_f1(*recs):
+    return cal.report_from_records(*recs).soft_f1
+
+
+def _binned_errors(conf, correct):
+    """(RMS, MAD) by a plain loop over the adaptive bins."""
+    rms = mad = 0.0
+    for idx in cal.adaptive_bins(conf):
+        gap = np.mean(correct[idx]) - np.mean(conf[idx])
+        rms += idx.size / conf.size * gap * gap
+        mad += idx.size / conf.size * abs(gap)
+    return math.sqrt(rms), mad
+
+
 class TestRmsError:
     def test_perfectly_calibrated_single_bin(self):
         recs = _records([0.7] * 10, [True] * 7 + [False] * 3)
-        assert cal.rms_calibration_error(*recs) == pytest.approx(0.0, abs=1e-15)
+        assert _rms(*recs) == pytest.approx(0.0, abs=1e-15)
 
     def test_fully_confident_half_correct(self):
         recs = _records([1.0] * 10, [True, False] * 5)
-        assert cal.rms_calibration_error(*recs) == pytest.approx(0.5, abs=1e-15)
+        assert _rms(*recs) == pytest.approx(0.5, abs=1e-15)
 
     def test_fully_confident_all_correct(self):
         recs = _records([1.0] * 10, [True] * 10)
-        assert cal.rms_calibration_error(*recs) == 0.0
+        assert _rms(*recs) == 0.0
 
 
 class TestMadError:
     def test_matches_rms_on_the_boundary_cases(self):
         half = _records([1.0] * 10, [True, False] * 5)
-        assert cal.mad_calibration_error(*half) == pytest.approx(0.5, abs=1e-15)
+        assert _mad(*half) == pytest.approx(0.5, abs=1e-15)
         cal_recs = _records([0.7] * 10, [True] * 7 + [False] * 3)
-        assert cal.mad_calibration_error(*cal_recs) == pytest.approx(0.0, abs=1e-15)
+        assert _mad(*cal_recs) == pytest.approx(0.0, abs=1e-15)
 
     def test_never_exceeds_rms_on_random_sets(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
             n = int(rng.integers(1, 400))
-            recs = _random_records(rng, n)
-            mad = cal.mad_calibration_error(*recs)
-            rms = cal.rms_calibration_error(*recs)
-            assert mad <= rms + 1e-15
+            r = cal.report_from_records(*_random_records(rng, n))
+            assert r.mad_error <= r.rms_error + 1e-15
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         conf, correct = _random_records(rng, 437)
         perm = rng.permutation(conf.size)
         shuffled = conf[perm], correct[perm]
-        assert cal.rms_calibration_error(*shuffled) == cal.rms_calibration_error(conf, correct)
-        assert cal.mad_calibration_error(*shuffled) == cal.mad_calibration_error(conf, correct)
+        assert _rms(*shuffled) == _rms(conf, correct)
+        assert _mad(*shuffled) == _mad(conf, correct)
 
 
 class TestSoftF1:
     def test_two_record_example(self):
         recs = _records([0.3, 0.9], [False, True])
-        assert cal.soft_f1(*recs) == pytest.approx(0.7 / 0.9, abs=1e-12)
+        assert _soft_f1(*recs) == pytest.approx(0.7 / 0.9, abs=1e-12)
 
     def test_perfect_anomaly_flagging(self):
         recs = _records([0.0] * 5, [False] * 5)
-        assert cal.soft_f1(*recs) == pytest.approx(1.0, abs=1e-15)
+        assert _soft_f1(*recs) == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_all_confident_correct(self):
         recs = _records([1.0] * 5, [True] * 5)
-        assert cal.soft_f1(*recs) == 1.0
         report = cal.report_from_records(*recs)
+        assert report.soft_f1 == 1.0
         assert report.soft_f1_degenerate
 
     def test_normal_case_not_flagged(self):
@@ -278,7 +298,8 @@ class TestReport:
         assert r.bin_count == 3
         assert r.temperature == 2.5
         assert r.rescaled
-        assert r.rms_error == cal.rms_calibration_error(*recs)
-        assert r.mad_error == cal.mad_calibration_error(*recs)
+        rms, mad = _binned_errors(*recs)
+        assert r.rms_error == pytest.approx(rms, rel=1e-12)
+        assert r.mad_error == pytest.approx(mad, rel=1e-12)
         assert r.mad_error <= r.rms_error + 1e-15
         assert 0.0 <= r.soft_f1 <= 1.0

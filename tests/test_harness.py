@@ -1115,6 +1115,73 @@ class TestCli:
         assert f"error: {unread}" in err, err
         assert not any(out.iterdir())  # no report was written
 
+    @pytest.mark.parametrize(
+        "role, spec, message",
+        [
+            ("d_out_test", {"kind": "generator", "name": "ring",
+                            "params": {"generator": "ring", "radius": 6.0, "offset": [1.0, 2.0, 3.0]}},
+             "dataset 'ring' params.offset must have one entry per dimension (2), got [1.0, 2.0, 3.0]"),
+            ("d_in", {"kind": "generator", "name": "walks",
+                      "params": {"generator": "markov_chain", "alphabet_size": 4, "n": 90}},
+             "dataset 'walks' (markov_chain) needs params key(s) length"),
+            ("d_in", {"kind": "generator", "name": "walks",
+                      "params": {"generator": "markov_chain", "length": 8, "n": 90}},
+             "dataset 'walks' (markov_chain) needs params key(s) alphabet_size"),
+            ("d_in", {"kind": "generator", "name": "walks",
+                      "params": {"generator": "markov_chain", "length": 8, "alphabet_size": 4}},
+             "dataset 'walks' (markov_chain) needs params key n"),
+            ("d_out_test", {"kind": "generator", "name": "noise",
+                            "params": {"generator": "gaussian", "value_range": [0.0]}},
+             "dataset 'noise' params.value_range must have 2 entries, got [0.0]"),
+            ("d_out_test", {"kind": "generator", "name": "grid",
+                            "params": {"generator": "uniform", "shape": [1, 2, 1, 1]}},
+             "dataset 'grid' params.shape must have 3 entries, got [1, 2, 1, 1]"),
+        ],
+        ids=["offset_length", "markov_length", "markov_alphabet", "markov_d_in_n", "value_range_length",
+             "shape_length"],
+    )
+    def test_dataset_params_that_cannot_run_exit_one_naming_dataset_and_key(
+        self, tmp_path, capsys, monkeypatch, role, spec, message
+    ):
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        body = _tiny_config().to_dict()
+        body[role] = spec if role == "d_in" else [spec]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err, err
+
+    @pytest.mark.parametrize(
+        "reader, bad",
+        [("config", "directory"), ("config", "not_utf8"),
+         ("vectors_csv", "directory"), ("vectors_csv", "not_utf8"),
+         ("sequences_csv", "directory"), ("sequences_csv", "not_utf8"),
+         ("vectors_binary", "directory"),
+         ("predictions", "directory"), ("predictions", "not_utf8")],
+    )
+    def test_unreadable_input_file_exits_one_naming_it(self, tmp_path, capsys, monkeypatch, reader, bad):
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        target = tmp_path / ("rows.bin" if reader == "vectors_binary" else "input.csv")
+        if bad == "directory":
+            target.mkdir()
+        else:
+            target.write_bytes(b"confidence,correct\n\xff\xfe,1\n")
+        if reader == "config":
+            argv = ["run", "-c", str(target)]
+        elif reader == "predictions":
+            argv = ["calibrate", str(target)]
+        else:
+            body = _tiny_config().to_dict()
+            params = {"sequence": True, "alphabet_size": 4} if reader == "sequences_csv" else {}
+            body["d_in"] = {"kind": "file", "name": "rows", "path": str(target), "params": params}
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(body))
+            argv = ["run", "-c", str(config)]
+        assert cli.main([*argv, "-o", str(tmp_path / "out"), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and str(target) in err, err
+
     @pytest.mark.parametrize("command", ["eval", "finetune"])
     @pytest.mark.parametrize("case", ["density_window", "classifier_width", "classifier_activation"])
     def test_a_net_of_other_widths_or_activation_is_refused(self, tmp_path, capsys, command, case):
@@ -1364,7 +1431,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "row,what",
         [("nan,1", "confidence"), ("inf,1", "confidence"), ("1.5,1", "confidence"),
-         ("-0.1,0", "confidence"), ("0.5,2", "correct"), ("0.5,-1", "correct")],
+         ("-0.1,0", "confidence"), ("0.5,2", "correct"), ("0.5,-1", "correct"),
+         ("0.5,1,extra", "expected 2 fields, got 3")],
     )
     def test_calibrate_rejects_bad_rows_with_file_and_line(self, tmp_path, capsys, row, what):
         pred = tmp_path / "preds.csv"

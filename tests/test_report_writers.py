@@ -2,10 +2,12 @@
 reference_reports.py: the same bytes, on pools built to hit the formatting
 edge cases."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
-from oewb import scoring
 from oewb.harness import reports
 from oewb.harness.pipeline import ExperimentResult, SeedResult
 from oewb.metrics import ScoredSet
@@ -84,12 +86,34 @@ def test_score_files_match_the_reference_bytes(tmp_path):
     assert b"\n1,-5e-324,0\n" in got["scores/extremes_seed0.csv"]
 
 
-def test_write_scores_csv_matches_the_reference_bytes(tmp_path):
-    scores = np.array(EDGE_VALUES * 3)
-    for flags in ([True, False] * 15, np.arange(30) % 2, np.zeros(30, dtype=bool)):
-        scoring.write_scores_csv(tmp_path / "new.csv", scores, flags)
-        ref.write_scores_csv(tmp_path / "old.csv", scores, flags)
+def test_write_pool_scores_matches_the_reference_bytes(tmp_path):
+    values = np.array(EDGE_VALUES * 3)
+    for n_in in (0, 1, 15, 30):
+        pool = ScoredSet(values[:n_in], values[n_in:])
+        reports.write_pool_scores(tmp_path / "new.csv", pool)
+        ref.write_pool_scores(tmp_path / "old.csv", pool)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    scoring.write_scores_csv(tmp_path / "new.csv", [], [])
-    ref.write_scores_csv(tmp_path / "old.csv", [], [])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes() == b"example_id,score,is_ood\n"
+    reports.write_pool_scores(tmp_path / "new.csv", ScoredSet([], []))
+    assert (tmp_path / "new.csv").read_bytes() == b"example_id,score,is_ood\n"
+
+
+def _read_score_file(path):
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["example_id", "score", "is_ood"]
+    return [r[0] for r in rows[1:]], np.array([float(r[1]) for r in rows[1:]]), [r[2] for r in rows[1:]]
+
+
+def test_pool_score_file_holds_ids_scores_and_flags(tmp_path):
+    reports.write_pool_scores(tmp_path / "scores.csv", ScoredSet([0.25, 3.75], [-1.5, 0.1]))
+    ids, scores, flags = _read_score_file(tmp_path / "scores.csv")
+    assert ids == ["0", "1", "2", "3"]
+    assert np.array_equal(scores, [0.25, 3.75, -1.5, 0.1])
+    assert flags == ["0", "0", "1", "1"]
+
+
+def test_pool_score_file_keeps_full_float_precision(tmp_path):
+    values = np.array([1.0 / 3.0, math.pi, -1e-17, 5e-324])
+    reports.write_pool_scores(tmp_path / "scores.csv", ScoredSet(values[:1], values[1:]))
+    _, scores, _ = _read_score_file(tmp_path / "scores.csv")
+    assert np.array_equal(scores.view(np.int64), values.view(np.int64))

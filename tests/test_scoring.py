@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oewb import density, nn_core, scoring
-from oewb.errors import ConfigurationError, DataError
+from oewb.errors import ConfigurationError
 
 
 def _identity_net(k):
@@ -150,38 +150,3 @@ class TestScoreDataset:
             scoring.score_dataset(m, "msp", seqs)
         with pytest.raises(ConfigurationError):
             scoring.score_dataset(p, "mahalanobis", X)
-
-
-class TestScoresCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        scores = np.array([0.25, -1.5, 3.75, 0.1])
-        flags = np.array([0, 1, 1, 0])
-        scoring.write_scores_csv(path, scores, flags)
-        ids, got_scores, got_flags = scoring.read_scores_csv(path)
-        assert ids == ["0", "1", "2", "3"]
-        assert np.array_equal(got_scores, scores)
-        assert np.array_equal(got_flags, flags.astype(bool))
-
-    def test_full_float_precision_survives(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        scores = np.array([1.0 / 3.0, math.pi, -1e-17])
-        scoring.write_scores_csv(path, scores, [0, 1, 0])
-        _, got, _ = scoring.read_scores_csv(path)
-        assert np.array_equal(got, scores)
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            scoring.write_scores_csv(tmp_path / "x.csv", [1.0, 2.0], [0])
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(DataError):
-            scoring.read_scores_csv(path)
-
-    def test_malformed_row_reported_with_line_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("example_id,score,is_ood\n0,0.5,0\n1,not_a_number,1\n")
-        with pytest.raises(DataError, match="line 3"):
-            scoring.read_scores_csv(path)
