@@ -363,6 +363,25 @@ def _unread_on_this_path(kind: str, params: dict) -> str | None:
     return None
 
 
+def _out_of_range(kind: str, params: dict) -> str | None:
+    """A well-typed params value that the kind cannot run with, as the key
+    and what is wrong with it. check_params has refused the keys the kind
+    does not read and made shape three entries."""
+    if params.get("n", 1) < 1:
+        return f"n must be positive, got {params['n']!r}"
+    if any(v < 1 for v in params.get("shape", ())):
+        return f"shape entries must be positive, got {params['shape']!r}"
+    if not 0 <= params.get("p", 0.5) <= 1:
+        return f"p must lie in [0, 1], got {params['p']!r}"
+    if not params.get("intensity", 0.0) >= 0:
+        return f"intensity must be nonnegative, got {params['intensity']!r}"
+    if "channel_mask" in params and len(params["channel_mask"]) != params["shape"][2]:
+        return f"channel_mask must hold one flag per channel ({params['shape'][2]}), got {params['channel_mask']!r}"
+    if kind == "uniform_box" and not params.get("low", -1.0) <= params.get("high", 1.0):
+        return f"low must not exceed params.high, got {params.get('low', -1.0)!r} > {params.get('high', 1.0)!r}"
+    return None
+
+
 def check_params(spec: DatasetSpec) -> None:
     """Refuse params keys that nothing reads for this spec, so a misspelled
     or contradictory setting fails instead of running at its default, and
@@ -385,6 +404,9 @@ def check_params(spec: DatasetSpec) -> None:
     unread = _unread_on_this_path(kind, spec.params)
     if unread:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key {unread}")
+    bad = _out_of_range(kind, spec.params)
+    if bad:
+        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) params.{bad}")
     if kind == "file" and spec.params.get("sequence") and "alphabet_size" not in spec.params:
         raise ConfigurationError(f"dataset {spec.name!r} (file) reads sequences only with params.alphabet_size")
 
@@ -529,7 +551,9 @@ def materialize(
             starts=p.get("starts"),
         )
     if dim is None:
-        raise ConfigurationError("generator specs need the experiment dimension")
+        raise ConfigurationError(f"dataset {spec.name!r} ({p.get('generator')}) takes the experiment dimension "
+                                 "from vector d_in rows: vector generators cannot be d_in, nor outlier sets of "
+                                 "sequence data")
     for key in ("offset", "mean"):
         if isinstance(p.get(key), list) and len(p[key]) != dim:
             raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have one entry per "

@@ -159,26 +159,38 @@ def write_curves(out_dir: Path, exp: ExperimentResult) -> None:
                     fh.write(text)
 
 
-def write_pool_scores(path, pool: ScoredSet) -> None:
+def _score_rows(scores: np.ndarray, first_id: int, is_ood: int) -> str:
+    """Score-file rows "example_id,score,is_ood" for scores, with ids
+    counting from first_id; one % formats every row in C, and %r is repr."""
+    n = scores.size
+    cells = [None] * (2 * n)
+    cells[0::2] = range(first_id, first_id + n)
+    cells[1::2] = scores.tolist()
+    return (f"%d,%r,{is_ood}\n" * n) % tuple(cells)
+
+
+def write_pool_scores(path, pool: ScoredSet, inlier_rows: dict | None = None) -> None:
     """A pool's score file: columns example_id (the row index), score (repr
-    precision) and is_ood, with its inlier rows (0), then its outlier rows (1)."""
-    n_in, n_out = pool.in_scores.size, pool.out_scores.size
-    n = n_in + n_out
-    cells = [None] * (3 * n)
-    cells[0::3] = range(n)
-    cells[1::3] = np.concatenate((pool.in_scores, pool.out_scores)).tolist()
-    cells[2::3] = [0] * n_in + [1] * n_out
+    precision) and is_ood, with its inlier rows (0), then its outlier rows (1).
+
+    inlier_rows, when given, maps the bytes of an in_scores array to its
+    rows, so pools that share their inliers format them once; a pool whose
+    inliers were drawn differently has other bytes and gets its own rows."""
+    key = pool.in_scores.tobytes()
+    cache = {} if inlier_rows is None else inlier_rows
+    if key not in cache:
+        cache[key] = _score_rows(pool.in_scores, 0, 0)
     with Path(path).open("w", newline="") as fh:
-        # one % formats every row in C; %r is repr
-        fh.write("example_id,score,is_ood\n" + ("%d,%r,%d\n" * n) % tuple(cells))
+        fh.write("example_id,score,is_ood\n" + cache[key] + _score_rows(pool.out_scores, pool.in_scores.size, 1))
 
 
 def write_score_files(out_dir: Path, exp: ExperimentResult) -> None:
     score_dir = out_dir / "scores"
     score_dir.mkdir(parents=True, exist_ok=True)
     for sr in exp.seed_results:
+        inlier_rows = {}  # one seed's pools share its inlier scores
         for name, pool in sr.pools.items():
-            write_pool_scores(score_dir / f"{name}_seed{sr.seed}.csv", pool)
+            write_pool_scores(score_dir / f"{name}_seed{sr.seed}.csv", pool, inlier_rows)
 
 
 def write_reports(out_dir, exp: ExperimentResult) -> None:

@@ -9,7 +9,12 @@ forward_cached, backward, sgd_step and the training gradient work on
 either form: every matmul, bias add and reduction runs over the last axes,
 so a stack puts one per-net BLAS call of the same shape and transpose flags
 behind each layer, and every net of a stack gets the same bits it would get
-on its own.
+on its own. forward, the cache-free pass of one net that scoring,
+calibration and accuracy read, runs its rows in near-equal blocks of at
+most FORWARD_ROWS: a row's logits depend on that row alone, and blocks of
+at least FORWARD_ROWS // 2 rows stay on the BLAS kernel of one whole-set
+call, so the blocks keep the bits while each block's activations reuse
+two small buffers instead of a fresh full-size array per layer.
 
 The classifier loss is the mean cross-entropy on labeled inliers plus lam
 times the mean cross-entropy from the uniform distribution on auxiliary
@@ -38,6 +43,9 @@ PARAMS_VERSION = 1
 
 _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
+
+# The most rows forward runs through the net at once.
+FORWARD_ROWS = 4096
 
 
 @dataclass
@@ -249,21 +257,38 @@ def forward_cached(params: NetworkParams, inputs, work: Workspace | None = None)
     return z, acts
 
 
-def forward(params: NetworkParams, batch) -> np.ndarray:
-    """Class logits for a batch of one net.
+def _row_blocks(n: int) -> list[int]:
+    """Bounds of the near-equal blocks of at most FORWARD_ROWS rows that
+    forward splits n rows into: block j is rows bounds[j] to bounds[j+1].
+    Sizes differ by at most one, so once n > FORWARD_ROWS every block has
+    at least FORWARD_ROWS // 2 rows."""
+    blocks = max(1, -(-n // FORWARD_ROWS))
+    return [n * j // blocks for j in range(blocks + 1)]
 
-    The same arithmetic as forward_cached without the cache: each hidden
-    activation is dropped once the next layer has read it.
+
+def forward(params: NetworkParams, batch) -> np.ndarray:
+    """Class logits for a batch of one net, as a fresh (n, k) array.
+
+    The same arithmetic as forward_cached without the cache, run over the
+    row blocks of _row_blocks: each block's hidden activations alternate
+    between two block-sized buffers, and its last layer writes straight
+    into its rows of the logits. Every output row is a function of its
+    input row alone, and no block is small enough to move BLAS to another
+    kernel, so the logits keep the bits of one whole-set pass.
     """
     a = _input_matrix(params, batch.inputs if isinstance(batch, Batch) else batch)
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T
-        z += b
-        if i == last:
-            break
-        a = _act(z, params.activation)
-    return z
+    n, last = a.shape[0], len(params.weights) - 1
+    logits = np.empty((n, params.n_classes))
+    work = Workspace()
+    bounds = _row_blocks(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        h = a[lo:hi]
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            z = np.matmul(h, w.T, out=logits[lo:hi] if i == last else work.take(i % 2, (hi - lo, w.shape[0])))
+            z += b
+            if i < last:
+                h = _act(z, params.activation)
+    return logits
 
 
 def class_max(z: np.ndarray) -> np.ndarray:
@@ -297,14 +322,15 @@ def softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
     return e
 
 
-def max_softmax(logits, temperature: float = 1.0) -> np.ndarray:
+def max_softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
     """softmax(logits, temperature).max(axis=-1), bit for bit, as 1 / sum.
 
     The largest numerator is exp(0) = 1 exactly, and dividing every entry
     by the same sum is monotone, so no quotient rounds above 1 / sum. The
-    sum is softmax's own reduction, whose order sets the bits.
+    sum is softmax's own reduction, whose order sets the bits. out, when
+    given, holds the numerators and may be the logits array.
     """
-    return 1.0 / _shifted_exp(logits, temperature).sum(axis=-1)
+    return 1.0 / _shifted_exp(logits, temperature, out).sum(axis=-1)
 
 
 def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:

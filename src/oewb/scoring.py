@@ -34,5 +34,5 @@ def score_dataset(model, kind: str, dataset) -> np.ndarray:
         return np.zeros(0)
     logits = nn_core.forward(model, X)
     if kind == "msp":
-        return -nn_core.max_softmax(logits)
+        return -nn_core.max_softmax(logits, out=logits)
     return nn_core.log_softmax(logits).mean(axis=1)

@@ -1,8 +1,10 @@
-"""Brute-force reference implementations the metric tests compare against.
+"""Brute-force reference implementations the tests compare against.
 
-These deliberately use plain Python loops over pairs and thresholds; the
-library's vectorized rank/cumsum code must agree with them exactly (not
-approximately) on every random score set the tests generate.
+The metric references deliberately use plain Python loops over pairs and
+thresholds; the library's vectorized rank/cumsum code must agree with them
+exactly (not approximately) on every random score set the tests generate.
+The forward reference runs every row through the net at once, one fresh
+array per layer, as one whole-set pass does.
 """
 
 import math
@@ -74,3 +76,14 @@ def random_scored_pair(rng, max_size: int = 50):
     in_scores = rng.integers(-16, 17, size=n_in) / 8.0
     out_scores = rng.integers(-16, 17, size=n_out) / 8.0
     return in_scores, out_scores
+
+
+def forward_unblocked(params, X):
+    """A net's logits for the rows X in one pass: a @ w.T + b per layer,
+    with the activation between layers."""
+    a = np.asarray(X, dtype=np.float64)
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if i > 0:
+            a = np.maximum(a, 0.0) if params.activation == "relu" else np.tanh(a)
+        a = a @ w.T + b
+    return a

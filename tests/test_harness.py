@@ -1136,9 +1136,31 @@ class TestCli:
             ("d_out_test", {"kind": "generator", "name": "grid",
                             "params": {"generator": "uniform", "shape": [1, 2, 1, 1]}},
              "dataset 'grid' params.shape must have 3 entries, got [1, 2, 1, 1]"),
+            ("d_out_test", {"kind": "generator", "name": "flipped_box",
+                            "params": {"generator": "uniform_box", "low": 3.0, "high": -3.0}},
+             "dataset 'flipped_box' (uniform_box) params.low must not exceed params.high, got 3.0 > -3.0"),
+            ("d_out_test", {"kind": "generator", "name": "ring",
+                            "params": {"generator": "ring", "radius": 6.0, "n": -5}},
+             "dataset 'ring' (ring) params.n must be positive, got -5"),
+            ("d_out_test", {"kind": "generator", "name": "grid",
+                            "params": {"generator": "uniform", "shape": [1, 0, 2]}},
+             "dataset 'grid' (uniform) params.shape entries must be positive, got [1, 0, 2]"),
+            ("d_out_test", {"kind": "generator", "name": "coins",
+                            "params": {"generator": "bernoulli", "p": 1.5}},
+             "dataset 'coins' (bernoulli) params.p must lie in [0, 1], got 1.5"),
+            ("d_out_test", {"kind": "generator", "name": "grain",
+                            "params": {"generator": "speckle", "intensity": -0.5}},
+             "dataset 'grain' (speckle) params.intensity must be nonnegative, got -0.5"),
+            ("d_out_test", {"kind": "generator", "name": "negative",
+                            "params": {"generator": "invert", "shape": [1, 1, 2], "channel_mask": [True]}},
+             "dataset 'negative' (invert) params.channel_mask must hold one flag per channel (2), got [True]"),
+            ("d_in", {"kind": "generator", "name": "noise", "params": {"generator": "gaussian", "n": 90}},
+             "dataset 'noise' (gaussian) takes the experiment dimension from vector d_in rows: vector generators "
+             "cannot be d_in"),
         ],
         ids=["offset_length", "markov_length", "markov_alphabet", "markov_d_in_n", "value_range_length",
-             "shape_length"],
+             "shape_length", "uniform_box_low_above_high", "negative_n", "shape_entry", "bernoulli_p",
+             "speckle_intensity", "channel_mask_length", "vector_generator_d_in"],
     )
     def test_dataset_params_that_cannot_run_exit_one_naming_dataset_and_key(
         self, tmp_path, capsys, monkeypatch, role, spec, message
@@ -1150,6 +1172,7 @@ class TestCli:
         path.write_text(json.dumps(body))
         assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
         err = capsys.readouterr().err
+        assert f"error: dataset {spec['name']!r}" in err, err
         assert f"error: {message}" in err, err
 
     @pytest.mark.parametrize(

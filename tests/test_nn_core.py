@@ -11,6 +11,7 @@ from oewb import nn_core, objectives
 from oewb.errors import ConfigurationError, DataError, ParameterError
 
 import fd
+import oracles
 
 
 def _zeroed(dims, activation="relu"):
@@ -63,6 +64,38 @@ class TestForward:
         cached_logits, _ = nn_core.forward_cached(p, x)
         assert np.array_equal(logits, cached_logits)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dims", [[3, 16, 4], [3, 16, 8, 4]])
+    @pytest.mark.parametrize("n", [1, 37, 4095, 4096, 4097, 8193, 20000])
+    def test_row_blocks_keep_the_bits_of_one_unblocked_pass(self, activation, dims, n):
+        p = nn_core.init_network(dims, seed=5, activation=activation)
+        x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
+        got, want = nn_core.forward(p, x), oracles.forward_unblocked(p, x)
+        assert got.shape == want.shape == (n, dims[-1])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(n=st.integers(0, 12 * nn_core.FORWARD_ROWS))
+    @settings(max_examples=300, deadline=None)
+    def test_row_blocks_are_near_equal_and_cover_every_row(self, n):
+        bounds = nn_core._row_blocks(n)
+        assert bounds[0] == 0 and bounds[-1] == n
+        sizes = np.diff(bounds)
+        assert sizes.max() - sizes.min() <= 1 and sizes.max() <= nn_core.FORWARD_ROWS
+        if n > nn_core.FORWARD_ROWS:
+            assert sizes.min() >= nn_core.FORWARD_ROWS // 2
+        else:
+            assert bounds == [0, n]
+
+    def test_consecutive_calls_return_unaliased_logits(self):
+        p = nn_core.init_network([3, 16, 8, 4], seed=5)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(5000, 3)), rng.normal(size=(5000, 3))
+        first = nn_core.forward(p, x)
+        kept = first.copy()
+        second = nn_core.forward(p, y)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
     def test_dimension_mismatch_rejected(self):
         p = nn_core.init_network([2, 4, 3], seed=0)
         with pytest.raises(ConfigurationError):
@@ -110,6 +143,9 @@ class TestSoftmax:
         want = nn_core.softmax(z, t).max(axis=-1)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # written over the logits, as scoring does
+        in_place = nn_core.max_softmax(z, t, out=z)
+        assert np.array_equal(in_place.view(np.int64), want.view(np.int64))
 
     def test_max_softmax_of_a_saturated_row_is_one(self):
         assert nn_core.max_softmax([[900.0, 0.0, -5.0, 1.0]]).tolist() == [1.0]

@@ -86,6 +86,27 @@ def test_score_files_match_the_reference_bytes(tmp_path):
     assert b"\n1,-5e-324,0\n" in got["scores/extremes_seed0.csv"]
 
 
+def test_pools_sharing_their_inliers_format_them_once_per_seed(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    inliers = rng.normal(size=500)
+    pools = {
+        "shared": ScoredSet(inliers, rng.normal(size=400)),
+        "shared_again": ScoredSet(inliers.copy(), rng.normal(size=300)),
+        # inliers subsampled differently get their own rows
+        "reordered": ScoredSet(inliers[::-1], rng.normal(size=500)),
+        "halved": ScoredSet(inliers[:250], rng.normal(size=250)),
+    }
+    exp = ExperimentResult(None, [SeedResult(seed, {}, pools) for seed in (0, 1)])
+    flags = []
+    score_rows = reports._score_rows
+    monkeypatch.setattr(reports, "_score_rows", lambda *args: flags.append(args[2]) or score_rows(*args))
+    new, old = tmp_path / "new", tmp_path / "old"
+    reports.write_score_files(new, exp)
+    ref.write_score_files(old, exp)
+    assert _tree(new) == _tree(old)
+    assert flags.count(0) == 2 * 3 and flags.count(1) == 2 * 4
+
+
 def test_write_pool_scores_matches_the_reference_bytes(tmp_path):
     values = np.array(EDGE_VALUES * 3)
     for n_in in (0, 1, 15, 30):
