@@ -5,18 +5,19 @@ np.random.SeedSequence([seed, *role]) with a fixed role id per purpose, so
 any stage can be recomputed in isolation and reruns are bit-identical.
 
 run_experiment goes stage by stage across the seeds. It prepares every
-seed's data (refusing auxiliary outliers that reappear in a test set
-before anything trains), trains all baselines in lockstep as one stack of
-nets, then fine-tunes (or trains scratch_oe) all of them in lockstep, and
-finally evaluates, calibrates and reports one seed at a time in run_seed.
+seed's data (refusing, before anything trains, auxiliary outliers that
+reappear in a test set and test sets too small for the base rate), trains
+all baselines in lockstep as one stack of nets, then fine-tunes (or trains
+scratch_oe) all of them in lockstep, and finally evaluates, calibrates and
+reports one seed at a time in run_seed.
 Every detector's model is a plain nn_core.NetworkParams, a classifier or
 a density net (density.layout), so one stack serves both kinds.
 A seed's models are bit-identical to the ones it would train alone, as a
 stack of one, which is how the train and finetune commands train them.
-Test outlier sets influence nothing upstream of final evaluation. The
-validation outlier sets (d_out_val) are materialized only by
-validation_sets, for make-data and gen-outliers; no stage of a run reads
-them.
+Test outlier sets influence nothing upstream of final evaluation but
+that size check. The validation outlier sets (d_out_val) are materialized
+only by validation_sets, for make-data and gen-outliers; no stage of a run
+reads them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .. import density as density_mod
 from .. import metrics as metrics_mod
 from .. import nn_core
 from .. import scoring as scoring_mod
-from ..errors import ConfigurationError, DataError, DivergenceError
+from ..errors import ConfigurationError, DataError, DivergenceError, InputError
 from .config import ExperimentConfig
 from .datasets import SequenceDataset, VectorDataset, check_disjoint, check_params, materialize
 
@@ -82,8 +83,10 @@ def _check_kind(config: ExperimentConfig, named) -> None:
 
 
 def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
-    """Materialize and split every dataset the config names, then refuse to
-    continue if any auxiliary outlier row reappears in a test outlier set."""
+    """Materialize and split every dataset the config names. Refuses to
+    continue if a test outlier set and the inlier test split cannot form a
+    pool at the config's base rate, or if any auxiliary outlier row
+    reappears in a test outlier set."""
     config.validate()
     for spec in config.d_out_val:  # built by make-data and gen-outliers only, but no typo may pass
         check_params(spec)
@@ -110,6 +113,10 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
         tests[spec.name] = materialize(
             spec, n=_spec_n(spec), seed=_ss(seed, ROLE_TEST, i), dim=dim, din=din_train
         )
+        try:
+            metrics_mod.base_rate_sizes(din_test.n, tests[spec.name].n, config.base_rate)
+        except InputError as exc:
+            raise InputError(f"seed {seed}, test set {spec.name!r}: {exc}") from exc
         if oe is not None:
             check_disjoint(oe, tests[spec.name], config.d_out_oe.name, spec.name)
     _check_kind(config, [("d_in", din), ("d_out_oe", oe), *tests.items()])
@@ -280,17 +287,22 @@ def classifier_accuracy(params: nn_core.NetworkParams, data: VectorDataset) -> f
 def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed: int):
     """Scored base-rate pools and detection reports for every test outlier set.
 
-    Returns (reports, pools) keyed by set name; the subsample that fixes
-    the out:in ratio is seeded per set, so baseline and fine-tuned models
-    are compared on identical example pools.
+    Returns (reports, pools) keyed by set name. Each set's pool rows are
+    drawn first, from the set sizes alone (metrics.base_rate_rows, seeded
+    per set), so baseline and fine-tuned models are compared on identical
+    example pools. Then only what the pools read is scored: the inlier test
+    split once, whole, and of each outlier set the rows its pool keeps
+    (scoring.score_rows, which gives them the bits of a whole-set pass).
     """
-    in_scores = scoring_mod.score_dataset(model, config.detector, _raw(bundle.din_test))
+    din = bundle.din_test
+    in_scores = scoring_mod.score_dataset(model, config.detector, _raw(din))
     reports, pools = {}, {}
     for i, (name, data) in enumerate(bundle.tests.items()):
-        out_scores = scoring_mod.score_dataset(model, config.detector, _raw(data))
-        pool = metrics_mod.enforce_base_rate(
-            in_scores, out_scores, ratio=config.base_rate, seed=_ss(seed, ROLE_BASE_RATE, i)
+        in_rows, out_rows = metrics_mod.base_rate_rows(
+            din.n, data.n, ratio=config.base_rate, seed=_ss(seed, ROLE_BASE_RATE, i)
         )
+        out_scores = scoring_mod.score_rows(model, config.detector, _raw(data), out_rows)
+        pool = metrics_mod.ScoredSet(in_scores[in_rows], out_scores)
         reports[name] = metrics_mod.detection_report(pool, config.n_level)
         pools[name] = pool
     return reports, pools

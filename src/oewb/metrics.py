@@ -17,6 +17,10 @@ counts at the end of each block of tied scores. AUROC is the exact
 integer Mann-Whitney count over those blocks, AUPR sums over them, and
 FPR@N indexes the first block whose tp reaches ceil(N% * n_out).
 detection_report sweeps each pool once for all three.
+
+Pools are compared at a fixed out:in base rate. base_rate_rows draws the
+rows such a pool keeps from the two set sizes and a seed alone, before
+anything is scored; enforce_base_rate applies that draw to score lists.
 """
 
 from __future__ import annotations
@@ -114,26 +118,47 @@ def fpr_at_tpr(s: ScoredSet, n_percent: float) -> float:
     return _fpr_at_tpr(*sweep(s), n_percent)
 
 
-def enforce_base_rate(in_scores, out_scores, ratio=(1, 5), seed=0) -> ScoredSet:
-    """Seeded subsample to an exact out:in ratio, keeping as much of each pool
-    as fits (floor rounding on whichever side is the constraint)."""
+def base_rate_sizes(n_in: int, n_out: int, ratio=(1, 5)) -> tuple[int, int]:
+    """(inliers, outliers) a pool of n_in inliers and n_out outliers keeps at
+    an exact out:in ratio: as much of each as fits, with floor rounding on
+    whichever side is the constraint."""
     a, b = int(ratio[0]), int(ratio[1])
     if a < 1 or b < 1:
         raise InputError("ratio parts must be positive integers")
+    m = min(int(n_out) // a, int(n_in) // b)
+    if m == 0:
+        raise InputError(f"pools of {n_out} out / {n_in} in cannot realize ratio {a}:{b}")
+    return m * b, m * a
+
+
+def base_rate_rows(n_in: int, n_out: int, ratio=(1, 5), seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded draw behind enforce_base_rate, from the pool sizes alone:
+    (inlier rows, outlier rows) that the pool keeps, each sorted.
+
+    The outliers are drawn first, then the inliers, each by one rng.choice
+    without replacement from one generator; a side kept whole is
+    np.arange of its size and makes no draw.
+    """
+    keep_in, keep_out = base_rate_sizes(n_in, n_out, ratio)
+    rng = np.random.default_rng(seed)
+
+    def rows(n: int, keep: int) -> np.ndarray:
+        return np.arange(n) if keep == n else np.sort(rng.choice(n, size=keep, replace=False))
+
+    out_rows = rows(n_out, keep_out)  # before the inliers: the draw order sets the rows
+    return rows(n_in, keep_in), out_rows
+
+
+def enforce_base_rate(in_scores, out_scores, ratio=(1, 5), seed=0) -> ScoredSet:
+    """Seeded subsample of two score lists to an exact out:in ratio: the
+    rows of base_rate_rows, taken in order. The draw reads only the list
+    sizes, so a caller that scores its rows later (the harness's
+    evaluate_detector) draws with base_rate_rows first and scores only the
+    rows the pool keeps."""
     in_arr = np.asarray(in_scores, dtype=np.float64).ravel()
     out_arr = np.asarray(out_scores, dtype=np.float64).ravel()
-    m = min(out_arr.size // a, in_arr.size // b)
-    if m == 0:
-        raise InputError(
-            f"pools of {out_arr.size} out / {in_arr.size} in cannot realize ratio {a}:{b}"
-        )
-    n_out, n_in = m * a, m * b
-    rng = np.random.default_rng(seed)
-    if n_out < out_arr.size:
-        out_arr = out_arr[np.sort(rng.choice(out_arr.size, size=n_out, replace=False))]
-    if n_in < in_arr.size:
-        in_arr = in_arr[np.sort(rng.choice(in_arr.size, size=n_in, replace=False))]
-    return ScoredSet(in_arr, out_arr)
+    in_rows, out_rows = base_rate_rows(in_arr.size, out_arr.size, ratio, seed)
+    return ScoredSet(in_arr[in_rows], out_arr[out_rows])
 
 
 def ratio_label(n_out: int, n_in: int) -> str:

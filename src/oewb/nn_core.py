@@ -14,7 +14,12 @@ calibration and accuracy read, runs its rows in near-equal blocks of at
 most FORWARD_ROWS: a row's logits depend on that row alone, and blocks of
 at least FORWARD_ROWS // 2 rows stay on the BLAS kernel of one whole-set
 call, so the blocks keep the bits while each block's activations reuse
-two small buffers instead of a fresh full-size array per layer.
+two small buffers instead of a fresh full-size array per layer. The same
+invariant lets a caller run just some rows of a set: a forward of at
+least FORWARD_ROWS // 2 rows gives each of them the bits it gets in a
+whole-set pass, so scoring.score_rows forwards a base-rate pool's kept
+rows alone from that size up. Smaller forwards can move the last bits
+and are run as part of the whole set.
 
 The classifier loss is the mean cross-entropy on labeled inliers plus lam
 times the mean cross-entropy from the uniform distribution on auxiliary

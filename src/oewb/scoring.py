@@ -36,3 +36,21 @@ def score_dataset(model, kind: str, dataset) -> np.ndarray:
     if kind == "msp":
         return -nn_core.max_softmax(logits, out=logits)
     return nn_core.log_softmax(logits).mean(axis=1)
+
+
+def score_rows(model, kind: str, dataset, rows: np.ndarray) -> np.ndarray:
+    """score_dataset(model, kind, dataset)[rows], bit for bit, for an array
+    of row indices rows.
+
+    A row's score depends on that row alone, and nn_core.forward gives a
+    row the bits of a whole-set pass in any forward of at least
+    FORWARD_ROWS // 2 rows (its blocks all stay on one BLAS kernel). So a
+    proper subset whose forward reaches that size (a density sequence runs
+    D position rows) is scored by itself; a smaller one, or every row, is
+    scored within the whole set and indexed.
+    """
+    dataset = np.asarray(dataset)
+    forward_rows = rows.size * (dataset.shape[1] if kind == "density_bpp" else 1)
+    if rows.size < len(dataset) and forward_rows >= nn_core.FORWARD_ROWS // 2:
+        return score_dataset(model, kind, dataset[rows])
+    return score_dataset(model, kind, dataset)[rows]

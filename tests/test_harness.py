@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oewb import density, nn_core
+from oewb import density, metrics, nn_core
 from oewb.errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from oewb.harness import cli, datasets, pipeline, reports
 from oewb.harness.config import (
@@ -879,6 +879,37 @@ class TestEvaluation:
         assert pb["ring"].in_scores.size == pf["ring"].in_scores.size
         assert pb["ring"].out_scores.size == pf["ring"].out_scores.size
 
+    def test_large_pools_score_only_their_kept_outlier_rows(self, monkeypatch):
+        # 1:1 with 2,070 inlier test rows: the 5,000-row set keeps 2,070
+        # outliers, enough to be scored alone; the 200-row set keeps all 200
+        # and is scored whole. The pools are the ones whole-set scoring and
+        # enforce_base_rate give.
+        blobs = {"k": 3, "n_per_cluster": 4600, "dim": 2, "separation": 6.0}
+        rings = [DatasetSpec("generator", name, {"generator": "ring", "radius": 6.0, "width": 0.2, "n": n})
+                 for name, n in (("big", 5000), ("small", 200))]
+        config = _tiny_config(d_in=DatasetSpec("synthetic_gaussian_mixture", "blobs", blobs),
+                              d_out_test=rings, base_rate=(1, 1))
+        bundle = pipeline.prepare_data(config, seed=0)
+        assert bundle.din_test.n == 2070
+        model = nn_core.init_network([2, 8, 3], seed=0)
+        original, rows_scored = pipeline.scoring_mod.score_dataset, []
+
+        def counting(model, kind, dataset):
+            rows_scored.append(len(dataset))
+            return original(model, kind, dataset)
+
+        monkeypatch.setattr(pipeline.scoring_mod, "score_dataset", counting)
+        _, pools = pipeline.evaluate_detector(model, config, bundle, seed=0)
+        assert rows_scored == [2070, 2070, 200]
+        in_scores = original(model, "msp", bundle.din_test.features)
+        for i, name in enumerate(("big", "small")):
+            want = metrics.enforce_base_rate(
+                in_scores, original(model, "msp", bundle.tests[name].features),
+                ratio=(1, 1), seed=pipeline._ss(0, pipeline.ROLE_BASE_RATE, i),
+            )
+            assert np.array_equal(pools[name].in_scores.view(np.int64), want.in_scores.view(np.int64))
+            assert np.array_equal(pools[name].out_scores.view(np.int64), want.out_scores.view(np.int64))
+
     def test_calibration_eval_structure(self):
         config = _tiny_config(calibration=True, epochs=8)
         sr = pipeline.run_seed(config, seed=0)
@@ -1015,6 +1046,22 @@ class TestCli:
         body = (out / "per_seed.csv").read_text()
         lines = body.strip().split("\n")[1:]
         assert lines and all(line.startswith("7,") for line in lines)
+
+    def test_unrealizable_base_rate_exits_one_before_training(self, tmp_path, capsys, monkeypatch):
+        # 3 shifted_gaussian rows cannot give 5 outliers per inlier; every
+        # set is checked while the data are prepared, so nothing trains
+        calls = []
+        monkeypatch.setattr(nn_core, "train_loop", lambda *a, **k: calls.append(a))
+        config = get_preset("preset_2d", seeds=(3, 4))
+        config.d_out_test[1].params["n"] = 3
+        config.base_rate = (5, 1)
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert "error: seed 3, test set 'shifted_gaussian': pools of 3 out / 180 in cannot realize ratio 5:1" in err
+        assert calls == []
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = cli.main(["run", "-c", str(tmp_path / "missing.json")])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oewb import metrics
@@ -156,6 +156,56 @@ class TestEnforceBaseRate:
         c = metrics.enforce_base_rate(in_pool, out_pool, ratio=(1, 5), seed=8)
         assert np.array_equal(a.out_scores, b.out_scores)
         assert not np.array_equal(a.out_scores, c.out_scores)
+
+
+def _enforce_base_rate_rows_reference(n_in, n_out, ratio, seed):
+    """The rows the single-body enforce_base_rate kept before its draw was
+    split out: the outliers drawn first, then the inliers, each only when
+    cut, by one generator; applied here to the row numbers themselves."""
+    a, b = ratio
+    m = min(n_out // a, n_in // b)
+    rng = np.random.default_rng(seed)
+    in_rows, out_rows = np.arange(n_in), np.arange(n_out)
+    if m * a < n_out:
+        out_rows = out_rows[np.sort(rng.choice(n_out, size=m * a, replace=False))]
+    if m * b < n_in:
+        in_rows = in_rows[np.sort(rng.choice(n_in, size=m * b, replace=False))]
+    return in_rows, out_rows
+
+
+class TestBaseRateRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_in=st.integers(1, 400),
+        n_out=st.integers(1, 400),
+        ratio=st.one_of(st.sampled_from([(1, 1), (1, 5), (5, 1)]), st.tuples(st.integers(1, 7), st.integers(1, 7))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_in=500, n_out=1000, ratio=(1, 5), seed=0)  # outliers cut
+    @example(n_in=400, n_out=300, ratio=(1, 1), seed=3)  # inliers cut
+    @example(n_in=40, n_out=40, ratio=(1, 1), seed=0)  # equal pools: no draw
+    @example(n_in=500, n_out=100, ratio=(1, 5), seed=9)  # already at the ratio
+    @example(n_in=103, n_out=211, ratio=(5, 2), seed=1)  # both cut
+    def test_draw_keeps_the_rows_enforce_base_rate_kept(self, n_in, n_out, ratio, seed):
+        a, b = ratio
+        if min(n_out // a, n_in // b) == 0:
+            with pytest.raises(InputError):
+                metrics.base_rate_rows(n_in, n_out, ratio, seed)
+            return
+        want_in, want_out = _enforce_base_rate_rows_reference(n_in, n_out, ratio, seed)
+        in_rows, out_rows = metrics.base_rate_rows(n_in, n_out, ratio, seed)
+        assert np.array_equal(in_rows, want_in) and np.array_equal(out_rows, want_out)
+        # enforce_base_rate keeps the same rows of score lists that name their row
+        pool = metrics.enforce_base_rate(np.arange(n_in) + 0.5, -np.arange(n_out) - 0.5, ratio, seed)
+        assert np.array_equal(pool.in_scores, want_in + 0.5)
+        assert np.array_equal(pool.out_scores, -want_out - 0.5)
+
+    def test_sizes_follow_the_constraint_side(self):
+        assert metrics.base_rate_sizes(500, 1000, (1, 5)) == (500, 100)
+        assert metrics.base_rate_sizes(400, 300, (1, 1)) == (300, 300)
+        assert metrics.base_rate_sizes(103, 211, (5, 2)) == (84, 210)
+        with pytest.raises(InputError, match="pools of 3 out / 180 in cannot realize ratio 5:1"):
+            metrics.base_rate_sizes(180, 3, (5, 1))
 
 
 class TestRatioLabel:

@@ -1,7 +1,7 @@
 """Report trees of `oewb run` stay byte-identical to the digests the
-benchmark recorded in bench/digests.json: seed 0 of every workload, built
-with bench/workloads.py and digested with bench/checks.py. bench/ is only
-read here."""
+benchmark recorded in bench/digests.json: every recorded seed of every
+workload, built with bench/workloads.py and digested with bench/checks.py.
+bench/ is only read here."""
 
 import importlib.util
 import json
@@ -21,12 +21,17 @@ def _load(name: str):
     return module
 
 
-@pytest.mark.parametrize("workload", ["oe2d", "density_seq", "eval_large"])
-def test_seed0_report_tree_matches_recorded_digests(tmp_path, workload):
+RECORDED = json.loads((BENCH / "digests.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "workload, seed", [(workload, seed) for workload, seeds in RECORDED.items() for seed in sorted(seeds)]
+)
+def test_report_tree_matches_recorded_digests(tmp_path, workload, seed):
     workloads, checks = _load("workloads"), _load("checks")
-    recorded = json.loads((BENCH / "digests.json").read_text())[workload]["0"]
+    recorded = RECORDED[workload][seed]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(workloads.make_config(workload, 0)))
+    config.write_text(json.dumps(workloads.make_config(workload, int(seed))))
     out = tmp_path / "out"
     assert cli.main(["run", "-c", str(config), "-o", str(out), "-q"]) == 0
     got = checks.tree_digests(out)

@@ -150,3 +150,57 @@ class TestScoreDataset:
             scoring.score_dataset(m, "msp", seqs)
         with pytest.raises(ConfigurationError):
             scoring.score_dataset(p, "mahalanobis", X)
+
+
+class TestScoreRows:
+    """score_rows equals whole-set scoring followed by indexing, bit for
+    bit, on both sides of its size rule: kept rows whose forward reaches
+    nn_core.FORWARD_ROWS // 2 rows are scored alone, fewer within the set."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        seen = []
+        original = scoring.score_dataset
+
+        def spy(model, kind, dataset):
+            seen.append(len(dataset))
+            return original(model, kind, dataset)
+
+        monkeypatch.setattr(scoring, "score_dataset", spy)
+        return original, seen
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("kind", ["msp", "uniform_ce"])
+    @pytest.mark.parametrize("n", [2048, 4097, 20000])
+    @pytest.mark.parametrize("kept", [2047, 2048])
+    def test_kept_rows_keep_the_whole_set_bits(self, monkeypatch, activation, kind, n, kept):
+        assert nn_core.FORWARD_ROWS // 2 == 2048
+        rng = np.random.default_rng(n + kept)
+        net = nn_core.init_network([2, 32, 32, 4], seed=kept, activation=activation)
+        X = rng.normal(scale=4.0, size=(n, 2))
+        rows = np.sort(rng.choice(n, size=kept, replace=False))
+        original, seen = self._spy(monkeypatch)
+        got = scoring.score_rows(net, kind, X, rows)
+        whole = original(net, kind, X)
+        assert np.array_equal(got.view(np.int64), whole[rows].view(np.int64))
+        alone = kept >= 2048 and kept < n
+        assert seen == [kept if alone else n]
+
+    @pytest.mark.parametrize("kept", [127, 128])
+    def test_density_counts_position_rows(self, monkeypatch, kept):
+        # 16 position rows per sequence: 128 sequences make a 2,048-row forward
+        net = density.init_ar_model(8, 2, (32,), seed=3)
+        seqs = np.random.default_rng(4).integers(0, 8, size=(300, 16))
+        rows = np.sort(np.random.default_rng(5).choice(300, size=kept, replace=False))
+        original, seen = self._spy(monkeypatch)
+        got = scoring.score_rows(net, "density_bpp", seqs, rows)
+        whole = original(net, "density_bpp", seqs)
+        assert np.array_equal(got.view(np.int64), whole[rows].view(np.int64))
+        assert seen == [128 if kept == 128 else 300]
+
+    def test_every_row_is_scored_whole(self, monkeypatch):
+        X = np.random.default_rng(6).normal(size=(3000, 2))
+        original, seen = self._spy(monkeypatch)
+        got = scoring.score_rows(_classifier(), "msp", X, np.arange(3000))
+        assert np.array_equal(got, original(_classifier(), "msp", X))
+        assert seen == [3000]
