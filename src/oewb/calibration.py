@@ -57,6 +57,39 @@ def adaptive_bins(confidence):
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
+def _nll_at(logits, top, picked, temps) -> np.ndarray:
+    """Mean cross-entropy of logits / t for every t in temps, given
+    top = class_max(logits) and picked, each row's label logit.
+
+    Bit-identical to objectives.ce_loss(logits / t, labels) while it
+    computes only the label entries of the log-softmax: dividing by t > 0
+    keeps the order, so max(z / t) is exactly max(z) / t, and a label
+    entry is (picked / t - max) - log(sum exp(z / t - max)) as log_softmax
+    forms it. Each row's mean is a 1-D reduction of the negated entries,
+    as ce_loss's np.mean (an axis mean would sum in another order).
+    """
+    temps = np.asarray(temps, dtype=np.float64)
+    n = logits.shape[0]
+    out = np.empty(temps.size)
+    # temperatures per chunk: each (T, n, k) temporary stays within 2**15
+    # entries (256 KiB), so the batching adds no visible peak memory
+    chunk = max(1, 2**15 // logits.size)
+    for start in range(0, temps.size, chunk):
+        t = temps[start : start + chunk, None]
+        m = top[None, :, 0] / t
+        z = logits[None, :, :] / t[:, :, None]
+        z -= m[:, :, None]
+        s = np.log(np.exp(z, out=z).sum(axis=-1))
+        lp = picked[None, :] / t
+        lp -= m
+        lp -= s
+        # negate before the sum, as ce_loss does: a sum of zeros keeps no
+        # sign, so -(sum of lp) can read -0.0 where ce_loss reads 0.0
+        for j, row in enumerate(np.negative(lp, out=lp)):
+            out[start + j] = np.add.reduce(row) / n
+    return out
+
+
 def tune_temperature(logits, labels) -> float:
     """Scalar temperature minimizing cross-entropy of logits / T on a held-out set.
 
@@ -73,33 +106,14 @@ def tune_temperature(logits, labels) -> float:
     if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
         raise InputError("class label out of range")
 
-    rows = np.arange(logits.shape[0])
-    # temperatures per chunk: each (T, n, k) temporary stays within 2**15
-    # entries (256 KiB), so the batching adds no visible peak memory
-    chunk = max(1, 2**15 // logits.size)
-
-    def _nll_at(temps) -> np.ndarray:
-        """Mean cross-entropy of logits / t for every t in temps.
-
-        Bit-identical to objectives.ce_loss(logits / t, labels): the same
-        elementwise log-softmax, and each row's mean as a 1-D reduction
-        (an axis mean would sum in another order).
-        """
-        temps = np.asarray(temps, dtype=np.float64)
-        out = np.empty(temps.size)
-        for start in range(0, temps.size, chunk):
-            t = temps[start : start + chunk]
-            lp = nn_core.log_softmax(logits[None, :, :] / t[:, None, None])
-            picked = -lp[:, rows, labels]
-            for j, row in enumerate(picked):
-                out[start + j] = np.add.reduce(row) / rows.size
-        return out
+    top = nn_core.class_max(logits)
+    picked = logits[np.arange(logits.shape[0]), labels]
 
     def nll_at(t: float) -> float:
-        return float(_nll_at([t])[0])
+        return float(_nll_at(logits, top, picked, [t])[0])
 
     grid = np.unique(np.concatenate((np.logspace(-2.0, 2.0, 200), [1.0])))
-    ces = _nll_at(grid)
+    ces = _nll_at(logits, top, picked, grid)
     best = int(np.argmin(ces))
     lo = math.log(grid[max(best - 1, 0)])
     hi = math.log(grid[min(best + 1, grid.size - 1)])

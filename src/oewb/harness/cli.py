@@ -4,11 +4,23 @@ Subcommands: run, train, finetune, eval, calibrate, gen-outliers,
 make-data. Exit codes: 0 on success, 1 when a config/parameter/data
 validation fails, 2 on any other runtime failure, including training that
 diverges to non-finite parameters.
+
+Every command runs with each loaded OpenBLAS limited to one thread and
+restores the previous count when it returns or raises. The workbench's
+nets are a few dozen units wide: a second BLAS thread cannot split their
+products usefully and spins on a core between them. The bits do not
+depend on the count, because a threaded gemm splits the output entries,
+not the sums behind them. Without OpenBLAS this is a no-op.
+
+A command creates its output directory only when it writes its first
+file, so a refused command leaves no directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import math
 import sys
@@ -40,7 +52,11 @@ def _pick_seed(config: ExperimentConfig, args) -> int:
 
 
 def _out_dir(args, default: str) -> Path:
-    out = Path(args.out) if args.out else Path(default)
+    """The output directory; it is made when the first file is written."""
+    return Path(args.out) if args.out else Path(default)
+
+
+def _mkdir(out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -78,7 +94,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args, f"runs/{config.name}")
     bundle = pipeline.prepare_data(config, seed)
     [model] = pipeline.train_baseline(config, pipeline.training_set([bundle], [seed]))
-    path = out / f"baseline_seed{seed}.bin"
+    path = _mkdir(out) / f"baseline_seed{seed}.bin"
     nn_core.save_params(model, path)
     if not args.quiet:
         print(f"baseline model written to {path}")
@@ -91,7 +107,7 @@ def cmd_finetune(args) -> int:
     out = _out_dir(args, f"runs/{config.name}")
     train = pipeline.training_set([pipeline.prepare_data(config, seed)], [seed])
     [model] = pipeline.finetune_oe(config, train, [_load_model(config, train, args.params)])
-    path = out / f"finetuned_seed{seed}.bin"
+    path = _mkdir(out) / f"finetuned_seed{seed}.bin"
     nn_core.save_params(model, path)
     if not args.quiet:
         print(f"fine-tuned model written to {path}")
@@ -106,7 +122,7 @@ def cmd_eval(args) -> int:
     model = _load_model(config, pipeline.training_set([bundle], [seed]), args.params)
     rep, pools = pipeline.evaluate_detector(model, config, bundle, seed)
     payload = {name: asdict(r) for name, r in rep.items()}
-    (out / f"eval_seed{seed}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (_mkdir(out) / f"eval_seed{seed}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for name, pool in pools.items():
         reports.write_pool_scores(out / f"scores_{name}_seed{seed}.csv", pool)
     if not args.quiet:
@@ -149,7 +165,7 @@ def cmd_calibrate(args) -> int:
     conf, correct = _read_predictions_csv(args.predictions)
     report = calib_mod.report_from_records(conf, correct)
     out = _out_dir(args, ".")
-    path = out / (Path(args.predictions).stem + "_calibration.json")
+    path = _mkdir(out) / (Path(args.predictions).stem + "_calibration.json")
     path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     if not args.quiet:
         print(f"rms={report.rms_error:.6f} mad={report.mad_error:.6f} soft_f1={report.soft_f1:.6f}")
@@ -170,7 +186,7 @@ def cmd_gen_outliers(args) -> int:
     if name not in sets:
         raise ConfigurationError(f"no outlier spec named {name!r}; have {sorted(sets)}")
     data = sets[name]
-    path = out / f"{name}_seed{seed}.csv"
+    path = _mkdir(out) / f"{name}_seed{seed}.csv"
     _write_dataset(path, data)
     if not args.quiet:
         print(f"{data.n} rows written to {path}")
@@ -193,6 +209,7 @@ def cmd_make_data(args) -> int:
         named["test_" + name] = data
     for name, data in pipeline.validation_sets(config, bundle, seed).items():
         named["val_" + name] = data
+    _mkdir(out)
     for name, data in named.items():
         _write_dataset(out / f"{name}_seed{seed}.csv", data)
     if not args.quiet:
@@ -249,10 +266,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (getter, setter) pairs as exported by numpy's scipy-openblas wheel and by
+# plain 64-bit-integer and 32-bit-integer builds; a library's first pair wins
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _blas_thread_controls() -> list:
+    """(get, set) thread-count functions of each OpenBLAS the process has
+    loaded; empty when none is found (another OS, another BLAS)."""
+    try:
+        with open("/proc/self/maps") as fh:  # the sixth field is the mapped file
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # the copy already loaded
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Each loaded OpenBLAS on one thread inside, its own count restored after."""
+    controls = _blas_thread_controls()
+    before = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(1)
+        yield
+    finally:
+        for (_, put), n in zip(controls, before):
+            put(n)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _one_blas_thread():
+            return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oewb import calibration as cal
 from oewb import nn_core, objectives
@@ -227,6 +229,39 @@ class TestTuneTemperature:
             logits = rng.normal(size=(n, k)) * rng.uniform(0.1, 20.0)
             labels = rng.integers(0, k, size=n)
             assert cal.tune_temperature(logits, labels) == _scalar_loop_temperature(logits, labels)
+
+    @staticmethod
+    def _assert_probe_is_ce_loss(logits, labels, temps):
+        top = nn_core.class_max(logits)
+        picked = logits[np.arange(logits.shape[0]), labels]
+        got = cal._nll_at(logits, top, picked, temps)
+        want = np.array([objectives.ce_loss(logits / t, labels) for t in temps])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        k=st.integers(2, 10),
+        temps=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_probe_equals_ce_loss_bit_for_bit(self, data, n, k, temps):
+        # values from a small pool give tied maxima and tied label logits
+        pool = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6))
+        logits = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n * k, max_size=n * k)))
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        self._assert_probe_is_ce_loss(logits.reshape(n, k), labels, temps)
+
+    def test_probe_equals_ce_loss_across_temperature_chunks(self):
+        # 9,000 x 4 logits leave one temperature per chunk
+        rng = np.random.default_rng(13)
+        logits = np.round(rng.normal(size=(9000, 4)) * 8.0, 1)
+        labels = rng.integers(0, 4, size=9000)
+        self._assert_probe_is_ce_loss(logits, labels, [0.01, 0.37, 1.0, 100.0])
+
+    def test_probe_keeps_the_sign_of_a_zero_loss(self):
+        # log(1 + exp(-37)) rounds to 0, so the loss is a signed zero
+        self._assert_probe_is_ce_loss(np.array([[0.0, -37.0]]), np.array([0]), [1.0])
 
     def test_scaling_preserves_argmax(self):
         rng = np.random.default_rng(9)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -1063,6 +1064,82 @@ class TestCli:
         assert "error: seed 3, test set 'shifted_gaussian': pools of 3 out / 180 in cannot realize ratio 5:1" in err
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["run", "train", "finetune", "eval", "gen-outliers", "make-data"])
+    def test_refused_command_leaves_no_output_directory(self, tmp_path, capsys, command):
+        # the refusal comes while the data are prepared, after the output
+        # path is known and before anything is written
+        config = get_preset("preset_2d", seeds=(3,))
+        config.d_out_test[1].params["n"] = 3
+        config.base_rate = (5, 1)
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        out = tmp_path / "out"
+        extra = ["--params", str(tmp_path / "never_read.bin")] if command in ("finetune", "eval") else []
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q", *extra]) == 1
+        assert "cannot realize ratio 5:1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "failure, code",
+        [(None, 0), (ConfigurationError("refused"), 1), (RuntimeError("wedged"), 2)],
+        ids=["success", "refusal", "internal-error"],
+    )
+    @pytest.mark.parametrize("command", ["run", "train", "make-data"])
+    def test_commands_run_blas_on_one_thread_and_restore_the_count(
+        self, tmp_path, capsys, monkeypatch, command, failure, code
+    ):
+        controls = cli._blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control in this process")
+        original = [get() for get, _ in controls]
+        seen = []
+        prepare_data = pipeline.prepare_data
+
+        def reading_prepare_data(config, seed):
+            seen.append([get() for get, _ in controls])
+            if failure is not None:
+                raise failure
+            return prepare_data(config, seed)
+
+        monkeypatch.setattr(pipeline, "prepare_data", reading_prepare_data)
+        path = self._write_config(tmp_path)
+        try:
+            # a count that is neither 1 nor the default, so a restore to
+            # either would show
+            for _, put in controls:
+                put(3)
+            before = [get() for get, _ in controls]
+            rc = cli.main([command, "-c", str(path), "-o", str(tmp_path / "out"), "-q"])
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, put), n in zip(controls, original):
+                put(n)
+        assert rc == code, capsys.readouterr().err
+        assert seen and all(counts == [1] * len(controls) for counts in seen)
+        assert after == before
+
+    def test_report_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the 8,192-row test set is scored in 4,096-row forwards through
+        # 32 x 32 layers: products big enough for OpenBLAS to thread at
+        # its default count, and on one thread under the CLI
+        ring = {"generator": "ring", "radius": 6.0, "width": 0.2, "n": 8192}
+        config = _tiny_config(
+            d_out_test=[DatasetSpec("generator", "ring", ring)],
+            model=ModelSettings(hidden_dims=(32, 32), lr0=0.1, finetune_lr0=0.05, batch_size=32),
+        )
+        default, one = tmp_path / "default", tmp_path / "one"
+        pipeline.run_experiment(config, out_dir=default, quiet=True)
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        assert cli.main(["run", "-c", str(path), "-o", str(one), "-q"]) == 0
+
+        def digests(root):
+            return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        assert (default / "scores").is_dir()
+        assert digests(one) == digests(default)
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = cli.main(["run", "-c", str(tmp_path / "missing.json")])
         assert rc == 1
@@ -1129,7 +1206,7 @@ class TestCli:
         assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
         err = capsys.readouterr().err
         assert f"error: dataset 'ring' params.radius must be {expected}" in err, err
-        assert not any(out.iterdir())  # no report was written
+        assert not out.exists()  # nothing was written, not even the directory
 
     @pytest.mark.parametrize(
         "d_in, unread",
@@ -1160,7 +1237,7 @@ class TestCli:
         assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
         err = capsys.readouterr().err
         assert f"error: {unread}" in err, err
-        assert not any(out.iterdir())  # no report was written
+        assert not out.exists()  # nothing was written, not even the directory
 
     @pytest.mark.parametrize(
         "role, spec, message",
@@ -1271,7 +1348,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{params}: the net has layer widths {net.layer_dims}" in err, err
         assert "internal error" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_refused_pair_exits_one_and_names_it(self, tmp_path, capsys):
         d = _tiny_density_config().to_dict()
