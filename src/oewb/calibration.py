@@ -58,83 +58,99 @@ def adaptive_bins(confidence):
 
 
 def _nll_at(logits, top, picked, temps) -> np.ndarray:
-    """Mean cross-entropy of logits / t for every t in temps, given
-    top = class_max(logits) and picked, each row's label logit.
+    """Mean cross-entropy of logits[f] / t for every temperature t in row f
+    of temps: the (F, T) losses of (F, n, k) logits, given top =
+    class_max(logits) and picked, the (F, n) label logits.
 
-    Bit-identical to objectives.ce_loss(logits / t, labels) while it
+    Bit-identical to objectives.ce_loss(logits[f] / t, labels[f]) while it
     computes only the label entries of the log-softmax: dividing by t > 0
     keeps the order, so max(z / t) is exactly max(z) / t, and a label
     entry is (picked / t - max) - log(sum exp(z / t - max)) as log_softmax
-    forms it. Each row's mean is a 1-D reduction of the negated entries,
-    as ce_loss's np.mean (an axis mean would sum in another order).
+    forms it. Each mean reduces the negated entries along the last axis of
+    a C-contiguous array, which sums every row as ce_loss's 1-D np.mean
+    does.
     """
-    temps = np.asarray(temps, dtype=np.float64)
-    n = logits.shape[0]
-    out = np.empty(temps.size)
-    # temperatures per chunk: each (T, n, k) temporary stays within 2**15
-    # entries (256 KiB), so the batching adds no visible peak memory
+    n = logits.shape[1]
+    out = np.empty(temps.shape)
+    # temperatures per chunk: each (F, T, n, k) temporary stays within 2**15
+    # entries (256 KiB), or one temperature per fit, so the batching adds no
+    # visible peak memory
     chunk = max(1, 2**15 // logits.size)
-    for start in range(0, temps.size, chunk):
-        t = temps[start : start + chunk, None]
-        m = top[None, :, 0] / t
-        z = logits[None, :, :] / t[:, :, None]
-        z -= m[:, :, None]
-        s = np.log(np.exp(z, out=z).sum(axis=-1))
-        lp = picked[None, :] / t
+    for start in range(0, temps.shape[1], chunk):
+        t = temps[:, start : start + chunk, None]
+        m = top[:, None, :, 0] / t
+        z = logits[:, None, :, :] / t[..., None]
+        z -= m[..., None]
+        s = np.log(nn_core.class_sum(np.exp(z, out=z)))
+        lp = picked[:, None, :] / t
         lp -= m
         lp -= s
         # negate before the sum, as ce_loss does: a sum of zeros keeps no
         # sign, so -(sum of lp) can read -0.0 where ce_loss reads 0.0
-        for j, row in enumerate(np.negative(lp, out=lp)):
-            out[start + j] = np.add.reduce(row) / n
+        out[:, start : start + chunk] = np.add.reduce(np.negative(lp, out=lp), axis=-1) / n
     return out
 
 
-def tune_temperature(logits, labels) -> float:
+def _libm(fn, x) -> np.ndarray:
+    """fn (math.exp or math.log) of every entry: numpy's exp and log can
+    round differently from libm's."""
+    return np.array([fn(v) for v in x])
+
+
+def tune_temperature(logits, labels):
     """Scalar temperature minimizing cross-entropy of logits / T on a held-out set.
 
-    Searches a 200-point log-spaced grid over [0.01, 100] (with T = 1
-    included exactly) and refines between the best point's neighbors by
-    golden-section search. Network parameters are untouched.
+    Takes one fit, (n, k) logits and (n,) labels, and returns its float
+    temperature, or a stack of F fits, (F, n, k) and (F, n), and returns
+    an (F,) array; one fit is tuned as a stack of one. Each fit searches a
+    200-point log-spaced grid over [0.01, 100] (with T = 1 included
+    exactly) and refines between its best point's neighbors by 60
+    golden-section steps. The fits step in lockstep, each step probing the
+    whole stack at once, but every fit's floats take the path of a search
+    on its own. Non-finite logits are refused, naming the fit and its
+    first bad row. Network parameters are untouched.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[0] == 0:
-        raise InputError("tuning needs a nonempty (n, k) logit matrix")
-    if labels.shape != (logits.shape[0],):
+    single = logits.ndim == 2
+    if single:
+        logits, labels = logits[None], labels[None]
+    if logits.ndim != 3 or 0 in logits.shape[:2]:
+        raise InputError("tuning needs a nonempty (n, k) logit matrix or a stack of them")
+    if labels.shape != logits.shape[:2]:
         raise InputError("labels must supply one class per row")
-    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
+    if np.any(labels < 0) or np.any(labels >= logits.shape[2]):
         raise InputError("class label out of range")
+    bad = ~np.isfinite(logits).all(axis=-1)
+    if bad.any():
+        fit, row = np.argwhere(bad)[0]
+        raise InputError(f"fit {fit}: logits of row {row} are not all finite")
 
     top = nn_core.class_max(logits)
-    picked = logits[np.arange(logits.shape[0]), labels]
+    picked = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
 
-    def nll_at(t: float) -> float:
-        return float(_nll_at(logits, top, picked, [t])[0])
+    def nll_at(t: np.ndarray) -> np.ndarray:
+        return _nll_at(logits, top, picked, t[:, None])[:, 0]
 
     grid = np.unique(np.concatenate((np.logspace(-2.0, 2.0, 200), [1.0])))
-    ces = _nll_at(logits, top, picked, grid)
-    best = int(np.argmin(ces))
-    lo = math.log(grid[max(best - 1, 0)])
-    hi = math.log(grid[min(best + 1, grid.size - 1)])
+    ces = _nll_at(logits, top, picked, np.broadcast_to(grid, (logits.shape[0], grid.size)))
+    best = np.argmin(ces, axis=-1)
+    a = _libm(math.log, grid[np.maximum(best - 1, 0)])
+    b = _libm(math.log, grid[np.minimum(best + 1, grid.size - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = nll_at(math.exp(c)), nll_at(math.exp(d))
+    fc, fd = nll_at(_libm(math.exp, c)), nll_at(_libm(math.exp, d))
     for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = nll_at(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = nll_at(math.exp(d))
-    refined = math.exp((a + b) / 2.0)
-    if nll_at(refined) < ces[best]:
-        return float(refined)
-    return float(grid[best])
+        # fc < fd keeps [a, d] and probes a new c; otherwise [c, b] and a new d
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - invphi * (b - a), d), np.where(left, c, a + invphi * (b - a))
+        f = nll_at(_libm(math.exp, np.where(left, c, d)))
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    refined = _libm(math.exp, (a + b) / 2.0)
+    temps = np.where(nll_at(refined) < ces[np.arange(ces.shape[0]), best], refined, grid[best])
+    return float(temps[0]) if single else temps
 
 
 def posterior_rescale(p_max, k: int):

@@ -8,12 +8,15 @@ run_experiment goes stage by stage across the seeds. It prepares every
 seed's data (refusing, before anything trains, auxiliary outliers that
 reappear in a test set and test sets too small for the base rate), trains
 all baselines in lockstep as one stack of nets, then fine-tunes (or trains
-scratch_oe) all of them in lockstep, and finally evaluates, calibrates and
-reports one seed at a time in run_seed.
+scratch_oe) all of them in lockstep. When the config calibrates, one
+calibration.tune_temperature call then fits every seed's baseline and final
+temperatures on its validation split, kept from data preparation for that.
+Finally run_seed evaluates, calibrates and reports one seed at a time.
 Every detector's model is a plain nn_core.NetworkParams, a classifier or
 a density net (density.layout), so one stack serves both kinds.
 A seed's models are bit-identical to the ones it would train alone, as a
-stack of one, which is how the train and finetune commands train them.
+stack of one, which is how the train and finetune commands train them; its
+temperatures are bit-identical to a fit of its two models alone.
 Test outlier sets influence nothing upstream of final evaluation but
 that size check. The validation outlier sets (d_out_val) are materialized
 only by validation_sets, for make-data and gen-outliers; no stage of a run
@@ -23,6 +26,7 @@ reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,7 +156,8 @@ def validation_sets(config: ExperimentConfig, bundle: DataBundle, seed: int) -> 
 @dataclass
 class TrainingSet:
     """What training reads of every seed, stacked along a leading seed axis:
-    each seed's training split and its auxiliary outliers."""
+    each seed's training split and its auxiliary outliers. validation holds
+    each seed's validation split when temperatures are fitted after training."""
 
     seeds: list
     rows: np.ndarray  # (S, n, d) features or (S, n, D) symbol sequences
@@ -160,26 +165,29 @@ class TrainingSet:
     oe_rows: np.ndarray | None  # (S, m, ...) auxiliary outliers
     n_classes: int | None = None
     alphabet_size: int | None = None
+    validation: list | None = None  # one din_val dataset per seed
 
 
-def training_set(bundles, seeds) -> TrainingSet:
+def training_set(bundles, seeds, validation: bool = False) -> TrainingSet:
     """Stack the training part of one bundle per seed, in seed order.
 
-    bundles may be a generator: only the training part of each bundle is
-    kept once the next one is drawn. Symbol sequences are stacked in the
-    smallest unsigned dtype that holds their alphabet.
+    bundles may be a generator: only the training part of each bundle (and
+    with validation, its validation split) is kept once the next one is
+    drawn. Symbol sequences are stacked in the smallest unsigned dtype that
+    holds their alphabet.
     """
-    kept = [(b.din_train, b.oe, b.n_classes) for b in bundles]
-    din, oe, n_classes = kept[0]
+    kept = [(b.din_train, b.oe, b.n_classes, b.din_val if validation else None) for b in bundles]
+    din, oe, n_classes, _ = kept[0]
     alphabet = getattr(din, "alphabet_size", None)
     dtype = np.float64 if alphabet is None else np.min_scalar_type(alphabet)
     return TrainingSet(
         [int(s) for s in seeds],
-        np.stack([_raw(d) for d, _, _ in kept]).astype(dtype, copy=False),
-        None if getattr(din, "labels", None) is None else np.stack([d.labels for d, _, _ in kept]),
-        None if oe is None else np.stack([_raw(o) for _, o, _ in kept]).astype(dtype, copy=False),
+        np.stack([_raw(d) for d, *_ in kept]).astype(dtype, copy=False),
+        None if getattr(din, "labels", None) is None else np.stack([d.labels for d, *_ in kept]),
+        None if oe is None else np.stack([_raw(o) for _, o, *_ in kept]).astype(dtype, copy=False),
         n_classes,
         alphabet,
+        [v for *_, v in kept] if validation else None,
     )
 
 
@@ -257,14 +265,36 @@ def train_scratch_oe(config: ExperimentConfig, train: TrainingSet) -> list:
                 exposed=True, epochs=config.epochs + config.finetune_epochs, lr0=config.model.lr0)
 
 
+class SeedModels(NamedTuple):
+    """One seed's trained models and, when the config calibrates, their
+    (baseline, final) temperatures."""
+
+    baseline: nn_core.NetworkParams
+    final: nn_core.NetworkParams
+    temperatures: tuple | None = None
+
+
+def fit_temperatures(pairs, validation) -> list:
+    """The (baseline, final) temperatures of every seed's (baseline, final)
+    models on its validation split, all fitted in one tune_temperature call
+    over a stack of two fits per seed."""
+    if any(v.labels is None for v in validation):
+        raise DataError("calibration needs labeled in-distribution splits")
+    logits = np.stack([nn_core.forward(m, v.features) for pair, v in zip(pairs, validation) for m in pair])
+    labels = np.stack([v.labels for v in validation for _ in range(2)])
+    temps = calib_mod.tune_temperature(logits, labels).tolist()
+    return list(zip(temps[0::2], temps[1::2]))
+
+
 def train_models(config: ExperimentConfig, seeds) -> list:
-    """(baseline, final) models of every seed, each stage trained in
-    lockstep across the seeds.
+    """SeedModels of every seed, each stage trained in lockstep across the
+    seeds, and with calibration every seed's temperatures in one fit.
 
     Every seed's data are prepared, and checked for auxiliary-outlier
-    overlap, before any training starts; only their training set is kept.
+    overlap, before any training starts; only their training set (and with
+    calibration, their validation split) is kept.
     """
-    train = training_set((prepare_data(config, s) for s in seeds), seeds)
+    train = training_set((prepare_data(config, s) for s in seeds), seeds, validation=config.calibration)
     baselines = train_baseline(config, train)
     if config.pipeline == "finetune_oe":
         finals = finetune_oe(config, train, baselines)
@@ -272,7 +302,9 @@ def train_models(config: ExperimentConfig, seeds) -> list:
         finals = train_scratch_oe(config, train)
     else:
         finals = baselines
-    return list(zip(baselines, finals))
+    pairs = list(zip(baselines, finals))
+    temps = fit_temperatures(pairs, train.validation) if config.calibration else [None] * len(pairs)
+    return [SeedModels(b, f, t) for (b, f), t in zip(pairs, temps)]
 
 
 def classifier_accuracy(params: nn_core.NetworkParams, data: VectorDataset) -> float:
@@ -315,20 +347,20 @@ def _confidences(params, data: VectorDataset, temperature: float):
     return conf, correct
 
 
-def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, final, seed: int) -> dict:
-    """Mixed-pool calibration comparison: baseline model with a tuned
-    temperature, exposure-trained model with its own tuned temperature,
-    and the latter after rescaling confidences to the [1/k, 1] -> [0, 1]
-    posterior range. The pool mixes in-distribution test rows with pooled
-    test outliers at equal counts; outliers count as incorrect."""
-    if bundle.din_val.labels is None or bundle.din_test.labels is None:
+def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, final, seed: int,
+                     temperatures) -> dict:
+    """Mixed-pool calibration comparison: baseline model at its tuned
+    temperature, exposure-trained model at its own, and the latter after
+    rescaling confidences to the [1/k, 1] -> [0, 1] posterior range.
+    temperatures is the (baseline, final) pair from fit_temperatures. The
+    pool mixes in-distribution test rows with pooled test outliers at equal
+    counts; outliers count as incorrect."""
+    if bundle.din_test.labels is None:
         raise DataError("calibration needs labeled in-distribution splits")
     k = bundle.n_classes
     ood_rows = np.concatenate([_raw(d) for d in bundle.tests.values()], axis=0)
     out = {}
-    for tag, model in (("baseline", baseline), ("final", final)):
-        val_logits = nn_core.forward(model, bundle.din_val.features)
-        temp = calib_mod.tune_temperature(val_logits, bundle.din_val.labels)
+    for tag, model, temp in zip(("baseline", "final"), (baseline, final), temperatures):
         conf_in, correct_in = _confidences(model, bundle.din_test, temp)
         ood_logits = nn_core.forward(model, ood_rows)
         conf_ood = nn_core.max_softmax(ood_logits, temp)
@@ -364,17 +396,20 @@ class ExperimentResult:
 
 
 def run_seed(config: ExperimentConfig, seed: int, models=None) -> SeedResult:
-    """Evaluation, calibration and accuracy of one seed's (baseline, final)
-    models from train_models. Without models the seed trains first, as a
-    stack of one. The seed's data are rebuilt here, so a run holds test
-    sets for one seed at a time."""
-    baseline, final = models if models is not None else train_models(config, [seed])[0]
+    """Evaluation, calibration and accuracy of one seed's SeedModels from
+    train_models, or of a (baseline, final) pair. Without models the seed
+    trains and fits its temperatures first, as a stack of one; a pair
+    without temperatures has them fitted here. The seed's data are rebuilt
+    here, so a run holds test sets for one seed at a time."""
+    baseline, final, temps = SeedModels(*models) if models is not None else train_models(config, [seed])[0]
     bundle = prepare_data(config, seed)
     base_reports, _ = evaluate_detector(baseline, config, bundle, seed)
     final_reports, pools = evaluate_detector(final, config, bundle, seed)
     cal = None
     if config.calibration:
-        cal = calibration_eval(config, bundle, baseline, final, seed)
+        if temps is None:
+            [temps] = fit_temperatures([(baseline, final)], [bundle.din_val])
+        cal = calibration_eval(config, bundle, baseline, final, seed, temps)
     acc = None
     if config.detector != "density_bpp":
         acc = classifier_accuracy(final, bundle.din_train)

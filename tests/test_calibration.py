@@ -216,6 +216,12 @@ class TestTuneTemperature:
         with pytest.raises(InputError):
             cal.tune_temperature(np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(InputError):
+            cal.tune_temperature(np.zeros((0, 4, 3)), np.zeros((0, 4), dtype=int))
+        with pytest.raises(InputError):
+            cal.tune_temperature(np.zeros(3), np.zeros(1, dtype=int))
+        with pytest.raises(InputError):
+            cal.tune_temperature(np.zeros((2, 4, 3)), np.zeros(4, dtype=int))
+        with pytest.raises(InputError):
             cal.tune_temperature(np.zeros((4, 3)), np.zeros(2, dtype=int))
         with pytest.raises(InputError):
             cal.tune_temperature(np.zeros((2, 3)), np.array([0, 3]))
@@ -232,36 +238,98 @@ class TestTuneTemperature:
 
     @staticmethod
     def _assert_probe_is_ce_loss(logits, labels, temps):
+        # logits (F, n, k), labels (F, n), temps (F, T): every fit at every one of its temperatures
+        temps = np.asarray(temps, dtype=np.float64)
         top = nn_core.class_max(logits)
-        picked = logits[np.arange(logits.shape[0]), labels]
+        picked = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
         got = cal._nll_at(logits, top, picked, temps)
-        want = np.array([objectives.ce_loss(logits / t, labels) for t in temps])
+        want = np.array([[objectives.ce_loss(z / t, y) for t in ts] for z, y, ts in zip(logits, labels, temps)])
+        assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(
         data=st.data(),
+        fits=st.integers(1, 3),
         n=st.integers(1, 40),
         k=st.integers(2, 10),
-        temps=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4),
+        n_temps=st.integers(1, 4),
     )
     @settings(max_examples=300, deadline=None)
-    def test_probe_equals_ce_loss_bit_for_bit(self, data, n, k, temps):
+    def test_probe_equals_ce_loss_bit_for_bit(self, data, fits, n, k, n_temps):
         # values from a small pool give tied maxima and tied label logits
         pool = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6))
-        logits = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n * k, max_size=n * k)))
-        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
-        self._assert_probe_is_ce_loss(logits.reshape(n, k), labels, temps)
+        size = fits * n * k
+        logits = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=fits * n, max_size=fits * n)))
+        temps = data.draw(st.lists(st.floats(0.01, 100.0), min_size=fits * n_temps, max_size=fits * n_temps))
+        self._assert_probe_is_ce_loss(
+            logits.reshape(fits, n, k), labels.reshape(fits, n), np.reshape(temps, (fits, n_temps))
+        )
 
     def test_probe_equals_ce_loss_across_temperature_chunks(self):
-        # 9,000 x 4 logits leave one temperature per chunk
+        # two fits of 9,000 x 4 logits leave one temperature per chunk; of
+        # 1,000 x 4, four, so five temperatures end on a short chunk
         rng = np.random.default_rng(13)
-        logits = np.round(rng.normal(size=(9000, 4)) * 8.0, 1)
-        labels = rng.integers(0, 4, size=9000)
-        self._assert_probe_is_ce_loss(logits, labels, [0.01, 0.37, 1.0, 100.0])
+        temps = [[0.01, 0.37, 1.0, 5.5, 100.0], [2.0, 0.05, 1.0, 71.0, 0.6]]
+        for n in (9000, 1000):
+            logits = np.round(rng.normal(size=(2, n, 4)) * 8.0, 1)
+            labels = rng.integers(0, 4, size=(2, n))
+            self._assert_probe_is_ce_loss(logits, labels, temps)
 
     def test_probe_keeps_the_sign_of_a_zero_loss(self):
-        # log(1 + exp(-37)) rounds to 0, so the loss is a signed zero
-        self._assert_probe_is_ce_loss(np.array([[0.0, -37.0]]), np.array([0]), [1.0])
+        # log(1 + exp(-37)) rounds to 0, so the first fit's loss is a signed
+        # zero; the second fit's is not
+        logits = np.array([[[0.0, -37.0]], [[0.0, 1.0]]])
+        self._assert_probe_is_ce_loss(logits, np.array([[0], [0]]), [[1.0], [1.0]])
+
+    @staticmethod
+    def _stack_case(rng, fits, n, k):
+        """A stack of fits at n x k, each at its own scale; some are perfectly
+        separated or anti-separated, which pins them at a grid endpoint."""
+        logits = rng.normal(size=(fits, n, k))
+        labels = rng.integers(0, k, size=(fits, n))
+        for f in range(fits):
+            kind = rng.integers(0, 4)
+            if kind == 1:
+                labels[f] = np.argmax(logits[f], axis=-1)
+            elif kind == 2:
+                labels[f] = np.argmin(logits[f], axis=-1)
+            logits[f] *= rng.uniform(0.1, 20.0)
+        return logits, labels
+
+    def test_each_fit_of_a_stack_equals_its_solo_fit_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        grid = np.unique(np.concatenate((np.logspace(-2.0, 2.0, 200), [1.0])))
+        endpoints = 0
+        for _ in range(25):
+            fits, n, k = int(rng.integers(1, 25)), int(rng.integers(1, 301)), int(rng.integers(2, 12))
+            logits, labels = self._stack_case(rng, fits, n, k)
+            got = cal.tune_temperature(logits, labels)
+            assert isinstance(got, np.ndarray) and got.shape == (fits,)
+            solo = np.array([cal.tune_temperature(z, y) for z, y in zip(logits, labels)])
+            np.testing.assert_array_equal(got.view(np.int64), solo.view(np.int64))
+            endpoints += int(np.isin(got, grid[[0, -1]]).sum())
+        assert endpoints > 0
+
+    def test_a_stack_of_one_is_a_single_fit(self):
+        rng = np.random.default_rng(15)
+        logits, labels = _calibrated_logits(rng, 150, 4, scale=3.0)
+        t = cal.tune_temperature(logits, labels)
+        assert type(t) is float
+        assert cal.tune_temperature(logits[None], labels[None]).tolist() == [t]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_logits_are_refused_naming_fit_and_row(self, bad):
+        rng = np.random.default_rng(16)
+        logits = rng.normal(size=(50, 4))
+        labels = rng.integers(0, 4, size=50)
+        logits[17, 2] = bad
+        with pytest.raises(InputError, match=r"^fit 0: logits of row 17 are not all finite$"):
+            cal.tune_temperature(logits, labels)
+        stack = np.stack([rng.normal(size=(50, 4)), rng.normal(size=(50, 4)), logits])
+        stack[2, 30, 0] = bad
+        with pytest.raises(InputError, match=r"^fit 2: logits of row 17 are not all finite$"):
+            cal.tune_temperature(stack, np.stack([labels] * 3))
 
     def test_scaling_preserves_argmax(self):
         rng = np.random.default_rng(9)

@@ -923,6 +923,48 @@ class TestEvaluation:
         assert not cal["final_temp"].rescaled
         assert sr.train_accuracy is not None
 
+    @staticmethod
+    def _overlapping_config(**over):
+        # overlapping clusters keep the tuned temperatures inside the grid and
+        # the baseline's apart from the fine-tuned model's
+        d_in = DatasetSpec("synthetic_gaussian_mixture", "blobs",
+                           {"k": 3, "n_per_cluster": 40, "dim": 2, "separation": 1.5})
+        return _tiny_config(calibration=True, d_in=d_in, **over)
+
+    def test_a_calibrated_run_fits_every_temperature_in_one_call(self, monkeypatch):
+        calls = []
+        tune = pipeline.calib_mod.tune_temperature
+
+        def counted(logits, labels):
+            calls.append(np.shape(logits))
+            return tune(logits, labels)
+
+        monkeypatch.setattr(pipeline.calib_mod, "tune_temperature", counted)
+        config = self._overlapping_config(seeds=(0, 1, 2))
+        exp = pipeline.run_experiment(config, quiet=True)
+        n_val = int(round(0.15 * 120))
+        assert calls == [(6, n_val, 3)]
+        assert all(set(sr.calibration) == {"baseline_temp", "final_temp", "final_temp_rescaled"}
+                   for sr in exp.seed_results)
+
+    def test_a_seed_run_alone_writes_the_calibration_bytes_of_a_stacked_run(self, tmp_path):
+        config = self._overlapping_config(seeds=(0, 1, 2))
+        pipeline.run_experiment(config, out_dir=tmp_path / "run", quiet=True)
+        solo = self._overlapping_config(seeds=(1,))
+        sr = pipeline.run_seed(solo, 1)
+        # a (baseline, final) pair without temperatures has them fitted in run_seed
+        baseline, final, temps = pipeline.train_models(solo, [1])[0]
+        assert pipeline.run_seed(solo, 1, (baseline, final)).calibration == sr.calibration
+        # each temperature is the one fit of its own model on the seed's validation split
+        val = pipeline.prepare_data(solo, 1).din_val
+        assert temps == tuple(pipeline.calib_mod.tune_temperature(nn_core.forward(m, val.features), val.labels)
+                              for m in (baseline, final))
+        assert 0.01 < temps[1] < temps[0] < 100.0
+        reports.write_reports(tmp_path / "solo", pipeline.ExperimentResult(solo, [sr], pipeline.summarize(solo, [sr])))
+        name = "calibration_seed1.json"
+        assert (tmp_path / "solo" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+        assert json.loads((tmp_path / "solo" / name).read_text())["final_temp"]["temperature"] == temps[1]
+
 
 class TestReports:
     def test_display_percent_values(self):

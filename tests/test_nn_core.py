@@ -135,6 +135,33 @@ def _logit_rows(draw):
     return z
 
 
+# signed zeros, subnormals, infinities and magnitudes whose sums overflow
+_SUM_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, 1e308, -1.7e308, 1.0, -3.5]
+
+
+class TestClassSum:
+    @given(
+        data=st.data(),
+        lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        k=st.integers(1, 12),
+        keepdims=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_last_axis_sum_bit_for_bit(self, data, lead, k, keepdims):
+        values = st.one_of(st.sampled_from(_SUM_EDGE_VALUES), st.floats(allow_nan=False))
+        size = int(np.prod(lead)) * k
+        z = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(*lead, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = nn_core.class_sum(z, keepdims=keepdims)
+            want = z.sum(axis=-1, keepdims=keepdims)
+        assert got.shape == want.shape
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    def test_a_row_of_negative_zeros_sums_to_positive_zero(self):
+        got = nn_core.class_sum(np.array([[-0.0, -0.0, -0.0]]))
+        assert got.view(np.int64).tolist() == [0]
+
+
 class TestSoftmax:
     @given(z=_logit_rows(), t=st.sampled_from([0.01, 1.0, 37.5, 100.0]))
     @settings(max_examples=300, deadline=None)
