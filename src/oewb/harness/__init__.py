@@ -5,7 +5,6 @@ from .datasets import (
     SequenceDataset,
     VectorDataset,
     check_disjoint,
-    ingest_dataset,
     make_synthetic_din,
     materialize,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "SequenceDataset",
     "VectorDataset",
     "check_disjoint",
-    "ingest_dataset",
     "make_synthetic_din",
     "materialize",
     "DataBundle",

@@ -1,27 +1,22 @@
 """Dataset materialization: synthetic inliers, outlier sources, file ingest.
 
 Vector data moves through CSV (feature columns + optional integer label
-column) or a binary container; discrete sequences use CSV rows of symbol
-columns. Every materialized auxiliary/test outlier pair is scanned for
-byte-identical rows so no test example can leak into training.
+column); discrete sequences use CSV rows of symbol columns. Every
+materialized auxiliary/test outlier pair is scanned for byte-identical
+rows so no test example can leak into training.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .. import outlier_gen
-from ..errors import ConfigurationError, DataError
+from ..errors import ConfigurationError, DataError, ValidationError
 from .config import DatasetSpec, typed
-
-DATA_MAGIC = b"OEWD"
-DATA_VERSION = 1
 
 
 @dataclass
@@ -271,55 +266,6 @@ def read_sequences_csv(path, alphabet_size: int) -> SequenceDataset:
     return SequenceDataset(np.asarray(seqs, dtype=np.int64), alphabet_size)
 
 
-def write_vectors_binary(path, data: VectorDataset) -> None:
-    """Binary container: magic, version, flags, n, d, labels?, row-major f64."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    has_labels = data.labels is not None
-    with open(p, "wb") as fh:
-        fh.write(DATA_MAGIC)
-        fh.write(struct.pack("<IBII", DATA_VERSION, 1 if has_labels else 0, data.n, data.dim))
-        fh.write(np.ascontiguousarray(data.features, dtype="<f8").tobytes())
-        if has_labels:
-            fh.write(np.ascontiguousarray(data.labels, dtype="<i8").tobytes())
-
-
-def read_vectors_binary(path) -> VectorDataset:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"dataset file {p} does not exist")
-    try:
-        blob = p.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read dataset file {p}: {exc.strerror or exc}") from exc
-    if blob[:4] != DATA_MAGIC:
-        raise DataError(f"{p}: bad magic, not a dataset container")
-    off = 4
-    try:
-        version, has_labels, n, d = struct.unpack_from("<IBII", blob, off)
-    except struct.error as exc:
-        raise DataError(f"{p}: truncated header") from exc
-    off += struct.calcsize("<IBII")
-    if version != DATA_VERSION:
-        raise DataError(f"{p}: unsupported container version {version}")
-    need = n * d * 8 + (n * 8 if has_labels else 0)
-    if len(blob) - off != need:
-        raise DataError(f"{p}: expected {need} payload bytes, found {len(blob) - off}")
-    feats = np.frombuffer(blob, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
-    off += n * d * 8
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(blob, dtype="<i8", count=n, offset=off).copy()
-    return VectorDataset(feats, labels)
-
-
-def ingest_dataset(path, label_column: str | None = "label") -> VectorDataset:
-    p = Path(path)
-    if p.suffix == ".bin":
-        return read_vectors_binary(p)
-    return read_vectors_csv(p, label_column=label_column)
-
-
 # ---------------------------------------------------------------------------
 # Generator registry
 
@@ -521,7 +467,7 @@ def materialize(
     if spec.kind == "file":
         if spec.params.get("sequence"):
             return read_sequences_csv(spec.path, int(spec.params["alphabet_size"]))
-        return ingest_dataset(spec.path, label_column=spec.params.get("label_column", "label"))
+        return read_vectors_csv(spec.path, label_column=spec.params.get("label_column", "label"))
     if spec.kind == "synthetic_gaussian_mixture":
         p = spec.params
         k = int(p.get("k", 4))
@@ -558,7 +504,10 @@ def materialize(
         if isinstance(p.get(key), list) and len(p[key]) != dim:
             raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have one entry per "
                                      f"dimension ({dim}), got {p[key]!r}")
-    return materialize_generator(p, n, dim, seed, din)
+    try:
+        return materialize_generator(p, n, dim, seed, din)
+    except ValidationError as exc:
+        raise type(exc)(f"dataset {spec.name!r} ({p['generator']}): {exc}") from exc
 
 
 def _rows(data) -> np.ndarray:

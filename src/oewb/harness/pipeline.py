@@ -395,21 +395,15 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def run_seed(config: ExperimentConfig, seed: int, models=None) -> SeedResult:
+def run_seed(config: ExperimentConfig, seed: int, models: SeedModels) -> SeedResult:
     """Evaluation, calibration and accuracy of one seed's SeedModels from
-    train_models, or of a (baseline, final) pair. Without models the seed
-    trains and fits its temperatures first, as a stack of one; a pair
-    without temperatures has them fitted here. The seed's data are rebuilt
-    here, so a run holds test sets for one seed at a time."""
-    baseline, final, temps = SeedModels(*models) if models is not None else train_models(config, [seed])[0]
+    train_models. The seed's data are rebuilt here, so a run holds test sets
+    for one seed at a time."""
+    baseline, final, temps = models
     bundle = prepare_data(config, seed)
     base_reports, _ = evaluate_detector(baseline, config, bundle, seed)
     final_reports, pools = evaluate_detector(final, config, bundle, seed)
-    cal = None
-    if config.calibration:
-        if temps is None:
-            [temps] = fit_temperatures([(baseline, final)], [bundle.din_val])
-        cal = calibration_eval(config, bundle, baseline, final, seed, temps)
+    cal = calibration_eval(config, bundle, baseline, final, seed, temps) if config.calibration else None
     acc = None
     if config.detector != "density_bpp":
         acc = classifier_accuracy(final, bundle.din_train)

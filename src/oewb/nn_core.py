@@ -82,25 +82,28 @@ class Batch:
 class NetworkParams:
     """Dense network parameters stored in one contiguous float64 array.
 
-    weights[i] has shape (layer_dims[i+1], layer_dims[i]). The weights and
-    biases are views into `vector`, laid out as w0, b0, w1, b1, ...;
-    writing through a view writes the vector. Gradients and optimizer
-    velocities use this layout. A stack (NetworkParams.stack) holds S nets
-    as the rows of an (S, P) `vector`, and every view gains a leading axis
-    of length S.
+    `vector` holds w0, b0, w1, b1, ... row-major, where weights[i] has
+    shape (layer_dims[i+1], layer_dims[i]) and biases[i] has shape
+    (layer_dims[i+1],), so the widths alone fix the layout. The weights and
+    biases are views into `vector`; writing through a view writes the
+    vector. Gradients and optimizer velocities use this layout. A stack
+    (NetworkParams.stack) holds S nets as the rows of an (S, P) `vector`,
+    and every view gains a leading axis of length S.
     """
 
-    def __init__(self, layer_dims, weights, biases, activation: str = "relu"):
-        arrays = [a for pair in zip(weights, biases) for a in pair]
+    def __init__(self, layer_dims, vector, activation: str = "relu"):
         self.layer_dims = [int(d) for d in layer_dims]
         self.activation = activation
         self._slots, start = [], 0  # (start, stop, shape) of each array in a net's row
-        for a in arrays:
-            stop = start + math.prod(np.shape(a))
-            self._slots.append((start, stop, np.shape(a)))
-            start = stop
-        flat = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
-        self._bind(np.concatenate(flat) if flat else np.empty(0))
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            for shape in ((fan_out, fan_in), (fan_out,)):
+                self._slots.append((start, start + math.prod(shape), shape))
+                start += math.prod(shape)
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape[-1:] != (start,):
+            raise ConfigurationError(f"layer widths {self.layer_dims} need {start} parameters per net, "
+                                     f"got an array of shape {vector.shape}")
+        self._bind(vector)
 
     def _bind(self, vector: np.ndarray) -> None:
         self.vector = vector
@@ -120,8 +123,7 @@ class NetworkParams:
         """S single nets of one layout as a stack over a fresh (S, P) matrix."""
         first = nets[0]
         for net in nets:
-            if (net.vector.ndim != 1 or net.layer_dims != first.layer_dims or net._slots != first._slots
-                    or net.activation != first.activation):
+            if net.vector.ndim != 1 or net.layer_dims != first.layer_dims or net.activation != first.activation:
                 raise ConfigurationError("only single nets of one layout can be stacked")
         return first._with_vector(np.stack([net.vector for net in nets]))
 
@@ -136,14 +138,9 @@ class NetworkParams:
 
     def validate(self) -> "NetworkParams":
         dims = self.layer_dims
-        if len(dims) < 2 or any(int(d) < 1 for d in dims):
+        if len(dims) < 2 or any(d < 1 for d in dims):
             raise ConfigurationError("layer_dims needs at least two positive entries")
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ConfigurationError("expected one weight/bias pair per layer transition")
-        shapes = [shape for _, _, shape in self._slots]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if shapes[2 * i] != (dims[i + 1], dims[i]) or shapes[2 * i + 1] != (dims[i + 1],):
-                raise ConfigurationError(f"layer {i} parameter shapes do not match layer_dims")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise DataError(f"layer {i} has non-finite parameters")
         if self.activation not in _ACT_CODES:
@@ -172,12 +169,11 @@ def init_network(layer_dims, seed, activation: str = "relu") -> NetworkParams:
     biases start at zero."""
     rng = np.random.default_rng(seed)
     dims = [int(d) for d in layer_dims]
-    weights, biases = [], []
+    parts = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(dims, weights, biases, activation).validate()
+        parts += [rng.uniform(-s, s, size=fan_out * fan_in), np.zeros(fan_out)]
+    return NetworkParams(dims, np.concatenate(parts) if parts else np.empty(0), activation).validate()
 
 
 class Workspace:
@@ -609,10 +605,11 @@ def train_classifier(
 
 def save_params(params: NetworkParams, path) -> None:
     """Write parameters as little-endian binary: magic 'OEWB', version,
-    layer count, dims, activation code, a head-flag byte, then row-major
-    f64 blocks. The head flag marked an extra output head in files of an
-    earlier layout; it is always written as 0, and load_params refuses any
-    other value."""
+    layer count, dims, activation code, a head-flag byte, then the
+    parameter vector w0, b0, w1, b1, ... as row-major f64, whose layout
+    follows from the dims. The head flag marked an extra output head in
+    files of an earlier layout; it is always written as 0, and load_params
+    refuses any other value."""
     params.validate()
     dims = params.layer_dims
     parts = [
@@ -621,9 +618,8 @@ def save_params(params: NetworkParams, path) -> None:
         struct.pack("<I", len(dims)),
         struct.pack(f"<{len(dims)}I", *dims),
         struct.pack("<BB", _ACT_CODES[params.activation], 0),
+        np.ascontiguousarray(params.vector, dtype="<f8").tobytes(),
     ]
-    # the blocks are the parameter vector's layout, in order
-    parts.append(np.ascontiguousarray(params.vector, dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -648,16 +644,10 @@ def load_params(path) -> NetworkParams:
             raise DataError(f"unknown activation code {act_code}")
         if head_flag != 0:
             raise DataError(f"head flag {head_flag}; only head-less nets (flag 0) load")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(
-                np.frombuffer(raw, dtype="<f8", count=fan_in * fan_out, offset=off).reshape(fan_out, fan_in).copy()
-            )
-            off += 8 * fan_in * fan_out
-            biases.append(np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off).copy())
-            off += 8 * fan_out
-        if off != len(raw):
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        if len(raw) - off != 8 * size:
             raise DataError("trailing or missing bytes")
-        return NetworkParams(dims, weights, biases, _ACT_NAMES[act_code]).validate()
-    except (struct.error, ValueError, ValidationError) as exc:  # struct and numpy raise on truncation
+        vector = np.frombuffer(raw, dtype="<f8", count=size, offset=off).astype(np.float64)
+        return NetworkParams(dims, vector, _ACT_NAMES[act_code]).validate()
+    except (struct.error, ValidationError) as exc:  # struct raises on a truncated header
         raise DataError(f"bad parameter file {path}: {exc}") from exc

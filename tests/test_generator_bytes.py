@@ -1,0 +1,104 @@
+"""The bytes every dataset generator materializes, pinned.
+
+Each case builds one spec through harness.datasets.materialize and compares
+the sha256 of its rows (and labels, where it has them) with the digest the
+generator gave when the table was recorded. A generator whose entry in the
+params type table drifts from its branch of the dispatch, or whose draws
+change order, shows up here as a changed digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from oewb.harness import datasets
+from oewb.harness.config import DatasetSpec
+
+GRID = {"shape": [4, 4, 3]}  # 48 values per row
+DIM = 48
+
+# id -> (generator, its other params, experiment dim, rows asked for, sha256 prefix)
+CASES = {
+    "uniform": ("uniform", {**GRID}, DIM, 6, "d36d66b743afb025"),
+    "uniform_range": ("uniform", {**GRID, "value_range": [-1.0, 1.0]}, DIM, 6, "323adbf97fe76173"),
+    "blobs": ("blobs", {**GRID}, DIM, 6, "12cf7cfc07c1a2eb"),
+    "blobs_shape": ("blobs", {"shape": [4, 2, 1]}, 8, 6, "8e37e266609f8709"),
+    "jigsaw": ("jigsaw", {**GRID}, DIM, 6, "34edcafde1fde82a"),
+    "jigsaw_shape": ("jigsaw", {"shape": [8, 4, 1]}, 32, 6, "bca7e1173541f1a0"),
+    "rgb_ghost": ("rgb_ghost", {**GRID}, DIM, 6, "ed261f66bdb5e3ac"),
+    "rgb_ghost_shape": ("rgb_ghost", {"shape": [2, 2, 3]}, 12, 6, "93bfe8b4c0593721"),
+    "invert": ("invert", {**GRID}, DIM, 6, "da2d1eada1809c78"),
+    "invert_mask": ("invert", {**GRID, "channel_mask": [True, False, True], "value_range": [-1.0, 1.0]},
+                    DIM, 6, "fa601415d8296396"),
+    "gaussian": ("gaussian", {}, 5, 6, "63d135c00ad8788d"),
+    "gaussian_range": ("gaussian", {"value_range": [-1.0, 1.0]}, 5, 6, "e0606f2f56a84122"),
+    "geometric_mean": ("geometric_mean", {}, 5, 6, "f186cfc67841d67a"),
+    "geometric_mean_range": ("geometric_mean", {"value_range": [-1.0, 1.0]}, 5, 6, "fff8b52576fd18e7"),
+    "speckle": ("speckle", {}, 5, 6, "2dd63695bf973131"),
+    "speckle_intensity": ("speckle", {"intensity": 0.7, "value_range": [-1.0, 1.0]}, 5, 6, "821c104dea1288fc"),
+    "rademacher": ("rademacher", {}, 5, 6, "de0093ead0d1348a"),
+    "rademacher_n": ("rademacher", {}, 5, 11, "003aaf31182ce449"),
+    "arithmetic_mean": ("arithmetic_mean", {}, 5, 6, "7ff6bc80038b4621"),
+    "arithmetic_mean_n": ("arithmetic_mean", {}, 5, 3, "c793e8e6f5616679"),
+    "bernoulli": ("bernoulli", {}, 5, 6, "c0707fd07c0d555b"),
+    "bernoulli_p": ("bernoulli", {"p": 0.2}, 5, 6, "a935f0cc76448173"),
+    "uniform_box": ("uniform_box", {}, 5, 6, "a8b35681490b349e"),
+    "uniform_box_bounds": ("uniform_box", {"low": -3.0, "high": 0.5}, 5, 6, "c13fee12c869a770"),
+    "ring": ("ring", {}, 2, 6, "7fb07a9a770eac65"),
+    "ring_wide": ("ring", {"radius": 6.0, "width": 0.5}, 4, 6, "a54403db55975f1d"),
+    "shifted_gaussian": ("shifted_gaussian", {}, 3, 6, "4014b0f82edfd016"),
+    "shifted_gaussian_mean": ("shifted_gaussian", {"mean": [0.0, 6.0, -2.5]}, 3, 6, "bc745465352284ac"),
+    "scaled_gaussian": ("scaled_gaussian", {}, 3, 6, "4014b0f82edfd016"),
+    "scaled_gaussian_sigma": ("scaled_gaussian", {"sigma": 2.0}, 3, 6, "6e5a0d60ac276c25"),
+    "gaussian_scale_offset": ("gaussian", {"scale": 0.5, "offset": 2.0}, 5, 6, "4f2a121225cf9a45"),
+    "ring_scale_offset": ("ring", {"radius": 3.0, "scale": 2.0, "offset": [1.0, -1.0]}, 2, 6, "47ec293b11c01f7e"),
+    "jigsaw_scale_offset": ("jigsaw", {**GRID, "scale": -1.0, "offset": 0.25}, DIM, 6, "8d4a225deaae3d0f"),
+}
+
+# id -> (kind, params, rows asked for, experiment dim, sha256 prefix)
+SOURCE_CASES = {
+    "markov_chain": ("generator", {"generator": "markov_chain", "length": 6, "alphabet_size": 5}, 8, None, "780b9a9d9a21b637"),
+    "markov_chain_walk": ("generator", {"generator": "markov_chain", "length": 6, "alphabet_size": 5,
+                                        "p_step": 0.5, "p_stay": 0.3, "starts": [3, 1]}, 8, None, "da59e1b51e6e1517"),
+    "synthetic_gaussian_mixture": ("synthetic_gaussian_mixture", {}, None, None, "fc738d07f6c89116"),
+    "synthetic_gaussian_mixture_k": ("synthetic_gaussian_mixture",
+                                     {"k": 3, "n_per_cluster": 7, "dim": 5, "separation": 2.0,
+                                      "class_subset": [0, 2]}, None, None, "1f467807c708729f"),
+    "synthetic_gaussian_mixture_n": ("synthetic_gaussian_mixture", {"n": 9}, 9, 3, "be2acd4bb2482f8c"),
+}
+
+
+def _digest(data) -> str:
+    h = hashlib.sha256()
+    if isinstance(data, datasets.SequenceDataset):
+        h.update(np.ascontiguousarray(data.sequences, dtype="<i8").tobytes())
+    else:
+        h.update(np.ascontiguousarray(data.features, dtype="<f8").tobytes())
+        if data.labels is not None:
+            h.update(np.ascontiguousarray(data.labels, dtype="<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _source_rows(dim: int) -> datasets.VectorDataset:
+    spec = DatasetSpec("synthetic_gaussian_mixture", "din", {"k": 3, "n_per_cluster": 3, "dim": dim})
+    return datasets.materialize(spec, n=None, seed=11)
+
+
+def test_every_vector_generator_has_cases():
+    assert {case[0] for case in CASES.values()} == set(datasets._VECTOR_GENERATOR_TYPES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_vector_generator_bytes(case):
+    generator, params, dim, n, want = CASES[case]
+    spec = DatasetSpec("generator", case, {"generator": generator, **params})
+    data = datasets.materialize(spec, n=n, seed=np.random.SeedSequence([7, 3]), dim=dim, din=_source_rows(dim))
+    assert _digest(data) == want
+
+
+@pytest.mark.parametrize("case", sorted(SOURCE_CASES))
+def test_source_generator_bytes(case):
+    kind, params, n, dim, want = SOURCE_CASES[case]
+    data = datasets.materialize(DatasetSpec(kind, case, params), n=n, seed=np.random.SeedSequence([7, 3]), dim=dim)
+    assert _digest(data) == want

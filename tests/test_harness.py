@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -505,39 +506,6 @@ class TestDatasetFiles:
         assert np.array_equal(back.sequences, data.sequences)
         assert back.alphabet_size == 4
 
-    def test_binary_round_trip(self, tmp_path):
-        for data in (self._vectors(), self._vectors(labeled=False)):
-            p = tmp_path / "d.bin"
-            datasets.write_vectors_binary(p, data)
-            back = datasets.read_vectors_binary(p)
-            assert np.array_equal(back.features, data.features)
-            if data.labels is None:
-                assert back.labels is None
-            else:
-                assert np.array_equal(back.labels, data.labels)
-
-    def test_binary_corruption(self, tmp_path):
-        data = self._vectors()
-        p = tmp_path / "d.bin"
-        datasets.write_vectors_binary(p, data)
-        blob = p.read_bytes()
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(DataError, match="magic"):
-            datasets.read_vectors_binary(bad)
-        bad.write_bytes(blob[:-8])
-        with pytest.raises(DataError, match="payload"):
-            datasets.read_vectors_binary(bad)
-
-    def test_ingest_dispatches_on_suffix(self, tmp_path):
-        data = self._vectors()
-        datasets.write_vectors_csv(tmp_path / "d.csv", data)
-        datasets.write_vectors_binary(tmp_path / "d.bin", data)
-        a = datasets.ingest_dataset(tmp_path / "d.csv")
-        b = datasets.ingest_dataset(tmp_path / "d.bin")
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
-
     def test_check_disjoint(self):
         rng = np.random.default_rng(0)
         a = datasets.VectorDataset(rng.standard_normal((5, 2)))
@@ -838,7 +806,7 @@ class TestTrainingPipeline:
 
     def test_density_seed_run(self):
         config = _tiny_density_config()
-        sr = pipeline.run_seed(config, seed=0)
+        sr = pipeline.run_seed(config, 0, pipeline.train_models(config, [0])[0])
         assert set(sr.reports) == {"baseline", "final"}
         assert set(sr.reports["final"]) == {"periodic"}
         assert sr.train_accuracy is None
@@ -913,7 +881,7 @@ class TestEvaluation:
 
     def test_calibration_eval_structure(self):
         config = _tiny_config(calibration=True, epochs=8)
-        sr = pipeline.run_seed(config, seed=0)
+        sr = pipeline.run_seed(config, 0, pipeline.train_models(config, [0])[0])
         cal = sr.calibration
         assert set(cal) == {"baseline_temp", "final_temp", "final_temp_rescaled"}
         for rep in cal.values():
@@ -951,10 +919,8 @@ class TestEvaluation:
         config = self._overlapping_config(seeds=(0, 1, 2))
         pipeline.run_experiment(config, out_dir=tmp_path / "run", quiet=True)
         solo = self._overlapping_config(seeds=(1,))
-        sr = pipeline.run_seed(solo, 1)
-        # a (baseline, final) pair without temperatures has them fitted in run_seed
-        baseline, final, temps = pipeline.train_models(solo, [1])[0]
-        assert pipeline.run_seed(solo, 1, (baseline, final)).calibration == sr.calibration
+        baseline, final, temps = models = pipeline.train_models(solo, [1])[0]
+        sr = pipeline.run_seed(solo, 1, models)
         # each temperature is the one fit of its own model on the seed's validation split
         val = pipeline.prepare_data(solo, 1).din_val
         assert temps == tuple(pipeline.calib_mod.tune_temperature(nn_core.forward(m, val.features), val.labels)
@@ -1342,18 +1308,50 @@ class TestCli:
         assert f"error: {message}" in err, err
 
     @pytest.mark.parametrize(
+        "dim, params, message",
+        [
+            (75, {"generator": "jigsaw", "shape": [5, 5, 3]}, "jigsaw needs height and width divisible by 4"),
+            (4, {"generator": "rgb_ghost", "shape": [2, 2, 1]}, "ghosting is defined for three-channel grids"),
+            (1, {"generator": "blobs", "shape": [1, 1, 1]}, "blobs need at least two pixels per image"),
+            (4, {"generator": "uniform", "shape": [2, 2, 1], "value_range": [0.0, 2.0]},
+             "value_range must be one of ((0.0, 1.0), (-1.0, 1.0))"),
+            (2, {"generator": "uniform", "shape": [2, 2, 1]}, "generator 'uniform' produced dim 4, experiment needs 2"),
+            (1, {"generator": "ring"}, "ring generator needs dim >= 2"),
+            (2, {"generator": "geometric_mean", "value_range": [1.0, 1.0]}, "value_range must be increasing"),
+        ],
+        ids=["jigsaw_tiles", "rgb_ghost_channels", "blobs_one_pixel", "uniform_range", "grid_size",
+             "ring_dim", "geometric_mean_range"],
+    )
+    def test_generator_refusals_exit_one_naming_the_dataset(self, tmp_path, capsys, monkeypatch, dim, params,
+                                                             message):
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        body = _tiny_config().to_dict()
+        body["d_in"]["params"].update(k=2, dim=dim)
+        body["d_out_test"] = [{"kind": "generator", "name": "odd", "params": params}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: dataset 'odd' ({params['generator']}): {message}" in err, err
+
+    @pytest.mark.parametrize(
         "reader, bad",
         [("config", "directory"), ("config", "not_utf8"),
          ("vectors_csv", "directory"), ("vectors_csv", "not_utf8"),
          ("sequences_csv", "directory"), ("sequences_csv", "not_utf8"),
-         ("vectors_binary", "directory"),
+         ("vectors_csv", "old_container"),
          ("predictions", "directory"), ("predictions", "not_utf8")],
     )
     def test_unreadable_input_file_exits_one_naming_it(self, tmp_path, capsys, monkeypatch, reader, bad):
         monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
-        target = tmp_path / ("rows.bin" if reader == "vectors_binary" else "input.csv")
+        target = tmp_path / ("rows.bin" if bad == "old_container" else "input.csv")
         if bad == "directory":
             target.mkdir()
+        elif bad == "old_container":
+            # the binary 'OEWD' dataset container that vector file datasets no longer read
+            rows = np.random.default_rng(0).standard_normal((6, 2))
+            header = b"OEWD" + struct.pack("<IBII", 1, 1, *rows.shape)
+            target.write_bytes(header + rows.astype("<f8").tobytes() + np.arange(6, dtype="<i8").tobytes())
         else:
             target.write_bytes(b"confidence,correct\n\xff\xfe,1\n")
         if reader == "config":
@@ -1552,7 +1550,7 @@ class TestCli:
         run_models = {}
         run_seed = pipeline.run_seed
 
-        def recording_run_seed(config, seed, models=None):
+        def recording_run_seed(config, seed, models):
             run_models[seed] = models
             return run_seed(config, seed, models)
 

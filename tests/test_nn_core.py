@@ -495,6 +495,8 @@ class TestSerialization:
             assert np.array_equal(net.vector, got.vector)
         with pytest.raises(ConfigurationError):
             nn_core.NetworkParams.stack([nets[0], nn_core.init_network([3, 6, 4], seed=0)])
+        with pytest.raises(ConfigurationError):  # the widths fix the vector's length
+            nn_core.NetworkParams([3, 5, 4], nets[0].vector[:-1])
 
 
 class TestInit:
