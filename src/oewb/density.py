@@ -12,6 +12,9 @@ alphabet, with c*(V+1) one-hot input columns and V output logits, and
 layout reads (c, V) back from them. Training runs on nn_core's stacked
 engine: a stack of nets (NetworkParams.stack) trains on (S, n, D) sequence
 arrays with one seed per net, and a single net trains as a stack of one.
+Each step builds its batch's one-hot rows afresh, by writing ones at flat
+indices of a zeroed array, and sums over classes and positions with
+nn_core.class_sum, which keeps the bits of numpy's reduce.
 """
 
 from __future__ import annotations
@@ -81,9 +84,15 @@ def context_windows(seqs, context_window: int, alphabet_size: int):
 
 
 def one_hot_windows(windows: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """float64 one-hot rows of shape (..., c*(V+1)) for (..., c) windows."""
-    V = int(alphabet_size)
-    return np.eye(V + 1, dtype=np.float64)[windows].reshape(*windows.shape[:-1], -1)
+    """float64 one-hot rows of shape (..., c*(V+1)) for (..., c) windows:
+    symbol w at window slot j of row r sets flat entry (r*c + j)*(V+1) + w
+    of a zeroed array, as indexing rows of np.eye(V + 1) would."""
+    width = int(alphabet_size) + 1
+    out = np.zeros((*windows.shape[:-1], windows.shape[-1] * width))
+    at = np.arange(0, out.size, width)
+    at += windows.ravel()
+    out.reshape(-1)[at] = 1.0
+    return out
 
 
 def context_features(seqs, context_window: int, alphabet_size: int):
@@ -102,8 +111,8 @@ def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape) -> np.ndarray:
     z = logits - nn_core.class_max(logits)
     tok = np.take_along_axis(z, targets[..., None], axis=-1)
     np.exp(z, out=z)
-    tok -= np.log(z.sum(axis=-1, keepdims=True))
-    return -tok.reshape(shape).sum(axis=-1)
+    tok -= np.log(nn_core.class_sum(z, keepdims=True))
+    return -nn_core.class_sum(tok.reshape(shape))
 
 
 def nll_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:

@@ -25,6 +25,13 @@ The classifier loss is the mean cross-entropy on labeled inliers plus lam
 times the mean cross-entropy from the uniform distribution on auxiliary
 outliers; lam = 0 is plain cross-entropy and reads no outliers.
 
+A training step is dozens of small numpy calls, so the step avoids
+per-call temporaries and short inner loops without reordering any float
+operation: class sums add whole class columns in the order numpy's
+reduce uses (class_sum), logit gradients are written over their logits,
+the label entries are found through one flat index, and sgd_step swaps
+only the operands of commutative operations.
+
 train_loop steps a stack in lockstep: each net draws its own seeded
 permutations and outlier order, and one Nesterov step updates the whole
 (S, P) matrix in place. A single net trains as a stack of one. The input
@@ -302,18 +309,63 @@ def class_max(z: np.ndarray) -> np.ndarray:
     return m
 
 
+def _pairwise_sum(cols) -> np.ndarray:
+    """numpy's pairwise summation of k entries, over whole class columns:
+    below 8 one by one from 0.0; up to 128 in 8 accumulators, one add per
+    further block of 8, the tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+    then the k mod 8 remaining entries one at a time; above 128 as the sum
+    of two halves split at a multiple of 8. The result is a fresh array
+    (or a view into one); past the first level the tree adds in place, so
+    a single block takes four columns of scratch."""
+    k = len(cols)
+    if k < 8:
+        s = 0.0 + cols[0]
+        for c in cols[1:]:
+            s += c
+        return s
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        s = _pairwise_sum(cols[:half])
+        s += _pairwise_sum(cols[half:])
+        return s
+    if k < 16:
+        r = cols[0:8:2] + cols[1:8:2]
+    else:
+        r = cols[:8] + cols[8:16]
+        for i in range(16, k - 7, 8):
+            r += cols[i : i + 8]
+        r = np.add(r[0::2], r[1::2], out=r[0::2])
+    # r holds r0+r1, r2+r3, r4+r5, r6+r7
+    r[0::2] += r[1::2]
+    s = r[0]
+    s += r[2]
+    for c in cols[k - k % 8 :]:
+        s += c
+    return s
+
+
+def class_major_sum(cols) -> np.ndarray:
+    """The sums over the leading (class) axis of a (k, ...) array, each in
+    the order numpy's reduce adds a contiguous row of k entries: bit for
+    bit np.moveaxis(cols, 0, -1).copy().sum(axis=-1), in any layout. The
+    reduce starts from 0.0, which turns a -0.0 sum into +0.0; from 8
+    classes on that is one add after the pairwise sum."""
+    s = _pairwise_sum(cols)
+    if len(cols) >= 8:
+        s += 0.0
+    return s
+
+
 def class_sum(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """z.sum(axis=-1), bit for bit. Below 8 classes numpy's reduce adds the
-    entries one by one from 0.0, so this adds class columns in that order
-    (0.0 + z[..., 0] turns a -0.0 sum into +0.0, as the reduce does) at a
-    fraction of the cost; from 8 on numpy sums in an 8-way tree, which
-    only the reduce itself reproduces."""
+    """z.sum(axis=-1), bit for bit, as class_major_sum of the class
+    columns: a few adds over whole columns cost less than a reduce along a
+    short last axis. From 16 classes on the per-block adds cost more than
+    the reduce, so the reduce runs; so it does for an array that is not
+    C-contiguous, which numpy may sum in another order."""
     k = z.shape[-1]
-    if not 0 < k < 8:
+    if not 0 < k < 16 or not z.flags.c_contiguous:
         return z.sum(axis=-1, keepdims=keepdims)
-    s = 0.0 + z[..., 0]
-    for j in range(1, k):
-        s += z[..., j]
+    s = class_major_sum(z.reshape(-1, k).T).reshape(z.shape[:-1])
     return s[..., None] if keepdims else s
 
 
@@ -361,9 +413,15 @@ def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
 def ce_logit_grad(logits, labels: np.ndarray, out=None) -> np.ndarray:
     """softmax(logits) - one_hot(labels): the gradient of the summed
     cross-entropy with respect to the logits, as a fresh array or in out
-    (which may be the logits array)."""
+    (which may be the logits array, and must be C-contiguous). The label
+    entries are found through one flat index: row r's entry sits at
+    r * k + labels[r] of the flattened rows."""
     out = softmax(logits, out=out)
-    out[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
+    if not out.flags.c_contiguous:
+        raise ConfigurationError("ce_logit_grad writes only into a C-contiguous array")
+    at = np.arange(0, out.size, out.shape[-1])
+    at += labels.ravel()
+    out.reshape(-1)[at] -= 1.0
     return out
 
 
@@ -414,15 +472,21 @@ def _objective_grad(params: NetworkParams, lam: float, X, y, oe_X, work: Workspa
     before the outlier pass takes it. Inlier and outlier terms keep
     separate forward/backward passes whose gradients are summed with one
     +=: one pass over the concatenated rows would sum the weight gradients
-    in another order and move the bits.
+    in another order and move the bits. Each term's logit gradient is
+    written over its logits, in the operation order of
+    lam * (softmax(logits) - 1 / k) / m for the outlier term.
     """
     logits, cache = forward_cached(params, X, work)
-    dlog = ce_logit_grad(logits, y)
+    dlog = ce_logit_grad(logits, y, out=logits)
     dlog /= X.shape[-2]
     g = backward(params, cache, dlog, work)
     if lam > 0:
         ologits, ocache = forward_cached(params, oe_X, work)
-        g += backward(params, ocache, lam * (softmax(ologits) - 1.0 / params.n_classes) / oe_X.shape[-2], work)
+        dout = softmax(ologits, out=ologits)
+        dout -= 1.0 / params.n_classes
+        dout *= lam
+        dout /= oe_X.shape[-2]
+        g += backward(params, ocache, dout, work)
     return g
 
 
@@ -486,17 +550,24 @@ def sgd_step(params: NetworkParams, grads: np.ndarray, state: OptimizerState) ->
     for one net or a whole stack.
 
     Weight decay joins the raw gradient and the learning rate follows the
-    cosine schedule: gd = g + wd * p; v = m * v + gd; p -= lr * (gd + m * v).
-    The gradient vector is only read.
+    cosine schedule: gd = wd * p + g; v = m * v + gd; p -= lr * (m * v + gd).
+    Each step allocates two arrays, gd and the step, and writes the rest in
+    place; every operation is the expression's own, at most with the
+    operands of a commutative one swapped, so the bits are the same. The
+    gradient vector is only read.
     """
     p, v = params.vector, state.velocity
     if np.shape(grads) != p.shape or v.shape != p.shape:
         raise ConfigurationError("parameter, gradient, and velocity layouts differ")
     lr = cosine_lr(state.step_count, state.total_steps, state.lr0)
-    gd = grads + state.weight_decay * p
+    gd = np.multiply(p, state.weight_decay)
+    gd += grads
     v *= state.momentum
     v += gd
-    p -= lr * (gd + state.momentum * v)
+    step = np.multiply(v, state.momentum)
+    step += gd
+    step *= lr
+    p -= step
     state.step_count += 1
 
 

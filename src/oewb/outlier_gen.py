@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 
-_ALLOWED_RANGES = ((0.0, 1.0), (-1.0, 1.0))
+# The value ranges a grid may declare.
+GRID_RANGES = ((0.0, 1.0), (-1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class GridShape:
         if min(self.height, self.width, self.channels) < 1:
             raise ConfigurationError("grid dimensions must be positive")
         vr = (float(self.value_range[0]), float(self.value_range[1]))
-        if vr not in _ALLOWED_RANGES:
-            raise ParameterError(f"value_range must be one of {_ALLOWED_RANGES}")
+        if vr not in GRID_RANGES:
+            raise ParameterError(f"value_range must be one of {GRID_RANGES}")
         object.__setattr__(self, "value_range", vr)
 
     @property

@@ -251,7 +251,7 @@ class TestTuneTemperature:
         data=st.data(),
         fits=st.integers(1, 3),
         n=st.integers(1, 40),
-        k=st.integers(2, 10),
+        k=st.integers(2, 20),
         n_temps=st.integers(1, 4),
     )
     @settings(max_examples=300, deadline=None)

@@ -55,6 +55,22 @@ class TestDiscreteSequence:
                 density.nll_batch(net, [0, 0])
 
 
+class TestOneHotWindows:
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("V", [2, 3, 8, 10])
+    def test_equals_rows_of_the_identity_bit_for_bit(self, stacked, dtype, c, V):
+        # window symbols run over the alphabet and the start symbol V
+        rng = np.random.default_rng(V * 10 + c)
+        windows = rng.integers(0, V + 1, size=(3, 11, c) if stacked else (11, c)).astype(dtype)
+        want = np.eye(V + 1, dtype=np.float64)[windows].reshape(*windows.shape[:-1], -1)
+        got = density.one_hot_windows(windows, V)
+        assert got.dtype == np.float64
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestNll:
     def test_uniform_model_gives_d_log_v(self):
         m = _uniform_model(V=5)

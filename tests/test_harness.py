@@ -1310,14 +1310,21 @@ class TestCli:
     @pytest.mark.parametrize(
         "dim, params, message",
         [
-            (75, {"generator": "jigsaw", "shape": [5, 5, 3]}, "jigsaw needs height and width divisible by 4"),
-            (4, {"generator": "rgb_ghost", "shape": [2, 2, 1]}, "ghosting is defined for three-channel grids"),
-            (1, {"generator": "blobs", "shape": [1, 1, 1]}, "blobs need at least two pixels per image"),
+            # refused by check_params: the spec alone decides these
+            (75, {"generator": "jigsaw", "shape": [5, 5, 3]},
+             " params.shape height and width must be divisible by 4 for the 4x4 tiles, got [5, 5, 3]"),
+            (4, {"generator": "rgb_ghost", "shape": [2, 2, 1]},
+             " params.shape must have 3 channels to ghost, got [2, 2, 1]"),
+            (1, {"generator": "blobs", "shape": [1, 1, 1]},
+             " params.shape must hold at least two pixels per image, got [1, 1, 1]"),
             (4, {"generator": "uniform", "shape": [2, 2, 1], "value_range": [0.0, 2.0]},
-             "value_range must be one of ((0.0, 1.0), (-1.0, 1.0))"),
-            (2, {"generator": "uniform", "shape": [2, 2, 1]}, "generator 'uniform' produced dim 4, experiment needs 2"),
-            (1, {"generator": "ring"}, "ring generator needs dim >= 2"),
-            (2, {"generator": "geometric_mean", "value_range": [1.0, 1.0]}, "value_range must be increasing"),
+             " params.value_range of a grid must be [0.0, 1.0] or [-1.0, 1.0], got [0.0, 2.0]"),
+            # refused by the generator: these depend on the inlier dimension
+            (2, {"generator": "uniform", "shape": [2, 2, 1]},
+             ": generator 'uniform' produced dim 4, experiment needs 2"),
+            (1, {"generator": "ring"}, ": ring generator needs dim >= 2"),
+            (2, {"generator": "geometric_mean", "value_range": [1.0, 1.0]},
+             " params.value_range must be increasing, got [1.0, 1.0]"),
         ],
         ids=["jigsaw_tiles", "rgb_ghost_channels", "blobs_one_pixel", "uniform_range", "grid_size",
              "ring_dim", "geometric_mean_range"],
@@ -1332,7 +1339,26 @@ class TestCli:
         path.write_text(json.dumps(body))
         assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
         err = capsys.readouterr().err
-        assert f"error: dataset 'odd' ({params['generator']}): {message}" in err, err
+        assert f"error: dataset 'odd' ({params['generator']}){message}" in err, err
+
+    @pytest.mark.parametrize("command", ["run", "make-data"])
+    def test_validation_spec_its_generator_refuses_exits_one_in_run_as_in_make_data(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # run never builds the d_out_val sets; check_params refuses the spec for both
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        body = _tiny_config().to_dict()
+        body["d_out_val"] = [{"kind": "generator", "name": "tiles",
+                              "params": {"generator": "jigsaw", "shape": [1, 1, 2]}}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        argv = [command, "-c", str(path), "-o", str(out), "-q"] + (["--seed", "0"] if command == "make-data" else [])
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert ("error: dataset 'tiles' (jigsaw) params.shape height and width must be divisible by 4 "
+                "for the 4x4 tiles, got [1, 1, 2]") in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "reader, bad",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oewb import nn_core, objectives
 from oewb.errors import ConfigurationError, DataError, ParameterError
@@ -139,27 +140,65 @@ def _logit_rows(draw):
 _SUM_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, 1e308, -1.7e308, 1.0, -3.5]
 
 
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _sum_rows(rng, shape):
+    """(..., 40, k) rows of every kind of sum: a row of -0.0, a row of
+    signed zeros, plain normal rows, whose last bits depend on the order
+    of the adds, rows over twenty orders of magnitude, and rows sprinkled
+    with the edge values."""
+    z = rng.standard_normal(shape)
+    z[..., 14:27, :] *= 10.0 ** rng.integers(-10, 10, size=z[..., 14:27, :].shape)
+    edge = rng.choice(_SUM_EDGE_VALUES, size=z[..., 27:, :].shape)
+    z[..., 27:, :] = np.where(rng.random(edge.shape) < 0.3, edge, z[..., 27:, :])
+    z[..., 0, :] = -0.0
+    z[..., 1, :] = rng.choice([0.0, -0.0], size=shape[-1])
+    return z
+
+
 class TestClassSum:
     @given(
         data=st.data(),
         lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
-        k=st.integers(1, 12),
+        k=st.integers(1, 130),
         keepdims=st.booleans(),
     )
     @settings(max_examples=400, deadline=None)
     def test_equals_the_last_axis_sum_bit_for_bit(self, data, lead, k, keepdims):
         values = st.one_of(st.sampled_from(_SUM_EDGE_VALUES), st.floats(allow_nan=False))
-        size = int(np.prod(lead)) * k
-        z = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(*lead, k)
+        z = data.draw(hnp.arrays(np.float64, (*lead, k), elements=values))
         with np.errstate(over="ignore", invalid="ignore"):
             got = nn_core.class_sum(z, keepdims=keepdims)
+            major = nn_core.class_major_sum(np.moveaxis(z, -1, 0))
             want = z.sum(axis=-1, keepdims=keepdims)
-        assert got.shape == want.shape
-        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+        assert _same_bits(got, want)
+        assert _same_bits(major, want[..., 0] if keepdims else want)
+
+    @pytest.mark.parametrize("k", [8, 9, 15, 16, 17, 24, 127, 128, 129, 200, 300])
+    def test_block_boundaries_bit_for_bit(self, k):
+        # the 8-accumulator tree starts at 8, a second block at 16, the
+        # reduce's halving above 128; class_major_sum takes the classes
+        # first, as a contiguous copy or a view of row-major sums
+        z = _sum_rows(np.random.default_rng(k), (3, 40, k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = z.sum(axis=-1)
+            assert _same_bits(nn_core.class_sum(z), want)
+            assert _same_bits(nn_core.class_sum(z, keepdims=True), want[..., None])
+            assert _same_bits(nn_core.class_major_sum(np.moveaxis(z, -1, 0)), want)
+            assert _same_bits(nn_core.class_major_sum(np.ascontiguousarray(np.moveaxis(z, -1, 0))), want)
+
+    @pytest.mark.parametrize("k", [3, 9, 20])
+    def test_a_non_contiguous_array_sums_as_its_reduce_does(self, k):
+        z = np.random.default_rng(k).standard_normal((k, 50)).T * 1e3
+        assert _same_bits(nn_core.class_sum(z), z.sum(axis=-1))
 
     def test_a_row_of_negative_zeros_sums_to_positive_zero(self):
-        got = nn_core.class_sum(np.array([[-0.0, -0.0, -0.0]]))
-        assert got.view(np.int64).tolist() == [0]
+        for k in (3, 8, 17):
+            got = nn_core.class_sum(np.full((1, k), -0.0))
+            assert got.view(np.int64).tolist() == [0]
 
 
 class TestSoftmax:
@@ -295,6 +334,55 @@ class TestGrad:
         assert ortho < along / 100.0
 
 
+def _indexed_ce_logit_grad(logits, labels):
+    """softmax(logits) - one_hot(labels) with the labels set through np.indices."""
+    out = nn_core.softmax(logits)
+    out[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
+    return out
+
+
+class TestLogitGradients:
+    @pytest.mark.parametrize("lead", [(7,), (3, 7)])
+    @pytest.mark.parametrize("k", [2, 4, 8, 9])
+    @pytest.mark.parametrize("label_dtype", [np.int64, np.uint8])
+    def test_ce_logit_grad_equals_the_indexed_form_bit_for_bit(self, lead, k, label_dtype):
+        rng = np.random.default_rng(k)
+        logits = rng.standard_normal((*lead, k)) * 30.0
+        labels = rng.integers(0, k, size=lead).astype(label_dtype)
+        want = _indexed_ce_logit_grad(logits, labels)
+        assert _same_bits(nn_core.ce_logit_grad(logits, labels), want)
+        # written over the logits, as the training step does
+        assert _same_bits(nn_core.ce_logit_grad(logits.copy(), labels, out=logits), want)
+
+    def test_ce_logit_grad_refuses_a_strided_out(self):
+        logits = np.zeros((4, 6))
+        with pytest.raises(ConfigurationError):
+            nn_core.ce_logit_grad(logits[:, ::2], np.zeros(4, dtype=np.int64), out=logits[:, ::2])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.7])
+    @pytest.mark.parametrize("with_workspace", [False, True])
+    def test_objective_grad_equals_the_expression_form_bit_for_bit(self, stacked, lam, with_workspace):
+        # the inlier term as softmax - one_hot, the outlier term as
+        # lam * (softmax(logits) - 1 / k) / m, each on fresh arrays
+        rng = np.random.default_rng(21)
+        nets = [nn_core.init_network([3, 6, 5], seed=s) for s in range(3 if stacked else 1)]
+        p = nn_core.NetworkParams.stack(nets) if stacked else nets[0]
+        lead = (3,) if stacked else ()
+        X = rng.standard_normal((*lead, 9, 3)) * 2.0
+        y = rng.integers(0, 5, size=(*lead, 9))
+        oe_X = rng.standard_normal((*lead, 7, 3)) * 4.0
+        logits, cache = nn_core.forward_cached(p, X)
+        dlog = _indexed_ce_logit_grad(logits, y)
+        dlog /= 9
+        want = nn_core.backward(p, cache, dlog)
+        ologits, ocache = nn_core.forward_cached(p, oe_X)
+        want += nn_core.backward(p, ocache, lam * (nn_core.softmax(ologits) - 1.0 / 5) / 7)
+        work = nn_core.Workspace() if with_workspace else None
+        for _ in range(2):  # a workspace gives the same bits on its second use
+            assert _same_bits(nn_core._objective_grad(p, lam, X, y, oe_X, work), want)
+
+
 class TestSgdStep:
     def test_plain_sgd_without_momentum_or_decay(self):
         p = nn_core.init_network([2, 3], seed=1)
@@ -334,6 +422,28 @@ class TestSgdStep:
         nn_core.sgd_step(p, g, state)
         nn_core.sgd_step(p, g, state)
         assert abs(p.weights[0][0, 0] - w) < 1e-15
+
+    @pytest.mark.parametrize("momentum, weight_decay", [(0.9, 5e-4), (0.0, 5e-4), (0.9, 0.0), (0.0, 0.0)])
+    def test_equals_the_three_line_update_bit_for_bit(self, momentum, weight_decay):
+        # gd = g + wd * p; v = m * v + gd; p -= lr * (gd + m * v), over a
+        # stack, with gradients of many magnitudes and signed zeros
+        rng = np.random.default_rng(3)
+        p = nn_core.NetworkParams.stack([nn_core.init_network([3, 5, 2], seed=s) for s in range(3)])
+        state = nn_core.init_optimizer(p, lr0=0.3, total_steps=20, momentum=momentum, weight_decay=weight_decay)
+        want_p, want_v = p.vector.copy(), np.zeros_like(p.vector)
+        for step in range(20):
+            g = rng.standard_normal(p.vector.shape) * 10.0 ** rng.integers(-8, 3, size=p.vector.shape)
+            g[rng.random(g.shape) < 0.1] = -0.0
+            given_g = g.copy()
+            lr = nn_core.cosine_lr(step, 20, 0.3)
+            gd = g + weight_decay * want_p
+            want_v *= momentum
+            want_v += gd
+            want_p -= lr * (gd + momentum * want_v)
+            nn_core.sgd_step(p, g, state)
+            assert _same_bits(p.vector, want_p)
+            assert _same_bits(state.velocity, want_v)
+            assert _same_bits(g, given_g)
 
     def test_shape_mismatch_rejected(self):
         p = nn_core.init_network([2, 3], seed=1)
