@@ -66,26 +66,22 @@ def _nll_at(logits, top, picked, temps) -> np.ndarray:
     computes only the label entries of the log-softmax: dividing by t > 0
     keeps the order, so max(z / t) is exactly max(z) / t, and a label
     entry is (picked / t - max) - log(sum exp(z / t - max)) as log_softmax
-    forms it. The scaled logits are laid out class-major, (F, T, k, n), so
-    the max subtraction and the exponential run along rows of n entries,
-    not k; class_major_sum adds each row's exponentials in the order of
-    log_softmax's class sum. Each mean reduces the negated entries along
-    the last axis of a C-contiguous array, which sums every row as
-    ce_loss's 1-D np.mean does.
+    forms it. Each mean reduces the negated entries along the last axis of
+    a C-contiguous array, which sums every row as ce_loss's 1-D np.mean
+    does.
     """
     n = logits.shape[1]
     out = np.empty(temps.shape)
-    by_class = np.ascontiguousarray(logits.swapaxes(1, 2))  # (F, k, n)
-    # temperatures per chunk: each (F, T, k, n) temporary stays within 2**15
+    # temperatures per chunk: each (F, T, n, k) temporary stays within 2**15
     # entries (256 KiB), or one temperature per fit, so the batching adds no
     # visible peak memory
     chunk = max(1, 2**15 // logits.size)
     for start in range(0, temps.shape[1], chunk):
         t = temps[:, start : start + chunk, None]
         m = top[:, None, :, 0] / t
-        z = by_class[:, None] / t[..., None]
-        z -= m[:, :, None]
-        s = np.log(nn_core.class_major_sum(np.exp(z, out=z).transpose(2, 0, 1, 3)))
+        z = logits[:, None, :, :] / t[..., None]
+        z -= m[..., None]
+        s = np.log(nn_core.class_sum(np.exp(z, out=z)))
         lp = picked[:, None, :] / t
         lp -= m
         lp -= s

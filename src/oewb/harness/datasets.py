@@ -312,26 +312,17 @@ def _unread_on_this_path(kind: str, params: dict) -> str | None:
 def _out_of_range(kind: str, params: dict) -> str | None:
     """A well-typed params value that the kind cannot run with, as the key
     and what is wrong with it. check_params has refused the keys the kind
-    does not read and made shape three entries. These are the generators'
-    own refusals that the spec alone decides; those that depend on the
-    inlier dimension stay with materialize_generator."""
+    does not read and made shape and value_range the right length. The
+    shape and value_range faults are the generators' own (outlier_gen
+    words them), asked of the spec alone; those that depend on the inlier
+    dimension stay with materialize_generator."""
     if params.get("n", 1) < 1:
         return f"n must be positive, got {params['n']!r}"
-    shape = params.get("shape")
-    if shape is not None:
-        if any(v < 1 for v in shape):
-            return f"shape entries must be positive, got {shape!r}"
-        if kind == "jigsaw" and (shape[0] % 4 or shape[1] % 4):
-            return f"shape height and width must be divisible by 4 for the 4x4 tiles, got {shape!r}"
-        if kind == "rgb_ghost" and shape[2] != 3:
-            return f"shape must have 3 channels to ghost, got {shape!r}"
-        if kind == "blobs" and shape[0] * shape[1] < 2:
-            return f"shape must hold at least two pixels per image, got {shape!r}"
-        if tuple(params.get("value_range", (0.0, 1.0))) not in outlier_gen.GRID_RANGES:
-            return f"value_range of a grid must be [0.0, 1.0] or [-1.0, 1.0], got {params['value_range']!r}"
-    low, high = params.get("value_range", (0.0, 1.0))
-    if kind == "geometric_mean" and not low < high:
-        return f"value_range must be increasing, got {params['value_range']!r}"
+    shape, value_range = params.get("shape"), params.get("value_range")
+    fault = (shape is not None and outlier_gen.shape_fault(kind, shape)) or (
+        value_range is not None and outlier_gen.range_fault(kind, value_range, grid=shape is not None))
+    if fault:
+        return fault
     if not 0 <= params.get("p", 0.5) <= 1:
         return f"p must lie in [0, 1], got {params['p']!r}"
     if not params.get("intensity", 0.0) >= 0:

@@ -309,63 +309,34 @@ def class_max(z: np.ndarray) -> np.ndarray:
     return m
 
 
-def _pairwise_sum(cols) -> np.ndarray:
-    """numpy's pairwise summation of k entries, over whole class columns:
-    below 8 one by one from 0.0; up to 128 in 8 accumulators, one add per
-    further block of 8, the tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
-    then the k mod 8 remaining entries one at a time; above 128 as the sum
-    of two halves split at a multiple of 8. The result is a fresh array
-    (or a view into one); past the first level the tree adds in place, so
-    a single block takes four columns of scratch."""
-    k = len(cols)
+def class_sum(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """z.sum(axis=-1), bit for bit, as a few adds over whole class columns
+    in the order numpy's reduce adds each row: a reduce along a short last
+    axis costs more. Below 8 classes the reduce adds the entries one by one
+    from 0.0; from 8 it sums 8 accumulators in the tree
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), adds the remaining entries one at
+    a time and then joins its start value 0.0. Either way a -0.0 sum turns
+    into +0.0. From 16 classes on the reduce's blocks of 8 cost more as
+    columns than the reduce itself, so the reduce runs; so it does for an
+    array that is not C-contiguous, which numpy may sum in another order.
+    """
+    k = z.shape[-1]
+    if not 0 < k < 16 or not z.flags.c_contiguous:
+        return z.sum(axis=-1, keepdims=keepdims)
+    cols = z.reshape(-1, k).T
     if k < 8:
         s = 0.0 + cols[0]
         for c in cols[1:]:
             s += c
-        return s
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        s = _pairwise_sum(cols[:half])
-        s += _pairwise_sum(cols[half:])
-        return s
-    if k < 16:
-        r = cols[0:8:2] + cols[1:8:2]
     else:
-        r = cols[:8] + cols[8:16]
-        for i in range(16, k - 7, 8):
-            r += cols[i : i + 8]
-        r = np.add(r[0::2], r[1::2], out=r[0::2])
-    # r holds r0+r1, r2+r3, r4+r5, r6+r7
-    r[0::2] += r[1::2]
-    s = r[0]
-    s += r[2]
-    for c in cols[k - k % 8 :]:
-        s += c
-    return s
-
-
-def class_major_sum(cols) -> np.ndarray:
-    """The sums over the leading (class) axis of a (k, ...) array, each in
-    the order numpy's reduce adds a contiguous row of k entries: bit for
-    bit np.moveaxis(cols, 0, -1).copy().sum(axis=-1), in any layout. The
-    reduce starts from 0.0, which turns a -0.0 sum into +0.0; from 8
-    classes on that is one add after the pairwise sum."""
-    s = _pairwise_sum(cols)
-    if len(cols) >= 8:
+        r = cols[0:8:2] + cols[1:8:2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        r[0::2] += r[1::2]
+        s = r[0]
+        s += r[2]
+        for c in cols[8:]:
+            s += c
         s += 0.0
-    return s
-
-
-def class_sum(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """z.sum(axis=-1), bit for bit, as class_major_sum of the class
-    columns: a few adds over whole columns cost less than a reduce along a
-    short last axis. From 16 classes on the per-block adds cost more than
-    the reduce, so the reduce runs; so it does for an array that is not
-    C-contiguous, which numpy may sum in another order."""
-    k = z.shape[-1]
-    if not 0 < k < 16 or not z.flags.c_contiguous:
-        return z.sum(axis=-1, keepdims=keepdims)
-    s = class_major_sum(z.reshape(-1, k).T).reshape(z.shape[:-1])
+    s = s.reshape(z.shape[:-1])
     return s[..., None] if keepdims else s
 
 

@@ -14,8 +14,38 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 
-# The value ranges a grid may declare.
-GRID_RANGES = ((0.0, 1.0), (-1.0, 1.0))
+
+def shape_fault(kind: str | None, shape) -> str | None:
+    """What generator `kind` (None: any grid generator) cannot run with in
+    a grid shape (height, width, channels), as the argument and the fault,
+    or None. The generators below raise it, and a config check can ask it
+    of a spec before any rows exist."""
+    h, w, c = shape
+    if min(h, w, c) < 1:
+        return f"shape entries must be positive, got {shape!r}"
+    if kind == "jigsaw" and (h % 4 or w % 4):
+        return f"shape height and width must be divisible by 4 for the 4x4 tiles, got {shape!r}"
+    if kind == "rgb_ghost" and c != 3:
+        return f"shape must have 3 channels to ghost, got {shape!r}"
+    if kind == "blobs" and h * w < 2:
+        return f"shape must hold at least two pixels per image, got {shape!r}"
+    return None
+
+
+def range_fault(kind: str | None, value_range, grid: bool) -> str | None:
+    """What generator `kind` cannot run with in a value range (low, high),
+    on a grid or not, as shape_fault words it, or None."""
+    lo, hi = float(value_range[0]), float(value_range[1])
+    if grid and (lo, hi) not in ((0.0, 1.0), (-1.0, 1.0)):
+        return f"value_range of a grid must be [0.0, 1.0] or [-1.0, 1.0], got {value_range!r}"
+    if kind == "geometric_mean" and not lo < hi:
+        return f"value_range must be increasing, got {value_range!r}"
+    return None
+
+
+def _refuse(fault: str | None, error: type) -> None:
+    if fault:
+        raise error(fault)
 
 
 @dataclass(frozen=True)
@@ -26,12 +56,13 @@ class GridShape:
     value_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        if min(self.height, self.width, self.channels) < 1:
-            raise ConfigurationError("grid dimensions must be positive")
-        vr = (float(self.value_range[0]), float(self.value_range[1]))
-        if vr not in GRID_RANGES:
-            raise ParameterError(f"value_range must be one of {GRID_RANGES}")
-        object.__setattr__(self, "value_range", vr)
+        _refuse(shape_fault(None, self.hwc), ConfigurationError)
+        _refuse(range_fault(None, self.value_range, grid=True), ParameterError)
+        object.__setattr__(self, "value_range", (float(self.value_range[0]), float(self.value_range[1])))
+
+    @property
+    def hwc(self) -> tuple:
+        return self.height, self.width, self.channels
 
     @property
     def dim(self) -> int:
@@ -114,9 +145,8 @@ def gen_blobs(n, shape: GridShape, seed) -> np.ndarray:
     normalized box filter of width ceil(min(h, w) / 4), then thresholded
     at each image's median."""
     _check_count(n)
-    h, w, c = shape.height, shape.width, shape.channels
-    if h * w < 2:
-        raise ConfigurationError("blobs need at least two pixels per image")
+    _refuse(shape_fault("blobs", shape.hwc), ConfigurationError)
+    h, w, c = shape.hwc
     width = int(np.ceil(min(h, w) / 4))
     rng = np.random.default_rng(seed)
     noise = rng.random((int(n), h, w))
@@ -146,9 +176,8 @@ def corrupt_geometric_mean(rows, value_range=(0.0, 1.0), seed=0, pairs=None, n=N
     """Elementwise geometric mean of row pairs, taken in [0, 1] coordinates
     so it is defined for symmetric ranges too."""
     rows = np.asarray(rows, dtype=np.float64)
+    _refuse(range_fault("geometric_mean", value_range, grid=False), ParameterError)
     lo, hi = float(value_range[0]), float(value_range[1])
-    if not hi > lo:
-        raise ParameterError("value_range must be increasing")
     if pairs is None:
         rng = np.random.default_rng(seed)
         ia, ib = _pick_pairs(rows.shape[0], int(n) if n else rows.shape[0], rng)
@@ -162,8 +191,7 @@ def corrupt_geometric_mean(rows, value_range=(0.0, 1.0), seed=0, pairs=None, n=N
 
 def corrupt_jigsaw(rows, shape: GridShape, seed=0, perm=None) -> np.ndarray:
     """Shuffle the 16 tiles of a 4x4 patch grid, per image."""
-    if shape.height % 4 or shape.width % 4:
-        raise ConfigurationError("jigsaw needs height and width divisible by 4")
+    _refuse(shape_fault("jigsaw", shape.hwc), ConfigurationError)
     imgs = shape.unflatten(rows)
     n = imgs.shape[0]
     ph, pw = shape.height // 4, shape.width // 4
@@ -195,8 +223,7 @@ def corrupt_rgb_ghost(rows, shape: GridShape, seed=0, shifts=None, order=None) -
     (dy, dx). Both pieces are bijections of the pixel grid, so any ghost
     is undone by the inverse permutation and negated shifts.
     """
-    if shape.channels != 3:
-        raise ConfigurationError("ghosting is defined for three-channel grids")
+    _refuse(shape_fault("rgb_ghost", shape.hwc), ConfigurationError)
     imgs = shape.unflatten(rows)
     rng = np.random.default_rng(seed)
     if order is None:
