@@ -1,14 +1,20 @@
 """Dataset materialization: synthetic inliers, outlier sources, file ingest.
 
-Vector data moves through CSV (feature columns + optional integer label
-column); discrete sequences use CSV rows of symbol columns. Every
-materialized auxiliary/test outlier pair is scanned for byte-identical
-rows so no test example can leak into training.
+Each dataset kind, and each generator, is one entry of _KINDS: the params
+keys it reads, each with its type and its default (NEEDED for a key that
+a spec must set), and for vector rows the function that builds them.
+check_params refuses a spec whose params do not fit its entry and
+resolves the rest, filling in the defaults; materialize builds from those
+resolved values alone. Vector data moves through CSV (feature columns +
+optional integer label column); discrete sequences use CSV rows of symbol
+columns. Every materialized auxiliary/test outlier pair is scanned for
+byte-identical rows so no test example can leak into training.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -267,34 +273,106 @@ def read_sequences_csv(path, alphabet_size: int) -> SequenceDataset:
 
 
 # ---------------------------------------------------------------------------
-# Generator registry
+# Kinds and generators
 
 
-# The params keys each dataset kind, or each generator, reads, and the type
-# each value must already have (as for config fields: nothing is cast, and
-# an integer is accepted as a number). A generator of vector rows also reads
-# the _VECTOR_ROWS keys.
-_PARAM_TYPES = {
-    "file": {"sequence": bool, "alphabet_size": int, "label_column": str | None},
-    "synthetic_gaussian_mixture": {"n": int, "k": int, "n_per_cluster": int, "dim": int, "separation": float,
-                                   "class_subset": list[int]},
-    "markov_chain": {"generator": str, "n": int, "length": int, "alphabet_size": int, "p_step": float,
-                     "p_stay": float, "starts": list[int]},
+NEEDED = object()  # the default of a params key that every spec must set
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One dataset kind, or one generator: the params it reads and, for
+    vector rows, how it builds them.
+
+    params maps each key to (type, default). A value must already have its
+    key's type, as for config fields: nothing is cast, and an integer is
+    accepted as a number. A key whose default is NEEDED must be set. A
+    generator builds rows(p, n, dim, seed); a corruptor perturbs source
+    rows drawn from the in-distribution data, corrupt(p, src, seed). p is
+    the params as check_params resolves them."""
+
+    params: dict
+    rows: Callable | None = None
+    corrupt: Callable | None = None
+
+
+def _vector(rows=None, corrupt=None, **params) -> Kind:
+    """A generator of vector rows. Each also reads its row count n (None:
+    the caller's), and scale and offset, applied to its rows last."""
+    shared = {"generator": (str, NEEDED), "n": (int, None), "scale": (float, 1.0),
+              "offset": (float | list[float], 0.0)}
+    return Kind({**shared, **params}, rows, corrupt)
+
+
+_SHAPE = (list[int], NEEDED)  # a grid's [height, width, channels]
+_UNIT = (list[float], (0.0, 1.0))  # value_range [low, high]
+
+
+def _grid(p: dict) -> outlier_gen.GridShape:
+    return outlier_gen.GridShape(*p["shape"], p["value_range"])
+
+
+def _ring(p: dict, n: int, dim: int, seed) -> np.ndarray:
+    """Points at angles uniform on the circle of p's radius in the first
+    two coordinates, the radius jittered by p's width times a standard
+    normal; standard normal in the others."""
+    if dim < 2:
+        raise ConfigurationError("ring generator needs dim >= 2")
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    r = p["radius"] + p["width"] * rng.standard_normal(n)
+    rows = np.zeros((n, dim))
+    rows[:, 0] = r * np.cos(theta)
+    rows[:, 1] = r * np.sin(theta)
+    rows[:, 2:] = rng.standard_normal((n, dim - 2))
+    return rows
+
+
+def _invert(p: dict, src: np.ndarray, seed) -> np.ndarray:
+    """corrupt_invert of the channels p's channel_mask selects (None: all)."""
+    shape = _grid(p)
+    mask = p["channel_mask"]
+    return outlier_gen.corrupt_invert(src, shape, channel_mask=[True] * shape.channels if mask is None else mask)
+
+
+_KINDS = {
+    "file": Kind({"sequence": (bool, False), "alphabet_size": (int, None), "label_column": (str | None, "label")}),
+    # dim None: the experiment's dimension, or 2 without one
+    "synthetic_gaussian_mixture": Kind({"n": (int, None), "k": (int, 4), "n_per_cluster": (int, 200),
+                                        "dim": (int, None), "separation": (float, 4.0),
+                                        "class_subset": (list[int], None)}),
+    "markov_chain": Kind({"generator": (str, NEEDED), "n": (int, None), "length": (int, NEEDED),
+                          "alphabet_size": (int, NEEDED), "p_step": (float, 0.8), "p_stay": (float, 0.1),
+                          "starts": (list[int], None)}),
+    "uniform": _vector(lambda p, n, dim, seed: outlier_gen.gen_uniform_noise(n, _grid(p), seed),
+                       shape=_SHAPE, value_range=_UNIT),
+    "blobs": _vector(lambda p, n, dim, seed: outlier_gen.gen_blobs(n, _grid(p), seed),
+                     shape=_SHAPE, value_range=_UNIT),
+    # value_range None: unclipped
+    "gaussian": _vector(lambda p, n, dim, seed: outlier_gen.gen_gaussian(n, dim, seed, p["value_range"]),
+                        value_range=(list[float], None)),
+    "rademacher": _vector(lambda p, n, dim, seed: outlier_gen.gen_rademacher(n, dim, seed)),
+    "bernoulli": _vector(lambda p, n, dim, seed: outlier_gen.gen_bernoulli(n, dim, p["p"], seed), p=(float, 0.5)),
+    "uniform_box": _vector(lambda p, n, dim, seed: np.random.default_rng(seed).uniform(p["low"], p["high"], (n, dim)),
+                           low=(float, -1.0), high=(float, 1.0)),
+    "ring": _vector(_ring, radius=(float, 1.0), width=(float, 0.1)),
+    "shifted_gaussian": _vector(lambda p, n, dim, seed: outlier_gen.gen_gaussian(n, dim, seed) + p["mean"],
+                                mean=(list[float], 0.0)),
+    "scaled_gaussian": _vector(lambda p, n, dim, seed: p["sigma"] * outlier_gen.gen_gaussian(n, dim, seed),
+                               sigma=(float, 1.0)),
+    "arithmetic_mean": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_arithmetic_mean(src, seed=seed)),
+    "geometric_mean": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_geometric_mean(
+        src, p["value_range"], seed=seed), value_range=_UNIT),
+    "jigsaw": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_jigsaw(
+        src, outlier_gen.GridShape(*p["shape"]), seed=seed), shape=_SHAPE),
+    "speckle": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_speckle(
+        src, intensity=p["intensity"], seed=seed, value_range=p["value_range"]),
+        intensity=(float, 0.2), value_range=_UNIT),
+    "rgb_ghost": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_rgb_ghost(
+        src, outlier_gen.GridShape(*p["shape"]), seed=seed), shape=_SHAPE),
+    "invert": _vector(corrupt=_invert, shape=_SHAPE, value_range=_UNIT, channel_mask=(list[bool], None)),
 }
-_VECTOR_ROWS = {"generator": str, "n": int, "scale": float, "offset": float | list[float]}
-_GRID = {"shape": list[int], "value_range": list[float]}
-_VECTOR_GENERATOR_TYPES = {
-    "uniform": _GRID, "blobs": _GRID, "jigsaw": _GRID, "rgb_ghost": _GRID,
-    "invert": {**_GRID, "channel_mask": list[bool]},
-    "gaussian": {"value_range": list[float]}, "geometric_mean": {"value_range": list[float]},
-    "speckle": {"intensity": float, "value_range": list[float]},
-    "rademacher": {}, "arithmetic_mean": {}, "bernoulli": {"p": float}, "uniform_box": {"low": float, "high": float},
-    "ring": {"radius": float, "width": float}, "shifted_gaussian": {"mean": list[float]},
-    "scaled_gaussian": {"sigma": float},
-}
-# Keys a kind cannot run without, and list-valued keys of a fixed length.
-_REQUIRED = {"markov_chain": ("length", "alphabet_size"),
-             **{g: ("shape",) for g, keys in _VECTOR_GENERATOR_TYPES.items() if "shape" in keys}}
+# list-valued keys of a fixed length
 _LENGTHS = {"shape": 3, "value_range": 2}
 
 
@@ -309,201 +387,103 @@ def _unread_on_this_path(kind: str, params: dict) -> str | None:
     return None
 
 
-def _out_of_range(kind: str, params: dict) -> str | None:
-    """A well-typed params value that the kind cannot run with, as the key
-    and what is wrong with it. check_params has refused the keys the kind
-    does not read and made shape and value_range the right length. The
-    shape and value_range faults are the generators' own (outlier_gen
-    words them), asked of the spec alone; those that depend on the inlier
-    dimension stay with materialize_generator."""
-    if params.get("n", 1) < 1:
-        return f"n must be positive, got {params['n']!r}"
-    shape, value_range = params.get("shape"), params.get("value_range")
+def _out_of_range(kind: str, p: dict) -> str | None:
+    """A well-typed value of the resolved params p that the kind cannot run
+    with, as the key and what is wrong with it. check_params has made shape
+    and value_range the right length. The shape and value_range faults are
+    the generators' own (outlier_gen words them), asked of the spec alone;
+    those that depend on the inlier dimension are raised as rows are built."""
+    n, shape, value_range = p.get("n"), p.get("shape"), p.get("value_range")
+    if n is not None and n < 1:
+        return f"n must be positive, got {n!r}"
     fault = (shape is not None and outlier_gen.shape_fault(kind, shape)) or (
-        value_range is not None and outlier_gen.range_fault(kind, value_range, grid=shape is not None))
+        value_range is not None and outlier_gen.range_fault(value_range, grid=shape is not None))
     if fault:
         return fault
-    if not 0 <= params.get("p", 0.5) <= 1:
-        return f"p must lie in [0, 1], got {params['p']!r}"
-    if not params.get("intensity", 0.0) >= 0:
-        return f"intensity must be nonnegative, got {params['intensity']!r}"
-    if "channel_mask" in params and len(params["channel_mask"]) != params["shape"][2]:
-        return f"channel_mask must hold one flag per channel ({params['shape'][2]}), got {params['channel_mask']!r}"
-    if kind == "uniform_box" and not params.get("low", -1.0) <= params.get("high", 1.0):
-        return f"low must not exceed params.high, got {params.get('low', -1.0)!r} > {params.get('high', 1.0)!r}"
+    if "p" in p and not 0 <= p["p"] <= 1:
+        return f"p must lie in [0, 1], got {p['p']!r}"
+    if "intensity" in p and not p["intensity"] >= 0:
+        return f"intensity must be nonnegative, got {p['intensity']!r}"
+    if p.get("channel_mask") is not None and len(p["channel_mask"]) != shape[2]:
+        return f"channel_mask must hold one flag per channel ({shape[2]}), got {p['channel_mask']!r}"
+    if kind == "uniform_box" and not p["low"] <= p["high"]:
+        return f"low must not exceed params.high, got {p['low']!r} > {p['high']!r}"
     return None
 
 
-def check_params(spec: DatasetSpec) -> None:
-    """Refuse params keys that nothing reads for this spec, so a misspelled
-    or contradictory setting fails instead of running at its default, and
-    values of the wrong type, so nothing is silently cast."""
+def check_params(spec: DatasetSpec) -> dict:
+    """The spec's params resolved: every key its kind reads, as typed()
+    returned it or at the kind's default. Refuses keys that nothing reads
+    for this spec, so a misspelled or contradictory setting fails instead
+    of running at its default, and values of the wrong type, so nothing is
+    silently cast."""
     kind = spec.params.get("generator") if spec.kind == "generator" else spec.kind
-    # an unknown generator passes here; materialize_generator refuses it
-    expected = _PARAM_TYPES.get(kind) or {**_VECTOR_ROWS, **_VECTOR_GENERATOR_TYPES.get(kind, {})}
-    unknown = sorted(set(spec.params) - set(expected))
+    entry = _KINDS.get(kind)
+    if entry is None:
+        raise ConfigurationError(f"dataset {spec.name!r}: unknown generator {kind!r}")
+    unknown = sorted(set(spec.params) - set(entry.params))
     if unknown:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key(s) "
-                                 f"{', '.join(unknown)}; it reads {', '.join(sorted(expected))}")
+                                 f"{', '.join(unknown)}; it reads {', '.join(sorted(entry.params))}")
+    p = {key: default for key, (_, default) in entry.params.items()}
     for key, value in spec.params.items():
-        typed(value, expected[key], f"dataset {spec.name!r} params.{key}")
+        p[key] = typed(value, entry.params[key][0], f"dataset {spec.name!r} params.{key}")
         if key in _LENGTHS and len(value) != _LENGTHS[key]:
             raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have {_LENGTHS[key]} entries, "
                                      f"got {value!r}")
-    missing = [key for key in _REQUIRED.get(kind, ()) if key not in spec.params]
+    missing = [key for key, value in p.items() if value is NEEDED]
     if missing:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) needs params key(s) {', '.join(missing)}")
     unread = _unread_on_this_path(kind, spec.params)
     if unread:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key {unread}")
-    bad = _out_of_range(kind, spec.params)
+    bad = _out_of_range(kind, p)
     if bad:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) params.{bad}")
-    if kind == "file" and spec.params.get("sequence") and "alphabet_size" not in spec.params:
+    if kind == "file" and p["sequence"] and p["alphabet_size"] is None:
         raise ConfigurationError(f"dataset {spec.name!r} (file) reads sequences only with params.alphabet_size")
+    return p
 
 
-def _grid_shape(params: dict) -> outlier_gen.GridShape:
-    """check_params has made shape [h, w, c] and value_range [low, high]."""
-    h, w, c = params["shape"]
-    lo, hi = params.get("value_range", (0.0, 1.0))
-    return outlier_gen.GridShape(h, w, c, (float(lo), float(hi)))
-
-
-def _post_transform(rows: np.ndarray, params: dict) -> np.ndarray:
-    scale = float(params.get("scale", 1.0))
-    offset = np.asarray(params.get("offset", 0.0), dtype=np.float64)
-    return rows * scale + offset
-
-
-def materialize_generator(params: dict, n: int, dim: int, seed, din: VectorDataset | None):
-    """Dispatch on params['generator']. Corruptors draw their source rows
-    from the in-distribution data, so din must be present for them."""
-    kind = params.get("generator")
-    if kind == "uniform":
-        rows = outlier_gen.gen_uniform_noise(n, _grid_shape(params), seed)
-    elif kind == "gaussian":
-        vr = params.get("value_range")
-        vr = None if vr is None else (float(vr[0]), float(vr[1]))
-        rows = outlier_gen.gen_gaussian(n, dim, seed, value_range=vr)
-    elif kind == "rademacher":
-        rows = outlier_gen.gen_rademacher(n, dim, seed)
-    elif kind == "bernoulli":
-        rows = outlier_gen.gen_bernoulli(n, dim, float(params.get("p", 0.5)), seed)
-    elif kind == "blobs":
-        rows = outlier_gen.gen_blobs(n, _grid_shape(params), seed)
-    elif kind == "uniform_box":
-        lo, hi = params.get("low", -1.0), params.get("high", 1.0)
-        rng = np.random.default_rng(seed)
-        rows = rng.uniform(float(lo), float(hi), size=(n, dim))
-    elif kind == "ring":
-        radius = float(params.get("radius", 1.0))
-        width = float(params.get("width", 0.1))
-        if dim < 2:
-            raise ConfigurationError("ring generator needs dim >= 2")
-        rng = np.random.default_rng(seed)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        r = radius + width * rng.standard_normal(n)
-        rows = np.zeros((n, dim))
-        rows[:, 0] = r * np.cos(theta)
-        rows[:, 1] = r * np.sin(theta)
-        if dim > 2:
-            rows[:, 2:] = rng.standard_normal((n, dim - 2))
-    elif kind == "shifted_gaussian":
-        mean = np.asarray(params.get("mean", [0.0] * dim), dtype=np.float64)
-        rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((n, dim)) + mean
-    elif kind == "scaled_gaussian":
-        sigma = float(params.get("sigma", 1.0))
-        rng = np.random.default_rng(seed)
-        rows = sigma * rng.standard_normal((n, dim))
-    elif kind in (
-        "arithmetic_mean",
-        "geometric_mean",
-        "jigsaw",
-        "speckle",
-        "rgb_ghost",
-        "invert",
-    ):
-        if din is None:
-            raise ConfigurationError(f"corruptor {kind!r} needs in-distribution source rows")
-        rng = np.random.default_rng(seed)
-        take = rng.choice(din.n, size=min(n, din.n), replace=False)
-        src = din.features[np.sort(take)]
-        if kind == "arithmetic_mean":
-            rows = outlier_gen.corrupt_arithmetic_mean(src, seed=seed, n=min(n, src.shape[0]))
-        elif kind == "geometric_mean":
-            vr = tuple(params.get("value_range", (0.0, 1.0)))
-            rows = outlier_gen.corrupt_geometric_mean(
-                src, seed=seed, value_range=vr, n=min(n, src.shape[0])
-            )
-        elif kind == "jigsaw":
-            rows = outlier_gen.corrupt_jigsaw(src, _grid_shape(params), seed=seed)
-        elif kind == "speckle":
-            vr = tuple(params.get("value_range", (0.0, 1.0)))
-            rows = outlier_gen.corrupt_speckle(
-                src, intensity=float(params.get("intensity", 0.2)), seed=seed, value_range=vr
-            )
-        elif kind == "rgb_ghost":
-            rows = outlier_gen.corrupt_rgb_ghost(src, _grid_shape(params), seed=seed)
-        else:
-            shape = _grid_shape(params)
-            mask = params.get("channel_mask", [True] * shape.channels)
-            rows = outlier_gen.corrupt_invert(src, shape, channel_mask=mask)
+def _vector_rows(p: dict, n: int, dim: int, seed, din: VectorDataset | None) -> np.ndarray:
+    """The rows of the vector generator p names, scaled and offset. A
+    corruptor's source is min(n, din.n) rows of din, drawn without
+    replacement and kept in din's order."""
+    kind = _KINDS[p["generator"]]
+    if kind.corrupt is None:
+        rows = kind.rows(p, n, dim, seed)
+    elif din is None:
+        raise ConfigurationError(f"corruptor {p['generator']!r} needs in-distribution source rows")
     else:
-        raise ConfigurationError(f"unknown generator {kind!r}")
+        take = np.random.default_rng(seed).choice(din.n, size=min(n, din.n), replace=False)
+        rows = kind.corrupt(p, din.features[np.sort(take)], seed)
     if rows.shape[1] != dim:
-        raise ConfigurationError(
-            f"generator {kind!r} produced dim {rows.shape[1]}, experiment needs {dim}"
-        )
-    return VectorDataset(_post_transform(rows, params))
+        raise ConfigurationError(f"generator {p['generator']!r} produced dim {rows.shape[1]}, experiment needs {dim}")
+    return rows * p["scale"] + np.asarray(p["offset"], dtype=np.float64)
 
 
-def materialize(
-    spec: DatasetSpec,
-    n: int,
-    seed,
-    dim: int | None = None,
-    din: VectorDataset | None = None,
-):
+def materialize(spec: DatasetSpec, n: int, seed, dim: int | None = None, din: VectorDataset | None = None):
     """Produce the rows a spec describes. Synthetic inliers carry labels;
     everything else is unlabeled. Sequence specs return SequenceDataset."""
     spec.validate()
-    check_params(spec)
+    p = check_params(spec)
     if spec.kind == "file":
-        if spec.params.get("sequence"):
-            return read_sequences_csv(spec.path, int(spec.params["alphabet_size"]))
-        return read_vectors_csv(spec.path, label_column=spec.params.get("label_column", "label"))
+        if p["sequence"]:
+            return read_sequences_csv(spec.path, p["alphabet_size"])
+        return read_vectors_csv(spec.path, label_column=p["label_column"])
     if spec.kind == "synthetic_gaussian_mixture":
-        p = spec.params
-        k = int(p.get("k", 4))
-        npc = n // k if n is not None else int(p.get("n_per_cluster", 200))
-        return make_synthetic_din(
-            k=k,
-            n_per_cluster=max(npc, 1),
-            dim=int(p.get("dim", dim or 2)),
-            separation=float(p.get("separation", 4.0)),
-            seed=seed,
-            class_subset=p.get("class_subset"),
-        )
-    # generator
-    p = spec.params
-    if p.get("generator") == "markov_chain":
+        npc = n // p["k"] if n is not None else p["n_per_cluster"]
+        return make_synthetic_din(k=p["k"], n_per_cluster=max(npc, 1),
+                                  dim=(dim or 2) if p["dim"] is None else p["dim"], separation=p["separation"],
+                                  seed=seed, class_subset=p["class_subset"])
+    if p["generator"] == "markov_chain":
         if n is None:
-            raise ConfigurationError(
-                f"dataset {spec.name!r} (markov_chain) needs params key n: nothing else sets its row count"
-            )
-        return make_markov_sequences(
-            n=n,
-            length=int(p["length"]),
-            alphabet_size=int(p["alphabet_size"]),
-            p_step=float(p.get("p_step", 0.8)),
-            p_stay=float(p.get("p_stay", 0.1)),
-            seed=seed,
-            starts=p.get("starts"),
-        )
+            raise ConfigurationError(f"dataset {spec.name!r} (markov_chain) needs params key n: nothing else sets "
+                                     "its row count")
+        return make_markov_sequences(n=n, length=p["length"], alphabet_size=p["alphabet_size"], p_step=p["p_step"],
+                                     p_stay=p["p_stay"], seed=seed, starts=p["starts"])
     if dim is None:
-        raise ConfigurationError(f"dataset {spec.name!r} ({p.get('generator')}) takes the experiment dimension "
+        raise ConfigurationError(f"dataset {spec.name!r} ({p['generator']}) takes the experiment dimension "
                                  "from vector d_in rows: vector generators cannot be d_in, nor outlier sets of "
                                  "sequence data")
     for key in ("offset", "mean"):
@@ -511,7 +491,7 @@ def materialize(
             raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have one entry per "
                                      f"dimension ({dim}), got {p[key]!r}")
     try:
-        return materialize_generator(p, n, dim, seed, din)
+        return VectorDataset(_vector_rows(p, n, dim, seed, din))
     except ValidationError as exc:
         raise type(exc)(f"dataset {spec.name!r} ({p['generator']}): {exc}") from exc
 

@@ -9,17 +9,17 @@ forward_cached, backward, sgd_step and the training gradient work on
 either form: every matmul, bias add and reduction runs over the last axes,
 so a stack puts one per-net BLAS call of the same shape and transpose flags
 behind each layer, and every net of a stack gets the same bits it would get
-on its own. forward, the cache-free pass of one net that scoring,
-calibration and accuracy read, runs its rows in near-equal blocks of at
-most FORWARD_ROWS: a row's logits depend on that row alone, and blocks of
+on its own. forward, the pass of one net that scoring, calibration and
+accuracy read, runs forward_cached over near-equal blocks of at most
+FORWARD_ROWS rows: a row's logits depend on that row alone, and blocks of
 at least FORWARD_ROWS // 2 rows stay on the BLAS kernel of one whole-set
-call, so the blocks keep the bits while each block's activations reuse
-two small buffers instead of a fresh full-size array per layer. The same
-invariant lets a caller run just some rows of a set: a forward of at
-least FORWARD_ROWS // 2 rows gives each of them the bits it gets in a
-whole-set pass, so scoring.score_rows forwards a base-rate pool's kept
-rows alone from that size up. Smaller forwards can move the last bits
-and are run as part of the whole set.
+call, so the blocks keep the bits while every block reuses the
+block-sized buffers of one workspace instead of a full-size array per
+layer. The same invariant lets a caller run just some rows of a set: a
+forward of at least FORWARD_ROWS // 2 rows gives each of them the bits
+it gets in a whole-set pass, so scoring.score_rows forwards a base-rate
+pool's kept rows alone from that size up. Smaller forwards can move the
+last bits and are run as part of the whole set.
 
 The classifier loss is the mean cross-entropy on labeled inliers plus lam
 times the mean cross-entropy from the uniform distribution on auxiliary
@@ -277,25 +277,18 @@ def _row_blocks(n: int) -> list[int]:
 def forward(params: NetworkParams, batch) -> np.ndarray:
     """Class logits for a batch of one net, as a fresh (n, k) array.
 
-    The same arithmetic as forward_cached without the cache, run over the
-    row blocks of _row_blocks: each block's hidden activations alternate
-    between two block-sized buffers, and its last layer writes straight
-    into its rows of the logits. Every output row is a function of its
-    input row alone, and no block is small enough to move BLAS to another
-    kernel, so the logits keep the bits of one whole-set pass.
+    forward_cached over the row blocks of _row_blocks, through one
+    workspace, so each block's activations reuse the previous block's
+    buffers. Every output row is a function of its input row alone, and no
+    block is small enough to move BLAS to another kernel, so the logits
+    keep the bits of one whole-set pass.
     """
-    a = _input_matrix(params, batch.inputs if isinstance(batch, Batch) else batch)
-    n, last = a.shape[0], len(params.weights) - 1
-    logits = np.empty((n, params.n_classes))
+    X = _input_matrix(params, batch.inputs if isinstance(batch, Batch) else batch)
+    logits = np.empty((X.shape[0], params.n_classes))
     work = Workspace()
-    bounds = _row_blocks(n)
+    bounds = _row_blocks(X.shape[0])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        h = a[lo:hi]
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            z = np.matmul(h, w.T, out=logits[lo:hi] if i == last else work.take(i % 2, (hi - lo, w.shape[0])))
-            z += b
-            if i < last:
-                h = _act(z, params.activation)
+        logits[lo:hi] = forward_cached(params, X[lo:hi], work)[0]
     return logits
 
 

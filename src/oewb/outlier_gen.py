@@ -32,13 +32,14 @@ def shape_fault(kind: str | None, shape) -> str | None:
     return None
 
 
-def range_fault(kind: str | None, value_range, grid: bool) -> str | None:
-    """What generator `kind` cannot run with in a value range (low, high),
-    on a grid or not, as shape_fault words it, or None."""
+def range_fault(value_range, grid: bool) -> str | None:
+    """What no generator can run with in a value range (low, high), on a
+    grid or not, as shape_fault words it, or None. A range that is not
+    increasing would clip every value to the same number."""
     lo, hi = float(value_range[0]), float(value_range[1])
     if grid and (lo, hi) not in ((0.0, 1.0), (-1.0, 1.0)):
         return f"value_range of a grid must be [0.0, 1.0] or [-1.0, 1.0], got {value_range!r}"
-    if kind == "geometric_mean" and not lo < hi:
+    if not lo < hi:
         return f"value_range must be increasing, got {value_range!r}"
     return None
 
@@ -57,7 +58,7 @@ class GridShape:
 
     def __post_init__(self):
         _refuse(shape_fault(None, self.hwc), ConfigurationError)
-        _refuse(range_fault(None, self.value_range, grid=True), ParameterError)
+        _refuse(range_fault(self.value_range, grid=True), ParameterError)
         object.__setattr__(self, "value_range", (float(self.value_range[0]), float(self.value_range[1])))
 
     @property
@@ -88,6 +89,7 @@ def gen_gaussian(n, d, seed, value_range=None) -> np.ndarray:
     _check_count(n)
     x = np.random.default_rng(seed).standard_normal((int(n), int(d)))
     if value_range is not None:
+        _refuse(range_fault(value_range, grid=False), ParameterError)
         x = np.clip(x, value_range[0], value_range[1])
     return x
 
@@ -176,7 +178,7 @@ def corrupt_geometric_mean(rows, value_range=(0.0, 1.0), seed=0, pairs=None, n=N
     """Elementwise geometric mean of row pairs, taken in [0, 1] coordinates
     so it is defined for symmetric ranges too."""
     rows = np.asarray(rows, dtype=np.float64)
-    _refuse(range_fault("geometric_mean", value_range, grid=False), ParameterError)
+    _refuse(range_fault(value_range, grid=False), ParameterError)
     lo, hi = float(value_range[0]), float(value_range[1])
     if pairs is None:
         rng = np.random.default_rng(seed)
@@ -210,6 +212,7 @@ def corrupt_speckle(rows, intensity=0.2, seed=0, value_range=(0.0, 1.0)) -> np.n
     """x * (1 + intensity * standard normal), clipped to the value range."""
     if intensity < 0:
         raise ParameterError("intensity must be nonnegative")
+    _refuse(range_fault(value_range, grid=False), ParameterError)
     rows = np.asarray(rows, dtype=np.float64)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(rows.shape)

@@ -2,9 +2,10 @@
 
 Each case builds one spec through harness.datasets.materialize and compares
 the sha256 of its rows (and labels, where it has them) with the digest the
-generator gave when the table was recorded. A generator whose entry in the
-params type table drifts from its branch of the dispatch, or whose draws
-change order, shows up here as a changed digest.
+generator gave when the table was recorded. A generator whose builder
+drifts from its entry's defaults, or whose draws change order, shows up
+here as a changed digest. Every key of a generator's own must also change
+its rows: a key that nothing reads would otherwise be accepted.
 """
 
 import hashlib
@@ -69,6 +70,24 @@ SOURCE_CASES = {
 }
 
 
+# A legal value other than the default for each key of a generator's own,
+# and the value of each key that a spec must set.
+OTHER = {
+    "value_range": [-1.0, 1.0], "channel_mask": [False, True, False], "intensity": 0.7, "p": 0.2, "low": -3.0,
+    "high": 0.5, "radius": 6.0, "width": 0.5, "mean": [0.0, 6.0, -2.5, 1.0, 1.0], "sigma": 2.0,
+    "p_step": 0.5, "p_stay": 0.05, "starts": [3, 1],
+    "k": 3, "n_per_cluster": 7, "dim": 5, "separation": 2.0, "class_subset": [0, 2],
+}
+NEEDED = {"shape": GRID["shape"], "length": 6, "alphabet_size": 5}
+# (generator, key) for every key but the ones every vector generator reads;
+# a file's rows are the file's, so its keys are left to tests of reading.
+OWN_KEYS = [
+    (name, key) for name, kind in datasets._KINDS.items() if name != "file"
+    for key, (_, default) in kind.params.items()
+    if key not in ("generator", "n", "scale", "offset") and default is not datasets.NEEDED
+]
+
+
 def _digest(data) -> str:
     h = hashlib.sha256()
     if isinstance(data, datasets.SequenceDataset):
@@ -86,7 +105,8 @@ def _source_rows(dim: int) -> datasets.VectorDataset:
 
 
 def test_every_vector_generator_has_cases():
-    assert {case[0] for case in CASES.values()} == set(datasets._VECTOR_GENERATOR_TYPES)
+    vector = {name for name, kind in datasets._KINDS.items() if kind.rows or kind.corrupt}
+    assert {case[0] for case in CASES.values()} == vector
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -102,3 +122,23 @@ def test_source_generator_bytes(case):
     kind, params, n, dim, want = SOURCE_CASES[case]
     data = datasets.materialize(DatasetSpec(kind, case, params), n=n, seed=np.random.SeedSequence([7, 3]), dim=dim)
     assert _digest(data) == want
+
+
+def _bytes_with(name: str, **params) -> str:
+    kind = datasets._KINDS[name]
+    needed = {key: NEEDED[key] for key, (_, default) in kind.params.items()
+              if default is datasets.NEEDED and key != "generator"}
+    seed = np.random.SeedSequence([7, 3])
+    if "generator" not in kind.params:  # synthetic_gaussian_mixture
+        return _digest(datasets.materialize(DatasetSpec(name, name, {**needed, **params}), n=None, seed=seed))
+    spec = DatasetSpec("generator", name, {"generator": name, **needed, **params})
+    if name == "markov_chain":
+        return _digest(datasets.materialize(spec, n=8, seed=seed))
+    dim = DIM if "shape" in needed else len(OTHER["mean"])
+    return _digest(datasets.materialize(spec, n=6, seed=seed, dim=dim, din=_source_rows(dim)))
+
+
+@pytest.mark.parametrize("name, key", OWN_KEYS, ids=[f"{name}.{key}" for name, key in OWN_KEYS])
+def test_every_key_of_its_own_changes_the_rows(name, key):
+    assert OTHER[key] != datasets._KINDS[name].params[key][1]
+    assert _bytes_with(name, **{key: OTHER[key]}) != _bytes_with(name)

@@ -583,6 +583,11 @@ class TestMaterialize:
                                             "scale": 2.0}), "scale"),
             (DatasetSpec("synthetic_gaussian_mixture", "m", {"k": 3, "seperation": 2.0}), "seperation"),
             (DatasetSpec("file", "f", {"n": 10}, path="rows.csv"), "n"),
+            # tiles and ghosts move values, they never clip or rescale them
+            (DatasetSpec("generator", "j", {"generator": "jigsaw", "shape": [4, 4, 3], "value_range": [-1.0, 1.0]}),
+             "value_range"),
+            (DatasetSpec("generator", "g", {"generator": "rgb_ghost", "shape": [4, 4, 3],
+                                            "value_range": [-1.0, 1.0]}), "value_range"),
         ],
     )
     def test_params_nothing_reads_are_refused(self, spec, unread):
@@ -1289,10 +1294,21 @@ class TestCli:
             ("d_in", {"kind": "generator", "name": "noise", "params": {"generator": "gaussian", "n": 90}},
              "dataset 'noise' (gaussian) takes the experiment dimension from vector d_in rows: vector generators "
              "cannot be d_in"),
+            # a decreasing range would clip every value to its low end
+            ("d_out_test", {"kind": "generator", "name": "noise",
+                            "params": {"generator": "gaussian", "value_range": [1.0, -1.0]}},
+             "dataset 'noise' (gaussian) params.value_range must be increasing, got [1.0, -1.0]"),
+            ("d_out_test", {"kind": "generator", "name": "grain",
+                            "params": {"generator": "speckle", "value_range": [1.0, 0.0]}},
+             "dataset 'grain' (speckle) params.value_range must be increasing, got [1.0, 0.0]"),
+            # run never builds the d_out_val sets, and still refuses one it could not build
+            ("d_out_val", {"kind": "generator", "name": "noise", "params": {"generator": "perlin"}},
+             "dataset 'noise': unknown generator 'perlin'"),
         ],
         ids=["offset_length", "markov_length", "markov_alphabet", "markov_d_in_n", "value_range_length",
              "shape_length", "uniform_box_low_above_high", "negative_n", "shape_entry", "bernoulli_p",
-             "speckle_intensity", "channel_mask_length", "vector_generator_d_in"],
+             "speckle_intensity", "channel_mask_length", "vector_generator_d_in", "gaussian_range_decreasing",
+             "speckle_range_decreasing", "unknown_generator_val"],
     )
     def test_dataset_params_that_cannot_run_exit_one_naming_dataset_and_key(
         self, tmp_path, capsys, monkeypatch, role, spec, message

@@ -50,6 +50,12 @@ class TestGenGaussian:
         with pytest.raises(ParameterError):
             og.gen_gaussian(0, 3, seed=0)
 
+    @pytest.mark.parametrize("value_range", [(1.0, -1.0), (0.5, 0.5)])
+    def test_range_that_is_not_increasing_rejected(self, value_range):
+        # np.clip with low >= high would make every value one number
+        with pytest.raises(ParameterError, match="value_range must be increasing"):
+            og.gen_gaussian(5, 2, seed=0, value_range=value_range)
+
 
 class TestGenRademacher:
     def test_values_are_plus_minus_one(self):
@@ -302,6 +308,10 @@ class TestSpeckle:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ParameterError):
             og.corrupt_speckle(np.zeros((1, 2)), intensity=-0.1)
+
+    def test_range_that_is_not_increasing_rejected(self):
+        with pytest.raises(ParameterError, match="value_range must be increasing"):
+            og.corrupt_speckle(np.full((2, 3), 0.5), seed=0, value_range=(1.0, 0.0))
 
 
 class TestRgbGhost:
