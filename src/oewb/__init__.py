@@ -7,7 +7,7 @@ threshold-free detection metrics, synthetic outlier sources, confidence
 calibration, and a config-driven experiment harness around it all.
 """
 
-from . import calibration, density, metrics, nn_core, objectives, outlier_gen, scoring
+from . import calibration, density, metrics, nn_core, objectives, scoring
 from .errors import (
     ConfigurationError,
     DataError,
@@ -24,7 +24,6 @@ __all__ = [
     "metrics",
     "nn_core",
     "objectives",
-    "outlier_gen",
     "scoring",
     "ConfigurationError",
     "DataError",

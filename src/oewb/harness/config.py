@@ -7,11 +7,11 @@ the one value accepted for another type is an integer for a number. An
 absent field keeps its dataclass default. Validation then checks ranges
 and structure: the auxiliary outlier spec must differ from every test
 outlier spec (the materialized rows are additionally scanned for
-duplicates at run time), and the detector x pipeline pairs in
-REFUSED_PAIRS are rejected. Validation outlier specs (d_out_val) are
-materialized for make-data and gen-outliers and echoed in the resolved
-config; no stage of a run reads them, and nothing selects
-hyperparameters.
+duplicates at run time), no two outlier specs may share a name, and the
+detector x pipeline pairs in REFUSED_PAIRS are rejected. Validation
+outlier specs (d_out_val) are materialized for make-data and
+gen-outliers and echoed in the resolved config; no stage of a run reads
+them, and nothing selects hyperparameters.
 """
 
 from __future__ import annotations
@@ -218,9 +218,6 @@ class ExperimentConfig:
             raise ConfigurationError("n_level must lie in (0, 100]")
         if not self.d_out_test:
             raise ConfigurationError("at least one test outlier spec is required")
-        names = [t.name for t in self.d_out_test]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("test outlier spec names must be unique")
         for spec in (self.d_in, *self.d_out_test, *self.d_out_val):
             spec.validate()
         needs_oe = self.pipeline in ("finetune_oe", "scratch_oe") and (
@@ -231,10 +228,16 @@ class ExperimentConfig:
         if self.d_out_oe is not None:
             self.d_out_oe.validate()
             for t in self.d_out_test:
-                if t.name == self.d_out_oe.name or t.fingerprint() == self.d_out_oe.fingerprint():
+                if t.fingerprint() == self.d_out_oe.fingerprint():
                     raise ConfigurationError(
                         f"auxiliary outlier spec must be disjoint from test spec {t.name!r}"
                     )
+        # make-data and gen-outliers key their files and sets by these names
+        names = [spec.name for spec in (self.d_out_oe, *self.d_out_test, *self.d_out_val) if spec is not None]
+        repeated = next((name for name in names if names.count(name) > 1), None)
+        if repeated is not None:
+            raise ConfigurationError(f"outlier spec name {repeated!r} is used more than once; names must be unique "
+                                     "across d_out_oe, d_out_test and d_out_val")
         if self.calibration and self.detector == "density_bpp":
             raise ConfigurationError("calibration evaluation needs a classifier detector")
         self.model.validate()

@@ -3,9 +3,12 @@
 Each dataset kind, and each generator, is one entry of _KINDS: the params
 keys it reads, each with its type and its default (NEEDED for a key that
 a spec must set), and for vector rows the function that builds them.
-check_params refuses a spec whose params do not fit its entry and
-resolves the rest, filling in the defaults; materialize builds from those
-resolved values alone. Vector data moves through CSV (feature columns +
+Every generator lives in that table: the noise sources (gaussian,
+rademacher, bernoulli), the geometric ones (uniform_box, ring,
+shifted_gaussian, scaled_gaussian) and markov_chain walks. check_params
+refuses a spec whose params do not fit its entry and resolves the rest,
+filling in the defaults; materialize builds from those resolved values
+alone. Vector data moves through CSV (feature columns +
 optional integer label column); discrete sequences use CSV rows of symbol
 columns. Every materialized auxiliary/test outlier pair is scanned for
 byte-identical rows so no test example can leak into training.
@@ -20,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import outlier_gen
 from ..errors import ConfigurationError, DataError, ValidationError
 from .config import DatasetSpec, typed
 
@@ -287,29 +289,26 @@ class Kind:
     params maps each key to (type, default). A value must already have its
     key's type, as for config fields: nothing is cast, and an integer is
     accepted as a number. A key whose default is NEEDED must be set. A
-    generator builds rows(p, n, dim, seed); a corruptor perturbs source
-    rows drawn from the in-distribution data, corrupt(p, src, seed). p is
-    the params as check_params resolves them."""
+    generator of vector rows builds rows(p, n, dim, seed), where p is the
+    params as check_params resolves them."""
 
     params: dict
     rows: Callable | None = None
-    corrupt: Callable | None = None
 
 
-def _vector(rows=None, corrupt=None, **params) -> Kind:
+def _vector(rows, **params) -> Kind:
     """A generator of vector rows. Each also reads its row count n (None:
     the caller's), and scale and offset, applied to its rows last."""
     shared = {"generator": (str, NEEDED), "n": (int, None), "scale": (float, 1.0),
               "offset": (float | list[float], 0.0)}
-    return Kind({**shared, **params}, rows, corrupt)
+    return Kind({**shared, **params}, rows)
 
 
-_SHAPE = (list[int], NEEDED)  # a grid's [height, width, channels]
-_UNIT = (list[float], (0.0, 1.0))  # value_range [low, high]
-
-
-def _grid(p: dict) -> outlier_gen.GridShape:
-    return outlier_gen.GridShape(*p["shape"], p["value_range"])
+def _gaussian(p: dict, n: int, dim: int, seed) -> np.ndarray:
+    """i.i.d. standard normal rows, clipped to p's value_range when it has one."""
+    rows = np.random.default_rng(seed).standard_normal((n, dim))
+    value_range = p.get("value_range")
+    return rows if value_range is None else np.clip(rows, value_range[0], value_range[1])
 
 
 def _ring(p: dict, n: int, dim: int, seed) -> np.ndarray:
@@ -328,13 +327,6 @@ def _ring(p: dict, n: int, dim: int, seed) -> np.ndarray:
     return rows
 
 
-def _invert(p: dict, src: np.ndarray, seed) -> np.ndarray:
-    """corrupt_invert of the channels p's channel_mask selects (None: all)."""
-    shape = _grid(p)
-    mask = p["channel_mask"]
-    return outlier_gen.corrupt_invert(src, shape, channel_mask=[True] * shape.channels if mask is None else mask)
-
-
 _KINDS = {
     "file": Kind({"sequence": (bool, False), "alphabet_size": (int, None), "label_column": (str | None, "label")}),
     # dim None: the experiment's dimension, or 2 without one
@@ -344,36 +336,25 @@ _KINDS = {
     "markov_chain": Kind({"generator": (str, NEEDED), "n": (int, None), "length": (int, NEEDED),
                           "alphabet_size": (int, NEEDED), "p_step": (float, 0.8), "p_stay": (float, 0.1),
                           "starts": (list[int], None)}),
-    "uniform": _vector(lambda p, n, dim, seed: outlier_gen.gen_uniform_noise(n, _grid(p), seed),
-                       shape=_SHAPE, value_range=_UNIT),
-    "blobs": _vector(lambda p, n, dim, seed: outlier_gen.gen_blobs(n, _grid(p), seed),
-                     shape=_SHAPE, value_range=_UNIT),
     # value_range None: unclipped
-    "gaussian": _vector(lambda p, n, dim, seed: outlier_gen.gen_gaussian(n, dim, seed, p["value_range"]),
-                        value_range=(list[float], None)),
-    "rademacher": _vector(lambda p, n, dim, seed: outlier_gen.gen_rademacher(n, dim, seed)),
-    "bernoulli": _vector(lambda p, n, dim, seed: outlier_gen.gen_bernoulli(n, dim, p["p"], seed), p=(float, 0.5)),
+    "gaussian": _vector(_gaussian, value_range=(list[float], None)),
+    # entries -1 or +1 with equal probability
+    "rademacher": _vector(lambda p, n, dim, seed:
+                          np.random.default_rng(seed).integers(0, 2, size=(n, dim)).astype(np.float64) * 2.0 - 1.0),
+    # entries 1 with probability p, else 0
+    "bernoulli": _vector(lambda p, n, dim, seed:
+                         (np.random.default_rng(seed).random((n, dim)) < p["p"]).astype(np.float64), p=(float, 0.5)),
     "uniform_box": _vector(lambda p, n, dim, seed: np.random.default_rng(seed).uniform(p["low"], p["high"], (n, dim)),
                            low=(float, -1.0), high=(float, 1.0)),
     "ring": _vector(_ring, radius=(float, 1.0), width=(float, 0.1)),
-    "shifted_gaussian": _vector(lambda p, n, dim, seed: outlier_gen.gen_gaussian(n, dim, seed) + p["mean"],
+    "shifted_gaussian": _vector(lambda p, n, dim, seed: _gaussian(p, n, dim, seed) + p["mean"],
                                 mean=(list[float], 0.0)),
-    "scaled_gaussian": _vector(lambda p, n, dim, seed: p["sigma"] * outlier_gen.gen_gaussian(n, dim, seed),
+    "scaled_gaussian": _vector(lambda p, n, dim, seed: p["sigma"] * _gaussian(p, n, dim, seed),
                                sigma=(float, 1.0)),
-    "arithmetic_mean": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_arithmetic_mean(src, seed=seed)),
-    "geometric_mean": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_geometric_mean(
-        src, p["value_range"], seed=seed), value_range=_UNIT),
-    "jigsaw": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_jigsaw(
-        src, outlier_gen.GridShape(*p["shape"]), seed=seed), shape=_SHAPE),
-    "speckle": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_speckle(
-        src, intensity=p["intensity"], seed=seed, value_range=p["value_range"]),
-        intensity=(float, 0.2), value_range=_UNIT),
-    "rgb_ghost": _vector(corrupt=lambda p, src, seed: outlier_gen.corrupt_rgb_ghost(
-        src, outlier_gen.GridShape(*p["shape"]), seed=seed), shape=_SHAPE),
-    "invert": _vector(corrupt=_invert, shape=_SHAPE, value_range=_UNIT, channel_mask=(list[bool], None)),
 }
+_GENERATORS = sorted(name for name, kind in _KINDS.items() if "generator" in kind.params)
 # list-valued keys of a fixed length
-_LENGTHS = {"shape": 3, "value_range": 2}
+_LENGTHS = {"value_range": 2}
 
 
 def _unread_on_this_path(kind: str, params: dict) -> str | None:
@@ -389,23 +370,17 @@ def _unread_on_this_path(kind: str, params: dict) -> str | None:
 
 def _out_of_range(kind: str, p: dict) -> str | None:
     """A well-typed value of the resolved params p that the kind cannot run
-    with, as the key and what is wrong with it. check_params has made shape
-    and value_range the right length. The shape and value_range faults are
-    the generators' own (outlier_gen words them), asked of the spec alone;
-    those that depend on the inlier dimension are raised as rows are built."""
-    n, shape, value_range = p.get("n"), p.get("shape"), p.get("value_range")
+    with, as the key and what is wrong with it. check_params has made
+    value_range the right length. The faults that depend on the inlier
+    dimension are raised as rows are built."""
+    n, value_range = p.get("n"), p.get("value_range")
     if n is not None and n < 1:
         return f"n must be positive, got {n!r}"
-    fault = (shape is not None and outlier_gen.shape_fault(kind, shape)) or (
-        value_range is not None and outlier_gen.range_fault(value_range, grid=shape is not None))
-    if fault:
-        return fault
+    # a range that is not increasing would clip every value to one number
+    if value_range is not None and not value_range[0] < value_range[1]:
+        return f"value_range must be increasing, got {value_range!r}"
     if "p" in p and not 0 <= p["p"] <= 1:
         return f"p must lie in [0, 1], got {p['p']!r}"
-    if "intensity" in p and not p["intensity"] >= 0:
-        return f"intensity must be nonnegative, got {p['intensity']!r}"
-    if p.get("channel_mask") is not None and len(p["channel_mask"]) != shape[2]:
-        return f"channel_mask must hold one flag per channel ({shape[2]}), got {p['channel_mask']!r}"
     if kind == "uniform_box" and not p["low"] <= p["high"]:
         return f"low must not exceed params.high, got {p['low']!r} > {p['high']!r}"
     return None
@@ -418,9 +393,10 @@ def check_params(spec: DatasetSpec) -> dict:
     of running at its default, and values of the wrong type, so nothing is
     silently cast."""
     kind = spec.params.get("generator") if spec.kind == "generator" else spec.kind
-    entry = _KINDS.get(kind)
-    if entry is None:
-        raise ConfigurationError(f"dataset {spec.name!r}: unknown generator {kind!r}")
+    if spec.kind == "generator" and kind not in _GENERATORS:
+        raise ConfigurationError(f"dataset {spec.name!r}: unknown generator {kind!r}; the generators are "
+                                 f"{', '.join(_GENERATORS)}")
+    entry = _KINDS[kind]
     unknown = sorted(set(spec.params) - set(entry.params))
     if unknown:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key(s) "
@@ -445,24 +421,7 @@ def check_params(spec: DatasetSpec) -> dict:
     return p
 
 
-def _vector_rows(p: dict, n: int, dim: int, seed, din: VectorDataset | None) -> np.ndarray:
-    """The rows of the vector generator p names, scaled and offset. A
-    corruptor's source is min(n, din.n) rows of din, drawn without
-    replacement and kept in din's order."""
-    kind = _KINDS[p["generator"]]
-    if kind.corrupt is None:
-        rows = kind.rows(p, n, dim, seed)
-    elif din is None:
-        raise ConfigurationError(f"corruptor {p['generator']!r} needs in-distribution source rows")
-    else:
-        take = np.random.default_rng(seed).choice(din.n, size=min(n, din.n), replace=False)
-        rows = kind.corrupt(p, din.features[np.sort(take)], seed)
-    if rows.shape[1] != dim:
-        raise ConfigurationError(f"generator {p['generator']!r} produced dim {rows.shape[1]}, experiment needs {dim}")
-    return rows * p["scale"] + np.asarray(p["offset"], dtype=np.float64)
-
-
-def materialize(spec: DatasetSpec, n: int, seed, dim: int | None = None, din: VectorDataset | None = None):
+def materialize(spec: DatasetSpec, n: int, seed, dim: int | None = None):
     """Produce the rows a spec describes. Synthetic inliers carry labels;
     everything else is unlabeled. Sequence specs return SequenceDataset."""
     spec.validate()
@@ -491,7 +450,8 @@ def materialize(spec: DatasetSpec, n: int, seed, dim: int | None = None, din: Ve
             raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have one entry per "
                                      f"dimension ({dim}), got {p[key]!r}")
     try:
-        return VectorDataset(_vector_rows(p, n, dim, seed, din))
+        rows = _KINDS[p["generator"]].rows(p, n, dim, seed)
+        return VectorDataset(rows * p["scale"] + np.asarray(p["offset"], dtype=np.float64))
     except ValidationError as exc:
         raise type(exc)(f"dataset {spec.name!r} ({p['generator']}): {exc}") from exc
 

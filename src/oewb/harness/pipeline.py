@@ -108,15 +108,10 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     dim = None if isinstance(din, SequenceDataset) else din.dim
     oe = None
     if config.d_out_oe is not None:
-        oe = materialize(
-            config.d_out_oe, n=_spec_n(config.d_out_oe, 2000), seed=_ss(seed, ROLE_OE),
-            dim=dim, din=din_train,
-        )
+        oe = materialize(config.d_out_oe, n=_spec_n(config.d_out_oe, 2000), seed=_ss(seed, ROLE_OE), dim=dim)
     tests = {}
     for i, spec in enumerate(config.d_out_test):
-        tests[spec.name] = materialize(
-            spec, n=_spec_n(spec), seed=_ss(seed, ROLE_TEST, i), dim=dim, din=din_train
-        )
+        tests[spec.name] = materialize(spec, n=_spec_n(spec), seed=_ss(seed, ROLE_TEST, i), dim=dim)
         try:
             metrics_mod.base_rate_sizes(din_test.n, tests[spec.name].n, config.base_rate)
         except InputError as exc:
@@ -136,12 +131,13 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
 def validation_sets(config: ExperimentConfig, bundle: DataBundle, seed: int) -> dict:
     """The validation outlier sets (d_out_val) of one seed, keyed by name.
 
-    Each is seeded by its own ROLE_VAL index and drawn against the bundle's
-    training split, so it does not depend on which other sets are built."""
+    Each is seeded by its own ROLE_VAL index and takes its width from the
+    bundle's training split, so it does not depend on which other sets are
+    built."""
     din = bundle.din_train
     dim = None if isinstance(din, SequenceDataset) else din.dim
     vals = {
-        spec.name: materialize(spec, n=_spec_n(spec), seed=_ss(seed, ROLE_VAL, i), dim=dim, din=din)
+        spec.name: materialize(spec, n=_spec_n(spec), seed=_ss(seed, ROLE_VAL, i), dim=dim)
         for i, spec in enumerate(config.d_out_val)
     }
     _check_kind(config, vals.items())

@@ -203,7 +203,7 @@ class TestConfigValidation:
 
     def test_oe_name_clash_with_test(self):
         oe = DatasetSpec("generator", "ring", {"generator": "uniform_box", "n": 50})
-        with pytest.raises(ConfigurationError, match="disjoint"):
+        with pytest.raises(ConfigurationError, match="outlier spec name 'ring' is used more than once"):
             _tiny_config(d_out_oe=oe)
 
     def test_oe_fingerprint_clash_with_test(self):
@@ -575,6 +575,11 @@ class TestMaterialize:
         with pytest.raises(ConfigurationError, match="perlin"):
             datasets.materialize(spec, n=5, seed=0, dim=3)
 
+    def test_a_dataset_kind_is_no_generator(self):
+        spec = DatasetSpec("generator", "g", {"generator": "synthetic_gaussian_mixture"})
+        with pytest.raises(ConfigurationError, match="unknown generator 'synthetic_gaussian_mixture'; the generators"):
+            datasets.materialize(spec, n=5, seed=0, dim=3)
+
     @pytest.mark.parametrize(
         "spec, unread",
         [
@@ -583,11 +588,9 @@ class TestMaterialize:
                                             "scale": 2.0}), "scale"),
             (DatasetSpec("synthetic_gaussian_mixture", "m", {"k": 3, "seperation": 2.0}), "seperation"),
             (DatasetSpec("file", "f", {"n": 10}, path="rows.csv"), "n"),
-            # tiles and ghosts move values, they never clip or rescale them
-            (DatasetSpec("generator", "j", {"generator": "jigsaw", "shape": [4, 4, 3], "value_range": [-1.0, 1.0]}),
-             "value_range"),
-            (DatasetSpec("generator", "g", {"generator": "rgb_ghost", "shape": [4, 4, 3],
-                                            "value_range": [-1.0, 1.0]}), "value_range"),
+            # two-valued noise is never clipped
+            (DatasetSpec("generator", "r", {"generator": "rademacher", "value_range": [-1.0, 1.0]}), "value_range"),
+            (DatasetSpec("generator", "b", {"generator": "bernoulli", "value_range": [0.0, 1.0]}), "value_range"),
         ],
     )
     def test_params_nothing_reads_are_refused(self, spec, unread):
@@ -625,11 +628,6 @@ class TestMaterialize:
         spec = DatasetSpec("file", "f", {"sequence": False, "label_column": None}, path=str(tmp_path / "d.csv"))
         assert datasets.materialize(spec, n=None, seed=0).labels is None
 
-    def test_corruptor_needs_source(self):
-        spec = DatasetSpec("generator", "g", {"generator": "speckle"})
-        with pytest.raises(ConfigurationError, match="source"):
-            datasets.materialize(spec, n=5, seed=0, dim=4)
-
     def test_file_spec(self, tmp_path):
         data = datasets.make_synthetic_din(2, 10, 3, 4.0, seed=0)
         path = tmp_path / "d.csv"
@@ -648,6 +646,59 @@ class TestMaterialize:
         d = datasets.materialize(spec, n=12, seed=4)
         assert isinstance(d, datasets.SequenceDataset)
         assert d.sequences.shape == (12, 5)
+
+
+def _noise(generator, n, dim, seed, **params) -> np.ndarray:
+    spec = DatasetSpec("generator", generator, {"generator": generator, **params})
+    return datasets.materialize(spec, n=n, seed=seed, dim=dim).features
+
+
+class TestNoiseGenerators:
+    def test_gaussian_per_dimension_mean_within_clt_bound(self):
+        x = _noise("gaussian", 10_000, 4, seed=0)
+        assert np.max(np.abs(x.mean(axis=0))) < 5.0 / np.sqrt(10_000)
+
+    @pytest.mark.parametrize("generator", ["gaussian", "rademacher", "bernoulli"])
+    def test_seed_reproducibility(self, generator):
+        assert np.array_equal(_noise(generator, 50, 3, seed=9), _noise(generator, 50, 3, seed=9))
+        assert not np.array_equal(_noise(generator, 50, 3, seed=9), _noise(generator, 50, 3, seed=10))
+
+    def test_gaussian_clipping_keeps_values_in_range(self):
+        x = _noise("gaussian", 100_000, 1, seed=1, value_range=[-1.0, 1.0])
+        assert x.min() == -1.0 and x.max() == 1.0
+
+    def test_nonpositive_count_rejected(self):
+        spec = DatasetSpec("generator", "noise", {"generator": "gaussian", "n": 0})
+        with pytest.raises(ConfigurationError, match="params.n must be positive, got 0"):
+            datasets.materialize(spec, n=0, seed=0, dim=3)
+
+    @pytest.mark.parametrize("value_range", [[1.0, -1.0], [0.5, 0.5]])
+    def test_gaussian_range_that_is_not_increasing_rejected(self, value_range):
+        # np.clip with low >= high would make every value one number
+        with pytest.raises(ConfigurationError, match="value_range must be increasing"):
+            _noise("gaussian", 5, 2, seed=0, value_range=value_range)
+
+    def test_rademacher_values_are_plus_minus_one(self):
+        assert set(np.unique(_noise("rademacher", 500, 7, seed=2))) == {-1.0, 1.0}
+
+    def test_rademacher_per_dimension_mean_near_zero(self):
+        x = _noise("rademacher", 10_000, 4, seed=3)
+        assert np.max(np.abs(x.mean(axis=0))) < 5.0 / np.sqrt(10_000)
+
+    def test_bernoulli_values_binary(self):
+        assert set(np.unique(_noise("bernoulli", 300, 5, seed=4, p=0.3))) <= {0.0, 1.0}
+
+    def test_bernoulli_mean_approaches_p(self):
+        x = _noise("bernoulli", 10_000, 8, seed=5, p=0.3)
+        assert abs(x.mean() - 0.3) < 5.0 * 0.5 / np.sqrt(80_000)
+
+    def test_bernoulli_degenerate_p(self):
+        assert not _noise("bernoulli", 10, 4, seed=0, p=0.0).any()
+        assert _noise("bernoulli", 10, 4, seed=0, p=1.0).all()
+
+    def test_bernoulli_invalid_p_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"params.p must lie in \[0, 1\], got 1.5"):
+            _noise("bernoulli", 10, 4, seed=0, p=1.5)
 
 
 class TestPrepareData:
@@ -669,7 +720,7 @@ class TestPrepareData:
         vals = pipeline.validation_sets(config, bundle, seed=0)
         assert set(vals) == {"val_shift"}
         seed = pipeline._ss(0, pipeline.ROLE_VAL, 0)
-        direct = datasets.materialize(config.d_out_val[0], n=60, seed=seed, dim=2, din=bundle.din_train)
+        direct = datasets.materialize(config.d_out_val[0], n=60, seed=seed, dim=2)
         assert np.array_equal(vals["val_shift"].features, direct.features)
 
     def test_validation_sets_check_the_data_kind(self):
@@ -1270,27 +1321,15 @@ class TestCli:
             ("d_out_test", {"kind": "generator", "name": "noise",
                             "params": {"generator": "gaussian", "value_range": [0.0]}},
              "dataset 'noise' params.value_range must have 2 entries, got [0.0]"),
-            ("d_out_test", {"kind": "generator", "name": "grid",
-                            "params": {"generator": "uniform", "shape": [1, 2, 1, 1]}},
-             "dataset 'grid' params.shape must have 3 entries, got [1, 2, 1, 1]"),
             ("d_out_test", {"kind": "generator", "name": "flipped_box",
                             "params": {"generator": "uniform_box", "low": 3.0, "high": -3.0}},
              "dataset 'flipped_box' (uniform_box) params.low must not exceed params.high, got 3.0 > -3.0"),
             ("d_out_test", {"kind": "generator", "name": "ring",
                             "params": {"generator": "ring", "radius": 6.0, "n": -5}},
              "dataset 'ring' (ring) params.n must be positive, got -5"),
-            ("d_out_test", {"kind": "generator", "name": "grid",
-                            "params": {"generator": "uniform", "shape": [1, 0, 2]}},
-             "dataset 'grid' (uniform) params.shape entries must be positive, got [1, 0, 2]"),
             ("d_out_test", {"kind": "generator", "name": "coins",
                             "params": {"generator": "bernoulli", "p": 1.5}},
              "dataset 'coins' (bernoulli) params.p must lie in [0, 1], got 1.5"),
-            ("d_out_test", {"kind": "generator", "name": "grain",
-                            "params": {"generator": "speckle", "intensity": -0.5}},
-             "dataset 'grain' (speckle) params.intensity must be nonnegative, got -0.5"),
-            ("d_out_test", {"kind": "generator", "name": "negative",
-                            "params": {"generator": "invert", "shape": [1, 1, 2], "channel_mask": [True]}},
-             "dataset 'negative' (invert) params.channel_mask must hold one flag per channel (2), got [True]"),
             ("d_in", {"kind": "generator", "name": "noise", "params": {"generator": "gaussian", "n": 90}},
              "dataset 'noise' (gaussian) takes the experiment dimension from vector d_in rows: vector generators "
              "cannot be d_in"),
@@ -1298,17 +1337,16 @@ class TestCli:
             ("d_out_test", {"kind": "generator", "name": "noise",
                             "params": {"generator": "gaussian", "value_range": [1.0, -1.0]}},
              "dataset 'noise' (gaussian) params.value_range must be increasing, got [1.0, -1.0]"),
-            ("d_out_test", {"kind": "generator", "name": "grain",
-                            "params": {"generator": "speckle", "value_range": [1.0, 0.0]}},
-             "dataset 'grain' (speckle) params.value_range must be increasing, got [1.0, 0.0]"),
             # run never builds the d_out_val sets, and still refuses one it could not build
             ("d_out_val", {"kind": "generator", "name": "noise", "params": {"generator": "perlin"}},
              "dataset 'noise': unknown generator 'perlin'"),
+            ("d_out_test", {"kind": "generator", "name": "tiles", "params": {"generator": "jigsaw"}},
+             "dataset 'tiles': unknown generator 'jigsaw'; the generators are bernoulli, gaussian, markov_chain, "
+             "rademacher, ring, scaled_gaussian, shifted_gaussian, uniform_box"),
         ],
         ids=["offset_length", "markov_length", "markov_alphabet", "markov_d_in_n", "value_range_length",
-             "shape_length", "uniform_box_low_above_high", "negative_n", "shape_entry", "bernoulli_p",
-             "speckle_intensity", "channel_mask_length", "vector_generator_d_in", "gaussian_range_decreasing",
-             "speckle_range_decreasing", "unknown_generator_val"],
+             "uniform_box_low_above_high", "negative_n", "bernoulli_p", "vector_generator_d_in",
+             "gaussian_range_decreasing", "unknown_generator_val", "unknown_generator_test"],
     )
     def test_dataset_params_that_cannot_run_exit_one_naming_dataset_and_key(
         self, tmp_path, capsys, monkeypatch, role, spec, message
@@ -1326,24 +1364,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "dim, params, message",
         [
-            # refused by check_params: the spec alone decides these
-            (75, {"generator": "jigsaw", "shape": [5, 5, 3]},
-             " params.shape height and width must be divisible by 4 for the 4x4 tiles, got [5, 5, 3]"),
-            (4, {"generator": "rgb_ghost", "shape": [2, 2, 1]},
-             " params.shape must have 3 channels to ghost, got [2, 2, 1]"),
-            (1, {"generator": "blobs", "shape": [1, 1, 1]},
-             " params.shape must hold at least two pixels per image, got [1, 1, 1]"),
-            (4, {"generator": "uniform", "shape": [2, 2, 1], "value_range": [0.0, 2.0]},
-             " params.value_range of a grid must be [0.0, 1.0] or [-1.0, 1.0], got [0.0, 2.0]"),
-            # refused by the generator: these depend on the inlier dimension
-            (2, {"generator": "uniform", "shape": [2, 2, 1]},
-             ": generator 'uniform' produced dim 4, experiment needs 2"),
+            # refused by the generator: this depends on the inlier dimension
             (1, {"generator": "ring"}, ": ring generator needs dim >= 2"),
-            (2, {"generator": "geometric_mean", "value_range": [1.0, 1.0]},
+            # refused by check_params: the spec alone decides this
+            (2, {"generator": "gaussian", "value_range": [1.0, 1.0]},
              " params.value_range must be increasing, got [1.0, 1.0]"),
         ],
-        ids=["jigsaw_tiles", "rgb_ghost_channels", "blobs_one_pixel", "uniform_range", "grid_size",
-             "ring_dim", "geometric_mean_range"],
+        ids=["ring_dim", "gaussian_range_flat"],
     )
     def test_generator_refusals_exit_one_naming_the_dataset(self, tmp_path, capsys, monkeypatch, dim, params,
                                                              message):
@@ -1364,16 +1391,15 @@ class TestCli:
         # run never builds the d_out_val sets; check_params refuses the spec for both
         monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
         body = _tiny_config().to_dict()
-        body["d_out_val"] = [{"kind": "generator", "name": "tiles",
-                              "params": {"generator": "jigsaw", "shape": [1, 1, 2]}}]
+        body["d_out_val"] = [{"kind": "generator", "name": "coins",
+                              "params": {"generator": "bernoulli", "p": 1.5}}]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(body))
         out = tmp_path / "out"
         argv = [command, "-c", str(path), "-o", str(out), "-q"] + (["--seed", "0"] if command == "make-data" else [])
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert ("error: dataset 'tiles' (jigsaw) params.shape height and width must be divisible by 4 "
-                "for the 4x4 tiles, got [1, 1, 2]") in err, err
+        assert "error: dataset 'coins' (bernoulli) params.p must lie in [0, 1], got 1.5" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1627,6 +1653,20 @@ class TestCli:
             rc = cli.main(["gen-outliers", "-c", str(path), "-o", str(gen), "-q", "--name", name])
             assert rc == 0
             assert (gen / f"{name}_seed0.csv").read_bytes() == (made / f"{stem}_seed0.csv").read_bytes()
+
+    @pytest.mark.parametrize("other", ["val_shift", "ring", "box"])
+    def test_make_data_refuses_an_outlier_spec_name_used_twice(self, tmp_path, capsys, other):
+        # each set's file and gen-outliers name come from its spec name, so a repeat would lose a set
+        body = _tiny_config().to_dict()
+        body["d_out_val"].append({"kind": "generator", "name": other,
+                                  "params": {"generator": "gaussian", "n": 50}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["make-data", "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: outlier spec name {other!r} is used more than once" in err, err
+        assert not out.exists()
 
     def test_make_data(self, tmp_path, capsys):
         path = self._write_config(tmp_path)
