@@ -5,7 +5,6 @@ from .datasets import (
     SequenceDataset,
     VectorDataset,
     check_disjoint,
-    make_synthetic_din,
     materialize,
 )
 from .pipeline import (
@@ -28,7 +27,6 @@ __all__ = [
     "SequenceDataset",
     "VectorDataset",
     "check_disjoint",
-    "make_synthetic_din",
     "materialize",
     "DataBundle",
     "ExperimentResult",

@@ -32,7 +32,7 @@ from .. import nn_core
 from ..errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from . import pipeline, reports
 from .config import ExperimentConfig, load_config
-from .datasets import SequenceDataset, read_csv_rows, write_sequences_csv, write_vectors_csv
+from .datasets import read_csv_rows, write_csv
 from .presets import PRESET_NAMES, get_preset
 
 
@@ -69,13 +69,6 @@ def _load_model(config: ExperimentConfig, train: pipeline.TrainingSet, path: str
         raise ConfigurationError(f"{path}: the net has layer widths {net.layer_dims} and activation "
                                  f"{net.activation!r}, but this config builds {want} with {config.model.activation!r}")
     return net
-
-
-def _write_dataset(path: Path, data) -> None:
-    if isinstance(data, SequenceDataset):
-        write_sequences_csv(path, data)
-    else:
-        write_vectors_csv(path, data)
 
 
 def cmd_run(args) -> int:
@@ -187,7 +180,7 @@ def cmd_gen_outliers(args) -> int:
         raise ConfigurationError(f"no outlier spec named {name!r}; have {sorted(sets)}")
     data = sets[name]
     path = _mkdir(out) / f"{name}_seed{seed}.csv"
-    _write_dataset(path, data)
+    write_csv(path, data)
     if not args.quiet:
         print(f"{data.n} rows written to {path}")
     return 0
@@ -211,7 +204,7 @@ def cmd_make_data(args) -> int:
         named["val_" + name] = data
     _mkdir(out)
     for name, data in named.items():
-        _write_dataset(out / f"{name}_seed{seed}.csv", data)
+        write_csv(out / f"{name}_seed{seed}.csv", data)
     if not args.quiet:
         print(f"{len(named)} dataset files written to {out}")
     return 0

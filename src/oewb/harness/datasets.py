@@ -1,17 +1,20 @@
-"""Dataset materialization: synthetic inliers, outlier sources, file ingest.
+"""Datasets: what a spec means, its rows, and their CSV form.
 
 Each dataset kind, and each generator, is one entry of _KINDS: the params
 keys it reads, each with its type and its default (NEEDED for a key that
-a spec must set), and for vector rows the function that builds them.
-Every generator lives in that table: the noise sources (gaussian,
-rademacher, bernoulli), the geometric ones (uniform_box, ring,
-shifted_gaussian, scaled_gaussian) and markov_chain walks. check_params
-refuses a spec whose params do not fit its entry and resolves the rest,
-filling in the defaults; materialize builds from those resolved values
-alone. Vector data moves through CSV (feature columns +
-optional integer label column); discrete sequences use CSV rows of symbol
-columns. Every materialized auxiliary/test outlier pair is scanned for
-byte-identical rows so no test example can leak into training.
+a spec must set), and, for every kind but file, the function that builds
+its dataset. Every generator lives in that table: the noise sources
+(gaussian, rademacher, bernoulli), the geometric ones (uniform_box, ring,
+shifted_gaussian, scaled_gaussian) and markov_chain walks, beside the
+synthetic_gaussian_mixture inliers. check_params refuses a spec whose
+params do not fit its entry or that its kind cannot run with, and
+resolves the rest, filling in the defaults; materialize builds from those
+resolved values alone, with params.n as the row count when it is set.
+So this module alone knows a spec's row count, ranges and rows. Vector
+data move through CSV (feature columns + optional integer label column);
+discrete sequences use CSV rows of symbol columns. Every materialized
+auxiliary/test outlier pair is scanned for byte-identical rows so no test
+example can leak into training.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ class VectorDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def rows(self) -> np.ndarray:
+        return self.features
+
     def subset(self, idx) -> "VectorDataset":
         lab = None if self.labels is None else self.labels[idx]
         return VectorDataset(self.features[idx], lab)
@@ -76,6 +83,15 @@ class SequenceDataset:
     def length(self) -> int:
         return self.sequences.shape[1]
 
+    @property
+    def dim(self) -> None:
+        """None: sequences give vector generators no dimension to draw in."""
+        return None
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.sequences
+
     def subset(self, idx) -> "SequenceDataset":
         return SequenceDataset(self.sequences[idx], self.alphabet_size)
 
@@ -87,8 +103,6 @@ def _cluster_means(k: int, dim: int, separation: float) -> np.ndarray:
     on a circle in the first two coordinates, where only adjacent pairs
     achieve the stated separation.
     """
-    if k < 2:
-        raise ConfigurationError("need at least two clusters")
     if k <= dim + 1:
         # Rows of I_k centered at the centroid span a regular simplex with
         # side sqrt(2); embed its (k-1)-dim span into the first coordinates.
@@ -110,93 +124,23 @@ def _cluster_means(k: int, dim: int, separation: float) -> np.ndarray:
     return means
 
 
-def make_synthetic_din(
-    k: int,
-    n_per_cluster: int,
-    dim: int,
-    separation: float,
-    seed,
-    class_subset=None,
-) -> VectorDataset:
-    """Unit-variance Gaussian clusters, one class per cluster."""
-    if n_per_cluster < 1:
-        raise ConfigurationError("n_per_cluster must be positive")
-    means = _cluster_means(k, dim, separation)
-    classes = range(k) if class_subset is None else list(class_subset)
-    rng = np.random.default_rng(seed)
-    feats = []
-    labels = []
-    for c in classes:
-        if not 0 <= c < k:
-            raise ConfigurationError(f"class {c} out of range for k={k}")
-        x = rng.standard_normal((n_per_cluster, dim)) + means[c]
-        feats.append(x)
-        labels.append(np.full(n_per_cluster, c, dtype=np.int64))
-    return VectorDataset(np.concatenate(feats), np.concatenate(labels))
-
-
-def make_markov_sequences(
-    n: int,
-    length: int,
-    alphabet_size: int,
-    p_step: float,
-    p_stay: float,
-    seed,
-    starts=None,
-) -> SequenceDataset:
-    """Cyclic-walk sequences: advance +1 w.p. p_step, hold w.p. p_stay,
-    else jump uniformly over the remaining symbols."""
-    if not 0 <= p_step <= 1 or not 0 <= p_stay <= 1 or p_step + p_stay > 1:
-        raise ConfigurationError("p_step and p_stay must be probabilities summing to <= 1")
-    if length < 1 or n < 1:
-        raise ConfigurationError("n and length must be positive")
-    v = alphabet_size
-    if v < 2:
-        raise ConfigurationError("alphabet_size must be at least 2")
-    if v == 2 and p_step + p_stay < 1:
-        raise ConfigurationError("binary alphabet leaves no symbols to jump to")
-    rng = np.random.default_rng(seed)
-    start_pool = np.arange(v) if starts is None else np.asarray(sorted(starts), dtype=np.int64)
-    if start_pool.size == 0 or start_pool.min() < 0 or start_pool.max() >= v:
-        raise ConfigurationError("starts must be nonempty symbols in range")
-    seqs = np.zeros((n, length), dtype=np.int64)
-    cur = start_pool[rng.integers(0, start_pool.size, size=n)]
-    seqs[:, 0] = cur
-    for t in range(1, length):
-        u = rng.random(n)
-        nxt = np.where(
-            u < p_step,
-            (cur + 1) % v,
-            np.where(u < p_step + p_stay, cur, -1),
-        )
-        jump = nxt < 0
-        if np.any(jump):
-            # Uniform over symbols other than cur and cur+1.
-            offs = rng.integers(0, max(v - 2, 1), size=int(jump.sum()))
-            nxt[jump] = (cur[jump] + 2 + offs) % v
-        cur = nxt
-        seqs[:, t] = cur
-    return SequenceDataset(seqs, v)
-
-
 # ---------------------------------------------------------------------------
 # File formats
 
 
-def write_vectors_csv(path, data: VectorDataset) -> None:
+def write_csv(path, data) -> None:
+    """A dataset as the CSV its reader reads back bit for bit: x0, x1, ...
+    feature columns and, when labeled, a label column; or s0, s1, ...
+    symbol columns."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    cols = [f"x{i}" for i in range(data.dim)]
-    if data.labels is not None:
-        cols.append("label")
+    labels = getattr(data, "labels", None)
+    prefix, cell = ("s", str) if data.dim is None else ("x", repr)
     with open(p, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]]
-            if data.labels is not None:
-                row.append(str(int(data.labels[i])))
-            w.writerow(row)
+        w.writerow([f"{prefix}{i}" for i in range(data.rows.shape[1])] + ([] if labels is None else ["label"]))
+        for i, row in enumerate(data.rows.tolist()):
+            w.writerow([cell(v) for v in row] + ([] if labels is None else [str(int(labels[i]))]))
 
 
 def read_csv_rows(path, what: str):
@@ -249,16 +193,6 @@ def read_vectors_csv(path, label_column: str | None = "label") -> VectorDataset:
     return VectorDataset(np.asarray(feats, dtype=np.float64), lab)
 
 
-def write_sequences_csv(path, data: SequenceDataset) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"s{i}" for i in range(data.length)])
-        for row in data.sequences:
-            w.writerow([str(int(v)) for v in row])
-
-
 def read_sequences_csv(path, alphabet_size: int) -> SequenceDataset:
     p = Path(path)
     rows = read_csv_rows(p, "dataset file")
@@ -283,25 +217,28 @@ NEEDED = object()  # the default of a params key that every spec must set
 
 @dataclass(frozen=True)
 class Kind:
-    """One dataset kind, or one generator: the params it reads and, for
-    vector rows, how it builds them.
+    """One dataset kind, or one generator: the params it reads and how it
+    builds its dataset.
 
     params maps each key to (type, default). A value must already have its
     key's type, as for config fields: nothing is cast, and an integer is
-    accepted as a number. A key whose default is NEEDED must be set. A
-    generator of vector rows builds rows(p, n, dim, seed), where p is the
-    params as check_params resolves them."""
+    accepted as a number. A key whose default is NEEDED must be set. Every
+    kind but file builds its dataset as build(p, n, dim, seed): p is the
+    params as check_params resolves them, n the row count (None only for a
+    mixture, which then draws n_per_cluster rows per class) and dim the
+    experiment dimension (None without vector inliers)."""
 
     params: dict
-    rows: Callable | None = None
+    build: Callable | None = None
 
 
 def _vector(rows, **params) -> Kind:
-    """A generator of vector rows. Each also reads its row count n (None:
-    the caller's), and scale and offset, applied to its rows last."""
+    """A generator of vector rows, drawn by rows(p, n, dim, seed). Each also
+    reads its row count n, and scale and offset, applied to its rows last."""
     shared = {"generator": (str, NEEDED), "n": (int, None), "scale": (float, 1.0),
               "offset": (float | list[float], 0.0)}
-    return Kind({**shared, **params}, rows)
+    return Kind({**shared, **params}, lambda p, n, dim, seed: VectorDataset(
+        rows(p, n, dim, seed) * p["scale"] + np.asarray(p["offset"], dtype=np.float64)))
 
 
 def _gaussian(p: dict, n: int, dim: int, seed) -> np.ndarray:
@@ -327,15 +264,60 @@ def _ring(p: dict, n: int, dim: int, seed) -> np.ndarray:
     return rows
 
 
+def _mixture(p: dict, n: int | None, dim: int | None, seed) -> VectorDataset:
+    """Unit-variance Gaussian clusters, one class per cluster: n // k rows
+    of each (at least one), or without n p's n_per_cluster."""
+    k = p["k"]
+    n_per_cluster = p["n_per_cluster"] if n is None else max(n // k, 1)
+    dim = (dim or 2) if p["dim"] is None else p["dim"]
+    means = _cluster_means(k, dim, p["separation"])
+    classes = range(k) if p["class_subset"] is None else list(p["class_subset"])
+    rng = np.random.default_rng(seed)
+    feats = []
+    labels = []
+    for c in classes:
+        x = rng.standard_normal((n_per_cluster, dim)) + means[c]
+        feats.append(x)
+        labels.append(np.full(n_per_cluster, c, dtype=np.int64))
+    return VectorDataset(np.concatenate(feats), np.concatenate(labels))
+
+
+def _markov(p: dict, n: int, dim, seed) -> SequenceDataset:
+    """Cyclic walks from a symbol of p's starts (any symbol without them):
+    advance +1 w.p. p_step, hold w.p. p_stay, else jump uniformly over the
+    remaining symbols."""
+    p_step, p_stay, v = p["p_step"], p["p_stay"], p["alphabet_size"]
+    rng = np.random.default_rng(seed)
+    start_pool = np.arange(v) if p["starts"] is None else np.asarray(sorted(p["starts"]), dtype=np.int64)
+    seqs = np.zeros((n, p["length"]), dtype=np.int64)
+    cur = start_pool[rng.integers(0, start_pool.size, size=n)]
+    seqs[:, 0] = cur
+    for t in range(1, p["length"]):
+        u = rng.random(n)
+        nxt = np.where(
+            u < p_step,
+            (cur + 1) % v,
+            np.where(u < p_step + p_stay, cur, -1),
+        )
+        jump = nxt < 0
+        if np.any(jump):
+            # Uniform over symbols other than cur and cur+1.
+            offs = rng.integers(0, max(v - 2, 1), size=int(jump.sum()))
+            nxt[jump] = (cur[jump] + 2 + offs) % v
+        cur = nxt
+        seqs[:, t] = cur
+    return SequenceDataset(seqs, v)
+
+
 _KINDS = {
     "file": Kind({"sequence": (bool, False), "alphabet_size": (int, None), "label_column": (str | None, "label")}),
     # dim None: the experiment's dimension, or 2 without one
     "synthetic_gaussian_mixture": Kind({"n": (int, None), "k": (int, 4), "n_per_cluster": (int, 200),
                                         "dim": (int, None), "separation": (float, 4.0),
-                                        "class_subset": (list[int], None)}),
+                                        "class_subset": (list[int], None)}, _mixture),
     "markov_chain": Kind({"generator": (str, NEEDED), "n": (int, None), "length": (int, NEEDED),
                           "alphabet_size": (int, NEEDED), "p_step": (float, 0.8), "p_stay": (float, 0.1),
-                          "starts": (list[int], None)}),
+                          "starts": (list[int], None)}, _markov),
     # value_range None: unclipped
     "gaussian": _vector(_gaussian, value_range=(list[float], None)),
     # entries -1 or +1 with equal probability
@@ -383,6 +365,27 @@ def _out_of_range(kind: str, p: dict) -> str | None:
         return f"p must lie in [0, 1], got {p['p']!r}"
     if kind == "uniform_box" and not p["low"] <= p["high"]:
         return f"low must not exceed params.high, got {p['low']!r} > {p['high']!r}"
+    if kind == "synthetic_gaussian_mixture":
+        k, subset = p["k"], p["class_subset"]
+        if k < 2:
+            return f"k must be at least 2, got {k!r}"
+        if p["n_per_cluster"] < 1:
+            return f"n_per_cluster must be positive, got {p['n_per_cluster']!r}"
+        if subset is not None and not (subset and all(0 <= c < k for c in subset)):
+            return f"class_subset must be nonempty classes in [0, {k}), got {subset!r}"
+    if kind == "markov_chain":
+        step, stay, v, starts = p["p_step"], p["p_stay"], p["alphabet_size"], p["starts"]
+        if not (0 <= step <= 1 and 0 <= stay <= 1 and step + stay <= 1):
+            return f"p_step and params.p_stay must be probabilities summing to <= 1, got {step!r} and {stay!r}"
+        if p["length"] < 1:
+            return f"length must be positive, got {p['length']!r}"
+        if v < 2:
+            return f"alphabet_size must be at least 2, got {v!r}"
+        if v == 2 and step + stay < 1:
+            return (f"p_step and params.p_stay must sum to 1 on a binary alphabet, which leaves no symbol "
+                    f"to jump to, got {step!r} and {stay!r}")
+        if starts is not None and not (starts and all(0 <= s < v for s in starts)):
+            return f"starts must be nonempty symbols in [0, {v}), got {starts!r}"
     return None
 
 
@@ -421,43 +424,35 @@ def check_params(spec: DatasetSpec) -> dict:
     return p
 
 
-def materialize(spec: DatasetSpec, n: int, seed, dim: int | None = None):
-    """Produce the rows a spec describes. Synthetic inliers carry labels;
-    everything else is unlabeled. Sequence specs return SequenceDataset."""
+def materialize(spec: DatasetSpec, n: int | None, seed, dim: int | None = None):
+    """The dataset a spec describes. Its row count is params.n, or else n,
+    the caller's default for the spec's role; dim is the experiment
+    dimension, None without vector inliers. A mixture carries labels,
+    every other kind is unlabeled, and markov_chain walks and sequence
+    files are SequenceDatasets."""
     spec.validate()
     p = check_params(spec)
     if spec.kind == "file":
         if p["sequence"]:
             return read_sequences_csv(spec.path, p["alphabet_size"])
         return read_vectors_csv(spec.path, label_column=p["label_column"])
-    if spec.kind == "synthetic_gaussian_mixture":
-        npc = n // p["k"] if n is not None else p["n_per_cluster"]
-        return make_synthetic_din(k=p["k"], n_per_cluster=max(npc, 1),
-                                  dim=(dim or 2) if p["dim"] is None else p["dim"], separation=p["separation"],
-                                  seed=seed, class_subset=p["class_subset"])
-    if p["generator"] == "markov_chain":
-        if n is None:
-            raise ConfigurationError(f"dataset {spec.name!r} (markov_chain) needs params key n: nothing else sets "
-                                     "its row count")
-        return make_markov_sequences(n=n, length=p["length"], alphabet_size=p["alphabet_size"], p_step=p["p_step"],
-                                     p_stay=p["p_stay"], seed=seed, starts=p["starts"])
-    if dim is None:
-        raise ConfigurationError(f"dataset {spec.name!r} ({p['generator']}) takes the experiment dimension "
-                                 "from vector d_in rows: vector generators cannot be d_in, nor outlier sets of "
-                                 "sequence data")
-    for key in ("offset", "mean"):
-        if isinstance(p.get(key), list) and len(p[key]) != dim:
-            raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have one entry per "
-                                     f"dimension ({dim}), got {p[key]!r}")
+    kind = p.get("generator", spec.kind)
+    n = n if p["n"] is None else p["n"]
+    where = f"dataset {spec.name!r} ({kind})"
+    if "scale" in p:  # a generator of vector rows
+        if dim is None:
+            raise ConfigurationError(f"{where} takes the experiment dimension from vector d_in rows: vector "
+                                     "generators cannot be d_in, nor outlier sets of sequence data")
+        for key in ("offset", "mean"):
+            if isinstance(p.get(key), list) and len(p[key]) != dim:
+                raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have one entry per "
+                                         f"dimension ({dim}), got {p[key]!r}")
+    if n is None and "generator" in p:
+        raise ConfigurationError(f"{where} needs params key n: nothing else sets its row count")
     try:
-        rows = _KINDS[p["generator"]].rows(p, n, dim, seed)
-        return VectorDataset(rows * p["scale"] + np.asarray(p["offset"], dtype=np.float64))
+        return _KINDS[kind].build(p, n, dim, seed)
     except ValidationError as exc:
-        raise type(exc)(f"dataset {spec.name!r} ({p['generator']}): {exc}") from exc
-
-
-def _rows(data) -> np.ndarray:
-    return np.ascontiguousarray(data.sequences if isinstance(data, SequenceDataset) else data.features)
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def check_disjoint(oe_data, test_data, oe_name: str, test_name: str) -> None:
@@ -468,7 +463,7 @@ def check_disjoint(oe_data, test_data, oe_name: str, test_name: str) -> None:
     Byte-equal rows have byte-equal first columns, so only rows whose first
     column's bytes (as int64) occur more than once among both sets' first
     columns are compared whole; usually there are none."""
-    a, b = _rows(oe_data), _rows(test_data)
+    a, b = np.ascontiguousarray(oe_data.rows), np.ascontiguousarray(test_data.rows)
     key_a, key_b = a[:, 0].view(np.int64), b[:, 0].view(np.int64)
     keys = np.sort(np.concatenate((key_a, key_b)))
     repeated = keys[1:][keys[1:] == keys[:-1]]

@@ -21,6 +21,11 @@ Test outlier sets influence nothing upstream of final evaluation but
 that size check. The validation outlier sets (d_out_val) are materialized
 only by validation_sets, for make-data and gen-outliers; no stage of a run
 reads them.
+
+Every dataset has its params.n rows, or else its role's default, which
+the stages pass to datasets.materialize: none for d_in (a mixture then
+draws n_per_cluster rows per class), 2,000 for the auxiliary outliers and
+200 for each test and validation set.
 """
 
 from __future__ import annotations
@@ -67,14 +72,6 @@ class DataBundle:
     n_classes: int | None = None
 
 
-def _raw(data) -> np.ndarray:
-    return data.sequences if isinstance(data, SequenceDataset) else data.features
-
-
-def _spec_n(spec, default: int = 200) -> int:
-    return int(spec.params.get("n", default))
-
-
 def _check_kind(config: ExperimentConfig, named) -> None:
     """Refuse datasets of the wrong kind (sequence vs vector) for the detector."""
     wants_sequences = config.detector == "density_bpp"
@@ -94,7 +91,7 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     config.validate()
     for spec in config.d_out_val:  # built by make-data and gen-outliers only, but no typo may pass
         check_params(spec)
-    din = materialize(config.d_in, n=config.d_in.params.get("n"), seed=_ss(seed, ROLE_DIN))
+    din = materialize(config.d_in, n=None, seed=_ss(seed, ROLE_DIN))
     n = din.n
     order = np.random.default_rng(_ss(seed, ROLE_SPLIT)).permutation(n)
     n_train = int(round(0.7 * n))
@@ -105,13 +102,12 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     din_val = din.subset(order[n_train : n_train + n_val])
     din_test = din.subset(order[n_train + n_val :])
 
-    dim = None if isinstance(din, SequenceDataset) else din.dim
     oe = None
     if config.d_out_oe is not None:
-        oe = materialize(config.d_out_oe, n=_spec_n(config.d_out_oe, 2000), seed=_ss(seed, ROLE_OE), dim=dim)
+        oe = materialize(config.d_out_oe, n=2000, seed=_ss(seed, ROLE_OE), dim=din.dim)
     tests = {}
     for i, spec in enumerate(config.d_out_test):
-        tests[spec.name] = materialize(spec, n=_spec_n(spec), seed=_ss(seed, ROLE_TEST, i), dim=dim)
+        tests[spec.name] = materialize(spec, n=200, seed=_ss(seed, ROLE_TEST, i), dim=din.dim)
         try:
             metrics_mod.base_rate_sizes(din_test.n, tests[spec.name].n, config.base_rate)
         except InputError as exc:
@@ -134,10 +130,8 @@ def validation_sets(config: ExperimentConfig, bundle: DataBundle, seed: int) -> 
     Each is seeded by its own ROLE_VAL index and takes its width from the
     bundle's training split, so it does not depend on which other sets are
     built."""
-    din = bundle.din_train
-    dim = None if isinstance(din, SequenceDataset) else din.dim
     vals = {
-        spec.name: materialize(spec, n=_spec_n(spec), seed=_ss(seed, ROLE_VAL, i), dim=dim)
+        spec.name: materialize(spec, n=200, seed=_ss(seed, ROLE_VAL, i), dim=bundle.din_train.dim)
         for i, spec in enumerate(config.d_out_val)
     }
     _check_kind(config, vals.items())
@@ -178,9 +172,9 @@ def training_set(bundles, seeds, validation: bool = False) -> TrainingSet:
     dtype = np.float64 if alphabet is None else np.min_scalar_type(alphabet)
     return TrainingSet(
         [int(s) for s in seeds],
-        np.stack([_raw(d) for d, *_ in kept]).astype(dtype, copy=False),
+        np.stack([d.rows for d, *_ in kept]).astype(dtype, copy=False),
         None if getattr(din, "labels", None) is None else np.stack([d.labels for d, *_ in kept]),
-        None if oe is None else np.stack([_raw(o) for _, o, *_ in kept]).astype(dtype, copy=False),
+        None if oe is None else np.stack([o.rows for _, o, *_ in kept]).astype(dtype, copy=False),
         n_classes,
         alphabet,
         [v for *_, v in kept] if validation else None,
@@ -323,13 +317,13 @@ def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed:
     (scoring.score_rows, which gives them the bits of a whole-set pass).
     """
     din = bundle.din_test
-    in_scores = scoring_mod.score_dataset(model, config.detector, _raw(din))
+    in_scores = scoring_mod.score_dataset(model, config.detector, din.rows)
     reports, pools = {}, {}
     for i, (name, data) in enumerate(bundle.tests.items()):
         in_rows, out_rows = metrics_mod.base_rate_rows(
             din.n, data.n, ratio=config.base_rate, seed=_ss(seed, ROLE_BASE_RATE, i)
         )
-        out_scores = scoring_mod.score_rows(model, config.detector, _raw(data), out_rows)
+        out_scores = scoring_mod.score_rows(model, config.detector, data.rows, out_rows)
         pool = metrics_mod.ScoredSet(in_scores[in_rows], out_scores)
         reports[name] = metrics_mod.detection_report(pool, config.n_level)
         pools[name] = pool
@@ -354,7 +348,7 @@ def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, fin
     if bundle.din_test.labels is None:
         raise DataError("calibration needs labeled in-distribution splits")
     k = bundle.n_classes
-    ood_rows = np.concatenate([_raw(d) for d in bundle.tests.values()], axis=0)
+    ood_rows = np.concatenate([d.rows for d in bundle.tests.values()], axis=0)
     out = {}
     for tag, model, temp in zip(("baseline", "final"), (baseline, final), temperatures):
         conf_in, correct_in = _confidences(model, bundle.din_test, temp)

@@ -1,11 +1,12 @@
-"""What every generator of harness.datasets._KINDS keeps to.
+"""What every kind that harness.datasets._KINDS builds keeps to.
 
-Each generator is one table entry, so each must behave the same way where
-the entry's shared keys are concerned: rows of the asked shape drawn from
-the seed alone, a row count below one refused, the spec's params resolved
-to every key the entry reads and left as they were given, and, for vector
-rows, scale and offset applied last. The distribution checks at the end
-pin what the geometric generators draw.
+Each generator, and the synthetic_gaussian_mixture inliers, is one table
+entry, so each must behave the same way where the entry's shared keys are
+concerned: rows of the asked shape drawn from the seed alone, a row count
+below one refused, the spec's params resolved to every key the entry reads
+and left as they were given, and, for vector rows, scale and offset
+applied last. The distribution checks at the end pin what the geometric
+generators draw.
 """
 
 import copy
@@ -18,7 +19,10 @@ from oewb.harness import datasets
 from oewb.harness.config import DatasetSpec
 
 GENERATORS = datasets._GENERATORS
-VECTOR = [name for name in GENERATORS if datasets._KINDS[name].rows]
+VECTOR = [name for name in GENERATORS if "scale" in datasets._KINDS[name].params]
+MIXTURE = "synthetic_gaussian_mixture"
+# every kind that builds its rows: the generators and the mixture
+BUILT = [*GENERATORS, MIXTURE]
 # the keys a spec of each generator must set besides generator
 NEEDED = {"markov_chain": {"length": 6, "alphabet_size": 5}}
 DIM = 3
@@ -26,6 +30,8 @@ SEED = np.random.SeedSequence([7, 3])
 
 
 def _spec(name: str, **params) -> DatasetSpec:
+    if name == MIXTURE:
+        return DatasetSpec(MIXTURE, name, params)
     return DatasetSpec("generator", name, {"generator": name, **NEEDED.get(name, {}), **params})
 
 
@@ -33,36 +39,36 @@ def _build(name: str, n: int = 8, seed=SEED, **params):
     return datasets.materialize(_spec(name, **params), n=n, seed=seed, dim=DIM)
 
 
-def _rows(data) -> np.ndarray:
-    return data.sequences if isinstance(data, datasets.SequenceDataset) else data.features
-
-
 def test_vector_and_sequence_generators_partition_the_generators():
     assert VECTOR and set(GENERATORS) - set(VECTOR) == {"markov_chain"}
 
 
-@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("name", BUILT)
 def test_rows_have_the_asked_shape(name):
     data = _build(name, n=11)
     if name in VECTOR:
         assert data.features.shape == (11, DIM) and data.features.dtype == np.float64
         assert data.labels is None
+    elif name == MIXTURE:
+        # 11 rows split over the default 4 classes: 2 of each, in the experiment dimension
+        assert data.features.shape == (8, DIM) and data.features.dtype == np.float64
+        assert data.labels.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
     else:
         assert data.sequences.shape == (11, NEEDED[name]["length"])
         assert 0 <= data.sequences.min() and data.sequences.max() < NEEDED[name]["alphabet_size"]
 
 
-@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("name", BUILT)
 def test_same_seed_same_bytes(name):
-    assert _rows(_build(name)).tobytes() == _rows(_build(name, seed=np.random.SeedSequence([7, 3]))).tobytes()
+    assert _build(name).rows.tobytes() == _build(name, seed=np.random.SeedSequence([7, 3])).rows.tobytes()
 
 
-@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("name", BUILT)
 def test_another_seed_draws_other_rows(name):
-    assert not np.array_equal(_rows(_build(name)), _rows(_build(name, seed=np.random.SeedSequence([7, 4]))))
+    assert not np.array_equal(_build(name).rows, _build(name, seed=np.random.SeedSequence([7, 4])).rows)
 
 
-@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("name", BUILT)
 def test_numpy_global_random_state_is_left_alone(name):
     np.random.seed(5)
     _build(name)
@@ -72,23 +78,23 @@ def test_numpy_global_random_state_is_left_alone(name):
 
 
 @pytest.mark.parametrize("count", [0, -3])
-@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("name", BUILT)
 def test_a_row_count_below_one_is_refused(name, count):
     with pytest.raises(ConfigurationError) as info:
         datasets.materialize(_spec(name, n=count), n=5, seed=SEED, dim=DIM)
     assert str(info.value) == f"dataset {name!r} ({name}) params.n must be positive, got {count}"
 
 
-@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("name", BUILT)
 def test_check_params_resolves_every_key_the_entry_reads(name):
     entry = datasets._KINDS[name]
-    given = {"generator": name, **NEEDED.get(name, {})}
+    given = _spec(name).params
     resolved = datasets.check_params(_spec(name))
     assert resolved == {key: given.get(key, default) for key, (_, default) in entry.params.items()}
     assert datasets.NEEDED not in resolved.values()
 
 
-@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("name", BUILT)
 def test_the_spec_params_are_left_as_given(name):
     spec = _spec(name, n=4)
     before = copy.deepcopy(spec.params)
@@ -96,7 +102,7 @@ def test_the_spec_params_are_left_as_given(name):
     assert spec.params == before
 
 
-@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("name", BUILT)
 def test_a_misspelled_key_is_refused_listing_the_keys_read(name):
     with pytest.raises(ConfigurationError) as info:
         _build(name, scael=2.0)
@@ -134,7 +140,7 @@ def test_vector_rows_need_the_experiment_dimension(name):
 @pytest.mark.parametrize("name", VECTOR)
 def test_vector_rows_survive_a_csv_round_trip_bit_for_bit(name, tmp_path):
     data = _build(name, scale=1.0 / 3.0)
-    datasets.write_vectors_csv(tmp_path / "rows.csv", data)
+    datasets.write_csv(tmp_path / "rows.csv", data)
     back = datasets.read_vectors_csv(tmp_path / "rows.csv")
     assert back.labels is None and back.features.tobytes() == data.features.tobytes()
 

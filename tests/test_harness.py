@@ -386,6 +386,14 @@ class TestConfigSerialization:
             get_preset("preset_3d")
 
 
+def _mixture(seed, **params) -> datasets.VectorDataset:
+    return datasets.materialize(DatasetSpec("synthetic_gaussian_mixture", "m", params), n=None, seed=seed)
+
+
+def _walks(n, seed, **params) -> datasets.SequenceDataset:
+    return datasets.materialize(DatasetSpec("generator", "w", {"generator": "markov_chain", **params}), n=n, seed=seed)
+
+
 class TestSyntheticData:
     def test_cluster_means_form_simplex(self):
         means = datasets._cluster_means(4, 6, separation=3.0)
@@ -401,14 +409,26 @@ class TestSyntheticData:
             d = np.linalg.norm(means[i] - means[(i + 1) % 8])
             assert abs(d - 2.0) < 1e-9
 
-    def test_single_cluster_rejected(self):
-        with pytest.raises(ConfigurationError):
-            datasets.make_synthetic_din(1, 10, 2, 4.0, seed=0)
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"k": 1}, "params.k must be at least 2, got 1"),
+            ({"n_per_cluster": 0}, "params.n_per_cluster must be positive, got 0"),
+            ({"class_subset": []}, "params.class_subset must be nonempty classes in [0, 4), got []"),
+            ({"class_subset": [1, -1]}, "params.class_subset must be nonempty classes in [0, 4), got [1, -1]"),
+        ],
+        ids=["one_cluster", "empty_clusters", "empty_subset", "negative_class"],
+    )
+    def test_mixture_validation(self, params, message):
+        spec = DatasetSpec("synthetic_gaussian_mixture", "m", params)
+        with pytest.raises(ConfigurationError) as info:
+            datasets.check_params(spec)
+        assert str(info.value) == f"dataset 'm' (synthetic_gaussian_mixture) {message}"
 
     def test_mixture_labels_and_reproducibility(self):
-        a = datasets.make_synthetic_din(3, 50, 2, 4.0, seed=11)
-        b = datasets.make_synthetic_din(3, 50, 2, 4.0, seed=11)
-        c = datasets.make_synthetic_din(3, 50, 2, 4.0, seed=12)
+        a = _mixture(11, k=3, n_per_cluster=50, dim=2, separation=4.0)
+        b = _mixture(11, k=3, n_per_cluster=50, dim=2, separation=4.0)
+        c = _mixture(12, k=3, n_per_cluster=50, dim=2, separation=4.0)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
         assert not np.array_equal(a.features, c.features)
@@ -416,45 +436,58 @@ class TestSyntheticData:
         assert np.bincount(a.labels).tolist() == [50, 50, 50]
 
     def test_mixture_class_subset(self):
-        d = datasets.make_synthetic_din(4, 20, 2, 4.0, seed=0, class_subset=[1, 3])
+        d = _mixture(0, k=4, n_per_cluster=20, dim=2, separation=4.0, class_subset=[1, 3])
         assert sorted(set(d.labels.tolist())) == [1, 3]
-        with pytest.raises(ConfigurationError):
-            datasets.make_synthetic_din(4, 20, 2, 4.0, seed=0, class_subset=[4])
+        with pytest.raises(ConfigurationError, match=r"params.class_subset must be nonempty classes in \[0, 4\)"):
+            _mixture(0, k=4, n_per_cluster=20, dim=2, separation=4.0, class_subset=[4])
 
     def test_empirical_means_match_centers(self):
-        d = datasets.make_synthetic_din(2, 4000, 2, 6.0, seed=5)
+        d = _mixture(5, k=2, n_per_cluster=4000, dim=2, separation=6.0)
         means = datasets._cluster_means(2, 2, 6.0)
         for c in (0, 1):
             emp = d.features[d.labels == c].mean(axis=0)
             assert np.linalg.norm(emp - means[c]) < 0.1
 
     def test_markov_shapes_and_determinism(self):
-        a = datasets.make_markov_sequences(30, 12, 5, 0.8, 0.1, seed=3)
-        b = datasets.make_markov_sequences(30, 12, 5, 0.8, 0.1, seed=3)
+        a = _walks(30, 3, length=12, alphabet_size=5, p_step=0.8, p_stay=0.1)
+        b = _walks(30, 3, length=12, alphabet_size=5, p_step=0.8, p_stay=0.1)
         assert a.sequences.shape == (30, 12)
         assert a.alphabet_size == 5
         assert np.array_equal(a.sequences, b.sequences)
         assert a.sequences.min() >= 0 and a.sequences.max() < 5
 
     def test_markov_periodic_walk(self):
-        d = datasets.make_markov_sequences(10, 9, 4, 1.0, 0.0, seed=0, starts=[2])
+        d = _walks(10, 0, length=9, alphabet_size=4, p_step=1.0, p_stay=0.0, starts=[2])
         assert np.all(d.sequences[:, 0] == 2)
         steps = (d.sequences[:, 1:] - d.sequences[:, :-1]) % 4
         assert np.all(steps == 1)
 
     def test_markov_starts_honored(self):
-        d = datasets.make_markov_sequences(200, 2, 6, 0.5, 0.3, seed=1, starts=[1, 4])
+        d = _walks(200, 1, length=2, alphabet_size=6, p_step=0.5, p_stay=0.3, starts=[1, 4])
         assert set(d.sequences[:, 0].tolist()) <= {1, 4}
 
-    def test_markov_validation(self):
-        with pytest.raises(ConfigurationError):
-            datasets.make_markov_sequences(10, 8, 5, 0.8, 0.3, seed=0)  # sums past 1
-        with pytest.raises(ConfigurationError):
-            datasets.make_markov_sequences(10, 8, 2, 0.5, 0.2, seed=0)  # binary, no jump target
-        with pytest.raises(ConfigurationError):
-            datasets.make_markov_sequences(10, 8, 1, 0.5, 0.5, seed=0)
-        with pytest.raises(ConfigurationError):
-            datasets.make_markov_sequences(10, 8, 5, 0.8, 0.1, seed=0, starts=[5])
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"p_step": 0.8, "p_stay": 0.3},
+             "params.p_step and params.p_stay must be probabilities summing to <= 1, got 0.8 and 0.3"),
+            ({"p_step": -0.1}, "params.p_step and params.p_stay must be probabilities summing to <= 1, got -0.1 and 0.1"),
+            ({"alphabet_size": 2, "p_step": 0.5, "p_stay": 0.2},
+             "params.p_step and params.p_stay must sum to 1 on a binary alphabet, which leaves no symbol to jump "
+             "to, got 0.5 and 0.2"),
+            ({"alphabet_size": 1, "p_step": 0.5, "p_stay": 0.5}, "params.alphabet_size must be at least 2, got 1"),
+            ({"length": 0}, "params.length must be positive, got 0"),
+            ({"starts": [5]}, "params.starts must be nonempty symbols in [0, 5), got [5]"),
+            ({"starts": []}, "params.starts must be nonempty symbols in [0, 5), got []"),
+        ],
+        ids=["sum_past_one", "negative_step", "binary_no_jump_target", "one_symbol", "empty_walk", "start_out_of_range",
+             "no_starts"],
+    )
+    def test_markov_validation(self, params, message):
+        spec = DatasetSpec("generator", "w", {"generator": "markov_chain", "length": 8, "alphabet_size": 5, **params})
+        with pytest.raises(ConfigurationError) as info:
+            datasets.check_params(spec)
+        assert str(info.value) == f"dataset 'w' (markov_chain) {message}"
 
 
 class TestDatasetFiles:
@@ -468,7 +501,7 @@ class TestDatasetFiles:
     def test_vector_csv_round_trip_labeled(self, tmp_path):
         data = self._vectors()
         p = tmp_path / "d.csv"
-        datasets.write_vectors_csv(p, data)
+        datasets.write_csv(p, data)
         back = datasets.read_vectors_csv(p)
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.labels, data.labels)
@@ -476,7 +509,7 @@ class TestDatasetFiles:
     def test_vector_csv_round_trip_unlabeled(self, tmp_path):
         data = self._vectors(labeled=False)
         p = tmp_path / "d.csv"
-        datasets.write_vectors_csv(p, data)
+        datasets.write_csv(p, data)
         back = datasets.read_vectors_csv(p)
         assert back.labels is None
         assert np.array_equal(back.features, data.features)
@@ -499,9 +532,9 @@ class TestDatasetFiles:
             datasets.read_vectors_csv(tmp_path / "missing.csv")
 
     def test_sequence_csv_round_trip(self, tmp_path):
-        data = datasets.make_markov_sequences(9, 6, 4, 0.8, 0.1, seed=2)
+        data = _walks(9, 2, length=6, alphabet_size=4, p_step=0.8, p_stay=0.1)
         p = tmp_path / "s.csv"
-        datasets.write_sequences_csv(p, data)
+        datasets.write_csv(p, data)
         back = datasets.read_sequences_csv(p, alphabet_size=4)
         assert np.array_equal(back.sequences, data.sequences)
         assert back.alphabet_size == 4
@@ -517,8 +550,8 @@ class TestDatasetFiles:
             datasets.check_disjoint(c, b, "oe", "test")
 
     def test_check_disjoint_sequences(self):
-        a = datasets.make_markov_sequences(20, 6, 4, 1.0, 0.0, seed=0, starts=[0])
-        b = datasets.make_markov_sequences(20, 6, 4, 1.0, 0.0, seed=1, starts=[1])
+        a = _walks(20, 0, length=6, alphabet_size=4, p_step=1.0, p_stay=0.0, starts=[0])
+        b = _walks(20, 1, length=6, alphabet_size=4, p_step=1.0, p_stay=0.0, starts=[1])
         datasets.check_disjoint(a, b, "oe", "test")
         with pytest.raises(ConfigurationError, match="share"):
             datasets.check_disjoint(a, a, "oe", "test")
@@ -623,15 +656,15 @@ class TestMaterialize:
     def test_params_of_the_declared_types_are_accepted(self, tmp_path):
         spec = DatasetSpec("generator", "b", {"generator": "bernoulli", "p": 1, "offset": [1, -1.0]})
         assert datasets.materialize(spec, n=3, seed=0, dim=2).features.tolist() == [[2.0, 0.0]] * 3
-        data = datasets.make_synthetic_din(2, 5, 2, 4.0, seed=0)
-        datasets.write_vectors_csv(tmp_path / "d.csv", data)
+        data = _mixture(0, k=2, n_per_cluster=5, dim=2, separation=4.0)
+        datasets.write_csv(tmp_path / "d.csv", data)
         spec = DatasetSpec("file", "f", {"sequence": False, "label_column": None}, path=str(tmp_path / "d.csv"))
         assert datasets.materialize(spec, n=None, seed=0).labels is None
 
     def test_file_spec(self, tmp_path):
-        data = datasets.make_synthetic_din(2, 10, 3, 4.0, seed=0)
+        data = _mixture(0, k=2, n_per_cluster=10, dim=3, separation=4.0)
         path = tmp_path / "d.csv"
-        datasets.write_vectors_csv(path, data)
+        datasets.write_csv(path, data)
         spec = DatasetSpec("file", "d", path=str(path))
         back = datasets.materialize(spec, n=None, seed=0)
         assert np.array_equal(back.features, data.features)
@@ -768,8 +801,8 @@ class TestPrepareData:
         # check passes, the materialized row check must still refuse.
         rows = datasets.VectorDataset(np.random.default_rng(0).standard_normal((30, 2)))
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        datasets.write_vectors_csv(pa, rows)
-        datasets.write_vectors_csv(pb, rows)
+        datasets.write_csv(pa, rows)
+        datasets.write_csv(pb, rows)
         config = _tiny_config(
             d_out_oe=DatasetSpec("file", "oe_rows", path=str(pa)),
             d_out_test=[DatasetSpec("file", "test_rows", path=str(pb))],
@@ -1343,17 +1376,35 @@ class TestCli:
             ("d_out_test", {"kind": "generator", "name": "tiles", "params": {"generator": "jigsaw"}},
              "dataset 'tiles': unknown generator 'jigsaw'; the generators are bernoulli, gaussian, markov_chain, "
              "rademacher, ring, scaled_gaussian, shifted_gaussian, uniform_box"),
+            # a row count is checked like every other key, whatever the role
+            ("d_out_test", {"kind": "generator", "name": "ring", "params": {"generator": "ring", "n": "abc"}},
+             "dataset 'ring' params.n must be an integer, got 'abc'"),
+            ("d_out_test", {"kind": "generator", "name": "ring", "params": {"generator": "ring", "n": None}},
+             "dataset 'ring' params.n must be an integer, got None"),
+            ("d_out_oe", {"kind": "generator", "name": "box", "params": {"generator": "uniform_box", "n": [5]}},
+             "dataset 'box' params.n must be an integer, got [5]"),
+            ("d_in", {"kind": "synthetic_gaussian_mixture", "name": "blobs", "params": {"k": 3, "class_subset": []}},
+             "dataset 'blobs' (synthetic_gaussian_mixture) params.class_subset must be nonempty classes in [0, 3), "
+             "got []"),
+            ("d_out_test", {"kind": "generator", "name": "walks",
+                            "params": {"generator": "markov_chain", "length": 8, "alphabet_size": 4, "p_step": 1.5}},
+             "dataset 'walks' (markov_chain) params.p_step and params.p_stay must be probabilities summing to <= 1, "
+             "got 1.5 and 0.1"),
+            # refused as the rows are built: it depends on the width
+            ("d_in", {"kind": "synthetic_gaussian_mixture", "name": "blobs", "params": {"k": 3, "dim": 1}},
+             "dataset 'blobs' (synthetic_gaussian_mixture): cannot place 3 clusters in 1 dimensions"),
         ],
         ids=["offset_length", "markov_length", "markov_alphabet", "markov_d_in_n", "value_range_length",
              "uniform_box_low_above_high", "negative_n", "bernoulli_p", "vector_generator_d_in",
-             "gaussian_range_decreasing", "unknown_generator_val", "unknown_generator_test"],
+             "gaussian_range_decreasing", "unknown_generator_val", "unknown_generator_test", "test_n_string",
+             "test_n_null", "oe_n_list", "empty_class_subset", "markov_p_step_test", "mixture_dim"],
     )
     def test_dataset_params_that_cannot_run_exit_one_naming_dataset_and_key(
         self, tmp_path, capsys, monkeypatch, role, spec, message
     ):
         monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
         body = _tiny_config().to_dict()
-        body[role] = spec if role == "d_in" else [spec]
+        body[role] = [spec] if role in ("d_out_test", "d_out_val") else spec
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(body))
         assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
@@ -1384,22 +1435,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: dataset 'odd' ({params['generator']}){message}" in err, err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "generator", "name": "coins", "params": {"generator": "bernoulli", "p": 1.5}},
+             "dataset 'coins' (bernoulli) params.p must lie in [0, 1], got 1.5"),
+            ({"kind": "generator", "name": "walks",
+              "params": {"generator": "markov_chain", "length": 8, "alphabet_size": 4, "p_step": 1.5}},
+             "dataset 'walks' (markov_chain) params.p_step and params.p_stay must be probabilities summing to <= 1, "
+             "got 1.5 and 0.1"),
+            ({"kind": "synthetic_gaussian_mixture", "name": "blobs_7", "params": {"k": 4, "class_subset": [7]}},
+             "dataset 'blobs_7' (synthetic_gaussian_mixture) params.class_subset must be nonempty classes in [0, 4), "
+             "got [7]"),
+        ],
+        ids=["bernoulli_p", "markov_p_step", "mixture_class_subset"],
+    )
     @pytest.mark.parametrize("command", ["run", "make-data"])
     def test_validation_spec_its_generator_refuses_exits_one_in_run_as_in_make_data(
-        self, tmp_path, capsys, monkeypatch, command
+        self, tmp_path, capsys, monkeypatch, command, spec, message
     ):
         # run never builds the d_out_val sets; check_params refuses the spec for both
         monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
         body = _tiny_config().to_dict()
-        body["d_out_val"] = [{"kind": "generator", "name": "coins",
-                              "params": {"generator": "bernoulli", "p": 1.5}}]
+        body["d_out_val"] = [spec]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(body))
         out = tmp_path / "out"
         argv = [command, "-c", str(path), "-o", str(out), "-q"] + (["--seed", "0"] if command == "make-data" else [])
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert "error: dataset 'coins' (bernoulli) params.p must lie in [0, 1], got 1.5" in err, err
+        assert f"error: {message}\n" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize(
