@@ -9,12 +9,14 @@ enumeration for tiny alphabets.
 
 A model is a plain nn_core.NetworkParams: its widths fix the window and
 alphabet, with c*(V+1) one-hot input columns and V output logits, and
-layout reads (c, V) back from them. Training runs on nn_core's stacked
-engine: a stack of nets (NetworkParams.stack) trains on (S, n, D) sequence
-arrays with one seed per net, and a single net trains as a stack of one.
-Each step builds its batch's one-hot rows afresh, by writing ones at flat
-indices of a zeroed array, and sums over classes and positions with
-nn_core.class_sum, which keeps the bits of numpy's reduce.
+layout reads (c, V) back from them. Both trainers run on
+nn_core.train_loop, which draws and gathers every batch: a stack of nets
+(NetworkParams.stack) trains on (S, n, D) sequence arrays with one seed
+per net, and a single net trains as a stack of one. Each trainer supplies
+only the gradient of one step, which builds its batch's one-hot rows
+afresh, by writing ones at flat indices of a zeroed array, and sums over
+classes and positions with nn_core.class_sum, which keeps the bits of
+numpy's reduce.
 """
 
 from __future__ import annotations
@@ -130,37 +132,22 @@ def bits_per_dim_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
     return nll_batch(net, arr) / (arr.shape[1] * LN2)
 
 
-def train_density(
-    net: nn_core.NetworkParams,
-    data,
-    *,
-    epochs: int = 10,
-    batch_size: int = 32,
-    lr0: float = 0.1,
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
-    seed: int = 0,
-) -> nn_core.NetworkParams:
+def train_density(net: nn_core.NetworkParams, data, **settings) -> nn_core.NetworkParams:
     """Maximum-likelihood training on inlier sequences; returns a new net.
 
     net is one net with (n, D) sequences and one seed, or a stack
     (NetworkParams.stack) with (S, n, D) sequences and one seed per net.
     Minibatches are position rows of the context windows, one-hot encoded
     per step, trained with nn_core's cross-entropy gradient at lam = 0.
+    settings are nn_core.train_loop's keyword arguments.
     """
     c, V = layout(net)
-    windows, targets = nn_core.with_seed_axis(net, *context_windows(data, c, V))
-    rows = np.arange(windows.shape[0])[:, None]
-    work = nn_core.Workspace()
 
-    def loss_grad(net, idx, oe_idx):
-        feats = one_hot_windows(windows[rows, idx], V)
-        return nn_core._objective_grad(net, 0.0, feats, targets[rows, idx], None, work)
+    def step_grad(net, batch, oe_batch, work):
+        windows, targets = batch
+        return nn_core._objective_grad(net, 0.0, one_hot_windows(windows, V), targets, None, work)
 
-    return nn_core.train_loop(
-        net, loss_grad, windows.shape[1], epochs=epochs, batch_size=batch_size,
-        lr0=lr0, momentum=momentum, weight_decay=weight_decay, seed=seed,
-    )
+    return nn_core.train_loop(net, step_grad, context_windows(data, c, V), **settings)
 
 
 def _group_pass(net, seqs: np.ndarray, c: int, V: int, work):
@@ -231,14 +218,9 @@ def finetune_density_oe(
     oe_seqs,
     *,
     margin: float | None = None,
-    epochs: int = 2,
-    batch_size: int = 32,
-    lr0: float = 1e-3,
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
     mle_weight: float = 1.0,
     margin_weight: float = 1.0,
-    seed: int = 0,
+    **settings,
 ) -> nn_core.NetworkParams:
     """Exposure fine-tuning of a trained density net with the paired
     margin loss (margin_grad).
@@ -247,25 +229,14 @@ def finetune_density_oe(
     cyclically from a fixed seeded permutation and paired with inlier
     batches by position. margin defaults to the sequence length in nats.
     A stack takes (S, n, D) sequence arrays and one seed per net, as in
-    train_density.
+    train_density. settings are nn_core.train_loop's keyword arguments.
     """
     V = layout(net)[1]
     a = _as_seq_matrix(inlier_seqs, V)
-    b = _as_seq_matrix(oe_seqs, V)
-    if b.shape[-2] == 0:
-        raise ConfigurationError("exposure fine-tuning needs a nonempty outlier set")
     if margin is None:
         margin = float(a.shape[-1])
-    if not margin > 0:
-        raise ParameterError("margin must be positive")
-    a, b = nn_core.with_seed_axis(net, a, b)
-    rows = np.arange(a.shape[0])[:, None]
-    work = nn_core.Workspace()
 
-    def loss_grad(net, idx, oe_idx):
-        return margin_grad(net, a[rows, idx], b[rows, oe_idx], margin, mle_weight, margin_weight, work)
+    def step_grad(net, batch, oe_batch, work):
+        return margin_grad(net, batch[0], oe_batch, margin, mle_weight, margin_weight, work)
 
-    return nn_core.train_loop(
-        net, loss_grad, a.shape[1], n_oe=b.shape[1], epochs=epochs, batch_size=batch_size,
-        lr0=lr0, momentum=momentum, weight_decay=weight_decay, seed=seed,
-    )
+    return nn_core.train_loop(net, step_grad, (a,), _as_seq_matrix(oe_seqs, V), **settings)

@@ -265,20 +265,26 @@ def _ring(p: dict, n: int, dim: int, seed) -> np.ndarray:
 
 
 def _mixture(p: dict, n: int | None, dim: int | None, seed) -> VectorDataset:
-    """Unit-variance Gaussian clusters, one class per cluster: n // k rows
-    of each (at least one), or without n p's n_per_cluster."""
-    k = p["k"]
-    n_per_cluster = p["n_per_cluster"] if n is None else max(n // k, 1)
+    """Unit-variance Gaussian clusters, one class per cluster, for the
+    classes drawn (all k, or p's class_subset): n rows split as evenly as
+    they go, the first n mod (classes drawn) classes taking one more, or
+    without n p's n_per_cluster rows of each."""
+    classes = range(p["k"]) if p["class_subset"] is None else list(p["class_subset"])
+    if n is None:
+        counts = [p["n_per_cluster"]] * len(classes)
+    elif n < len(classes):
+        raise ConfigurationError(f"the role's default of {n} rows is below the {len(classes)} classes drawn")
+    else:
+        counts = [n // len(classes) + (i < n % len(classes)) for i in range(len(classes))]
     dim = (dim or 2) if p["dim"] is None else p["dim"]
-    means = _cluster_means(k, dim, p["separation"])
-    classes = range(k) if p["class_subset"] is None else list(p["class_subset"])
+    means = _cluster_means(p["k"], dim, p["separation"])
     rng = np.random.default_rng(seed)
     feats = []
     labels = []
-    for c in classes:
-        x = rng.standard_normal((n_per_cluster, dim)) + means[c]
+    for c, count in zip(classes, counts):
+        x = rng.standard_normal((count, dim)) + means[c]
         feats.append(x)
-        labels.append(np.full(n_per_cluster, c, dtype=np.int64))
+        labels.append(np.full(count, c, dtype=np.int64))
     return VectorDataset(np.concatenate(feats), np.concatenate(labels))
 
 
@@ -373,6 +379,9 @@ def _out_of_range(kind: str, p: dict) -> str | None:
             return f"n_per_cluster must be positive, got {p['n_per_cluster']!r}"
         if subset is not None and not (subset and all(0 <= c < k for c in subset)):
             return f"class_subset must be nonempty classes in [0, {k}), got {subset!r}"
+        drawn = k if subset is None else len(subset)
+        if n is not None and n < drawn:
+            return f"n must be at least the {drawn} classes drawn, got {n!r}"
     if kind == "markov_chain":
         step, stay, v, starts = p["p_step"], p["p_stay"], p["alphabet_size"], p["starts"]
         if not (0 <= step <= 1 and 0 <= stay <= 1 and step + stay <= 1):

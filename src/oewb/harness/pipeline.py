@@ -86,8 +86,9 @@ def _check_kind(config: ExperimentConfig, named) -> None:
 def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     """Materialize and split every dataset the config names. Refuses to
     continue if a test outlier set and the inlier test split cannot form a
-    pool at the config's base rate, or if any auxiliary outlier row
-    reappears in a test outlier set."""
+    pool at the config's base rate, if any auxiliary outlier row
+    reappears in a test outlier set, or if a classifier detector's d_in
+    rows have no labels."""
     config.validate()
     for spec in config.d_out_val:  # built by make-data and gen-outliers only, but no typo may pass
         check_params(spec)
@@ -117,7 +118,10 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     _check_kind(config, [("d_in", din), ("d_out_oe", oe), *tests.items()])
 
     n_classes = None
-    if isinstance(din, VectorDataset) and din.labels is not None:
+    if config.detector != "density_bpp":
+        if din.labels is None:
+            raise ConfigurationError(f"detector {config.detector!r} trains a classifier, which needs labeled "
+                                     f"rows, but d_in {config.d_in.name!r} has no labels")
         n_classes = int(din.labels.max()) + 1
         if n_classes < 2:
             raise ConfigurationError("classification needs at least two classes")
@@ -209,8 +213,6 @@ def _fit(config: ExperimentConfig, stack, train: TrainingSet, stage: str, role: 
     density = config.detector == "density_bpp"
     if exposed and (density or config.lam > 0) and train.oe_rows is None:
         raise ConfigurationError("exposure training needs auxiliary outlier data")
-    if not density and train.labels is None:
-        raise DataError("classifier training needs labeled in-distribution data")
     settings = dict(epochs=epochs, batch_size=m.batch_size, lr0=lr0, momentum=m.momentum,
                     weight_decay=m.weight_decay, seed=[_ss(s, role) for s in train.seeds])
     try:
@@ -268,8 +270,6 @@ def fit_temperatures(pairs, validation) -> list:
     """The (baseline, final) temperatures of every seed's (baseline, final)
     models on its validation split, all fitted in one tune_temperature call
     over a stack of two fits per seed."""
-    if any(v.labels is None for v in validation):
-        raise DataError("calibration needs labeled in-distribution splits")
     logits = np.stack([nn_core.forward(m, v.features) for pair, v in zip(pairs, validation) for m in pair])
     labels = np.stack([v.labels for v in validation for _ in range(2)])
     temps = calib_mod.tune_temperature(logits, labels).tolist()
@@ -345,8 +345,6 @@ def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, fin
     temperatures is the (baseline, final) pair from fit_temperatures. The
     pool mixes in-distribution test rows with pooled test outliers at equal
     counts; outliers count as incorrect."""
-    if bundle.din_test.labels is None:
-        raise DataError("calibration needs labeled in-distribution splits")
     k = bundle.n_classes
     ood_rows = np.concatenate([d.rows for d in bundle.tests.values()], axis=0)
     out = {}

@@ -34,9 +34,12 @@ only the operands of commutative operations.
 
 train_loop steps a stack in lockstep: each net draws its own seeded
 permutations and outlier order, and one Nesterov step updates the whole
-(S, P) matrix in place. A single net trains as a stack of one. The input
-parameters are copied once and never mutated; seeded runs are bitwise
-reproducible.
+(S, P) matrix in place. A single net trains as a stack of one. The loop
+alone draws batches: it gathers every net's rows from each data array and
+from the outliers, through one workspace per run, and hands them to the
+trainer's step gradient, so train_classifier and density's MLE and margin
+trainers each supply only the gradient of one step. The input parameters
+are copied once and never mutated; seeded runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -537,10 +540,10 @@ def sgd_step(params: NetworkParams, grads: np.ndarray, state: OptimizerState) ->
 
 def train_loop(
     params: NetworkParams,
-    loss_grad,
-    n_rows: int,
+    step_grad,
+    data: tuple,
+    oe: np.ndarray | None = None,
     *,
-    n_oe: int = 0,
     epochs: int,
     batch_size: int,
     lr0: float,
@@ -553,33 +556,48 @@ def train_loop(
     params is one net with one shuffle seed, or a stack of S nets with a
     sequence of S seeds; a single net trains as a stack of one and comes
     back single. The input parameters are copied once and never touched.
-    Each epoch visits the n_rows inlier rows of every net in a fresh
-    permutation from that net's seed, in batches of batch_size (the last
-    may be short). With n_oe > 0, each net's outlier rows come cyclically
-    from one permutation drawn before its first epoch and are paired with
-    its inlier batches by position. loss_grad(net, idx, oe_idx) returns the
-    (S, P) gradient at the stack net for (S, b) row indices, one row of
-    indices per net (oe_idx is None without outliers). Every step is
-    followed by a finiteness check of the whole stack; the first non-finite
-    parameter raises DivergenceError naming the step and epoch, with the
-    stack position of the first net that diverged as its member.
+    data is a tuple of per-row arrays, (n, ...) each for one net and
+    (S, n, ...) for a stack, and oe the auxiliary outlier rows, (m, ...)
+    or (S, m, ...), or None. Each epoch visits the n inlier rows of every
+    net in a fresh permutation from that net's seed, in batches of
+    batch_size (the last may be short). With oe, each net's outlier rows
+    come cyclically from one permutation drawn before its first epoch and
+    are paired with its inlier batches by position. Every step gathers
+    each net's batch rows from every data array, and its outlier rows from
+    oe, and calls step_grad(net, batch, oe_batch, work) on the stack net
+    with those (S, b, ...) arrays (oe_batch is None without outliers) and
+    the run's one Workspace; it returns the (S, P) gradient. Every step
+    is followed by a finiteness check of the whole stack; the first
+    non-finite parameter raises DivergenceError naming the step and
+    epoch, with the stack position of the first net that diverged as its
+    member.
     """
     if epochs < 1:
         raise ParameterError("epochs must be >= 1")
-    if n_rows < 1:
-        raise ConfigurationError("training needs at least one inlier row")
     single = params.vector.ndim == 1
     net = NetworkParams.stack([params]) if single else params.copy()
     seeds = [seed] if single else list(seed)
     if len(seeds) != net.vector.shape[0]:
         raise ConfigurationError("a training stack needs one shuffle seed per net")
+    if single:
+        data = tuple(a[None] for a in data)
+        oe = None if oe is None else oe[None]
+    n_rows = data[0].shape[1]
+    if n_rows < 1:
+        raise ConfigurationError("training needs at least one inlier row")
+    if oe is not None and oe.shape[1] < 1:
+        raise ConfigurationError("exposure training needs a nonempty outlier set")
     bs = min(int(batch_size), n_rows)
     steps_per_epoch = (n_rows + bs - 1) // bs
     state = init_optimizer(
         net, lr0, total_steps=epochs * steps_per_epoch, momentum=momentum, weight_decay=weight_decay
     )
     rngs = [np.random.default_rng(s) for s in seeds]
-    if n_oe:
+    rows = np.arange(len(seeds))[:, None]
+    work = Workspace()
+    oe_batch = None
+    if oe is not None:
+        n_oe = oe.shape[1]
         oe_order = np.stack([rng.permutation(n_oe) for rng in rngs])
         # every net takes as many outliers per step as the others, so one
         # pointer tracks the cyclic position of the whole stack
@@ -588,11 +606,11 @@ def train_loop(
         perm = np.stack([rng.permutation(n_rows) for rng in rngs])
         for step, start in enumerate(range(0, n_rows, bs)):
             idx = perm[:, start : start + bs]
-            oe_idx = None
-            if n_oe:
-                oe_idx = oe_order[:, (oe_ptr + np.arange(idx.shape[1])) % n_oe]
+            if oe is not None:
+                oe_batch = oe[rows, oe_order[:, (oe_ptr + np.arange(idx.shape[1])) % n_oe]]
                 oe_ptr = (oe_ptr + idx.shape[1]) % n_oe
-            sgd_step(net, loss_grad(net, idx, oe_idx), state)
+            batch = tuple(a[rows, idx] for a in data)
+            sgd_step(net, step_grad(net, batch, oe_batch, work), state)
             if not np.isfinite(net.vector).all():
                 member = int(np.argmin(np.isfinite(net.vector).all(axis=-1)))
                 raise DivergenceError(
@@ -601,14 +619,6 @@ def train_loop(
                     member=member,
                 )
     return net.unstack()[0] if single else net
-
-
-def with_seed_axis(params: NetworkParams, *arrays) -> tuple:
-    """arrays as train_loop's loss_grad indexes them, with a leading seed
-    axis: as given for a stack's data, with one added for one net's data."""
-    if params.vector.ndim == 2:
-        return arrays
-    return tuple(None if a is None else a[None] for a in arrays)
 
 
 def train_classifier(
@@ -623,19 +633,15 @@ def train_classifier(
 
     One net takes (n, d) batches; a stack of S nets takes (S, n, d) batches
     that hold each net's rows, and one seed per net. The batches are
-    checked once per run; each step gathers every net's rows from them.
-    settings are train_loop's keyword arguments other than n_oe.
+    checked once per run. settings are train_loop's keyword arguments.
     """
     lam = _check_batches(params, lam, in_batch, oe_batch)
-    X, y, oe_X = with_seed_axis(params, in_batch.inputs, in_batch.labels, oe_batch.inputs if lam > 0 else None)
-    rows = np.arange(X.shape[0])[:, None]
-    work = Workspace()
 
-    def loss_grad(net, idx, oe_idx):
-        oe_rows = None if oe_idx is None else oe_X[rows, oe_idx]
-        return _objective_grad(net, lam, X[rows, idx], y[rows, idx], oe_rows, work)
+    def step_grad(net, batch, oe_X, work):
+        return _objective_grad(net, lam, *batch, oe_X, work)
 
-    return train_loop(params, loss_grad, X.shape[1], n_oe=0 if oe_X is None else oe_X.shape[1], **settings)
+    oe = oe_batch.inputs if lam > 0 else None
+    return train_loop(params, step_grad, (in_batch.inputs, in_batch.labels), oe, **settings)
 
 
 def save_params(params: NetworkParams, path) -> None:

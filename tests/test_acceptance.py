@@ -393,7 +393,7 @@ def test_criterion_9_generators_and_normalization(capsys):
         model = density.init_ar_model(V, 2, (6,), seed=D)
         if D == 8:  # also exercise a trained model, not just a random one
             train = density.train_density(
-                model, np.random.default_rng(0).integers(0, V, size=(40, D)), epochs=5, seed=0
+                model, np.random.default_rng(0).integers(0, V, size=(40, D)), epochs=5, batch_size=32, lr0=0.1, seed=0
             )
             models = (model, train)
         else:

@@ -1,7 +1,8 @@
 """The benchmark's per-layer tracer (bench/tracer.py) still works around
 `oewb run`: it finds the functions it swaps, sees training and temperature
-calls, and leaves the report tree byte-identical. bench/ is only imported
-here."""
+calls, and leaves the report tree byte-identical. Every row it reports,
+but a named set of rows no run reaches, reads nonzero on one of the traced
+runs. bench/ is only imported here."""
 
 import importlib.util
 import json
@@ -59,16 +60,56 @@ def _traced_run(tmp_path: Path, config: Path):
     return t
 
 
+# the traced runs the tests below read: (preset, config overrides)
+RUNS = {
+    "preset_2d": ("preset_2d", {}),
+    "preset_density": ("preset_density", {}),
+    "calibrated": ("preset_2d", {"calibration": True}),
+}
+# Rows no run reaches. nn_core.grad and objectives.ce_loss serve the
+# finite-difference checks and the loss-value path; the metrics wrappers
+# are library surface that only tests call (runs go through metrics.sweep
+# and metrics.base_rate_rows).
+KNOWN_DEAD = {
+    "nn_core.grad", "objectives.ce_loss", "metrics.auroc", "metrics.aupr", "metrics.fpr_at_tpr",
+    "metrics.roc_points", "metrics.pr_points", "metrics.enforce_base_rate", "metrics.enforce_base_rate.rows",
+}
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """The tracer after the traced run of RUNS[name], made once per module."""
+    done = {}
+
+    def run(name):
+        if name not in done:
+            preset, over = RUNS[name]
+            tmp = tmp_path_factory.mktemp(name)
+            done[name] = _traced_run(tmp, _one_seed_config(tmp, preset, **over))
+        return done[name]
+
+    return run
+
+
 @pytest.mark.parametrize("preset", ["preset_2d", "preset_density"])
-def test_traced_run_records_training_and_matches_untraced(tmp_path, preset):
-    t = _traced_run(tmp_path, _one_seed_config(tmp_path, preset))
+def test_traced_run_records_training_and_matches_untraced(traced, preset):
+    t = traced(preset)
     assert t.calls["nn_core.sgd_step"] > 0
     assert t.calls["nn_core.forward_cached"] > 0
     assert t.calls["calibration.tune_temperature"] == 0
 
 
-def test_traced_calibrated_run_records_one_temperature_search(tmp_path):
-    t = _traced_run(tmp_path, _one_seed_config(tmp_path, "preset_2d", calibration=True))
+def test_traced_calibrated_run_records_one_temperature_search(traced):
+    t = traced("calibrated")
     assert t.calls["calibration.tune_temperature"] == 1
     assert t.calls["harness.pipeline.calibration_eval"] == 1
     assert t.calls["nn_core.sgd_step"] > 0
+
+
+def test_every_traced_row_but_the_known_dead_is_reached(traced):
+    # a call or counter row that no run reaches measures nothing: a function
+    # the program stopped calling by its traced name shows up here
+    runs = [traced(name) for name in RUNS]
+    rows = [*runs[0].calls, *runs[0].counts]
+    dead = {row for row in rows if not any(t.calls.get(row) or t.counts.get(row) for t in runs)}
+    assert dead == KNOWN_DEAD

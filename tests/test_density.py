@@ -144,7 +144,7 @@ class TestTrainDensity:
         data = np.zeros((50, 8), dtype=np.int64)
         m = density.init_ar_model(2, 2, (8,), seed=0)
         before = np.mean(density.nll_batch(m, data))
-        trained = density.train_density(m, data, epochs=30, lr0=0.5, seed=0)
+        trained = density.train_density(m, data, epochs=30, batch_size=32, lr0=0.5, seed=0)
         after = np.mean(density.nll_batch(trained, data))
         assert after < before
         assert after < 0.05
@@ -153,7 +153,7 @@ class TestTrainDensity:
         V = 4
         data = np.random.default_rng(1).integers(0, V, size=(400, 12))
         m = density.init_ar_model(V, 2, (8,), seed=1)
-        trained = density.train_density(m, data, epochs=15, lr0=0.2, seed=1)
+        trained = density.train_density(m, data, epochs=15, batch_size=32, lr0=0.2, seed=1)
         bpp = float(np.mean(density.bits_per_dim_batch(trained, data)))
         assert abs(bpp - math.log2(V)) < 0.1
 
@@ -164,7 +164,7 @@ class TestTrainDensity:
         held_in = _walks(rng, 80, 12, V)
         held_out = rng.integers(0, V, size=(80, 12))
         m = density.init_ar_model(V, 2, (16,), seed=4)
-        trained = density.train_density(m, train, epochs=10, lr0=0.2, seed=4)
+        trained = density.train_density(m, train, epochs=10, batch_size=32, lr0=0.2, seed=4)
         bpp_in = float(np.mean(density.bits_per_dim_batch(trained, held_in)))
         bpp_out = float(np.mean(density.bits_per_dim_batch(trained, held_out)))
         assert bpp_in < bpp_out
@@ -172,15 +172,15 @@ class TestTrainDensity:
     def test_training_is_deterministic(self):
         data = np.random.default_rng(1).integers(0, 3, size=(40, 6))
         m = density.init_ar_model(3, 2, (6,), seed=2)
-        a = density.train_density(m, data, epochs=3, seed=9)
-        b = density.train_density(m, data, epochs=3, seed=9)
+        a = density.train_density(m, data, epochs=3, batch_size=32, lr0=0.1, seed=9)
+        b = density.train_density(m, data, epochs=3, batch_size=32, lr0=0.1, seed=9)
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
     def test_epoch_validation(self):
         m = _uniform_model(V=2)
         with pytest.raises(ParameterError):
-            density.train_density(m, np.zeros((2, 3), dtype=np.int64), epochs=0)
+            density.train_density(m, np.zeros((2, 3), dtype=np.int64), epochs=0, batch_size=32, lr0=0.1)
 
 
 class TestMarginGrad:
@@ -218,7 +218,7 @@ class TestMarginGrad:
         rng = np.random.default_rng(3)
         m = density.init_ar_model(V, 2, (8,), seed=3)
         train = np.zeros((60, 8), dtype=np.int64)
-        m = density.train_density(m, train, epochs=20, lr0=0.5, seed=3)
+        m = density.train_density(m, train, epochs=20, batch_size=32, lr0=0.5, seed=3)
         a = np.zeros((5, 8), dtype=np.int64)
         b = rng.integers(1, V, size=(5, 8))
         slack = density.nll_batch(m, b) - density.nll_batch(m, a)
@@ -258,12 +258,12 @@ class TestFinetune:
         test_in = _walks(rng, 60, D, V, p_step=0.7)
         test_out = _walks(rng, 60, D, V, p_step=1.0, starts=[0, 2, 4])
         m = density.init_ar_model(V, 2, (16,), seed=seed)
-        base = density.train_density(m, train_in, epochs=8, lr0=0.2, seed=seed)
+        base = density.train_density(m, train_in, epochs=8, batch_size=32, lr0=0.2, seed=seed)
         return base, train_in, oe, test_in, test_out
 
     def test_auroc_strictly_increases_after_finetuning(self):
         base, train_in, oe, test_in, test_out = self._setup()
-        tuned = density.finetune_density_oe(base, train_in, oe, epochs=2, lr0=0.05, seed=0)
+        tuned = density.finetune_density_oe(base, train_in, oe, epochs=2, batch_size=32, lr0=0.05, seed=0)
 
         def auroc_of(model):
             return metrics.auroc(
@@ -277,7 +277,7 @@ class TestFinetune:
 
     def test_margin_gap_widens_on_held_out_data(self):
         base, train_in, oe, test_in, test_out = self._setup(seed=1)
-        tuned = density.finetune_density_oe(base, train_in, oe, epochs=2, lr0=0.05, seed=1)
+        tuned = density.finetune_density_oe(base, train_in, oe, epochs=2, batch_size=32, lr0=0.05, seed=1)
 
         def gap(model):
             return float(
@@ -289,13 +289,14 @@ class TestFinetune:
     def test_empty_outlier_set_rejected(self):
         m = _uniform_model(V=3)
         with pytest.raises(ConfigurationError):
-            density.finetune_density_oe(m, np.zeros((4, 5), dtype=np.int64), np.zeros((0, 5), dtype=np.int64))
+            density.finetune_density_oe(m, np.zeros((4, 5), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
+                                        epochs=2, batch_size=32, lr0=1e-3)
 
     def test_nonpositive_margin_rejected(self):
         m = _uniform_model(V=3)
         seqs = np.zeros((4, 5), dtype=np.int64)
         with pytest.raises(ParameterError):
-            density.finetune_density_oe(m, seqs, seqs, margin=-1.0)
+            density.finetune_density_oe(m, seqs, seqs, margin=-1.0, epochs=2, batch_size=32, lr0=1e-3)
 
     def test_mle_loss_interference_bounded_per_step(self):
         # each fine-tune step may raise the training MLE loss by at most the
@@ -305,7 +306,7 @@ class TestFinetune:
         a = _walks(rng, 40, D, V)
         b = rng.integers(0, V, size=(40, D))
         m = density.init_ar_model(V, 2, (8,), seed=6)
-        m = density.train_density(m, a, epochs=5, lr0=0.2, seed=6)
+        m = density.train_density(m, a, epochs=5, batch_size=32, lr0=0.2, seed=6)
         state = nn_core.init_optimizer(m, lr0=1e-3, total_steps=20)
         margin = float(D)
         for _ in range(20):
@@ -339,7 +340,7 @@ class TestNormalization:
     def test_brute_force_after_training_still_normalized(self):
         data = np.random.default_rng(0).integers(0, 2, size=(50, 6))
         m = density.init_ar_model(2, 2, (6,), seed=0)
-        m = density.train_density(m, data, epochs=5, seed=0)
+        m = density.train_density(m, data, epochs=5, batch_size=32, lr0=0.1, seed=0)
         grid = np.array(np.meshgrid(*[[0, 1]] * 6, indexing="ij")).reshape(6, -1).T
         total = float(np.sum(np.exp(-density.nll_batch(m, grid))))
         assert abs(total - 1.0) < 1e-9

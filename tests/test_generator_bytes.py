@@ -45,7 +45,7 @@ SOURCE_CASES = {
     "synthetic_gaussian_mixture_k": ("synthetic_gaussian_mixture",
                                      {"k": 3, "n_per_cluster": 7, "dim": 5, "separation": 2.0,
                                       "class_subset": [0, 2]}, None, None, "1f467807c708729f"),
-    "synthetic_gaussian_mixture_n": ("synthetic_gaussian_mixture", {"n": 9}, 9, 3, "be2acd4bb2482f8c"),
+    "synthetic_gaussian_mixture_n": ("synthetic_gaussian_mixture", {"n": 9}, 9, 3, "e685b9efa8b363f6"),
 }
 
 

@@ -50,9 +50,10 @@ def test_rows_have_the_asked_shape(name):
         assert data.features.shape == (11, DIM) and data.features.dtype == np.float64
         assert data.labels is None
     elif name == MIXTURE:
-        # 11 rows split over the default 4 classes: 2 of each, in the experiment dimension
-        assert data.features.shape == (8, DIM) and data.features.dtype == np.float64
-        assert data.labels.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        # 11 rows split over the default 4 classes, the first 3 taking the
+        # remainder, in the experiment dimension
+        assert data.features.shape == (11, DIM) and data.features.dtype == np.float64
+        assert data.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3]
     else:
         assert data.sequences.shape == (11, NEEDED[name]["length"])
         assert 0 <= data.sequences.min() and data.sequences.max() < NEEDED[name]["alphabet_size"]

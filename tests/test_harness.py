@@ -1176,6 +1176,21 @@ class TestCli:
         assert "cannot realize ratio 5:1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "train", "make-data", "gen-outliers"])
+    def test_unlabeled_inliers_under_a_classifier_detector_exit_one(self, tmp_path, capsys, command):
+        # every command prepares the data, so each refuses what run cannot train
+        rows = _mixture(0, k=3, n_per_cluster=40, dim=2, separation=6.0)
+        datasets.write_csv(tmp_path / "rows.csv", datasets.VectorDataset(rows.features))
+        config = _tiny_config(d_in=DatasetSpec("file", "rows", path=str(tmp_path / "rows.csv")))
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert ("error: detector 'msp' trains a classifier, which needs labeled rows, but d_in 'rows' "
+                "has no labels") in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "failure, code",
         [(None, 0), (ConfigurationError("refused"), 1), (RuntimeError("wedged"), 2)],
@@ -1393,11 +1408,21 @@ class TestCli:
             # refused as the rows are built: it depends on the width
             ("d_in", {"kind": "synthetic_gaussian_mixture", "name": "blobs", "params": {"k": 3, "dim": 1}},
              "dataset 'blobs' (synthetic_gaussian_mixture): cannot place 3 clusters in 1 dimensions"),
+            # a mixture's rows hold at least one of each class it draws
+            ("d_in", {"kind": "synthetic_gaussian_mixture", "name": "blobs", "params": {"k": 4, "n": 3}},
+             "dataset 'blobs' (synthetic_gaussian_mixture) params.n must be at least the 4 classes drawn, got 3"),
+            ("d_out_val", {"kind": "synthetic_gaussian_mixture", "name": "blobs",
+                           "params": {"class_subset": [0, 2], "n": 1}},
+             "dataset 'blobs' (synthetic_gaussian_mixture) params.n must be at least the 2 classes drawn, got 1"),
+            ("d_out_test", {"kind": "synthetic_gaussian_mixture", "name": "many", "params": {"k": 201}},
+             "dataset 'many' (synthetic_gaussian_mixture): the role's default of 200 rows is below the 201 "
+             "classes drawn"),
         ],
         ids=["offset_length", "markov_length", "markov_alphabet", "markov_d_in_n", "value_range_length",
              "uniform_box_low_above_high", "negative_n", "bernoulli_p", "vector_generator_d_in",
              "gaussian_range_decreasing", "unknown_generator_val", "unknown_generator_test", "test_n_string",
-             "test_n_null", "oe_n_list", "empty_class_subset", "markov_p_step_test", "mixture_dim"],
+             "test_n_null", "oe_n_list", "empty_class_subset", "markov_p_step_test", "mixture_dim",
+             "mixture_n_below_k", "mixture_n_below_subset_val", "mixture_default_n_below_k"],
     )
     def test_dataset_params_that_cannot_run_exit_one_naming_dataset_and_key(
         self, tmp_path, capsys, monkeypatch, role, spec, message

@@ -88,7 +88,7 @@ class TestOrientation:
         # improbable sequence vs the training pattern
         data = np.zeros((50, 8), dtype=np.int64)
         m = density.init_ar_model(2, 2, (8,), seed=0)
-        m = density.train_density(m, data, epochs=20, lr0=0.5, seed=0)
+        m = density.train_density(m, data, epochs=20, batch_size=32, lr0=0.5, seed=0)
         pattern = np.zeros(8, dtype=np.int64)
         weird = np.array([0, 1] * 4, dtype=np.int64)
         scores = scoring.score_dataset(m, "density_bpp", np.stack([weird, pattern]))

@@ -5,7 +5,7 @@ import pytest
 
 import reference_training as ref
 from oewb import density, nn_core
-from oewb.errors import DivergenceError
+from oewb.errors import ConfigurationError, DivergenceError
 
 SETTINGS = dict(epochs=2, batch_size=16, lr0=0.2, momentum=0.9, weight_decay=5e-4, seed=7)
 
@@ -80,6 +80,46 @@ def test_divergence_names_the_epoch():
     settings = {**SETTINGS, "lr0": 1e100, "epochs": 3}
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="epoch 1 of 3"):
         nn_core.train_classifier(params, 0.0, nn_core.Batch(X, y), **settings)
+
+
+def test_an_empty_outlier_array_is_refused_before_any_step():
+    X, y, _ = _classifier_data()
+    params = nn_core.init_network([2, 8, 3], seed=0)
+
+    def step_grad(net, batch, oe_batch, work):
+        raise AssertionError("no step may run")
+
+    with pytest.raises(ConfigurationError, match="needs a nonempty outlier set"):
+        nn_core.train_loop(params, step_grad, (X, y), np.empty((0, 2)), **SETTINGS)
+
+
+def _train_classifier(net, lead, **settings):
+    X, y, oe_X = _classifier_data()
+    return nn_core.train_classifier(net, 0.5, nn_core.Batch(lead(X), lead(y)), nn_core.Batch(lead(oe_X)), **settings)
+
+
+def _train_density(net, lead, **settings):
+    return density.train_density(net, lead(_sequences()[0]), **settings)
+
+
+def _finetune_density(net, lead, **settings):
+    inliers, outliers = _sequences()
+    return density.finetune_density_oe(net, lead(inliers), lead(outliers), margin=9.0, **settings)
+
+
+@pytest.mark.parametrize("train, net", [
+    (_train_classifier, lambda: nn_core.init_network([2, 8, 8, 3], seed=5)),
+    (_train_density, lambda: density.init_ar_model(5, 2, (8,), seed=2)),
+    (_finetune_density, lambda: density.init_ar_model(5, 2, (8,), seed=2)),
+], ids=["classifier", "density_mle", "density_margin"])
+def test_a_single_net_trains_as_a_stack_of_one(train, net):
+    # train_loop lifts one net and its (n, ...) data to a stack of one;
+    # that must be the stack of one a caller builds with (1, n, ...) data
+    net = net()
+    single = train(net, lambda a: a, **SETTINGS)
+    stacked = train(nn_core.NetworkParams.stack([net]), lambda a: a[None], **{**SETTINGS, "seed": [SETTINGS["seed"]]})
+    assert single.vector.ndim == 1 and stacked.vector.shape == (1, single.vector.size)
+    assert stacked.vector[0].tobytes() == single.vector.tobytes()
 
 
 # Stacks: three nets that differ in seed, data and initialisation train in
