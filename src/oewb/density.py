@@ -128,8 +128,7 @@ def nll_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
 
 def bits_per_dim_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
     """Per-sequence nll_batch / (D * ln 2): average bits per symbol."""
-    arr = _as_seq_matrix(seqs, layout(net)[1])
-    return nll_batch(net, arr) / (arr.shape[1] * LN2)
+    return nll_batch(net, seqs) / (np.shape(seqs)[-1] * LN2)
 
 
 def train_density(net: nn_core.NetworkParams, data, **settings) -> nn_core.NetworkParams:

@@ -104,15 +104,18 @@ def _cluster_means(k: int, dim: int, separation: float) -> np.ndarray:
     achieve the stated separation.
     """
     if k <= dim + 1:
-        # Rows of I_k centered at the centroid span a regular simplex with
-        # side sqrt(2); embed its (k-1)-dim span into the first coordinates.
-        pts = np.eye(k) - 1.0 / k
-        # Orthonormal basis of the span via SVD.
-        _, s, vt = np.linalg.svd(pts, full_matrices=False)
-        coords = pts @ vt[: k - 1].T  # (k, k-1)
-        coords *= separation / np.sqrt(2.0)
+        # The rows of I_k form a regular simplex with side sqrt(2). Their
+        # coordinates in the Helmert basis of the plane orthogonal to the
+        # ones vector keep every distance: column j-1 is 1/sqrt(j(j+1)) on
+        # rows i < j and -j/sqrt(j(j+1)) on row j. The closed form keeps
+        # the centres' bits off the BLAS kernel, which a LAPACK basis
+        # would not.
+        j = np.arange(1, k)
+        norm = np.sqrt(j * (j + 1.0))
+        i = np.arange(k)[:, None]
         means = np.zeros((k, dim))
-        means[:, : k - 1] = coords
+        means[:, : k - 1] = np.where(i < j, 1.0, np.where(i == j, -j, 0.0)) / norm
+        means *= separation / np.sqrt(2.0)
         return means
     if dim < 2:
         raise ConfigurationError(f"cannot place {k} clusters in {dim} dimensions")

@@ -5,12 +5,13 @@ np.random.SeedSequence([seed, *role]) with a fixed role id per purpose, so
 any stage can be recomputed in isolation and reruns are bit-identical.
 
 run_experiment goes stage by stage across the seeds. It prepares every
-seed's data (refusing, before anything trains, auxiliary outliers that
-reappear in a test set and test sets too small for the base rate), trains
-all baselines in lockstep as one stack of nets, then fine-tunes (or trains
-scratch_oe) all of them in lockstep. When the config calibrates, one
-calibration.tune_temperature call then fits every seed's baseline and final
-temperatures on its validation split, kept from data preparation for that.
+seed's data (refusing, before anything trains, sets the nets cannot read,
+auxiliary outliers that reappear in a test set and test sets too small
+for the base rate), trains all baselines in lockstep as one stack of
+nets, then fine-tunes (or trains scratch_oe) all of them in lockstep.
+When the config calibrates, one calibration.tune_temperature call then
+fits every seed's baseline and final temperatures on its validation
+split, kept from data preparation for that.
 Finally run_seed evaluates, calibrates and reports one seed at a time.
 Every detector's model is a plain nn_core.NetworkParams, a classifier or
 a density net (density.layout), so one stack serves both kinds.
@@ -72,23 +73,30 @@ class DataBundle:
     n_classes: int | None = None
 
 
-def _check_kind(config: ExperimentConfig, named) -> None:
-    """Refuse datasets of the wrong kind (sequence vs vector) for the detector."""
+def _check_kind(config: ExperimentConfig, din, named) -> None:
+    """Refuse datasets the nets cannot read: of the wrong kind (sequence vs
+    vector) for the detector, or unlike d_in's rows din, vectors of another
+    width or sequences with symbols past its alphabet."""
     wants_sequences = config.detector == "density_bpp"
-    for name, data in named:
-        if data is None:
-            continue
+    for name, data in [("d_in", din), *named]:
         if isinstance(data, SequenceDataset) != wants_sequences:
             kind = "sequence" if wants_sequences else "vector"
             raise ConfigurationError(f"detector {config.detector!r} needs {kind} data, but {name!r} is not")
+        if not wants_sequences and data.dim != din.dim:
+            raise ConfigurationError(f"dataset {name!r} has {data.dim} columns, but the nets read "
+                                     f"the {din.dim} of d_in {config.d_in.name!r}")
+        if wants_sequences and data.sequences.max() >= din.alphabet_size:
+            raise ConfigurationError(f"dataset {name!r} has symbol {data.sequences.max()}, outside the "
+                                     f"{din.alphabet_size}-symbol alphabet of d_in {config.d_in.name!r}")
 
 
 def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     """Materialize and split every dataset the config names. Refuses to
-    continue if a test outlier set and the inlier test split cannot form a
-    pool at the config's base rate, if any auxiliary outlier row
-    reappears in a test outlier set, or if a classifier detector's d_in
-    rows have no labels."""
+    continue if an outlier set is one the nets cannot read (_check_kind),
+    if a test outlier set and the inlier test split cannot form a pool at
+    the config's base rate, if any auxiliary outlier row reappears in a
+    test outlier set, or if a classifier detector's d_in rows have no
+    labels."""
     config.validate()
     for spec in config.d_out_val:  # built by make-data and gen-outliers only, but no typo may pass
         check_params(spec)
@@ -106,16 +114,16 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     oe = None
     if config.d_out_oe is not None:
         oe = materialize(config.d_out_oe, n=2000, seed=_ss(seed, ROLE_OE), dim=din.dim)
-    tests = {}
-    for i, spec in enumerate(config.d_out_test):
-        tests[spec.name] = materialize(spec, n=200, seed=_ss(seed, ROLE_TEST, i), dim=din.dim)
+    tests = {spec.name: materialize(spec, n=200, seed=_ss(seed, ROLE_TEST, i), dim=din.dim)
+             for i, spec in enumerate(config.d_out_test)}
+    _check_kind(config, din, (tests if oe is None else {config.d_out_oe.name: oe, **tests}).items())
+    for name, test in tests.items():
         try:
-            metrics_mod.base_rate_sizes(din_test.n, tests[spec.name].n, config.base_rate)
+            metrics_mod.base_rate_sizes(din_test.n, test.n, config.base_rate)
         except InputError as exc:
-            raise InputError(f"seed {seed}, test set {spec.name!r}: {exc}") from exc
+            raise InputError(f"seed {seed}, test set {name!r}: {exc}") from exc
         if oe is not None:
-            check_disjoint(oe, tests[spec.name], config.d_out_oe.name, spec.name)
-    _check_kind(config, [("d_in", din), ("d_out_oe", oe), *tests.items()])
+            check_disjoint(oe, test, config.d_out_oe.name, name)
 
     n_classes = None
     if config.detector != "density_bpp":
@@ -138,7 +146,7 @@ def validation_sets(config: ExperimentConfig, bundle: DataBundle, seed: int) -> 
         spec.name: materialize(spec, n=200, seed=_ss(seed, ROLE_VAL, i), dim=bundle.din_train.dim)
         for i, spec in enumerate(config.d_out_val)
     }
-    _check_kind(config, vals.items())
+    _check_kind(config, bundle.din_train, vals.items())
     return vals
 
 

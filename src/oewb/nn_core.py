@@ -10,16 +10,7 @@ either form: every matmul, bias add and reduction runs over the last axes,
 so a stack puts one per-net BLAS call of the same shape and transpose flags
 behind each layer, and every net of a stack gets the same bits it would get
 on its own. forward, the pass of one net that scoring, calibration and
-accuracy read, runs forward_cached over near-equal blocks of at most
-FORWARD_ROWS rows: a row's logits depend on that row alone, and blocks of
-at least FORWARD_ROWS // 2 rows stay on the BLAS kernel of one whole-set
-call, so the blocks keep the bits while every block reuses the
-block-sized buffers of one workspace instead of a full-size array per
-layer. The same invariant lets a caller run just some rows of a set: a
-forward of at least FORWARD_ROWS // 2 rows gives each of them the bits
-it gets in a whole-set pass, so scoring.score_rows forwards a base-rate
-pool's kept rows alone from that size up. Smaller forwards can move the
-last bits and are run as part of the whole set.
+accuracy read, is forward_cached without the cache.
 
 The classifier loss is the mean cross-entropy on labeled inliers plus lam
 times the mean cross-entropy from the uniform distribution on auxiliary
@@ -58,10 +49,6 @@ PARAMS_VERSION = 1
 
 _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
-
-# The most rows forward runs through the net at once.
-FORWARD_ROWS = 4096
-
 
 @dataclass
 class Batch:
@@ -268,31 +255,9 @@ def forward_cached(params: NetworkParams, inputs, work: Workspace | None = None)
     return z, acts
 
 
-def _row_blocks(n: int) -> list[int]:
-    """Bounds of the near-equal blocks of at most FORWARD_ROWS rows that
-    forward splits n rows into: block j is rows bounds[j] to bounds[j+1].
-    Sizes differ by at most one, so once n > FORWARD_ROWS every block has
-    at least FORWARD_ROWS // 2 rows."""
-    blocks = max(1, -(-n // FORWARD_ROWS))
-    return [n * j // blocks for j in range(blocks + 1)]
-
-
-def forward(params: NetworkParams, batch) -> np.ndarray:
-    """Class logits for a batch of one net, as a fresh (n, k) array.
-
-    forward_cached over the row blocks of _row_blocks, through one
-    workspace, so each block's activations reuse the previous block's
-    buffers. Every output row is a function of its input row alone, and no
-    block is small enough to move BLAS to another kernel, so the logits
-    keep the bits of one whole-set pass.
-    """
-    X = _input_matrix(params, batch.inputs if isinstance(batch, Batch) else batch)
-    logits = np.empty((X.shape[0], params.n_classes))
-    work = Workspace()
-    bounds = _row_blocks(X.shape[0])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        logits[lo:hi] = forward_cached(params, X[lo:hi], work)[0]
-    return logits
+def forward(params: NetworkParams, inputs) -> np.ndarray:
+    """Class logits for the (n, d) rows of one net, as a fresh (n, k) array."""
+    return forward_cached(params, inputs)[0]
 
 
 def class_max(z: np.ndarray) -> np.ndarray:

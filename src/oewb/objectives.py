@@ -61,14 +61,14 @@ def multiclass_oe_loss(in_batch, oe_batch, params, lam: float) -> float:
         raise ParameterError("lam must be nonnegative")
     if in_batch.labels is None:
         raise ConfigurationError("in-distribution batch needs labels")
-    logits_in = nn_core.forward(params, in_batch)
+    logits_in = nn_core.forward(params, in_batch.inputs)
     loss = ce_loss(logits_in, in_batch.labels)
     if lam > 0:
         if oe_batch is None or len(oe_batch) == 0:
             raise ConfigurationError("positive lam needs a nonempty outlier batch")
         if oe_batch.labels is not None:
             raise ConfigurationError("outlier batch must be unlabeled")
-        logits_oe = nn_core.forward(params, oe_batch)
+        logits_oe = nn_core.forward(params, oe_batch.inputs)
         loss += lam * uniform_ce(logits_oe)
     return float(loss)
 

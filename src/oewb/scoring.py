@@ -17,6 +17,14 @@ from .errors import ConfigurationError
 
 DETECTORS = ("msp", "uniform_ce", "density_bpp")
 
+# The fewest forward rows in which score_rows scores a pool's kept rows
+# alone. A row's logits depend on that row alone, but OpenBLAS runs small
+# products through other gemm kernels, which can move a row's last bits
+# against a whole-set pass. From this many rows on the kept rows keep
+# those bits on SkylakeX and Sandybridge; on Haswell and Nehalem a row in
+# a gemm's short last tile still moves (tests/test_blas_kernels.py).
+ALONE_ROWS = 2048
+
 
 def score_dataset(model, kind: str, dataset) -> np.ndarray:
     """Per-example anomaly scores for a whole dataset, in input order."""
@@ -42,15 +50,12 @@ def score_rows(model, kind: str, dataset, rows: np.ndarray) -> np.ndarray:
     """score_dataset(model, kind, dataset)[rows], bit for bit, for an array
     of row indices rows.
 
-    A row's score depends on that row alone, and nn_core.forward gives a
-    row the bits of a whole-set pass in any forward of at least
-    FORWARD_ROWS // 2 rows (its blocks all stay on one BLAS kernel). So a
-    proper subset whose forward reaches that size (a density sequence runs
-    D position rows) is scored by itself; a smaller one, or every row, is
-    scored within the whole set and indexed.
+    A proper subset whose forward has at least ALONE_ROWS rows (a density
+    sequence runs D position rows) is scored by itself; a smaller one, or
+    every row, is scored within the whole set and indexed.
     """
     dataset = np.asarray(dataset)
     forward_rows = rows.size * (dataset.shape[1] if kind == "density_bpp" else 1)
-    if rows.size < len(dataset) and forward_rows >= nn_core.FORWARD_ROWS // 2:
+    if rows.size < len(dataset) and forward_rows >= ALONE_ROWS:
         return score_dataset(model, kind, dataset[rows])
     return score_dataset(model, kind, dataset)[rows]

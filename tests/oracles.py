@@ -78,7 +78,7 @@ def random_scored_pair(rng, max_size: int = 50):
     return in_scores, out_scores
 
 
-def forward_unblocked(params, X):
+def forward_per_layer(params, X):
     """A net's logits for the rows X in one pass: a @ w.T + b per layer,
     with the activation between layers."""
     a = np.asarray(X, dtype=np.float64)

@@ -44,8 +44,8 @@ SOURCE_CASES = {
     "synthetic_gaussian_mixture": ("synthetic_gaussian_mixture", {}, None, None, "fc738d07f6c89116"),
     "synthetic_gaussian_mixture_k": ("synthetic_gaussian_mixture",
                                      {"k": 3, "n_per_cluster": 7, "dim": 5, "separation": 2.0,
-                                      "class_subset": [0, 2]}, None, None, "1f467807c708729f"),
-    "synthetic_gaussian_mixture_n": ("synthetic_gaussian_mixture", {"n": 9}, 9, 3, "e685b9efa8b363f6"),
+                                      "class_subset": [0, 2]}, None, None, "541b38b2be41f984"),
+    "synthetic_gaussian_mixture_n": ("synthetic_gaussian_mixture", {"n": 9}, 9, 3, "344e7e3f324a10fd"),
 }
 
 

@@ -395,13 +395,17 @@ def _walks(n, seed, **params) -> datasets.SequenceDataset:
 
 
 class TestSyntheticData:
-    def test_cluster_means_form_simplex(self):
-        means = datasets._cluster_means(4, 6, separation=3.0)
-        assert means.shape == (4, 6)
-        for i in range(4):
-            for j in range(i + 1, 4):
+    @pytest.mark.parametrize("k, dim", [(2, 1), (2, 2), (3, 2), (4, 3), (4, 6), (7, 6), (11, 10)])
+    def test_cluster_means_form_simplex(self, k, dim):
+        # a regular simplex centred on the origin, in the first k - 1 coordinates
+        means = datasets._cluster_means(k, dim, separation=3.0)
+        assert means.shape == (k, dim)
+        for i in range(k):
+            for j in range(i + 1, k):
                 d = np.linalg.norm(means[i] - means[j])
                 assert abs(d - 3.0) < 1e-9
+        assert np.abs(means.sum(axis=0)).max() < 1e-9
+        assert not means[:, k - 1:].any()
 
     def test_cluster_means_circle_adjacent(self):
         means = datasets._cluster_means(8, 2, separation=2.0)
@@ -1459,6 +1463,31 @@ class TestCli:
         assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
         err = capsys.readouterr().err
         assert f"error: dataset 'odd' ({params['generator']}){message}" in err, err
+
+    @pytest.mark.parametrize("role", ["d_out_oe", "d_out_test"])
+    @pytest.mark.parametrize("case", ["vector_width", "sequence_alphabet"])
+    def test_sets_the_nets_cannot_read_exit_one_before_training(self, tmp_path, capsys, monkeypatch, role, case):
+        # a file of 3 columns beside 2-column inliers, or walks over 10
+        # symbols beside a 4-symbol alphabet
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        if case == "vector_width":
+            body = _tiny_config().to_dict()
+            rows = tmp_path / "wide.csv"
+            datasets.write_csv(rows, datasets.VectorDataset(np.random.default_rng(0).normal(size=(400, 3))))
+            spec = {"kind": "file", "name": "wide", "path": str(rows), "params": {}}
+            message = "dataset 'wide' has 3 columns, but the nets read the 2 of d_in 'blobs'"
+        else:
+            body = _tiny_density_config().to_dict()
+            spec = dict(body[role] if role == "d_out_oe" else body[role][0], name="wide")
+            spec["params"] = dict(spec["params"], alphabet_size=10, p_step=1.0, p_stay=0.0, n=400)
+            message = "dataset 'wide' has symbol 9, outside the 4-symbol alphabet of d_in 'walks'"
+        body[role] = [spec] if role == "d_out_test" else spec
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -52,40 +52,22 @@ class TestForward:
         assert np.max(np.abs(logits - expected)) < 1e-12
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize(
-        "dims,as_batch",
-        [([3, 2], False), ([3, 16, 4], False), ([3, 16, 4], True), ([3, 16, 8, 4], False),
-         ([3, 16, 8, 4], True)],
-    )
-    def test_equals_forward_cached_bit_for_bit(self, activation, dims, as_batch):
-        # forward takes a Batch or the raw rows
+    @pytest.mark.parametrize("dims", [[3, 2], [3, 16, 4], [3, 16, 8, 4]])
+    def test_equals_forward_cached_bit_for_bit(self, activation, dims):
         p = nn_core.init_network(dims, seed=5, activation=activation)
         x = np.random.default_rng(1).normal(size=(257, 3)) * 3.0
-        logits = nn_core.forward(p, nn_core.Batch(x) if as_batch else x)
         cached_logits, _ = nn_core.forward_cached(p, x)
-        assert np.array_equal(logits, cached_logits)
+        assert np.array_equal(nn_core.forward(p, x), cached_logits)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("dims", [[3, 16, 4], [3, 16, 8, 4]])
     @pytest.mark.parametrize("n", [1, 37, 4095, 4096, 4097, 8193, 20000])
-    def test_row_blocks_keep_the_bits_of_one_unblocked_pass(self, activation, dims, n):
+    def test_keeps_the_bits_of_a_plain_per_layer_pass(self, activation, dims, n):
         p = nn_core.init_network(dims, seed=5, activation=activation)
         x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
-        got, want = nn_core.forward(p, x), oracles.forward_unblocked(p, x)
+        got, want = nn_core.forward(p, x), oracles.forward_per_layer(p, x)
         assert got.shape == want.shape == (n, dims[-1])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    @given(n=st.integers(0, 12 * nn_core.FORWARD_ROWS))
-    @settings(max_examples=300, deadline=None)
-    def test_row_blocks_are_near_equal_and_cover_every_row(self, n):
-        bounds = nn_core._row_blocks(n)
-        assert bounds[0] == 0 and bounds[-1] == n
-        sizes = np.diff(bounds)
-        assert sizes.max() - sizes.min() <= 1 and sizes.max() <= nn_core.FORWARD_ROWS
-        if n > nn_core.FORWARD_ROWS:
-            assert sizes.min() >= nn_core.FORWARD_ROWS // 2
-        else:
-            assert bounds == [0, n]
 
     def test_consecutive_calls_return_unaliased_logits(self):
         p = nn_core.init_network([3, 16, 8, 4], seed=5)

@@ -155,7 +155,7 @@ class TestScoreDataset:
 class TestScoreRows:
     """score_rows equals whole-set scoring followed by indexing, bit for
     bit, on both sides of its size rule: kept rows whose forward reaches
-    nn_core.FORWARD_ROWS // 2 rows are scored alone, fewer within the set."""
+    scoring.ALONE_ROWS rows are scored alone, fewer within the set."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -174,7 +174,7 @@ class TestScoreRows:
     @pytest.mark.parametrize("n", [2048, 4097, 20000])
     @pytest.mark.parametrize("kept", [2047, 2048])
     def test_kept_rows_keep_the_whole_set_bits(self, monkeypatch, activation, kind, n, kept):
-        assert nn_core.FORWARD_ROWS // 2 == 2048
+        assert scoring.ALONE_ROWS == 2048
         rng = np.random.default_rng(n + kept)
         net = nn_core.init_network([2, 32, 32, 4], seed=kept, activation=activation)
         X = rng.normal(scale=4.0, size=(n, 2))
