@@ -1,12 +1,7 @@
 """Config-driven experiment harness: datasets, pipelines, reports, CLI."""
 
 from .config import DatasetSpec, ExperimentConfig, ModelSettings, load_config, save_config
-from .datasets import (
-    SequenceDataset,
-    VectorDataset,
-    check_disjoint,
-    materialize,
-)
+from .datasets import Dataset, check_disjoint, materialize
 from .pipeline import (
     DataBundle,
     ExperimentResult,
@@ -24,8 +19,7 @@ __all__ = [
     "ModelSettings",
     "load_config",
     "save_config",
-    "SequenceDataset",
-    "VectorDataset",
+    "Dataset",
     "check_disjoint",
     "materialize",
     "DataBundle",

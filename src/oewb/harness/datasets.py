@@ -10,11 +10,11 @@ synthetic_gaussian_mixture inliers. check_params refuses a spec whose
 params do not fit its entry or that its kind cannot run with, and
 resolves the rest, filling in the defaults; materialize builds from those
 resolved values alone, with params.n as the row count when it is set.
-So this module alone knows a spec's row count, ranges and rows. Vector
-data move through CSV (feature columns + optional integer label column);
-discrete sequences use CSV rows of symbol columns. Every materialized
-auxiliary/test outlier pair is scanned for byte-identical rows so no test
-example can leak into training.
+So this module alone knows a spec's row count, ranges and rows. Every
+dataset is one Dataset, of symbol rows when it has an alphabet_size and
+of feature rows otherwise, and one CSV form (write_csv, read_csv) holds
+either. Every materialized auxiliary/test outlier pair is scanned for
+byte-identical rows so no test example can leak into training.
 """
 
 from __future__ import annotations
@@ -31,69 +31,46 @@ from .config import DatasetSpec, typed
 
 
 @dataclass
-class VectorDataset:
-    features: np.ndarray  # (n, d) float64
-    labels: np.ndarray | None = None  # (n,) int64 or None
+class Dataset:
+    """A dataset's rows. With alphabet_size set, rows holds (n, length)
+    int64 symbols in [0, alphabet_size) and there are no labels; otherwise
+    (n, d) finite float64 features, with optional (n,) int64 class labels,
+    none negative."""
+
+    rows: np.ndarray
+    labels: np.ndarray | None = None
+    alphabet_size: int | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
-            raise DataError(f"features must be a nonempty (n, d) array, got {self.features.shape}")
-        if not np.all(np.isfinite(self.features)):
+        sequences = self.alphabet_size is not None
+        self.rows = np.asarray(self.rows, dtype=np.int64 if sequences else np.float64)
+        if self.rows.ndim != 2 or self.rows.shape[0] == 0:
+            raise DataError(f"rows must form a nonempty 2-d array, got shape {self.rows.shape}")
+        if sequences and (self.rows.min() < 0 or self.rows.max() >= self.alphabet_size):
+            raise DataError(f"symbols must lie in [0, {self.alphabet_size})")
+        if not sequences and not np.all(np.isfinite(self.rows)):
             raise DataError("features contain non-finite values")
         if self.labels is not None:
+            if sequences:
+                raise DataError("sequences carry no labels")
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.features.shape[0],):
+            if self.labels.shape != (self.rows.shape[0],):
                 raise DataError("labels must align with feature rows")
+            if self.labels.min() < 0:
+                raise DataError(f"class labels must not be negative, got {self.labels.min()}")
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.rows.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.features.shape[1]
+    def dim(self) -> int | None:
+        """The feature width; None for sequences, which give vector
+        generators no dimension to draw in."""
+        return None if self.alphabet_size is not None else self.rows.shape[1]
 
-    @property
-    def rows(self) -> np.ndarray:
-        return self.features
-
-    def subset(self, idx) -> "VectorDataset":
-        lab = None if self.labels is None else self.labels[idx]
-        return VectorDataset(self.features[idx], lab)
-
-
-@dataclass
-class SequenceDataset:
-    sequences: np.ndarray  # (n, length) int64 symbols
-    alphabet_size: int
-
-    def __post_init__(self):
-        self.sequences = np.asarray(self.sequences, dtype=np.int64)
-        if self.sequences.ndim != 2 or self.sequences.shape[0] == 0:
-            raise DataError(f"sequences must be a nonempty (n, length) array")
-        if self.sequences.min() < 0 or self.sequences.max() >= self.alphabet_size:
-            raise DataError(f"symbols must lie in [0, {self.alphabet_size})")
-
-    @property
-    def n(self) -> int:
-        return self.sequences.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.sequences.shape[1]
-
-    @property
-    def dim(self) -> None:
-        """None: sequences give vector generators no dimension to draw in."""
-        return None
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.sequences
-
-    def subset(self, idx) -> "SequenceDataset":
-        return SequenceDataset(self.sequences[idx], self.alphabet_size)
+    def subset(self, idx) -> "Dataset":
+        return Dataset(self.rows[idx], None if self.labels is None else self.labels[idx], self.alphabet_size)
 
 
 def _cluster_means(k: int, dim: int, separation: float) -> np.ndarray:
@@ -131,14 +108,14 @@ def _cluster_means(k: int, dim: int, separation: float) -> np.ndarray:
 # File formats
 
 
-def write_csv(path, data) -> None:
-    """A dataset as the CSV its reader reads back bit for bit: x0, x1, ...
+def write_csv(path, data: Dataset) -> None:
+    """A dataset as the CSV read_csv reads back bit for bit: x0, x1, ...
     feature columns and, when labeled, a label column; or s0, s1, ...
     symbol columns."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    labels = getattr(data, "labels", None)
-    prefix, cell = ("s", str) if data.dim is None else ("x", repr)
+    labels = data.labels
+    prefix, cell = ("x", repr) if data.alphabet_size is None else ("s", str)
     with open(p, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([f"{prefix}{i}" for i in range(data.rows.shape[1])] + ([] if labels is None else ["label"]))
@@ -171,44 +148,33 @@ def read_csv_rows(path, what: str):
         raise DataError(f"cannot read {what} {p}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def read_vectors_csv(path, label_column: str | None = "label") -> VectorDataset:
+def read_csv(path, label_column: str | None = "label", alphabet_size: int | None = None) -> Dataset:
+    """The Dataset of a CSV file. With alphabet_size, every column holds
+    symbols; otherwise every column but label_column, when the header
+    names it, holds features, and that one integer labels. Every refusal
+    names the file."""
     p = Path(path)
     rows = read_csv_rows(p, "dataset file")
     header = [h.strip() for h in next(rows)[1]]
-    label_idx = None
-    if label_column is not None and label_column in header:
-        label_idx = header.index(label_column)
-    feat_idx = [i for i in range(len(header)) if i != label_idx]
-    if not feat_idx:
+    label_idx = header.index(label_column) if alphabet_size is None and label_column in header else None
+    columns = [i for i in range(len(header)) if i != label_idx]
+    if not columns:
         raise DataError(f"{p}: no feature columns")
-    feats = []
-    labels = []
+    cell = float if alphabet_size is None else int
+    values, labels = [], []
     for lineno, row in rows:
         try:
-            feats.append([float(row[i]) for i in feat_idx])
+            values.append([cell(row[i]) for i in columns])
             if label_idx is not None:
                 labels.append(int(row[label_idx]))
         except ValueError as exc:
             raise DataError(f"{p}:{lineno}: {exc}") from exc
-    if not feats:
+    if not values:
         raise DataError(f"{p}: dataset has a header but no rows")
-    lab = np.asarray(labels, dtype=np.int64) if label_idx is not None else None
-    return VectorDataset(np.asarray(feats, dtype=np.float64), lab)
-
-
-def read_sequences_csv(path, alphabet_size: int) -> SequenceDataset:
-    p = Path(path)
-    rows = read_csv_rows(p, "dataset file")
-    next(rows)
-    seqs = []
-    for lineno, row in rows:
-        try:
-            seqs.append([int(v) for v in row])
-        except ValueError as exc:
-            raise DataError(f"{p}:{lineno}: {exc}") from exc
-    if not seqs:
-        raise DataError(f"{p}: dataset has a header but no rows")
-    return SequenceDataset(np.asarray(seqs, dtype=np.int64), alphabet_size)
+    try:
+        return Dataset(values, None if label_idx is None else labels, alphabet_size)
+    except DataError as exc:
+        raise DataError(f"{p}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +206,7 @@ def _vector(rows, **params) -> Kind:
     reads its row count n, and scale and offset, applied to its rows last."""
     shared = {"generator": (str, NEEDED), "n": (int, None), "scale": (float, 1.0),
               "offset": (float | list[float], 0.0)}
-    return Kind({**shared, **params}, lambda p, n, dim, seed: VectorDataset(
+    return Kind({**shared, **params}, lambda p, n, dim, seed: Dataset(
         rows(p, n, dim, seed) * p["scale"] + np.asarray(p["offset"], dtype=np.float64)))
 
 
@@ -267,7 +233,7 @@ def _ring(p: dict, n: int, dim: int, seed) -> np.ndarray:
     return rows
 
 
-def _mixture(p: dict, n: int | None, dim: int | None, seed) -> VectorDataset:
+def _mixture(p: dict, n: int | None, dim: int | None, seed) -> Dataset:
     """Unit-variance Gaussian clusters, one class per cluster, for the
     classes drawn (all k, or p's class_subset): n rows split as evenly as
     they go, the first n mod (classes drawn) classes taking one more, or
@@ -288,10 +254,10 @@ def _mixture(p: dict, n: int | None, dim: int | None, seed) -> VectorDataset:
         x = rng.standard_normal((count, dim)) + means[c]
         feats.append(x)
         labels.append(np.full(count, c, dtype=np.int64))
-    return VectorDataset(np.concatenate(feats), np.concatenate(labels))
+    return Dataset(np.concatenate(feats), np.concatenate(labels))
 
 
-def _markov(p: dict, n: int, dim, seed) -> SequenceDataset:
+def _markov(p: dict, n: int, dim, seed) -> Dataset:
     """Cyclic walks from a symbol of p's starts (any symbol without them):
     advance +1 w.p. p_step, hold w.p. p_stay, else jump uniformly over the
     remaining symbols."""
@@ -315,11 +281,12 @@ def _markov(p: dict, n: int, dim, seed) -> SequenceDataset:
             nxt[jump] = (cur[jump] + 2 + offs) % v
         cur = nxt
         seqs[:, t] = cur
-    return SequenceDataset(seqs, v)
+    return Dataset(seqs, alphabet_size=v)
 
 
 _KINDS = {
-    "file": Kind({"sequence": (bool, False), "alphabet_size": (int, None), "label_column": (str | None, "label")}),
+    # alphabet_size None: feature rows; set, symbol rows without labels
+    "file": Kind({"alphabet_size": (int, None), "label_column": (str | None, "label")}),
     # dim None: the experiment's dimension, or 2 without one
     "synthetic_gaussian_mixture": Kind({"n": (int, None), "k": (int, 4), "n_per_cluster": (int, 200),
                                         "dim": (int, None), "separation": (float, 4.0),
@@ -352,10 +319,8 @@ def _unread_on_this_path(kind: str, params: dict) -> str | None:
     """A key the kind reads on some paths but not on the one params select."""
     if kind == "synthetic_gaussian_mixture" and "n" in params and "n_per_cluster" in params:
         return "n_per_cluster, since n sets the row count"
-    if kind == "file" and params.get("sequence") and "label_column" in params:
+    if kind == "file" and "alphabet_size" in params and "label_column" in params:
         return "label_column, since sequence files have no labels"
-    if kind == "file" and not params.get("sequence") and "alphabet_size" in params:
-        return "alphabet_size, which only sequence files read"
     return None
 
 
@@ -431,8 +396,6 @@ def check_params(spec: DatasetSpec) -> dict:
     bad = _out_of_range(kind, p)
     if bad:
         raise ConfigurationError(f"dataset {spec.name!r} ({kind}) params.{bad}")
-    if kind == "file" and p["sequence"] and p["alphabet_size"] is None:
-        raise ConfigurationError(f"dataset {spec.name!r} (file) reads sequences only with params.alphabet_size")
     return p
 
 
@@ -440,14 +403,12 @@ def materialize(spec: DatasetSpec, n: int | None, seed, dim: int | None = None):
     """The dataset a spec describes. Its row count is params.n, or else n,
     the caller's default for the spec's role; dim is the experiment
     dimension, None without vector inliers. A mixture carries labels,
-    every other kind is unlabeled, and markov_chain walks and sequence
-    files are SequenceDatasets."""
+    every other kind is unlabeled, and markov_chain walks and files read
+    with params.alphabet_size hold symbol rows."""
     spec.validate()
     p = check_params(spec)
     if spec.kind == "file":
-        if p["sequence"]:
-            return read_sequences_csv(spec.path, p["alphabet_size"])
-        return read_vectors_csv(spec.path, label_column=p["label_column"])
+        return read_csv(spec.path, p["label_column"], p["alphabet_size"])
     kind = p.get("generator", spec.kind)
     n = n if p["n"] is None else p["n"]
     where = f"dataset {spec.name!r} ({kind})"

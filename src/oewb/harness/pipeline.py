@@ -43,7 +43,7 @@ from .. import nn_core
 from .. import scoring as scoring_mod
 from ..errors import ConfigurationError, DataError, DivergenceError, InputError
 from .config import ExperimentConfig
-from .datasets import SequenceDataset, VectorDataset, check_disjoint, check_params, materialize
+from .datasets import Dataset, check_disjoint, check_params, materialize
 
 # Role ids for seed derivation. Never renumber: stored artifacts depend on them.
 ROLE_DIN = 0
@@ -79,14 +79,14 @@ def _check_kind(config: ExperimentConfig, din, named) -> None:
     width or sequences with symbols past its alphabet."""
     wants_sequences = config.detector == "density_bpp"
     for name, data in [("d_in", din), *named]:
-        if isinstance(data, SequenceDataset) != wants_sequences:
+        if (data.alphabet_size is not None) != wants_sequences:
             kind = "sequence" if wants_sequences else "vector"
             raise ConfigurationError(f"detector {config.detector!r} needs {kind} data, but {name!r} is not")
         if not wants_sequences and data.dim != din.dim:
             raise ConfigurationError(f"dataset {name!r} has {data.dim} columns, but the nets read "
                                      f"the {din.dim} of d_in {config.d_in.name!r}")
-        if wants_sequences and data.sequences.max() >= din.alphabet_size:
-            raise ConfigurationError(f"dataset {name!r} has symbol {data.sequences.max()}, outside the "
+        if wants_sequences and data.rows.max() >= din.alphabet_size:
+            raise ConfigurationError(f"dataset {name!r} has symbol {data.rows.max()}, outside the "
                                      f"{din.alphabet_size}-symbol alphabet of d_in {config.d_in.name!r}")
 
 
@@ -180,12 +180,12 @@ def training_set(bundles, seeds, validation: bool = False) -> TrainingSet:
     """
     kept = [(b.din_train, b.oe, b.n_classes, b.din_val if validation else None) for b in bundles]
     din, oe, n_classes, _ = kept[0]
-    alphabet = getattr(din, "alphabet_size", None)
+    alphabet = din.alphabet_size
     dtype = np.float64 if alphabet is None else np.min_scalar_type(alphabet)
     return TrainingSet(
         [int(s) for s in seeds],
         np.stack([d.rows for d, *_ in kept]).astype(dtype, copy=False),
-        None if getattr(din, "labels", None) is None else np.stack([d.labels for d, *_ in kept]),
+        None if din.labels is None else np.stack([d.labels for d, *_ in kept]),
         None if oe is None else np.stack([o.rows for _, o, *_ in kept]).astype(dtype, copy=False),
         n_classes,
         alphabet,
@@ -278,7 +278,7 @@ def fit_temperatures(pairs, validation) -> list:
     """The (baseline, final) temperatures of every seed's (baseline, final)
     models on its validation split, all fitted in one tune_temperature call
     over a stack of two fits per seed."""
-    logits = np.stack([nn_core.forward(m, v.features) for pair, v in zip(pairs, validation) for m in pair])
+    logits = np.stack([nn_core.forward(m, v.rows) for pair, v in zip(pairs, validation) for m in pair])
     labels = np.stack([v.labels for v in validation for _ in range(2)])
     temps = calib_mod.tune_temperature(logits, labels).tolist()
     return list(zip(temps[0::2], temps[1::2]))
@@ -305,8 +305,8 @@ def train_models(config: ExperimentConfig, seeds) -> list:
     return [SeedModels(b, f, t) for (b, f), t in zip(pairs, temps)]
 
 
-def classifier_accuracy(params: nn_core.NetworkParams, data: VectorDataset) -> float:
-    logits = nn_core.forward(params, data.features)
+def classifier_accuracy(params: nn_core.NetworkParams, data: Dataset) -> float:
+    logits = nn_core.forward(params, data.rows)
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))
 
 
@@ -338,8 +338,8 @@ def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed:
     return reports, pools
 
 
-def _confidences(params, data: VectorDataset, temperature: float):
-    logits = nn_core.forward(params, data.features)
+def _confidences(params, data: Dataset, temperature: float):
+    logits = nn_core.forward(params, data.rows)
     conf = nn_core.max_softmax(logits, temperature)
     correct = np.argmax(logits, axis=1) == data.labels
     return conf, correct

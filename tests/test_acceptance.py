@@ -363,7 +363,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
 
 def _noise(generator: str, n: int, dim: int, **params) -> np.ndarray:
     spec = DatasetSpec("generator", generator, {"generator": generator, **params})
-    return materialize(spec, n=n, seed=3, dim=dim).features
+    return materialize(spec, n=n, seed=3, dim=dim).rows
 
 
 def _generator_battery() -> list:
@@ -449,4 +449,35 @@ def test_criterion_10_auxiliary_coverage_beats_size(capsys):
         + ", ".join(f"{name} {100 * wide[name]['auroc']:.1f} vs {100 * narrow[name]['auroc']:.1f}"
                     for name in COVERAGE_GAINS),
         t_wide + t_narrow,
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11: exposure keeps the classifier
+
+# Largest fall of mean final inlier test accuracy below the baseline's that
+# the gate accepts. Over held-out seeds 10-19 and 20-29 the largest fall of
+# a 10-seed mean, for either pipeline, was 0.0033, and of one seed 0.022.
+ACCURACY_DROP = 0.02
+
+
+@pytest.mark.parametrize("pipe", ["finetune_oe", "scratch_oe"])
+def test_criterion_11_exposure_keeps_the_classifier(capsys, pipe):
+    t0 = time.perf_counter()
+    config = get_preset("preset_2d", pipeline=pipe)
+    trained = pipeline.train_models(config, config.seeds)
+    acc = np.array([[pipeline.classifier_accuracy(m, pipeline.prepare_data(config, s).din_test)
+                     for m in (models.baseline, models.final)] for s, models in zip(config.seeds, trained)])
+    base, final = acc.mean(axis=0)
+    # the detector only scores, so uniform_ce trains the nets msp trains
+    uce = pipeline.train_models(get_preset("preset_2d", pipeline=pipe, detector="uniform_ce", seeds=(0,)), (0,))[0]
+    same = all(np.array_equal(a.vector, b.vector) for a, b in zip(uce[:2], trained[0][:2]))
+    elapsed = time.perf_counter() - t0
+    ok = same and final >= base - ACCURACY_DROP
+    _report(
+        capsys, 11, ok,
+        f"msp and uniform_ce x {pipe}: mean inlier test accuracy over 10 seeds {100 * base:.1f} (baseline) "
+        f"-> {100 * final:.1f} (final), threshold {-100 * ACCURACY_DROP:.1f} points; "
+        f"uniform_ce {'trains' if same else 'does not train'} msp's nets",
+        elapsed,
     )

@@ -1,0 +1,16 @@
+"""The package's export lists name what its modules hold."""
+
+import pytest
+
+import oewb
+from oewb import harness
+
+
+@pytest.mark.parametrize("module", [oewb, harness], ids=lambda module: module.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_one_dataset_record_is_exported():
+    assert [name for name in oewb.__all__ + harness.__all__ if name.endswith("Dataset")] == ["Dataset"]

@@ -69,10 +69,10 @@ OWN_KEYS = [
 
 def _digest(data) -> str:
     h = hashlib.sha256()
-    if isinstance(data, datasets.SequenceDataset):
-        h.update(np.ascontiguousarray(data.sequences, dtype="<i8").tobytes())
+    if data.alphabet_size is not None:
+        h.update(np.ascontiguousarray(data.rows, dtype="<i8").tobytes())
     else:
-        h.update(np.ascontiguousarray(data.features, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(data.rows, dtype="<f8").tobytes())
         if data.labels is not None:
             h.update(np.ascontiguousarray(data.labels, dtype="<i8").tobytes())
     return h.hexdigest()[:16]

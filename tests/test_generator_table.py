@@ -47,16 +47,16 @@ def test_vector_and_sequence_generators_partition_the_generators():
 def test_rows_have_the_asked_shape(name):
     data = _build(name, n=11)
     if name in VECTOR:
-        assert data.features.shape == (11, DIM) and data.features.dtype == np.float64
+        assert data.rows.shape == (11, DIM) and data.rows.dtype == np.float64
         assert data.labels is None
     elif name == MIXTURE:
         # 11 rows split over the default 4 classes, the first 3 taking the
         # remainder, in the experiment dimension
-        assert data.features.shape == (11, DIM) and data.features.dtype == np.float64
+        assert data.rows.shape == (11, DIM) and data.rows.dtype == np.float64
         assert data.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3]
     else:
-        assert data.sequences.shape == (11, NEEDED[name]["length"])
-        assert 0 <= data.sequences.min() and data.sequences.max() < NEEDED[name]["alphabet_size"]
+        assert data.rows.shape == (11, NEEDED[name]["length"])
+        assert 0 <= data.rows.min() and data.rows.max() < NEEDED[name]["alphabet_size"]
 
 
 @pytest.mark.parametrize("name", BUILT)
@@ -114,8 +114,8 @@ def test_a_misspelled_key_is_refused_listing_the_keys_read(name):
 @pytest.mark.parametrize("name", VECTOR)
 def test_scale_and_offset_apply_to_the_rows_last(name):
     offset = [1.0, -2.0, 0.5]
-    moved = _build(name, scale=2.5, offset=offset).features
-    assert np.array_equal(moved, _build(name).features * 2.5 + np.asarray(offset))
+    moved = _build(name, scale=2.5, offset=offset).rows
+    assert np.array_equal(moved, _build(name).rows * 2.5 + np.asarray(offset))
 
 
 @pytest.mark.parametrize("name", VECTOR)
@@ -142,8 +142,8 @@ def test_vector_rows_need_the_experiment_dimension(name):
 def test_vector_rows_survive_a_csv_round_trip_bit_for_bit(name, tmp_path):
     data = _build(name, scale=1.0 / 3.0)
     datasets.write_csv(tmp_path / "rows.csv", data)
-    back = datasets.read_vectors_csv(tmp_path / "rows.csv")
-    assert back.labels is None and back.features.tobytes() == data.features.tobytes()
+    back = datasets.read_csv(tmp_path / "rows.csv")
+    assert back.labels is None and back.rows.tobytes() == data.rows.tobytes()
 
 
 def test_markov_chain_needs_a_row_count():
@@ -159,27 +159,27 @@ def test_a_deleted_generator_is_refused_listing_every_generator():
 
 
 def test_uniform_box_stays_inside_its_bounds():
-    x = _build("uniform_box", n=20_000, low=-3.0, high=0.5).features
+    x = _build("uniform_box", n=20_000, low=-3.0, high=0.5).rows
     assert -3.0 <= x.min() < -2.99 and 0.49 < x.max() < 0.5
 
 
 def test_uniform_box_mean_of_the_unit_interval():
-    x = _build("uniform_box", n=10_000, low=0.0, high=1.0).features
+    x = _build("uniform_box", n=10_000, low=0.0, high=1.0).rows
     assert abs(x.mean() - 0.5) < 5.0 / np.sqrt(12.0 * x.size)
 
 
 def test_ring_radius_averages_its_radius():
-    x = _build("ring", n=10_000, radius=6.0, width=0.5).features
+    x = _build("ring", n=10_000, radius=6.0, width=0.5).rows
     r = np.hypot(x[:, 0], x[:, 1])
     assert abs(r.mean() - 6.0) < 5.0 * 0.5 / np.sqrt(r.size)
     assert abs(x[:, 2].mean()) < 5.0 / np.sqrt(r.size)
 
 
 def test_shifted_gaussian_centres_on_its_mean():
-    x = _build("shifted_gaussian", n=10_000, mean=[0.0, 6.0, -2.5]).features
+    x = _build("shifted_gaussian", n=10_000, mean=[0.0, 6.0, -2.5]).rows
     assert np.max(np.abs(x.mean(axis=0) - [0.0, 6.0, -2.5])) < 5.0 / np.sqrt(10_000)
 
 
 def test_scaled_gaussian_spreads_by_its_sigma():
-    x = _build("scaled_gaussian", n=10_000, sigma=4.0).features
+    x = _build("scaled_gaussian", n=10_000, sigma=4.0).rows
     assert np.max(np.abs(x.std(axis=0) - 4.0)) < 5.0 * 4.0 / np.sqrt(2.0 * 10_000)

@@ -386,11 +386,11 @@ class TestConfigSerialization:
             get_preset("preset_3d")
 
 
-def _mixture(seed, **params) -> datasets.VectorDataset:
+def _mixture(seed, **params) -> datasets.Dataset:
     return datasets.materialize(DatasetSpec("synthetic_gaussian_mixture", "m", params), n=None, seed=seed)
 
 
-def _walks(n, seed, **params) -> datasets.SequenceDataset:
+def _walks(n, seed, **params) -> datasets.Dataset:
     return datasets.materialize(DatasetSpec("generator", "w", {"generator": "markov_chain", **params}), n=n, seed=seed)
 
 
@@ -433,9 +433,9 @@ class TestSyntheticData:
         a = _mixture(11, k=3, n_per_cluster=50, dim=2, separation=4.0)
         b = _mixture(11, k=3, n_per_cluster=50, dim=2, separation=4.0)
         c = _mixture(12, k=3, n_per_cluster=50, dim=2, separation=4.0)
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.labels, b.labels)
-        assert not np.array_equal(a.features, c.features)
+        assert not np.array_equal(a.rows, c.rows)
         assert sorted(set(a.labels.tolist())) == [0, 1, 2]
         assert np.bincount(a.labels).tolist() == [50, 50, 50]
 
@@ -449,26 +449,26 @@ class TestSyntheticData:
         d = _mixture(5, k=2, n_per_cluster=4000, dim=2, separation=6.0)
         means = datasets._cluster_means(2, 2, 6.0)
         for c in (0, 1):
-            emp = d.features[d.labels == c].mean(axis=0)
+            emp = d.rows[d.labels == c].mean(axis=0)
             assert np.linalg.norm(emp - means[c]) < 0.1
 
     def test_markov_shapes_and_determinism(self):
         a = _walks(30, 3, length=12, alphabet_size=5, p_step=0.8, p_stay=0.1)
         b = _walks(30, 3, length=12, alphabet_size=5, p_step=0.8, p_stay=0.1)
-        assert a.sequences.shape == (30, 12)
+        assert a.rows.shape == (30, 12)
         assert a.alphabet_size == 5
-        assert np.array_equal(a.sequences, b.sequences)
-        assert a.sequences.min() >= 0 and a.sequences.max() < 5
+        assert np.array_equal(a.rows, b.rows)
+        assert a.rows.min() >= 0 and a.rows.max() < 5
 
     def test_markov_periodic_walk(self):
         d = _walks(10, 0, length=9, alphabet_size=4, p_step=1.0, p_stay=0.0, starts=[2])
-        assert np.all(d.sequences[:, 0] == 2)
-        steps = (d.sequences[:, 1:] - d.sequences[:, :-1]) % 4
+        assert np.all(d.rows[:, 0] == 2)
+        steps = (d.rows[:, 1:] - d.rows[:, :-1]) % 4
         assert np.all(steps == 1)
 
     def test_markov_starts_honored(self):
         d = _walks(200, 1, length=2, alphabet_size=6, p_step=0.5, p_stay=0.3, starts=[1, 4])
-        assert set(d.sequences[:, 0].tolist()) <= {1, 4}
+        assert set(d.rows[:, 0].tolist()) <= {1, 4}
 
     @pytest.mark.parametrize(
         "params, message",
@@ -500,56 +500,56 @@ class TestDatasetFiles:
         feats = rng.standard_normal((7, 3))
         feats[0, 0] = 1.0 / 3.0  # exercise full-precision round trip
         labels = np.array([0, 1, 2, 0, 1, 2, 0], dtype=np.int64) if labeled else None
-        return datasets.VectorDataset(feats, labels)
+        return datasets.Dataset(feats, labels)
 
     def test_vector_csv_round_trip_labeled(self, tmp_path):
         data = self._vectors()
         p = tmp_path / "d.csv"
         datasets.write_csv(p, data)
-        back = datasets.read_vectors_csv(p)
-        assert np.array_equal(back.features, data.features)
+        back = datasets.read_csv(p)
+        assert np.array_equal(back.rows, data.rows)
         assert np.array_equal(back.labels, data.labels)
 
     def test_vector_csv_round_trip_unlabeled(self, tmp_path):
         data = self._vectors(labeled=False)
         p = tmp_path / "d.csv"
         datasets.write_csv(p, data)
-        back = datasets.read_vectors_csv(p)
+        back = datasets.read_csv(p)
         assert back.labels is None
-        assert np.array_equal(back.features, data.features)
+        assert np.array_equal(back.rows, data.rows)
 
     def test_vector_csv_errors(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
         with pytest.raises(DataError, match="empty"):
-            datasets.read_vectors_csv(p)
+            datasets.read_csv(p)
         p.write_text("x0,x1\n")
         with pytest.raises(DataError, match="no rows"):
-            datasets.read_vectors_csv(p)
+            datasets.read_csv(p)
         p.write_text("x0,x1\n1.0,2.0\n3.0\n")
         with pytest.raises(DataError, match="3"):
-            datasets.read_vectors_csv(p)
+            datasets.read_csv(p)
         p.write_text("x0,x1\n1.0,2.0\n3.0,oops\n")
         with pytest.raises(DataError, match="3"):
-            datasets.read_vectors_csv(p)
+            datasets.read_csv(p)
         with pytest.raises(DataError, match="exist"):
-            datasets.read_vectors_csv(tmp_path / "missing.csv")
+            datasets.read_csv(tmp_path / "missing.csv")
 
     def test_sequence_csv_round_trip(self, tmp_path):
         data = _walks(9, 2, length=6, alphabet_size=4, p_step=0.8, p_stay=0.1)
         p = tmp_path / "s.csv"
         datasets.write_csv(p, data)
-        back = datasets.read_sequences_csv(p, alphabet_size=4)
-        assert np.array_equal(back.sequences, data.sequences)
+        back = datasets.read_csv(p, alphabet_size=4)
+        assert np.array_equal(back.rows, data.rows)
         assert back.alphabet_size == 4
 
     def test_check_disjoint(self):
         rng = np.random.default_rng(0)
-        a = datasets.VectorDataset(rng.standard_normal((5, 2)))
-        b = datasets.VectorDataset(rng.standard_normal((5, 2)))
+        a = datasets.Dataset(rng.standard_normal((5, 2)))
+        b = datasets.Dataset(rng.standard_normal((5, 2)))
         datasets.check_disjoint(a, b, "oe", "test")
-        shared = np.concatenate([b.features[:1], rng.standard_normal((3, 2))])
-        c = datasets.VectorDataset(shared)
+        shared = np.concatenate([b.rows[:1], rng.standard_normal((3, 2))])
+        c = datasets.Dataset(shared)
         with pytest.raises(ConfigurationError, match="share"):
             datasets.check_disjoint(c, b, "oe", "test")
 
@@ -561,35 +561,35 @@ class TestDatasetFiles:
             datasets.check_disjoint(a, a, "oe", "test")
 
     def test_check_disjoint_same_first_column_is_not_shared(self):
-        a = datasets.VectorDataset([[1.0, 2.0], [3.0, 4.0]])
-        b = datasets.VectorDataset([[1.0, 2.5], [3.0, -4.0], [5.0, 4.0]])
+        a = datasets.Dataset([[1.0, 2.0], [3.0, 4.0]])
+        b = datasets.Dataset([[1.0, 2.5], [3.0, -4.0], [5.0, 4.0]])
         datasets.check_disjoint(a, b, "oe", "test")
 
     def test_check_disjoint_signed_zeros_differ(self):
-        a = datasets.VectorDataset([[0.0, 1.0], [2.0, 0.0]])
-        b = datasets.VectorDataset([[-0.0, 1.0], [2.0, -0.0]])
+        a = datasets.Dataset([[0.0, 1.0], [2.0, 0.0]])
+        b = datasets.Dataset([[-0.0, 1.0], [2.0, -0.0]])
         datasets.check_disjoint(a, b, "oe", "test")
         with pytest.raises(ConfigurationError, match="shares 1 row"):
-            datasets.check_disjoint(a, datasets.VectorDataset([[-0.0, 1.0], [2.0, 0.0]]), "oe", "test")
+            datasets.check_disjoint(a, datasets.Dataset([[-0.0, 1.0], [2.0, 0.0]]), "oe", "test")
 
     def test_check_disjoint_counts_distinct_shared_rows(self):
-        a = datasets.VectorDataset([[1.0, 2.0], [1.0, 2.0], [7.0, 8.0], [9.0, 9.0]])
-        b = datasets.VectorDataset([[1.0, 2.0], [7.0, 8.0], [7.0, 8.0], [1.0, 3.0]])
+        a = datasets.Dataset([[1.0, 2.0], [1.0, 2.0], [7.0, 8.0], [9.0, 9.0]])
+        b = datasets.Dataset([[1.0, 2.0], [7.0, 8.0], [7.0, 8.0], [1.0, 3.0]])
         with pytest.raises(ConfigurationError) as info:
             datasets.check_disjoint(a, b, "box", "ring")
         assert "'box' shares 2 row(s) with test outlier set 'ring'" in str(info.value)
 
     def test_check_disjoint_one_column(self):
-        a = datasets.VectorDataset([[1.0], [2.0], [2.0]])
-        datasets.check_disjoint(a, datasets.VectorDataset([[3.0], [-1.0]]), "oe", "test")
+        a = datasets.Dataset([[1.0], [2.0], [2.0]])
+        datasets.check_disjoint(a, datasets.Dataset([[3.0], [-1.0]]), "oe", "test")
         with pytest.raises(ConfigurationError, match="shares 1 row"):
-            datasets.check_disjoint(a, datasets.VectorDataset([[3.0], [2.0]]), "oe", "test")
+            datasets.check_disjoint(a, datasets.Dataset([[3.0], [2.0]]), "oe", "test")
 
     def test_check_disjoint_sequences_sharing_a_start(self):
-        a = datasets.SequenceDataset([[0, 1, 2], [0, 1, 1], [2, 2, 2]], 3)
-        b = datasets.SequenceDataset([[0, 2, 2], [0, 1, 0], [2, 2, 1]], 3)
+        a = datasets.Dataset([[0, 1, 2], [0, 1, 1], [2, 2, 2]], alphabet_size=3)
+        b = datasets.Dataset([[0, 2, 2], [0, 1, 0], [2, 2, 1]], alphabet_size=3)
         datasets.check_disjoint(a, b, "oe", "test")
-        c = datasets.SequenceDataset([[0, 2, 2], [2, 2, 2], [0, 1, 1], [0, 1, 1]], 3)
+        c = datasets.Dataset([[0, 2, 2], [2, 2, 2], [0, 1, 1], [0, 1, 1]], alphabet_size=3)
         with pytest.raises(ConfigurationError, match="shares 2 row"):
             datasets.check_disjoint(a, c, "oe", "test")
 
@@ -605,7 +605,7 @@ class TestMaterialize:
             "generator", "g", {"generator": "bernoulli", "p": 1.0, "scale": 2.0, "offset": -1.0}
         )
         d = datasets.materialize(spec, n=5, seed=0, dim=3)
-        assert np.all(d.features == 1.0)
+        assert np.all(d.rows == 1.0)
 
     def test_unknown_generator(self):
         spec = DatasetSpec("generator", "g", {"generator": "perlin"})
@@ -659,10 +659,10 @@ class TestMaterialize:
 
     def test_params_of_the_declared_types_are_accepted(self, tmp_path):
         spec = DatasetSpec("generator", "b", {"generator": "bernoulli", "p": 1, "offset": [1, -1.0]})
-        assert datasets.materialize(spec, n=3, seed=0, dim=2).features.tolist() == [[2.0, 0.0]] * 3
+        assert datasets.materialize(spec, n=3, seed=0, dim=2).rows.tolist() == [[2.0, 0.0]] * 3
         data = _mixture(0, k=2, n_per_cluster=5, dim=2, separation=4.0)
         datasets.write_csv(tmp_path / "d.csv", data)
-        spec = DatasetSpec("file", "f", {"sequence": False, "label_column": None}, path=str(tmp_path / "d.csv"))
+        spec = DatasetSpec("file", "f", {"label_column": None}, path=str(tmp_path / "d.csv"))
         assert datasets.materialize(spec, n=None, seed=0).labels is None
 
     def test_file_spec(self, tmp_path):
@@ -671,7 +671,7 @@ class TestMaterialize:
         datasets.write_csv(path, data)
         spec = DatasetSpec("file", "d", path=str(path))
         back = datasets.materialize(spec, n=None, seed=0)
-        assert np.array_equal(back.features, data.features)
+        assert np.array_equal(back.rows, data.rows)
 
     def test_markov_spec(self):
         spec = DatasetSpec(
@@ -681,13 +681,13 @@ class TestMaterialize:
              "p_stay": 0.1},
         )
         d = datasets.materialize(spec, n=12, seed=4)
-        assert isinstance(d, datasets.SequenceDataset)
-        assert d.sequences.shape == (12, 5)
+        assert d.alphabet_size == 3
+        assert d.rows.shape == (12, 5)
 
 
 def _noise(generator, n, dim, seed, **params) -> np.ndarray:
     spec = DatasetSpec("generator", generator, {"generator": generator, **params})
-    return datasets.materialize(spec, n=n, seed=seed, dim=dim).features
+    return datasets.materialize(spec, n=n, seed=seed, dim=dim).rows
 
 
 class TestNoiseGenerators:
@@ -747,7 +747,7 @@ class TestPrepareData:
         assert bundle.din_val.n == round(0.15 * n)
         assert bundle.din_test.n == n - bundle.din_train.n - bundle.din_val.n
         assert bundle.n_classes == 3
-        assert isinstance(bundle.din_train, datasets.VectorDataset)
+        assert bundle.din_train.alphabet_size is None
         assert set(bundle.tests) == {"ring"}
         assert bundle.oe.n == 120
 
@@ -758,7 +758,7 @@ class TestPrepareData:
         assert set(vals) == {"val_shift"}
         seed = pipeline._ss(0, pipeline.ROLE_VAL, 0)
         direct = datasets.materialize(config.d_out_val[0], n=60, seed=seed, dim=2)
-        assert np.array_equal(vals["val_shift"].features, direct.features)
+        assert np.array_equal(vals["val_shift"].rows, direct.rows)
 
     def test_validation_sets_check_the_data_kind(self):
         config = _tiny_config()
@@ -774,17 +774,17 @@ class TestPrepareData:
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=1)
         rows = np.concatenate(
-            [bundle.din_train.features, bundle.din_val.features, bundle.din_test.features]
+            [bundle.din_train.rows, bundle.din_val.rows, bundle.din_test.rows]
         )
         whole = datasets.materialize(config.d_in, n=None, seed=pipeline._ss(1, pipeline.ROLE_DIN))
-        assert sorted(map(tuple, rows)) == sorted(map(tuple, whole.features))
+        assert sorted(map(tuple, rows)) == sorted(map(tuple, whole.rows))
 
     def test_same_seed_same_bundle(self):
         config = _tiny_config()
         a = pipeline.prepare_data(config, seed=2)
         b = pipeline.prepare_data(config, seed=2)
-        assert np.array_equal(a.din_train.features, b.din_train.features)
-        assert np.array_equal(a.tests["ring"].features, b.tests["ring"].features)
+        assert np.array_equal(a.din_train.rows, b.din_train.rows)
+        assert np.array_equal(a.tests["ring"].rows, b.tests["ring"].rows)
 
     def test_detector_data_kind_mismatch(self):
         with pytest.raises(ConfigurationError, match="sequence"):
@@ -803,7 +803,7 @@ class TestPrepareData:
     def test_file_oe_overlapping_test_rows_refused(self, tmp_path):
         # Same rows under two different paths: the config-level fingerprint
         # check passes, the materialized row check must still refuse.
-        rows = datasets.VectorDataset(np.random.default_rng(0).standard_normal((30, 2)))
+        rows = datasets.Dataset(np.random.default_rng(0).standard_normal((30, 2)))
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         datasets.write_csv(pa, rows)
         datasets.write_csv(pb, rows)
@@ -825,7 +825,7 @@ class TestTrainingPipeline:
         baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [seed]))[0]
         tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle], [seed]), [baseline])[0]
 
-        X, y = bundle.din_train.features, bundle.din_train.labels
+        X, y = bundle.din_train.rows, bundle.din_train.labels
         n = X.shape[0]
         bs = min(config.model.batch_size, n)
         steps = config.finetune_epochs * ((n + bs - 1) // bs)
@@ -963,10 +963,10 @@ class TestEvaluation:
         monkeypatch.setattr(pipeline.scoring_mod, "score_dataset", counting)
         _, pools = pipeline.evaluate_detector(model, config, bundle, seed=0)
         assert rows_scored == [2070, 2070, 200]
-        in_scores = original(model, "msp", bundle.din_test.features)
+        in_scores = original(model, "msp", bundle.din_test.rows)
         for i, name in enumerate(("big", "small")):
             want = metrics.enforce_base_rate(
-                in_scores, original(model, "msp", bundle.tests[name].features),
+                in_scores, original(model, "msp", bundle.tests[name].rows),
                 ratio=(1, 1), seed=pipeline._ss(0, pipeline.ROLE_BASE_RATE, i),
             )
             assert np.array_equal(pools[name].in_scores.view(np.int64), want.in_scores.view(np.int64))
@@ -1016,7 +1016,7 @@ class TestEvaluation:
         sr = pipeline.run_seed(solo, 1, models)
         # each temperature is the one fit of its own model on the seed's validation split
         val = pipeline.prepare_data(solo, 1).din_val
-        assert temps == tuple(pipeline.calib_mod.tune_temperature(nn_core.forward(m, val.features), val.labels)
+        assert temps == tuple(pipeline.calib_mod.tune_temperature(nn_core.forward(m, val.rows), val.labels)
                               for m in (baseline, final))
         assert 0.01 < temps[1] < temps[0] < 100.0
         reports.write_reports(tmp_path / "solo", pipeline.ExperimentResult(solo, [sr], pipeline.summarize(solo, [sr])))
@@ -1184,7 +1184,7 @@ class TestCli:
     def test_unlabeled_inliers_under_a_classifier_detector_exit_one(self, tmp_path, capsys, command):
         # every command prepares the data, so each refuses what run cannot train
         rows = _mixture(0, k=3, n_per_cluster=40, dim=2, separation=6.0)
-        datasets.write_csv(tmp_path / "rows.csv", datasets.VectorDataset(rows.features))
+        datasets.write_csv(tmp_path / "rows.csv", datasets.Dataset(rows.rows))
         config = _tiny_config(d_in=DatasetSpec("file", "rows", path=str(tmp_path / "rows.csv")))
         path = tmp_path / "cfg.json"
         save_config(config, path)
@@ -1330,16 +1330,13 @@ class TestCli:
             ({"kind": "synthetic_gaussian_mixture", "name": "blobs",
               "params": {"k": 3, "n": 120, "n_per_cluster": 40, "dim": 2}},
              "dataset 'blobs' (synthetic_gaussian_mixture) does not read params key n_per_cluster"),
-            ({"kind": "file", "name": "rows", "path": "rows.csv", "params": {"alphabet_size": 4}},
-             "dataset 'rows' (file) does not read params key alphabet_size"),
+            # alphabet_size alone marks a sequence file; no key repeats it
             ({"kind": "file", "name": "rows", "path": "rows.csv",
               "params": {"sequence": False, "alphabet_size": 4}},
-             "dataset 'rows' (file) does not read params key alphabet_size"),
+             "dataset 'rows' (file) does not read params key(s) sequence; it reads alphabet_size, label_column"),
             ({"kind": "file", "name": "rows", "path": "rows.csv",
-              "params": {"sequence": True, "alphabet_size": 4, "label_column": "y"}},
+              "params": {"alphabet_size": 4, "label_column": "y"}},
              "dataset 'rows' (file) does not read params key label_column"),
-            ({"kind": "file", "name": "rows", "path": "rows.csv", "params": {"sequence": True}},
-             "dataset 'rows' (file) reads sequences only with params.alphabet_size"),
         ],
     )
     def test_dataset_param_the_spec_never_reads_exits_one(self, tmp_path, capsys, monkeypatch, d_in, unread):
@@ -1473,7 +1470,7 @@ class TestCli:
         if case == "vector_width":
             body = _tiny_config().to_dict()
             rows = tmp_path / "wide.csv"
-            datasets.write_csv(rows, datasets.VectorDataset(np.random.default_rng(0).normal(size=(400, 3))))
+            datasets.write_csv(rows, datasets.Dataset(np.random.default_rng(0).normal(size=(400, 3))))
             spec = {"kind": "file", "name": "wide", "path": str(rows), "params": {}}
             message = "dataset 'wide' has 3 columns, but the nets read the 2 of d_in 'blobs'"
         else:
@@ -1547,7 +1544,7 @@ class TestCli:
             argv = ["calibrate", str(target)]
         else:
             body = _tiny_config().to_dict()
-            params = {"sequence": True, "alphabet_size": 4} if reader == "sequences_csv" else {}
+            params = {"alphabet_size": 4} if reader == "sequences_csv" else {}
             body["d_in"] = {"kind": "file", "name": "rows", "path": str(target), "params": params}
             config = tmp_path / "cfg.json"
             config.write_text(json.dumps(body))
@@ -1555,6 +1552,45 @@ class TestCli:
         assert cli.main([*argv, "-o", str(tmp_path / "out"), "-q"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ") and str(target) in err, err
+
+    @pytest.mark.parametrize("command", ["run", "make-data"])
+    def test_negative_class_label_in_a_file_exits_one_naming_it(self, tmp_path, capsys, monkeypatch, command):
+        # one -1 among 300 labels, on a row that seed 0 splits off from training
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        spec = DatasetSpec("synthetic_gaussian_mixture", "m", {"k": 3, "n": 300, "dim": 2, "separation": 6.0})
+        data = datasets.materialize(spec, n=None, seed=0)
+        data.labels[5] = -1
+        rows = tmp_path / "rows.csv"
+        datasets.write_csv(rows, data)
+        body = _tiny_config().to_dict()
+        body["d_in"] = {"kind": "file", "name": "rows", "path": str(rows), "params": {}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        argv = [command, "-c", str(path), "-o", str(out), "-q"] + (["--seed", "0"] if command == "make-data" else [])
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {rows}: class labels must not be negative, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["nan_feature", "symbol_past_alphabet"])
+    def test_refused_file_contents_exit_one_naming_the_file(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        rows = tmp_path / "rows.csv"
+        if case == "nan_feature":
+            body = _tiny_config().to_dict()
+            rows.write_text("x0,x1,label\n" + "".join(f"{i}.0,1.0,{i % 3}\n" for i in range(119)) + "nan,1.0,0\n")
+            params, message = {}, "features contain non-finite values"
+        else:
+            body = _tiny_density_config().to_dict()
+            rows.write_text("s0,s1,s2\n" + "0,1,2\n" * 159 + "0,8,2\n")
+            params, message = {"alphabet_size": 4}, "symbols must lie in [0, 4)"
+        body["d_in"] = {"kind": "file", "name": "rows", "path": str(rows), "params": params}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert capsys.readouterr().err == f"error: {rows}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "finetune"])
     @pytest.mark.parametrize("case", ["density_window", "classifier_width", "classifier_activation"])
@@ -1758,7 +1794,7 @@ class TestCli:
         path = self._write_config(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["gen-outliers", "-c", str(path), "-o", str(out), "-q"]) == 0
-        made = datasets.read_vectors_csv(out / "box_seed0.csv")
+        made = datasets.read_csv(out / "box_seed0.csv")
         assert made.n == 120
         rc = cli.main(["gen-outliers", "-c", str(path), "-o", str(out), "-q",
                        "--name", "nonesuch"])
@@ -1794,7 +1830,7 @@ class TestCli:
         for stem in ("din_train", "din_val", "din_test", "oe_box", "test_ring",
                      "val_val_shift"):
             assert (out / f"{stem}_seed0.csv").exists(), stem
-        train = datasets.read_vectors_csv(out / "din_train_seed0.csv")
+        train = datasets.read_csv(out / "din_train_seed0.csv")
         assert train.labels is not None and train.n == 84
 
     def test_calibrate_subcommand(self, tmp_path, capsys):
