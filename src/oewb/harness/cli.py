@@ -1,9 +1,13 @@
 """Command-line entry point.
 
-Subcommands: run, train, finetune, eval, calibrate, gen-outliers,
-make-data. Exit codes: 0 on success, 1 when a config/parameter/data
-validation fails, 2 on any other runtime failure, including training that
-diverges to non-finite parameters.
+Subcommands: run, train, finetune, eval, calibrate, make-data. Exit
+codes: 0 on success, 1 when a config/parameter/data validation fails, 2 on
+any other runtime failure, including training that diverges to
+non-finite parameters.
+
+The CLI is the one place a run becomes files: run hands the result of
+pipeline.run_experiment to reports.write_reports, and make-data writes
+every dataset a config names, each to its own CSV.
 
 Every command runs with each loaded OpenBLAS limited to one thread and
 restores the previous count when it returns or raises. The workbench's
@@ -36,24 +40,15 @@ from .datasets import read_csv_rows, write_csv
 from .presets import PRESET_NAMES, get_preset
 
 
-def _resolve_config(value: str) -> ExperimentConfig:
-    if value in PRESET_NAMES:
-        return get_preset(value)
-    return load_config(value)
-
-
-def _pick_seed(config: ExperimentConfig, args) -> int:
-    """The --seed override, validated as the config's only seed, or else
-    the config's first seed."""
+def _preamble(args) -> tuple[ExperimentConfig, int, Path]:
+    """The config (a preset name or a JSON path), its seed and the output
+    directory. A --seed override becomes the config's only seed, validated
+    as such; the directory is made when the first file is written."""
+    config = get_preset(args.config) if args.config in PRESET_NAMES else load_config(args.config)
     if args.seed is not None:
         config.seeds = (args.seed,)
         config.validate()
-    return config.seeds[0]
-
-
-def _out_dir(args, default: str) -> Path:
-    """The output directory; it is made when the first file is written."""
-    return Path(args.out) if args.out else Path(default)
+    return config, config.seeds[0], Path(args.out or f"runs/{config.name}")
 
 
 def _mkdir(out: Path) -> Path:
@@ -72,19 +67,17 @@ def _load_model(config: ExperimentConfig, train: pipeline.TrainingSet, path: str
 
 
 def cmd_run(args) -> int:
-    config = _resolve_config(args.config)
-    _pick_seed(config, args)
-    out = _out_dir(args, f"runs/{config.name}")
-    pipeline.run_experiment(config, out_dir=out, quiet=args.quiet)
+    config, _, out = _preamble(args)
+    exp = pipeline.run_experiment(config)
+    reports.write_reports(out, exp)
     if not args.quiet:
+        print(reports.render_table(exp), end="")
         print(f"reports written to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    config = _resolve_config(args.config)
-    seed = _pick_seed(config, args)
-    out = _out_dir(args, f"runs/{config.name}")
+    config, seed, out = _preamble(args)
     bundle = pipeline.prepare_data(config, seed)
     [model] = pipeline.train_baseline(config, pipeline.training_set([bundle], [seed]))
     path = _mkdir(out) / f"baseline_seed{seed}.bin"
@@ -95,9 +88,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    config = _resolve_config(args.config)
-    seed = _pick_seed(config, args)
-    out = _out_dir(args, f"runs/{config.name}")
+    config, seed, out = _preamble(args)
     train = pipeline.training_set([pipeline.prepare_data(config, seed)], [seed])
     [model] = pipeline.finetune_oe(config, train, [_load_model(config, train, args.params)])
     path = _mkdir(out) / f"finetuned_seed{seed}.bin"
@@ -108,9 +99,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _resolve_config(args.config)
-    seed = _pick_seed(config, args)
-    out = _out_dir(args, f"runs/{config.name}")
+    config, seed, out = _preamble(args)
     bundle = pipeline.prepare_data(config, seed)
     model = _load_model(config, pipeline.training_set([bundle], [seed]), args.params)
     rep, pools = pipeline.evaluate_detector(model, config, bundle, seed)
@@ -157,8 +146,7 @@ def _read_predictions_csv(path: str):
 def cmd_calibrate(args) -> int:
     conf, correct = _read_predictions_csv(args.predictions)
     report = calib_mod.report_from_records(conf, correct)
-    out = _out_dir(args, ".")
-    path = _mkdir(out) / (Path(args.predictions).stem + "_calibration.json")
+    path = _mkdir(Path(args.out or ".")) / (Path(args.predictions).stem + "_calibration.json")
     path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     if not args.quiet:
         print(f"rms={report.rms_error:.6f} mad={report.mad_error:.6f} soft_f1={report.soft_f1:.6f}")
@@ -166,43 +154,14 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_gen_outliers(args) -> int:
-    """Write one outlier set exactly as make-data writes it."""
-    config = _resolve_config(args.config)
-    seed = _pick_seed(config, args)
-    out = _out_dir(args, f"runs/{config.name}")
-    bundle = pipeline.prepare_data(config, seed)
-    sets = {**pipeline.validation_sets(config, bundle, seed), **bundle.tests}
-    if bundle.oe is not None:
-        sets[config.d_out_oe.name] = bundle.oe
-    name = args.name or (config.d_out_oe.name if config.d_out_oe else config.d_out_test[0].name)
-    if name not in sets:
-        raise ConfigurationError(f"no outlier spec named {name!r}; have {sorted(sets)}")
-    data = sets[name]
-    path = _mkdir(out) / f"{name}_seed{seed}.csv"
-    write_csv(path, data)
-    if not args.quiet:
-        print(f"{data.n} rows written to {path}")
-    return 0
-
-
 def cmd_make_data(args) -> int:
-    config = _resolve_config(args.config)
-    seed = _pick_seed(config, args)
-    out = _out_dir(args, f"runs/{config.name}")
+    config, seed, out = _preamble(args)
     bundle = pipeline.prepare_data(config, seed)
-    named = {
-        "din_train": bundle.din_train,
-        "din_val": bundle.din_val,
-        "din_test": bundle.din_test,
-    }
+    named = {"din_train": bundle.din_train, "din_val": bundle.din_val, "din_test": bundle.din_test}
     if bundle.oe is not None:
         named["oe_" + config.d_out_oe.name] = bundle.oe
-    for name, data in bundle.tests.items():
-        named["test_" + name] = data
-    for name, data in pipeline.validation_sets(config, bundle, seed).items():
-        named["val_" + name] = data
-    _mkdir(out)
+    named.update(("test_" + name, data) for name, data in bundle.tests.items())
+    named.update(("val_" + name, data) for name, data in pipeline.validation_sets(config, bundle, seed).items())
     for name, data in named.items():
         write_csv(out / f"{name}_seed{seed}.csv", data)
     if not args.quiet:
@@ -247,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions", help="CSV with 'confidence' and 'correct' columns")
     common(p, needs_config=False)
     p.set_defaults(fn=cmd_calibrate)
-
-    p = sub.add_parser("gen-outliers", help="materialize one outlier spec to CSV")
-    common(p)
-    p.add_argument("--name", default=None, help="outlier spec name (default: the auxiliary set)")
-    p.set_defaults(fn=cmd_gen_outliers)
 
     p = sub.add_parser("make-data", help="materialize every dataset in the config to CSV")
     common(p)

@@ -5,13 +5,15 @@ their fields, with lam written "lambda" and base_rate as "out:in". Each
 value must already have its field's declared type: nothing is cast, and
 the one value accepted for another type is an integer for a number. An
 absent field keeps its dataclass default. Validation then checks ranges
-and structure: the auxiliary outlier spec must differ from every test
-outlier spec (the materialized rows are additionally scanned for
-duplicates at run time), no two outlier specs may share a name, and the
-detector x pipeline pairs in REFUSED_PAIRS are rejected. Validation
-outlier specs (d_out_val) are materialized for make-data and
-gen-outliers and echoed in the resolved config; no stage of a run reads
-them, and nothing selects hyperparameters.
+and structure. Every dataset spec, in every role, must resolve through
+datasets.check_params, which owns what a spec may say. The auxiliary
+outlier spec must differ from every test outlier spec once both are
+resolved, so a default spelled out does not make a copy pass (the
+materialized rows are additionally scanned for duplicates at run time).
+No two outlier specs may share a name, and the detector x pipeline pairs
+in REFUSED_PAIRS are rejected. Validation outlier specs (d_out_val) are
+materialized by make-data alone and echoed in the resolved config; no
+stage of a run reads them, and nothing selects hyperparameters.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from pathlib import Path
 
 from ..errors import ConfigurationError
 from ..scoring import DETECTORS
+from . import datasets  # which imports this module back: each reads the other's names only at call time
 
 PIPELINES = ("baseline_only", "finetune_oe", "scratch_oe")
-DATASET_KINDS = ("file", "synthetic_gaussian_mixture", "generator")
 # Detector x pipeline pairs that do not work on the presets, refused with why.
 REFUSED_PAIRS = {
     ("density_bpp", "scratch_oe"): "from random init the margin loss meets its margin at position 0 alone, "
@@ -120,19 +122,14 @@ class DatasetSpec:
     path: str | None = None
 
     def validate(self) -> "DatasetSpec":
-        if self.kind not in DATASET_KINDS:
-            raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
-        if not self.name:
-            raise ConfigurationError("dataset spec needs a name")
-        if self.kind == "file" and not self.path:
-            raise ConfigurationError(f"file dataset {self.name!r} needs a path")
-        if self.kind == "generator" and not isinstance(self.params.get("generator"), str):
-            raise ConfigurationError(f"generator dataset {self.name!r} needs params['generator'] as a string")
+        """Refused unless datasets.check_params resolves it."""
+        datasets.check_params(self)
         return self
 
-    def fingerprint(self) -> str:
-        body = {"kind": self.kind, "params": self.params, "path": self.path}
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
+    def recipe(self) -> tuple:
+        """What the spec builds from: kind, path and resolved params, so a
+        default spelled out gives the recipe that leaving it out gives."""
+        return self.kind, self.path, datasets.check_params(self)
 
 
 @dataclass
@@ -218,7 +215,8 @@ class ExperimentConfig:
             raise ConfigurationError("n_level must lie in (0, 100]")
         if not self.d_out_test:
             raise ConfigurationError("at least one test outlier spec is required")
-        for spec in (self.d_in, *self.d_out_test, *self.d_out_val):
+        outliers = [spec for spec in (self.d_out_oe, *self.d_out_test, *self.d_out_val) if spec is not None]
+        for spec in (self.d_in, *outliers):
             spec.validate()
         needs_oe = self.pipeline in ("finetune_oe", "scratch_oe") and (
             self.lam > 0 or self.detector == "density_bpp"
@@ -226,14 +224,13 @@ class ExperimentConfig:
         if needs_oe and self.d_out_oe is None:
             raise ConfigurationError(f"pipeline {self.pipeline!r} needs an auxiliary outlier spec")
         if self.d_out_oe is not None:
-            self.d_out_oe.validate()
             for t in self.d_out_test:
-                if t.fingerprint() == self.d_out_oe.fingerprint():
+                if t.recipe() == self.d_out_oe.recipe():
                     raise ConfigurationError(
                         f"auxiliary outlier spec must be disjoint from test spec {t.name!r}"
                     )
-        # make-data and gen-outliers key their files and sets by these names
-        names = [spec.name for spec in (self.d_out_oe, *self.d_out_test, *self.d_out_val) if spec is not None]
+        # refusals and report files name an outlier set by its name alone
+        names = [spec.name for spec in outliers]
         repeated = next((name for name in names if names.count(name) > 1), None)
         if repeated is not None:
             raise ConfigurationError(f"outlier spec name {repeated!r} is used more than once; names must be unique "

@@ -7,13 +7,14 @@ its dataset. Every generator lives in that table: the noise sources
 (gaussian, rademacher, bernoulli), the geometric ones (uniform_box, ring,
 shifted_gaussian, scaled_gaussian) and markov_chain walks, beside the
 synthetic_gaussian_mixture inliers. check_params refuses a spec whose
-params do not fit its entry or that its kind cannot run with, and
-resolves the rest, filling in the defaults; materialize builds from those
-resolved values alone, with params.n as the row count when it is set.
-So this module alone knows a spec's row count, ranges and rows. Every
-dataset is one Dataset, of symbol rows when it has an alphabet_size and
-of feature rows otherwise, and one CSV form (write_csv, read_csv) holds
-either. Every materialized auxiliary/test outlier pair is scanned for
+kind, name, path or params do not fit its entry or that its kind cannot
+run with, and resolves the rest, filling in the defaults; config
+validation calls it for every spec in every role, and materialize builds
+from those resolved values alone, with params.n as the row count when it
+is set. So this module alone knows what a spec may say, and its row
+count, ranges and rows. Every dataset is one Dataset, of symbol rows
+when it has an alphabet_size and of feature rows otherwise, and one CSV
+form (write_csv, read_csv) holds either. Every materialized auxiliary/test outlier pair is scanned for
 byte-identical rows so no test example can leak into training.
 """
 
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigurationError, DataError, ValidationError
-from .config import DatasetSpec, typed
+from . import config
 
 
 @dataclass
@@ -366,16 +367,27 @@ def _out_of_range(kind: str, p: dict) -> str | None:
     return None
 
 
-def check_params(spec: DatasetSpec) -> dict:
+def check_params(spec: config.DatasetSpec) -> dict:
     """The spec's params resolved: every key its kind reads, as typed()
-    returned it or at the kind's default. Refuses keys that nothing reads
-    for this spec, so a misspelled or contradictory setting fails instead
-    of running at its default, and values of the wrong type, so nothing is
-    silently cast."""
+    returned it or at the kind's default. Refuses a spec without a name or
+    of an unknown kind, a path on any kind but file (which needs one), keys
+    that nothing reads for this spec, so a misspelled or contradictory
+    setting fails instead of running at its default, and values of the
+    wrong type, so nothing is silently cast."""
+    if spec.kind != "generator" and (spec.kind not in _KINDS or spec.kind in _GENERATORS):
+        raise ConfigurationError(f"unknown dataset kind {spec.kind!r}")
+    if not spec.name:
+        raise ConfigurationError("dataset spec needs a name")
+    if spec.kind == "file" and not spec.path:
+        raise ConfigurationError(f"file dataset {spec.name!r} needs a path")
     kind = spec.params.get("generator") if spec.kind == "generator" else spec.kind
+    if spec.kind == "generator" and not isinstance(kind, str):
+        raise ConfigurationError(f"generator dataset {spec.name!r} needs params['generator'] as a string")
     if spec.kind == "generator" and kind not in _GENERATORS:
         raise ConfigurationError(f"dataset {spec.name!r}: unknown generator {kind!r}; the generators are "
                                  f"{', '.join(_GENERATORS)}")
+    if spec.kind != "file" and spec.path is not None:
+        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read path; only file datasets do")
     entry = _KINDS[kind]
     unknown = sorted(set(spec.params) - set(entry.params))
     if unknown:
@@ -383,7 +395,7 @@ def check_params(spec: DatasetSpec) -> dict:
                                  f"{', '.join(unknown)}; it reads {', '.join(sorted(entry.params))}")
     p = {key: default for key, (_, default) in entry.params.items()}
     for key, value in spec.params.items():
-        p[key] = typed(value, entry.params[key][0], f"dataset {spec.name!r} params.{key}")
+        p[key] = config.typed(value, entry.params[key][0], f"dataset {spec.name!r} params.{key}")
         if key in _LENGTHS and len(value) != _LENGTHS[key]:
             raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have {_LENGTHS[key]} entries, "
                                      f"got {value!r}")
@@ -399,13 +411,12 @@ def check_params(spec: DatasetSpec) -> dict:
     return p
 
 
-def materialize(spec: DatasetSpec, n: int | None, seed, dim: int | None = None):
+def materialize(spec: config.DatasetSpec, n: int | None, seed, dim: int | None = None):
     """The dataset a spec describes. Its row count is params.n, or else n,
     the caller's default for the spec's role; dim is the experiment
     dimension, None without vector inliers. A mixture carries labels,
     every other kind is unlabeled, and markov_chain walks and files read
     with params.alphabet_size hold symbol rows."""
-    spec.validate()
     p = check_params(spec)
     if spec.kind == "file":
         return read_csv(spec.path, p["label_column"], p["alphabet_size"])

@@ -1,4 +1,4 @@
-"""Seeded experiment execution: data preparation, training, scoring, reports.
+"""Seeded experiment execution: data preparation, training, scoring, summaries.
 
 Seeds are fully independent; every random draw inside one seed flows from
 np.random.SeedSequence([seed, *role]) with a fixed role id per purpose, so
@@ -12,7 +12,10 @@ nets, then fine-tunes (or trains scratch_oe) all of them in lockstep.
 When the config calibrates, one calibration.tune_temperature call then
 fits every seed's baseline and final temperatures on its validation
 split, kept from data preparation for that.
-Finally run_seed evaluates, calibrates and reports one seed at a time.
+Finally run_seed evaluates and calibrates one seed at a time, and
+summarize takes every metric's mean over the seeds. run_experiment returns
+that ExperimentResult and prints and writes nothing; the run command hands
+it to reports, which imports this module and not the other way round.
 Every detector's model is a plain nn_core.NetworkParams, a classifier or
 a density net (density.layout), so one stack serves both kinds.
 A seed's models are bit-identical to the ones it would train alone, as a
@@ -20,8 +23,7 @@ stack of one, which is how the train and finetune commands train them; its
 temperatures are bit-identical to a fit of its two models alone.
 Test outlier sets influence nothing upstream of final evaluation but
 that size check. The validation outlier sets (d_out_val) are materialized
-only by validation_sets, for make-data and gen-outliers; no stage of a run
-reads them.
+only by validation_sets, for make-data; no stage of a run reads them.
 
 Every dataset has its params.n rows, or else its role's default, which
 the stages pass to datasets.materialize: none for d_in (a mixture then
@@ -43,7 +45,7 @@ from .. import nn_core
 from .. import scoring as scoring_mod
 from ..errors import ConfigurationError, DataError, DivergenceError, InputError
 from .config import ExperimentConfig
-from .datasets import Dataset, check_disjoint, check_params, materialize
+from .datasets import Dataset, check_disjoint, materialize
 
 # Role ids for seed derivation. Never renumber: stored artifacts depend on them.
 ROLE_DIN = 0
@@ -98,8 +100,6 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     test outlier set, or if a classifier detector's d_in rows have no
     labels."""
     config.validate()
-    for spec in config.d_out_val:  # built by make-data and gen-outliers only, but no typo may pass
-        check_params(spec)
     din = materialize(config.d_in, n=None, seed=_ss(seed, ROLE_DIN))
     n = din.n
     order = np.random.default_rng(_ss(seed, ROLE_SPLIT)).permutation(n)
@@ -427,18 +427,10 @@ def summarize(config: ExperimentConfig, seed_results) -> dict:
     return summary
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, quiet: bool = False) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Every seed trained, evaluated and summarized; nothing is printed or
+    written (the run command writes the report tree)."""
     config.validate()
     trained = train_models(config, config.seeds)
     results = [run_seed(config, s, models) for s, models in zip(config.seeds, trained)]
-    summary = summarize(config, results)
-    exp = ExperimentResult(config, results, summary)
-    if out_dir is not None:
-        from .reports import write_reports
-
-        write_reports(out_dir, exp)
-    if not quiet:
-        from .reports import render_table
-
-        print(render_table(exp), end="")
-    return exp
+    return ExperimentResult(config, results, summarize(config, results))

@@ -21,6 +21,12 @@ detection_report sweeps each pool once for all three.
 Pools are compared at a fixed out:in base rate. base_rate_rows draws the
 rows such a pool keeps from the two set sizes and a seed alone, before
 anything is scored; enforce_base_rate applies that draw to score lists.
+
+Runs call only sweep, detection_report, base_rate_sizes and
+base_rate_rows. auroc, aupr, fpr_at_tpr, roc_points, pr_points and
+enforce_base_rate are library API that no run calls: one metric, or one
+curve, or one pool of score lists at a time. They are kept for the
+oracle tests and for bench/tracer.py, which traces them by name.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ def _report(capsys, num: int, ok: bool, detail: str, elapsed: float) -> None:
 def _timed_run(**preset_overrides):
     name = preset_overrides.pop("preset", "preset_2d")
     t0 = time.perf_counter()
-    exp = pipeline.run_experiment(get_preset(name, **preset_overrides), quiet=True)
+    exp = pipeline.run_experiment(get_preset(name, **preset_overrides))
     return exp, time.perf_counter() - t0
 
 
@@ -433,7 +433,7 @@ def _run_with_box(half_width: float, n: int):
         "generator", "box_noise", {"generator": "uniform_box", "low": -half_width, "high": half_width, "n": n}
     )
     t0 = time.perf_counter()
-    exp = pipeline.run_experiment(config.validate(), quiet=True)
+    exp = pipeline.run_experiment(config.validate())
     return exp.summary["final"], time.perf_counter() - t0
 
 
@@ -480,4 +480,47 @@ def test_criterion_11_exposure_keeps_the_classifier(capsys, pipe):
         f"-> {100 * final:.1f} (final), threshold {-100 * ACCURACY_DROP:.1f} points; "
         f"uniform_ce {'trains' if same else 'does not train'} msp's nets",
         elapsed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# 12: what makes an auxiliary set work: spread, not reach or size alone
+
+# Each auxiliary set holds 2,000 rows that lie well past the inlier
+# clusters: a gaussian of scale 6 spread in every direction, one cluster
+# at (-6, 0), and only the four points (+-6, +-6). Over held-out seeds 10-59, five 10-seed means, the
+# spread set's smallest gain over the baseline on any test set was 34.0
+# points (scaled_gaussian); the gate takes half of it. The narrow and the
+# few-point set each left a test set below chance: the largest such
+# worst-set mean was 7.2 (narrow) and 21.3 (few-point) points, and the
+# spread set's smallest 79.2. The ceiling is chance, which lies between.
+AUX_SETS = {
+    "spread": {"generator": "gaussian", "scale": 6.0, "n": 2000},
+    "narrow": {"generator": "shifted_gaussian", "mean": [-6.0, 0.0], "n": 2000},
+    "few_point": {"generator": "rademacher", "scale": 6.0, "n": 2000},
+}
+SPREAD_GAIN = 0.17
+FAILING_CEILING = 0.5
+
+
+def test_criterion_12_auxiliary_spread_matters(capsys):
+    t0 = time.perf_counter()
+    summaries = {}
+    for tag, params in AUX_SETS.items():
+        config = get_preset("preset_2d")
+        config.d_out_oe = DatasetSpec("generator", tag, params)
+        summaries[tag] = pipeline.run_experiment(config.validate()).summary
+    base = {name: cell["auroc"] for name, cell in summaries["spread"]["baseline"].items()}
+    final = {tag: {name: cell["auroc"] for name, cell in s["final"].items()} for tag, s in summaries.items()}
+    spread_ok = all(final["spread"][name] >= base[name] + SPREAD_GAIN for name in base)
+    worst = {tag: min(final[tag].values()) for tag in ("narrow", "few_point")}
+    ok = spread_ok and all(w < FAILING_CEILING for w in worst.values())
+    _report(
+        capsys, 12, ok,
+        "msp x finetune_oe over 10 seeds, 2,000 auxiliary rows: a spread gaussian lifts every test set by "
+        f"{100 * SPREAD_GAIN:.0f}+ points (" + ", ".join(
+            f"{name} {100 * base[name]:.1f} -> {100 * final['spread'][name]:.1f}" for name in base)
+        + f"); a narrow and a 4-point set each leave one under {100 * FAILING_CEILING:.0f} ("
+        + ", ".join(f"{tag} {100 * w:.1f}" for tag, w in worst.items()) + ")",
+        time.perf_counter() - t0,
     )

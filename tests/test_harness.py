@@ -1,10 +1,12 @@
 """Experiment harness: configs, dataset plumbing, pipelines, reports, CLI."""
 
+import argparse
 import copy
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -213,6 +215,27 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigurationError, match="disjoint"):
             _tiny_config(d_out_oe=oe)
+
+    @pytest.mark.parametrize("spelled_out", [{"scale": 1.0}, {"scale": 1, "offset": 0.0}])
+    def test_oe_copy_of_a_test_spec_with_defaults_spelled_out_is_refused(self, spelled_out):
+        # the recipes are compared once resolved, so a default written out is no difference
+        params = {"generator": "ring", "radius": 6.0, "width": 0.2, "n": 60, **spelled_out}
+        with pytest.raises(ConfigurationError, match="auxiliary outlier spec must be disjoint from test spec 'ring'"):
+            _tiny_config(d_out_oe=DatasetSpec("generator", "ring_copy", params))
+
+    def test_oe_file_spec_naming_a_test_file_with_its_default_label_column_is_refused(self):
+        with pytest.raises(ConfigurationError, match="disjoint from test spec 'rows'"):
+            _tiny_config(d_out_oe=DatasetSpec("file", "rows_copy", {"label_column": "label"}, path="rows.csv"),
+                         d_out_test=[DatasetSpec("file", "rows", path="rows.csv")])
+
+    def test_a_path_on_a_spec_that_is_not_a_file_is_refused(self):
+        # only file datasets read path, so anywhere else it would be silently ignored
+        spec = DatasetSpec("generator", "ring", {"generator": "ring", "radius": 6.0, "n": 60}, path="x.csv")
+        message = "dataset 'ring' \\(ring\\) does not read path; only file datasets do"
+        with pytest.raises(ConfigurationError, match=message):
+            spec.validate()
+        with pytest.raises(ConfigurationError, match=message):
+            datasets.materialize(spec, n=None, seed=0, dim=2)
 
     def test_exposure_pipeline_needs_oe_spec(self):
         with pytest.raises(ConfigurationError, match="auxiliary"):
@@ -801,7 +824,7 @@ class TestPrepareData:
             pipeline.prepare_data(config, seed=0)
 
     def test_file_oe_overlapping_test_rows_refused(self, tmp_path):
-        # Same rows under two different paths: the config-level fingerprint
+        # Same rows under two different paths: the config-level recipe
         # check passes, the materialized row check must still refuse.
         rows = datasets.Dataset(np.random.default_rng(0).standard_normal((30, 2)))
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1002,7 +1025,7 @@ class TestEvaluation:
 
         monkeypatch.setattr(pipeline.calib_mod, "tune_temperature", counted)
         config = self._overlapping_config(seeds=(0, 1, 2))
-        exp = pipeline.run_experiment(config, quiet=True)
+        exp = pipeline.run_experiment(config)
         n_val = int(round(0.15 * 120))
         assert calls == [(6, n_val, 3)]
         assert all(set(sr.calibration) == {"baseline_temp", "final_temp", "final_temp_rescaled"}
@@ -1010,7 +1033,7 @@ class TestEvaluation:
 
     def test_a_seed_run_alone_writes_the_calibration_bytes_of_a_stacked_run(self, tmp_path):
         config = self._overlapping_config(seeds=(0, 1, 2))
-        pipeline.run_experiment(config, out_dir=tmp_path / "run", quiet=True)
+        reports.write_reports(tmp_path / "run", pipeline.run_experiment(config))
         solo = self._overlapping_config(seeds=(1,))
         baseline, final, temps = models = pipeline.train_models(solo, [1])[0]
         sr = pipeline.run_seed(solo, 1, models)
@@ -1049,7 +1072,7 @@ class TestReports:
     def test_report_file_inventory(self, tmp_path):
         config = _tiny_config(seeds=(0, 1), calibration=True)
         out = tmp_path / "run"
-        pipeline.run_experiment(config, out_dir=out, quiet=True)
+        reports.write_reports(out, pipeline.run_experiment(config))
         for name in ("per_seed.csv", "summary.csv", "summary.json", "config_resolved.json",
                      "table.txt"):
             assert (out / name).exists(), name
@@ -1062,8 +1085,8 @@ class TestReports:
     def test_reruns_are_byte_identical(self, tmp_path):
         config = _tiny_config(seeds=(0, 1))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        pipeline.run_experiment(config, out_dir=out1, quiet=True)
-        pipeline.run_experiment(config, out_dir=out2, quiet=True)
+        reports.write_reports(out1, pipeline.run_experiment(config))
+        reports.write_reports(out2, pipeline.run_experiment(config))
         files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
         files2 = sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
         assert files1 == files2
@@ -1073,7 +1096,7 @@ class TestReports:
     def test_summary_is_exact_mean_of_per_seed_rows(self, tmp_path):
         config = _tiny_config(seeds=(0, 1, 2))
         out = tmp_path / "run"
-        pipeline.run_experiment(config, out_dir=out, quiet=True)
+        reports.write_reports(out, pipeline.run_experiment(config))
         import csv as _csv
 
         per_seed = {}
@@ -1096,7 +1119,7 @@ class TestReports:
     def test_summary_json_payload(self, tmp_path):
         config = _tiny_config(seeds=(0,))
         out = tmp_path / "run"
-        pipeline.run_experiment(config, out_dir=out, quiet=True)
+        reports.write_reports(out, pipeline.run_experiment(config))
         payload = json.loads((out / "summary.json").read_text())
         assert payload["config"]["lambda"] == 0.5
         assert payload["summary"]["final"]["ring"]["n_seeds"] == 1
@@ -1107,7 +1130,7 @@ class TestReports:
 
     def test_table_mentions_every_test_set(self, tmp_path):
         config = _tiny_config(seeds=(0,))
-        exp = pipeline.run_experiment(config, quiet=True)
+        exp = pipeline.run_experiment(config)
         table = reports.render_table(exp)
         assert table.startswith("tiny:")
         assert "ring" in table
@@ -1116,7 +1139,7 @@ class TestReports:
     def test_curve_files_parse_and_hit_endpoints(self, tmp_path):
         config = _tiny_config(seeds=(0,))
         out = tmp_path / "run"
-        pipeline.run_experiment(config, out_dir=out, quiet=True)
+        reports.write_reports(out, pipeline.run_experiment(config))
         import csv as _csv
 
         with (out / "curves" / "roc_ring_seed0.csv").open(newline="") as fh:
@@ -1165,7 +1188,7 @@ class TestCli:
         assert "error: seed 3, test set 'shifted_gaussian': pools of 3 out / 180 in cannot realize ratio 5:1" in err
         assert calls == []
 
-    @pytest.mark.parametrize("command", ["run", "train", "finetune", "eval", "gen-outliers", "make-data"])
+    @pytest.mark.parametrize("command", ["run", "train", "finetune", "eval", "make-data"])
     def test_refused_command_leaves_no_output_directory(self, tmp_path, capsys, command):
         # the refusal comes while the data are prepared, after the output
         # path is known and before anything is written
@@ -1180,7 +1203,7 @@ class TestCli:
         assert "cannot realize ratio 5:1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "train", "make-data", "gen-outliers"])
+    @pytest.mark.parametrize("command", ["run", "train", "make-data"])
     def test_unlabeled_inliers_under_a_classifier_detector_exit_one(self, tmp_path, capsys, command):
         # every command prepares the data, so each refuses what run cannot train
         rows = _mixture(0, k=3, n_per_cluster=40, dim=2, separation=6.0)
@@ -1244,7 +1267,7 @@ class TestCli:
             model=ModelSettings(hidden_dims=(32, 32), lr0=0.1, finetune_lr0=0.05, batch_size=32),
         )
         default, one = tmp_path / "default", tmp_path / "one"
-        pipeline.run_experiment(config, out_dir=default, quiet=True)
+        reports.write_reports(default, pipeline.run_experiment(config))
         path = tmp_path / "cfg.json"
         save_config(config, path)
         assert cli.main(["run", "-c", str(path), "-o", str(one), "-q"]) == 0
@@ -1731,7 +1754,7 @@ class TestCli:
         assert "seed 0, stage train_baseline" in err
         assert "epoch 1 of 3" in err
 
-    @pytest.mark.parametrize("command", ["run", "train", "finetune", "eval", "gen-outliers", "make-data"])
+    @pytest.mark.parametrize("command", ["run", "train", "finetune", "eval", "make-data"])
     def test_negative_seed_override_exits_one_and_names_it(self, tmp_path, capsys, command):
         path = self._write_config(tmp_path)
         extra = ["--params", str(tmp_path / "unread.bin")] if command in ("finetune", "eval") else []
@@ -1790,28 +1813,9 @@ class TestCli:
             nn_core.save_params(model, expected)
             assert (out / f"{name}_seed{seed}.bin").read_bytes() == expected.read_bytes(), name
 
-    def test_gen_outliers(self, tmp_path, capsys):
-        path = self._write_config(tmp_path)
-        out = tmp_path / "out"
-        assert cli.main(["gen-outliers", "-c", str(path), "-o", str(out), "-q"]) == 0
-        made = datasets.read_csv(out / "box_seed0.csv")
-        assert made.n == 120
-        rc = cli.main(["gen-outliers", "-c", str(path), "-o", str(out), "-q",
-                       "--name", "nonesuch"])
-        assert rc == 1
-
-    def test_gen_outliers_writes_the_rows_make_data_writes(self, tmp_path, capsys):
-        path = self._write_config(tmp_path)
-        gen, made = tmp_path / "gen", tmp_path / "made"
-        assert cli.main(["make-data", "-c", str(path), "-o", str(made), "-q"]) == 0
-        for name, stem in (("ring", "test_ring"), ("box", "oe_box"), ("val_shift", "val_val_shift")):
-            rc = cli.main(["gen-outliers", "-c", str(path), "-o", str(gen), "-q", "--name", name])
-            assert rc == 0
-            assert (gen / f"{name}_seed0.csv").read_bytes() == (made / f"{stem}_seed0.csv").read_bytes()
-
     @pytest.mark.parametrize("other", ["val_shift", "ring", "box"])
     def test_make_data_refuses_an_outlier_spec_name_used_twice(self, tmp_path, capsys, other):
-        # each set's file and gen-outliers name come from its spec name, so a repeat would lose a set
+        # refusals name a set by its spec name alone, and within a role a repeat would lose a set's file
         body = _tiny_config().to_dict()
         body["d_out_val"].append({"kind": "generator", "name": other,
                                   "params": {"generator": "gaussian", "n": 50}})
@@ -1822,6 +1826,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: outlier spec name {other!r} is used more than once" in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["d_in", "d_out_oe", "d_out_test", "d_out_val"])
+    def test_a_path_on_a_spec_that_is_not_a_file_exits_one(self, tmp_path, capsys, role):
+        body = _tiny_config().to_dict()
+        spec = body[role][0] if isinstance(body[role], list) else body[role]
+        spec["path"] = "rows.csv"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        kind = spec["params"].get("generator", spec["kind"])
+        err = capsys.readouterr().err
+        assert f"error: dataset {spec['name']!r} ({kind}) does not read path; only file datasets do" in err, err
+        assert not out.exists()
+
+    def test_docs_name_every_subcommand(self):
+        # the cli docstring, README's CLI block and the parser list one set of commands
+        choices = next(a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        listed = re.search(r"Subcommands:(.*?)\.", cli.__doc__, re.S).group(1)
+        docstring = {name.strip() for name in listed.split(",")}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## CLI\n\n```\n(.*?)```", readme, re.S | re.M).group(1)
+        in_readme = {line.split()[1] for line in block.splitlines() if line.startswith("oewb ")}
+        assert docstring == in_readme == set(choices), (docstring, in_readme, sorted(choices))
 
     def test_make_data(self, tmp_path, capsys):
         path = self._write_config(tmp_path)
