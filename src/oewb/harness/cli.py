@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -35,7 +34,7 @@ from .. import calibration as calib_mod
 from .. import nn_core
 from ..errors import ConfigurationError, DataError, DivergenceError, ValidationError
 from . import pipeline, reports
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, write_json
 from .datasets import read_csv_rows, write_csv
 from .presets import PRESET_NAMES, get_preset
 
@@ -56,13 +55,13 @@ def _mkdir(out: Path) -> Path:
     return out
 
 
-def _load_model(config: ExperimentConfig, train: pipeline.TrainingSet, path: str) -> nn_core.NetworkParams:
+def _load_model(config: ExperimentConfig, bundle: pipeline.DataBundle, path: str) -> nn_core.NetworkParams:
     """A saved net, refused unless it has the widths and activation the config builds on these data."""
     net = nn_core.load_params(path)
-    want = pipeline.layer_dims(config, train)
-    if net.layer_dims != want or net.activation != config.model.activation:
+    if net.layer_dims != bundle.layer_dims or net.activation != config.model.activation:
         raise ConfigurationError(f"{path}: the net has layer widths {net.layer_dims} and activation "
-                                 f"{net.activation!r}, but this config builds {want} with {config.model.activation!r}")
+                                 f"{net.activation!r}, but this config builds {bundle.layer_dims} with "
+                                 f"{config.model.activation!r}")
     return net
 
 
@@ -79,7 +78,7 @@ def cmd_run(args) -> int:
 def cmd_train(args) -> int:
     config, seed, out = _preamble(args)
     bundle = pipeline.prepare_data(config, seed)
-    [model] = pipeline.train_baseline(config, pipeline.training_set([bundle], [seed]))
+    [model] = pipeline.train_baseline(config, pipeline.training_set([bundle]))
     path = _mkdir(out) / f"baseline_seed{seed}.bin"
     nn_core.save_params(model, path)
     if not args.quiet:
@@ -89,8 +88,9 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     config, seed, out = _preamble(args)
-    train = pipeline.training_set([pipeline.prepare_data(config, seed)], [seed])
-    [model] = pipeline.finetune_oe(config, train, [_load_model(config, train, args.params)])
+    bundle = pipeline.prepare_data(config, seed)
+    baseline = _load_model(config, bundle, args.params)
+    [model] = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])
     path = _mkdir(out) / f"finetuned_seed{seed}.bin"
     nn_core.save_params(model, path)
     if not args.quiet:
@@ -101,10 +101,8 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     config, seed, out = _preamble(args)
     bundle = pipeline.prepare_data(config, seed)
-    model = _load_model(config, pipeline.training_set([bundle], [seed]), args.params)
-    rep, pools = pipeline.evaluate_detector(model, config, bundle, seed)
-    payload = {name: asdict(r) for name, r in rep.items()}
-    (_mkdir(out) / f"eval_seed{seed}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    rep, pools = pipeline.evaluate_detector(_load_model(config, bundle, args.params), config, bundle)
+    write_json(_mkdir(out) / f"eval_seed{seed}.json", {name: asdict(r) for name, r in rep.items()})
     for name, pool in pools.items():
         reports.write_pool_scores(out / f"scores_{name}_seed{seed}.csv", pool)
     if not args.quiet:
@@ -147,7 +145,7 @@ def cmd_calibrate(args) -> int:
     conf, correct = _read_predictions_csv(args.predictions)
     report = calib_mod.report_from_records(conf, correct)
     path = _mkdir(Path(args.out or ".")) / (Path(args.predictions).stem + "_calibration.json")
-    path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    write_json(path, asdict(report))
     if not args.quiet:
         print(f"rms={report.rms_error:.6f} mad={report.mad_error:.6f} soft_f1={report.soft_f1:.6f}")
         print(f"calibration report written to {path}")
@@ -161,7 +159,7 @@ def cmd_make_data(args) -> int:
     if bundle.oe is not None:
         named["oe_" + config.d_out_oe.name] = bundle.oe
     named.update(("test_" + name, data) for name, data in bundle.tests.items())
-    named.update(("val_" + name, data) for name, data in pipeline.validation_sets(config, bundle, seed).items())
+    named.update(("val_" + name, data) for name, data in pipeline.validation_sets(config, bundle).items())
     for name, data in named.items():
         write_csv(out / f"{name}_seed{seed}.csv", data)
     if not args.quiet:
@@ -176,13 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", "-c", required=True,
-                           help=f"config JSON path or preset name {PRESET_NAMES}")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    def outputs(p):
         p.add_argument("--out", "-o", default=None, help="output directory")
         p.add_argument("--quiet", "-q", action="store_true", help="suppress progress output")
+
+    def common(p):
+        p.add_argument("--config", "-c", required=True, help=f"config JSON path or preset name {PRESET_NAMES}")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        outputs(p)
 
     p = sub.add_parser("run", help="full multi-seed pipeline with reports")
     common(p)
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="calibration report from a prediction CSV")
     p.add_argument("predictions", help="CSV with 'confidence' and 'correct' columns")
-    common(p, needs_config=False)
+    outputs(p)
     p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("make-data", help="materialize every dataset in the config to CSV")

@@ -224,8 +224,9 @@ class ExperimentConfig:
         if needs_oe and self.d_out_oe is None:
             raise ConfigurationError(f"pipeline {self.pipeline!r} needs an auxiliary outlier spec")
         if self.d_out_oe is not None:
+            oe_recipe = self.d_out_oe.recipe()
             for t in self.d_out_test:
-                if t.recipe() == self.d_out_oe.recipe():
+                if t.recipe() == oe_recipe:
                     raise ConfigurationError(
                         f"auxiliary outlier spec must be disjoint from test spec {t.name!r}"
                     )
@@ -269,5 +270,10 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(payload)
 
 
+def write_json(path, payload) -> None:
+    """payload in the one JSON file form: sorted keys, indent 2, final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, config.to_dict())

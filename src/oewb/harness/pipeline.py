@@ -3,6 +3,10 @@
 Seeds are fully independent; every random draw inside one seed flows from
 np.random.SeedSequence([seed, *role]) with a fixed role id per purpose, so
 any stage can be recomputed in isolation and reruns are bit-identical.
+A seed's DataBundle carries that seed and the widths of the nets that read
+its data, and the stages take both from it, so its pools and calibration
+mix come from the seed that built it. prepare_data expects a validated
+config, which run_experiment (validating once) and the CLI commands give.
 
 run_experiment goes stage by stage across the seeds. It prepares every
 seed's data (refusing, before anything trains, sets the nets cannot read,
@@ -67,12 +71,16 @@ def _ss(seed: int, *role) -> np.random.SeedSequence:
 
 @dataclass
 class DataBundle:
-    din_train: object
-    din_val: object
-    din_test: object
-    oe: object | None
-    tests: dict
-    n_classes: int | None = None
+    """One seed's data, the seed that built them, and the layer widths of
+    the nets that read them (a classifier's last width is its class count)."""
+
+    seed: int
+    din_train: Dataset
+    din_val: Dataset
+    din_test: Dataset
+    oe: Dataset | None
+    tests: dict  # test outlier set name -> Dataset
+    layer_dims: list
 
 
 def _check_kind(config: ExperimentConfig, din, named) -> None:
@@ -98,8 +106,7 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     if a test outlier set and the inlier test split cannot form a pool at
     the config's base rate, if any auxiliary outlier row reappears in a
     test outlier set, or if a classifier detector's d_in rows have no
-    labels."""
-    config.validate()
+    labels. config must be validated."""
     din = materialize(config.d_in, n=None, seed=_ss(seed, ROLE_DIN))
     n = din.n
     order = np.random.default_rng(_ss(seed, ROLE_SPLIT)).permutation(n)
@@ -125,25 +132,27 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
         if oe is not None:
             check_disjoint(oe, test, config.d_out_oe.name, name)
 
-    n_classes = None
-    if config.detector != "density_bpp":
+    if config.detector == "density_bpp":
+        dims = density_mod.ar_layer_dims(din.alphabet_size, config.model.context_window, config.model.hidden_dims)
+    else:
         if din.labels is None:
             raise ConfigurationError(f"detector {config.detector!r} trains a classifier, which needs labeled "
                                      f"rows, but d_in {config.d_in.name!r} has no labels")
         n_classes = int(din.labels.max()) + 1
         if n_classes < 2:
             raise ConfigurationError("classification needs at least two classes")
-    return DataBundle(din_train, din_val, din_test, oe, tests, n_classes)
+        dims = [din.dim, *config.model.hidden_dims, n_classes]
+    return DataBundle(int(seed), din_train, din_val, din_test, oe, tests, dims)
 
 
-def validation_sets(config: ExperimentConfig, bundle: DataBundle, seed: int) -> dict:
-    """The validation outlier sets (d_out_val) of one seed, keyed by name.
+def validation_sets(config: ExperimentConfig, bundle: DataBundle) -> dict:
+    """The validation outlier sets (d_out_val) of the bundle's seed, by name.
 
     Each is seeded by its own ROLE_VAL index and takes its width from the
     bundle's training split, so it does not depend on which other sets are
     built."""
     vals = {
-        spec.name: materialize(spec, n=200, seed=_ss(seed, ROLE_VAL, i), dim=bundle.din_train.dim)
+        spec.name: materialize(spec, n=200, seed=_ss(bundle.seed, ROLE_VAL, i), dim=bundle.din_train.dim)
         for i, spec in enumerate(config.d_out_val)
     }
     _check_kind(config, bundle.din_train, vals.items())
@@ -157,54 +166,43 @@ def validation_sets(config: ExperimentConfig, bundle: DataBundle, seed: int) -> 
 
 @dataclass
 class TrainingSet:
-    """What training reads of every seed, stacked along a leading seed axis:
-    each seed's training split and its auxiliary outliers. validation holds
-    each seed's validation split when temperatures are fitted after training."""
+    """What training reads of every bundle, stacked along a leading seed axis:
+    its seed, training split and auxiliary outliers, and the nets' widths.
+    validation holds each seed's validation split when temperatures are fitted."""
 
     seeds: list
     rows: np.ndarray  # (S, n, d) features or (S, n, D) symbol sequences
     labels: np.ndarray | None  # (S, n) class labels of vector data
     oe_rows: np.ndarray | None  # (S, m, ...) auxiliary outliers
-    n_classes: int | None = None
-    alphabet_size: int | None = None
+    layer_dims: list
     validation: list | None = None  # one din_val dataset per seed
 
 
-def training_set(bundles, seeds, validation: bool = False) -> TrainingSet:
-    """Stack the training part of one bundle per seed, in seed order.
+def training_set(bundles, validation: bool = False) -> TrainingSet:
+    """Stack the training part of one bundle per seed, in bundle order.
 
     bundles may be a generator: only the training part of each bundle (and
     with validation, its validation split) is kept once the next one is
     drawn. Symbol sequences are stacked in the smallest unsigned dtype that
     holds their alphabet.
     """
-    kept = [(b.din_train, b.oe, b.n_classes, b.din_val if validation else None) for b in bundles]
-    din, oe, n_classes, _ = kept[0]
-    alphabet = din.alphabet_size
+    kept = [(b.seed, b.din_train, b.oe, b.din_val if validation else None, b.layer_dims) for b in bundles]
+    seeds, dins, oes, vals, dims = zip(*kept)
+    alphabet = dins[0].alphabet_size
     dtype = np.float64 if alphabet is None else np.min_scalar_type(alphabet)
     return TrainingSet(
-        [int(s) for s in seeds],
-        np.stack([d.rows for d, *_ in kept]).astype(dtype, copy=False),
-        None if din.labels is None else np.stack([d.labels for d, *_ in kept]),
-        None if oe is None else np.stack([o.rows for _, o, *_ in kept]).astype(dtype, copy=False),
-        n_classes,
-        alphabet,
-        [v for *_, v in kept] if validation else None,
+        list(seeds),
+        np.stack([d.rows for d in dins]).astype(dtype, copy=False),
+        None if dins[0].labels is None else np.stack([d.labels for d in dins]),
+        None if oes[0] is None else np.stack([o.rows for o in oes]).astype(dtype, copy=False),
+        dims[0],
+        list(vals) if validation else None,
     )
-
-
-def layer_dims(config: ExperimentConfig, train: TrainingSet) -> list:
-    """The layer widths of the nets this config trains on these data."""
-    m = config.model
-    if config.detector == "density_bpp":
-        return density_mod.ar_layer_dims(train.alphabet_size, m.context_window, m.hidden_dims)
-    return [train.rows.shape[-1], *m.hidden_dims, train.n_classes]
 
 
 def _initial_stack(config: ExperimentConfig, train: TrainingSet) -> nn_core.NetworkParams:
     """Every seed's freshly initialised net, as one stack."""
-    dims = layer_dims(config, train)
-    nets = [nn_core.init_network(dims, _ss(s, ROLE_INIT), config.model.activation) for s in train.seeds]
+    nets = [nn_core.init_network(train.layer_dims, _ss(s, ROLE_INIT), config.model.activation) for s in train.seeds]
     return nn_core.NetworkParams.stack(nets)
 
 
@@ -284,15 +282,16 @@ def fit_temperatures(pairs, validation) -> list:
     return list(zip(temps[0::2], temps[1::2]))
 
 
-def train_models(config: ExperimentConfig, seeds) -> list:
-    """SeedModels of every seed, each stage trained in lockstep across the
-    seeds, and with calibration every seed's temperatures in one fit.
+def train_models(config: ExperimentConfig) -> list:
+    """SeedModels of every seed of the config, each stage trained in
+    lockstep across the seeds, and with calibration every seed's
+    temperatures in one fit.
 
     Every seed's data are prepared, and checked for auxiliary-outlier
     overlap, before any training starts; only their training set (and with
     calibration, their validation split) is kept.
     """
-    train = training_set((prepare_data(config, s) for s in seeds), seeds, validation=config.calibration)
+    train = training_set((prepare_data(config, s) for s in config.seeds), validation=config.calibration)
     baselines = train_baseline(config, train)
     if config.pipeline == "finetune_oe":
         finals = finetune_oe(config, train, baselines)
@@ -314,13 +313,13 @@ def classifier_accuracy(params: nn_core.NetworkParams, data: Dataset) -> float:
 # Evaluation
 
 
-def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed: int):
+def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle):
     """Scored base-rate pools and detection reports for every test outlier set.
 
     Returns (reports, pools) keyed by set name. Each set's pool rows are
     drawn first, from the set sizes alone (metrics.base_rate_rows, seeded
-    per set), so baseline and fine-tuned models are compared on identical
-    example pools. Then only what the pools read is scored: the inlier test
+    per set from the bundle's seed), so baseline and fine-tuned models are
+    compared on identical example pools. Then only what the pools read is scored: the inlier test
     split once, whole, and of each outlier set the rows its pool keeps
     (scoring.score_rows, which gives them the bits of a whole-set pass).
     """
@@ -329,7 +328,7 @@ def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle, seed:
     reports, pools = {}, {}
     for i, (name, data) in enumerate(bundle.tests.items()):
         in_rows, out_rows = metrics_mod.base_rate_rows(
-            din.n, data.n, ratio=config.base_rate, seed=_ss(seed, ROLE_BASE_RATE, i)
+            din.n, data.n, ratio=config.base_rate, seed=_ss(bundle.seed, ROLE_BASE_RATE, i)
         )
         out_scores = scoring_mod.score_rows(model, config.detector, data.rows, out_rows)
         pool = metrics_mod.ScoredSet(in_scores[in_rows], out_scores)
@@ -345,15 +344,14 @@ def _confidences(params, data: Dataset, temperature: float):
     return conf, correct
 
 
-def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, final, seed: int,
-                     temperatures) -> dict:
+def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, final, temperatures) -> dict:
     """Mixed-pool calibration comparison: baseline model at its tuned
     temperature, exposure-trained model at its own, and the latter after
     rescaling confidences to the [1/k, 1] -> [0, 1] posterior range.
     temperatures is the (baseline, final) pair from fit_temperatures. The
     pool mixes in-distribution test rows with pooled test outliers at equal
-    counts; outliers count as incorrect."""
-    k = bundle.n_classes
+    counts, drawn from the bundle's seed; outliers count as incorrect."""
+    k = bundle.layer_dims[-1]
     ood_rows = np.concatenate([d.rows for d in bundle.tests.values()], axis=0)
     out = {}
     for tag, model, temp in zip(("baseline", "final"), (baseline, final), temperatures):
@@ -361,7 +359,7 @@ def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, fin
         ood_logits = nn_core.forward(model, ood_rows)
         conf_ood = nn_core.max_softmax(ood_logits, temp)
         conf, correct = calib_mod.mixed_prediction_records(
-            conf_in, correct_in, conf_ood, seed=_ss(seed, ROLE_CALIBRATION)
+            conf_in, correct_in, conf_ood, seed=_ss(bundle.seed, ROLE_CALIBRATION)
         )
         out[f"{tag}_temp"] = calib_mod.report_from_records(conf, correct, temperature=temp)
         if tag == "final":
@@ -397,9 +395,9 @@ def run_seed(config: ExperimentConfig, seed: int, models: SeedModels) -> SeedRes
     for one seed at a time."""
     baseline, final, temps = models
     bundle = prepare_data(config, seed)
-    base_reports, _ = evaluate_detector(baseline, config, bundle, seed)
-    final_reports, pools = evaluate_detector(final, config, bundle, seed)
-    cal = calibration_eval(config, bundle, baseline, final, seed, temps) if config.calibration else None
+    base_reports, _ = evaluate_detector(baseline, config, bundle)
+    final_reports, pools = evaluate_detector(final, config, bundle)
+    cal = calibration_eval(config, bundle, baseline, final, temps) if config.calibration else None
     acc = None
     if config.detector != "density_bpp":
         acc = classifier_accuracy(final, bundle.din_train)
@@ -431,6 +429,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Every seed trained, evaluated and summarized; nothing is printed or
     written (the run command writes the report tree)."""
     config.validate()
-    trained = train_models(config, config.seeds)
+    trained = train_models(config)
     results = [run_seed(config, s, models) for s, models in zip(config.seeds, trained)]
     return ExperimentResult(config, results, summarize(config, results))

@@ -15,7 +15,6 @@ only precision is repr'd, once per distinct value.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict
 from pathlib import Path
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..metrics import ScoredSet, sweep
+from .config import save_config, write_json
 from .pipeline import ExperimentResult
 
 
@@ -198,18 +198,11 @@ def write_reports(out_dir, exp: ExperimentResult) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_per_seed_csv(out / "per_seed.csv", exp)
     write_summary_csv(out / "summary.csv", exp)
-    (out / "summary.json").write_text(
-        json.dumps(summary_payload(exp), indent=2, sort_keys=True) + "\n"
-    )
-    (out / "config_resolved.json").write_text(
-        json.dumps(exp.config.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "summary.json", summary_payload(exp))
+    save_config(exp.config, out / "config_resolved.json")
     (out / "table.txt").write_text(render_table(exp))
     write_curves(out, exp)
     write_score_files(out, exp)
     for sr in exp.seed_results:
         if sr.calibration is not None:
-            payload = {k: asdict(v) for k, v in sr.calibration.items()}
-            (out / f"calibration_seed{sr.seed}.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
+            write_json(out / f"calibration_seed{sr.seed}.json", {k: asdict(v) for k, v in sr.calibration.items()})

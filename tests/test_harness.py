@@ -769,7 +769,7 @@ class TestPrepareData:
         assert bundle.din_train.n == round(0.7 * n)
         assert bundle.din_val.n == round(0.15 * n)
         assert bundle.din_test.n == n - bundle.din_train.n - bundle.din_val.n
-        assert bundle.n_classes == 3
+        assert bundle.layer_dims[-1] == 3
         assert bundle.din_train.alphabet_size is None
         assert set(bundle.tests) == {"ring"}
         assert bundle.oe.n == 120
@@ -777,7 +777,7 @@ class TestPrepareData:
     def test_validation_sets_are_built_on_request(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=0)
-        vals = pipeline.validation_sets(config, bundle, seed=0)
+        vals = pipeline.validation_sets(config, bundle)
         assert set(vals) == {"val_shift"}
         seed = pipeline._ss(0, pipeline.ROLE_VAL, 0)
         direct = datasets.materialize(config.d_out_val[0], n=60, seed=seed, dim=2)
@@ -791,7 +791,7 @@ class TestPrepareData:
         )]
         bundle = pipeline.prepare_data(config, seed=0)
         with pytest.raises(ConfigurationError, match="'walks' is not"):
-            pipeline.validation_sets(config, bundle, seed=0)
+            pipeline.validation_sets(config, bundle)
 
     def test_split_is_a_partition(self):
         config = _tiny_config()
@@ -845,8 +845,8 @@ class TestTrainingPipeline:
         config = _tiny_config(lam=0.0)
         seed = 3
         bundle = pipeline.prepare_data(config, seed)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [seed]))[0]
-        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle], [seed]), [baseline])[0]
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
 
         X, y = bundle.din_train.rows, bundle.din_train.labels
         n = X.shape[0]
@@ -874,30 +874,30 @@ class TestTrainingPipeline:
     def test_zero_finetune_epochs_returns_baseline(self):
         config = _tiny_config(finetune_epochs=0)
         bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
-        assert pipeline.finetune_oe(config, pipeline.training_set([bundle], [0]), [baseline])[0] is baseline
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        assert pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0] is baseline
 
     def test_baseline_is_deterministic(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=4)
-        a = pipeline.train_baseline(config, pipeline.training_set([bundle], [4]))[0]
-        b = pipeline.train_baseline(config, pipeline.training_set([bundle], [4]))[0]
+        a = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        b = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
     def test_baseline_fits_separable_clusters(self):
         config = _tiny_config(epochs=20)
         bundle = pipeline.prepare_data(config, seed=0)
-        model = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
+        model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
         assert pipeline.classifier_accuracy(model, bundle.din_train) >= 0.95
         assert pipeline.classifier_accuracy(model, bundle.din_val) >= 0.9
 
     def test_scratch_differs_from_finetune(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
-        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle], [0]), [baseline])[0]
-        scratch = pipeline.train_scratch_oe(config, pipeline.training_set([bundle], [0]))[0]
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
+        scratch = pipeline.train_scratch_oe(config, pipeline.training_set([bundle]))[0]
         assert any(
             not np.array_equal(a, b) for a, b in zip(tuned.arrays(), scratch.arrays())
         )
@@ -905,15 +905,21 @@ class TestTrainingPipeline:
     def test_finetune_leaves_baseline_untouched(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
         before = [a.copy() for a in baseline.arrays()]
-        pipeline.finetune_oe(config, pipeline.training_set([bundle], [0]), [baseline])[0]
+        pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
         for a, b in zip(baseline.arrays(), before):
             assert np.array_equal(a, b)
 
+    def test_training_set_takes_seeds_and_widths_from_the_bundles(self):
+        config = _tiny_config(seeds=(3, 1))
+        train = pipeline.training_set(pipeline.prepare_data(config, s) for s in config.seeds)
+        assert train.seeds == [3, 1]
+        assert train.layer_dims == [2, 8, 3]
+
     def test_stacked_divergence_names_the_diverging_seed(self):
         config = _tiny_config(seeds=(3, 4))
-        train = pipeline.training_set((pipeline.prepare_data(config, s) for s in config.seeds), config.seeds)
+        train = pipeline.training_set(pipeline.prepare_data(config, s) for s in config.seeds)
         train.rows[1] *= 1e300
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             pipeline.train_baseline(config, train)
@@ -922,7 +928,7 @@ class TestTrainingPipeline:
 
     def test_density_seed_run(self):
         config = _tiny_density_config()
-        sr = pipeline.run_seed(config, 0, pipeline.train_models(config, [0])[0])
+        sr = pipeline.run_seed(config, 0, pipeline.train_models(config)[0])
         assert set(sr.reports) == {"baseline", "final"}
         assert set(sr.reports["final"]) == {"periodic"}
         assert sr.train_accuracy is None
@@ -935,8 +941,8 @@ class TestEvaluation:
     def test_pools_respect_base_rate(self):
         config = _tiny_config(base_rate=(1, 2))
         bundle = pipeline.prepare_data(config, seed=0)
-        model = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
-        _, pools = pipeline.evaluate_detector(model, config, bundle, seed=0)
+        model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        _, pools = pipeline.evaluate_detector(model, config, bundle)
         pool = pools["ring"]
         n_in, n_out = bundle.din_test.n, bundle.tests["ring"].n
         m = min(n_out // 1, n_in // 2)
@@ -946,9 +952,9 @@ class TestEvaluation:
     def test_pool_subsample_is_seeded_per_set(self):
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=5)
-        model = pipeline.train_baseline(config, pipeline.training_set([bundle], [5]))[0]
-        _, p1 = pipeline.evaluate_detector(model, config, bundle, seed=5)
-        _, p2 = pipeline.evaluate_detector(model, config, bundle, seed=5)
+        model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        _, p1 = pipeline.evaluate_detector(model, config, bundle)
+        _, p2 = pipeline.evaluate_detector(model, config, bundle)
         assert np.array_equal(p1["ring"].in_scores, p2["ring"].in_scores)
         assert np.array_equal(p1["ring"].out_scores, p2["ring"].out_scores)
 
@@ -957,12 +963,24 @@ class TestEvaluation:
         # score that both models agree on lands in both pools or neither.
         config = _tiny_config(base_rate=(1, 1))
         bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle], [0]))[0]
-        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle], [0]), [baseline])[0]
-        _, pb = pipeline.evaluate_detector(baseline, config, bundle, seed=0)
-        _, pf = pipeline.evaluate_detector(tuned, config, bundle, seed=0)
+        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
+        _, pb = pipeline.evaluate_detector(baseline, config, bundle)
+        _, pf = pipeline.evaluate_detector(tuned, config, bundle)
         assert pb["ring"].in_scores.size == pf["ring"].in_scores.size
         assert pb["ring"].out_scores.size == pf["ring"].out_scores.size
+
+    def test_a_bundle_draws_the_pools_of_its_own_seed(self):
+        config = _tiny_config(seeds=(5,))
+        models = pipeline.train_models(config)[0]
+        sr = pipeline.run_seed(config, 5, models)
+        _, pools = pipeline.evaluate_detector(models.final, config, pipeline.prepare_data(config, 5))
+        assert set(pools) == set(sr.pools) == {"ring"}
+        got, want = pools["ring"], sr.pools["ring"]
+        assert np.array_equal(got.in_scores.view(np.int64), want.in_scores.view(np.int64))
+        assert np.array_equal(got.out_scores.view(np.int64), want.out_scores.view(np.int64))
+        _, other = pipeline.evaluate_detector(models.final, config, pipeline.prepare_data(config, 6))
+        assert not np.array_equal(other["ring"].out_scores, pools["ring"].out_scores)
 
     def test_large_pools_score_only_their_kept_outlier_rows(self, monkeypatch):
         # 1:1 with 2,070 inlier test rows: the 5,000-row set keeps 2,070
@@ -984,7 +1002,7 @@ class TestEvaluation:
             return original(model, kind, dataset)
 
         monkeypatch.setattr(pipeline.scoring_mod, "score_dataset", counting)
-        _, pools = pipeline.evaluate_detector(model, config, bundle, seed=0)
+        _, pools = pipeline.evaluate_detector(model, config, bundle)
         assert rows_scored == [2070, 2070, 200]
         in_scores = original(model, "msp", bundle.din_test.rows)
         for i, name in enumerate(("big", "small")):
@@ -997,7 +1015,7 @@ class TestEvaluation:
 
     def test_calibration_eval_structure(self):
         config = _tiny_config(calibration=True, epochs=8)
-        sr = pipeline.run_seed(config, 0, pipeline.train_models(config, [0])[0])
+        sr = pipeline.run_seed(config, 0, pipeline.train_models(config)[0])
         cal = sr.calibration
         assert set(cal) == {"baseline_temp", "final_temp", "final_temp_rescaled"}
         for rep in cal.values():
@@ -1035,7 +1053,7 @@ class TestEvaluation:
         config = self._overlapping_config(seeds=(0, 1, 2))
         reports.write_reports(tmp_path / "run", pipeline.run_experiment(config))
         solo = self._overlapping_config(seeds=(1,))
-        baseline, final, temps = models = pipeline.train_models(solo, [1])[0]
+        baseline, final, temps = models = pipeline.train_models(solo)[0]
         sr = pipeline.run_seed(solo, 1, models)
         # each temperature is the one fit of its own model on the seed's validation split
         val = pipeline.prepare_data(solo, 1).din_val
@@ -1686,7 +1704,7 @@ class TestCli:
 
             config = load_config(path)
             model = nn_core.load_params(tuned)
-            _, pools = pipeline.evaluate_detector(model, config, pipeline.prepare_data(config, 0), 0)
+            _, pools = pipeline.evaluate_detector(model, config, pipeline.prepare_data(config, 0))
             reference = tmp_path / f"reference_{detector}.csv"
             reference_reports.write_pool_scores(reference, pools[test_set])
             assert (out / f"scores_{test_set}_seed0.csv").read_bytes() == reference.read_bytes(), detector
@@ -1893,6 +1911,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{pred}:3:" in err and what in err
         assert not (tmp_path / "preds_calibration.json").exists()
+
+    def test_calibrate_takes_no_seed(self, tmp_path, capsys, monkeypatch):
+        # calibrate reads no config, so there is no seed to override
+        with pytest.raises(SystemExit) as done:
+            cli.main(["calibrate", "--help"])
+        assert done.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
+        pred = tmp_path / "preds.csv"
+        pred.write_text("confidence,correct\n0.5,1\n0.9,0\n")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as done:
+            cli.main(["calibrate", str(pred), "--seed", "3"])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+
+    def test_a_run_validates_its_config_at_most_twice(self, tmp_path, monkeypatch):
+        # once as the JSON is read and once as run_experiment starts; the
+        # stages take the validated config as it is
+        calls = []
+        validate = ExperimentConfig.validate
+
+        def counted(config):
+            calls.append(config.name)
+            return validate(config)
+
+        config = get_preset("preset_2d")
+        config.epochs, config.finetune_epochs = 1, 1
+        assert len(config.seeds) == 10
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        monkeypatch.setattr(ExperimentConfig, "validate", counted)
+        assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 0
+        assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("detector", ["msp", "density_bpp"])
+    def test_a_bundle_carries_the_widths_train_writes(self, tmp_path, detector):
+        config = _tiny_config() if detector == "msp" else _tiny_density_config()
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        assert cli.main(["train", "-c", str(path), "-o", str(tmp_path), "-q"]) == 0
+        net = nn_core.load_params(tmp_path / "baseline_seed0.bin")
+        assert pipeline.prepare_data(config, 0).layer_dims == net.layer_dims
 
     def test_module_entrypoint(self, tmp_path):
         cfg = self._write_config(tmp_path)
