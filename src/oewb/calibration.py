@@ -97,26 +97,22 @@ def _libm(fn, x) -> np.ndarray:
     return np.array([fn(v) for v in x])
 
 
-def tune_temperature(logits, labels):
+def tune_temperature(logits, labels) -> np.ndarray:
     """Scalar temperature minimizing cross-entropy of logits / T on a held-out set.
 
-    Takes one fit, (n, k) logits and (n,) labels, and returns its float
-    temperature, or a stack of F fits, (F, n, k) and (F, n), and returns
-    an (F,) array; one fit is tuned as a stack of one. Each fit searches a
-    200-point log-spaced grid over [0.01, 100] (with T = 1 included
-    exactly) and refines between its best point's neighbors by 60
-    golden-section steps. The fits step in lockstep, each step probing the
-    whole stack at once, but every fit's floats take the path of a search
-    on its own. Non-finite logits are refused, naming the fit and its
-    first bad row. Network parameters are untouched.
+    Takes a stack of F fits, (F, n, k) logits and (F, n) labels, and
+    returns their (F,) temperatures. Each fit searches a 200-point
+    log-spaced grid over [0.01, 100] (with T = 1 included exactly) and
+    refines between its best point's neighbors by 60 golden-section
+    steps. The fits step in lockstep, each step probing the whole stack
+    at once, but every fit's floats take the path of a search on its own.
+    Non-finite logits are refused, naming the fit and its first bad row.
+    Network parameters are untouched.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    single = logits.ndim == 2
-    if single:
-        logits, labels = logits[None], labels[None]
     if logits.ndim != 3 or 0 in logits.shape[:2]:
-        raise InputError("tuning needs a nonempty (n, k) logit matrix or a stack of them")
+        raise InputError("tuning needs a nonempty (F, n, k) stack of logit matrices")
     if labels.shape != logits.shape[:2]:
         raise InputError("labels must supply one class per row")
     if np.any(labels < 0) or np.any(labels >= logits.shape[2]):
@@ -150,7 +146,7 @@ def tune_temperature(logits, labels):
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
     refined = _libm(math.exp, (a + b) / 2.0)
     temps = np.where(nll_at(refined) < ces[np.arange(ces.shape[0]), best], refined, grid[best])
-    return float(temps[0]) if single else temps
+    return temps
 
 
 def posterior_rescale(p_max, k: int):

@@ -12,11 +12,10 @@ alphabet, with c*(V+1) one-hot input columns and V output logits, and
 layout reads (c, V) back from them. Both trainers run on
 nn_core.train_loop, which draws and gathers every batch: a stack of nets
 (NetworkParams.stack) trains on (S, n, D) sequence arrays with one seed
-per net, and a single net trains as a stack of one. Each trainer supplies
-only the gradient of one step, which builds its batch's one-hot rows
-afresh, by writing ones at flat indices of a zeroed array, and sums over
-classes and positions with nn_core.class_sum, which keeps the bits of
-numpy's reduce.
+per net. Each trainer supplies only the gradient of one step, which
+builds its batch's one-hot rows afresh, by writing ones at flat indices
+of a zeroed array, and sums over classes and positions with
+nn_core.class_sum, which keeps the bits of numpy's reduce.
 """
 
 from __future__ import annotations
@@ -47,21 +46,12 @@ def ar_layer_dims(alphabet_size, context_window, hidden_dims) -> list:
     return [int(context_window) * (int(alphabet_size) + 1), *[int(h) for h in hidden_dims], int(alphabet_size)]
 
 
-def init_ar_model(alphabet_size, context_window, hidden_dims, seed, activation="relu") -> nn_core.NetworkParams:
-    """A seeded density net over the window and alphabet (init_network)."""
-    net = nn_core.init_network(ar_layer_dims(alphabet_size, context_window, hidden_dims), seed, activation=activation)
-    layout(net)
-    return net
-
-
 def _as_seq_matrix(seqs, alphabet_size: int) -> np.ndarray:
     """(n, D) symbols, or (S, n, D) for a stack of nets. Integer arrays
     keep their dtype, so a compact stack is not widened."""
     arr = np.asarray(seqs)
     if arr.dtype.kind not in "iu":
         arr = arr.astype(np.int64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim not in (2, 3) or arr.shape[-1] < 1:
         raise ConfigurationError("sequences must form a nonempty (n, D) integer matrix")
     if np.any(arr < 0) or np.any(arr >= alphabet_size):
@@ -134,11 +124,11 @@ def bits_per_dim_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
 def train_density(net: nn_core.NetworkParams, data, **settings) -> nn_core.NetworkParams:
     """Maximum-likelihood training on inlier sequences; returns a new net.
 
-    net is one net with (n, D) sequences and one seed, or a stack
-    (NetworkParams.stack) with (S, n, D) sequences and one seed per net.
-    Minibatches are position rows of the context windows, one-hot encoded
-    per step, trained with nn_core's cross-entropy gradient at lam = 0.
-    settings are nn_core.train_loop's keyword arguments.
+    net is a stack (NetworkParams.stack) with (S, n, D) sequences and one
+    seed per net. Minibatches are position rows of the context windows,
+    one-hot encoded per step, trained with nn_core's cross-entropy
+    gradient at lam = 0. settings are nn_core.train_loop's keyword
+    arguments.
     """
     c, V = layout(net)
 
@@ -227,7 +217,7 @@ def finetune_density_oe(
     Epoch length follows the inlier set; outlier batches are drawn
     cyclically from a fixed seeded permutation and paired with inlier
     batches by position. margin defaults to the sequence length in nats.
-    A stack takes (S, n, D) sequence arrays and one seed per net, as in
+    The stack takes (S, n, D) sequence arrays and one seed per net, as in
     train_density. settings are nn_core.train_loop's keyword arguments.
     """
     V = layout(net)[1]

@@ -32,7 +32,7 @@ class DivergenceError(Exception):
     this is a run failure (exit code 2), not a ValidationError.
 
     member is the position, within a stack of nets trained together, of
-    the first net that diverged (0 for a single net)."""
+    the first net that diverged."""
 
     def __init__(self, message: str, member: int = 0):
         super().__init__(message)

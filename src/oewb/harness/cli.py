@@ -47,7 +47,15 @@ def _preamble(args) -> tuple[ExperimentConfig, int, Path]:
     if args.seed is not None:
         config.seeds = (args.seed,)
         config.validate()
-    return config, config.seeds[0], Path(args.out or f"runs/{config.name}")
+    return config, config.seeds[0], _out_dir(args.out or f"runs/{config.name}")
+
+
+def _out_dir(path) -> Path:
+    """path as an output directory, refused when it or a parent is an existing non-directory."""
+    for p in (Path(path), *Path(path).parents):
+        if p.exists() and not p.is_dir():
+            raise ConfigurationError(f"output directory {path}: {p} exists and is not a directory")
+    return Path(path)
 
 
 def _mkdir(out: Path) -> Path:
@@ -142,9 +150,10 @@ def _read_predictions_csv(path: str):
 
 
 def cmd_calibrate(args) -> int:
+    out = _out_dir(args.out or ".")
     conf, correct = _read_predictions_csv(args.predictions)
     report = calib_mod.report_from_records(conf, correct)
-    path = _mkdir(Path(args.out or ".")) / (Path(args.predictions).stem + "_calibration.json")
+    path = _mkdir(out) / (Path(args.predictions).stem + "_calibration.json")
     write_json(path, asdict(report))
     if not args.quiet:
         print(f"rms={report.rms_error:.6f} mad={report.mad_error:.6f} soft_f1={report.soft_f1:.6f}")

@@ -105,8 +105,9 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     continue if an outlier set is one the nets cannot read (_check_kind),
     if a test outlier set and the inlier test split cannot form a pool at
     the config's base rate, if any auxiliary outlier row reappears in a
-    test outlier set, or if a classifier detector's d_in rows have no
-    labels. config must be validated."""
+    test outlier set, if a classifier detector's d_in rows have no
+    labels, or if d_in gives the nets fewer than two outputs (one class,
+    or an alphabet of one symbol). config must be validated."""
     din = materialize(config.d_in, n=None, seed=_ss(seed, ROLE_DIN))
     n = din.n
     order = np.random.default_rng(_ss(seed, ROLE_SPLIT)).permutation(n)
@@ -138,10 +139,11 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
         if din.labels is None:
             raise ConfigurationError(f"detector {config.detector!r} trains a classifier, which needs labeled "
                                      f"rows, but d_in {config.d_in.name!r} has no labels")
-        n_classes = int(din.labels.max()) + 1
-        if n_classes < 2:
-            raise ConfigurationError("classification needs at least two classes")
-        dims = [din.dim, *config.model.hidden_dims, n_classes]
+        dims = [din.dim, *config.model.hidden_dims, int(din.labels.max()) + 1]
+    if dims[-1] < 2:  # the nets' output width: d_in's class count or alphabet_size
+        what = f"{dims[-1]} class" if din.alphabet_size is None else f"alphabet_size {dims[-1]}"
+        raise ConfigurationError(f"detector {config.detector!r} needs at least two classes or symbols, but "
+                                 f"d_in {config.d_in.name!r} has {what}")
     return DataBundle(int(seed), din_train, din_val, din_test, oe, tests, dims)
 
 

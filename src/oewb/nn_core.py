@@ -25,12 +25,12 @@ only the operands of commutative operations.
 
 train_loop steps a stack in lockstep: each net draws its own seeded
 permutations and outlier order, and one Nesterov step updates the whole
-(S, P) matrix in place. A single net trains as a stack of one. The loop
-alone draws batches: it gathers every net's rows from each data array and
-from the outliers, through one workspace per run, and hands them to the
-trainer's step gradient, so train_classifier and density's MLE and margin
-trainers each supply only the gradient of one step. The input parameters
-are copied once and never mutated; seeded runs are bitwise reproducible.
+(S, P) matrix in place. The loop alone draws batches: it gathers every
+net's rows from each data array and from the outliers, through one
+workspace per run, and hands them to the trainer's step gradient, so
+train_classifier and density's MLE and margin trainers each supply only
+the gradient of one step. The input parameters are copied once and never
+mutated; seeded runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -312,18 +312,18 @@ def _shifted_exp(logits, temperature: float, out=None) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
-    """Row-wise softmax of logits / temperature, max-subtracted for stability.
+def softmax(logits, out=None) -> np.ndarray:
+    """Row-wise softmax of logits, max-subtracted for stability.
 
     out, when given, receives the result and may be the logits array.
     """
-    e = _shifted_exp(logits, temperature, out)
+    e = _shifted_exp(logits, 1.0, out)
     e /= class_sum(e, keepdims=True)
     return e
 
 
 def max_softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
-    """softmax(logits, temperature).max(axis=-1), bit for bit, as 1 / sum.
+    """softmax(logits / temperature).max(axis=-1), bit for bit, as 1 / sum.
 
     The largest numerator is exp(0) = 1 exactly, and dividing every entry
     by the same sum is monotone, so no quotient rounds above 1 / sum. The
@@ -333,10 +333,9 @@ def max_softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
     return 1.0 / class_sum(_shifted_exp(logits, temperature, out))
 
 
-def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    if not temperature > 0:
-        raise ParameterError("temperature must be positive")
-    z = np.asarray(logits, dtype=np.float64) / temperature
+def log_softmax(logits) -> np.ndarray:
+    """Row-wise log of softmax(logits), as a fresh array; logits are only read."""
+    z = np.array(logits, dtype=np.float64)
     z -= class_max(z)
     z -= np.log(class_sum(np.exp(z), keepdims=True))
     return z
@@ -514,39 +513,33 @@ def train_loop(
     lr0: float,
     momentum: float = 0.9,
     weight_decay: float = 5e-4,
-    seed=0,
+    seed,
 ) -> NetworkParams:
     """Minibatch Nesterov SGD on a cosine schedule; returns the trained copy.
 
-    params is one net with one shuffle seed, or a stack of S nets with a
-    sequence of S seeds; a single net trains as a stack of one and comes
-    back single. The input parameters are copied once and never touched.
-    data is a tuple of per-row arrays, (n, ...) each for one net and
-    (S, n, ...) for a stack, and oe the auxiliary outlier rows, (m, ...)
-    or (S, m, ...), or None. Each epoch visits the n inlier rows of every
-    net in a fresh permutation from that net's seed, in batches of
-    batch_size (the last may be short). With oe, each net's outlier rows
-    come cyclically from one permutation drawn before its first epoch and
-    are paired with its inlier batches by position. Every step gathers
-    each net's batch rows from every data array, and its outlier rows from
-    oe, and calls step_grad(net, batch, oe_batch, work) on the stack net
-    with those (S, b, ...) arrays (oe_batch is None without outliers) and
-    the run's one Workspace; it returns the (S, P) gradient. Every step
-    is followed by a finiteness check of the whole stack; the first
-    non-finite parameter raises DivergenceError naming the step and
-    epoch, with the stack position of the first net that diverged as its
-    member.
+    params is a stack of S nets (NetworkParams.stack), copied once and
+    never touched, and seed a sequence of S shuffle seeds, one per net.
+    data is a tuple of (S, n, ...) per-row arrays and oe the (S, m, ...)
+    auxiliary outlier rows, or None. Each epoch visits the n inlier rows
+    of every net in a fresh permutation from that net's seed, in batches
+    of batch_size (the last may be short). With oe, each net's outlier
+    rows come cyclically from one permutation drawn before its first
+    epoch and are paired with its inlier batches by position. Every step
+    gathers each net's batch rows from every data array, and its outlier
+    rows from oe, and calls step_grad(net, batch, oe_batch, work) on the
+    stack net with those (S, b, ...) arrays (oe_batch is None without
+    outliers) and the run's one Workspace; it returns the (S, P)
+    gradient. Every step is followed by a finiteness check of the whole
+    stack; the first non-finite parameter raises DivergenceError naming
+    the step and epoch, with the stack position of the first net that
+    diverged as its member.
     """
     if epochs < 1:
         raise ParameterError("epochs must be >= 1")
-    single = params.vector.ndim == 1
-    net = NetworkParams.stack([params]) if single else params.copy()
-    seeds = [seed] if single else list(seed)
-    if len(seeds) != net.vector.shape[0]:
-        raise ConfigurationError("a training stack needs one shuffle seed per net")
-    if single:
-        data = tuple(a[None] for a in data)
-        oe = None if oe is None else oe[None]
+    seeds = list(seed) if np.ndim(seed) == 1 else []
+    if params.vector.ndim != 2 or len(seeds) != params.vector.shape[0]:
+        raise ConfigurationError("training takes an (S, P) stack of nets and a sequence of S shuffle seeds")
+    net = params.copy()
     n_rows = data[0].shape[1]
     if n_rows < 1:
         raise ConfigurationError("training needs at least one inlier row")
@@ -583,7 +576,7 @@ def train_loop(
                     f"of epoch {epoch + 1} of {epochs}",
                     member=member,
                 )
-    return net.unstack()[0] if single else net
+    return net
 
 
 def train_classifier(
@@ -596,9 +589,9 @@ def train_classifier(
     """train_loop on grad's classifier loss at outlier weight lam, over
     whole-set batches.
 
-    One net takes (n, d) batches; a stack of S nets takes (S, n, d) batches
-    that hold each net's rows, and one seed per net. The batches are
-    checked once per run. settings are train_loop's keyword arguments.
+    params is a stack of S nets and the (S, n, d) batches hold each net's
+    rows. The batches are checked once per run. settings are train_loop's
+    keyword arguments, with one seed per net.
     """
     lam = _check_batches(params, lam, in_batch, oe_batch)
 

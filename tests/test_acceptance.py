@@ -113,8 +113,8 @@ def _density_case(rng):
     c = int(rng.integers(1, 3))
     D = int(rng.integers(3, 6))
     n = int(rng.integers(2, 5))
-    model = density.init_ar_model(
-        V, c, (int(rng.integers(3, 6)),), seed=int(rng.integers(0, 2**31)), activation="tanh"
+    model = nn_core.init_network(
+        density.ar_layer_dims(V, c, (int(rng.integers(3, 6)),)), int(rng.integers(0, 2**31)), activation="tanh"
     )
     a = rng.integers(0, V, size=(n, D))
     b = rng.integers(0, V, size=(n, D))
@@ -390,11 +390,11 @@ def test_criterion_9_generators_and_normalization(capsys):
     V = 2
     worst_gap = 0.0
     for D in (1, 3, 5, 8):
-        model = density.init_ar_model(V, 2, (6,), seed=D)
+        model = nn_core.init_network(density.ar_layer_dims(V, 2, (6,)), D)
         if D == 8:  # also exercise a trained model, not just a random one
-            train = density.train_density(
-                model, np.random.default_rng(0).integers(0, V, size=(40, D)), epochs=5, batch_size=32, lr0=0.1, seed=0
-            )
+            seqs = np.random.default_rng(0).integers(0, V, size=(1, 40, D))
+            stack = nn_core.NetworkParams.stack([model])
+            train = density.train_density(stack, seqs, epochs=5, batch_size=32, lr0=0.1, seed=[0]).unstack()[0]
             models = (model, train)
         else:
             models = (model,)

@@ -85,7 +85,7 @@ def child_report() -> None:
                 if not _same_bits(scoring.score_rows(net, kind, X, rows), scoring.score_dataset(net, kind, X)[rows]):
                     failures["score_rows"].append(f"{kind} {activation} n={n} kept={kept}")
     # 16 position rows per sequence: 128 sequences make an ALONE_ROWS-row forward
-    net = density.init_ar_model(8, 2, (32,), seed=3)
+    net = nn_core.init_network(density.ar_layer_dims(8, 2, (32,)), 3)
     seqs = np.random.default_rng(4).integers(0, 8, size=(300, 16))
     rows = np.sort(np.random.default_rng(5).choice(300, size=scoring.ALONE_ROWS // 16, replace=False))
     if not _same_bits(scoring.score_rows(net, "density_bpp", seqs, rows),

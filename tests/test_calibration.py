@@ -191,17 +191,23 @@ def _scalar_loop_temperature(logits, labels, grid_points=200):
     return float(refined) if nll_at(refined) < ces[best] else float(grid[best])
 
 
+def _solo_temperature(logits, labels) -> float:
+    """The temperature of one fit, tuned as a stack of one."""
+    [t] = cal.tune_temperature(logits[None], labels[None])
+    return float(t)
+
+
 class TestTuneTemperature:
     def test_recovers_unit_temperature(self):
         rng = np.random.default_rng(6)
         logits, labels = _calibrated_logits(rng, 4000, 4)
-        t = cal.tune_temperature(logits, labels)
+        t = _solo_temperature(logits, labels)
         assert 0.9 < t < 1.1
 
     def test_recovers_scaled_temperature(self):
         rng = np.random.default_rng(7)
         logits, labels = _calibrated_logits(rng, 4000, 4, scale=5.0)
-        t = cal.tune_temperature(logits, labels)
+        t = _solo_temperature(logits, labels)
         assert abs(t - 5.0) / 5.0 < 0.10
 
     def test_never_worse_than_unit_temperature(self):
@@ -209,24 +215,29 @@ class TestTuneTemperature:
         for _ in range(5):
             logits = rng.normal(size=(200, 5)) * 3
             labels = rng.integers(0, 5, size=200)
-            t = cal.tune_temperature(logits, labels)
+            t = _solo_temperature(logits, labels)
             assert objectives.ce_loss(logits / t, labels) <= objectives.ce_loss(logits, labels) + 1e-12
 
     def test_input_validation(self):
         with pytest.raises(InputError):
-            cal.tune_temperature(np.zeros((0, 3)), np.zeros(0, dtype=int))
-        with pytest.raises(InputError):
             cal.tune_temperature(np.zeros((0, 4, 3)), np.zeros((0, 4), dtype=int))
+        with pytest.raises(InputError):
+            cal.tune_temperature(np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=int))
         with pytest.raises(InputError):
             cal.tune_temperature(np.zeros(3), np.zeros(1, dtype=int))
         with pytest.raises(InputError):
             cal.tune_temperature(np.zeros((2, 4, 3)), np.zeros(4, dtype=int))
         with pytest.raises(InputError):
-            cal.tune_temperature(np.zeros((4, 3)), np.zeros(2, dtype=int))
+            cal.tune_temperature(np.zeros((1, 4, 3)), np.zeros((1, 2), dtype=int))
         with pytest.raises(InputError):
-            cal.tune_temperature(np.zeros((2, 3)), np.array([0, 3]))
+            cal.tune_temperature(np.zeros((1, 2, 3)), np.array([[0, 3]]))
         with pytest.raises(InputError):
-            cal.tune_temperature(np.zeros((2, 3)), np.array([-1, 0]))
+            cal.tune_temperature(np.zeros((1, 2, 3)), np.array([[-1, 0]]))
+
+    def test_an_unstacked_logit_matrix_is_refused(self):
+        # one fit is a stack of one: (n, k) logits are not a stack
+        with pytest.raises(InputError, match=r"^tuning needs a nonempty \(F, n, k\) stack of logit matrices$"):
+            cal.tune_temperature(np.zeros((4, 3)), np.zeros(4, dtype=int))
 
     def test_equals_scalar_loop_exactly(self):
         rng = np.random.default_rng(12)
@@ -234,7 +245,7 @@ class TestTuneTemperature:
             n, k = int(rng.integers(1, 300)), int(rng.integers(2, 12))
             logits = rng.normal(size=(n, k)) * rng.uniform(0.1, 20.0)
             labels = rng.integers(0, k, size=n)
-            assert cal.tune_temperature(logits, labels) == _scalar_loop_temperature(logits, labels)
+            assert _solo_temperature(logits, labels) == _scalar_loop_temperature(logits, labels)
 
     @staticmethod
     def _assert_probe_is_ce_loss(logits, labels, temps):
@@ -306,17 +317,10 @@ class TestTuneTemperature:
             logits, labels = self._stack_case(rng, fits, n, k)
             got = cal.tune_temperature(logits, labels)
             assert isinstance(got, np.ndarray) and got.shape == (fits,)
-            solo = np.array([cal.tune_temperature(z, y) for z, y in zip(logits, labels)])
+            solo = np.array([_solo_temperature(z, y) for z, y in zip(logits, labels)])
             np.testing.assert_array_equal(got.view(np.int64), solo.view(np.int64))
             endpoints += int(np.isin(got, grid[[0, -1]]).sum())
         assert endpoints > 0
-
-    def test_a_stack_of_one_is_a_single_fit(self):
-        rng = np.random.default_rng(15)
-        logits, labels = _calibrated_logits(rng, 150, 4, scale=3.0)
-        t = cal.tune_temperature(logits, labels)
-        assert type(t) is float
-        assert cal.tune_temperature(logits[None], labels[None]).tolist() == [t]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_logits_are_refused_naming_fit_and_row(self, bad):
@@ -325,7 +329,7 @@ class TestTuneTemperature:
         labels = rng.integers(0, 4, size=50)
         logits[17, 2] = bad
         with pytest.raises(InputError, match=r"^fit 0: logits of row 17 are not all finite$"):
-            cal.tune_temperature(logits, labels)
+            cal.tune_temperature(logits[None], labels[None])
         stack = np.stack([rng.normal(size=(50, 4)), rng.normal(size=(50, 4)), logits])
         stack[2, 30, 0] = bad
         with pytest.raises(InputError, match=r"^fit 2: logits of row 17 are not all finite$"):
@@ -336,7 +340,7 @@ class TestTuneTemperature:
         z = rng.normal(size=(100, 6)) * 4
         for t in (0.07, 1.0, 31.0):
             assert np.array_equal(
-                np.argmax(nn_core.softmax(z, temperature=t), axis=1), np.argmax(z, axis=1)
+                np.argmax(nn_core.softmax(z / t), axis=1), np.argmax(z, axis=1)
             )
 
 

@@ -11,11 +11,18 @@ from oewb.errors import ConfigurationError, DataError, ParameterError
 
 import fd
 
+
+def _solo(train, net, *seqs, seed=0, **settings):
+    """train (train_density or finetune_density_oe) of one net as a stack of one: the trained net."""
+    stack = train(nn_core.NetworkParams.stack([net]), *(np.asarray(a)[None] for a in seqs), seed=[seed], **settings)
+    return stack.unstack()[0]
+
+
 LN2 = math.log(2.0)
 
 
 def _uniform_model(V, c=2, hidden=(4,)):
-    m = density.init_ar_model(V, c, hidden, seed=0)
+    m = nn_core.init_network(density.ar_layer_dims(V, c, hidden), 0)
     m.vector[...] = 0.0
     return m
 
@@ -37,13 +44,15 @@ class TestDiscreteSequence:
         with pytest.raises(ConfigurationError):
             density.nll_batch(m, np.zeros((2, 0), dtype=np.int64))
         with pytest.raises(ConfigurationError):
-            density.init_ar_model(1, 2, (4,), seed=0)
+            density.layout(nn_core.init_network(density.ar_layer_dims(1, 2, (4,)), 0))
         with pytest.raises(DataError):
-            density.nll_batch(m, [0, 4])
-        assert density.nll_batch(m, [0, 1, 2]).shape == (1,)
+            density.nll_batch(m, [[0, 4]])
+        with pytest.raises(ConfigurationError, match=r"nonempty \(n, D\) integer matrix"):
+            density.nll_batch(m, [0, 1, 2])  # one sequence is a (1, D) matrix
+        assert density.nll_batch(m, [[0, 1, 2]]).shape == (1,)
 
     def test_model_shape_validation(self):
-        assert density.layout(density.init_ar_model(3, 2, (4,), seed=0)) == (2, 3)
+        assert density.layout(nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)) == (2, 3)
         assert density.layout(nn_core.init_network([15, 4, 4], seed=0)) == (3, 4)
         # input 5 is no positive multiple of V + 1 = 4; input 3 < V + 1;
         # an output width of 1 is no alphabet
@@ -52,7 +61,7 @@ class TestDiscreteSequence:
             with pytest.raises(ConfigurationError, match="not a density layout"):
                 density.layout(net)
             with pytest.raises(ConfigurationError, match="not a density layout"):
-                density.nll_batch(net, [0, 0])
+                density.nll_batch(net, [[0, 0]])
 
 
 class TestOneHotWindows:
@@ -74,7 +83,7 @@ class TestOneHotWindows:
 class TestNll:
     def test_uniform_model_gives_d_log_v(self):
         m = _uniform_model(V=5)
-        seq = [0, 3, 1, 4, 2, 2, 0]
+        seq = [[0, 3, 1, 4, 2, 2, 0]]
         assert density.nll_batch(m, seq)[0] == pytest.approx(7 * math.log(5), abs=1e-12)
 
     def test_single_position_half_probability(self):
@@ -83,7 +92,7 @@ class TestNll:
 
     def test_matches_per_step_chain_rule_oracle(self):
         V, c = 4, 3
-        m = density.init_ar_model(V, c, (6,), seed=13)
+        m = nn_core.init_network(density.ar_layer_dims(V, c, (6,)), 13)
         rng = np.random.default_rng(5)
         seq = rng.integers(0, V, size=10)
         # explicit chain rule: pad with the start symbol V, one step at a time
@@ -96,55 +105,55 @@ class TestNll:
             logits = nn_core.forward(m, feat)
             p = nn_core.softmax(logits)[0]
             total += -math.log(p[seq[t]])
-        got = density.nll_batch(m, seq)[0]
+        got = density.nll_batch(m, seq[None])[0]
         assert got == pytest.approx(total, abs=1e-10)
         assert got >= 0.0
 
     def test_batch_matches_singles(self):
         V = 3
-        m = density.init_ar_model(V, 2, (5,), seed=1)
+        m = nn_core.init_network(density.ar_layer_dims(V, 2, (5,)), 1)
         seqs = np.random.default_rng(2).integers(0, V, size=(6, 7))
         batch = density.nll_batch(m, seqs)
-        singles = np.array([density.nll_batch(m, s)[0] for s in seqs])
+        singles = np.array([density.nll_batch(m, s[None])[0] for s in seqs])
         assert np.max(np.abs(batch - singles)) < 1e-12
 
     def test_symbol_outside_alphabet_rejected(self):
         m = _uniform_model(V=3)
         with pytest.raises(DataError):
-            density.nll_batch(m, [0, 3])
+            density.nll_batch(m, [[0, 3]])
         with pytest.raises(DataError):
-            density.nll_batch(m, [-1])
+            density.nll_batch(m, [[-1]])
 
 
 class TestBitsPerDim:
     def test_exact_nats_to_bits_conversion(self):
-        m = density.init_ar_model(4, 2, (6,), seed=3)
+        m = nn_core.init_network(density.ar_layer_dims(4, 2, (6,)), 3)
         seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
         assert np.array_equal(density.bits_per_dim_batch(m, seqs), density.nll_batch(m, seqs) / (9 * LN2))
 
     def test_uniform_model_gives_log2_v(self):
         m = _uniform_model(V=8)
-        assert density.bits_per_dim_batch(m, [0, 1, 2, 3])[0] == pytest.approx(3.0, abs=1e-12)
+        assert density.bits_per_dim_batch(m, [[0, 1, 2, 3]])[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_byte_alphabet_uniform_is_eight_bits(self):
         m = _uniform_model(V=256, c=1, hidden=(2,))
-        seq = [0, 17, 255, 128]
+        seq = [[0, 17, 255, 128]]
         assert density.bits_per_dim_batch(m, seq)[0] == pytest.approx(8.0, abs=1e-12)
 
     def test_batch_variant_agrees(self):
-        m = density.init_ar_model(4, 2, (6,), seed=3)
+        m = nn_core.init_network(density.ar_layer_dims(4, 2, (6,)), 3)
         seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
         batch = density.bits_per_dim_batch(m, seqs)
-        singles = [density.bits_per_dim_batch(m, s)[0] for s in seqs]
+        singles = [density.bits_per_dim_batch(m, s[None])[0] for s in seqs]
         assert np.max(np.abs(batch - np.array(singles))) < 1e-12
 
 
 class TestTrainDensity:
     def test_constant_sequences_drive_nll_toward_zero(self):
         data = np.zeros((50, 8), dtype=np.int64)
-        m = density.init_ar_model(2, 2, (8,), seed=0)
+        m = nn_core.init_network(density.ar_layer_dims(2, 2, (8,)), 0)
         before = np.mean(density.nll_batch(m, data))
-        trained = density.train_density(m, data, epochs=30, batch_size=32, lr0=0.5, seed=0)
+        trained = _solo(density.train_density, m, data, epochs=30, batch_size=32, lr0=0.5, seed=0)
         after = np.mean(density.nll_batch(trained, data))
         assert after < before
         assert after < 0.05
@@ -152,8 +161,8 @@ class TestTrainDensity:
     def test_uniform_data_converges_to_log2_v_bits(self):
         V = 4
         data = np.random.default_rng(1).integers(0, V, size=(400, 12))
-        m = density.init_ar_model(V, 2, (8,), seed=1)
-        trained = density.train_density(m, data, epochs=15, batch_size=32, lr0=0.2, seed=1)
+        m = nn_core.init_network(density.ar_layer_dims(V, 2, (8,)), 1)
+        trained = _solo(density.train_density, m, data, epochs=15, batch_size=32, lr0=0.2, seed=1)
         bpp = float(np.mean(density.bits_per_dim_batch(trained, data)))
         assert abs(bpp - math.log2(V)) < 0.1
 
@@ -163,30 +172,30 @@ class TestTrainDensity:
         train = _walks(rng, 300, 12, V)
         held_in = _walks(rng, 80, 12, V)
         held_out = rng.integers(0, V, size=(80, 12))
-        m = density.init_ar_model(V, 2, (16,), seed=4)
-        trained = density.train_density(m, train, epochs=10, batch_size=32, lr0=0.2, seed=4)
+        m = nn_core.init_network(density.ar_layer_dims(V, 2, (16,)), 4)
+        trained = _solo(density.train_density, m, train, epochs=10, batch_size=32, lr0=0.2, seed=4)
         bpp_in = float(np.mean(density.bits_per_dim_batch(trained, held_in)))
         bpp_out = float(np.mean(density.bits_per_dim_batch(trained, held_out)))
         assert bpp_in < bpp_out
 
     def test_training_is_deterministic(self):
         data = np.random.default_rng(1).integers(0, 3, size=(40, 6))
-        m = density.init_ar_model(3, 2, (6,), seed=2)
-        a = density.train_density(m, data, epochs=3, batch_size=32, lr0=0.1, seed=9)
-        b = density.train_density(m, data, epochs=3, batch_size=32, lr0=0.1, seed=9)
+        m = nn_core.init_network(density.ar_layer_dims(3, 2, (6,)), 2)
+        a = _solo(density.train_density, m, data, epochs=3, batch_size=32, lr0=0.1, seed=9)
+        b = _solo(density.train_density, m, data, epochs=3, batch_size=32, lr0=0.1, seed=9)
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
     def test_epoch_validation(self):
         m = _uniform_model(V=2)
         with pytest.raises(ParameterError):
-            density.train_density(m, np.zeros((2, 3), dtype=np.int64), epochs=0, batch_size=32, lr0=0.1)
+            _solo(density.train_density, m, np.zeros((2, 3), dtype=np.int64), epochs=0, batch_size=32, lr0=0.1)
 
 
 class TestMarginGrad:
     def test_matches_finite_differences(self):
         V, c, D = 3, 2, 5
-        m = density.init_ar_model(V, c, (6,), seed=21, activation="tanh")
+        m = nn_core.init_network(density.ar_layer_dims(V, c, (6,)), 21, activation="tanh")
         rng = np.random.default_rng(8)
         a = rng.integers(0, V, size=(4, D))
         b = rng.integers(0, V, size=(4, D))
@@ -216,9 +225,9 @@ class TestMarginGrad:
     def test_satisfied_margin_leaves_only_the_mle_term(self):
         V = 4
         rng = np.random.default_rng(3)
-        m = density.init_ar_model(V, 2, (8,), seed=3)
+        m = nn_core.init_network(density.ar_layer_dims(V, 2, (8,)), 3)
         train = np.zeros((60, 8), dtype=np.int64)
-        m = density.train_density(m, train, epochs=20, batch_size=32, lr0=0.5, seed=3)
+        m = _solo(density.train_density, m, train, epochs=20, batch_size=32, lr0=0.5, seed=3)
         a = np.zeros((5, 8), dtype=np.int64)
         b = rng.integers(1, V, size=(5, 8))
         slack = density.nll_batch(m, b) - density.nll_batch(m, a)
@@ -233,7 +242,7 @@ class TestMarginGrad:
         # with in == out the hinge sits exactly at the margin and its
         # gradient halves cancel; only the MLE term can move parameters
         V = 3
-        m = density.init_ar_model(V, 2, (6,), seed=5)
+        m = nn_core.init_network(density.ar_layer_dims(V, 2, (6,)), 5)
         seqs = np.random.default_rng(0).integers(0, V, size=(6, 7))
         g = density.margin_grad(m, seqs, seqs, margin=4.0, mle_weight=0.0, margin_weight=1.0)
         assert np.max(np.abs(g)) < 1e-14
@@ -257,13 +266,13 @@ class TestFinetune:
         oe = _walks(rng, 150, D, V, p_step=0.97, starts=[1, 3, 5])
         test_in = _walks(rng, 60, D, V, p_step=0.7)
         test_out = _walks(rng, 60, D, V, p_step=1.0, starts=[0, 2, 4])
-        m = density.init_ar_model(V, 2, (16,), seed=seed)
-        base = density.train_density(m, train_in, epochs=8, batch_size=32, lr0=0.2, seed=seed)
+        m = nn_core.init_network(density.ar_layer_dims(V, 2, (16,)), seed)
+        base = _solo(density.train_density, m, train_in, epochs=8, batch_size=32, lr0=0.2, seed=seed)
         return base, train_in, oe, test_in, test_out
 
     def test_auroc_strictly_increases_after_finetuning(self):
         base, train_in, oe, test_in, test_out = self._setup()
-        tuned = density.finetune_density_oe(base, train_in, oe, epochs=2, batch_size=32, lr0=0.05, seed=0)
+        tuned = _solo(density.finetune_density_oe, base, train_in, oe, epochs=2, batch_size=32, lr0=0.05, seed=0)
 
         def auroc_of(model):
             return metrics.auroc(
@@ -277,7 +286,7 @@ class TestFinetune:
 
     def test_margin_gap_widens_on_held_out_data(self):
         base, train_in, oe, test_in, test_out = self._setup(seed=1)
-        tuned = density.finetune_density_oe(base, train_in, oe, epochs=2, batch_size=32, lr0=0.05, seed=1)
+        tuned = _solo(density.finetune_density_oe, base, train_in, oe, epochs=2, batch_size=32, lr0=0.05, seed=1)
 
         def gap(model):
             return float(
@@ -288,15 +297,15 @@ class TestFinetune:
 
     def test_empty_outlier_set_rejected(self):
         m = _uniform_model(V=3)
-        with pytest.raises(ConfigurationError):
-            density.finetune_density_oe(m, np.zeros((4, 5), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
-                                        epochs=2, batch_size=32, lr0=1e-3)
+        with pytest.raises(ConfigurationError, match="needs a nonempty outlier set"):
+            _solo(density.finetune_density_oe, m, np.zeros((4, 5), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
+                  epochs=2, batch_size=32, lr0=1e-3)
 
     def test_nonpositive_margin_rejected(self):
         m = _uniform_model(V=3)
         seqs = np.zeros((4, 5), dtype=np.int64)
         with pytest.raises(ParameterError):
-            density.finetune_density_oe(m, seqs, seqs, margin=-1.0, epochs=2, batch_size=32, lr0=1e-3)
+            _solo(density.finetune_density_oe, m, seqs, seqs, margin=-1.0, epochs=2, batch_size=32, lr0=1e-3)
 
     def test_mle_loss_interference_bounded_per_step(self):
         # each fine-tune step may raise the training MLE loss by at most the
@@ -305,8 +314,8 @@ class TestFinetune:
         rng = np.random.default_rng(6)
         a = _walks(rng, 40, D, V)
         b = rng.integers(0, V, size=(40, D))
-        m = density.init_ar_model(V, 2, (8,), seed=6)
-        m = density.train_density(m, a, epochs=5, batch_size=32, lr0=0.2, seed=6)
+        m = nn_core.init_network(density.ar_layer_dims(V, 2, (8,)), 6)
+        m = _solo(density.train_density, m, a, epochs=5, batch_size=32, lr0=0.2, seed=6)
         state = nn_core.init_optimizer(m, lr0=1e-3, total_steps=20)
         margin = float(D)
         for _ in range(20):
@@ -322,7 +331,7 @@ class TestFinetune:
 
 class TestNormalization:
     def test_predictive_rows_sum_to_one(self):
-        m = density.init_ar_model(5, 3, (7,), seed=11)
+        m = nn_core.init_network(density.ar_layer_dims(5, 3, (7,)), 11)
         seqs = np.random.default_rng(1).integers(0, 5, size=(4, 6))
         feats, _ = density.context_features(seqs, *density.layout(m))
         logits, _ = nn_core.forward_cached(m, feats)
@@ -332,15 +341,15 @@ class TestNormalization:
     @pytest.mark.parametrize("D", [1, 3, 5, 8])
     def test_brute_force_sequence_space_sums_to_one(self, D):
         # sum of exp(-nll) over every binary sequence of length D must be 1
-        m = density.init_ar_model(2, 2, (6,), seed=17)
+        m = nn_core.init_network(density.ar_layer_dims(2, 2, (6,)), 17)
         grid = np.array(np.meshgrid(*[[0, 1]] * D, indexing="ij")).reshape(D, -1).T
         total = float(np.sum(np.exp(-density.nll_batch(m, grid))))
         assert abs(total - 1.0) < 1e-9
 
     def test_brute_force_after_training_still_normalized(self):
         data = np.random.default_rng(0).integers(0, 2, size=(50, 6))
-        m = density.init_ar_model(2, 2, (6,), seed=0)
-        m = density.train_density(m, data, epochs=5, batch_size=32, lr0=0.1, seed=0)
+        m = nn_core.init_network(density.ar_layer_dims(2, 2, (6,)), 0)
+        m = _solo(density.train_density, m, data, epochs=5, batch_size=32, lr0=0.1, seed=0)
         grid = np.array(np.meshgrid(*[[0, 1]] * 6, indexing="ij")).reshape(6, -1).T
         total = float(np.sum(np.exp(-density.nll_batch(m, grid))))
         assert abs(total - 1.0) < 1e-9
@@ -348,7 +357,7 @@ class TestNormalization:
 
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
-        m = density.init_ar_model(5, 2, (8, 4), seed=9, activation="tanh")
+        m = nn_core.init_network(density.ar_layer_dims(5, 2, (8, 4)), 9, activation="tanh")
         path = tmp_path / "density.bin"
         nn_core.save_params(m, path)
         q = nn_core.load_params(path)
@@ -358,7 +367,7 @@ class TestSerialization:
             assert np.array_equal(x, y)
 
     def test_scores_survive_round_trip(self, tmp_path):
-        m = density.init_ar_model(3, 2, (4,), seed=2)
+        m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 2)
         seqs = np.random.default_rng(3).integers(0, 3, size=(5, 6))
         path = tmp_path / "density.bin"
         nn_core.save_params(m, path)

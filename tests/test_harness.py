@@ -1057,8 +1057,8 @@ class TestEvaluation:
         sr = pipeline.run_seed(solo, 1, models)
         # each temperature is the one fit of its own model on the seed's validation split
         val = pipeline.prepare_data(solo, 1).din_val
-        assert temps == tuple(pipeline.calib_mod.tune_temperature(nn_core.forward(m, val.rows), val.labels)
-                              for m in (baseline, final))
+        fits = np.stack([nn_core.forward(m, val.rows) for m in (baseline, final)])
+        assert temps == tuple(pipeline.calib_mod.tune_temperature(f[None], val.labels[None])[0] for f in fits)
         assert 0.01 < temps[1] < temps[0] < 100.0
         reports.write_reports(tmp_path / "solo", pipeline.ExperimentResult(solo, [sr], pipeline.summarize(solo, [sr])))
         name = "calibration_seed1.json"
@@ -1234,6 +1234,62 @@ class TestCli:
         err = capsys.readouterr().err
         assert ("error: detector 'msp' trains a classifier, which needs labeled rows, but d_in 'rows' "
                 "has no labels") in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["run", "train", "make-data"])
+    def test_an_out_path_through_an_existing_file_exits_one_before_any_data(
+        self, tmp_path, capsys, monkeypatch, command, below
+    ):
+        def no_data(config, seed):
+            raise AssertionError("no data may be prepared")
+
+        monkeypatch.setattr(pipeline, "prepare_data", no_data)
+        path = self._write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory")
+        out = taken / "sub" if below else taken
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert f"error: output directory {out}: {taken} exists and is not a directory" in capsys.readouterr().err
+        assert taken.read_bytes() == b"not a directory"
+
+    def test_calibrate_refuses_an_out_path_naming_a_file(self, tmp_path, capsys):
+        predictions = tmp_path / "preds.csv"
+        predictions.write_text("confidence,correct\n0.9,1\n0.4,0\n")
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory")
+        assert cli.main(["calibrate", str(predictions), "-o", str(taken), "-q"]) == 1
+        assert f"error: output directory {taken}: {taken} exists and is not a directory" in capsys.readouterr().err
+        assert taken.read_bytes() == b"not a directory"
+
+    @pytest.mark.parametrize("command", ["run", "make-data"])
+    def test_a_one_symbol_density_d_in_exits_one(self, tmp_path, capsys, command):
+        # every set holds the one symbol, so only the alphabet's size is wrong
+        for name in ("ones", "periodic"):
+            datasets.write_csv(tmp_path / f"{name}.csv",
+                               datasets.Dataset(np.zeros((40, 8), dtype=np.int64), alphabet_size=1))
+        config = _tiny_density_config(
+            d_in=DatasetSpec("file", "ones", {"alphabet_size": 1}, path=str(tmp_path / "ones.csv")),
+            d_out_test=[DatasetSpec("file", "periodic", {"alphabet_size": 1}, path=str(tmp_path / "periodic.csv"))],
+            d_out_oe=None, pipeline="baseline_only",
+        )
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert ("error: detector 'density_bpp' needs at least two classes or symbols, but d_in 'ones' "
+                "has alphabet_size 1") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_one_class_classifier_d_in_exits_one(self, tmp_path, capsys):
+        rows = _mixture(0, k=3, n_per_cluster=40, dim=2, separation=6.0)
+        datasets.write_csv(tmp_path / "rows.csv", datasets.Dataset(rows.rows, np.zeros(rows.n, dtype=np.int64)))
+        path = tmp_path / "cfg.json"
+        save_config(_tiny_config(d_in=DatasetSpec("file", "rows", path=str(tmp_path / "rows.csv"))), path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert ("error: detector 'msp' needs at least two classes or symbols, but d_in 'rows' has 1 class"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1639,7 +1695,7 @@ class TestCli:
         # the net was built for another config: density window 3 against the
         # config's 2, hidden width 16 against 8, or tanh against relu
         if case == "density_window":
-            config, net = _tiny_density_config(), density.init_ar_model(4, 3, (8,), seed=0)
+            config, net = _tiny_density_config(), nn_core.init_network(density.ar_layer_dims(4, 3, (8,)), 0)
         else:
             config = _tiny_config()
             width, activation = (16, "relu") if case == "classifier_width" else (8, "tanh")
@@ -1744,7 +1800,7 @@ class TestCli:
         path = tmp_path / "cfg.json"
         save_config(_tiny_density_config(), path)
         params = tmp_path / "density.bin"
-        nn_core.save_params(density.init_ar_model(4, 2, (8,), seed=0), params)
+        nn_core.save_params(nn_core.init_network(density.ar_layer_dims(4, 2, (8,)), 0), params)
         (tmp_path / "density.bin.meta.json").write_text("not json")
         out = tmp_path / "out"
         assert cli.main(["eval", "-c", str(path), "-o", str(out), "-q", "--params", str(params)]) == 0

@@ -23,7 +23,7 @@ def _logit_scores(kind, logits):
 
 
 def _uniform_density(V, c=2, hidden=(4,)):
-    m = density.init_ar_model(V, c, hidden, seed=0)
+    m = nn_core.init_network(density.ar_layer_dims(V, c, hidden), 0)
     m.vector[...] = 0.0
     return m
 
@@ -67,7 +67,7 @@ class TestUniformCeScore:
 
 class TestBppScore:
     def test_delegates_to_bits_per_dim(self):
-        m = density.init_ar_model(4, 2, (6,), seed=0)
+        m = nn_core.init_network(density.ar_layer_dims(4, 2, (6,)), 0)
         seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
         assert np.array_equal(
             scoring.score_dataset(m, "density_bpp", seqs), density.bits_per_dim_batch(m, seqs)
@@ -87,8 +87,10 @@ class TestOrientation:
         assert _logit_scores("uniform_ce", [0.0, 0.0])[0] > _logit_scores("uniform_ce", [20.0, -20.0])[0]
         # improbable sequence vs the training pattern
         data = np.zeros((50, 8), dtype=np.int64)
-        m = density.init_ar_model(2, 2, (8,), seed=0)
-        m = density.train_density(m, data, epochs=20, batch_size=32, lr0=0.5, seed=0)
+        m = nn_core.init_network(density.ar_layer_dims(2, 2, (8,)), 0)
+        m = density.train_density(
+            nn_core.NetworkParams.stack([m]), data[None], epochs=20, batch_size=32, lr0=0.5, seed=[0]
+        ).unstack()[0]
         pattern = np.zeros(8, dtype=np.int64)
         weird = np.array([0, 1] * 4, dtype=np.int64)
         scores = scoring.score_dataset(m, "density_bpp", np.stack([weird, pattern]))
@@ -113,7 +115,7 @@ class TestScoreDataset:
     def test_empty_dataset_gives_empty_scores(self):
         p = _classifier()
         assert scoring.score_dataset(p, "msp", np.zeros((0, 2))).size == 0
-        m = density.init_ar_model(3, 2, (4,), seed=0)
+        m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)
         assert scoring.score_dataset(m, "density_bpp", np.zeros((0, 5), dtype=np.int64)).size == 0
 
     def test_singleton_matches_pointwise_ops(self):
@@ -125,7 +127,7 @@ class TestScoreDataset:
         assert scoring.score_dataset(p, "uniform_ce", x)[0] == pytest.approx(
             np.mean(np.log(probs)), abs=1e-12
         )
-        m = density.init_ar_model(3, 2, (4,), seed=1)
+        m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 1)
         seq = np.array([[0, 2, 1, 0]], dtype=np.int64)
         assert scoring.score_dataset(m, "density_bpp", seq)[0] == pytest.approx(
             density.nll_batch(m, seq)[0] / (4 * math.log(2.0)), abs=1e-12
@@ -141,7 +143,7 @@ class TestScoreDataset:
 
     def test_incompatible_model_detector_pairings_rejected(self):
         p = _classifier()
-        m = density.init_ar_model(3, 2, (4,), seed=0)
+        m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)
         X = np.zeros((2, 2))
         seqs = np.zeros((2, 4), dtype=np.int64)
         with pytest.raises(ConfigurationError):
@@ -189,7 +191,7 @@ class TestScoreRows:
     @pytest.mark.parametrize("kept", [127, 128])
     def test_density_counts_position_rows(self, monkeypatch, kept):
         # 16 position rows per sequence: 128 sequences make a 2,048-row forward
-        net = density.init_ar_model(8, 2, (32,), seed=3)
+        net = nn_core.init_network(density.ar_layer_dims(8, 2, (32,)), 3)
         seqs = np.random.default_rng(4).integers(0, 8, size=(300, 16))
         rows = np.sort(np.random.default_rng(5).choice(300, size=kept, replace=False))
         original, seen = self._spy(monkeypatch)

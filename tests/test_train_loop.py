@@ -8,6 +8,12 @@ from oewb import density, nn_core
 from oewb.errors import ConfigurationError, DivergenceError
 
 SETTINGS = dict(epochs=2, batch_size=16, lr0=0.2, momentum=0.9, weight_decay=5e-4, seed=7)
+# the same run for a stack of one, whose seed is a sequence of one
+SOLO = {**SETTINGS, "seed": [SETTINGS["seed"]]}
+
+
+def _ar_net(seed):
+    return nn_core.init_network(density.ar_layer_dims(5, 2, (8,)), seed)
 
 
 def _assert_same(trained: nn_core.NetworkParams, reference: ref.RefNet):
@@ -39,11 +45,10 @@ LOSSES = [
 def test_classifier_loop_matches_reference(lam, activation):
     X, y, oe_X = _classifier_data()
     params = nn_core.init_network([2, 8, 8, 3], seed=5, activation=activation)
-    before = params.vector.tobytes()
-    trained = nn_core.train_classifier(params, lam, nn_core.Batch(X, y), nn_core.Batch(oe_X), **SETTINGS)
-    reference = ref.train_classifier(params, lam, X, y, oe_X, **SETTINGS)
-    _assert_same(trained, reference)
-    assert params.vector.tobytes() == before
+    stack = nn_core.NetworkParams.stack([params])
+    trained = nn_core.train_classifier(stack, lam, nn_core.Batch(X[None], y[None]), nn_core.Batch(oe_X[None]), **SOLO)
+    assert np.array_equal(stack.vector[0], params.vector)
+    _assert_same(trained.unstack()[0], ref.train_classifier(params, lam, X, y, oe_X, **SETTINGS))
 
 
 def _sequences():
@@ -57,69 +62,53 @@ def _sequences():
 
 def test_density_mle_loop_matches_reference():
     seqs, _ = _sequences()
-    model = density.init_ar_model(5, 2, (8,), seed=2)
-    before = model.vector.tobytes()
-    trained = density.train_density(model, seqs, **SETTINGS)
-    _assert_same(trained, ref.train_density(model, seqs, **SETTINGS))
-    assert model.vector.tobytes() == before
+    model = _ar_net(2)
+    stack = nn_core.NetworkParams.stack([model])
+    trained = density.train_density(stack, seqs[None], **SOLO)
+    assert np.array_equal(stack.vector[0], model.vector)
+    _assert_same(trained.unstack()[0], ref.train_density(model, seqs, **SETTINGS))
 
 
 def test_density_margin_finetune_matches_reference():
     inliers, outliers = _sequences()
-    model = density.train_density(density.init_ar_model(5, 2, (8,), seed=2), inliers, **SETTINGS)
-    before = model.vector.tobytes()
+    stack = density.train_density(nn_core.NetworkParams.stack([_ar_net(2)]), inliers[None], **SOLO)
+    before = stack.vector.copy()
     extra = dict(margin=9.0, mle_weight=1.0, margin_weight=0.7)
-    trained = density.finetune_density_oe(model, inliers, outliers, **extra, **SETTINGS)
-    _assert_same(trained, ref.finetune_density(model, inliers, outliers, **extra, **SETTINGS))
-    assert model.vector.tobytes() == before
+    trained = density.finetune_density_oe(stack, inliers[None], outliers[None], **extra, **SOLO)
+    assert np.array_equal(stack.vector, before)
+    model = stack.unstack()[0]
+    _assert_same(trained.unstack()[0], ref.finetune_density(model, inliers, outliers, **extra, **SETTINGS))
 
 
 def test_divergence_names_the_epoch():
     X, y, _ = _classifier_data()
-    params = nn_core.init_network([2, 8, 3], seed=0)
-    settings = {**SETTINGS, "lr0": 1e100, "epochs": 3}
+    params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
+    settings = {**SOLO, "lr0": 1e100, "epochs": 3}
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="epoch 1 of 3"):
-        nn_core.train_classifier(params, 0.0, nn_core.Batch(X, y), **settings)
+        nn_core.train_classifier(params, 0.0, nn_core.Batch(X[None], y[None]), **settings)
+
+
+def _no_step(net, batch, oe_batch, work):
+    raise AssertionError("no step may run")
 
 
 def test_an_empty_outlier_array_is_refused_before_any_step():
     X, y, _ = _classifier_data()
-    params = nn_core.init_network([2, 8, 3], seed=0)
-
-    def step_grad(net, batch, oe_batch, work):
-        raise AssertionError("no step may run")
-
+    params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
     with pytest.raises(ConfigurationError, match="needs a nonempty outlier set"):
-        nn_core.train_loop(params, step_grad, (X, y), np.empty((0, 2)), **SETTINGS)
+        nn_core.train_loop(params, _no_step, (X[None], y[None]), np.empty((1, 0, 2)), **SOLO)
 
 
-def _train_classifier(net, lead, **settings):
-    X, y, oe_X = _classifier_data()
-    return nn_core.train_classifier(net, 0.5, nn_core.Batch(lead(X), lead(y)), nn_core.Batch(lead(oe_X)), **settings)
-
-
-def _train_density(net, lead, **settings):
-    return density.train_density(net, lead(_sequences()[0]), **settings)
-
-
-def _finetune_density(net, lead, **settings):
-    inliers, outliers = _sequences()
-    return density.finetune_density_oe(net, lead(inliers), lead(outliers), margin=9.0, **settings)
-
-
-@pytest.mark.parametrize("train, net", [
-    (_train_classifier, lambda: nn_core.init_network([2, 8, 8, 3], seed=5)),
-    (_train_density, lambda: density.init_ar_model(5, 2, (8,), seed=2)),
-    (_finetune_density, lambda: density.init_ar_model(5, 2, (8,), seed=2)),
-], ids=["classifier", "density_mle", "density_margin"])
-def test_a_single_net_trains_as_a_stack_of_one(train, net):
-    # train_loop lifts one net and its (n, ...) data to a stack of one;
-    # that must be the stack of one a caller builds with (1, n, ...) data
-    net = net()
-    single = train(net, lambda a: a, **SETTINGS)
-    stacked = train(nn_core.NetworkParams.stack([net]), lambda a: a[None], **{**SETTINGS, "seed": [SETTINGS["seed"]]})
-    assert single.vector.ndim == 1 and stacked.vector.shape == (1, single.vector.size)
-    assert stacked.vector[0].tobytes() == single.vector.tobytes()
+@pytest.mark.parametrize("stacked, seed", [
+    (False, [7]), (False, 7), (True, 7), (True, [7]), (True, [7, 8, 9]),
+], ids=["single-net", "single-net-scalar-seed", "scalar-seed", "one-seed-for-two", "three-seeds-for-two"])
+def test_only_a_stack_with_one_seed_per_net_trains(stacked, seed):
+    X, y, _ = _classifier_data()
+    nets = [nn_core.init_network([2, 8, 3], seed=m) for m in range(2)]
+    params = nn_core.NetworkParams.stack(nets) if stacked else nets[0]
+    data = (np.stack([X, X]), np.stack([y, y])) if stacked else (X, y)
+    with pytest.raises(ConfigurationError, match=r"an \(S, P\) stack of nets and a sequence of S shuffle seeds"):
+        nn_core.train_loop(params, _no_step, data, **{**SETTINGS, "seed": seed})
 
 
 # Stacks: three nets that differ in seed, data and initialisation train in
@@ -168,7 +157,7 @@ def _sequences_for(member):
 
 def test_stacked_density_mle_matches_reference_per_member():
     seqs = [_sequences_for(m)[0] for m in range(3)]
-    models = [density.init_ar_model(5, 2, (8,), seed=60 + m) for m in range(3)]
+    models = [_ar_net(60 + m) for m in range(3)]
     stack = nn_core.NetworkParams.stack(models)
     before = stack.vector.copy()
     trained = density.train_density(stack, np.stack(seqs), **_stack_settings())
@@ -179,11 +168,11 @@ def test_stacked_density_mle_matches_reference_per_member():
 
 def test_stacked_density_margin_finetune_matches_reference_per_member():
     pairs = [_sequences_for(m) for m in range(3)]
-    models = [
-        density.train_density(density.init_ar_model(5, 2, (8,), seed=60 + m), pairs[m][0], **SETTINGS)
-        for m in range(3)
-    ]
-    stack = nn_core.NetworkParams.stack(models)
+    stack = density.train_density(
+        nn_core.NetworkParams.stack([_ar_net(60 + m) for m in range(3)]), np.stack([a for a, _ in pairs]),
+        **_stack_settings(),
+    )
+    models = stack.unstack()
     before = stack.vector.copy()
     inliers, outliers = (np.stack(parts) for parts in zip(*pairs))
     extra = dict(margin=9.0, mle_weight=1.0, margin_weight=0.7)
@@ -191,6 +180,33 @@ def test_stacked_density_margin_finetune_matches_reference_per_member():
     assert np.array_equal(stack.vector, before)
     for model, (a, b), seed, got in zip(models, pairs, STACK_SEEDS, trained.unstack()):
         _assert_same(got, ref.finetune_density(model, a, b, **extra, **{**SETTINGS, "seed": seed}))
+
+
+def _train_classifier(stack, data, **settings):
+    X, y, oe_X = (np.stack(parts) for parts in zip(*data))
+    return nn_core.train_classifier(stack, 0.5, nn_core.Batch(X, y), nn_core.Batch(oe_X), **settings)
+
+
+def _train_density(stack, data, **settings):
+    return density.train_density(stack, np.stack([a for a, _ in data]), **settings)
+
+
+def _finetune_density(stack, data, **settings):
+    inliers, outliers = (np.stack(parts) for parts in zip(*data))
+    return density.finetune_density_oe(stack, inliers, outliers, margin=9.0, **settings)
+
+
+@pytest.mark.parametrize("train, net, data", [
+    (_train_classifier, lambda m: nn_core.init_network([2, 8, 8, 3], seed=40 + m), _classifier_data_for),
+    (_train_density, _ar_net, _sequences_for),
+    (_finetune_density, _ar_net, _sequences_for),
+], ids=["classifier", "density_mle", "density_margin"])
+def test_each_member_of_a_stack_trains_as_a_stack_of_one(train, net, data):
+    nets, data = [net(m) for m in range(3)], [data(m) for m in range(3)]
+    trained = train(nn_core.NetworkParams.stack(nets), data, **_stack_settings())
+    for m, seed in enumerate(STACK_SEEDS):
+        alone = train(nn_core.NetworkParams.stack([nets[m]]), data[m : m + 1], **{**SETTINGS, "seed": [seed]})
+        assert trained.vector[m].tobytes() == alone.vector[0].tobytes()
 
 
 def test_divergence_names_the_member_and_its_step():
