@@ -13,9 +13,9 @@ layout reads (c, V) back from them. Both trainers run on
 nn_core.train_loop, which draws and gathers every batch: a stack of nets
 (NetworkParams.stack) trains on (S, n, D) sequence arrays with one seed
 per net. Each trainer supplies only the gradient of one step, which
-builds its batch's one-hot rows afresh, by writing ones at flat indices
-of a zeroed array, and sums over classes and positions with
-nn_core.class_sum, which keeps the bits of numpy's reduce.
+writes its batch's one-hot rows into the run's workspace buffer, zeroed
+and set to one at flat indices, and sums over classes and positions
+with nn_core.class_sum, which keeps the bits of numpy's reduce.
 """
 
 from __future__ import annotations
@@ -75,15 +75,21 @@ def context_windows(seqs, context_window: int, alphabet_size: int):
     return windows.reshape(*lead[:-1], -1, c), arr.reshape(*lead[:-1], -1)
 
 
-def one_hot_windows(windows: np.ndarray, alphabet_size: int) -> np.ndarray:
+def one_hot_windows(windows: np.ndarray, alphabet_size: int, work: nn_core.Workspace | None = None) -> np.ndarray:
     """float64 one-hot rows of shape (..., c*(V+1)) for (..., c) windows:
     symbol w at window slot j of row r sets flat entry (r*c + j)*(V+1) + w
-    of a zeroed array, as indexing rows of np.eye(V + 1) would."""
+    of a zeroed array, as indexing rows of np.eye(V + 1) would. With a
+    workspace the array is its one-hot buffer, zero-filled and written in
+    place, which the next call overwrites."""
     width = int(alphabet_size) + 1
-    out = np.zeros((*windows.shape[:-1], windows.shape[-1] * width))
-    at = np.arange(0, out.size, width)
-    at += windows.ravel()
-    out.reshape(-1)[at] = 1.0
+    shape = (*windows.shape[:-1], windows.shape[-1] * width)
+    if work is None:
+        out = np.zeros(shape)
+    else:
+        out = work.take("one-hot", shape)
+        out.fill(0.0)
+    runs = nn_core._bound(work, nn_core._FlatIndex, out, width)
+    runs.flat[runs.at(windows)] = 1.0
     return out
 
 
@@ -134,23 +140,21 @@ def train_density(net: nn_core.NetworkParams, data, **settings) -> nn_core.Netwo
 
     def step_grad(net, batch, oe_batch, work):
         windows, targets = batch
-        return nn_core._objective_grad(net, 0.0, one_hot_windows(windows, V), targets, None, work)
+        return nn_core._objective_grad(net, 0.0, one_hot_windows(windows, V, work), targets, None, work)
 
     return nn_core.train_loop(net, step_grad, context_windows(data, c, V), **settings)
 
 
-def _group_pass(net, seqs: np.ndarray, c: int, V: int, work):
-    """Forward pass over one group's position rows: (logits, targets, cache)."""
-    feats, targets = context_features(seqs, c, V)
-    logits, cache = nn_core.forward_cached(net, feats, work)
-    return logits, targets, cache
+def _group_pass(net, windows: np.ndarray, V: int, work):
+    """Forward pass over one group's position rows: (logits, cache)."""
+    return nn_core.forward_cached(net, one_hot_windows(windows, V, work), work)
 
 
-def _weighted_ce_backward(net, logits, cache, targets, w, work) -> np.ndarray:
+def _weighted_ce_backward(net, logits, cache, targets, w, work, role) -> np.ndarray:
     """The backward pass of per-row weighted cross-entropy; uses up logits."""
-    dlog = nn_core.ce_logit_grad(logits, targets, out=logits)
+    dlog = nn_core.ce_logit_grad(logits, targets, out=logits, work=work)
     dlog *= w[..., None]
-    return nn_core.backward(net, cache, dlog, work=work)
+    return nn_core.backward(net, cache, dlog, work, role=role)
 
 
 def margin_grad(
@@ -172,7 +176,9 @@ def margin_grad(
     position row and -1 to every outlier position row, scaled by 1/n_pairs.
     Only one group's activations are alive at a time: the outlier group
     runs forward for its NLL, the inlier group for its NLL and backward
-    pass, and then the outlier group again for its backward pass.
+    pass, and then the outlier group again for its backward pass, from
+    the integer windows its first pass kept. With a workspace the
+    gradient is the workspace's, valid until its next step.
     """
     if not margin > 0:
         raise ParameterError("margin must be positive")
@@ -182,9 +188,11 @@ def margin_grad(
     if a.shape[:-1] != b.shape[:-1]:
         raise ConfigurationError("margin pairs require equally sized inlier/outlier batches")
     n_pairs = a.shape[-2]
-    logits, t_out = _group_pass(net, b, c, V, work)[:2]
+    win_out, t_out = context_windows(b, c, V)
+    logits = _group_pass(net, win_out, V, work)[0]
     nll_out = _sequence_nll(logits, t_out, b.shape)
-    logits, t_in, cache = _group_pass(net, a, c, V, work)
+    win_in, t_in = context_windows(a, c, V)
+    logits, cache = _group_pass(net, win_in, V, work)
     nll_in = _sequence_nll(logits, t_in, a.shape)
     active = (margin + nll_in - nll_out) > 0
 
@@ -194,10 +202,10 @@ def margin_grad(
     w_out_seq = -margin_weight * active / n_pairs
     w_in = np.repeat(w_in_seq, a.shape[-1], axis=-1)
     w_out = np.repeat(w_out_seq, b.shape[-1], axis=-1)
-    g = _weighted_ce_backward(net, logits, cache, t_in, w_in, work)
+    g = _weighted_ce_backward(net, logits, cache, t_in, w_in, work, "grad")
     del cache  # the inlier rows go before the outlier pass runs again
-    logits, _, cache = _group_pass(net, b, c, V, work)
-    g += _weighted_ce_backward(net, logits, cache, t_out, w_out, work)
+    logits, cache = _group_pass(net, win_out, V, work)
+    g += _weighted_ce_backward(net, logits, cache, t_out, w_out, work, "outlier grad")
     return g
 
 

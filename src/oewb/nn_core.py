@@ -26,11 +26,18 @@ only the operands of commutative operations.
 train_loop steps a stack in lockstep: each net draws its own seeded
 permutations and outlier order, and one Nesterov step updates the whole
 (S, P) matrix in place. The loop alone draws batches: it gathers every
-net's rows from each data array and from the outliers, through one
-workspace per run, and hands them to the trainer's step gradient, so
-train_classifier and density's MLE and margin trainers each supply only
-the gradient of one step. The input parameters are copied once and never
-mutated; seeded runs are bitwise reproducible.
+net's rows from each data array and from the outliers and hands them to
+the trainer's step gradient, so train_classifier and density's MLE and
+margin trainers each supply only the gradient of one step. The input
+parameters are copied once and never mutated; seeded runs are bitwise
+reproducible.
+
+A run binds once what its steps derive from shapes alone: a net its
+transposed weights and bias rows, the run's Workspace every buffer and
+view a step writes or reads. A gradient that forward_cached and
+backward compute through the workspace is the workspace's array, valid
+until the run's next step; sgd_step reads it before then. Without a
+workspace every array is fresh.
 """
 
 from __future__ import annotations
@@ -103,10 +110,14 @@ class NetworkParams:
         self._bind(vector)
 
     def _bind(self, vector: np.ndarray) -> None:
+        """Bind the per-layer views of vector, and the transposed weights
+        and bias rows that forward_cached reads, once per array."""
         self.vector = vector
         views = self.arrays()
         self.weights = views[0::2]
         self.biases = views[1::2]
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        self._bias_rows = [b[..., None, :] for b in self.biases]
 
     def _with_vector(self, vector: np.ndarray) -> "NetworkParams":
         """Same layout over another parameter array, taken without copying."""
@@ -174,28 +185,72 @@ def init_network(layer_dims, seed, activation: str = "relu") -> NetworkParams:
 
 
 class Workspace:
-    """float64 arrays that every step of one training run reuses, by role.
+    """What every step of one training run reuses: buffers by role, and
+    whatever a step derives from array shapes alone.
 
     A stack's activations are large enough that allocating them afresh on
-    every step costs more in page faults than the arithmetic they hold.
-    Each role keeps one buffer, grown to the largest shape asked of it; an
-    array taken for a role is overwritten by the next pass that takes it.
+    every step costs more in page faults than the arithmetic they hold,
+    and a step is dozens of numpy calls on small arrays, whose fixed cost
+    every view cut and every array allocated per call adds to. So a
+    workspace keeps
+    - one buffer per role, grown to the largest shape asked of it, and
+      the view of it that take hands out for each shape;
+    - one gradient array per role, with its per-layer views (grad);
+    - helpers bound to one array (bound): the class columns and result
+      buffers of class_max and class_sum, and the flat view and run
+      starts of a scatter, kept until another array asks for them, as a
+      short batch does once per epoch.
+    An array taken for a role is overwritten by the next pass that takes
+    it, and a gradient by the next backward pass of its role: in a
+    training run, by the next step.
     """
 
     def __init__(self):
-        self._buffers = {}
+        self._buffers = {}  # role -> flat buffer
+        self._views = {}  # (role, shape) -> view of the role's buffer
+        self._grads = {}  # role -> (array, its per-layer views, the layout they follow)
+        self._bound = {}  # (make, *args) -> (array, make(array, *args))
 
-    def take(self, role, shape) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(role)
-        if buf is None or buf.size < size:
-            buf = self._buffers[role] = np.empty(size)
-        return buf[:size].reshape(shape)
+    def take(self, role, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """The role's buffer as an array of shape, which the next take of
+        the role overwrites."""
+        view = self._views.get((role, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self._buffers.get(role)
+            if buf is None or buf.size < size:
+                buf = self._buffers[role] = np.empty(size, dtype)
+                # the views of an outgrown buffer are not handed out again
+                self._views = {key: v for key, v in self._views.items() if key[0] != role}
+            view = self._views[role, shape] = buf[:size].reshape(shape)
+        return view
+
+    def grad(self, role, params: NetworkParams) -> tuple:
+        """(array, per-layer views) in the layout of params.vector: the
+        gradient of role, which the next backward pass of role overwrites."""
+        entry = self._grads.get(role)
+        if entry is None or entry[2] is not params._slots or entry[0].shape != params.vector.shape:
+            g = np.empty_like(params.vector)
+            entry = self._grads[role] = (g, params.split(g), params._slots)
+        return entry[0], entry[1]
+
+    def bound(self, make, array: np.ndarray, *args):
+        """make(array, *args), made again only when another array asks."""
+        key = (make, *args)
+        entry = self._bound.get(key)
+        if entry is None or entry[0] is not array:
+            entry = self._bound[key] = (array, make(array, *args))
+        return entry[1]
 
 
-def _out(work: Workspace | None, role, shape):
+def _out(work: Workspace | None, role, shape, dtype=np.float64):
     """An output array from the workspace, or None to let numpy allocate."""
-    return None if work is None else work.take(role, shape)
+    return None if work is None else work.take(role, shape, dtype)
+
+
+def _bound(work: Workspace | None, make, array: np.ndarray, *args):
+    """make(array, *args): afresh, or the workspace's for this array."""
+    return make(array, *args) if work is None else work.bound(make, array, *args)
 
 
 def _act(z: np.ndarray, name: str) -> np.ndarray:
@@ -211,7 +266,7 @@ def _delta_below(params: NetworkParams, i: int, delta, a, work: Workspace | None
     where relu'(z) is a > 0 and tanh'(z) is 1 - a * a."""
     w = params.weights[i]
     if params.activation == "relu":
-        mask = a > 0
+        mask = np.greater(a, 0, out=_out(work, ("mask", i), a.shape, bool))
         da = np.matmul(delta, w, out=a)
     else:
         mask = np.multiply(a, a, out=a)
@@ -246,9 +301,9 @@ def forward_cached(params: NetworkParams, inputs, work: Workspace | None = None)
     acts = [X]
     a = X
     last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(a, w.swapaxes(-1, -2), out=_out(work, ("layer", i), (*a.shape[:-1], w.shape[-2])))
-        z += b[..., None, :]
+    for i, (w_t, b_row) in enumerate(zip(params._weights_t, params._bias_rows)):
+        z = np.matmul(a, w_t, out=_out(work, ("layer", i), (*a.shape[:-1], w_t.shape[-1])))
+        z += b_row
         if i < last:
             a = _act(z, params.activation)
             acts.append(a)
@@ -260,17 +315,66 @@ def forward(params: NetworkParams, inputs) -> np.ndarray:
     return forward_cached(params, inputs)[0]
 
 
-def class_max(z: np.ndarray) -> np.ndarray:
+class _ClassMax:
+    """class_max over one array, its class columns cut once."""
+
+    def __init__(self, z: np.ndarray):
+        cols = [z[..., j:j + 1] for j in range(z.shape[-1])]
+        self.first, self.rest = cols[0], cols[1:]
+        self.out = np.empty(self.first.shape, z.dtype)
+
+    def __call__(self) -> np.ndarray:
+        m = self.out
+        np.copyto(m, self.first)
+        for c in self.rest:
+            np.maximum(m, c, out=m)
+        return m
+
+
+def class_max(z: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """z.max(axis=-1, keepdims=True), as one np.maximum per class column:
     over a handful of classes that is several times faster than a reduce
-    along the short last axis, and the values are the same."""
-    m = z[..., :1].copy()
-    for j in range(1, z.shape[-1]):
-        np.maximum(m, z[..., j:j + 1], out=m)
-    return m
+    along the short last axis, and the values are the same. With a
+    workspace, the columns and the result are bound to z once, and the
+    next call on z overwrites the result."""
+    return _bound(work, _ClassMax, z)()
 
 
-def class_sum(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
+class _ClassSum:
+    """class_sum's column arithmetic over one C-contiguous (..., k) array
+    with 0 < k < 16, its columns and partial sums cut once."""
+
+    def __init__(self, z: np.ndarray, keepdims: bool):
+        k = z.shape[-1]
+        cols = z.reshape(-1, k).T
+        if k < 8:
+            self.s = np.empty(cols.shape[1])
+            self.first, self.pairs = cols[0], None
+            self.rest = list(cols[1:])
+        else:
+            r = np.empty((4, cols.shape[1]))  # r0+r1, r2+r3, r4+r5, r6+r7
+            self.pairs = (cols[0:8:2], cols[1:8:2], r, r[0::2], r[1::2])
+            self.s = r[0]
+            self.rest = [r[2], *cols[8:]]
+        s = self.s.reshape(z.shape[:-1])
+        self.result = s[..., None] if keepdims else s
+
+    def __call__(self) -> np.ndarray:
+        s = self.s
+        if self.pairs is None:
+            np.add(0.0, self.first, out=s)
+        else:
+            even, odd, r, r_even, r_odd = self.pairs
+            np.add(even, odd, out=r)
+            r_even += r_odd
+        for c in self.rest:
+            s += c
+        if self.pairs is not None:
+            s += 0.0
+        return self.result
+
+
+def class_sum(z: np.ndarray, keepdims: bool = False, work: Workspace | None = None) -> np.ndarray:
     """z.sum(axis=-1), bit for bit, as a few adds over whole class columns
     in the order numpy's reduce adds each row: a reduce along a short last
     axis costs more. Below 8 classes the reduce adds the entries one by one
@@ -280,45 +384,34 @@ def class_sum(z: np.ndarray, keepdims: bool = False) -> np.ndarray:
     into +0.0. From 16 classes on the reduce's blocks of 8 cost more as
     columns than the reduce itself, so the reduce runs; so it does for an
     array that is not C-contiguous, which numpy may sum in another order.
+    With a workspace, the columns and the result of the column adds are
+    bound to z once, and the next call on z overwrites the result.
     """
     k = z.shape[-1]
     if not 0 < k < 16 or not z.flags.c_contiguous:
         return z.sum(axis=-1, keepdims=keepdims)
-    cols = z.reshape(-1, k).T
-    if k < 8:
-        s = 0.0 + cols[0]
-        for c in cols[1:]:
-            s += c
-    else:
-        r = cols[0:8:2] + cols[1:8:2]  # r0+r1, r2+r3, r4+r5, r6+r7
-        r[0::2] += r[1::2]
-        s = r[0]
-        s += r[2]
-        for c in cols[8:]:
-            s += c
-        s += 0.0
-    s = s.reshape(z.shape[:-1])
-    return s[..., None] if keepdims else s
+    return _bound(work, _ClassSum, z, keepdims)()
 
 
-def _shifted_exp(logits, temperature: float, out=None) -> np.ndarray:
+def _shifted_exp(logits, temperature: float, out=None, work: Workspace | None = None) -> np.ndarray:
     """exp(z - max z) per row, z = logits / temperature: softmax's numerators."""
     if not temperature > 0:
         raise ParameterError("temperature must be positive")
     z = np.asarray(logits, dtype=np.float64)
     if temperature != 1.0:
         z = z / temperature
-    e = np.subtract(z, class_max(z), out=out)
+    e = np.subtract(z, class_max(z, work), out=out)
     return np.exp(e, out=e)
 
 
-def softmax(logits, out=None) -> np.ndarray:
+def softmax(logits, out=None, work: Workspace | None = None) -> np.ndarray:
     """Row-wise softmax of logits, max-subtracted for stability.
 
-    out, when given, receives the result and may be the logits array.
+    out, when given, receives the result and may be the logits array. A
+    workspace binds the class max and class sum to the arrays they read.
     """
-    e = _shifted_exp(logits, 1.0, out)
-    e /= class_sum(e, keepdims=True)
+    e = _shifted_exp(logits, 1.0, out, work)
+    e /= class_sum(e, keepdims=True, work=work)
     return e
 
 
@@ -341,34 +434,56 @@ def log_softmax(logits) -> np.ndarray:
     return z
 
 
-def ce_logit_grad(logits, labels: np.ndarray, out=None) -> np.ndarray:
+class _FlatIndex:
+    """The flat view of one C-contiguous array read as runs of width
+    entries, and the flat index of the first entry of every run."""
+
+    def __init__(self, array: np.ndarray, width: int):
+        self.flat = array.reshape(-1)
+        self.starts = np.arange(0, array.size, width)
+        self._at = np.empty_like(self.starts)
+
+    def at(self, offsets: np.ndarray) -> np.ndarray:
+        """The flat index of entry offsets[r] of every run r; the next call
+        overwrites it."""
+        return np.add(self.starts, offsets.ravel(), out=self._at)
+
+
+def ce_logit_grad(logits, labels: np.ndarray, out=None, work: Workspace | None = None) -> np.ndarray:
     """softmax(logits) - one_hot(labels): the gradient of the summed
     cross-entropy with respect to the logits, as a fresh array or in out
     (which may be the logits array, and must be C-contiguous). The label
     entries are found through one flat index: row r's entry sits at
-    r * k + labels[r] of the flattened rows."""
-    out = softmax(logits, out=out)
+    r * k + labels[r] of the flattened rows. A workspace binds the class
+    columns, the sum and max buffers and the row starts to out once."""
+    out = softmax(logits, out=out, work=work)
     if not out.flags.c_contiguous:
         raise ConfigurationError("ce_logit_grad writes only into a C-contiguous array")
-    at = np.arange(0, out.size, out.shape[-1])
-    at += labels.ravel()
-    out.reshape(-1)[at] -= 1.0
+    rows = _bound(work, _FlatIndex, out, out.shape[-1])
+    rows.flat[rows.at(labels)] -= 1.0
     return out
 
 
-def backward(params: NetworkParams, cache, dlogits, work: Workspace | None = None) -> np.ndarray:
+def backward(params: NetworkParams, cache, dlogits, work: Workspace | None = None, *,
+             role="grad") -> np.ndarray:
     """Parameter gradient from per-example gradients at the logits.
 
     dlogits is (n, k); a stack adds its seed axis in front. The caller
     bakes any 1/n factors into this upstream gradient; this routine only
     applies the chain rule. It uses up the cache: each hidden
     activation is overwritten by the delta below it once it has been read.
-    Returns a fresh array in the layout of params.vector.
+    Returns an array in the layout of params.vector: a fresh one, or with
+    a workspace its gradient of role (Workspace.grad), valid until the
+    next backward pass of that role. Two gradients that are summed need
+    two roles.
     """
     acts = cache
     n_layers = len(params.weights)
-    out = np.empty_like(params.vector)
-    views = params.split(out)
+    if work is None:
+        out = np.empty_like(params.vector)
+        views = params.split(out)
+    else:
+        out, views = work.grad(role, params)
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(n_layers - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=views[2 * i])
@@ -405,19 +520,20 @@ def _objective_grad(params: NetworkParams, lam: float, X, y, oe_X, work: Workspa
     +=: one pass over the concatenated rows would sum the weight gradients
     in another order and move the bits. Each term's logit gradient is
     written over its logits, in the operation order of
-    lam * (softmax(logits) - 1 / k) / m for the outlier term.
+    lam * (softmax(logits) - 1 / k) / m for the outlier term. With a
+    workspace the gradient is the workspace's, valid until its next step.
     """
     logits, cache = forward_cached(params, X, work)
-    dlog = ce_logit_grad(logits, y, out=logits)
+    dlog = ce_logit_grad(logits, y, out=logits, work=work)
     dlog /= X.shape[-2]
     g = backward(params, cache, dlog, work)
     if lam > 0:
         ologits, ocache = forward_cached(params, oe_X, work)
-        dout = softmax(ologits, out=ologits)
+        dout = softmax(ologits, out=ologits, work=work)
         dout -= 1.0 / params.n_classes
         dout *= lam
         dout /= oe_X.shape[-2]
-        g += backward(params, ocache, dout, work)
+        g += backward(params, ocache, dout, work, role="outlier grad")
     return g
 
 
@@ -529,10 +645,12 @@ def train_loop(
     rows from oe, and calls step_grad(net, batch, oe_batch, work) on the
     stack net with those (S, b, ...) arrays (oe_batch is None without
     outliers) and the run's one Workspace; it returns the (S, P)
-    gradient. Every step is followed by a finiteness check of the whole
-    stack; the first non-finite parameter raises DivergenceError naming
-    the step and epoch, with the stack position of the first net that
-    diverged as its member.
+    gradient, which may be the workspace's: sgd_step reads it before the
+    next step overwrites it. Every step is followed by a finiteness check
+    of the whole stack, which alone reports an overflow (numpy's float
+    warnings are off inside the loop); the first non-finite parameter
+    raises DivergenceError naming the step and epoch, with the stack
+    position of the first net that diverged as its member.
     """
     if epochs < 1:
         raise ParameterError("epochs must be >= 1")
@@ -545,37 +663,47 @@ def train_loop(
         raise ConfigurationError("training needs at least one inlier row")
     if oe is not None and oe.shape[1] < 1:
         raise ConfigurationError("exposure training needs a nonempty outlier set")
+    if any(a.shape[:2] != (len(seeds), n_rows) for a in data) or (oe is not None and len(oe) != len(seeds)):
+        raise ConfigurationError("training takes the same rows of every data array, and outliers, for every net")
     bs = min(int(batch_size), n_rows)
     steps_per_epoch = (n_rows + bs - 1) // bs
     state = init_optimizer(
         net, lr0, total_steps=epochs * steps_per_epoch, momentum=momentum, weight_decay=weight_decay
     )
     rngs = [np.random.default_rng(s) for s in seeds]
-    rows = np.arange(len(seeds))[:, None]
+    # batches are gathered by flat row index: with the seed axis folded
+    # into the rows, net s's row i is row s * n + i
+    net_index = np.arange(len(seeds))[:, None]
+    flat = [a.reshape(-1, *a.shape[2:]) for a in data]
     work = Workspace()
     oe_batch = None
     if oe is not None:
         n_oe = oe.shape[1]
+        oe_flat = oe.reshape(-1, *oe.shape[2:])
         oe_order = np.stack([rng.permutation(n_oe) for rng in rngs])
+        oe_order += net_index * n_oe
         # every net takes as many outliers per step as the others, so one
         # pointer tracks the cyclic position of the whole stack
         oe_ptr = 0
-    for epoch in range(epochs):
-        perm = np.stack([rng.permutation(n_rows) for rng in rngs])
-        for step, start in enumerate(range(0, n_rows, bs)):
-            idx = perm[:, start : start + bs]
-            if oe is not None:
-                oe_batch = oe[rows, oe_order[:, (oe_ptr + np.arange(idx.shape[1])) % n_oe]]
-                oe_ptr = (oe_ptr + idx.shape[1]) % n_oe
-            batch = tuple(a[rows, idx] for a in data)
-            sgd_step(net, step_grad(net, batch, oe_batch, work), state)
-            if not np.isfinite(net.vector).all():
-                member = int(np.argmin(np.isfinite(net.vector).all(axis=-1)))
-                raise DivergenceError(
-                    f"parameters became non-finite in step {step + 1} of {steps_per_epoch} "
-                    f"of epoch {epoch + 1} of {epochs}",
-                    member=member,
-                )
+    # a step that overflows is reported by the check after it, not by numpy
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(epochs):
+            perm = np.stack([rng.permutation(n_rows) for rng in rngs])
+            perm += net_index * n_rows
+            for step, start in enumerate(range(0, n_rows, bs)):
+                idx = perm[:, start : start + bs]
+                if oe is not None:
+                    oe_batch = np.take(oe_flat, oe_order[:, (oe_ptr + np.arange(idx.shape[1])) % n_oe], axis=0)
+                    oe_ptr = (oe_ptr + idx.shape[1]) % n_oe
+                batch = [np.take(a, idx, axis=0) for a in flat]
+                sgd_step(net, step_grad(net, batch, oe_batch, work), state)
+                if not np.isfinite(net.vector).all():
+                    member = int(np.argmin(np.isfinite(net.vector).all(axis=-1)))
+                    raise DivergenceError(
+                        f"parameters became non-finite in step {step + 1} of {steps_per_epoch} "
+                        f"of epoch {epoch + 1} of {epochs}",
+                        member=member,
+                    )
     return net
 
 

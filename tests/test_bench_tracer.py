@@ -6,12 +6,14 @@ runs. bench/ is only imported here."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from oewb import calibration, nn_core
-from oewb.harness import cli
+from oewb.harness import cli, pipeline
+from oewb.harness.config import load_config
 from oewb.harness.presets import get_preset
 
 BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -97,6 +99,37 @@ def test_traced_run_records_training_and_matches_untraced(traced, preset):
     assert t.calls["nn_core.sgd_step"] > 0
     assert t.calls["nn_core.forward_cached"] > 0
     assert t.calls["calibration.tune_temperature"] == 0
+
+
+def _step_calls(config: Path) -> dict:
+    """The step functions' calls in a one-seed run of config: one
+    forward_cached, backward and sgd_step per training step, with two
+    forward and backward passes per exposure step (inliers and outliers;
+    the margin loss runs the outlier group forward twice), and one forward
+    per scoring pass."""
+    cfg = load_config(config)
+    bundle = pipeline.prepare_data(cfg, cfg.seeds[0])
+    n, bs = bundle.din_train.n, cfg.model.batch_size
+    density = cfg.detector == "density_bpp"
+    mle_rows = n * bundle.din_train.rows.shape[1] if density else n  # a density step takes position rows
+    base = cfg.epochs * math.ceil(mle_rows / bs)
+    tune = cfg.finetune_epochs * math.ceil(n / bs)
+    # baseline and final score the inlier test split and every test set;
+    # a classifier's final net also scores its training split for accuracy
+    scoring = 2 * (1 + len(bundle.tests)) + (0 if density else 1)
+    return {
+        "nn_core.sgd_step": base + tune,
+        "nn_core.backward": base + 2 * tune,
+        "nn_core.forward_cached": base + (3 if density else 2) * tune + scoring,
+    }
+
+
+@pytest.mark.parametrize("preset", ["preset_2d", "preset_density"])
+def test_every_step_goes_through_the_traced_step_functions(traced, tmp_path, preset):
+    # a step routed around these functions would leave their per-layer rows stale
+    t = traced(preset)
+    want = _step_calls(_one_seed_config(tmp_path, preset))
+    assert {name: t.calls[name] for name in want} == want
 
 
 def test_traced_calibrated_run_records_one_temperature_search(traced):

@@ -333,6 +333,24 @@ class TestLogitGradients:
         assert nn_core.ce_logit_grad(own, labels, out=own) is own
         assert _same_bits(own, want)
 
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 15, 16, 17])
+    def test_ce_logit_grad_through_a_workspace_keeps_the_bits(self, k):
+        # the workspace binds class columns, max and sum buffers and row
+        # starts to the logits it hands out; k crosses class_sum's one-by-one
+        # columns (below 8), its 8-accumulator tree (8 to 15) and the reduce
+        # (16 on). A full batch and a short one take turns, as at the end of
+        # an epoch.
+        rng = np.random.default_rng(k)
+        work = nn_core.Workspace()
+        for n in (40, 40, 13, 40, 13):
+            logits = work.take("logits", (3, n, k))
+            logits[...] = _sum_rows(rng, (3, n, k)) if n == 40 else rng.standard_normal((3, n, k)) * 30.0
+            labels = rng.integers(0, k, size=(3, n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = nn_core.ce_logit_grad(logits.copy(), labels)
+                assert nn_core.ce_logit_grad(logits, labels, out=logits, work=work) is logits
+            assert _same_bits(logits, want)
+
     def test_ce_logit_grad_refuses_a_strided_out(self):
         logits = np.zeros((4, 6))
         with pytest.raises(ConfigurationError):
@@ -360,6 +378,51 @@ class TestLogitGradients:
         work = nn_core.Workspace() if with_workspace else None
         for _ in range(2):  # a workspace gives the same bits on its second use
             assert _same_bits(nn_core._objective_grad(p, lam, X, y, oe_X, work), want)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_forward_and_backward_keep_their_bits(self, activation, stacked):
+        nets = [nn_core.init_network([5, 16, 8, 4], seed=s, activation=activation) for s in range(3)]
+        p = nn_core.NetworkParams.stack(nets) if stacked else nets[0]
+        lead = (3,) if stacked else ()
+        rng = np.random.default_rng(7)
+        work = nn_core.Workspace()
+        for n in (32, 32, 9, 32, 9):  # full and short batches in turn
+            X = rng.standard_normal((*lead, n, 5)) * 2.0
+            dlog = rng.standard_normal((*lead, n, 4))
+            want_logits, cache = nn_core.forward_cached(p, X)
+            want = nn_core.backward(p, cache, dlog)
+            logits, cache = nn_core.forward_cached(p, X, work)
+            assert _same_bits(logits, want_logits)
+            assert _same_bits(nn_core.backward(p, cache, dlog, work), want)
+
+    def test_a_gradient_lasts_until_the_next_backward_pass_of_its_role(self):
+        p = nn_core.init_network([3, 6, 4], seed=0)
+        rng = np.random.default_rng(0)
+        work = nn_core.Workspace()
+
+        def grad(role):
+            logits, cache = nn_core.forward_cached(p, rng.standard_normal((5, 3)), work)
+            return nn_core.backward(p, cache, rng.standard_normal((5, 4)), work, role=role)
+
+        first = grad("grad")
+        kept = first.copy()
+        other = grad("outlier grad")
+        assert not np.shares_memory(first, other)
+        assert np.array_equal(first, kept)
+        assert grad("grad") is first
+
+    def test_take_hands_out_one_view_per_shape_of_one_buffer(self):
+        work = nn_core.Workspace()
+        small = work.take("role", (2, 3))
+        assert work.take("role", (2, 3)) is small
+        assert np.shares_memory(work.take("role", (3, 2)), small)
+        large = work.take("role", (4, 5))  # outgrows the buffer
+        again = work.take("role", (2, 3))
+        assert again is not small and np.shares_memory(again, large)
+        assert work.take("mask", (2, 3), bool).dtype == bool
 
 
 class TestSgdStep:

@@ -84,7 +84,7 @@ def test_divergence_names_the_epoch():
     X, y, _ = _classifier_data()
     params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
     settings = {**SOLO, "lr0": 1e100, "epochs": 3}
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="epoch 1 of 3"):
+    with pytest.raises(DivergenceError, match="epoch 1 of 3"):
         nn_core.train_classifier(params, 0.0, nn_core.Batch(X[None], y[None]), **settings)
 
 
@@ -97,6 +97,16 @@ def test_an_empty_outlier_array_is_refused_before_any_step():
     params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
     with pytest.raises(ConfigurationError, match="needs a nonempty outlier set"):
         nn_core.train_loop(params, _no_step, (X[None], y[None]), np.empty((1, 0, 2)), **SOLO)
+
+
+def test_data_arrays_of_other_row_counts_are_refused_before_any_step():
+    # a batch is gathered by flat row index, so every array needs the same
+    # rows per net
+    X, y, oe_X = _classifier_data()
+    params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
+    for data, oe in [((X[None], y[None, 1:]), None), ((X[None], y[None]), np.stack([oe_X, oe_X]))]:
+        with pytest.raises(ConfigurationError, match="the same rows of every data array"):
+            nn_core.train_loop(params, _no_step, data, oe, **SOLO)
 
 
 @pytest.mark.parametrize("stacked, seed", [
@@ -215,7 +225,7 @@ def test_divergence_names_the_member_and_its_step():
     for w in nets[1].weights:
         w[...] = 1e200
     X, y, _ = (np.stack(parts) for parts in zip(*data))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+    with pytest.raises(DivergenceError) as err:
         nn_core.train_classifier(
             nn_core.NetworkParams.stack(nets), 0.0, nn_core.Batch(X, y), **_stack_settings()
         )
