@@ -347,29 +347,29 @@ class _ClassSum:
     def __init__(self, z: np.ndarray, keepdims: bool):
         k = z.shape[-1]
         cols = z.reshape(-1, k).T
-        if k < 8:
-            self.s = np.empty(cols.shape[1])
-            self.first, self.pairs = cols[0], None
-            self.rest = list(cols[1:])
+        self.tree = k >= 8
+        if self.tree:
+            self.r = np.empty((4, cols.shape[1]))  # r0+r1, r2+r3, r4+r5, r6+r7
+            self.even, self.odd = cols[0:8:2], cols[1:8:2]
+            self.r_even, self.r_odd = self.r[0::2], self.r[1::2]
+            self.s, rest = self.r[0], [self.r[2], *cols[8:]]
         else:
-            r = np.empty((4, cols.shape[1]))  # r0+r1, r2+r3, r4+r5, r6+r7
-            self.pairs = (cols[0:8:2], cols[1:8:2], r, r[0::2], r[1::2])
-            self.s = r[0]
-            self.rest = [r[2], *cols[8:]]
+            self.s = np.empty(cols.shape[1])
+            self.first, rest = cols[0], cols[1:]
+        self.rest = list(rest)
         s = self.s.reshape(z.shape[:-1])
         self.result = s[..., None] if keepdims else s
 
     def __call__(self) -> np.ndarray:
         s = self.s
-        if self.pairs is None:
-            np.add(0.0, self.first, out=s)
+        if self.tree:
+            np.add(self.even, self.odd, out=self.r)
+            self.r_even += self.r_odd
         else:
-            even, odd, r, r_even, r_odd = self.pairs
-            np.add(even, odd, out=r)
-            r_even += r_odd
+            np.add(0.0, self.first, out=s)
         for c in self.rest:
             s += c
-        if self.pairs is not None:
+        if self.tree:
             s += 0.0
         return self.result
 
