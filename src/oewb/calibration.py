@@ -151,7 +151,7 @@ def tune_temperature(logits, labels) -> np.ndarray:
 
 def posterior_rescale(p_max, k: int):
     """(p - 1/k) / (1 - 1/k): maps the uniform floor to exactly 0 and full
-    confidence to exactly 1. Takes a scalar or an array of max posteriors."""
+    confidence to exactly 1, elementwise over max posteriors."""
     if int(k) < 2:
         raise ParameterError("k must be >= 2")
     floor = 1.0 / k
@@ -159,8 +159,7 @@ def posterior_rescale(p_max, k: int):
     bad = ~((p >= floor) & (p <= 1.0))
     if np.any(bad):
         raise InputError(f"p_max = {p[bad].flat[0]} is impossible for a {k}-class posterior")
-    out = (p - floor) / (1.0 - floor)
-    return float(out) if out.ndim == 0 else out
+    return (p - floor) / (1.0 - floor)
 
 
 def mixed_prediction_records(in_conf, in_correct, ood_conf, seed=0):

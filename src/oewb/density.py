@@ -48,15 +48,18 @@ def ar_layer_dims(alphabet_size, context_window, hidden_dims) -> list:
 
 def _as_seq_matrix(seqs, alphabet_size: int) -> np.ndarray:
     """(n, D) symbols, or (S, n, D) for a stack of nets. Integer arrays
-    keep their dtype, so a compact stack is not widened."""
+    keep their dtype, so a compact stack is not widened; other values
+    become int64 only when each is a whole number."""
     arr = np.asarray(seqs)
-    if arr.dtype.kind not in "iu":
-        arr = arr.astype(np.int64)
     if arr.ndim not in (2, 3) or arr.shape[-1] < 1:
         raise ConfigurationError("sequences must form a nonempty (n, D) integer matrix")
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.float64)
+        if not np.all(arr == np.trunc(arr)):
+            raise DataError("symbols must be whole numbers")
     if np.any(arr < 0) or np.any(arr >= alphabet_size):
         raise DataError("symbol outside the alphabet")
-    return arr
+    return arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
 
 
 def context_windows(seqs, context_window: int, alphabet_size: int):

@@ -369,7 +369,8 @@ def _out_of_range(kind: str, p: dict) -> str | None:
 
 def check_params(spec: config.DatasetSpec) -> dict:
     """The spec's params resolved: every key its kind reads, as typed()
-    returned it or at the kind's default. Refuses a spec without a name or
+    returned it or at the kind's default. Refuses a spec without a name, a
+    name that holds "/", "\\" or NUL (files are named after it), a spec
     of an unknown kind, a path on any kind but file (which needs one), keys
     that nothing reads for this spec, so a misspelled or contradictory
     setting fails instead of running at its default, and values of the
@@ -378,6 +379,9 @@ def check_params(spec: config.DatasetSpec) -> dict:
         raise ConfigurationError(f"unknown dataset kind {spec.kind!r}")
     if not spec.name:
         raise ConfigurationError("dataset spec needs a name")
+    if any(c in spec.name for c in "/\\\0"):
+        raise ConfigurationError(f"dataset name {spec.name!r} holds a path separator or NUL; "
+                                 "report and data files are named after it")
     if spec.kind == "file" and not spec.path:
         raise ConfigurationError(f"file dataset {spec.name!r} needs a path")
     kind = spec.params.get("generator") if spec.kind == "generator" else spec.kind

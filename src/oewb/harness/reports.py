@@ -124,14 +124,6 @@ def _rate_strings(n: int, tables: dict) -> list:
     return tables[n]
 
 
-def _distinct_reprs(values: np.ndarray) -> list:
-    """repr() of each float64 in values, formatted once per distinct bit
-    pattern, so 0.0 and -0.0 keep their own strings."""
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    strings = list(map(repr, keys.view(np.float64).tolist()))
-    return list(map(strings.__getitem__, inverse.tolist()))
-
-
 def _csv(cols, xs, ys) -> str:
     return ",".join(cols) + "\n" + "\n".join(map(",".join, zip(xs, ys))) + "\n"
 
@@ -139,7 +131,7 @@ def _csv(cols, xs, ys) -> str:
 def write_curves(out_dir: Path, exp: ExperimentResult) -> None:
     """ROC and PR files from one sweep per pool. fpr, tpr and recall are
     counts over a pool size, so their strings come from _rate_strings;
-    precision strings are formatted per distinct value."""
+    precision strings are repr'd per value."""
     curve_dir = out_dir / "curves"
     curve_dir.mkdir(parents=True, exist_ok=True)
     tables = {}
@@ -150,7 +142,7 @@ def write_curves(out_dir: Path, exp: ExperimentResult) -> None:
             by_in = _rate_strings(pool.in_scores.size, tables)
             recall = list(map(by_out.__getitem__, tp.tolist()))
             fpr = list(map(by_in.__getitem__, fp.tolist()))
-            precision = _distinct_reprs(tp / (tp + fp))
+            precision = list(map(repr, (tp / (tp + fp)).tolist()))
             for stem, text in (
                 ("roc", _csv(("fpr", "tpr"), [by_in[0], *fpr], [by_out[0], *recall])),
                 ("pr", _csv(("recall", "precision"), recall, precision)),

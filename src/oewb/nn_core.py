@@ -207,22 +207,24 @@ class Workspace:
 
     def __init__(self):
         self._buffers = {}  # role -> flat buffer
-        self._views = {}  # (role, shape) -> view of the role's buffer
+        self._views = {}  # (role, shape, dtype) -> view of the role's buffer
         self._grads = {}  # role -> (array, its per-layer views, the layout they follow)
         self._bound = {}  # (make, *args) -> (array, make(array, *args))
 
     def take(self, role, shape: tuple, dtype=np.float64) -> np.ndarray:
         """The role's buffer as an array of shape, which the next take of
-        the role overwrites."""
-        view = self._views.get((role, shape))
+        the role overwrites. A role holds one dtype."""
+        view = self._views.get((role, shape, dtype))
         if view is None:
             size = math.prod(shape)
             buf = self._buffers.get(role)
+            if buf is not None and buf.dtype != dtype:
+                raise TypeError(f"workspace role {role!r} holds {buf.dtype}, not {np.dtype(dtype)}")
             if buf is None or buf.size < size:
                 buf = self._buffers[role] = np.empty(size, dtype)
                 # the views of an outgrown buffer are not handed out again
                 self._views = {key: v for key, v in self._views.items() if key[0] != role}
-            view = self._views[role, shape] = buf[:size].reshape(shape)
+            view = self._views[role, shape, dtype] = buf[:size].reshape(shape)
         return view
 
     def grad(self, role, params: NetworkParams) -> tuple:
@@ -499,14 +501,14 @@ def _check_batches(params: NetworkParams, lam, in_batch, oe_batch) -> float:
     lam = float(lam)
     if not lam >= 0:
         raise ParameterError("lam must be nonnegative")
-    if in_batch is None or len(in_batch) == 0:
-        raise ConfigurationError("training needs a nonempty in-distribution batch")
+    if in_batch is None:
+        raise ConfigurationError("training needs an in-distribution batch")
     if in_batch.labels is None:
         raise ConfigurationError("training needs labels on the in-distribution batch")
     if np.any(in_batch.labels >= params.n_classes):
         raise DataError(f"class label out of range for {params.n_classes} classes")
-    if lam > 0 and (oe_batch is None or len(oe_batch) == 0):
-        raise ConfigurationError("positive lam needs a nonempty outlier batch")
+    if lam > 0 and oe_batch is None:
+        raise ConfigurationError("positive lam needs an outlier batch")
     return lam
 
 

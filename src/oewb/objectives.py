@@ -1,10 +1,10 @@
 """Loss values: cross-entropy, uniformity pressure on auxiliary outliers,
 and the sequence-likelihood margin.
 
-Losses are scalar batch means. The matching exact gradients live in
-nn_core.grad and density.margin_grad, which keeps the value path and the
-gradient path in separate code so finite-difference checks compare two
-independent implementations.
+Losses take logits and return scalar batch means. The matching exact
+gradients live in nn_core.grad and density.margin_grad, which keeps the
+value path and the gradient path in separate code so finite-difference
+checks compare two independent implementations.
 """
 
 from __future__ import annotations
@@ -14,23 +14,19 @@ import numpy as np
 from . import nn_core
 from .errors import ConfigurationError, DataError, ParameterError
 
-_PROB_FLOOR = 1e-12
 
-
-def _log_probs(values, from_logits: bool) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
+def _log_probs(logits) -> np.ndarray:
+    v = np.asarray(logits, dtype=np.float64)
     if v.ndim == 1:
         v = v[None, :]
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ConfigurationError("expected a nonempty (n, k) array")
-    if from_logits:
-        return nn_core.log_softmax(v)
-    return np.log(np.clip(v, _PROB_FLOOR, None))
+    return nn_core.log_softmax(v)
 
 
-def ce_loss(values, labels, from_logits: bool = True) -> float:
+def ce_loss(logits, labels) -> float:
     """Mean negative log-probability of the true class."""
-    lp = _log_probs(values, from_logits)
+    lp = _log_probs(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (lp.shape[0],):
         raise ConfigurationError("labels must supply one class index per row")
@@ -39,13 +35,13 @@ def ce_loss(values, labels, from_logits: bool = True) -> float:
     return float(np.mean(-lp[np.arange(lp.shape[0]), labels]))
 
 
-def uniform_ce(values, from_logits: bool = True) -> float:
+def uniform_ce(logits) -> float:
     """Mean cross-entropy from the uniform class distribution to the posterior.
 
     Equals -(1/k) sum_i log p_i averaged over the batch; lower-bounded by
     log k, attained exactly at the uniform posterior.
     """
-    lp = _log_probs(values, from_logits)
+    lp = _log_probs(logits)
     if lp.shape[1] < 2:
         raise ConfigurationError("uniform cross-entropy needs k >= 2 classes")
     return float(np.mean(-lp.mean(axis=1)))
@@ -64,8 +60,8 @@ def multiclass_oe_loss(in_batch, oe_batch, params, lam: float) -> float:
     logits_in = nn_core.forward(params, in_batch.inputs)
     loss = ce_loss(logits_in, in_batch.labels)
     if lam > 0:
-        if oe_batch is None or len(oe_batch) == 0:
-            raise ConfigurationError("positive lam needs a nonempty outlier batch")
+        if oe_batch is None:
+            raise ConfigurationError("positive lam needs an outlier batch")
         if oe_batch.labels is not None:
             raise ConfigurationError("outlier batch must be unlabeled")
         logits_oe = nn_core.forward(params, oe_batch.inputs)

@@ -33,14 +33,8 @@ def score_dataset(model, kind: str, dataset) -> np.ndarray:
     if not isinstance(model, nn_core.NetworkParams):
         raise ConfigurationError(f"{kind} scoring needs network parameters")
     if kind == "density_bpp":
-        seqs = np.asarray(dataset, dtype=np.int64)
-        if seqs.size == 0:
-            return np.zeros(0)
-        return density_mod.bits_per_dim_batch(model, seqs)
-    X = np.asarray(dataset, dtype=np.float64)
-    if X.size == 0:
-        return np.zeros(0)
-    logits = nn_core.forward(model, X)
+        return density_mod.bits_per_dim_batch(model, dataset)
+    logits = nn_core.forward(model, np.asarray(dataset, dtype=np.float64))
     if kind == "msp":
         return -nn_core.max_softmax(logits, out=logits)
     return nn_core.log_softmax(logits).mean(axis=1)

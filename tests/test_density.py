@@ -124,6 +124,14 @@ class TestNll:
         with pytest.raises(DataError):
             density.nll_batch(m, [[-1]])
 
+    def test_symbols_that_are_not_whole_numbers_rejected(self):
+        m = _uniform_model(V=3)
+        for bad in (0.5, 2.5, -0.5, float("nan"), float("inf")):
+            with pytest.raises(DataError):
+                density.nll_batch(m, np.full((2, 3), bad))
+        # whole numbers held as floats score as the integers they equal
+        assert np.array_equal(density.nll_batch(m, np.full((2, 3), 2.0)), density.nll_batch(m, np.full((2, 3), 2)))
+
 
 class TestBitsPerDim:
     def test_exact_nats_to_bits_conversion(self):

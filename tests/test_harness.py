@@ -283,6 +283,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="generator"):
             DatasetSpec("generator", "x", {}).validate()
 
+    @pytest.mark.parametrize("name", ["../x", "ring/x", "/abs", "back\\slash", "nul\0"])
+    def test_a_dataset_name_that_cannot_be_a_file_name_is_refused(self, name):
+        with pytest.raises(ConfigurationError, match=re.escape(f"dataset name {name!r} holds a path separator")):
+            DatasetSpec("generator", name, {"generator": "uniform_box"}).validate()
+
+    @pytest.mark.parametrize("name", ["..", "a..b,c", "x y"])
+    def test_a_dataset_name_without_a_separator_is_accepted(self, name):
+        DatasetSpec("generator", name, {"generator": "uniform_box"}).validate()
+
     def test_unknown_top_level_key_rejected(self):
         d = _tiny_config().to_dict()
         d["lamda"] = 1.0
@@ -1252,6 +1261,53 @@ class TestCli:
         assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
         assert f"error: output directory {out}: {taken} exists and is not a directory" in capsys.readouterr().err
         assert taken.read_bytes() == b"not a directory"
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("make-data", "../../../escaped"), ("run", "ring/x"), ("run", "back\\slash"), ("make-data", "nul\0")],
+    )
+    def test_a_dataset_name_that_is_no_file_name_exits_one_before_any_file(self, tmp_path, capsys, command, name):
+        # test set files are named after the set: a separator in the name
+        # would place them outside -o, or under a directory never made
+        path = self._write_config(tmp_path)
+        wire = json.loads(path.read_text())
+        wire["d_out_test"][0]["name"] = name
+        path.write_text(json.dumps(wire))
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert f"error: dataset name {name!r} holds a path separator or NUL" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+    def test_every_command_writes_only_under_its_out_directory(self, tmp_path, monkeypatch):
+        # an unusual but allowed set name: dots, and a comma
+        monkeypatch.chdir(tmp_path)
+        config = _tiny_config(
+            epochs=1,
+            finetune_epochs=1,
+            d_out_test=[DatasetSpec("generator", "a..b,c", {"generator": "ring", "radius": 6.0, "n": 60})],
+        )
+        save_config(config, tmp_path / "cfg.json")
+        (tmp_path / "preds.csv").write_text("confidence,correct\n0.9,1\n0.4,0\n")
+        baseline = tmp_path / "train" / "baseline_seed0.bin"
+        commands = [
+            ("run", []),
+            ("make-data", []),
+            ("train", []),
+            ("finetune", ["--params", str(baseline)]),
+            ("eval", ["--params", str(baseline)]),
+        ]
+        for command, extra in commands:
+            out = tmp_path / command
+            before = set(tmp_path.rglob("*"))
+            assert cli.main([command, "-c", "cfg.json", "-o", str(out), "-q", *extra]) == 0
+            new = set(tmp_path.rglob("*")) - before
+            assert new and all(p == out or out in p.parents for p in new), sorted(new)
+        out = tmp_path / "calibrate"
+        before = set(tmp_path.rglob("*"))
+        assert cli.main(["calibrate", "preds.csv", "-o", str(out), "-q"]) == 0
+        assert set(tmp_path.rglob("*")) - before == {out, out / "preds_calibration.json"}
+        assert (tmp_path / "make-data" / "test_a..b,c_seed0.csv").exists()
+        assert (tmp_path / "run" / "curves" / "roc_a..b,c_seed0.csv").exists()
 
     def test_calibrate_refuses_an_out_path_naming_a_file(self, tmp_path, capsys):
         predictions = tmp_path / "preds.csv"

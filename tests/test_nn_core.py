@@ -424,6 +424,14 @@ class TestWorkspace:
         assert again is not small and np.shares_memory(again, large)
         assert work.take("mask", (2, 3), bool).dtype == bool
 
+    def test_a_role_holds_one_dtype(self):
+        work = nn_core.Workspace()
+        work.take("role", (2, 3))
+        for shape in ((2, 3), (1, 3), (4, 5)):
+            with pytest.raises(TypeError, match="holds float64, not bool"):
+                work.take("role", shape, bool)
+        assert work.take("role", (2, 3)).dtype == np.float64
+
 
 class TestSgdStep:
     def test_plain_sgd_without_momentum_or_decay(self):

@@ -14,49 +14,40 @@ LN10 = math.log(10.0)
 
 class TestCeLoss:
     def test_uniform_two_class(self):
-        assert objectives.ce_loss([[0.5, 0.5]], [0], from_logits=False) == pytest.approx(LN2, abs=1e-15)
+        assert objectives.ce_loss([[0.0, 0.0]], [0]) == pytest.approx(LN2, abs=1e-15)
 
     def test_confident_correct_logits_drive_loss_to_zero(self):
         assert objectives.ce_loss([[40.0, -40.0]], [0]) < 1e-12
 
     def test_quarter_split(self):
         expected = -math.log(0.75)  # 0.2876820724517809
-        assert objectives.ce_loss([[0.75, 0.25]], [0], from_logits=False) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert objectives.ce_loss(np.log([[0.75, 0.25]]), [0]) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.2876820724517809, abs=1e-15)
 
     def test_batch_mean(self):
-        v = objectives.ce_loss([[0.75, 0.25], [0.5, 0.5]], [0, 1], from_logits=False)
+        v = objectives.ce_loss(np.log([[0.75, 0.25], [0.5, 0.5]]), [0, 1])
         assert v == pytest.approx((-math.log(0.75) - math.log(0.5)) / 2, abs=1e-12)
-
-    def test_logits_route_matches_probability_route(self):
-        logits = np.array([[2.0, -1.0, 0.5]])
-        probs = nn_core.softmax(logits)
-        a = objectives.ce_loss(logits, [2])
-        b = objectives.ce_loss(probs, [2], from_logits=False)
-        assert a == pytest.approx(b, abs=1e-12)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DataError):
-            objectives.ce_loss([[0.5, 0.5]], [2], from_logits=False)
+            objectives.ce_loss([[0.0, 0.0]], [2])
         with pytest.raises(ConfigurationError):
-            objectives.ce_loss([[0.5, 0.5]], [0, 1], from_logits=False)
+            objectives.ce_loss([[0.0, 0.0]], [0, 1])
 
-    def test_finite_even_for_zero_probability(self):
-        assert math.isfinite(objectives.ce_loss([[0.0, 1.0]], [0], from_logits=False))
+    def test_finite_when_the_true_class_probability_underflows(self):
+        # softmax gives the true class exactly 0.0 here; the loss is the logit gap
+        assert nn_core.softmax(np.array([[-800.0, 800.0]]))[0, 0] == 0.0
+        assert objectives.ce_loss([[-800.0, 800.0]], [0]) == 1600.0
 
 
 class TestUniformCe:
     def test_uniform_is_log_k(self):
-        assert objectives.uniform_ce([[0.5, 0.5]], from_logits=False) == pytest.approx(LN2, abs=1e-15)
-        assert objectives.uniform_ce([0.1] * 10, from_logits=False) == pytest.approx(LN10, abs=1e-12)
+        assert objectives.uniform_ce([[0.0, 0.0]]) == pytest.approx(LN2, abs=1e-15)
+        assert objectives.uniform_ce([3.0] * 10) == pytest.approx(LN10, abs=1e-12)
 
     def test_quarter_split(self):
         expected = -(math.log(0.75) + math.log(0.25)) / 2  # 0.8369882167858357
-        assert objectives.uniform_ce([[0.75, 0.25]], from_logits=False) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert objectives.uniform_ce(np.log([[0.75, 0.25]])) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.8369882167858357, abs=1e-15)
 
     def test_lower_bounded_by_log_k(self):
@@ -78,7 +69,7 @@ class TestUniformCe:
 
     def test_single_class_rejected(self):
         with pytest.raises(ConfigurationError):
-            objectives.uniform_ce([[1.0]], from_logits=False)
+            objectives.uniform_ce([[1.0]])
 
 
 def _batches(seed=0):

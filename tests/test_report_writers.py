@@ -67,13 +67,6 @@ def test_rate_table_holds_the_repr_of_every_count_over_n(n):
     assert reports._rate_strings(n, tables) is table
 
 
-def test_precision_strings_are_keyed_by_bit_pattern():
-    # 0.0 == -0.0, but they are distinct bit patterns with distinct strings
-    assert reports._distinct_reprs(np.array([0.0, -0.0, 0.0, -0.0])) == ["0.0", "-0.0", "0.0", "-0.0"]
-    values = np.array(EDGE_VALUES * 2)
-    assert reports._distinct_reprs(values) == [repr(x) for x in values.tolist()]
-
-
 def test_score_files_match_the_reference_bytes(tmp_path):
     exp = _experiment()
     new, old = tmp_path / "new", tmp_path / "old"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oewb import density, nn_core, scoring
-from oewb.errors import ConfigurationError
+from oewb.errors import ConfigurationError, DataError
 
 
 def _identity_net(k):
@@ -140,6 +140,15 @@ class TestScoreDataset:
         direct = scoring.score_dataset(p, "msp", X)[perm]
         permuted = scoring.score_dataset(p, "msp", X[perm])
         assert np.array_equal(direct, permuted)
+
+    def test_density_scores_refuse_symbols_that_are_not_whole_numbers(self):
+        # the symbols reach the density model as the caller gave them, so a
+        # fraction is refused rather than truncated to a symbol
+        m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)
+        with pytest.raises(DataError, match="whole numbers"):
+            scoring.score_dataset(m, "density_bpp", np.full((2, 3), 0.5))
+        whole = scoring.score_dataset(m, "density_bpp", np.full((2, 3), 2.0))
+        assert np.array_equal(whole, scoring.score_dataset(m, "density_bpp", np.full((2, 3), 2)))
 
     def test_incompatible_model_detector_pairings_rejected(self):
         p = _classifier()
