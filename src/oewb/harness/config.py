@@ -10,10 +10,11 @@ datasets.check_params, which owns what a spec may say. The auxiliary
 outlier spec must differ from every test outlier spec once both are
 resolved, so a default spelled out does not make a copy pass (the
 materialized rows are additionally scanned for duplicates at run time).
-No two outlier specs may share a name, and the detector x pipeline pairs
-in REFUSED_PAIRS are rejected. Validation outlier specs (d_out_val) are
-materialized by make-data alone and echoed in the resolved config; no
-stage of a run reads them, and nothing selects hyperparameters.
+No two outlier specs may share a name, the experiment name must name one
+directory under runs/, and the detector x pipeline pairs in REFUSED_PAIRS
+are rejected. Validation outlier specs (d_out_val) are materialized by
+make-data alone and echoed in the resolved config; no stage of a run
+reads them, and nothing selects hyperparameters.
 """
 
 from __future__ import annotations
@@ -189,6 +190,10 @@ class ExperimentConfig:
     model: ModelSettings = field(default_factory=ModelSettings)
 
     def validate(self) -> "ExperimentConfig":
+        # a command without -o writes to runs/<name>
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ConfigurationError(f"experiment name {self.name!r} is no directory name: it is empty, "
+                                     "'.' or '..', or holds a path separator or NUL")
         if self.detector not in DETECTORS:
             raise ConfigurationError(f"unknown detector {self.detector!r}")
         if self.pipeline not in PIPELINES:

@@ -20,8 +20,10 @@ A training step is dozens of small numpy calls, so the step avoids
 per-call temporaries and short inner loops without reordering any float
 operation: class sums add whole class columns in the order numpy's
 reduce uses (class_sum), logit gradients are written over their logits,
-the label entries are found through one flat index, and sgd_step swaps
-only the operands of commutative operations.
+the label entries are found through one flat index, relu takes its max
+against a zero array rather than the scalar 0.0, bias gradients are summed
+by einsum above width 1, and sgd_step swaps only the operands of
+commutative operations.
 
 train_loop steps a stack in lockstep: each net draws its own seeded
 permutations and outlier order, and one Nesterov step updates the whole
@@ -199,7 +201,8 @@ class Workspace:
     - helpers bound to one array (bound): the class columns and result
       buffers of class_max and class_sum, and the flat view and run
       starts of a scatter, kept until another array asks for them, as a
-      short batch does once per epoch.
+      short batch does once per epoch;
+    - one read-only zero array per shape (zeros), which relu reads.
     An array taken for a role is overwritten by the next pass that takes
     it, and a gradient by the next backward pass of its role: in a
     training run, by the next step.
@@ -210,6 +213,7 @@ class Workspace:
         self._views = {}  # (role, shape, dtype) -> view of the role's buffer
         self._grads = {}  # role -> (array, its per-layer views, the layout they follow)
         self._bound = {}  # (make, *args) -> (array, make(array, *args))
+        self._zeros = {}  # shape -> read-only zero array
 
     def take(self, role, shape: tuple, dtype=np.float64) -> np.ndarray:
         """The role's buffer as an array of shape, which the next take of
@@ -244,6 +248,15 @@ class Workspace:
             entry = self._bound[key] = (array, make(array, *args))
         return entry[1]
 
+    def zeros(self, shape: tuple) -> np.ndarray:
+        """A C-contiguous zero array of shape, made once per shape and
+        read-only, so no write can leave it nonzero."""
+        z = self._zeros.get(shape)
+        if z is None:
+            z = self._zeros[shape] = np.zeros(shape)
+            z.flags.writeable = False
+        return z
+
 
 def _out(work: Workspace | None, role, shape, dtype=np.float64):
     """An output array from the workspace, or None to let numpy allocate."""
@@ -255,10 +268,14 @@ def _bound(work: Workspace | None, make, array: np.ndarray, *args):
     return make(array, *args) if work is None else work.bound(make, array, *args)
 
 
-def _act(z: np.ndarray, name: str) -> np.ndarray:
-    """The activation of z, written over z."""
+def _act(z: np.ndarray, name: str, work: Workspace | None) -> np.ndarray:
+    """The activation of z, written over z. Relu takes the max against
+    zeros, for the bits of a max against the scalar 0.0, whose loop numpy
+    runs several times slower: the workspace's zero array of z's shape, or
+    else one zero row that numpy broadcasts. A fresh zero array of z's
+    shape per call costs more than the scalar once malloc clears it."""
     if name == "relu":
-        return np.maximum(z, 0.0, out=z)
+        return np.maximum(z, np.zeros(z.shape[-1]) if work is None else work.zeros(z.shape), out=z)
     return np.tanh(z, out=z)
 
 
@@ -307,7 +324,7 @@ def forward_cached(params: NetworkParams, inputs, work: Workspace | None = None)
         z = np.matmul(a, w_t, out=_out(work, ("layer", i), (*a.shape[:-1], w_t.shape[-1])))
         z += b_row
         if i < last:
-            a = _act(z, params.activation)
+            a = _act(z, params.activation, work)
             acts.append(a)
     return z, acts
 
@@ -489,7 +506,10 @@ def backward(params: NetworkParams, cache, dlogits, work: Workspace | None = Non
     delta = np.asarray(dlogits, dtype=np.float64)
     for i in range(n_layers - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=views[2 * i])
-        np.add.reduce(delta, axis=-2, out=views[2 * i + 1])
+        if delta.shape[-1] > 1:  # the rows in sequence, as the reduce adds them, in less time
+            np.einsum("...nk->...k", delta, out=views[2 * i + 1])
+        else:  # along one column the reduce sums pairwise, and einsum does not
+            np.add.reduce(delta, axis=-2, out=views[2 * i + 1])
         if i > 0:
             delta = _delta_below(params, i, delta, acts[i], work)
     return out

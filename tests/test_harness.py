@@ -292,6 +292,15 @@ class TestConfigValidation:
     def test_a_dataset_name_without_a_separator_is_accepted(self, name):
         DatasetSpec("generator", name, {"generator": "uniform_box"}).validate()
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "runs/x", "/abs", "back\\slash", "nul\0"])
+    def test_an_experiment_name_that_is_no_directory_name_is_refused(self, name):
+        with pytest.raises(ConfigurationError, match=re.escape(f"experiment name {name!r} is no directory name")):
+            _tiny_config(name=name)
+
+    @pytest.mark.parametrize("name", ["...", "a..b,c", "x y", ".hidden"])
+    def test_an_experiment_name_of_one_directory_is_accepted(self, name):
+        assert _tiny_config(name=name).name == name
+
     def test_unknown_top_level_key_rejected(self):
         d = _tiny_config().to_dict()
         d["lamda"] = 1.0
@@ -1277,6 +1286,33 @@ class TestCli:
         assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
         assert f"error: dataset name {name!r} holds a path separator or NUL" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+    @pytest.mark.parametrize("name", ["../../escaped_exp", "..", ".", "", "a/b", "back\\slash", "nul\0"])
+    @pytest.mark.parametrize("command", ["make-data", "run"])
+    def test_an_experiment_name_cannot_lead_the_default_out_directory_out_of_runs(
+        self, tmp_path, monkeypatch, capsys, command, name
+    ):
+        # without -o a command writes to runs/<name>, from the working directory
+        cwd = tmp_path / "deep" / "er"
+        cwd.mkdir(parents=True)
+        monkeypatch.chdir(cwd)
+        path = self._write_config(cwd)
+        wire = json.loads(path.read_text())
+        wire["name"] = name
+        path.write_text(json.dumps(wire))
+        assert cli.main([command, "-c", "cfg.json", "-q"]) == 1
+        assert f"error: experiment name {name!r} is no directory name" in capsys.readouterr().err
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "deep", "deep/er", "deep/er/cfg.json"
+        ]
+
+    def test_without_out_a_command_writes_only_under_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self._write_config(tmp_path, name="a..b", epochs=1, finetune_epochs=1)
+        assert cli.main(["make-data", "-c", "cfg.json", "-q"]) == 0
+        new = set(tmp_path.rglob("*")) - {tmp_path / "cfg.json"}
+        assert tmp_path / "runs" / "a..b" / "din_train_seed0.csv" in new
+        assert all(p == tmp_path / "runs" or tmp_path / "runs" in p.parents for p in new), sorted(new)
 
     def test_every_command_writes_only_under_its_out_directory(self, tmp_path, monkeypatch):
         # an unusual but allowed set name: dots, and a comma

@@ -380,6 +380,92 @@ class TestLogitGradients:
             assert _same_bits(nn_core._objective_grad(p, lam, X, y, oe_X, work), want)
 
 
+# quiet and signaling NaNs of both signs, each with a payload
+_NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF80000DEADBEEF, 0x7FF0000000000ABC, 0xFFF4000000000000],
+                         dtype=np.uint64).view(np.float64)
+
+
+class TestVectorLoops:
+    """Relu against a zero array and bias rows by einsum, against the
+    scalar-operand maximum and the reduce they replace."""
+
+    @pytest.mark.parametrize("shape", [(7,), (40, 3), (3, 40, 32), (2, 5, 1)])
+    @pytest.mark.parametrize("with_workspace", [False, True])
+    def test_relu_gives_the_bytes_of_a_max_against_scalar_zero(self, shape, with_workspace):
+        rng = np.random.default_rng(len(shape))
+        z = rng.standard_normal(shape)
+        pick = rng.random(shape) < 0.6
+        z[pick] = rng.choice(np.concatenate([_SUM_EDGE_VALUES, _NAN_PAYLOADS]), size=int(pick.sum()))
+        want = np.maximum(z, 0.0)
+        work = nn_core.Workspace() if with_workspace else None
+        for _ in range(2):  # a workspace's zero array, made and then reused
+            got = z.copy()
+            assert nn_core._act(got, "relu", work) is got
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("S", [None, 1, 2, 5, 10], ids=["single", "S1", "S2", "S5", "S10"])
+    def test_bias_rows_equal_the_row_reduce_bit_for_bit(self, S):
+        # width 1 takes the reduce itself, every other width einsum
+        lead = () if S is None else (S,)
+        rng = np.random.default_rng(S or 0)
+        for k in [1, *range(2, 20), 31, 32, 33, 64]:
+            nets = [nn_core.init_network([1, k], seed=s) for s in range(S or 1)]
+            p = nets[0] if S is None else nn_core.NetworkParams.stack(nets)
+            for n in (1, 2, 3, 7, 8, 9, 16, 17, 63, 64, 65, 1024):
+                delta = rng.standard_normal((*lead, n, k)) * 10.0 ** rng.integers(-8, 8, size=(*lead, n, k))
+                bias = p.split(nn_core.backward(p, [np.ones((*lead, n, 1))], delta))[1]
+                assert _same_bits(bias, np.add.reduce(delta, axis=-2)), (k, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 32])
+    def test_non_finite_bias_rows_stay_non_finite_in_the_same_places(self, k):
+        rng = np.random.default_rng(k)
+        p = nn_core.NetworkParams.stack([nn_core.init_network([1, k], seed=s) for s in range(3)])
+        delta = rng.standard_normal((3, 17, k))
+        pick = rng.random(delta.shape) < 0.05
+        delta[pick] = rng.choice([np.inf, -np.inf, np.nan, *_NAN_PAYLOADS], size=int(pick.sum()))
+        with np.errstate(invalid="ignore"):
+            bias = p.split(nn_core.backward(p, [np.ones((3, 17, 1))], delta))[1]
+            want = np.add.reduce(delta, axis=-2)
+        assert np.array_equal(np.isnan(bias), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert _same_bits(bias[finite], want[finite])  # the NaN payloads may differ
+
+    def test_two_passes_of_one_shape_read_one_read_only_zero_array(self, monkeypatch):
+        p = nn_core.NetworkParams.stack([nn_core.init_network([5, 16, 8, 4], seed=s) for s in range(3)])
+        work = nn_core.Workspace()
+        seen = []
+        zeros = work.zeros
+        monkeypatch.setattr(work, "zeros", lambda shape: seen.append(zeros(shape)) or seen[-1])
+        rng = np.random.default_rng(0)
+        for n in (32, 32, 9):
+            nn_core.forward_cached(p, rng.standard_normal((3, n, 5)), work)
+        assert [z.shape for z in seen] == [(3, 32, 16), (3, 32, 8)] * 2 + [(3, 9, 16), (3, 9, 8)]
+        assert seen[0] is seen[2] and seen[1] is seen[3]
+        assert all(z.flags.c_contiguous and not z.flags.writeable for z in seen)
+
+    def test_zero_arrays_stay_zero_through_a_training_run(self):
+        # the run's zero arrays are read by every relu of every step; one
+        # write to them would move every later activation
+        rng = np.random.default_rng(4)
+        nets = [nn_core.init_network([2, 8, 8, 3], seed=s) for s in range(3)]
+        X = rng.standard_normal((3, 53, 2))
+        y = rng.integers(0, 3, size=(3, 53))
+        oe_X = rng.uniform(-6.0, 6.0, size=(3, 23, 2))
+        works = []
+
+        def step_grad(net, batch, oe_batch, work):
+            works.append(work)
+            return nn_core._objective_grad(net, 0.5, *batch, oe_batch, work)
+
+        nn_core.train_loop(nn_core.NetworkParams.stack(nets), step_grad, (X, y), oe_X, epochs=3, batch_size=16,
+                           lr0=0.1, seed=[0, 1, 2])
+        work = works[0]
+        assert all(w is work for w in works)
+        # full and short batches of inliers and outliers through two hidden layers
+        assert sorted(work._zeros) == [(3, 5, 8), (3, 16, 8)]
+        assert all(not z.view(np.int64).any() for z in work._zeros.values())
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("stacked", [False, True])

@@ -33,18 +33,21 @@ def _classifier_data():
     return X, y, oe_X
 
 
-# plain cross-entropy (lam = 0) and exposure at lam = 0.5, named by the loss
+# plain cross-entropy (lam = 0) and exposure at lam = 0.5, named by the
+# loss; hidden layers of width 1 take the bias gradient's one-column path
 LOSSES = [
-    pytest.param(0.0, "relu", id="plain_ce-0.0-relu"),
-    pytest.param(0.5, "relu", id="multiclass_oe-0.5-relu"),
-    pytest.param(0.5, "tanh", id="multiclass_oe-0.5-tanh"),
+    pytest.param(0.0, "relu", [2, 8, 8, 3], id="plain_ce-0.0-relu"),
+    pytest.param(0.5, "relu", [2, 8, 8, 3], id="multiclass_oe-0.5-relu"),
+    pytest.param(0.5, "tanh", [2, 8, 8, 3], id="multiclass_oe-0.5-tanh"),
+    pytest.param(0.0, "relu", [2, 1, 1, 3], id="plain_ce-0.0-relu-width1"),
+    pytest.param(0.5, "relu", [2, 1, 1, 3], id="multiclass_oe-0.5-relu-width1"),
 ]
 
 
-@pytest.mark.parametrize("lam, activation", LOSSES)
-def test_classifier_loop_matches_reference(lam, activation):
+@pytest.mark.parametrize("lam, activation, dims", LOSSES)
+def test_classifier_loop_matches_reference(lam, activation, dims):
     X, y, oe_X = _classifier_data()
-    params = nn_core.init_network([2, 8, 8, 3], seed=5, activation=activation)
+    params = nn_core.init_network(dims, seed=5, activation=activation)
     stack = nn_core.NetworkParams.stack([params])
     trained = nn_core.train_classifier(stack, lam, nn_core.Batch(X[None], y[None]), nn_core.Batch(oe_X[None]), **SOLO)
     assert np.array_equal(stack.vector[0], params.vector)
@@ -140,10 +143,10 @@ def _classifier_data_for(member):
     return X, y, oe_X
 
 
-@pytest.mark.parametrize("lam, activation", LOSSES)
-def test_stacked_classifier_loop_matches_reference_per_member(lam, activation):
+@pytest.mark.parametrize("lam, activation, dims", LOSSES)
+def test_stacked_classifier_loop_matches_reference_per_member(lam, activation, dims):
     data = [_classifier_data_for(m) for m in range(3)]
-    nets = [nn_core.init_network([2, 8, 8, 3], seed=40 + m, activation=activation) for m in range(3)]
+    nets = [nn_core.init_network(dims, seed=40 + m, activation=activation) for m in range(3)]
     stack = nn_core.NetworkParams.stack(nets)
     before = stack.vector.copy()
     X, y, oe_X = (np.stack(parts) for parts in zip(*data))
