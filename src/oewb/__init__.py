@@ -8,13 +8,7 @@ calibration, and a config-driven experiment harness around it all.
 """
 
 from . import calibration, density, metrics, nn_core, objectives, scoring
-from .errors import (
-    ConfigurationError,
-    DataError,
-    InputError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import DivergenceError, ValidationError
 
 __version__ = "0.1.0"
 
@@ -25,10 +19,7 @@ __all__ = [
     "nn_core",
     "objectives",
     "scoring",
-    "ConfigurationError",
-    "DataError",
-    "InputError",
-    "ParameterError",
+    "DivergenceError",
     "ValidationError",
     "__version__",
 ]

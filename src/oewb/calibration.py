@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core
-from .errors import InputError, ParameterError
+from .errors import ValidationError
 
 
 @dataclass
@@ -31,11 +31,11 @@ def _predictions(confidence, correct):
     conf = np.asarray(confidence, dtype=np.float64).ravel()
     corr = np.asarray(correct).ravel()
     if conf.size == 0:
-        raise InputError("no prediction records")
+        raise ValidationError("no prediction records")
     if corr.shape != conf.shape:
-        raise InputError("confidences and correctness flags must align")
+        raise ValidationError("confidences and correctness flags must align")
     if not np.all((conf >= 0.0) & (conf <= 1.0)):  # also rejects NaN
-        raise ParameterError("confidence must lie in [0, 1]")
+        raise ValidationError("confidence must lie in [0, 1]")
     return conf, corr.astype(bool).astype(np.float64)
 
 
@@ -48,7 +48,7 @@ def adaptive_bins(confidence):
     """
     conf = np.asarray(confidence, dtype=np.float64).ravel()
     if conf.size == 0:
-        raise InputError("no prediction records")
+        raise ValidationError("no prediction records")
     n = conf.size
     order = np.argsort(conf, kind="mergesort")
     b = max(1, round(n / 100))
@@ -112,15 +112,15 @@ def tune_temperature(logits, labels) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 3 or 0 in logits.shape[:2]:
-        raise InputError("tuning needs a nonempty (F, n, k) stack of logit matrices")
+        raise ValidationError("tuning needs a nonempty (F, n, k) stack of logit matrices")
     if labels.shape != logits.shape[:2]:
-        raise InputError("labels must supply one class per row")
+        raise ValidationError("labels must supply one class per row")
     if np.any(labels < 0) or np.any(labels >= logits.shape[2]):
-        raise InputError("class label out of range")
+        raise ValidationError("class label out of range")
     bad = ~np.isfinite(logits).all(axis=-1)
     if bad.any():
         fit, row = np.argwhere(bad)[0]
-        raise InputError(f"fit {fit}: logits of row {row} are not all finite")
+        raise ValidationError(f"fit {fit}: logits of row {row} are not all finite")
 
     top = nn_core.class_max(logits)
     picked = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
@@ -153,12 +153,12 @@ def posterior_rescale(p_max, k: int):
     """(p - 1/k) / (1 - 1/k): maps the uniform floor to exactly 0 and full
     confidence to exactly 1, elementwise over max posteriors."""
     if int(k) < 2:
-        raise ParameterError("k must be >= 2")
+        raise ValidationError("k must be >= 2")
     floor = 1.0 / k
     p = np.asarray(p_max, dtype=np.float64)
     bad = ~((p >= floor) & (p <= 1.0))
     if np.any(bad):
-        raise InputError(f"p_max = {p[bad].flat[0]} is impossible for a {k}-class posterior")
+        raise ValidationError(f"p_max = {p[bad].flat[0]} is impossible for a {k}-class posterior")
     return (p - floor) / (1.0 - floor)
 
 
@@ -170,10 +170,10 @@ def mixed_prediction_records(in_conf, in_correct, ood_conf, seed=0):
     in_correct = np.asarray(in_correct).ravel().astype(bool)
     ood_conf = np.asarray(ood_conf, dtype=np.float64).ravel()
     if in_conf.shape != in_correct.shape:
-        raise InputError("in-distribution confidences and flags must align")
+        raise ValidationError("in-distribution confidences and flags must align")
     m = min(in_conf.size, ood_conf.size)
     if m == 0:
-        raise InputError("both pools must be nonempty")
+        raise ValidationError("both pools must be nonempty")
     rng = np.random.default_rng(seed)
     if in_conf.size > m:
         keep = np.sort(rng.choice(in_conf.size, size=m, replace=False))

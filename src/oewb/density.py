@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn_core
-from .errors import ConfigurationError, DataError, ParameterError
+from .errors import ValidationError
 
 LN2 = float(np.log(2.0))
 
@@ -34,7 +34,7 @@ def layout(net: nn_core.NetworkParams) -> tuple[int, int]:
     V = net.n_classes
     c, rest = divmod(net.input_dim, V + 1)
     if V < 2 or c < 1 or rest:
-        raise ConfigurationError(
+        raise ValidationError(
             f"layer widths {net.layer_dims} are not a density layout: the input width must be "
             f"a positive multiple of V + 1 for an output width V >= 2"
         )
@@ -52,13 +52,13 @@ def _as_seq_matrix(seqs, alphabet_size: int) -> np.ndarray:
     become int64 only when each is a whole number."""
     arr = np.asarray(seqs)
     if arr.ndim not in (2, 3) or arr.shape[-1] < 1:
-        raise ConfigurationError("sequences must form a nonempty (n, D) integer matrix")
+        raise ValidationError("sequences must form a nonempty (n, D) integer matrix")
     if arr.dtype.kind not in "iu":
         arr = arr.astype(np.float64)
         if not np.all(arr == np.trunc(arr)):
-            raise DataError("symbols must be whole numbers")
+            raise ValidationError("symbols must be whole numbers")
     if np.any(arr < 0) or np.any(arr >= alphabet_size):
-        raise DataError("symbol outside the alphabet")
+        raise ValidationError("symbol outside the alphabet")
     return arr if arr.dtype.kind in "iu" else arr.astype(np.int64)
 
 
@@ -184,12 +184,12 @@ def margin_grad(
     gradient is the workspace's, valid until its next step.
     """
     if not margin > 0:
-        raise ParameterError("margin must be positive")
+        raise ValidationError("margin must be positive")
     c, V = layout(net)
     a = _as_seq_matrix(in_seqs, V)
     b = _as_seq_matrix(out_seqs, V)
     if a.shape[:-1] != b.shape[:-1]:
-        raise ConfigurationError("margin pairs require equally sized inlier/outlier batches")
+        raise ValidationError("margin pairs require equally sized inlier/outlier batches")
     n_pairs = a.shape[-2]
     win_out, t_out = context_windows(b, c, V)
     logits = _group_pass(net, win_out, V, work)[0]

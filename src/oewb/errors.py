@@ -1,30 +1,14 @@
-"""Exception types shared across the package.
+"""The package's two exception types: one for refused input, one for divergence.
 
-Everything user-facing derives from ValidationError so the CLI can map
-rejected inputs and configs to exit code 1 while genuine crashes keep
-exit code 2. DivergenceError deliberately does not: a run whose training
-blows up was given valid input.
+Every refused input, config, parameter or file raises ValidationError,
+which the CLI maps to exit code 1; its message says what was refused.
+DivergenceError is not a ValidationError: a run whose training blows up
+was given valid input, so it exits 2 like any other failure.
 """
 
 
 class ValidationError(Exception):
-    """Base class for every rejected-input condition."""
-
-
-class ConfigurationError(ValidationError):
-    """Inconsistent shapes, settings, or missing required pieces."""
-
-
-class ParameterError(ValidationError):
-    """A numeric argument outside its legal range."""
-
-
-class DataError(ValidationError):
-    """Malformed or out-of-range dataset contents."""
-
-
-class InputError(ValidationError):
-    """Runtime inputs that cannot be processed (empty pools, bad sizes)."""
+    """An input, config, parameter or file that is refused."""
 
 
 class DivergenceError(Exception):

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .. import calibration as calib_mod
 from .. import nn_core
-from ..errors import ConfigurationError, DataError, DivergenceError, ValidationError
+from ..errors import DivergenceError, ValidationError
 from . import pipeline, reports
 from .config import ExperimentConfig, load_config, write_json
 from .datasets import read_csv_rows, write_csv
@@ -54,7 +54,7 @@ def _out_dir(path) -> Path:
     """path as an output directory, refused when it or a parent is an existing non-directory."""
     for p in (Path(path), *Path(path).parents):
         if p.exists() and not p.is_dir():
-            raise ConfigurationError(f"output directory {path}: {p} exists and is not a directory")
+            raise ValidationError(f"output directory {path}: {p} exists and is not a directory")
     return Path(path)
 
 
@@ -67,9 +67,9 @@ def _load_model(config: ExperimentConfig, bundle: pipeline.DataBundle, path: str
     """A saved net, refused unless it has the widths and activation the config builds on these data."""
     net = nn_core.load_params(path)
     if net.layer_dims != bundle.layer_dims or net.activation != config.model.activation:
-        raise ConfigurationError(f"{path}: the net has layer widths {net.layer_dims} and activation "
-                                 f"{net.activation!r}, but this config builds {bundle.layer_dims} with "
-                                 f"{config.model.activation!r}")
+        raise ValidationError(f"{path}: the net has layer widths {net.layer_dims} and activation "
+                              f"{net.activation!r}, but this config builds {bundle.layer_dims} with "
+                              f"{config.model.activation!r}")
     return net
 
 
@@ -130,22 +130,22 @@ def _read_predictions_csv(path: str):
     rows = read_csv_rows(p, "prediction file")
     header = [h.strip().lower() for h in next(rows)[1]]
     if "confidence" not in header or "correct" not in header:
-        raise DataError(f"{p}: prediction files need 'confidence' and 'correct' columns")
+        raise ValidationError(f"{p}: prediction files need 'confidence' and 'correct' columns")
     ci, xi = header.index("confidence"), header.index("correct")
     conf, correct = [], []
     for lineno, row in rows:
         try:
             c, x = float(row[ci]), int(row[xi])
         except ValueError as exc:
-            raise DataError(f"{p}:{lineno}: {exc}") from exc
+            raise ValidationError(f"{p}:{lineno}: {exc}") from exc
         if not (math.isfinite(c) and 0.0 <= c <= 1.0):
-            raise DataError(f"{p}:{lineno}: confidence {row[ci]!r} is not a finite number in [0, 1]")
+            raise ValidationError(f"{p}:{lineno}: confidence {row[ci]!r} is not a finite number in [0, 1]")
         if x not in (0, 1):
-            raise DataError(f"{p}:{lineno}: correct {row[xi]!r} is not 0 or 1")
+            raise ValidationError(f"{p}:{lineno}: correct {row[xi]!r} is not 0 or 1")
         conf.append(c)
         correct.append(x == 1)
     if not conf:
-        raise DataError(f"{p}: no prediction rows")
+        raise ValidationError(f"{p}: no prediction rows")
     return conf, correct
 
 

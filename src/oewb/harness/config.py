@@ -27,7 +27,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from ..errors import ConfigurationError
+from ..errors import ValidationError
 from ..scoring import DETECTORS
 from . import datasets  # which imports this module back: each reads the other's names only at call time
 
@@ -74,17 +74,17 @@ def typed(value, hint, key: str):
         for arm in args:
             try:
                 return typed(value, arm, key)
-            except ConfigurationError:
+            except ValidationError:
                 pass
-        raise ConfigurationError(f"{key} must be {' or '.join(map(_type_name, args))}, got {value!r}")
+        raise ValidationError(f"{key} must be {' or '.join(map(_type_name, args))}, got {value!r}")
     if origin in (list, tuple):
         item = args[0]
         nested = is_dataclass(item)
         if not isinstance(value, (list, tuple)) or not (nested or all(_is(v, item) for v in value)):
-            raise ConfigurationError(f"{key} must be {_type_name(hint)}, got {value!r}")
+            raise ValidationError(f"{key} must be {_type_name(hint)}, got {value!r}")
         return origin(typed(v, item, f"{key}[{i}]") for i, v in enumerate(value))
     if not _is(value, hint):
-        raise ConfigurationError(f"{key} must be {_type_name(hint)}, got {value!r}")
+        raise ValidationError(f"{key} must be {_type_name(hint)}, got {value!r}")
     return float(value) if hint is float else value
 
 
@@ -93,17 +93,17 @@ def _from_json(cls, d, path: str = ""):
     (under their wire names), each value of its field's declared type;
     absent fields keep their defaults. path names d in errors."""
     if not isinstance(d, dict):
-        raise ConfigurationError(f"{path or 'a config'} must be a JSON object, got {d!r}")
+        raise ValidationError(f"{path or 'a config'} must be a JSON object, got {d!r}")
     by_key = {_WIRE_NAMES.get(f.name, f.name): f for f in fields(cls)}
     where = f" in {path}" if path else ""
     unknown = sorted(set(d) - set(by_key))
     if unknown:
         # A typo'd key would otherwise fall back to its default and run anyway.
         label = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
-        raise ConfigurationError(f"unknown {label} key(s){where}: {', '.join(unknown)}")
+        raise ValidationError(f"unknown {label} key(s){where}: {', '.join(unknown)}")
     missing = [k for k, f in by_key.items() if k not in d and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ConfigurationError(f"missing key(s){where}: {', '.join(missing)}")
+        raise ValidationError(f"missing key(s){where}: {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
     return cls(**{
         f.name: typed(d[k], hints[f.name], f"{path}.{k}" if path else k) for k, f in by_key.items() if k in d
@@ -151,22 +151,22 @@ class ModelSettings:
     def validate(self) -> "ModelSettings":
         # Each refusal here would otherwise surface only in training, or not at all.
         if not all(math.isfinite(r) and r > 0 for r in (self.lr0, self.finetune_lr0)):
-            raise ConfigurationError("learning rates must be finite and positive")
+            raise ValidationError("learning rates must be finite and positive")
         if not 0 <= self.momentum < 1:
-            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
+            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         for key in ("weight_decay", "mle_weight", "margin_weight"):
             if not (math.isfinite(getattr(self, key)) and getattr(self, key) >= 0):
-                raise ConfigurationError(f"{key} must be finite and nonnegative, got {getattr(self, key)}")
+                raise ValidationError(f"{key} must be finite and nonnegative, got {getattr(self, key)}")
         if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be positive")
+            raise ValidationError("batch_size must be positive")
         if self.activation not in ("relu", "tanh"):
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
+            raise ValidationError(f"unknown activation {self.activation!r}")
         if any(h < 1 for h in self.hidden_dims):
-            raise ConfigurationError("hidden_dims must be positive")
+            raise ValidationError("hidden_dims must be positive")
         if self.context_window < 1:
-            raise ConfigurationError("context_window must be >= 1")
+            raise ValidationError("context_window must be >= 1")
         if self.margin is not None and not (math.isfinite(self.margin) and self.margin > 0):
-            raise ConfigurationError("margin must be finite and positive when given")
+            raise ValidationError("margin must be finite and positive when given")
         return self
 
 
@@ -192,34 +192,39 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         # a command without -o writes to runs/<name>
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
-            raise ConfigurationError(f"experiment name {self.name!r} is no directory name: it is empty, "
-                                     "'.' or '..', or holds a path separator or NUL")
+            raise ValidationError(f"experiment name {self.name!r} is no directory name: it is empty, "
+                                  "'.' or '..', or holds a path separator or NUL")
+        if len(self.name.encode()) > datasets.NAME_BYTES:
+            raise ValidationError(f"experiment name {self.name!r} is longer than {datasets.NAME_BYTES} UTF-8 "
+                                  "bytes, too long for a directory name")
         if self.detector not in DETECTORS:
-            raise ConfigurationError(f"unknown detector {self.detector!r}")
+            raise ValidationError(f"unknown detector {self.detector!r}")
         if self.pipeline not in PIPELINES:
-            raise ConfigurationError(f"unknown pipeline {self.pipeline!r}")
+            raise ValidationError(f"unknown pipeline {self.pipeline!r}")
         refused = REFUSED_PAIRS.get((self.detector, self.pipeline))
         if refused:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"detector {self.detector!r} with pipeline {self.pipeline!r} is not supported: {refused}"
             )
         if not (math.isfinite(self.lam) and self.lam >= 0):  # NaN and inf would fail only in training
-            raise ConfigurationError(f"lambda must be finite and nonnegative, got {self.lam}")
+            raise ValidationError(f"lambda must be finite and nonnegative, got {self.lam}")
         if len(self.seeds) == 0:
-            raise ConfigurationError("seeds must be nonempty")
+            raise ValidationError("seeds must be nonempty")
         negative = [s for s in self.seeds if s < 0]
         if negative:
-            raise ConfigurationError(f"seeds must be nonnegative, got {negative[0]}")
+            raise ValidationError(f"seeds must be nonnegative, got {negative[0]}")
+        if max(self.seeds) >= 2**64:  # file names hold the seed
+            raise ValidationError(f"seeds must be below 2**64, got {max(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
+            raise ValidationError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.epochs < 1 or self.finetune_epochs < 0:
-            raise ConfigurationError("epoch counts out of range")
+            raise ValidationError("epoch counts out of range")
         if len(self.base_rate) != 2 or min(self.base_rate) < 1:
-            raise ConfigurationError("base_rate must be two positive integers (out, in)")
+            raise ValidationError("base_rate must be two positive integers (out, in)")
         if not 0 < self.n_level <= 100:
-            raise ConfigurationError("n_level must lie in (0, 100]")
+            raise ValidationError("n_level must lie in (0, 100]")
         if not self.d_out_test:
-            raise ConfigurationError("at least one test outlier spec is required")
+            raise ValidationError("at least one test outlier spec is required")
         outliers = [spec for spec in (self.d_out_oe, *self.d_out_test, *self.d_out_val) if spec is not None]
         for spec in (self.d_in, *outliers):
             spec.validate()
@@ -227,22 +232,22 @@ class ExperimentConfig:
             self.lam > 0 or self.detector == "density_bpp"
         )
         if needs_oe and self.d_out_oe is None:
-            raise ConfigurationError(f"pipeline {self.pipeline!r} needs an auxiliary outlier spec")
+            raise ValidationError(f"pipeline {self.pipeline!r} needs an auxiliary outlier spec")
         if self.d_out_oe is not None:
             oe_recipe = self.d_out_oe.recipe()
             for t in self.d_out_test:
                 if t.recipe() == oe_recipe:
-                    raise ConfigurationError(
+                    raise ValidationError(
                         f"auxiliary outlier spec must be disjoint from test spec {t.name!r}"
                     )
         # refusals and report files name an outlier set by its name alone
         names = [spec.name for spec in outliers]
         repeated = next((name for name in names if names.count(name) > 1), None)
         if repeated is not None:
-            raise ConfigurationError(f"outlier spec name {repeated!r} is used more than once; names must be unique "
-                                     "across d_out_oe, d_out_test and d_out_val")
+            raise ValidationError(f"outlier spec name {repeated!r} is used more than once; names must be unique "
+                                  "across d_out_oe, d_out_test and d_out_val")
         if self.calibration and self.detector == "density_bpp":
-            raise ConfigurationError("calibration evaluation needs a classifier detector")
+            raise ValidationError("calibration evaluation needs a classifier detector")
         self.model.validate()
         return self
 
@@ -257,7 +262,7 @@ class ExperimentConfig:
         if isinstance(rate, str):  # the wire form "out:in"; a 2-list is type-checked as is
             parts = rate.split(":")
             if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-                raise ConfigurationError(f"bad base_rate {rate!r}, expected 'out:in'")
+                raise ValidationError(f"bad base_rate {rate!r}, expected 'out:in'")
             d = {**d, "base_rate": [int(p) for p in parts]}
         return _from_json(cls, d).validate()
 
@@ -265,13 +270,13 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
-        raise ConfigurationError(f"config file {p} does not exist")
+        raise ValidationError(f"config file {p} does not exist")
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file {p}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise ValidationError(f"cannot read config file {p}: {getattr(exc, 'strerror', None) or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config file {p} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(payload)
 
 

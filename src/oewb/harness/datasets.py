@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigurationError, DataError, ValidationError
+from ..errors import ValidationError
 from . import config
 
 
@@ -46,19 +46,19 @@ class Dataset:
         sequences = self.alphabet_size is not None
         self.rows = np.asarray(self.rows, dtype=np.int64 if sequences else np.float64)
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
-            raise DataError(f"rows must form a nonempty 2-d array, got shape {self.rows.shape}")
+            raise ValidationError(f"rows must form a nonempty 2-d array, got shape {self.rows.shape}")
         if sequences and (self.rows.min() < 0 or self.rows.max() >= self.alphabet_size):
-            raise DataError(f"symbols must lie in [0, {self.alphabet_size})")
+            raise ValidationError(f"symbols must lie in [0, {self.alphabet_size})")
         if not sequences and not np.all(np.isfinite(self.rows)):
-            raise DataError("features contain non-finite values")
+            raise ValidationError("features contain non-finite values")
         if self.labels is not None:
             if sequences:
-                raise DataError("sequences carry no labels")
+                raise ValidationError("sequences carry no labels")
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.rows.shape[0],):
-                raise DataError("labels must align with feature rows")
+                raise ValidationError("labels must align with feature rows")
             if self.labels.min() < 0:
-                raise DataError(f"class labels must not be negative, got {self.labels.min()}")
+                raise ValidationError(f"class labels must not be negative, got {self.labels.min()}")
 
     @property
     def n(self) -> int:
@@ -96,7 +96,7 @@ def _cluster_means(k: int, dim: int, separation: float) -> np.ndarray:
         means *= separation / np.sqrt(2.0)
         return means
     if dim < 2:
-        raise ConfigurationError(f"cannot place {k} clusters in {dim} dimensions")
+        raise ValidationError(f"cannot place {k} clusters in {dim} dimensions")
     radius = separation / (2.0 * np.sin(np.pi / k))
     angles = 2.0 * np.pi * np.arange(k) / k
     means = np.zeros((k, dim))
@@ -127,26 +127,26 @@ def write_csv(path, data: Dataset) -> None:
 def read_csv_rows(path, what: str):
     """(line number, cells) of a CSV file: the header, then every nonblank
     row, each refused unless it is as wide as the header. Every refusal,
-    a file that cannot be read or decoded included, is a DataError naming
-    the file; what names the kind of file."""
+    a file that cannot be read or decoded included, is a ValidationError
+    naming the file; what names the kind of file."""
     p = Path(path)
     if not p.exists():
-        raise DataError(f"{what} {p} does not exist")
+        raise ValidationError(f"{what} {p} does not exist")
     try:
         with open(p, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise DataError(f"{p}: empty {what}")
+                raise ValidationError(f"{p}: empty {what}")
             yield 1, header
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise DataError(f"{p}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                    raise ValidationError(f"{p}:{lineno}: expected {len(header)} fields, got {len(row)}")
                 yield lineno, row
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {what} {p}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise ValidationError(f"cannot read {what} {p}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def read_csv(path, label_column: str | None = "label", alphabet_size: int | None = None) -> Dataset:
@@ -160,7 +160,7 @@ def read_csv(path, label_column: str | None = "label", alphabet_size: int | None
     label_idx = header.index(label_column) if alphabet_size is None and label_column in header else None
     columns = [i for i in range(len(header)) if i != label_idx]
     if not columns:
-        raise DataError(f"{p}: no feature columns")
+        raise ValidationError(f"{p}: no feature columns")
     cell = float if alphabet_size is None else int
     values, labels = [], []
     for lineno, row in rows:
@@ -169,13 +169,13 @@ def read_csv(path, label_column: str | None = "label", alphabet_size: int | None
             if label_idx is not None:
                 labels.append(int(row[label_idx]))
         except ValueError as exc:
-            raise DataError(f"{p}:{lineno}: {exc}") from exc
+            raise ValidationError(f"{p}:{lineno}: {exc}") from exc
     if not values:
-        raise DataError(f"{p}: dataset has a header but no rows")
+        raise ValidationError(f"{p}: dataset has a header but no rows")
     try:
         return Dataset(values, None if label_idx is None else labels, alphabet_size)
-    except DataError as exc:
-        raise DataError(f"{p}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{p}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def _ring(p: dict, n: int, dim: int, seed) -> np.ndarray:
     two coordinates, the radius jittered by p's width times a standard
     normal; standard normal in the others."""
     if dim < 2:
-        raise ConfigurationError("ring generator needs dim >= 2")
+        raise ValidationError("ring generator needs dim >= 2")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     r = p["radius"] + p["width"] * rng.standard_normal(n)
@@ -243,7 +243,7 @@ def _mixture(p: dict, n: int | None, dim: int | None, seed) -> Dataset:
     if n is None:
         counts = [p["n_per_cluster"]] * len(classes)
     elif n < len(classes):
-        raise ConfigurationError(f"the role's default of {n} rows is below the {len(classes)} classes drawn")
+        raise ValidationError(f"the role's default of {n} rows is below the {len(classes)} classes drawn")
     else:
         counts = [n // len(classes) + (i < n % len(classes)) for i in range(len(classes))]
     dim = (dim or 2) if p["dim"] is None else p["dim"]
@@ -340,6 +340,9 @@ def _out_of_range(kind: str, p: dict) -> str | None:
         return f"p must lie in [0, 1], got {p['p']!r}"
     if kind == "uniform_box" and not p["low"] <= p["high"]:
         return f"low must not exceed params.high, got {p['low']!r} > {p['high']!r}"
+    # numpy draws from low + (high - low) * u, so the width must be a finite float
+    if kind == "uniform_box" and not np.isfinite(p["high"] - p["low"]):
+        return f"low and params.high must span a finite range, got {p['low']!r} and {p['high']!r}"
     if kind == "synthetic_gaussian_mixture":
         k, subset = p["k"], p["class_subset"]
         if k < 2:
@@ -367,51 +370,60 @@ def _out_of_range(kind: str, p: dict) -> str | None:
     return None
 
 
+# The longest dataset or experiment name, in UTF-8 bytes. With seeds below
+# 2**64, the longest file name a command builds, scores_<name>_seed<seed>.csv,
+# is then at most 7 + 200 + 5 + 20 + 4 = 236 bytes, within Linux's 255.
+NAME_BYTES = 200
+
+
 def check_params(spec: config.DatasetSpec) -> dict:
     """The spec's params resolved: every key its kind reads, as typed()
     returned it or at the kind's default. Refuses a spec without a name, a
-    name that holds "/", "\\" or NUL (files are named after it), a spec
-    of an unknown kind, a path on any kind but file (which needs one), keys
-    that nothing reads for this spec, so a misspelled or contradictory
-    setting fails instead of running at its default, and values of the
-    wrong type, so nothing is silently cast."""
+    name that holds "/", "\\" or NUL or is longer than NAME_BYTES (files
+    are named after it), a spec of an unknown kind, a path on any kind but
+    file (which needs one), keys that nothing reads for this spec, so a
+    misspelled or contradictory setting fails instead of running at its
+    default, and values of the wrong type, so nothing is silently cast."""
     if spec.kind != "generator" and (spec.kind not in _KINDS or spec.kind in _GENERATORS):
-        raise ConfigurationError(f"unknown dataset kind {spec.kind!r}")
+        raise ValidationError(f"unknown dataset kind {spec.kind!r}")
     if not spec.name:
-        raise ConfigurationError("dataset spec needs a name")
+        raise ValidationError("dataset spec needs a name")
     if any(c in spec.name for c in "/\\\0"):
-        raise ConfigurationError(f"dataset name {spec.name!r} holds a path separator or NUL; "
-                                 "report and data files are named after it")
+        raise ValidationError(f"dataset name {spec.name!r} holds a path separator or NUL; "
+                              "report and data files are named after it")
+    if len(spec.name.encode()) > NAME_BYTES:
+        raise ValidationError(f"dataset name {spec.name!r} is longer than {NAME_BYTES} UTF-8 bytes; "
+                              "report and data files are named after it")
     if spec.kind == "file" and not spec.path:
-        raise ConfigurationError(f"file dataset {spec.name!r} needs a path")
+        raise ValidationError(f"file dataset {spec.name!r} needs a path")
     kind = spec.params.get("generator") if spec.kind == "generator" else spec.kind
     if spec.kind == "generator" and not isinstance(kind, str):
-        raise ConfigurationError(f"generator dataset {spec.name!r} needs params['generator'] as a string")
+        raise ValidationError(f"generator dataset {spec.name!r} needs params['generator'] as a string")
     if spec.kind == "generator" and kind not in _GENERATORS:
-        raise ConfigurationError(f"dataset {spec.name!r}: unknown generator {kind!r}; the generators are "
-                                 f"{', '.join(_GENERATORS)}")
+        raise ValidationError(f"dataset {spec.name!r}: unknown generator {kind!r}; the generators are "
+                              f"{', '.join(_GENERATORS)}")
     if spec.kind != "file" and spec.path is not None:
-        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read path; only file datasets do")
+        raise ValidationError(f"dataset {spec.name!r} ({kind}) does not read path; only file datasets do")
     entry = _KINDS[kind]
     unknown = sorted(set(spec.params) - set(entry.params))
     if unknown:
-        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key(s) "
-                                 f"{', '.join(unknown)}; it reads {', '.join(sorted(entry.params))}")
+        raise ValidationError(f"dataset {spec.name!r} ({kind}) does not read params key(s) "
+                              f"{', '.join(unknown)}; it reads {', '.join(sorted(entry.params))}")
     p = {key: default for key, (_, default) in entry.params.items()}
     for key, value in spec.params.items():
         p[key] = config.typed(value, entry.params[key][0], f"dataset {spec.name!r} params.{key}")
         if key in _LENGTHS and len(value) != _LENGTHS[key]:
-            raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have {_LENGTHS[key]} entries, "
-                                     f"got {value!r}")
+            raise ValidationError(f"dataset {spec.name!r} params.{key} must have {_LENGTHS[key]} entries, "
+                                  f"got {value!r}")
     missing = [key for key, value in p.items() if value is NEEDED]
     if missing:
-        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) needs params key(s) {', '.join(missing)}")
+        raise ValidationError(f"dataset {spec.name!r} ({kind}) needs params key(s) {', '.join(missing)}")
     unread = _unread_on_this_path(kind, spec.params)
     if unread:
-        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) does not read params key {unread}")
+        raise ValidationError(f"dataset {spec.name!r} ({kind}) does not read params key {unread}")
     bad = _out_of_range(kind, p)
     if bad:
-        raise ConfigurationError(f"dataset {spec.name!r} ({kind}) params.{bad}")
+        raise ValidationError(f"dataset {spec.name!r} ({kind}) params.{bad}")
     return p
 
 
@@ -429,18 +441,18 @@ def materialize(spec: config.DatasetSpec, n: int | None, seed, dim: int | None =
     where = f"dataset {spec.name!r} ({kind})"
     if "scale" in p:  # a generator of vector rows
         if dim is None:
-            raise ConfigurationError(f"{where} takes the experiment dimension from vector d_in rows: vector "
-                                     "generators cannot be d_in, nor outlier sets of sequence data")
+            raise ValidationError(f"{where} takes the experiment dimension from vector d_in rows: vector "
+                                  "generators cannot be d_in, nor outlier sets of sequence data")
         for key in ("offset", "mean"):
             if isinstance(p.get(key), list) and len(p[key]) != dim:
-                raise ConfigurationError(f"dataset {spec.name!r} params.{key} must have one entry per "
-                                         f"dimension ({dim}), got {p[key]!r}")
+                raise ValidationError(f"dataset {spec.name!r} params.{key} must have one entry per "
+                                      f"dimension ({dim}), got {p[key]!r}")
     if n is None and "generator" in p:
-        raise ConfigurationError(f"{where} needs params key n: nothing else sets its row count")
+        raise ValidationError(f"{where} needs params key n: nothing else sets its row count")
     try:
         return _KINDS[kind].build(p, n, dim, seed)
     except ValidationError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def check_disjoint(oe_data, test_data, oe_name: str, test_name: str) -> None:
@@ -458,7 +470,7 @@ def check_disjoint(oe_data, test_data, oe_name: str, test_name: str) -> None:
     a, b = a[np.isin(key_a, repeated)], b[np.isin(key_b, repeated)]
     shared = {row.tobytes() for row in a} & {row.tobytes() for row in b}
     if shared:
-        raise ConfigurationError(
+        raise ValidationError(
             f"auxiliary outlier set {oe_name!r} shares {len(shared)} row(s) "
             f"with test outlier set {test_name!r}; the two must be disjoint"
         )

@@ -47,7 +47,7 @@ from .. import density as density_mod
 from .. import metrics as metrics_mod
 from .. import nn_core
 from .. import scoring as scoring_mod
-from ..errors import ConfigurationError, DataError, DivergenceError, InputError
+from ..errors import DivergenceError, ValidationError
 from .config import ExperimentConfig
 from .datasets import Dataset, check_disjoint, materialize
 
@@ -91,13 +91,13 @@ def _check_kind(config: ExperimentConfig, din, named) -> None:
     for name, data in [("d_in", din), *named]:
         if (data.alphabet_size is not None) != wants_sequences:
             kind = "sequence" if wants_sequences else "vector"
-            raise ConfigurationError(f"detector {config.detector!r} needs {kind} data, but {name!r} is not")
+            raise ValidationError(f"detector {config.detector!r} needs {kind} data, but {name!r} is not")
         if not wants_sequences and data.dim != din.dim:
-            raise ConfigurationError(f"dataset {name!r} has {data.dim} columns, but the nets read "
-                                     f"the {din.dim} of d_in {config.d_in.name!r}")
+            raise ValidationError(f"dataset {name!r} has {data.dim} columns, but the nets read "
+                                  f"the {din.dim} of d_in {config.d_in.name!r}")
         if wants_sequences and data.rows.max() >= din.alphabet_size:
-            raise ConfigurationError(f"dataset {name!r} has symbol {data.rows.max()}, outside the "
-                                     f"{din.alphabet_size}-symbol alphabet of d_in {config.d_in.name!r}")
+            raise ValidationError(f"dataset {name!r} has symbol {data.rows.max()}, outside the "
+                                  f"{din.alphabet_size}-symbol alphabet of d_in {config.d_in.name!r}")
 
 
 def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
@@ -114,7 +114,7 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     n_train = int(round(0.7 * n))
     n_val = int(round(0.15 * n))
     if n_train == 0 or n_val == 0 or n_train + n_val >= n:
-        raise DataError(f"{n} in-distribution rows are too few to split")
+        raise ValidationError(f"{n} in-distribution rows are too few to split")
     din_train = din.subset(order[:n_train])
     din_val = din.subset(order[n_train : n_train + n_val])
     din_test = din.subset(order[n_train + n_val :])
@@ -128,8 +128,8 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     for name, test in tests.items():
         try:
             metrics_mod.base_rate_sizes(din_test.n, test.n, config.base_rate)
-        except InputError as exc:
-            raise InputError(f"seed {seed}, test set {name!r}: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"seed {seed}, test set {name!r}: {exc}") from exc
         if oe is not None:
             check_disjoint(oe, test, config.d_out_oe.name, name)
 
@@ -137,13 +137,13 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
         dims = density_mod.ar_layer_dims(din.alphabet_size, config.model.context_window, config.model.hidden_dims)
     else:
         if din.labels is None:
-            raise ConfigurationError(f"detector {config.detector!r} trains a classifier, which needs labeled "
-                                     f"rows, but d_in {config.d_in.name!r} has no labels")
+            raise ValidationError(f"detector {config.detector!r} trains a classifier, which needs labeled "
+                                  f"rows, but d_in {config.d_in.name!r} has no labels")
         dims = [din.dim, *config.model.hidden_dims, int(din.labels.max()) + 1]
     if dims[-1] < 2:  # the nets' output width: d_in's class count or alphabet_size
         what = f"{dims[-1]} class" if din.alphabet_size is None else f"alphabet_size {dims[-1]}"
-        raise ConfigurationError(f"detector {config.detector!r} needs at least two classes or symbols, but "
-                                 f"d_in {config.d_in.name!r} has {what}")
+        raise ValidationError(f"detector {config.detector!r} needs at least two classes or symbols, but "
+                              f"d_in {config.d_in.name!r} has {what}")
     return DataBundle(int(seed), din_train, din_val, din_test, oe, tests, dims)
 
 
@@ -220,7 +220,7 @@ def _fit(config: ExperimentConfig, stack, train: TrainingSet, stage: str, role: 
     m = config.model
     density = config.detector == "density_bpp"
     if exposed and (density or config.lam > 0) and train.oe_rows is None:
-        raise ConfigurationError("exposure training needs auxiliary outlier data")
+        raise ValidationError("exposure training needs auxiliary outlier data")
     settings = dict(epochs=epochs, batch_size=m.batch_size, lr0=lr0, momentum=m.momentum,
                     weight_decay=m.weight_decay, seed=[_ss(s, role) for s in train.seeds])
     try:

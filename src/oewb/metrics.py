@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ValidationError
 
 
 @dataclass
@@ -62,9 +62,9 @@ class DetectionReport:
 
 def _check(s: ScoredSet) -> None:
     if s.in_scores.size == 0 or s.out_scores.size == 0:
-        raise InputError("both score lists must be nonempty")
+        raise ValidationError("both score lists must be nonempty")
     if not (np.all(np.isfinite(s.in_scores)) and np.all(np.isfinite(s.out_scores))):
-        raise InputError("scores must be finite")
+        raise ValidationError("scores must be finite")
 
 
 def sweep(s: ScoredSet):
@@ -104,7 +104,7 @@ def _fpr_at_tpr(tp, fp, n_percent: float) -> float:
     """The k-th largest outlier score, k = ceil(N% * n_out), closes the first
     block whose cumulative tp reaches k; fp counts the inliers at or above it."""
     if not 0 < n_percent <= 100:
-        raise InputError("n_percent must lie in (0, 100]")
+        raise ValidationError("n_percent must lie in (0, 100]")
     k = math.ceil(n_percent * int(tp[-1]) / 100.0)
     return int(fp[np.searchsorted(tp, k)]) / int(fp[-1])
 
@@ -130,10 +130,10 @@ def base_rate_sizes(n_in: int, n_out: int, ratio=(1, 5)) -> tuple[int, int]:
     whichever side is the constraint."""
     a, b = int(ratio[0]), int(ratio[1])
     if a < 1 or b < 1:
-        raise InputError("ratio parts must be positive integers")
+        raise ValidationError("ratio parts must be positive integers")
     m = min(int(n_out) // a, int(n_in) // b)
     if m == 0:
-        raise InputError(f"pools of {n_out} out / {n_in} in cannot realize ratio {a}:{b}")
+        raise ValidationError(f"pools of {n_out} out / {n_in} in cannot realize ratio {a}:{b}")
     return m * b, m * a
 
 

@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DivergenceError, ParameterError, ValidationError
+from .errors import DivergenceError, ValidationError
 
 PARAMS_MAGIC = b"OEWB"
 PARAMS_VERSION = 1
@@ -71,15 +71,15 @@ class Batch:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         if self.inputs.ndim not in (2, 3) or self.inputs.shape[-2] < 1:
-            raise ConfigurationError("batch inputs must form a nonempty (n, d) matrix")
+            raise ValidationError("batch inputs must form a nonempty (n, d) matrix")
         if not np.all(np.isfinite(self.inputs)):
-            raise DataError("batch inputs contain non-finite values")
+            raise ValidationError("batch inputs contain non-finite values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != self.inputs.shape[:-1]:
-                raise ConfigurationError("labels must supply one class index per example")
+                raise ValidationError("labels must supply one class index per example")
             if np.any(self.labels < 0):
-                raise DataError("negative class label")
+                raise ValidationError("negative class label")
 
     def __len__(self):
         return self.inputs.shape[-2]
@@ -107,8 +107,8 @@ class NetworkParams:
                 start += math.prod(shape)
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape[-1:] != (start,):
-            raise ConfigurationError(f"layer widths {self.layer_dims} need {start} parameters per net, "
-                                     f"got an array of shape {vector.shape}")
+            raise ValidationError(f"layer widths {self.layer_dims} need {start} parameters per net, "
+                                  f"got an array of shape {vector.shape}")
         self._bind(vector)
 
     def _bind(self, vector: np.ndarray) -> None:
@@ -134,7 +134,7 @@ class NetworkParams:
         first = nets[0]
         for net in nets:
             if net.vector.ndim != 1 or net.layer_dims != first.layer_dims or net.activation != first.activation:
-                raise ConfigurationError("only single nets of one layout can be stacked")
+                raise ValidationError("only single nets of one layout can be stacked")
         return first._with_vector(np.stack([net.vector for net in nets]))
 
     def unstack(self) -> list:
@@ -149,12 +149,12 @@ class NetworkParams:
     def validate(self) -> "NetworkParams":
         dims = self.layer_dims
         if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ConfigurationError("layer_dims needs at least two positive entries")
+            raise ValidationError("layer_dims needs at least two positive entries")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise DataError(f"layer {i} has non-finite parameters")
+                raise ValidationError(f"layer {i} has non-finite parameters")
         if self.activation not in _ACT_CODES:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
+            raise ValidationError(f"unknown activation {self.activation!r}")
         return self
 
     @property
@@ -299,9 +299,9 @@ def _input_matrix(params: NetworkParams, inputs) -> np.ndarray:
     X = np.asarray(inputs, dtype=np.float64)
     lead = params.vector.shape[:-1]
     if X.ndim != len(lead) + 2 or X.shape[:-2] != lead:
-        raise ConfigurationError("inputs must form an (n, d) matrix per net")
+        raise ValidationError("inputs must form an (n, d) matrix per net")
     if X.shape[-1] != params.input_dim:
-        raise ConfigurationError(
+        raise ValidationError(
             f"input width {X.shape[-1]} does not match network input dim {params.input_dim}"
         )
     return X
@@ -415,7 +415,7 @@ def class_sum(z: np.ndarray, keepdims: bool = False, work: Workspace | None = No
 def _shifted_exp(logits, temperature: float, out=None, work: Workspace | None = None) -> np.ndarray:
     """exp(z - max z) per row, z = logits / temperature: softmax's numerators."""
     if not temperature > 0:
-        raise ParameterError("temperature must be positive")
+        raise ValidationError("temperature must be positive")
     z = np.asarray(logits, dtype=np.float64)
     if temperature != 1.0:
         z = z / temperature
@@ -477,7 +477,7 @@ def ce_logit_grad(logits, labels: np.ndarray, out=None, work: Workspace | None =
     columns, the sum and max buffers and the row starts to out once."""
     out = softmax(logits, out=out, work=work)
     if not out.flags.c_contiguous:
-        raise ConfigurationError("ce_logit_grad writes only into a C-contiguous array")
+        raise ValidationError("ce_logit_grad writes only into a C-contiguous array")
     rows = _bound(work, _FlatIndex, out, out.shape[-1])
     rows.flat[rows.at(labels)] -= 1.0
     return out
@@ -520,15 +520,15 @@ def _check_batches(params: NetworkParams, lam, in_batch, oe_batch) -> float:
     as a float. The outlier batch is needed, and read, only when lam > 0."""
     lam = float(lam)
     if not lam >= 0:
-        raise ParameterError("lam must be nonnegative")
+        raise ValidationError("lam must be nonnegative")
     if in_batch is None:
-        raise ConfigurationError("training needs an in-distribution batch")
+        raise ValidationError("training needs an in-distribution batch")
     if in_batch.labels is None:
-        raise ConfigurationError("training needs labels on the in-distribution batch")
+        raise ValidationError("training needs labels on the in-distribution batch")
     if np.any(in_batch.labels >= params.n_classes):
-        raise DataError(f"class label out of range for {params.n_classes} classes")
+        raise ValidationError(f"class label out of range for {params.n_classes} classes")
     if lam > 0 and oe_batch is None:
-        raise ConfigurationError("positive lam needs an outlier batch")
+        raise ValidationError("positive lam needs an outlier batch")
     return lam
 
 
@@ -591,13 +591,13 @@ def init_optimizer(
     weight_decay: float = 5e-4,
 ) -> OptimizerState:
     if not lr0 > 0:
-        raise ParameterError("lr0 must be positive")
+        raise ValidationError("lr0 must be positive")
     if not 0.0 <= momentum < 1.0:
-        raise ParameterError("momentum must lie in [0, 1)")
+        raise ValidationError("momentum must lie in [0, 1)")
     if weight_decay < 0:
-        raise ParameterError("weight_decay must be nonnegative")
+        raise ValidationError("weight_decay must be nonnegative")
     if int(total_steps) < 1:
-        raise ParameterError("total_steps must be positive")
+        raise ValidationError("total_steps must be positive")
     return OptimizerState(
         np.zeros_like(params.vector), 0, float(lr0), float(momentum), float(weight_decay), int(total_steps)
     )
@@ -606,11 +606,11 @@ def init_optimizer(
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     """Half-cosine decay: lr0 * 0.5 * (1 + cos(pi * step / total_steps))."""
     if total_steps <= 0:
-        raise ParameterError("total_steps must be positive")
+        raise ValidationError("total_steps must be positive")
     if not 0 <= step <= total_steps:
-        raise ParameterError("step outside the schedule range")
+        raise ValidationError("step outside the schedule range")
     if not lr0 > 0:
-        raise ParameterError("lr0 must be positive")
+        raise ValidationError("lr0 must be positive")
     return float(lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps)))
 
 
@@ -627,7 +627,7 @@ def sgd_step(params: NetworkParams, grads: np.ndarray, state: OptimizerState) ->
     """
     p, v = params.vector, state.velocity
     if np.shape(grads) != p.shape or v.shape != p.shape:
-        raise ConfigurationError("parameter, gradient, and velocity layouts differ")
+        raise ValidationError("parameter, gradient, and velocity layouts differ")
     lr = cosine_lr(state.step_count, state.total_steps, state.lr0)
     gd = np.multiply(p, state.weight_decay)
     gd += grads
@@ -675,18 +675,18 @@ def train_loop(
     position of the first net that diverged as its member.
     """
     if epochs < 1:
-        raise ParameterError("epochs must be >= 1")
+        raise ValidationError("epochs must be >= 1")
     seeds = list(seed) if np.ndim(seed) == 1 else []
     if params.vector.ndim != 2 or len(seeds) != params.vector.shape[0]:
-        raise ConfigurationError("training takes an (S, P) stack of nets and a sequence of S shuffle seeds")
+        raise ValidationError("training takes an (S, P) stack of nets and a sequence of S shuffle seeds")
     net = params.copy()
     n_rows = data[0].shape[1]
     if n_rows < 1:
-        raise ConfigurationError("training needs at least one inlier row")
+        raise ValidationError("training needs at least one inlier row")
     if oe is not None and oe.shape[1] < 1:
-        raise ConfigurationError("exposure training needs a nonempty outlier set")
+        raise ValidationError("exposure training needs a nonempty outlier set")
     if any(a.shape[:2] != (len(seeds), n_rows) for a in data) or (oe is not None and len(oe) != len(seeds)):
-        raise ConfigurationError("training takes the same rows of every data array, and outliers, for every net")
+        raise ValidationError("training takes the same rows of every data array, and outliers, for every net")
     bs = min(int(batch_size), n_rows)
     steps_per_epoch = (n_rows + bs - 1) // bs
     state = init_optimizer(
@@ -773,30 +773,30 @@ def save_params(params: NetworkParams, path) -> None:
 
 
 def load_params(path) -> NetworkParams:
-    """The net save_params wrote to path; every refusal is a DataError naming the file."""
+    """The net save_params wrote to path; every refusal is a ValidationError naming the file."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise DataError(f"cannot read parameter file {path}: {exc.strerror or exc}") from exc
+        raise ValidationError(f"cannot read parameter file {path}: {exc.strerror or exc}") from exc
     try:
         if len(raw) < 12 or raw[:4] != PARAMS_MAGIC:
-            raise DataError("not a parameter file (bad magic)")
+            raise ValidationError("not a parameter file (bad magic)")
         version, n_dims = struct.unpack_from("<II", raw, 4)
         if version != PARAMS_VERSION:
-            raise DataError(f"unsupported parameter file version {version}")
+            raise ValidationError(f"unsupported parameter file version {version}")
         off = 12
         dims = list(struct.unpack_from(f"<{n_dims}I", raw, off))
         off += 4 * n_dims
         act_code, head_flag = struct.unpack_from("<BB", raw, off)
         off += 2
         if act_code not in _ACT_NAMES:
-            raise DataError(f"unknown activation code {act_code}")
+            raise ValidationError(f"unknown activation code {act_code}")
         if head_flag != 0:
-            raise DataError(f"head flag {head_flag}; only head-less nets (flag 0) load")
+            raise ValidationError(f"head flag {head_flag}; only head-less nets (flag 0) load")
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
         if len(raw) - off != 8 * size:
-            raise DataError("trailing or missing bytes")
+            raise ValidationError("trailing or missing bytes")
         vector = np.frombuffer(raw, dtype="<f8", count=size, offset=off).astype(np.float64)
         return NetworkParams(dims, vector, _ACT_NAMES[act_code]).validate()
     except (struct.error, ValidationError) as exc:  # struct raises on a truncated header
-        raise DataError(f"bad parameter file {path}: {exc}") from exc
+        raise ValidationError(f"bad parameter file {path}: {exc}") from exc

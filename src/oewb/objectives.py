@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn_core
-from .errors import ConfigurationError, DataError, ParameterError
+from .errors import ValidationError
 
 
 def _log_probs(logits) -> np.ndarray:
@@ -20,7 +20,7 @@ def _log_probs(logits) -> np.ndarray:
     if v.ndim == 1:
         v = v[None, :]
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-        raise ConfigurationError("expected a nonempty (n, k) array")
+        raise ValidationError("expected a nonempty (n, k) array")
     return nn_core.log_softmax(v)
 
 
@@ -29,9 +29,9 @@ def ce_loss(logits, labels) -> float:
     lp = _log_probs(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (lp.shape[0],):
-        raise ConfigurationError("labels must supply one class index per row")
+        raise ValidationError("labels must supply one class index per row")
     if np.any(labels < 0) or np.any(labels >= lp.shape[1]):
-        raise DataError("class label out of range")
+        raise ValidationError("class label out of range")
     return float(np.mean(-lp[np.arange(lp.shape[0]), labels]))
 
 
@@ -43,7 +43,7 @@ def uniform_ce(logits) -> float:
     """
     lp = _log_probs(logits)
     if lp.shape[1] < 2:
-        raise ConfigurationError("uniform cross-entropy needs k >= 2 classes")
+        raise ValidationError("uniform cross-entropy needs k >= 2 classes")
     return float(np.mean(-lp.mean(axis=1)))
 
 
@@ -54,16 +54,16 @@ def multiclass_oe_loss(in_batch, oe_batch, params, lam: float) -> float:
     skipped rather than multiplied away.
     """
     if lam < 0:
-        raise ParameterError("lam must be nonnegative")
+        raise ValidationError("lam must be nonnegative")
     if in_batch.labels is None:
-        raise ConfigurationError("in-distribution batch needs labels")
+        raise ValidationError("in-distribution batch needs labels")
     logits_in = nn_core.forward(params, in_batch.inputs)
     loss = ce_loss(logits_in, in_batch.labels)
     if lam > 0:
         if oe_batch is None:
-            raise ConfigurationError("positive lam needs an outlier batch")
+            raise ValidationError("positive lam needs an outlier batch")
         if oe_batch.labels is not None:
-            raise ConfigurationError("outlier batch must be unlabeled")
+            raise ValidationError("outlier batch must be unlabeled")
         logits_oe = nn_core.forward(params, oe_batch.inputs)
         loss += lam * uniform_ce(logits_oe)
     return float(loss)
@@ -78,9 +78,9 @@ def density_margin_loss(nll_in, nll_out, margin: float) -> float:
     a = np.asarray(nll_in, dtype=np.float64)
     b = np.asarray(nll_out, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
-        raise ConfigurationError("paired nll arrays must be 1-d with equal length")
+        raise ValidationError("paired nll arrays must be 1-d with equal length")
     if a.size == 0:
-        raise ConfigurationError("empty nll batch")
+        raise ValidationError("empty nll batch")
     if not margin > 0:
-        raise ParameterError("margin must be positive")
+        raise ValidationError("margin must be positive")
     return float(np.mean(np.maximum(0.0, margin + a - b)))

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import nn_core
-from .errors import ConfigurationError
+from .errors import ValidationError
 
 DETECTORS = ("msp", "uniform_ce", "density_bpp")
 
@@ -29,9 +29,9 @@ ALONE_ROWS = 2048
 def score_dataset(model, kind: str, dataset) -> np.ndarray:
     """Per-example anomaly scores for a whole dataset, in input order."""
     if kind not in DETECTORS:
-        raise ConfigurationError(f"unknown detector kind {kind!r}")
+        raise ValidationError(f"unknown detector kind {kind!r}")
     if not isinstance(model, nn_core.NetworkParams):
-        raise ConfigurationError(f"{kind} scoring needs network parameters")
+        raise ValidationError(f"{kind} scoring needs network parameters")
     if kind == "density_bpp":
         return density_mod.bits_per_dim_batch(model, dataset)
     logits = nn_core.forward(model, np.asarray(dataset, dtype=np.float64))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oewb import calibration as cal
 from oewb import nn_core, objectives
-from oewb.errors import InputError, ParameterError
+from oewb.errors import ValidationError
 
 
 def _records(confs, corrects):
@@ -26,11 +26,11 @@ class TestPredictionRecord:
     def test_validation(self):
         cal.report_from_records([0.5], [True])
         for bad in (1.5, -0.1, float("nan"), float("inf")):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ValidationError, match=r"confidence must lie in \[0, 1\]"):
                 cal.report_from_records([0.5, bad], [True, True])
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="confidences and correctness flags must align"):
             cal.report_from_records([0.5, 0.5], [True])
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="no prediction records"):
             cal.report_from_records([], [])
 
 
@@ -71,7 +71,7 @@ class TestAdaptiveBins:
             assert conf[a].max() <= conf[b].min()
 
     def test_empty_records_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="no prediction records"):
             cal.adaptive_bins([])
 
 
@@ -219,24 +219,24 @@ class TestTuneTemperature:
             assert objectives.ce_loss(logits / t, labels) <= objectives.ce_loss(logits, labels) + 1e-12
 
     def test_input_validation(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match=r"tuning needs a nonempty \(F, n, k\) stack of logit matrices"):
             cal.tune_temperature(np.zeros((0, 4, 3)), np.zeros((0, 4), dtype=int))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match=r"tuning needs a nonempty \(F, n, k\) stack of logit matrices"):
             cal.tune_temperature(np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=int))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match=r"tuning needs a nonempty \(F, n, k\) stack of logit matrices"):
             cal.tune_temperature(np.zeros(3), np.zeros(1, dtype=int))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="labels must supply one class per row"):
             cal.tune_temperature(np.zeros((2, 4, 3)), np.zeros(4, dtype=int))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="labels must supply one class per row"):
             cal.tune_temperature(np.zeros((1, 4, 3)), np.zeros((1, 2), dtype=int))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="class label out of range"):
             cal.tune_temperature(np.zeros((1, 2, 3)), np.array([[0, 3]]))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="class label out of range"):
             cal.tune_temperature(np.zeros((1, 2, 3)), np.array([[-1, 0]]))
 
     def test_an_unstacked_logit_matrix_is_refused(self):
         # one fit is a stack of one: (n, k) logits are not a stack
-        with pytest.raises(InputError, match=r"^tuning needs a nonempty \(F, n, k\) stack of logit matrices$"):
+        with pytest.raises(ValidationError, match=r"^tuning needs a nonempty \(F, n, k\) stack of logit matrices$"):
             cal.tune_temperature(np.zeros((4, 3)), np.zeros(4, dtype=int))
 
     def test_equals_scalar_loop_exactly(self):
@@ -328,11 +328,11 @@ class TestTuneTemperature:
         logits = rng.normal(size=(50, 4))
         labels = rng.integers(0, 4, size=50)
         logits[17, 2] = bad
-        with pytest.raises(InputError, match=r"^fit 0: logits of row 17 are not all finite$"):
+        with pytest.raises(ValidationError, match=r"^fit 0: logits of row 17 are not all finite$"):
             cal.tune_temperature(logits[None], labels[None])
         stack = np.stack([rng.normal(size=(50, 4)), rng.normal(size=(50, 4)), logits])
         stack[2, 30, 0] = bad
-        with pytest.raises(InputError, match=r"^fit 2: logits of row 17 are not all finite$"):
+        with pytest.raises(ValidationError, match=r"^fit 2: logits of row 17 are not all finite$"):
             cal.tune_temperature(stack, np.stack([labels] * 3))
 
     def test_scaling_preserves_argmax(self):
@@ -354,13 +354,13 @@ class TestPosteriorRescale:
         assert cal.posterior_rescale(0.4, 4) == pytest.approx(0.2, abs=1e-12)
 
     def test_impossible_confidence_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="p_max = 0.2 is impossible for a 4-class posterior"):
             cal.posterior_rescale(0.2, 4)
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="p_max = 1.2 is impossible for a 4-class posterior"):
             cal.posterior_rescale(1.2, 4)
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="p_max = 0.2 is impossible for a 4-class posterior"):
             cal.posterior_rescale(np.array([0.5, 0.2, float("nan")]), 4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="k must be >= 2"):
             cal.posterior_rescale(0.9, 1)
 
     def test_strictly_increasing(self):
@@ -392,9 +392,9 @@ class TestMixedRecords:
         assert np.array_equal(a, b)
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="both pools must be nonempty"):
             cal.mixed_prediction_records([], [], [0.5], seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="in-distribution confidences and flags must align"):
             cal.mixed_prediction_records([0.5, 0.5], [True], [0.5], seed=0)
 
 

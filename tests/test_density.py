@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oewb import density, metrics, nn_core
-from oewb.errors import ConfigurationError, DataError, ParameterError
+from oewb.errors import ValidationError
 
 import fd
 
@@ -41,13 +41,13 @@ def _walks(rng, n, length, V, p_step=0.9, starts=None):
 class TestDiscreteSequence:
     def test_validation(self):
         m = _uniform_model(V=4)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=r"sequences must form a nonempty \(n, D\) integer matrix"):
             density.nll_batch(m, np.zeros((2, 0), dtype=np.int64))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=r"layer widths \[4, 4, 1\] are not a density layout"):
             density.layout(nn_core.init_network(density.ar_layer_dims(1, 2, (4,)), 0))
-        with pytest.raises(DataError):
+        with pytest.raises(ValidationError, match="symbol outside the alphabet"):
             density.nll_batch(m, [[0, 4]])
-        with pytest.raises(ConfigurationError, match=r"nonempty \(n, D\) integer matrix"):
+        with pytest.raises(ValidationError, match=r"nonempty \(n, D\) integer matrix"):
             density.nll_batch(m, [0, 1, 2])  # one sequence is a (1, D) matrix
         assert density.nll_batch(m, [[0, 1, 2]]).shape == (1,)
 
@@ -58,9 +58,9 @@ class TestDiscreteSequence:
         # an output width of 1 is no alphabet
         for dims in ([5, 4, 3], [3, 4, 3], [6, 4, 1]):
             net = nn_core.init_network(dims, seed=0)
-            with pytest.raises(ConfigurationError, match="not a density layout"):
+            with pytest.raises(ValidationError, match="not a density layout"):
                 density.layout(net)
-            with pytest.raises(ConfigurationError, match="not a density layout"):
+            with pytest.raises(ValidationError, match="not a density layout"):
                 density.nll_batch(net, [[0, 0]])
 
 
@@ -119,16 +119,18 @@ class TestNll:
 
     def test_symbol_outside_alphabet_rejected(self):
         m = _uniform_model(V=3)
-        with pytest.raises(DataError):
+        with pytest.raises(ValidationError, match="symbol outside the alphabet"):
             density.nll_batch(m, [[0, 3]])
-        with pytest.raises(DataError):
+        with pytest.raises(ValidationError, match="symbol outside the alphabet"):
             density.nll_batch(m, [[-1]])
 
     def test_symbols_that_are_not_whole_numbers_rejected(self):
         m = _uniform_model(V=3)
-        for bad in (0.5, 2.5, -0.5, float("nan"), float("inf")):
-            with pytest.raises(DataError):
+        for bad in (0.5, 2.5, -0.5, float("nan")):
+            with pytest.raises(ValidationError, match="symbols must be whole numbers"):
                 density.nll_batch(m, np.full((2, 3), bad))
+        with pytest.raises(ValidationError, match="symbol outside the alphabet"):  # inf is whole, and too large
+            density.nll_batch(m, np.full((2, 3), float("inf")))
         # whole numbers held as floats score as the integers they equal
         assert np.array_equal(density.nll_batch(m, np.full((2, 3), 2.0)), density.nll_batch(m, np.full((2, 3), 2)))
 
@@ -196,7 +198,7 @@ class TestTrainDensity:
 
     def test_epoch_validation(self):
         m = _uniform_model(V=2)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="epochs must be >= 1"):
             _solo(density.train_density, m, np.zeros((2, 3), dtype=np.int64), epochs=0, batch_size=32, lr0=0.1)
 
 
@@ -257,9 +259,9 @@ class TestMarginGrad:
 
     def test_unequal_batch_sizes_rejected(self):
         m = _uniform_model(V=3)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="margin pairs require equally sized inlier/outlier batches"):
             density.margin_grad(m, np.zeros((2, 4), dtype=np.int64), np.zeros((3, 4), dtype=np.int64), 4.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="margin must be positive"):
             density.margin_grad(m, np.zeros((2, 4), dtype=np.int64), np.zeros((2, 4), dtype=np.int64), 0.0)
 
 
@@ -305,14 +307,14 @@ class TestFinetune:
 
     def test_empty_outlier_set_rejected(self):
         m = _uniform_model(V=3)
-        with pytest.raises(ConfigurationError, match="needs a nonempty outlier set"):
+        with pytest.raises(ValidationError, match="needs a nonempty outlier set"):
             _solo(density.finetune_density_oe, m, np.zeros((4, 5), dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
                   epochs=2, batch_size=32, lr0=1e-3)
 
     def test_nonpositive_margin_rejected(self):
         m = _uniform_model(V=3)
         seqs = np.zeros((4, 5), dtype=np.int64)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="margin must be positive"):
             _solo(density.finetune_density_oe, m, seqs, seqs, margin=-1.0, epochs=2, batch_size=32, lr0=1e-3)
 
     def test_mle_loss_interference_bounded_per_step(self):

@@ -14,7 +14,7 @@ import copy
 import numpy as np
 import pytest
 
-from oewb.errors import ConfigurationError
+from oewb.errors import ValidationError
 from oewb.harness import datasets
 from oewb.harness.config import DatasetSpec
 
@@ -81,7 +81,7 @@ def test_numpy_global_random_state_is_left_alone(name):
 @pytest.mark.parametrize("count", [0, -3])
 @pytest.mark.parametrize("name", BUILT)
 def test_a_row_count_below_one_is_refused(name, count):
-    with pytest.raises(ConfigurationError) as info:
+    with pytest.raises(ValidationError) as info:
         datasets.materialize(_spec(name, n=count), n=5, seed=SEED, dim=DIM)
     assert str(info.value) == f"dataset {name!r} ({name}) params.n must be positive, got {count}"
 
@@ -105,7 +105,7 @@ def test_the_spec_params_are_left_as_given(name):
 
 @pytest.mark.parametrize("name", BUILT)
 def test_a_misspelled_key_is_refused_listing_the_keys_read(name):
-    with pytest.raises(ConfigurationError) as info:
+    with pytest.raises(ValidationError) as info:
         _build(name, scael=2.0)
     reads = ", ".join(sorted(datasets._KINDS[name].params))
     assert str(info.value) == f"dataset {name!r} ({name}) does not read params key(s) scael; it reads {reads}"
@@ -120,21 +120,21 @@ def test_scale_and_offset_apply_to_the_rows_last(name):
 
 @pytest.mark.parametrize("name", VECTOR)
 def test_an_offset_of_another_length_than_dim_is_refused(name):
-    with pytest.raises(ConfigurationError, match=rf"dataset {name!r} params.offset must have one entry per "
+    with pytest.raises(ValidationError, match=rf"dataset {name!r} params.offset must have one entry per "
                                                  rf"dimension \(3\), got \[1.0, 2.0\]"):
         _build(name, offset=[1.0, 2.0])
 
 
 @pytest.mark.parametrize("name", VECTOR)
 def test_a_string_scale_is_refused(name):
-    with pytest.raises(ConfigurationError) as info:
+    with pytest.raises(ValidationError) as info:
         _build(name, scale="2")
     assert str(info.value) == f"dataset {name!r} params.scale must be a number, got '2'"
 
 
 @pytest.mark.parametrize("name", VECTOR)
 def test_vector_rows_need_the_experiment_dimension(name):
-    with pytest.raises(ConfigurationError, match=rf"dataset {name!r} \({name}\) takes the experiment dimension"):
+    with pytest.raises(ValidationError, match=rf"dataset {name!r} \({name}\) takes the experiment dimension"):
         datasets.materialize(_spec(name), n=8, seed=SEED)
 
 
@@ -147,12 +147,12 @@ def test_vector_rows_survive_a_csv_round_trip_bit_for_bit(name, tmp_path):
 
 
 def test_markov_chain_needs_a_row_count():
-    with pytest.raises(ConfigurationError, match="'markov_chain' .* needs params key n: nothing else sets"):
+    with pytest.raises(ValidationError, match="'markov_chain' .* needs params key n: nothing else sets"):
         datasets.materialize(_spec("markov_chain"), n=None, seed=SEED)
 
 
 def test_a_deleted_generator_is_refused_listing_every_generator():
-    with pytest.raises(ConfigurationError) as info:
+    with pytest.raises(ValidationError) as info:
         _build("jigsaw")
     listed = ", ".join(GENERATORS)
     assert str(info.value) == f"dataset 'jigsaw': unknown generator 'jigsaw'; the generators are {listed}"

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oewb import density, metrics, nn_core
-from oewb.errors import ConfigurationError, DataError, DivergenceError, ValidationError
+from oewb.errors import DivergenceError, ValidationError
 from oewb.harness import cli, datasets, pipeline, reports
 from oewb.harness.config import (
     DETECTORS,
@@ -32,6 +32,10 @@ from oewb.harness.config import (
 from oewb.harness.presets import PRESET_NAMES, get_preset
 
 import reference_reports
+
+
+# one byte past the limit on the names files are named after, in 101 characters
+LONG_NAME = "\u00e9" * 100 + "x"
 
 
 def _tiny_config(**over):
@@ -136,29 +140,34 @@ class TestConfigValidation:
 
     def test_unknown_detector(self):
         for name in ("energy", "confidence_branch"):
-            with pytest.raises(ConfigurationError, match=f"unknown detector '{name}'"):
+            with pytest.raises(ValidationError, match=f"unknown detector '{name}'"):
                 _tiny_config(detector=name)
 
     def test_unknown_pipeline(self):
-        with pytest.raises(ConfigurationError, match="pipeline"):
+        with pytest.raises(ValidationError, match="pipeline"):
             _tiny_config(pipeline="distill")
 
     def test_negative_lambda(self):
         for lam in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError, match="lambda"):
+            with pytest.raises(ValidationError, match="lambda"):
                 _tiny_config(lam=lam)
 
     def test_empty_seeds(self):
-        with pytest.raises(ConfigurationError, match="seeds"):
+        with pytest.raises(ValidationError, match="seeds"):
             _tiny_config(seeds=())
 
     def test_duplicate_seeds(self):
-        with pytest.raises(ConfigurationError, match="distinct"):
+        with pytest.raises(ValidationError, match="distinct"):
             _tiny_config(seeds=(0, 1, 0))
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigurationError, match="seeds must be nonnegative, got -1"):
+        with pytest.raises(ValidationError, match="seeds must be nonnegative, got -1"):
             _tiny_config(seeds=(0, -1))
+
+    def test_seed_too_long_for_a_file_name(self):
+        _tiny_config(seeds=(2**64 - 1,))
+        with pytest.raises(ValidationError, match=f"seeds must be below 2\\*\\*64, got {2**64}"):
+            _tiny_config(seeds=(0, 2**64))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -167,31 +176,31 @@ class TestConfigValidation:
     def test_integer_lists_refuse_strings_and_non_integers(self, key, value):
         d = _tiny_config().to_dict()
         (d["model"] if key == "hidden_dims" else d)[key] = value
-        with pytest.raises(ConfigurationError, match=f"{key} must be a list of integers"):
+        with pytest.raises(ValidationError, match=f"{key} must be a list of integers"):
             ExperimentConfig.from_dict(d)
 
     def test_context_window_below_one(self):
         # validation runs before prepare_data builds any dataset
-        with pytest.raises(ConfigurationError, match="context_window must be >= 1"):
+        with pytest.raises(ValidationError, match="context_window must be >= 1"):
             _tiny_density_config(model=ModelSettings(hidden_dims=(8,), context_window=0))
 
     def test_epoch_ranges(self):
-        with pytest.raises(ConfigurationError, match="epoch"):
+        with pytest.raises(ValidationError, match="epoch"):
             _tiny_config(epochs=0)
-        with pytest.raises(ConfigurationError, match="epoch"):
+        with pytest.raises(ValidationError, match="epoch"):
             _tiny_config(finetune_epochs=-1)
         _tiny_config(finetune_epochs=0)
 
     def test_base_rate_shape(self):
-        with pytest.raises(ConfigurationError, match="base_rate"):
+        with pytest.raises(ValidationError, match="base_rate"):
             _tiny_config(base_rate=(1, 0))
-        with pytest.raises(ConfigurationError, match="base_rate"):
+        with pytest.raises(ValidationError, match="base_rate"):
             _tiny_config(base_rate=(1, 2, 3))
 
     def test_n_level_bounds(self):
-        with pytest.raises(ConfigurationError, match="n_level"):
+        with pytest.raises(ValidationError, match="n_level"):
             _tiny_config(n_level=0.0)
-        with pytest.raises(ConfigurationError, match="n_level"):
+        with pytest.raises(ValidationError, match="n_level"):
             _tiny_config(n_level=100.5)
         _tiny_config(n_level=100.0)
 
@@ -200,12 +209,12 @@ class TestConfigValidation:
             "generator", "ring", {"generator": "ring", "radius": 6.0, "width": 0.2, "n": 60}
         )
         other = DatasetSpec("generator", "ring", {"generator": "ring", "radius": 7.0, "n": 60})
-        with pytest.raises(ConfigurationError, match="unique"):
+        with pytest.raises(ValidationError, match="unique"):
             _tiny_config(d_out_test=[ring, other])
 
     def test_oe_name_clash_with_test(self):
         oe = DatasetSpec("generator", "ring", {"generator": "uniform_box", "n": 50})
-        with pytest.raises(ConfigurationError, match="outlier spec name 'ring' is used more than once"):
+        with pytest.raises(ValidationError, match="outlier spec name 'ring' is used more than once"):
             _tiny_config(d_out_oe=oe)
 
     def test_oe_fingerprint_clash_with_test(self):
@@ -213,18 +222,18 @@ class TestConfigValidation:
         oe = DatasetSpec(
             "generator", "ring_copy", {"generator": "ring", "radius": 6.0, "width": 0.2, "n": 60}
         )
-        with pytest.raises(ConfigurationError, match="disjoint"):
+        with pytest.raises(ValidationError, match="disjoint"):
             _tiny_config(d_out_oe=oe)
 
     @pytest.mark.parametrize("spelled_out", [{"scale": 1.0}, {"scale": 1, "offset": 0.0}])
     def test_oe_copy_of_a_test_spec_with_defaults_spelled_out_is_refused(self, spelled_out):
         # the recipes are compared once resolved, so a default written out is no difference
         params = {"generator": "ring", "radius": 6.0, "width": 0.2, "n": 60, **spelled_out}
-        with pytest.raises(ConfigurationError, match="auxiliary outlier spec must be disjoint from test spec 'ring'"):
+        with pytest.raises(ValidationError, match="auxiliary outlier spec must be disjoint from test spec 'ring'"):
             _tiny_config(d_out_oe=DatasetSpec("generator", "ring_copy", params))
 
     def test_oe_file_spec_naming_a_test_file_with_its_default_label_column_is_refused(self):
-        with pytest.raises(ConfigurationError, match="disjoint from test spec 'rows'"):
+        with pytest.raises(ValidationError, match="disjoint from test spec 'rows'"):
             _tiny_config(d_out_oe=DatasetSpec("file", "rows_copy", {"label_column": "label"}, path="rows.csv"),
                          d_out_test=[DatasetSpec("file", "rows", path="rows.csv")])
 
@@ -232,32 +241,32 @@ class TestConfigValidation:
         # only file datasets read path, so anywhere else it would be silently ignored
         spec = DatasetSpec("generator", "ring", {"generator": "ring", "radius": 6.0, "n": 60}, path="x.csv")
         message = "dataset 'ring' \\(ring\\) does not read path; only file datasets do"
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ValidationError, match=message):
             spec.validate()
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ValidationError, match=message):
             datasets.materialize(spec, n=None, seed=0, dim=2)
 
     def test_exposure_pipeline_needs_oe_spec(self):
-        with pytest.raises(ConfigurationError, match="auxiliary"):
+        with pytest.raises(ValidationError, match="auxiliary"):
             _tiny_config(d_out_oe=None)
         # lam == 0 never touches the auxiliary set, so it may be omitted.
         cfg = _tiny_config(d_out_oe=None, lam=0.0)
         assert cfg.d_out_oe is None
 
     def test_calibration_needs_classifier(self):
-        with pytest.raises(ConfigurationError, match="calibration"):
+        with pytest.raises(ValidationError, match="calibration"):
             _tiny_density_config(calibration=True)
 
     def test_model_settings_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="learning rates must be finite and positive"):
             _tiny_config(model=ModelSettings(lr0=0.0))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="batch_size must be positive"):
             _tiny_config(model=ModelSettings(batch_size=0))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="unknown activation 'gelu'"):
             _tiny_config(model=ModelSettings(activation="gelu"))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="hidden_dims must be positive"):
             _tiny_config(model=ModelSettings(hidden_dims=(8, 0)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="margin must be finite and positive when given"):
             _tiny_config(model=ModelSettings(margin=-1.0))
 
     @pytest.mark.parametrize(
@@ -270,22 +279,22 @@ class TestConfigValidation:
     )
     def test_model_numbers_training_would_misuse_are_refused(self, key, value):
         # refused by validate, which runs before prepare_data builds anything
-        with pytest.raises(ConfigurationError, match="learning rates" if "lr0" in key else key):
+        with pytest.raises(ValidationError, match="learning rates" if "lr0" in key else key):
             _tiny_density_config(model=ModelSettings(hidden_dims=(8,), **{key: value}))
 
     def test_dataset_spec_validation(self):
-        with pytest.raises(ConfigurationError, match="kind"):
+        with pytest.raises(ValidationError, match="unknown dataset kind 'parquet'"):
             DatasetSpec("parquet", "x").validate()
-        with pytest.raises(ConfigurationError, match="name"):
+        with pytest.raises(ValidationError, match="dataset spec needs a name"):
             DatasetSpec("generator", "", {"generator": "uniform_box"}).validate()
-        with pytest.raises(ConfigurationError, match="path"):
+        with pytest.raises(ValidationError, match="file dataset 'x' needs a path"):
             DatasetSpec("file", "x").validate()
-        with pytest.raises(ConfigurationError, match="generator"):
+        with pytest.raises(ValidationError, match=r"generator dataset 'x' needs params\['generator'\] as a string"):
             DatasetSpec("generator", "x", {}).validate()
 
     @pytest.mark.parametrize("name", ["../x", "ring/x", "/abs", "back\\slash", "nul\0"])
     def test_a_dataset_name_that_cannot_be_a_file_name_is_refused(self, name):
-        with pytest.raises(ConfigurationError, match=re.escape(f"dataset name {name!r} holds a path separator")):
+        with pytest.raises(ValidationError, match=re.escape(f"dataset name {name!r} holds a path separator")):
             DatasetSpec("generator", name, {"generator": "uniform_box"}).validate()
 
     @pytest.mark.parametrize("name", ["..", "a..b,c", "x y"])
@@ -294,7 +303,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../x", "runs/x", "/abs", "back\\slash", "nul\0"])
     def test_an_experiment_name_that_is_no_directory_name_is_refused(self, name):
-        with pytest.raises(ConfigurationError, match=re.escape(f"experiment name {name!r} is no directory name")):
+        with pytest.raises(ValidationError, match=re.escape(f"experiment name {name!r} is no directory name")):
             _tiny_config(name=name)
 
     @pytest.mark.parametrize("name", ["...", "a..b,c", "x y", ".hidden"])
@@ -304,24 +313,24 @@ class TestConfigValidation:
     def test_unknown_top_level_key_rejected(self):
         d = _tiny_config().to_dict()
         d["lamda"] = 1.0
-        with pytest.raises(ConfigurationError, match="lamda"):
+        with pytest.raises(ValidationError, match="lamda"):
             ExperimentConfig.from_dict(d)
 
     def test_unknown_model_key_rejected(self):
         d = _tiny_config().to_dict()
         d["model"]["learning_rate"] = 0.1
-        with pytest.raises(ConfigurationError, match="learning_rate"):
+        with pytest.raises(ValidationError, match="learning_rate"):
             ExperimentConfig.from_dict(d)
 
     def test_unknown_dataset_spec_key_rejected(self):
         d = _tiny_config().to_dict()
         d["d_in"]["generator"] = "ring"
-        with pytest.raises(ConfigurationError, match="dataset spec"):
+        with pytest.raises(ValidationError, match="dataset spec"):
             ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize("detector,pipe", [("density_bpp", "scratch_oe")])
     def test_refused_detector_pipeline_pairs(self, detector, pipe):
-        with pytest.raises(ConfigurationError, match=f"detector '{detector}' with pipeline '{pipe}'"):
+        with pytest.raises(ValidationError, match=f"detector '{detector}' with pipeline '{pipe}'"):
             _tiny_density_config(detector=detector, pipeline=pipe)
 
     @pytest.mark.parametrize(
@@ -404,19 +413,19 @@ class TestConfigSerialization:
     def test_base_rate_string_forms(self):
         d = _tiny_config().to_dict()
         d["base_rate"] = "3"
-        with pytest.raises(ConfigurationError, match="base_rate"):
+        with pytest.raises(ValidationError, match="base_rate"):
             ExperimentConfig.from_dict(d)
         d["base_rate"] = [2, 5]
         assert ExperimentConfig.from_dict(d).base_rate == (2, 5)
 
     def test_missing_config_file(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="exist"):
+        with pytest.raises(ValidationError, match="exist"):
             load_config(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="JSON"):
+        with pytest.raises(ValidationError, match="JSON"):
             load_config(p)
 
     def test_presets_validate(self):
@@ -466,7 +475,7 @@ class TestSyntheticData:
     )
     def test_mixture_validation(self, params, message):
         spec = DatasetSpec("synthetic_gaussian_mixture", "m", params)
-        with pytest.raises(ConfigurationError) as info:
+        with pytest.raises(ValidationError) as info:
             datasets.check_params(spec)
         assert str(info.value) == f"dataset 'm' (synthetic_gaussian_mixture) {message}"
 
@@ -483,7 +492,7 @@ class TestSyntheticData:
     def test_mixture_class_subset(self):
         d = _mixture(0, k=4, n_per_cluster=20, dim=2, separation=4.0, class_subset=[1, 3])
         assert sorted(set(d.labels.tolist())) == [1, 3]
-        with pytest.raises(ConfigurationError, match=r"params.class_subset must be nonempty classes in \[0, 4\)"):
+        with pytest.raises(ValidationError, match=r"params.class_subset must be nonempty classes in \[0, 4\)"):
             _mixture(0, k=4, n_per_cluster=20, dim=2, separation=4.0, class_subset=[4])
 
     def test_empirical_means_match_centers(self):
@@ -530,7 +539,7 @@ class TestSyntheticData:
     )
     def test_markov_validation(self, params, message):
         spec = DatasetSpec("generator", "w", {"generator": "markov_chain", "length": 8, "alphabet_size": 5, **params})
-        with pytest.raises(ConfigurationError) as info:
+        with pytest.raises(ValidationError) as info:
             datasets.check_params(spec)
         assert str(info.value) == f"dataset 'w' (markov_chain) {message}"
 
@@ -562,18 +571,18 @@ class TestDatasetFiles:
     def test_vector_csv_errors(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
-        with pytest.raises(DataError, match="empty"):
+        with pytest.raises(ValidationError, match="d.csv: empty dataset file"):
             datasets.read_csv(p)
         p.write_text("x0,x1\n")
-        with pytest.raises(DataError, match="no rows"):
+        with pytest.raises(ValidationError, match="no rows"):
             datasets.read_csv(p)
         p.write_text("x0,x1\n1.0,2.0\n3.0\n")
-        with pytest.raises(DataError, match="3"):
+        with pytest.raises(ValidationError, match="d.csv:3: expected 2 fields, got 1"):
             datasets.read_csv(p)
         p.write_text("x0,x1\n1.0,2.0\n3.0,oops\n")
-        with pytest.raises(DataError, match="3"):
+        with pytest.raises(ValidationError, match="d.csv:3: could not convert string to float: 'oops'"):
             datasets.read_csv(p)
-        with pytest.raises(DataError, match="exist"):
+        with pytest.raises(ValidationError, match="missing.csv does not exist"):
             datasets.read_csv(tmp_path / "missing.csv")
 
     def test_sequence_csv_round_trip(self, tmp_path):
@@ -591,14 +600,14 @@ class TestDatasetFiles:
         datasets.check_disjoint(a, b, "oe", "test")
         shared = np.concatenate([b.rows[:1], rng.standard_normal((3, 2))])
         c = datasets.Dataset(shared)
-        with pytest.raises(ConfigurationError, match="share"):
+        with pytest.raises(ValidationError, match="share"):
             datasets.check_disjoint(c, b, "oe", "test")
 
     def test_check_disjoint_sequences(self):
         a = _walks(20, 0, length=6, alphabet_size=4, p_step=1.0, p_stay=0.0, starts=[0])
         b = _walks(20, 1, length=6, alphabet_size=4, p_step=1.0, p_stay=0.0, starts=[1])
         datasets.check_disjoint(a, b, "oe", "test")
-        with pytest.raises(ConfigurationError, match="share"):
+        with pytest.raises(ValidationError, match="share"):
             datasets.check_disjoint(a, a, "oe", "test")
 
     def test_check_disjoint_same_first_column_is_not_shared(self):
@@ -610,20 +619,20 @@ class TestDatasetFiles:
         a = datasets.Dataset([[0.0, 1.0], [2.0, 0.0]])
         b = datasets.Dataset([[-0.0, 1.0], [2.0, -0.0]])
         datasets.check_disjoint(a, b, "oe", "test")
-        with pytest.raises(ConfigurationError, match="shares 1 row"):
+        with pytest.raises(ValidationError, match="shares 1 row"):
             datasets.check_disjoint(a, datasets.Dataset([[-0.0, 1.0], [2.0, 0.0]]), "oe", "test")
 
     def test_check_disjoint_counts_distinct_shared_rows(self):
         a = datasets.Dataset([[1.0, 2.0], [1.0, 2.0], [7.0, 8.0], [9.0, 9.0]])
         b = datasets.Dataset([[1.0, 2.0], [7.0, 8.0], [7.0, 8.0], [1.0, 3.0]])
-        with pytest.raises(ConfigurationError) as info:
+        with pytest.raises(ValidationError) as info:
             datasets.check_disjoint(a, b, "box", "ring")
         assert "'box' shares 2 row(s) with test outlier set 'ring'" in str(info.value)
 
     def test_check_disjoint_one_column(self):
         a = datasets.Dataset([[1.0], [2.0], [2.0]])
         datasets.check_disjoint(a, datasets.Dataset([[3.0], [-1.0]]), "oe", "test")
-        with pytest.raises(ConfigurationError, match="shares 1 row"):
+        with pytest.raises(ValidationError, match="shares 1 row"):
             datasets.check_disjoint(a, datasets.Dataset([[3.0], [2.0]]), "oe", "test")
 
     def test_check_disjoint_sequences_sharing_a_start(self):
@@ -631,14 +640,14 @@ class TestDatasetFiles:
         b = datasets.Dataset([[0, 2, 2], [0, 1, 0], [2, 2, 1]], alphabet_size=3)
         datasets.check_disjoint(a, b, "oe", "test")
         c = datasets.Dataset([[0, 2, 2], [2, 2, 2], [0, 1, 1], [0, 1, 1]], alphabet_size=3)
-        with pytest.raises(ConfigurationError, match="shares 2 row"):
+        with pytest.raises(ValidationError, match="shares 2 row"):
             datasets.check_disjoint(a, c, "oe", "test")
 
 
 class TestMaterialize:
     def test_generator_needs_dim(self):
         spec = DatasetSpec("generator", "g", {"generator": "gaussian"})
-        with pytest.raises(ConfigurationError, match="dimension"):
+        with pytest.raises(ValidationError, match="dimension"):
             datasets.materialize(spec, n=10, seed=0)
 
     def test_post_transform(self):
@@ -650,12 +659,12 @@ class TestMaterialize:
 
     def test_unknown_generator(self):
         spec = DatasetSpec("generator", "g", {"generator": "perlin"})
-        with pytest.raises(ConfigurationError, match="perlin"):
+        with pytest.raises(ValidationError, match="perlin"):
             datasets.materialize(spec, n=5, seed=0, dim=3)
 
     def test_a_dataset_kind_is_no_generator(self):
         spec = DatasetSpec("generator", "g", {"generator": "synthetic_gaussian_mixture"})
-        with pytest.raises(ConfigurationError, match="unknown generator 'synthetic_gaussian_mixture'; the generators"):
+        with pytest.raises(ValidationError, match="unknown generator 'synthetic_gaussian_mixture'; the generators"):
             datasets.materialize(spec, n=5, seed=0, dim=3)
 
     @pytest.mark.parametrize(
@@ -672,7 +681,7 @@ class TestMaterialize:
         ],
     )
     def test_params_nothing_reads_are_refused(self, spec, unread):
-        with pytest.raises(ConfigurationError, match=f"does not read params key\\(s\\) {unread};"):
+        with pytest.raises(ValidationError, match=f"does not read params key\\(s\\) {unread};"):
             datasets.materialize(spec, n=5, seed=0, dim=2)
 
     @pytest.mark.parametrize(
@@ -694,7 +703,7 @@ class TestMaterialize:
         ],
     )
     def test_params_of_the_wrong_type_are_refused(self, spec, message):
-        with pytest.raises(ConfigurationError) as info:
+        with pytest.raises(ValidationError) as info:
             datasets.materialize(spec, n=5, seed=0, dim=2)
         assert str(info.value) == message
 
@@ -747,13 +756,13 @@ class TestNoiseGenerators:
 
     def test_nonpositive_count_rejected(self):
         spec = DatasetSpec("generator", "noise", {"generator": "gaussian", "n": 0})
-        with pytest.raises(ConfigurationError, match="params.n must be positive, got 0"):
+        with pytest.raises(ValidationError, match="params.n must be positive, got 0"):
             datasets.materialize(spec, n=0, seed=0, dim=3)
 
     @pytest.mark.parametrize("value_range", [[1.0, -1.0], [0.5, 0.5]])
     def test_gaussian_range_that_is_not_increasing_rejected(self, value_range):
         # np.clip with low >= high would make every value one number
-        with pytest.raises(ConfigurationError, match="value_range must be increasing"):
+        with pytest.raises(ValidationError, match="value_range must be increasing"):
             _noise("gaussian", 5, 2, seed=0, value_range=value_range)
 
     def test_rademacher_values_are_plus_minus_one(self):
@@ -775,7 +784,7 @@ class TestNoiseGenerators:
         assert _noise("bernoulli", 10, 4, seed=0, p=1.0).all()
 
     def test_bernoulli_invalid_p_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"params.p must lie in \[0, 1\], got 1.5"):
+        with pytest.raises(ValidationError, match=r"params.p must lie in \[0, 1\], got 1.5"):
             _noise("bernoulli", 10, 4, seed=0, p=1.5)
 
 
@@ -808,7 +817,7 @@ class TestPrepareData:
             {"generator": "markov_chain", "length": 5, "alphabet_size": 3, "p_step": 0.9, "p_stay": 0.1},
         )]
         bundle = pipeline.prepare_data(config, seed=0)
-        with pytest.raises(ConfigurationError, match="'walks' is not"):
+        with pytest.raises(ValidationError, match="'walks' is not"):
             pipeline.validation_sets(config, bundle)
 
     def test_split_is_a_partition(self):
@@ -828,17 +837,17 @@ class TestPrepareData:
         assert np.array_equal(a.tests["ring"].rows, b.tests["ring"].rows)
 
     def test_detector_data_kind_mismatch(self):
-        with pytest.raises(ConfigurationError, match="sequence"):
+        with pytest.raises(ValidationError, match="sequence"):
             pipeline.prepare_data(_tiny_config(detector="density_bpp", calibration=False), seed=0)
         seq_spec = _tiny_density_config()
         seq_spec.detector = "msp"
-        with pytest.raises(ConfigurationError, match="vector"):
+        with pytest.raises(ValidationError, match="vector"):
             pipeline.prepare_data(seq_spec, seed=0)
 
     def test_too_few_rows_to_split(self):
         config = _tiny_config()
         config.d_in.params["n_per_cluster"] = 1
-        with pytest.raises(DataError, match="too few"):
+        with pytest.raises(ValidationError, match="too few"):
             pipeline.prepare_data(config, seed=0)
 
     def test_file_oe_overlapping_test_rows_refused(self, tmp_path):
@@ -852,7 +861,7 @@ class TestPrepareData:
             d_out_oe=DatasetSpec("file", "oe_rows", path=str(pa)),
             d_out_test=[DatasetSpec("file", "test_rows", path=str(pb))],
         )
-        with pytest.raises(ConfigurationError, match="share"):
+        with pytest.raises(ValidationError, match="share"):
             pipeline.prepare_data(config, seed=0)
 
 
@@ -1273,21 +1282,27 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, name",
-        [("make-data", "../../../escaped"), ("run", "ring/x"), ("run", "back\\slash"), ("make-data", "nul\0")],
+        [("make-data", "../../../escaped"), ("run", "ring/x"), ("run", "back\\slash"), ("make-data", "nul\0"),
+         pytest.param("run", LONG_NAME, id="run-201_bytes")],
     )
     def test_a_dataset_name_that_is_no_file_name_exits_one_before_any_file(self, tmp_path, capsys, command, name):
         # test set files are named after the set: a separator in the name
-        # would place them outside -o, or under a directory never made
+        # would place them outside -o, or under a directory never made, and
+        # a long one would not fit a file name
         path = self._write_config(tmp_path)
         wire = json.loads(path.read_text())
         wire["d_out_test"][0]["name"] = name
         path.write_text(json.dumps(wire))
         out = tmp_path / "out"
         assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
-        assert f"error: dataset name {name!r} holds a path separator or NUL" in capsys.readouterr().err
+        why = "is longer than 200 UTF-8 bytes" if name == LONG_NAME else "holds a path separator or NUL"
+        assert f"error: dataset name {name!r} {why}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
 
-    @pytest.mark.parametrize("name", ["../../escaped_exp", "..", ".", "", "a/b", "back\\slash", "nul\0"])
+    @pytest.mark.parametrize(
+        "name",
+        ["../../escaped_exp", "..", ".", "", "a/b", "back\\slash", "nul\0", pytest.param(LONG_NAME, id="201_bytes")],
+    )
     @pytest.mark.parametrize("command", ["make-data", "run"])
     def test_an_experiment_name_cannot_lead_the_default_out_directory_out_of_runs(
         self, tmp_path, monkeypatch, capsys, command, name
@@ -1301,7 +1316,8 @@ class TestCli:
         wire["name"] = name
         path.write_text(json.dumps(wire))
         assert cli.main([command, "-c", "cfg.json", "-q"]) == 1
-        assert f"error: experiment name {name!r} is no directory name" in capsys.readouterr().err
+        why = "is longer than 200 UTF-8 bytes" if name == LONG_NAME else "is no directory name"
+        assert f"error: experiment name {name!r} {why}" in capsys.readouterr().err
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "deep", "deep/er", "deep/er/cfg.json"
         ]
@@ -1345,6 +1361,22 @@ class TestCli:
         assert (tmp_path / "make-data" / "test_a..b,c_seed0.csv").exists()
         assert (tmp_path / "run" / "curves" / "roc_a..b,c_seed0.csv").exists()
 
+    def test_the_longest_names_and_seed_fit_every_file_name(self, tmp_path, monkeypatch):
+        # eval's scores_<name>_seed<seed>.csv is the longest file name a command builds
+        monkeypatch.chdir(tmp_path)
+        name, seed = LONG_NAME[:-1], 2**64 - 1
+        self._write_config(tmp_path, name=name, seeds=(seed,), epochs=1, finetune_epochs=1,
+                           d_out_test=[DatasetSpec("generator", name, {"generator": "ring", "radius": 6.0, "n": 60})])
+        assert cli.main(["make-data", "-c", "cfg.json", "-q"]) == 0
+        assert cli.main(["run", "-c", "cfg.json", "-o", "run", "-q"]) == 0
+        assert cli.main(["train", "-c", "cfg.json", "-o", "train", "-q"]) == 0
+        params = f"train/baseline_seed{seed}.bin"
+        assert cli.main(["eval", "-c", "cfg.json", "-o", "eval", "-q", "--params", params]) == 0
+        assert (tmp_path / "runs" / name / f"test_{name}_seed{seed}.csv").exists()
+        assert (tmp_path / "run" / "curves" / f"roc_{name}_seed{seed}.csv").exists()
+        assert len(f"scores_{name}_seed{seed}.csv".encode()) == 236
+        assert (tmp_path / "eval" / f"scores_{name}_seed{seed}.csv").exists()
+
     def test_calibrate_refuses_an_out_path_naming_a_file(self, tmp_path, capsys):
         predictions = tmp_path / "preds.csv"
         predictions.write_text("confidence,correct\n0.9,1\n0.4,0\n")
@@ -1386,7 +1418,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "failure, code",
-        [(None, 0), (ConfigurationError("refused"), 1), (RuntimeError("wedged"), 2)],
+        [(None, 0), (ValidationError("refused"), 1), (RuntimeError("wedged"), 2)],
         ids=["success", "refusal", "internal-error"],
     )
     @pytest.mark.parametrize("command", ["run", "train", "make-data"])
@@ -1562,6 +1594,14 @@ class TestCli:
             ("d_out_test", {"kind": "generator", "name": "flipped_box",
                             "params": {"generator": "uniform_box", "low": 3.0, "high": -3.0}},
              "dataset 'flipped_box' (uniform_box) params.low must not exceed params.high, got 3.0 > -3.0"),
+            # numpy cannot draw from a range wider than the largest float
+            ("d_out_oe", {"kind": "generator", "name": "wide_box",
+                          "params": {"generator": "uniform_box", "low": -1e308, "high": 1e308}},
+             "dataset 'wide_box' (uniform_box) params.low and params.high must span a finite range, "
+             "got -1e+308 and 1e+308"),
+            ("d_out_test", {"kind": "generator", "name": "open_box",
+                            "params": {"generator": "uniform_box", "low": float("-inf")}},
+             "dataset 'open_box' (uniform_box) params.low and params.high must span a finite range, got -inf and 1.0"),
             ("d_out_test", {"kind": "generator", "name": "ring",
                             "params": {"generator": "ring", "radius": 6.0, "n": -5}},
              "dataset 'ring' (ring) params.n must be positive, got -5"),
@@ -1609,10 +1649,11 @@ class TestCli:
              "classes drawn"),
         ],
         ids=["offset_length", "markov_length", "markov_alphabet", "markov_d_in_n", "value_range_length",
-             "uniform_box_low_above_high", "negative_n", "bernoulli_p", "vector_generator_d_in",
-             "gaussian_range_decreasing", "unknown_generator_val", "unknown_generator_test", "test_n_string",
-             "test_n_null", "oe_n_list", "empty_class_subset", "markov_p_step_test", "mixture_dim",
-             "mixture_n_below_k", "mixture_n_below_subset_val", "mixture_default_n_below_k"],
+             "uniform_box_low_above_high", "uniform_box_range_overflows", "uniform_box_low_infinite", "negative_n",
+             "bernoulli_p", "vector_generator_d_in", "gaussian_range_decreasing", "unknown_generator_val",
+             "unknown_generator_test", "test_n_string", "test_n_null", "oe_n_list", "empty_class_subset",
+             "markov_p_step_test", "mixture_dim", "mixture_n_below_k", "mixture_n_below_subset_val",
+             "mixture_default_n_below_k"],
     )
     def test_dataset_params_that_cannot_run_exit_one_naming_dataset_and_key(
         self, tmp_path, capsys, monkeypatch, role, spec, message

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oewb import metrics
-from oewb.errors import InputError
+from oewb.errors import ValidationError
 
 import oracles
 
@@ -31,15 +31,15 @@ class TestAuroc:
         assert metrics.auroc(_ss([1.0, 1.0], [1.0, 2.0])) == 0.75
 
     def test_empty_side_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="both score lists must be nonempty"):
             metrics.auroc(_ss([], [1.0]))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="both score lists must be nonempty"):
             metrics.auroc(_ss([1.0], []))
 
     def test_non_finite_scores_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="scores must be finite"):
             metrics.auroc(_ss([np.nan], [1.0]))
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="scores must be finite"):
             metrics.auroc(_ss([1.0], [np.inf]))
 
     def test_monotone_transform_invariance(self):
@@ -79,7 +79,7 @@ class TestAupr:
         assert metrics.aupr(s) == pytest.approx(base_rate, abs=0.02)
 
     def test_empty_side_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="both score lists must be nonempty"):
             metrics.aupr(_ss([], [1.0]))
 
 
@@ -102,9 +102,9 @@ class TestFprAtTpr:
 
     def test_level_bounds(self):
         s = _ss([1.0], [2.0])
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match=r"n_percent must lie in \(0, 100\]"):
             metrics.fpr_at_tpr(s, 0.0)
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match=r"n_percent must lie in \(0, 100\]"):
             metrics.fpr_at_tpr(s, 100.5)
         assert metrics.fpr_at_tpr(s, 100.0) == 0.0
 
@@ -142,9 +142,9 @@ class TestEnforceBaseRate:
         assert np.array_equal(s.out_scores, x + 100)
 
     def test_impossible_ratio_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="pools of 1 out / 2 in cannot realize ratio 1:5"):
             metrics.enforce_base_rate([1.0, 2.0], [3.0], ratio=(1, 5), seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(ValidationError, match="ratio parts must be positive integers"):
             metrics.enforce_base_rate([1.0], [1.0], ratio=(0, 5), seed=0)
 
     def test_seeded_subsampling_reproducible(self):
@@ -189,7 +189,7 @@ class TestBaseRateRows:
     def test_draw_keeps_the_rows_enforce_base_rate_kept(self, n_in, n_out, ratio, seed):
         a, b = ratio
         if min(n_out // a, n_in // b) == 0:
-            with pytest.raises(InputError):
+            with pytest.raises(ValidationError, match=f"pools of {n_out} out / {n_in} in cannot realize ratio {a}:{b}"):
                 metrics.base_rate_rows(n_in, n_out, ratio, seed)
             return
         want_in, want_out = _enforce_base_rate_rows_reference(n_in, n_out, ratio, seed)
@@ -204,7 +204,7 @@ class TestBaseRateRows:
         assert metrics.base_rate_sizes(500, 1000, (1, 5)) == (500, 100)
         assert metrics.base_rate_sizes(400, 300, (1, 1)) == (300, 300)
         assert metrics.base_rate_sizes(103, 211, (5, 2)) == (84, 210)
-        with pytest.raises(InputError, match="pools of 3 out / 180 in cannot realize ratio 5:1"):
+        with pytest.raises(ValidationError, match="pools of 3 out / 180 in cannot realize ratio 5:1"):
             metrics.base_rate_sizes(180, 3, (5, 1))
 
 
@@ -246,7 +246,7 @@ class TestDetectionReport:
 
     def test_n_level_out_of_range_rejected(self):
         for n_level in (0.0, 100.5):
-            with pytest.raises(InputError, match="n_percent"):
+            with pytest.raises(ValidationError, match="n_percent"):
                 metrics.detection_report(_ss([0.0], [1.0]), n_level)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oewb import nn_core, objectives
-from oewb.errors import ConfigurationError, DataError, ParameterError
+from oewb.errors import ValidationError
 
 import fd
 import oracles
@@ -81,21 +81,21 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         p = nn_core.init_network([2, 4, 3], seed=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="input width 5 does not match network input dim 2"):
             nn_core.forward(p, np.zeros((1, 5)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="input width 5 does not match network input dim 2"):
             nn_core.forward_cached(p, np.zeros((1, 5)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=r"inputs must form an \(n, d\) matrix per net"):
             nn_core.forward(p, np.zeros(2))
 
     def test_batch_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=r"batch inputs must form a nonempty \(n, d\) matrix"):
             nn_core.Batch(np.zeros((0, 2)))
-        with pytest.raises(DataError):
+        with pytest.raises(ValidationError, match="batch inputs contain non-finite values"):
             nn_core.Batch(np.array([[np.nan, 0.0]]))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="labels must supply one class index per example"):
             nn_core.Batch(np.zeros((2, 2)), labels=[0])
-        with pytest.raises(DataError):
+        with pytest.raises(ValidationError, match="negative class label"):
             nn_core.Batch(np.zeros((1, 2)), labels=[-1])
 
 
@@ -209,7 +209,7 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_nonpositive_temperature_rejected(self, t):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="temperature must be positive"):
             nn_core.max_softmax([[1.0, 2.0]], temperature=t)
 
     @given(
@@ -261,7 +261,7 @@ class TestGrad:
         rng = np.random.default_rng(0)
         p = nn_core.init_network([3, 6, 4], seed=0)
         batch = _labeled_batch(rng, 4, 3, 4)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="positive lam needs an outlier batch"):
             nn_core.grad(p, 0.5, batch, None)
 
     def test_negative_lam_rejected(self):
@@ -269,9 +269,9 @@ class TestGrad:
         p = nn_core.init_network([3, 6, 4], seed=0)
         batch = _labeled_batch(rng, 4, 3, 4)
         oe = nn_core.Batch(rng.normal(size=(4, 3)))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="lam must be nonnegative"):
             nn_core.grad(p, -0.1, batch, oe)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="lam must be nonnegative"):
             nn_core.train_classifier(p, -0.1, batch, oe, epochs=1, batch_size=4, lr0=0.1)
 
     def test_matches_finite_differences_on_2_8_3_net(self):
@@ -353,7 +353,7 @@ class TestLogitGradients:
 
     def test_ce_logit_grad_refuses_a_strided_out(self):
         logits = np.zeros((4, 6))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="ce_logit_grad writes only into a C-contiguous array"):
             nn_core.ce_logit_grad(logits[:, ::2], np.zeros(4, dtype=np.int64), out=logits[:, ::2])
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -584,18 +584,18 @@ class TestSgdStep:
     def test_shape_mismatch_rejected(self):
         p = nn_core.init_network([2, 3], seed=1)
         state = nn_core.init_optimizer(p, lr0=0.1, total_steps=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="parameter, gradient, and velocity layouts differ"):
             nn_core.sgd_step(p, np.zeros(p.vector.size - 1), state)
 
     def test_optimizer_hyperparameter_validation(self):
         p = nn_core.init_network([2, 3], seed=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="lr0 must be positive"):
             nn_core.init_optimizer(p, lr0=0.0, total_steps=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match=r"momentum must lie in \[0, 1\)"):
             nn_core.init_optimizer(p, lr0=0.1, total_steps=1, momentum=1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="weight_decay must be nonnegative"):
             nn_core.init_optimizer(p, lr0=0.1, total_steps=1, weight_decay=-0.1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="total_steps must be positive"):
             nn_core.init_optimizer(p, lr0=0.1, total_steps=0)
 
 
@@ -606,13 +606,13 @@ class TestCosineLr:
         assert nn_core.cosine_lr(50, 100, 0.3) == pytest.approx(0.15, abs=1e-15)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="total_steps must be positive"):
             nn_core.cosine_lr(0, 0, 0.1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="step outside the schedule range"):
             nn_core.cosine_lr(-1, 10, 0.1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="step outside the schedule range"):
             nn_core.cosine_lr(11, 10, 0.1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="lr0 must be positive"):
             nn_core.cosine_lr(1, 10, 0.0)
 
     def test_monotone_nonincreasing(self):
@@ -683,7 +683,7 @@ class TestSerialization:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(DataError):
+        with pytest.raises(ValidationError, match=r"not a parameter file \(bad magic\)"):
             nn_core.load_params(path)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -692,7 +692,7 @@ class TestSerialization:
         nn_core.save_params(p, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 9])
-        with pytest.raises(DataError):
+        with pytest.raises(ValidationError, match="trailing or missing bytes"):
             nn_core.load_params(path)
 
     @pytest.mark.parametrize("case", ["magic", "version", "activation", "truncated", "trailing"])
@@ -711,7 +711,7 @@ class TestSerialization:
         else:
             blob += b"\x00"
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match=f"^bad parameter file {re.escape(str(path))}: "):
+        with pytest.raises(ValidationError, match=f"^bad parameter file {re.escape(str(path))}: "):
             nn_core.load_params(path)
 
     def test_arrays_are_views_of_the_parameter_vector(self):
@@ -739,9 +739,11 @@ class TestSerialization:
         assert not np.shares_memory(back[2].vector, stack.vector)
         for net, got in zip(nets[:2], back[:2]):
             assert np.array_equal(net.vector, got.vector)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="only single nets of one layout can be stacked"):
             nn_core.NetworkParams.stack([nets[0], nn_core.init_network([3, 6, 4], seed=0)])
-        with pytest.raises(ConfigurationError):  # the widths fix the vector's length
+        # the widths fix the vector's length
+        with pytest.raises(ValidationError, match=r"layer widths \[3, 5, 4\] need 44 parameters per net, got an "
+                                                  r"array of shape \(43,\)"):
             nn_core.NetworkParams([3, 5, 4], nets[0].vector[:-1])
 
 
@@ -755,9 +757,9 @@ class TestInit:
             assert np.array_equal(b, np.zeros_like(b))
 
     def test_invalid_dims_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="layer_dims needs at least two positive entries"):
             nn_core.init_network([4], seed=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="layer_dims needs at least two positive entries"):
             nn_core.init_network([4, 0, 2], seed=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="unknown activation 'gelu'"):
             nn_core.init_network([4, 3, 2], seed=0, activation="gelu")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oewb import nn_core, objectives
-from oewb.errors import ConfigurationError, DataError, ParameterError
+from oewb.errors import ValidationError
 
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
@@ -29,9 +29,9 @@ class TestCeLoss:
         assert v == pytest.approx((-math.log(0.75) - math.log(0.5)) / 2, abs=1e-12)
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValidationError, match="class label out of range"):
             objectives.ce_loss([[0.0, 0.0]], [2])
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="labels must supply one class index per row"):
             objectives.ce_loss([[0.0, 0.0]], [0, 1])
 
     def test_finite_when_the_true_class_probability_underflows(self):
@@ -68,7 +68,7 @@ class TestUniformCe:
             assert objectives.uniform_ce(z[None, :]) - math.log(k) < 1e-6
 
     def test_single_class_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="uniform cross-entropy needs k >= 2 classes"):
             objectives.uniform_ce([[1.0]])
 
 
@@ -119,19 +119,19 @@ class TestMulticlassOeLoss:
     def test_positive_lam_needs_outlier_batch(self):
         inb, _ = _batches()
         p = nn_core.init_network([2, 6, 3], seed=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="positive lam needs an outlier batch"):
             objectives.multiclass_oe_loss(inb, None, p, lam=0.5)
 
     def test_labeled_outlier_batch_rejected(self):
         inb, _ = _batches()
         p = nn_core.init_network([2, 6, 3], seed=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="outlier batch must be unlabeled"):
             objectives.multiclass_oe_loss(inb, inb, p, lam=0.5)
 
     def test_negative_lam_rejected(self):
         inb, oe = _batches()
         p = nn_core.init_network([2, 6, 3], seed=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="lam must be nonnegative"):
             objectives.multiclass_oe_loss(inb, oe, p, lam=-1.0)
 
 
@@ -176,11 +176,11 @@ class TestDensityMarginLoss:
             assert d == pytest.approx(-1.0 / n if active else 0.0, abs=1e-6)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="paired nll arrays must be 1-d with equal length"):
             objectives.density_margin_loss([1.0, 2.0], [1.0], margin=4.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="empty nll batch"):
             objectives.density_margin_loss([], [], margin=4.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match="margin must be positive"):
             objectives.density_margin_loss([1.0], [2.0], margin=0.0)
 
 

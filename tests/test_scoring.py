@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oewb import density, nn_core, scoring
-from oewb.errors import ConfigurationError, DataError
+from oewb.errors import ValidationError
 
 
 def _identity_net(k):
@@ -145,7 +145,7 @@ class TestScoreDataset:
         # the symbols reach the density model as the caller gave them, so a
         # fraction is refused rather than truncated to a symbol
         m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)
-        with pytest.raises(DataError, match="whole numbers"):
+        with pytest.raises(ValidationError, match="whole numbers"):
             scoring.score_dataset(m, "density_bpp", np.full((2, 3), 0.5))
         whole = scoring.score_dataset(m, "density_bpp", np.full((2, 3), 2.0))
         assert np.array_equal(whole, scoring.score_dataset(m, "density_bpp", np.full((2, 3), 2)))
@@ -155,11 +155,11 @@ class TestScoreDataset:
         m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)
         X = np.zeros((2, 2))
         seqs = np.zeros((2, 4), dtype=np.int64)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match=r"layer widths \[2, 6, 3\] are not a density layout"):
             scoring.score_dataset(p, "density_bpp", X)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="input width 4 does not match network input dim 8"):
             scoring.score_dataset(m, "msp", seqs)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="unknown detector kind 'mahalanobis'"):
             scoring.score_dataset(p, "mahalanobis", X)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import reference_training as ref
 from oewb import density, nn_core
-from oewb.errors import ConfigurationError, DivergenceError
+from oewb.errors import DivergenceError, ValidationError
 
 SETTINGS = dict(epochs=2, batch_size=16, lr0=0.2, momentum=0.9, weight_decay=5e-4, seed=7)
 # the same run for a stack of one, whose seed is a sequence of one
@@ -98,7 +98,7 @@ def _no_step(net, batch, oe_batch, work):
 def test_an_empty_outlier_array_is_refused_before_any_step():
     X, y, _ = _classifier_data()
     params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
-    with pytest.raises(ConfigurationError, match="needs a nonempty outlier set"):
+    with pytest.raises(ValidationError, match="needs a nonempty outlier set"):
         nn_core.train_loop(params, _no_step, (X[None], y[None]), np.empty((1, 0, 2)), **SOLO)
 
 
@@ -108,7 +108,7 @@ def test_data_arrays_of_other_row_counts_are_refused_before_any_step():
     X, y, oe_X = _classifier_data()
     params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
     for data, oe in [((X[None], y[None, 1:]), None), ((X[None], y[None]), np.stack([oe_X, oe_X]))]:
-        with pytest.raises(ConfigurationError, match="the same rows of every data array"):
+        with pytest.raises(ValidationError, match="the same rows of every data array"):
             nn_core.train_loop(params, _no_step, data, oe, **SOLO)
 
 
@@ -120,7 +120,7 @@ def test_only_a_stack_with_one_seed_per_net_trains(stacked, seed):
     nets = [nn_core.init_network([2, 8, 3], seed=m) for m in range(2)]
     params = nn_core.NetworkParams.stack(nets) if stacked else nets[0]
     data = (np.stack([X, X]), np.stack([y, y])) if stacked else (X, y)
-    with pytest.raises(ConfigurationError, match=r"an \(S, P\) stack of nets and a sequence of S shuffle seeds"):
+    with pytest.raises(ValidationError, match=r"an \(S, P\) stack of nets and a sequence of S shuffle seeds"):
         nn_core.train_loop(params, _no_step, data, **{**SETTINGS, "seed": seed})
 
 
