@@ -106,14 +106,20 @@ def context_features(seqs, context_window: int, alphabet_size: int):
     return one_hot_windows(windows, alphabet_size), targets
 
 
-def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape) -> np.ndarray:
+def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape, work: nn_core.Workspace | None = None) -> tuple:
     """Per-sequence NLL in nats from the logits of every position row: the
-    target entries of nn_core.log_softmax(logits), without forming it."""
-    z = logits - nn_core.class_max(logits)
+    target entries of nn_core.log_softmax(logits), without forming it.
+
+    Returns (nll, e, s): e is exp(z - max z) per row, written over logits,
+    and s its class sums, softmax's numerators and denominators as
+    nn_core.softmax forms them. A workspace binds the class max and sum to
+    logits, and the next sum over them overwrites s."""
+    z = np.subtract(logits, nn_core.class_max(logits, work), out=logits)
     tok = np.take_along_axis(z, targets[..., None], axis=-1)
     np.exp(z, out=z)
-    tok -= np.log(nn_core.class_sum(z, keepdims=True))
-    return -nn_core.class_sum(tok.reshape(shape))
+    s = nn_core.class_sum(z, keepdims=True, work=work)
+    tok -= np.log(s)
+    return -nn_core.class_sum(tok.reshape(shape)), z, s
 
 
 def nll_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
@@ -122,7 +128,7 @@ def nll_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
     arr = _as_seq_matrix(seqs, V)
     feats, targets = context_features(arr, c, V)
     logits = nn_core.forward(net, feats)
-    return _sequence_nll(logits, targets, arr.shape)
+    return _sequence_nll(logits, targets, arr.shape)[0]
 
 
 def bits_per_dim_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
@@ -153,9 +159,9 @@ def _group_pass(net, windows: np.ndarray, V: int, work):
     return nn_core.forward_cached(net, one_hot_windows(windows, V, work), work)
 
 
-def _weighted_ce_backward(net, logits, cache, targets, w, work, role) -> np.ndarray:
-    """The backward pass of per-row weighted cross-entropy; uses up logits."""
-    dlog = nn_core.ce_logit_grad(logits, targets, out=logits, work=work)
+def _weighted_ce_backward(net, dlog, cache, w, work, role) -> np.ndarray:
+    """The backward pass of per-row weighted cross-entropy from its
+    unweighted logit gradient dlog (nn_core.ce_logit_grad), which it uses up."""
     dlog *= w[..., None]
     return nn_core.backward(net, cache, dlog, work, role=role)
 
@@ -193,10 +199,10 @@ def margin_grad(
     n_pairs = a.shape[-2]
     win_out, t_out = context_windows(b, c, V)
     logits = _group_pass(net, win_out, V, work)[0]
-    nll_out = _sequence_nll(logits, t_out, b.shape)
+    nll_out = _sequence_nll(logits, t_out, b.shape, work)[0]
     win_in, t_in = context_windows(a, c, V)
     logits, cache = _group_pass(net, win_in, V, work)
-    nll_in = _sequence_nll(logits, t_in, a.shape)
+    nll_in, e_in, s_in = _sequence_nll(logits, t_in, a.shape, work)
     active = (margin + nll_in - nll_out) > 0
 
     # per-row weights: the MLE mean over all inlier rows plus the hinge
@@ -205,10 +211,14 @@ def margin_grad(
     w_out_seq = -margin_weight * active / n_pairs
     w_in = np.repeat(w_in_seq, a.shape[-1], axis=-1)
     w_out = np.repeat(w_out_seq, b.shape[-1], axis=-1)
-    g = _weighted_ce_backward(net, logits, cache, t_in, w_in, work, "grad")
+    # the inlier softmax is the nll pass's numerators over their sums,
+    # divided as ce_logit_grad would
+    e_in /= s_in
+    g = _weighted_ce_backward(net, nn_core._minus_one_hot(e_in, t_in, work), cache, w_in, work, "grad")
     del cache  # the inlier rows go before the outlier pass runs again
     logits, cache = _group_pass(net, win_out, V, work)
-    g += _weighted_ce_backward(net, logits, cache, t_out, w_out, work, "outlier grad")
+    dlog = nn_core.ce_logit_grad(logits, t_out, out=logits, work=work)
+    g += _weighted_ce_backward(net, dlog, cache, w_out, work, "outlier grad")
     return g
 
 

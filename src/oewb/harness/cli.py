@@ -17,7 +17,9 @@ depend on the count, because a threaded gemm splits the output entries,
 not the sums behind them. Without OpenBLAS this is a no-op.
 
 A command creates its output directory only when it writes its first
-file, so a refused command leaves no directory behind.
+file, so a refused command leaves no directory behind. run and make-data
+write a whole tree, so they refuse an output directory that already
+holds anything: no file of an earlier run can then sit beside theirs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .. import nn_core
 from ..errors import DivergenceError, ValidationError
 from . import pipeline, reports
 from .config import ExperimentConfig, load_config, write_json
-from .datasets import read_csv_rows, write_csv
+from .datasets import file_name_part, read_csv_rows, write_csv
 from .presets import PRESET_NAMES, get_preset
 
 
@@ -58,6 +60,13 @@ def _out_dir(path) -> Path:
     return Path(path)
 
 
+def _check_empty_out(out: Path) -> None:
+    """Refuse an output directory that already holds any file or directory."""
+    if out.is_dir() and any(out.iterdir()):
+        raise ValidationError(f"output directory {out} is not empty; run and make-data write only into "
+                              "a new or empty directory")
+
+
 def _mkdir(out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -75,6 +84,7 @@ def _load_model(config: ExperimentConfig, bundle: pipeline.DataBundle, path: str
 
 def cmd_run(args) -> int:
     config, _, out = _preamble(args)
+    _check_empty_out(out)
     exp = pipeline.run_experiment(config)
     reports.write_reports(out, exp)
     if not args.quiet:
@@ -109,7 +119,8 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     config, seed, out = _preamble(args)
     bundle = pipeline.prepare_data(config, seed)
-    rep, pools = pipeline.evaluate_detector(_load_model(config, bundle, args.params), config, bundle)
+    model = _load_model(config, bundle, args.params)
+    rep, pools = pipeline.evaluate_detector(model, config, pipeline.eval_record(config, bundle))
     write_json(_mkdir(out) / f"eval_seed{seed}.json", {name: asdict(r) for name, r in rep.items()})
     for name, pool in pools.items():
         reports.write_pool_scores(out / f"scores_{name}_seed{seed}.csv", pool)
@@ -151,9 +162,11 @@ def _read_predictions_csv(path: str):
 
 def cmd_calibrate(args) -> int:
     out = _out_dir(args.out or ".")
+    stem = Path(args.predictions).stem
+    file_name_part(stem, "prediction file stem")
     conf, correct = _read_predictions_csv(args.predictions)
     report = calib_mod.report_from_records(conf, correct)
-    path = _mkdir(out) / (Path(args.predictions).stem + "_calibration.json")
+    path = _mkdir(out) / (stem + "_calibration.json")
     write_json(path, asdict(report))
     if not args.quiet:
         print(f"rms={report.rms_error:.6f} mad={report.mad_error:.6f} soft_f1={report.soft_f1:.6f}")
@@ -163,6 +176,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_make_data(args) -> int:
     config, seed, out = _preamble(args)
+    _check_empty_out(out)
     bundle = pipeline.prepare_data(config, seed)
     named = {"din_train": bundle.din_train, "din_val": bundle.din_val, "din_test": bundle.din_test}
     if bundle.oe is not None:

@@ -190,13 +190,7 @@ class ExperimentConfig:
     model: ModelSettings = field(default_factory=ModelSettings)
 
     def validate(self) -> "ExperimentConfig":
-        # a command without -o writes to runs/<name>
-        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
-            raise ValidationError(f"experiment name {self.name!r} is no directory name: it is empty, "
-                                  "'.' or '..', or holds a path separator or NUL")
-        if len(self.name.encode()) > datasets.NAME_BYTES:
-            raise ValidationError(f"experiment name {self.name!r} is longer than {datasets.NAME_BYTES} UTF-8 "
-                                  "bytes, too long for a directory name")
+        datasets.file_name_part(self.name, "experiment name", directory=True)  # without -o: runs/<name>
         if self.detector not in DETECTORS:
             raise ValidationError(f"unknown detector {self.detector!r}")
         if self.pipeline not in PIPELINES:

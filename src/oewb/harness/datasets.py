@@ -370,17 +370,36 @@ def _out_of_range(kind: str, p: dict) -> str | None:
     return None
 
 
-# The longest dataset or experiment name, in UTF-8 bytes. With seeds below
-# 2**64, the longest file name a command builds, scores_<name>_seed<seed>.csv,
-# is then at most 7 + 200 + 5 + 20 + 4 = 236 bytes, within Linux's 255.
+# The longest name that a file or directory is named after, in UTF-8 bytes.
+# With seeds below 2**64, the longest file name a command builds,
+# scores_<name>_seed<seed>.csv, is then at most 7 + 200 + 5 + 20 + 4 = 236
+# bytes, within Linux's 255.
 NAME_BYTES = 200
+
+
+def file_name_part(name: str, what: str, directory: bool = False) -> None:
+    """Refuse a name that a file is named after (or with directory, that
+    names a directory by itself) but that no file name can hold: one that
+    holds "/", "\\" or NUL, is no UTF-8 text (a lone surrogate) or is
+    longer than NAME_BYTES bytes, and for a directory, one that is empty,
+    "." or "..". what names the name in the message."""
+    if (directory and name in ("", ".", "..")) or any(c in name for c in "/\\\0"):
+        why = ("is no directory name: it is empty, '.' or '..', or holds a path separator or NUL" if directory
+               else "holds a path separator or NUL; files are named after it")
+        raise ValidationError(f"{what} {name!r} {why}")
+    try:
+        size = len(name.encode())
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} {name!r} is not UTF-8 text; files are named after it") from None
+    if size > NAME_BYTES:
+        raise ValidationError(f"{what} {name!r} is longer than {NAME_BYTES} UTF-8 bytes; files are named after it")
 
 
 def check_params(spec: config.DatasetSpec) -> dict:
     """The spec's params resolved: every key its kind reads, as typed()
     returned it or at the kind's default. Refuses a spec without a name, a
-    name that holds "/", "\\" or NUL or is longer than NAME_BYTES (files
-    are named after it), a spec of an unknown kind, a path on any kind but
+    name no file name can hold (file_name_part: report and data files are
+    named after it), a spec of an unknown kind, a path on any kind but
     file (which needs one), keys that nothing reads for this spec, so a
     misspelled or contradictory setting fails instead of running at its
     default, and values of the wrong type, so nothing is silently cast."""
@@ -388,12 +407,7 @@ def check_params(spec: config.DatasetSpec) -> dict:
         raise ValidationError(f"unknown dataset kind {spec.kind!r}")
     if not spec.name:
         raise ValidationError("dataset spec needs a name")
-    if any(c in spec.name for c in "/\\\0"):
-        raise ValidationError(f"dataset name {spec.name!r} holds a path separator or NUL; "
-                              "report and data files are named after it")
-    if len(spec.name.encode()) > NAME_BYTES:
-        raise ValidationError(f"dataset name {spec.name!r} is longer than {NAME_BYTES} UTF-8 bytes; "
-                              "report and data files are named after it")
+    file_name_part(spec.name, "dataset name")
     if spec.kind == "file" and not spec.path:
         raise ValidationError(f"file dataset {spec.name!r} needs a path")
     kind = spec.params.get("generator") if spec.kind == "generator" else spec.kind

@@ -9,17 +9,22 @@ mix come from the seed that built it. prepare_data expects a validated
 config, which run_experiment (validating once) and the CLI commands give.
 
 run_experiment goes stage by stage across the seeds. It prepares every
-seed's data (refusing, before anything trains, sets the nets cannot read,
-auxiliary outliers that reappear in a test set and test sets too small
-for the base rate), trains all baselines in lockstep as one stack of
-nets, then fine-tunes (or trains scratch_oe) all of them in lockstep.
-When the config calibrates, one calibration.tune_temperature call then
-fits every seed's baseline and final temperatures on its validation
-split, kept from data preparation for that.
-Finally run_seed evaluates and calibrates one seed at a time, and
-summarize takes every metric's mean over the seeds. run_experiment returns
-that ExperimentResult and prints and writes nothing; the run command hands
-it to reports, which imports this module and not the other way round.
+seed's data once (refusing, before anything trains, sets the nets cannot
+read, auxiliary outliers that reappear in a test set and test sets too
+small for the base rate). Of each seed's DataBundle it keeps the stacked
+training part and an EvalRecord: the inlier test split, every test set's
+base-rate pool rows and the outlier rows scoring forwards for them (and,
+when the config calibrates, the whole test sets). It trains all baselines
+in lockstep as one stack of nets, then fine-tunes (or trains scratch_oe)
+all of them in lockstep, and takes each classifier's accuracy on its
+training split. When the config calibrates, one
+calibration.tune_temperature call then fits every seed's baseline and
+final temperatures on its validation split, kept from data preparation
+for that. Finally run_seed evaluates and calibrates one seed at a time
+from its EvalRecord, and summarize takes every metric's mean over the
+seeds. run_experiment returns that ExperimentResult and prints and writes
+nothing; the run command hands it to reports, which imports this module
+and not the other way round.
 Every detector's model is a plain nn_core.NetworkParams, a classifier or
 a density net (density.layout), so one stack serves both kinds.
 A seed's models are bit-identical to the ones it would train alone, as a
@@ -174,32 +179,48 @@ class TrainingSet:
 
     seeds: list
     rows: np.ndarray  # (S, n, d) features or (S, n, D) symbol sequences
-    labels: np.ndarray | None  # (S, n) class labels of vector data
+    labels: np.ndarray | None  # (S, n) class labels of vector data, narrowed
     oe_rows: np.ndarray | None  # (S, m, ...) auxiliary outliers
     layer_dims: list
     validation: list | None = None  # one din_val dataset per seed
 
 
-def training_set(bundles, validation: bool = False) -> TrainingSet:
+def training_set(bundles, validation: bool = False, count: int | None = None) -> TrainingSet:
     """Stack the training part of one bundle per seed, in bundle order.
 
-    bundles may be a generator: only the training part of each bundle (and
-    with validation, its validation split) is kept once the next one is
-    drawn. Symbol sequences are stacked in the smallest unsigned dtype that
-    holds their alphabet.
+    The stacks are allocated for count seeds (by default len(bundles)) at
+    the first bundle's shapes, and each bundle's training part is copied
+    in as it is drawn, so bundles may be a generator of count bundles that
+    holds one at a time: no part of a bundle but its copied rows (and with
+    validation, its validation split) outlives it. Symbol sequences and
+    class labels are stacked in the smallest unsigned dtype that holds
+    their alphabet or class count (nn_core.Batch widens labels for
+    training).
     """
-    kept = [(b.seed, b.din_train, b.oe, b.din_val if validation else None, b.layer_dims) for b in bundles]
-    seeds, dins, oes, vals, dims = zip(*kept)
-    alphabet = dins[0].alphabet_size
-    dtype = np.float64 if alphabet is None else np.min_scalar_type(alphabet)
-    return TrainingSet(
-        list(seeds),
-        np.stack([d.rows for d in dins]).astype(dtype, copy=False),
-        None if dins[0].labels is None else np.stack([d.labels for d in dins]),
-        None if oes[0] is None else np.stack([o.rows for o in oes]).astype(dtype, copy=False),
-        dims[0],
-        list(vals) if validation else None,
-    )
+    count = len(bundles) if count is None else count
+    for i, b in enumerate(bundles):
+        din = b.din_train
+        if i == 0:
+            dtype = np.float64 if din.alphabet_size is None else np.min_scalar_type(din.alphabet_size)
+            train = TrainingSet(
+                [],
+                np.empty((count, *din.rows.shape), dtype),
+                None if din.labels is None else np.empty((count, din.n), np.min_scalar_type(b.layer_dims[-1])),
+                None if b.oe is None else np.empty((count, *b.oe.rows.shape), dtype),
+                b.layer_dims,
+                [] if validation else None,
+            )
+        train.seeds.append(b.seed)
+        train.rows[i] = din.rows
+        if train.labels is not None:
+            train.labels[i] = din.labels  # each in [0, class count), as prepare_data checked
+        if train.oe_rows is not None:
+            train.oe_rows[i] = b.oe.rows
+        if validation:
+            train.validation.append(b.din_val)
+    if len(train.seeds) != count:
+        raise ValueError(f"training_set expected {count} bundles, got {len(train.seeds)}")
+    return train
 
 
 def _initial_stack(config: ExperimentConfig, train: TrainingSet) -> nn_core.NetworkParams:
@@ -266,12 +287,14 @@ def train_scratch_oe(config: ExperimentConfig, train: TrainingSet) -> list:
 
 
 class SeedModels(NamedTuple):
-    """One seed's trained models and, when the config calibrates, their
-    (baseline, final) temperatures."""
+    """One seed's trained models, when the config calibrates their
+    (baseline, final) temperatures, and for a classifier the final net's
+    accuracy on the seed's training split."""
 
     baseline: nn_core.NetworkParams
     final: nn_core.NetworkParams
     temperatures: tuple | None = None
+    train_accuracy: float | None = None
 
 
 def fit_temperatures(pairs, validation) -> list:
@@ -284,16 +307,26 @@ def fit_temperatures(pairs, validation) -> list:
     return list(zip(temps[0::2], temps[1::2]))
 
 
-def train_models(config: ExperimentConfig) -> list:
-    """SeedModels of every seed of the config, each stage trained in
-    lockstep across the seeds, and with calibration every seed's
-    temperatures in one fit.
+def train_models(config: ExperimentConfig) -> tuple:
+    """(SeedModels, EvalRecord) lists over the seeds of the config: each
+    stage trained in lockstep across the seeds, with calibration every
+    seed's temperatures in one fit, and every seed's EvalRecord.
 
-    Every seed's data are prepared, and checked for auxiliary-outlier
-    overlap, before any training starts; only their training set (and with
-    calibration, their validation split) is kept.
+    Every seed's data are prepared once, and checked for auxiliary-outlier
+    overlap, before any training starts; of each bundle only its training
+    set (and with calibration, its validation split) and its EvalRecord
+    are kept. A classifier's training accuracy reads its seed's row of the
+    stacked training set, once the auxiliary outliers are released.
     """
-    train = training_set((prepare_data(config, s) for s in config.seeds), validation=config.calibration)
+    records = []
+
+    def bundles():
+        for s in config.seeds:
+            bundle = prepare_data(config, s)
+            records.append(eval_record(config, bundle))
+            yield bundle
+
+    train = training_set(bundles(), validation=config.calibration, count=len(config.seeds))
     baselines = train_baseline(config, train)
     if config.pipeline == "finetune_oe":
         finals = finetune_oe(config, train, baselines)
@@ -301,38 +334,78 @@ def train_models(config: ExperimentConfig) -> list:
         finals = train_scratch_oe(config, train)
     else:
         finals = baselines
+    train.oe_rows = None  # not held through the accuracy forwards, a run's largest arrays
     pairs = list(zip(baselines, finals))
     temps = fit_temperatures(pairs, train.validation) if config.calibration else [None] * len(pairs)
-    return [SeedModels(b, f, t) for (b, f), t in zip(pairs, temps)]
+    accs = [None] * len(pairs) if train.labels is None else [
+        classifier_accuracy(f, rows, labels) for f, rows, labels in zip(finals, train.rows, train.labels)
+    ]
+    return [SeedModels(b, f, t, a) for (b, f), t, a in zip(pairs, temps, accs)], records
 
 
-def classifier_accuracy(params: nn_core.NetworkParams, data: Dataset) -> float:
-    logits = nn_core.forward(params, data.rows)
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
+def classifier_accuracy(params: nn_core.NetworkParams, rows: np.ndarray, labels: np.ndarray) -> float:
+    """The share of rows whose largest logit is at their label."""
+    logits = nn_core.forward(params, rows)
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-def evaluate_detector(model, config: ExperimentConfig, bundle: DataBundle):
-    """Scored base-rate pools and detection reports for every test outlier set.
+class PoolRows(NamedTuple):
+    """One test set's base-rate pool: the inlier test rows it keeps, and
+    the (forward, index) pair from scoring.choose_forward for its outlier
+    rows."""
 
-    Returns (reports, pools) keyed by set name. Each set's pool rows are
-    drawn first, from the set sizes alone (metrics.base_rate_rows, seeded
-    per set from the bundle's seed), so baseline and fine-tuned models are
-    compared on identical example pools. Then only what the pools read is scored: the inlier test
-    split once, whole, and of each outlier set the rows its pool keeps
-    (scoring.score_rows, which gives them the bits of a whole-set pass).
-    """
-    din = bundle.din_test
-    in_scores = scoring_mod.score_dataset(model, config.detector, din.rows)
-    reports, pools = {}, {}
+    in_rows: np.ndarray
+    forward: np.ndarray
+    index: np.ndarray | None
+
+
+@dataclass
+class EvalRecord:
+    """What evaluation reads of one seed's DataBundle: its seed, inlier
+    test split and nets' output width, every test set's PoolRows by name,
+    and only when the config calibrates, the whole test sets, which
+    calibration_eval pools."""
+
+    seed: int
+    din_test: Dataset
+    n_classes: int
+    pools: dict  # test outlier set name -> PoolRows
+    tests: dict | None = None
+
+
+def eval_record(config: ExperimentConfig, bundle: DataBundle) -> EvalRecord:
+    """The bundle's EvalRecord. Each set's pool rows are drawn once, from
+    the set sizes alone (metrics.base_rate_rows, seeded per set from the
+    bundle's seed), so baseline and fine-tuned models are compared on
+    identical example pools; of each outlier set only the rows that
+    scoring forwards for its pool are kept."""
+    pools = {}
     for i, (name, data) in enumerate(bundle.tests.items()):
         in_rows, out_rows = metrics_mod.base_rate_rows(
-            din.n, data.n, ratio=config.base_rate, seed=_ss(bundle.seed, ROLE_BASE_RATE, i)
+            bundle.din_test.n, data.n, ratio=config.base_rate, seed=_ss(bundle.seed, ROLE_BASE_RATE, i)
         )
-        out_scores = scoring_mod.score_rows(model, config.detector, data.rows, out_rows)
+        in_rows = in_rows.astype(np.min_scalar_type(bundle.din_test.n))  # every record outlasts training
+        pools[name] = PoolRows(in_rows, *scoring_mod.choose_forward(config.detector, data.rows, out_rows))
+    return EvalRecord(bundle.seed, bundle.din_test, bundle.layer_dims[-1], pools,
+                      bundle.tests if config.calibration else None)
+
+
+def evaluate_detector(model, config: ExperimentConfig, record: EvalRecord):
+    """Scored base-rate pools and detection reports for every test outlier set.
+
+    Returns (reports, pools) keyed by set name. Only what the pools read is
+    scored: the inlier test split once, whole, and of each outlier set what
+    its PoolRows forward (scoring.score_forward, which gives the kept rows
+    the bits of a whole-set pass).
+    """
+    in_scores = scoring_mod.score_dataset(model, config.detector, record.din_test.rows)
+    reports, pools = {}, {}
+    for name, (in_rows, forward, index) in record.pools.items():
+        out_scores = scoring_mod.score_forward(model, config.detector, forward, index)
         pool = metrics_mod.ScoredSet(in_scores[in_rows], out_scores)
         reports[name] = metrics_mod.detection_report(pool, config.n_level)
         pools[name] = pool
@@ -346,22 +419,24 @@ def _confidences(params, data: Dataset, temperature: float):
     return conf, correct
 
 
-def calibration_eval(config: ExperimentConfig, bundle: DataBundle, baseline, final, temperatures) -> dict:
+def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, final, temperatures) -> dict:
     """Mixed-pool calibration comparison: baseline model at its tuned
     temperature, exposure-trained model at its own, and the latter after
     rescaling confidences to the [1/k, 1] -> [0, 1] posterior range.
     temperatures is the (baseline, final) pair from fit_temperatures. The
     pool mixes in-distribution test rows with pooled test outliers at equal
-    counts, drawn from the bundle's seed; outliers count as incorrect."""
-    k = bundle.layer_dims[-1]
-    ood_rows = np.concatenate([d.rows for d in bundle.tests.values()], axis=0)
+    counts, drawn from the record's seed; outliers count as incorrect. The
+    record must hold the whole test sets (eval_record of a calibrating
+    config)."""
+    k = record.n_classes
+    ood_rows = np.concatenate([d.rows for d in record.tests.values()], axis=0)
     out = {}
     for tag, model, temp in zip(("baseline", "final"), (baseline, final), temperatures):
-        conf_in, correct_in = _confidences(model, bundle.din_test, temp)
+        conf_in, correct_in = _confidences(model, record.din_test, temp)
         ood_logits = nn_core.forward(model, ood_rows)
         conf_ood = nn_core.max_softmax(ood_logits, temp)
         conf, correct = calib_mod.mixed_prediction_records(
-            conf_in, correct_in, conf_ood, seed=_ss(bundle.seed, ROLE_CALIBRATION)
+            conf_in, correct_in, conf_ood, seed=_ss(record.seed, ROLE_CALIBRATION)
         )
         out[f"{tag}_temp"] = calib_mod.report_from_records(conf, correct, temperature=temp)
         if tag == "final":
@@ -391,18 +466,13 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def run_seed(config: ExperimentConfig, seed: int, models: SeedModels) -> SeedResult:
-    """Evaluation, calibration and accuracy of one seed's SeedModels from
-    train_models. The seed's data are rebuilt here, so a run holds test sets
-    for one seed at a time."""
-    baseline, final, temps = models
-    bundle = prepare_data(config, seed)
-    base_reports, _ = evaluate_detector(baseline, config, bundle)
-    final_reports, pools = evaluate_detector(final, config, bundle)
-    cal = calibration_eval(config, bundle, baseline, final, temps) if config.calibration else None
-    acc = None
-    if config.detector != "density_bpp":
-        acc = classifier_accuracy(final, bundle.din_train)
+def run_seed(config: ExperimentConfig, seed: int, models: SeedModels, record: EvalRecord) -> SeedResult:
+    """Evaluation and calibration of one seed's SeedModels on its
+    EvalRecord, both from train_models; no data are prepared here."""
+    baseline, final, temps, acc = models
+    base_reports, _ = evaluate_detector(baseline, config, record)
+    final_reports, pools = evaluate_detector(final, config, record)
+    cal = calibration_eval(config, record, baseline, final, temps) if config.calibration else None
     return SeedResult(seed, {"baseline": base_reports, "final": final_reports}, pools, cal, acc)
 
 
@@ -431,6 +501,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Every seed trained, evaluated and summarized; nothing is printed or
     written (the run command writes the report tree)."""
     config.validate()
-    trained = train_models(config)
-    results = [run_seed(config, s, models) for s, models in zip(config.seeds, trained)]
+    trained, records = train_models(config)
+    results = [run_seed(config, s, models, record) for s, models, record in zip(config.seeds, trained, records)]
     return ExperimentResult(config, results, summarize(config, results))

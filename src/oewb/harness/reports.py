@@ -9,7 +9,8 @@ rendered table; CSV and JSON keep full precision.
 Curve and score files are formatted whole. A pool's ROC and PR files come
 from one metrics.sweep: fpr, tpr and recall are counts over a pool size,
 so their strings are a per-run table of repr(k / n) indexed by count, and
-only precision is repr'd, once per distinct value.
+only precision is repr'd, once per block of tied scores (one curve point;
+two blocks may share a value, and each is repr'd).
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _csv(cols, xs, ys) -> str:
 def write_curves(out_dir: Path, exp: ExperimentResult) -> None:
     """ROC and PR files from one sweep per pool. fpr, tpr and recall are
     counts over a pool size, so their strings come from _rate_strings;
-    precision strings are repr'd per value."""
+    precision strings are repr'd once per block of tied scores."""
     curve_dir = out_dir / "curves"
     curve_dir.mkdir(parents=True, exist_ok=True)
     tables = {}

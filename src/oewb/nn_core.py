@@ -475,12 +475,18 @@ def ce_logit_grad(logits, labels: np.ndarray, out=None, work: Workspace | None =
     entries are found through one flat index: row r's entry sits at
     r * k + labels[r] of the flattened rows. A workspace binds the class
     columns, the sum and max buffers and the row starts to out once."""
-    out = softmax(logits, out=out, work=work)
-    if not out.flags.c_contiguous:
+    return _minus_one_hot(softmax(logits, out=out, work=work), labels, work)
+
+
+def _minus_one_hot(p: np.ndarray, labels: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """p - one_hot(labels), written over the C-contiguous rows p, whose
+    entry labels[r] of row r sits at r * k + labels[r] of the flattened rows.
+    A workspace binds that flat index to p once."""
+    if not p.flags.c_contiguous:
         raise ValidationError("ce_logit_grad writes only into a C-contiguous array")
-    rows = _bound(work, _FlatIndex, out, out.shape[-1])
+    rows = _bound(work, _FlatIndex, p, p.shape[-1])
     rows.flat[rows.at(labels)] -= 1.0
-    return out
+    return p
 
 
 def backward(params: NetworkParams, cache, dlogits, work: Workspace | None = None, *,

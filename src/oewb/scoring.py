@@ -17,10 +17,10 @@ from .errors import ValidationError
 
 DETECTORS = ("msp", "uniform_ce", "density_bpp")
 
-# The fewest forward rows in which score_rows scores a pool's kept rows
-# alone. A row's logits depend on that row alone, but OpenBLAS runs small
-# products through other gemm kernels, which can move a row's last bits
-# against a whole-set pass. From this many rows on the kept rows keep
+# The fewest forward rows from which choose_forward has a pool's kept rows
+# scored alone. A row's logits depend on that row alone, but OpenBLAS runs
+# small products through other gemm kernels, which can move a row's last
+# bits against a whole-set pass. From this many rows on the kept rows keep
 # those bits on SkylakeX and Sandybridge; on Haswell and Nehalem a row in
 # a gemm's short last tile still moves (tests/test_blas_kernels.py).
 ALONE_ROWS = 2048
@@ -40,16 +40,27 @@ def score_dataset(model, kind: str, dataset) -> np.ndarray:
     return nn_core.log_softmax(logits).mean(axis=1)
 
 
-def score_rows(model, kind: str, dataset, rows: np.ndarray) -> np.ndarray:
-    """score_dataset(model, kind, dataset)[rows], bit for bit, for an array
-    of row indices rows.
-
-    A proper subset whose forward has at least ALONE_ROWS rows (a density
-    sequence runs D position rows) is scored by itself; a smaller one, or
-    every row, is scored within the whole set and indexed.
-    """
+def choose_forward(kind: str, dataset, rows: np.ndarray) -> tuple:
+    """What score_rows forwards to score the rows of dataset, an array of
+    row indices: (dataset[rows], None) for a proper subset whose forward
+    has at least ALONE_ROWS rows (a density sequence runs D position rows),
+    else (dataset, rows), the whole set and the index to take from its
+    scores."""
     dataset = np.asarray(dataset)
     forward_rows = rows.size * (dataset.shape[1] if kind == "density_bpp" else 1)
     if rows.size < len(dataset) and forward_rows >= ALONE_ROWS:
-        return score_dataset(model, kind, dataset[rows])
-    return score_dataset(model, kind, dataset)[rows]
+        return dataset[rows], None
+    return dataset, rows
+
+
+def score_forward(model, kind: str, forward, index) -> np.ndarray:
+    """The scores of a (forward, index) pair from choose_forward."""
+    scores = score_dataset(model, kind, forward)
+    return scores if index is None else scores[index]
+
+
+def score_rows(model, kind: str, dataset, rows: np.ndarray) -> np.ndarray:
+    """score_dataset(model, kind, dataset)[rows], bit for bit, for an array
+    of row indices rows: kept rows alone or the whole set, as
+    choose_forward picks."""
+    return score_forward(model, kind, *choose_forward(kind, dataset, rows))

@@ -465,12 +465,13 @@ ACCURACY_DROP = 0.02
 def test_criterion_11_exposure_keeps_the_classifier(capsys, pipe):
     t0 = time.perf_counter()
     config = get_preset("preset_2d", pipeline=pipe)
-    trained = pipeline.train_models(config)
-    acc = np.array([[pipeline.classifier_accuracy(m, pipeline.prepare_data(config, s).din_test)
-                     for m in (models.baseline, models.final)] for s, models in zip(config.seeds, trained)])
+    trained, _ = pipeline.train_models(config)
+    tests = [pipeline.prepare_data(config, s).din_test for s in config.seeds]
+    acc = np.array([[pipeline.classifier_accuracy(m, test.rows, test.labels)
+                     for m in (models.baseline, models.final)] for test, models in zip(tests, trained)])
     base, final = acc.mean(axis=0)
     # the detector only scores, so uniform_ce trains the nets msp trains
-    uce = pipeline.train_models(get_preset("preset_2d", pipeline=pipe, detector="uniform_ce", seeds=(0,)))[0]
+    uce = pipeline.train_models(get_preset("preset_2d", pipeline=pipe, detector="uniform_ce", seeds=(0,)))[0][0]
     same = all(np.array_equal(a.vector, b.vector) for a, b in zip(uce[:2], trained[0][:2]))
     elapsed = time.perf_counter() - t0
     ok = same and final >= base - ACCURACY_DROP

@@ -36,6 +36,10 @@ import reference_reports
 
 # one byte past the limit on the names files are named after, in 101 characters
 LONG_NAME = "\u00e9" * 100 + "x"
+# a lone UTF-16 surrogate, which JSON can spell ("\ud800") but UTF-8 cannot
+SURROGATE_NAME = "ring\ud800"
+# why a name that is no file or directory name is refused, by name
+WHY = {LONG_NAME: "is longer than 200 UTF-8 bytes", SURROGATE_NAME: "is not UTF-8 text"}
 
 
 def _tiny_config(**over):
@@ -133,6 +137,17 @@ def _tiny_density_config(**over):
     return ExperimentConfig(**base).validate()
 
 
+def _first_seed(trained):
+    """(SeedModels, EvalRecord) of the first seed, from train_models."""
+    models, records = trained
+    return models[0], records[0]
+
+
+def _evaluate(model, config, bundle):
+    """evaluate_detector on the EvalRecord of bundle, as the eval command builds it."""
+    return pipeline.evaluate_detector(model, config, pipeline.eval_record(config, bundle))
+
+
 class TestConfigValidation:
     def test_tiny_config_is_valid(self):
         cfg = _tiny_config()
@@ -163,6 +178,14 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ValidationError, match="seeds must be nonnegative, got -1"):
             _tiny_config(seeds=(0, -1))
+
+    def test_a_name_that_is_no_utf8_text_is_refused(self):
+        # one rule for every name a file or directory is named after
+        name = SURROGATE_NAME
+        with pytest.raises(ValidationError, match=re.escape(f"experiment name {name!r} is not UTF-8 text")):
+            _tiny_config(name=name)
+        with pytest.raises(ValidationError, match=re.escape(f"dataset name {name!r} is not UTF-8 text")):
+            DatasetSpec("generator", name, {"generator": "uniform_box"}).validate()
 
     def test_seed_too_long_for_a_file_name(self):
         _tiny_config(seeds=(2**64 - 1,))
@@ -916,8 +939,8 @@ class TestTrainingPipeline:
         config = _tiny_config(epochs=20)
         bundle = pipeline.prepare_data(config, seed=0)
         model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        assert pipeline.classifier_accuracy(model, bundle.din_train) >= 0.95
-        assert pipeline.classifier_accuracy(model, bundle.din_val) >= 0.9
+        assert pipeline.classifier_accuracy(model, bundle.din_train.rows, bundle.din_train.labels) >= 0.95
+        assert pipeline.classifier_accuracy(model, bundle.din_val.rows, bundle.din_val.labels) >= 0.9
 
     def test_scratch_differs_from_finetune(self):
         config = _tiny_config()
@@ -940,13 +963,15 @@ class TestTrainingPipeline:
 
     def test_training_set_takes_seeds_and_widths_from_the_bundles(self):
         config = _tiny_config(seeds=(3, 1))
-        train = pipeline.training_set(pipeline.prepare_data(config, s) for s in config.seeds)
+        train = pipeline.training_set((pipeline.prepare_data(config, s) for s in config.seeds), count=2)
         assert train.seeds == [3, 1]
         assert train.layer_dims == [2, 8, 3]
+        with pytest.raises(ValueError, match="training_set expected 3 bundles, got 2"):
+            pipeline.training_set((pipeline.prepare_data(config, s) for s in config.seeds), count=3)
 
     def test_stacked_divergence_names_the_diverging_seed(self):
         config = _tiny_config(seeds=(3, 4))
-        train = pipeline.training_set(pipeline.prepare_data(config, s) for s in config.seeds)
+        train = pipeline.training_set((pipeline.prepare_data(config, s) for s in config.seeds), count=2)
         train.rows[1] *= 1e300
         with pytest.raises(DivergenceError) as err:
             pipeline.train_baseline(config, train)
@@ -955,7 +980,7 @@ class TestTrainingPipeline:
 
     def test_density_seed_run(self):
         config = _tiny_density_config()
-        sr = pipeline.run_seed(config, 0, pipeline.train_models(config)[0])
+        sr = pipeline.run_seed(config, 0, *_first_seed(pipeline.train_models(config)))
         assert set(sr.reports) == {"baseline", "final"}
         assert set(sr.reports["final"]) == {"periodic"}
         assert sr.train_accuracy is None
@@ -969,7 +994,7 @@ class TestEvaluation:
         config = _tiny_config(base_rate=(1, 2))
         bundle = pipeline.prepare_data(config, seed=0)
         model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        _, pools = pipeline.evaluate_detector(model, config, bundle)
+        _, pools = _evaluate(model, config, bundle)
         pool = pools["ring"]
         n_in, n_out = bundle.din_test.n, bundle.tests["ring"].n
         m = min(n_out // 1, n_in // 2)
@@ -980,8 +1005,8 @@ class TestEvaluation:
         config = _tiny_config()
         bundle = pipeline.prepare_data(config, seed=5)
         model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        _, p1 = pipeline.evaluate_detector(model, config, bundle)
-        _, p2 = pipeline.evaluate_detector(model, config, bundle)
+        _, p1 = _evaluate(model, config, bundle)
+        _, p2 = _evaluate(model, config, bundle)
         assert np.array_equal(p1["ring"].in_scores, p2["ring"].in_scores)
         assert np.array_equal(p1["ring"].out_scores, p2["ring"].out_scores)
 
@@ -992,21 +1017,21 @@ class TestEvaluation:
         bundle = pipeline.prepare_data(config, seed=0)
         baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
         tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
-        _, pb = pipeline.evaluate_detector(baseline, config, bundle)
-        _, pf = pipeline.evaluate_detector(tuned, config, bundle)
+        _, pb = _evaluate(baseline, config, bundle)
+        _, pf = _evaluate(tuned, config, bundle)
         assert pb["ring"].in_scores.size == pf["ring"].in_scores.size
         assert pb["ring"].out_scores.size == pf["ring"].out_scores.size
 
     def test_a_bundle_draws_the_pools_of_its_own_seed(self):
         config = _tiny_config(seeds=(5,))
-        models = pipeline.train_models(config)[0]
-        sr = pipeline.run_seed(config, 5, models)
-        _, pools = pipeline.evaluate_detector(models.final, config, pipeline.prepare_data(config, 5))
+        models, record = _first_seed(pipeline.train_models(config))
+        sr = pipeline.run_seed(config, 5, models, record)
+        _, pools = _evaluate(models.final, config, pipeline.prepare_data(config, 5))
         assert set(pools) == set(sr.pools) == {"ring"}
         got, want = pools["ring"], sr.pools["ring"]
         assert np.array_equal(got.in_scores.view(np.int64), want.in_scores.view(np.int64))
         assert np.array_equal(got.out_scores.view(np.int64), want.out_scores.view(np.int64))
-        _, other = pipeline.evaluate_detector(models.final, config, pipeline.prepare_data(config, 6))
+        _, other = _evaluate(models.final, config, pipeline.prepare_data(config, 6))
         assert not np.array_equal(other["ring"].out_scores, pools["ring"].out_scores)
 
     def test_large_pools_score_only_their_kept_outlier_rows(self, monkeypatch):
@@ -1029,7 +1054,7 @@ class TestEvaluation:
             return original(model, kind, dataset)
 
         monkeypatch.setattr(pipeline.scoring_mod, "score_dataset", counting)
-        _, pools = pipeline.evaluate_detector(model, config, bundle)
+        _, pools = _evaluate(model, config, bundle)
         assert rows_scored == [2070, 2070, 200]
         in_scores = original(model, "msp", bundle.din_test.rows)
         for i, name in enumerate(("big", "small")):
@@ -1040,9 +1065,51 @@ class TestEvaluation:
             assert np.array_equal(pools[name].in_scores.view(np.int64), want.in_scores.view(np.int64))
             assert np.array_equal(pools[name].out_scores.view(np.int64), want.out_scores.view(np.int64))
 
+    def test_a_run_materializes_every_dataset_once_per_seed(self, monkeypatch):
+        # training and evaluation share one preparation of each seed's data;
+        # a run builds no validation outlier set
+        names, original = [], pipeline.materialize
+
+        def counting(spec, *args, **kwargs):
+            names.append(spec.name)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "materialize", counting)
+        config = _tiny_config(seeds=(0, 1), calibration=True)
+        exp = pipeline.run_experiment(config)
+        assert [sr.seed for sr in exp.seed_results] == [0, 1]
+        assert names == ["blobs", "box", "ring"] * 2
+
+    def test_the_record_of_a_run_keeps_only_the_outlier_rows_its_pools_score(self):
+        # as in test_large_pools_score_only_their_kept_outlier_rows: the
+        # 5,000-row set keeps 2,070 rows, at least ALONE_ROWS, and the 200-row
+        # set keeps all of its rows; the pools of the run's record are the
+        # ones evaluate_detector gives on a fresh bundle
+        blobs = {"k": 3, "n_per_cluster": 4600, "dim": 2, "separation": 6.0}
+        rings = [DatasetSpec("generator", name, {"generator": "ring", "radius": 6.0, "width": 0.2, "n": n})
+                 for name, n in (("big", 5000), ("small", 200))]
+        config = _tiny_config(d_in=DatasetSpec("synthetic_gaussian_mixture", "blobs", blobs),
+                              d_out_test=rings, base_rate=(1, 1), seeds=(3,), epochs=1, finetune_epochs=1)
+        models, record = _first_seed(pipeline.train_models(config))
+        bundle = pipeline.prepare_data(config, 3)
+        kept = metrics.base_rate_rows(2070, 5000, (1, 1), pipeline._ss(3, pipeline.ROLE_BASE_RATE, 0))[1]
+        assert 2070 == kept.size >= pipeline.scoring_mod.ALONE_ROWS
+        big, small = record.pools["big"], record.pools["small"]
+        assert big.index is None and big.forward.shape == (2070, 2)
+        assert big.forward.tobytes() == bundle.tests["big"].rows[kept].tobytes()
+        assert small.forward.tobytes() == bundle.tests["small"].rows.tobytes()
+        assert np.array_equal(small.index, np.arange(200))
+        assert record.tests is None and record.din_test.rows.tobytes() == bundle.din_test.rows.tobytes()
+        sr = pipeline.run_seed(config, 3, models, record)
+        _, fresh = _evaluate(models.final, config, bundle)
+        assert set(sr.pools) == set(fresh) == {"big", "small"}
+        for name, pool in fresh.items():
+            assert sr.pools[name].in_scores.tobytes() == pool.in_scores.tobytes()
+            assert sr.pools[name].out_scores.tobytes() == pool.out_scores.tobytes()
+
     def test_calibration_eval_structure(self):
         config = _tiny_config(calibration=True, epochs=8)
-        sr = pipeline.run_seed(config, 0, pipeline.train_models(config)[0])
+        sr = pipeline.run_seed(config, 0, *_first_seed(pipeline.train_models(config)))
         cal = sr.calibration
         assert set(cal) == {"baseline_temp", "final_temp", "final_temp_rescaled"}
         for rep in cal.values():
@@ -1080,8 +1147,9 @@ class TestEvaluation:
         config = self._overlapping_config(seeds=(0, 1, 2))
         reports.write_reports(tmp_path / "run", pipeline.run_experiment(config))
         solo = self._overlapping_config(seeds=(1,))
-        baseline, final, temps = models = pipeline.train_models(solo)[0]
-        sr = pipeline.run_seed(solo, 1, models)
+        models, record = _first_seed(pipeline.train_models(solo))
+        baseline, final, temps, _ = models
+        sr = pipeline.run_seed(solo, 1, models, record)
         # each temperature is the one fit of its own model on the seed's validation split
         val = pipeline.prepare_data(solo, 1).din_val
         fits = np.stack([nn_core.forward(m, val.rows) for m in (baseline, final)])
@@ -1283,7 +1351,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, name",
         [("make-data", "../../../escaped"), ("run", "ring/x"), ("run", "back\\slash"), ("make-data", "nul\0"),
-         pytest.param("run", LONG_NAME, id="run-201_bytes")],
+         pytest.param("run", LONG_NAME, id="run-201_bytes"), pytest.param("run", SURROGATE_NAME, id="run-surrogate"),
+         pytest.param("make-data", SURROGATE_NAME, id="make-data-surrogate")],
     )
     def test_a_dataset_name_that_is_no_file_name_exits_one_before_any_file(self, tmp_path, capsys, command, name):
         # test set files are named after the set: a separator in the name
@@ -1295,13 +1364,14 @@ class TestCli:
         path.write_text(json.dumps(wire))
         out = tmp_path / "out"
         assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
-        why = "is longer than 200 UTF-8 bytes" if name == LONG_NAME else "holds a path separator or NUL"
+        why = WHY.get(name, "holds a path separator or NUL")
         assert f"error: dataset name {name!r} {why}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "name",
-        ["../../escaped_exp", "..", ".", "", "a/b", "back\\slash", "nul\0", pytest.param(LONG_NAME, id="201_bytes")],
+        ["../../escaped_exp", "..", ".", "", "a/b", "back\\slash", "nul\0", pytest.param(LONG_NAME, id="201_bytes"),
+         pytest.param(SURROGATE_NAME, id="surrogate")],
     )
     @pytest.mark.parametrize("command", ["make-data", "run"])
     def test_an_experiment_name_cannot_lead_the_default_out_directory_out_of_runs(
@@ -1316,7 +1386,7 @@ class TestCli:
         wire["name"] = name
         path.write_text(json.dumps(wire))
         assert cli.main([command, "-c", "cfg.json", "-q"]) == 1
-        why = "is longer than 200 UTF-8 bytes" if name == LONG_NAME else "is no directory name"
+        why = WHY.get(name, "is no directory name")
         assert f"error: experiment name {name!r} {why}" in capsys.readouterr().err
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "deep", "deep/er", "deep/er/cfg.json"
@@ -1376,6 +1446,48 @@ class TestCli:
         assert (tmp_path / "run" / "curves" / f"roc_{name}_seed{seed}.csv").exists()
         assert len(f"scores_{name}_seed{seed}.csv".encode()) == 236
         assert (tmp_path / "eval" / f"scores_{name}_seed{seed}.csv").exists()
+
+    def test_calibrate_refuses_a_stem_too_long_for_a_file_name(self, tmp_path, capsys):
+        # the report is <stem>_calibration.json: a 200-byte stem fits, a 240-byte one does not
+        body = "confidence,correct\n0.9,1\n0.4,0\n"
+        fits, too_long = tmp_path / ("p" * 200 + ".csv"), tmp_path / ("q" * 240 + ".csv")
+        fits.write_text(body)
+        too_long.write_text(body)
+        out = tmp_path / "out"
+        assert cli.main(["calibrate", str(too_long), "-o", str(out), "-q"]) == 1
+        assert f"error: prediction file stem {'q' * 240!r} is longer than 200 UTF-8 bytes" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["calibrate", str(fits), "-o", str(out), "-q"]) == 0
+        assert [p.name for p in out.iterdir()] == ["p" * 200 + "_calibration.json"]
+
+    @pytest.mark.parametrize("command", ["run", "make-data"])
+    def test_a_tree_is_never_written_over_an_earlier_one(self, tmp_path, capsys, monkeypatch, command):
+        # a second run into one directory would leave the first run's files
+        # of other seeds beside its own; so would make-data's
+        path = self._write_config(tmp_path, seeds=(0, 1), epochs=1, finetune_epochs=1)
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        monkeypatch.setattr(pipeline, "prepare_data", None)  # refused before any data are prepared
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q", "--seed", "0"]) == 1
+        assert f"error: output directory {out} is not empty" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        monkeypatch.undo()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert cli.main([command, "-c", str(path), "-o", str(empty), "-q"]) == 0
+
+    def test_summary_train_accuracy_is_the_final_nets_accuracy_on_its_training_split(self, tmp_path):
+        path = self._write_config(tmp_path, seeds=(0, 1))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 0
+        config = load_config(path)
+        models, _ = pipeline.train_models(config)
+        per_seed = json.loads((out / "summary.json").read_text())["per_seed"]
+        assert [entry["seed"] for entry in per_seed] == [0, 1]
+        for entry, seed, m in zip(per_seed, config.seeds, models):
+            train = pipeline.prepare_data(config, seed).din_train
+            assert entry["train_accuracy"] == pipeline.classifier_accuracy(m.final, train.rows, train.labels)
 
     def test_calibrate_refuses_an_out_path_naming_a_file(self, tmp_path, capsys):
         predictions = tmp_path / "preds.csv"
@@ -1893,7 +2005,7 @@ class TestCli:
 
             config = load_config(path)
             model = nn_core.load_params(tuned)
-            _, pools = pipeline.evaluate_detector(model, config, pipeline.prepare_data(config, 0))
+            _, pools = _evaluate(model, config, pipeline.prepare_data(config, 0))
             reference = tmp_path / f"reference_{detector}.csv"
             reference_reports.write_pool_scores(reference, pools[test_set])
             assert (out / f"scores_{test_set}_seed0.csv").read_bytes() == reference.read_bytes(), detector
@@ -2001,9 +2113,9 @@ class TestCli:
         run_models = {}
         run_seed = pipeline.run_seed
 
-        def recording_run_seed(config, seed, models):
+        def recording_run_seed(config, seed, models, record):
             run_models[seed] = models
-            return run_seed(config, seed, models)
+            return run_seed(config, seed, models, record)
 
         monkeypatch.setattr(pipeline, "run_seed", recording_run_seed)
         assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "run"), "-q"]) == 0
