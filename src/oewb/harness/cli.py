@@ -120,7 +120,8 @@ def cmd_eval(args) -> int:
     config, seed, out = _preamble(args)
     bundle = pipeline.prepare_data(config, seed)
     model = _load_model(config, bundle, args.params)
-    rep, pools = pipeline.evaluate_detector(model, config, pipeline.eval_record(config, bundle))
+    rep, pools = pipeline.evaluate_detector(model, f"model {args.params}", config,
+                                            pipeline.eval_record(config, bundle))
     write_json(_mkdir(out) / f"eval_seed{seed}.json", {name: asdict(r) for name, r in rep.items()})
     for name, pool in pools.items():
         reports.write_pool_scores(out / f"scores_{name}_seed{seed}.csv", pool)

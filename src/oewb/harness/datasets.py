@@ -464,7 +464,8 @@ def materialize(spec: config.DatasetSpec, n: int | None, seed, dim: int | None =
     if n is None and "generator" in p:
         raise ValidationError(f"{where} needs params key n: nothing else sets its row count")
     try:
-        return _KINDS[kind].build(p, n, dim, seed)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # Dataset refuses what overflowed
+            return _KINDS[kind].build(p, n, dim, seed)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 

@@ -14,14 +14,14 @@ read, auxiliary outliers that reappear in a test set and test sets too
 small for the base rate). Of each seed's DataBundle it keeps the stacked
 training part and an EvalRecord: the inlier test split, every test set's
 base-rate pool rows and the outlier rows scoring forwards for them (and,
-when the config calibrates, the whole test sets). It trains all baselines
-in lockstep as one stack of nets, then fine-tunes (or trains scratch_oe)
-all of them in lockstep, and takes each classifier's accuracy on its
-training split. When the config calibrates, one
-calibration.tune_temperature call then fits every seed's baseline and
-final temperatures on its validation split, kept from data preparation
-for that. Finally run_seed evaluates and calibrates one seed at a time
-from its EvalRecord, and summarize takes every metric's mean over the
+when the config calibrates, the validation split and the whole test
+sets). It trains all baselines in lockstep as one stack of nets, then
+fine-tunes (or trains scratch_oe) all of them in lockstep, and takes each
+classifier's accuracy on its training split. When the config calibrates,
+one calibration.tune_temperature call then fits every seed's baseline
+and final temperatures on the validation splits of the EvalRecords.
+Finally run_seed evaluates and calibrates one seed at a time from its
+EvalRecord, and summarize takes every metric's mean over the
 seeds. run_experiment returns that ExperimentResult and prints and writes
 nothing; the run command hands it to reports, which imports this module
 and not the other way round.
@@ -174,28 +174,25 @@ def validation_sets(config: ExperimentConfig, bundle: DataBundle) -> dict:
 @dataclass
 class TrainingSet:
     """What training reads of every bundle, stacked along a leading seed axis:
-    its seed, training split and auxiliary outliers, and the nets' widths.
-    validation holds each seed's validation split when temperatures are fitted."""
+    its seed, training split and auxiliary outliers, and the nets' widths."""
 
     seeds: list
     rows: np.ndarray  # (S, n, d) features or (S, n, D) symbol sequences
     labels: np.ndarray | None  # (S, n) class labels of vector data, narrowed
     oe_rows: np.ndarray | None  # (S, m, ...) auxiliary outliers
     layer_dims: list
-    validation: list | None = None  # one din_val dataset per seed
 
 
-def training_set(bundles, validation: bool = False, count: int | None = None) -> TrainingSet:
+def training_set(bundles, count: int | None = None) -> TrainingSet:
     """Stack the training part of one bundle per seed, in bundle order.
 
     The stacks are allocated for count seeds (by default len(bundles)) at
     the first bundle's shapes, and each bundle's training part is copied
     in as it is drawn, so bundles may be a generator of count bundles that
-    holds one at a time: no part of a bundle but its copied rows (and with
-    validation, its validation split) outlives it. Symbol sequences and
-    class labels are stacked in the smallest unsigned dtype that holds
-    their alphabet or class count (nn_core.Batch widens labels for
-    training).
+    holds one at a time: no part of a bundle but its copied rows outlives
+    it. Symbol sequences and class labels are stacked in the smallest
+    unsigned dtype that holds their alphabet or class count (nn_core.Batch
+    widens labels for training).
     """
     count = len(bundles) if count is None else count
     for i, b in enumerate(bundles):
@@ -208,7 +205,6 @@ def training_set(bundles, validation: bool = False, count: int | None = None) ->
                 None if din.labels is None else np.empty((count, din.n), np.min_scalar_type(b.layer_dims[-1])),
                 None if b.oe is None else np.empty((count, *b.oe.rows.shape), dtype),
                 b.layer_dims,
-                [] if validation else None,
             )
         train.seeds.append(b.seed)
         train.rows[i] = din.rows
@@ -216,8 +212,6 @@ def training_set(bundles, validation: bool = False, count: int | None = None) ->
             train.labels[i] = din.labels  # each in [0, class count), as prepare_data checked
         if train.oe_rows is not None:
             train.oe_rows[i] = b.oe.rows
-        if validation:
-            train.validation.append(b.din_val)
     if len(train.seeds) != count:
         raise ValueError(f"training_set expected {count} bundles, got {len(train.seeds)}")
     return train
@@ -297,12 +291,12 @@ class SeedModels(NamedTuple):
     train_accuracy: float | None = None
 
 
-def fit_temperatures(pairs, validation) -> list:
+def fit_temperatures(pairs, records) -> list:
     """The (baseline, final) temperatures of every seed's (baseline, final)
-    models on its validation split, all fitted in one tune_temperature call
-    over a stack of two fits per seed."""
-    logits = np.stack([nn_core.forward(m, v.rows) for pair, v in zip(pairs, validation) for m in pair])
-    labels = np.stack([v.labels for v in validation for _ in range(2)])
+    models on the validation split of its EvalRecord, all fitted in one
+    tune_temperature call over a stack of two fits per seed."""
+    logits = np.stack([nn_core.forward(m, r.din_val.rows) for pair, r in zip(pairs, records) for m in pair])
+    labels = np.stack([r.din_val.labels for r in records for _ in range(2)])
     temps = calib_mod.tune_temperature(logits, labels).tolist()
     return list(zip(temps[0::2], temps[1::2]))
 
@@ -314,9 +308,8 @@ def train_models(config: ExperimentConfig) -> tuple:
 
     Every seed's data are prepared once, and checked for auxiliary-outlier
     overlap, before any training starts; of each bundle only its training
-    set (and with calibration, its validation split) and its EvalRecord
-    are kept. A classifier's training accuracy reads its seed's row of the
-    stacked training set, once the auxiliary outliers are released.
+    set and its EvalRecord are kept. A classifier's training accuracy reads
+    its seed's row of the stacked training set.
     """
     records = []
 
@@ -326,7 +319,7 @@ def train_models(config: ExperimentConfig) -> tuple:
             records.append(eval_record(config, bundle))
             yield bundle
 
-    train = training_set(bundles(), validation=config.calibration, count=len(config.seeds))
+    train = training_set(bundles(), count=len(config.seeds))
     baselines = train_baseline(config, train)
     if config.pipeline == "finetune_oe":
         finals = finetune_oe(config, train, baselines)
@@ -334,9 +327,8 @@ def train_models(config: ExperimentConfig) -> tuple:
         finals = train_scratch_oe(config, train)
     else:
         finals = baselines
-    train.oe_rows = None  # not held through the accuracy forwards, a run's largest arrays
     pairs = list(zip(baselines, finals))
-    temps = fit_temperatures(pairs, train.validation) if config.calibration else [None] * len(pairs)
+    temps = fit_temperatures(pairs, records) if config.calibration else [None] * len(pairs)
     accs = [None] * len(pairs) if train.labels is None else [
         classifier_accuracy(f, rows, labels) for f, rows, labels in zip(finals, train.rows, train.labels)
     ]
@@ -365,15 +357,16 @@ class PoolRows(NamedTuple):
 
 @dataclass
 class EvalRecord:
-    """What evaluation reads of one seed's DataBundle: its seed, inlier
-    test split and nets' output width, every test set's PoolRows by name,
-    and only when the config calibrates, the whole test sets, which
+    """What evaluation and calibration read of one seed's DataBundle: its
+    seed, inlier test split and every test set's PoolRows by name, and
+    only when the config calibrates, the validation split that
+    fit_temperatures fits on and the whole test sets, which
     calibration_eval pools."""
 
     seed: int
     din_test: Dataset
-    n_classes: int
     pools: dict  # test outlier set name -> PoolRows
+    din_val: Dataset | None = None
     tests: dict | None = None
 
 
@@ -390,25 +383,38 @@ def eval_record(config: ExperimentConfig, bundle: DataBundle) -> EvalRecord:
         )
         in_rows = in_rows.astype(np.min_scalar_type(bundle.din_test.n))  # every record outlasts training
         pools[name] = PoolRows(in_rows, *scoring_mod.choose_forward(config.detector, data.rows, out_rows))
-    return EvalRecord(bundle.seed, bundle.din_test, bundle.layer_dims[-1], pools,
-                      bundle.tests if config.calibration else None)
+    if config.calibration:
+        return EvalRecord(bundle.seed, bundle.din_test, pools, bundle.din_val, bundle.tests)
+    return EvalRecord(bundle.seed, bundle.din_test, pools)
 
 
-def evaluate_detector(model, config: ExperimentConfig, record: EvalRecord):
+def _refuse_non_finite(where: str, what: str, *arrays) -> None:
+    bad = sum(int(np.count_nonzero(~np.isfinite(a))) for a in arrays)
+    if bad:
+        raise ValidationError(f"{where}: {bad} of {sum(a.size for a in arrays)} {what} are not finite")
+
+
+def evaluate_detector(model, name: str, config: ExperimentConfig, record: EvalRecord):
     """Scored base-rate pools and detection reports for every test outlier set.
 
     Returns (reports, pools) keyed by set name. Only what the pools read is
     scored: the inlier test split once, whole, and of each outlier set what
-    its PoolRows forward (scoring.score_forward, which gives the kept rows
-    the bits of a whole-set pass).
+    its PoolRows forward, whose scores the index (if any) narrows to the
+    kept rows, with the bits of a whole-set pass (scoring.choose_forward).
+    The forwards run with numpy's float warnings off: a pool score that
+    overflowed to inf or NaN is refused, naming the seed, the model (name)
+    and the test set.
     """
-    in_scores = scoring_mod.score_dataset(model, config.detector, record.din_test.rows)
     reports, pools = {}, {}
-    for name, (in_rows, forward, index) in record.pools.items():
-        out_scores = scoring_mod.score_forward(model, config.detector, forward, index)
-        pool = metrics_mod.ScoredSet(in_scores[in_rows], out_scores)
-        reports[name] = metrics_mod.detection_report(pool, config.n_level)
-        pools[name] = pool
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        in_scores = scoring_mod.score_dataset(model, config.detector, record.din_test.rows)
+        for set_name, (in_rows, forward, index) in record.pools.items():
+            out_scores = scoring_mod.score_dataset(model, config.detector, forward)
+            pool = metrics_mod.ScoredSet(in_scores[in_rows], out_scores if index is None else out_scores[index])
+            _refuse_non_finite(f"seed {record.seed}, {name}, test set {set_name!r}", "scores",
+                               pool.in_scores, pool.out_scores)
+            reports[set_name] = metrics_mod.detection_report(pool, config.n_level)
+            pools[set_name] = pool
     return reports, pools
 
 
@@ -427,17 +433,20 @@ def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, fin
     pool mixes in-distribution test rows with pooled test outliers at equal
     counts, drawn from the record's seed; outliers count as incorrect. The
     record must hold the whole test sets (eval_record of a calibrating
-    config)."""
-    k = record.n_classes
+    config). The forwards run with numpy's float warnings off: a pool
+    confidence that overflowed to NaN is refused, naming the seed and the
+    model."""
+    k = final.n_classes
     ood_rows = np.concatenate([d.rows for d in record.tests.values()], axis=0)
     out = {}
     for tag, model, temp in zip(("baseline", "final"), (baseline, final), temperatures):
-        conf_in, correct_in = _confidences(model, record.din_test, temp)
-        ood_logits = nn_core.forward(model, ood_rows)
-        conf_ood = nn_core.max_softmax(ood_logits, temp)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            conf_in, correct_in = _confidences(model, record.din_test, temp)
+            conf_ood = nn_core.max_softmax(nn_core.forward(model, ood_rows), temp)
         conf, correct = calib_mod.mixed_prediction_records(
             conf_in, correct_in, conf_ood, seed=_ss(record.seed, ROLE_CALIBRATION)
         )
+        _refuse_non_finite(f"seed {record.seed}, {tag} model, calibration pool", "confidences", conf)
         out[f"{tag}_temp"] = calib_mod.report_from_records(conf, correct, temperature=temp)
         if tag == "final":
             out["final_temp_rescaled"] = calib_mod.report_from_records(
@@ -470,8 +479,8 @@ def run_seed(config: ExperimentConfig, seed: int, models: SeedModels, record: Ev
     """Evaluation and calibration of one seed's SeedModels on its
     EvalRecord, both from train_models; no data are prepared here."""
     baseline, final, temps, acc = models
-    base_reports, _ = evaluate_detector(baseline, config, record)
-    final_reports, pools = evaluate_detector(final, config, record)
+    base_reports, _ = evaluate_detector(baseline, "baseline model", config, record)
+    final_reports, pools = evaluate_detector(final, "final model", config, record)
     cal = calibration_eval(config, record, baseline, final, temps) if config.calibration else None
     return SeedResult(seed, {"baseline": base_reports, "final": final_reports}, pools, cal, acc)
 

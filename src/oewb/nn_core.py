@@ -109,24 +109,13 @@ class NetworkParams:
         if vector.shape[-1:] != (start,):
             raise ValidationError(f"layer widths {self.layer_dims} need {start} parameters per net, "
                                   f"got an array of shape {vector.shape}")
-        self._bind(vector)
-
-    def _bind(self, vector: np.ndarray) -> None:
-        """Bind the per-layer views of vector, and the transposed weights
-        and bias rows that forward_cached reads, once per array."""
         self.vector = vector
         views = self.arrays()
         self.weights = views[0::2]
         self.biases = views[1::2]
+        # the transposed weights and bias rows that forward_cached reads
         self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self._bias_rows = [b[..., None, :] for b in self.biases]
-
-    def _with_vector(self, vector: np.ndarray) -> "NetworkParams":
-        """Same layout over another parameter array, taken without copying."""
-        out = object.__new__(NetworkParams)
-        out.layer_dims, out.activation, out._slots = self.layer_dims, self.activation, self._slots
-        out._bind(vector)
-        return out
 
     @classmethod
     def stack(cls, nets) -> "NetworkParams":
@@ -135,11 +124,11 @@ class NetworkParams:
         for net in nets:
             if net.vector.ndim != 1 or net.layer_dims != first.layer_dims or net.activation != first.activation:
                 raise ValidationError("only single nets of one layout can be stacked")
-        return first._with_vector(np.stack([net.vector for net in nets]))
+        return cls(first.layer_dims, np.stack([net.vector for net in nets]), first.activation)
 
     def unstack(self) -> list:
         """The nets of a stack, each over a fresh copy of its row."""
-        return [self._with_vector(row.copy()) for row in self.vector]
+        return [NetworkParams(self.layer_dims, row.copy(), self.activation) for row in self.vector]
 
     def split(self, array: np.ndarray) -> list[np.ndarray]:
         """Views into an array of this layout, in arrays() order."""
@@ -167,7 +156,7 @@ class NetworkParams:
 
     def copy(self) -> "NetworkParams":
         """Same layout over a fresh copy of the parameter array."""
-        return self._with_vector(self.vector.copy())
+        return NetworkParams(self.layer_dims, self.vector.copy(), self.activation)
 
     def arrays(self) -> list[np.ndarray]:
         """Per-layer views of the parameter array, in layout order."""

@@ -41,10 +41,11 @@ def score_dataset(model, kind: str, dataset) -> np.ndarray:
 
 
 def choose_forward(kind: str, dataset, rows: np.ndarray) -> tuple:
-    """What score_rows forwards to score the rows of dataset, an array of
-    row indices: (dataset[rows], None) for a proper subset whose forward
-    has at least ALONE_ROWS rows (a density sequence runs D position rows),
-    else (dataset, rows), the whole set and the index to take from its
+    """What to forward to score the rows of dataset, an array of row
+    indices, with the bits of score_dataset(model, kind, dataset)[rows]:
+    (dataset[rows], None) for a proper subset whose forward has at least
+    ALONE_ROWS rows (a density sequence runs D position rows), else
+    (dataset, rows), the whole set and the index to take from its
     scores."""
     dataset = np.asarray(dataset)
     forward_rows = rows.size * (dataset.shape[1] if kind == "density_bpp" else 1)
@@ -52,15 +53,3 @@ def choose_forward(kind: str, dataset, rows: np.ndarray) -> tuple:
         return dataset[rows], None
     return dataset, rows
 
-
-def score_forward(model, kind: str, forward, index) -> np.ndarray:
-    """The scores of a (forward, index) pair from choose_forward."""
-    scores = score_dataset(model, kind, forward)
-    return scores if index is None else scores[index]
-
-
-def score_rows(model, kind: str, dataset, rows: np.ndarray) -> np.ndarray:
-    """score_dataset(model, kind, dataset)[rows], bit for bit, for an array
-    of row indices rows: kept rows alone or the whole set, as
-    choose_forward picks."""
-    return score_forward(model, kind, *choose_forward(kind, dataset, rows))

@@ -1,5 +1,5 @@
-"""The bit claims of forward, score_rows and the mixture generators under
-every OpenBLAS kernel this host can run.
+"""The bit claims of forward, kept-row scoring (score_rows) and the mixture
+generators under every OpenBLAS kernel this host can run.
 
 OpenBLAS picks its gemm kernel by CPU when it loads, and each kernel sums
 in its own order. OPENBLAS_CORETYPE forces a kernel for one process, so
@@ -65,6 +65,7 @@ def child_report() -> None:
 
     import oracles
     from test_generator_bytes import SOURCE_CASES, _digest
+    from test_scoring import _score_rows
 
     failures = {check: [] for check in CHECKS}
     for activation in ("relu", "tanh"):
@@ -82,13 +83,13 @@ def child_report() -> None:
                 net = nn_core.init_network([2, 32, 32, 4], seed=n, activation=activation)
                 X = rng.normal(scale=4.0, size=(n, 2))
                 rows = np.sort(np.append(rng.choice(n - 1, size=kept - 1, replace=False), n - 1))
-                if not _same_bits(scoring.score_rows(net, kind, X, rows), scoring.score_dataset(net, kind, X)[rows]):
+                if not _same_bits(_score_rows(net, kind, X, rows), scoring.score_dataset(net, kind, X)[rows]):
                     failures["score_rows"].append(f"{kind} {activation} n={n} kept={kept}")
     # 16 position rows per sequence: 128 sequences make an ALONE_ROWS-row forward
     net = nn_core.init_network(density.ar_layer_dims(8, 2, (32,)), 3)
     seqs = np.random.default_rng(4).integers(0, 8, size=(300, 16))
     rows = np.sort(np.random.default_rng(5).choice(300, size=scoring.ALONE_ROWS // 16, replace=False))
-    if not _same_bits(scoring.score_rows(net, "density_bpp", seqs, rows),
+    if not _same_bits(_score_rows(net, "density_bpp", seqs, rows),
                       scoring.score_dataset(net, "density_bpp", seqs)[rows]):
         failures["score_rows"].append("density_bpp")
     for case in ("synthetic_gaussian_mixture_k", "synthetic_gaussian_mixture_n"):

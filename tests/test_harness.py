@@ -145,7 +145,7 @@ def _first_seed(trained):
 
 def _evaluate(model, config, bundle):
     """evaluate_detector on the EvalRecord of bundle, as the eval command builds it."""
-    return pipeline.evaluate_detector(model, config, pipeline.eval_record(config, bundle))
+    return pipeline.evaluate_detector(model, "model", config, pipeline.eval_record(config, bundle))
 
 
 class TestConfigValidation:
@@ -1099,7 +1099,9 @@ class TestEvaluation:
         assert big.forward.tobytes() == bundle.tests["big"].rows[kept].tobytes()
         assert small.forward.tobytes() == bundle.tests["small"].rows.tobytes()
         assert np.array_equal(small.index, np.arange(200))
-        assert record.tests is None and record.din_test.rows.tobytes() == bundle.din_test.rows.tobytes()
+        # a run that does not calibrate keeps neither the validation split nor the whole test sets
+        assert record.din_val is None and record.tests is None
+        assert record.din_test.rows.tobytes() == bundle.din_test.rows.tobytes()
         sr = pipeline.run_seed(config, 3, models, record)
         _, fresh = _evaluate(models.final, config, bundle)
         assert set(sr.pools) == set(fresh) == {"big", "small"}
@@ -1142,6 +1144,22 @@ class TestEvaluation:
         assert calls == [(6, n_val, 3)]
         assert all(set(sr.calibration) == {"baseline_temp", "final_temp", "final_temp_rescaled"}
                    for sr in exp.seed_results)
+
+    def test_a_calibrating_run_fits_on_the_validation_split_each_record_keeps(self, tmp_path):
+        config = self._overlapping_config(seeds=(0, 1, 2))
+        trained, records = pipeline.train_models(config)
+        for seed, record in zip(config.seeds, records):
+            val = pipeline.prepare_data(config, seed).din_val
+            assert record.din_val.rows.tobytes() == val.rows.tobytes()
+            assert record.din_val.labels.tobytes() == val.labels.tobytes()
+        assert len({record.din_val.rows.tobytes() for record in records}) == 3
+        temps = pipeline.fit_temperatures([(m.baseline, m.final) for m in trained], records)
+        assert temps == [m.temperatures for m in trained]
+        reports.write_reports(tmp_path / "run", pipeline.run_experiment(config))
+        for seed, (baseline_temp, final_temp) in zip(config.seeds, temps):
+            cal = json.loads((tmp_path / "run" / f"calibration_seed{seed}.json").read_text())
+            assert cal["baseline_temp"]["temperature"] == baseline_temp
+            assert cal["final_temp"]["temperature"] == final_temp
 
     def test_a_seed_run_alone_writes_the_calibration_bytes_of_a_stacked_run(self, tmp_path):
         config = self._overlapping_config(seeds=(0, 1, 2))
@@ -1802,6 +1820,47 @@ class TestCli:
         assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"]) == 1
         err = capsys.readouterr().err
         assert f"error: dataset 'odd' ({params['generator']}){message}" in err, err
+
+    @pytest.mark.parametrize("command", ["run", "make-data"])
+    def test_rows_that_overflow_exit_one_with_the_refusal_alone(self, tmp_path, capsys, monkeypatch, command):
+        # a scale of 1e308 takes rows past the largest float while they are drawn
+        monkeypatch.setattr(pipeline, "train_baseline", None)  # nothing may train
+        body = _tiny_config().to_dict()
+        body["d_out_test"] = [{"kind": "generator", "name": "far",
+                               "params": {"generator": "shifted_gaussian", "mean": [0.0, 0.0], "scale": 1e308}}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: dataset 'far' (shifted_gaussian): features contain non-finite values\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "detector, calibration, refused",
+        [
+            ("msp", False, None),
+            ("msp", True, r"seed [01], (baseline|final) model, calibration pool: \d+ of \d+ confidences"),
+            ("uniform_ce", False,
+             r"seed [01], (baseline|final) model, test set 'shifted_gaussian': \d+ of \d+ scores"),
+        ],
+        ids=["msp", "msp_calibration", "uniform_ce"],
+    )
+    def test_scores_that_overflow_are_refused_by_name_without_warnings(self, tmp_path, capsys, detector,
+                                                                     calibration, refused):
+        # logits of rows near 1e308 overflow in the softmax and, divided by a
+        # temperature below 1, to NaN; msp's scores stay finite
+        config = get_preset("preset_2d", detector=detector, seeds=(0, 1), calibration=calibration)
+        config.epochs = config.finetune_epochs = 1
+        next(s for s in config.d_out_test if s.name == "shifted_gaussian").params["mean"] = [1e308, 1e308]
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        rc = cli.main(["run", "-c", str(path), "-o", str(tmp_path / "out"), "-q"])
+        err = capsys.readouterr().err
+        if refused is None:
+            assert (rc, err) == (0, "")
+        else:
+            assert rc == 1 and re.fullmatch(f"error: {refused} are not finite\n", err), err
 
     @pytest.mark.parametrize("role", ["d_out_oe", "d_out_test"])
     @pytest.mark.parametrize("case", ["vector_width", "sequence_alphabet"])

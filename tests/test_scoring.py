@@ -163,10 +163,19 @@ class TestScoreDataset:
             scoring.score_dataset(p, "mahalanobis", X)
 
 
+def _score_rows(net, kind, dataset, rows):
+    """The scores of the rows of dataset as evaluation takes them: the
+    forward choose_forward picks, scored, then narrowed by its index."""
+    forward, index = scoring.choose_forward(kind, dataset, rows)
+    scores = scoring.score_dataset(net, kind, forward)
+    return scores if index is None else scores[index]
+
+
 class TestScoreRows:
-    """score_rows equals whole-set scoring followed by indexing, bit for
-    bit, on both sides of its size rule: kept rows whose forward reaches
-    scoring.ALONE_ROWS rows are scored alone, fewer within the set."""
+    """Scoring what choose_forward picks equals whole-set scoring followed
+    by indexing, bit for bit, on both sides of its size rule: kept rows
+    whose forward reaches scoring.ALONE_ROWS rows are scored alone, fewer
+    within the set."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -191,7 +200,7 @@ class TestScoreRows:
         X = rng.normal(scale=4.0, size=(n, 2))
         rows = np.sort(rng.choice(n, size=kept, replace=False))
         original, seen = self._spy(monkeypatch)
-        got = scoring.score_rows(net, kind, X, rows)
+        got = _score_rows(net, kind, X, rows)
         whole = original(net, kind, X)
         assert np.array_equal(got.view(np.int64), whole[rows].view(np.int64))
         alone = kept >= 2048 and kept < n
@@ -204,7 +213,7 @@ class TestScoreRows:
         seqs = np.random.default_rng(4).integers(0, 8, size=(300, 16))
         rows = np.sort(np.random.default_rng(5).choice(300, size=kept, replace=False))
         original, seen = self._spy(monkeypatch)
-        got = scoring.score_rows(net, "density_bpp", seqs, rows)
+        got = _score_rows(net, "density_bpp", seqs, rows)
         whole = original(net, "density_bpp", seqs)
         assert np.array_equal(got.view(np.int64), whole[rows].view(np.int64))
         assert seen == [128 if kept == 128 else 300]
@@ -212,6 +221,6 @@ class TestScoreRows:
     def test_every_row_is_scored_whole(self, monkeypatch):
         X = np.random.default_rng(6).normal(size=(3000, 2))
         original, seen = self._spy(monkeypatch)
-        got = scoring.score_rows(_classifier(), "msp", X, np.arange(3000))
+        got = _score_rows(_classifier(), "msp", X, np.arange(3000))
         assert np.array_equal(got, original(_classifier(), "msp", X))
         assert seen == [3000]
