@@ -12,9 +12,9 @@ every dataset a config names, each to its own CSV.
 Every command runs with each loaded OpenBLAS limited to one thread and
 restores the previous count when it returns or raises. The workbench's
 nets are a few dozen units wide: a second BLAS thread cannot split their
-products usefully and spins on a core between them. The bits do not
-depend on the count, because a threaded gemm splits the output entries,
-not the sums behind them. Without OpenBLAS this is a no-op.
+products usefully and spins on a core between them. The one thread also
+pins forward's bits, which the Haswell and Nehalem kernels move at two
+threads (tests/test_blas_kernels.py). Without OpenBLAS this is a no-op.
 
 A command creates its output directory only when it writes its first
 file, so a refused command leaves no directory behind. run and make-data
@@ -72,12 +72,12 @@ def _mkdir(out: Path) -> Path:
     return out
 
 
-def _load_model(config: ExperimentConfig, bundle: pipeline.DataBundle, path: str) -> nn_core.NetworkParams:
-    """A saved net, refused unless it has the widths and activation the config builds on these data."""
+def _load_model(config: ExperimentConfig, layer_dims: list, path: str) -> nn_core.NetworkParams:
+    """A saved net, refused unless it has the widths layer_dims and the config's activation."""
     net = nn_core.load_params(path)
-    if net.layer_dims != bundle.layer_dims or net.activation != config.model.activation:
+    if net.layer_dims != layer_dims or net.activation != config.model.activation:
         raise ValidationError(f"{path}: the net has layer widths {net.layer_dims} and activation "
-                              f"{net.activation!r}, but this config builds {bundle.layer_dims} with "
+                              f"{net.activation!r}, but this config builds {layer_dims} with "
                               f"{config.model.activation!r}")
     return net
 
@@ -95,8 +95,8 @@ def cmd_run(args) -> int:
 
 def cmd_train(args) -> int:
     config, seed, out = _preamble(args)
-    bundle = pipeline.prepare_data(config, seed)
-    [model] = pipeline.train_baseline(config, pipeline.training_set([bundle]))
+    train, _ = pipeline.prepare_run(config, [seed])
+    [model] = pipeline.train_baseline(config, train)
     path = _mkdir(out) / f"baseline_seed{seed}.bin"
     nn_core.save_params(model, path)
     if not args.quiet:
@@ -106,9 +106,9 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     config, seed, out = _preamble(args)
-    bundle = pipeline.prepare_data(config, seed)
-    baseline = _load_model(config, bundle, args.params)
-    [model] = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])
+    train, _ = pipeline.prepare_run(config, [seed])
+    baseline = _load_model(config, train.layer_dims, args.params)
+    [model] = pipeline.finetune_oe(config, train, [baseline])
     path = _mkdir(out) / f"finetuned_seed{seed}.bin"
     nn_core.save_params(model, path)
     if not args.quiet:
@@ -118,10 +118,9 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     config, seed, out = _preamble(args)
-    bundle = pipeline.prepare_data(config, seed)
-    model = _load_model(config, bundle, args.params)
-    rep, pools = pipeline.evaluate_detector(model, f"model {args.params}", config,
-                                            pipeline.eval_record(config, bundle))
+    train, [record] = pipeline.prepare_run(config, [seed])
+    model = _load_model(config, train.layer_dims, args.params)
+    rep, pools = pipeline.evaluate_detector(model, f"model {args.params}", config, record)
     write_json(_mkdir(out) / f"eval_seed{seed}.json", {name: asdict(r) for name, r in rep.items()})
     for name, pool in pools.items():
         reports.write_pool_scores(out / f"scores_{name}_seed{seed}.csv", pool)

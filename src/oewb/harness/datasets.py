@@ -176,6 +176,9 @@ def read_csv(path, label_column: str | None = "label", alphabet_size: int | None
         return Dataset(values, None if label_idx is None else labels, alphabet_size)
     except ValidationError as exc:
         raise ValidationError(f"{p}: {exc}") from exc
+    except OverflowError:  # a symbol or label past int64
+        why = f"symbols must lie in [0, {alphabet_size})" if alphabet_size else "class labels must lie in [0, 2**63)"
+        raise ValidationError(f"{p}: {why}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +186,13 @@ def read_csv(path, label_column: str | None = "label", alphabet_size: int | None
 
 
 NEEDED = object()  # the default of a params key that every spec must set
+NUMPY_LIMIT = 2**63  # numpy refuses an array dimension, or an array's size in bytes, this large or larger
+
+
+def check_size(what: str, values: int) -> None:
+    """Refuse, before it is built, the array of values 8-byte entries (what) if it needs 2**63 bytes or more."""
+    if values * 8 >= NUMPY_LIMIT:
+        raise ValidationError(f"{what} need {values * 8} bytes, and no array holds 2**63 or more")
 
 
 @dataclass(frozen=True)
@@ -240,13 +250,16 @@ def _mixture(p: dict, n: int | None, dim: int | None, seed) -> Dataset:
     they go, the first n mod (classes drawn) classes taking one more, or
     without n p's n_per_cluster rows of each."""
     classes = range(p["k"]) if p["class_subset"] is None else list(p["class_subset"])
+    dim = (dim or 2) if p["dim"] is None else p["dim"]
+    check_size(f"{p['k']} cluster means of {dim} values (params.k, params.dim)", p["k"] * dim)
+    rows = len(classes) * p["n_per_cluster"] if n is None else n
+    check_size(f"{rows} rows of {dim} values (params.{'n_per_cluster' if n is None else 'n'}, params.dim)", rows * dim)
     if n is None:
         counts = [p["n_per_cluster"]] * len(classes)
     elif n < len(classes):
         raise ValidationError(f"the role's default of {n} rows is below the {len(classes)} classes drawn")
     else:
         counts = [n // len(classes) + (i < n % len(classes)) for i in range(len(classes))]
-    dim = (dim or 2) if p["dim"] is None else p["dim"]
     means = _cluster_means(p["k"], dim, p["separation"])
     rng = np.random.default_rng(seed)
     feats = []
@@ -263,10 +276,11 @@ def _markov(p: dict, n: int, dim, seed) -> Dataset:
     advance +1 w.p. p_step, hold w.p. p_stay, else jump uniformly over the
     remaining symbols."""
     p_step, p_stay, v = p["p_step"], p["p_stay"], p["alphabet_size"]
+    check_size(f"{n} walks of {p['length']} symbols (params.n, params.length)", n * p["length"])
     rng = np.random.default_rng(seed)
-    start_pool = np.arange(v) if p["starts"] is None else np.asarray(sorted(p["starts"]), dtype=np.int64)
+    pool = None if p["starts"] is None else np.asarray(sorted(p["starts"]), dtype=np.int64)
     seqs = np.zeros((n, p["length"]), dtype=np.int64)
-    cur = start_pool[rng.integers(0, start_pool.size, size=n)]
+    cur = rng.integers(0, v, size=n) if pool is None else pool[rng.integers(0, pool.size, size=n)]
     seqs[:, 0] = cur
     for t in range(1, p["length"]):
         u = rng.random(n)
@@ -330,6 +344,9 @@ def _out_of_range(kind: str, p: dict) -> str | None:
     with, as the key and what is wrong with it. check_params has made
     value_range the right length. The faults that depend on the inlier
     dimension are raised as rows are built."""
+    big = next((key for key, value in p.items() if type(value) is int and value >= NUMPY_LIMIT), None)
+    if big is not None:
+        return f"{big} must be below 2**63, got {p[big]!r}"
     n, value_range = p.get("n"), p.get("value_range")
     if n is not None and n < 1:
         return f"n must be positive, got {n!r}"
@@ -453,6 +470,8 @@ def materialize(spec: config.DatasetSpec, n: int | None, seed, dim: int | None =
     kind = p.get("generator", spec.kind)
     n = n if p["n"] is None else p["n"]
     where = f"dataset {spec.name!r} ({kind})"
+    if n is None and "generator" in p:
+        raise ValidationError(f"{where} needs params key n: nothing else sets its row count")
     if "scale" in p:  # a generator of vector rows
         if dim is None:
             raise ValidationError(f"{where} takes the experiment dimension from vector d_in rows: vector "
@@ -461,8 +480,7 @@ def materialize(spec: config.DatasetSpec, n: int | None, seed, dim: int | None =
             if isinstance(p.get(key), list) and len(p[key]) != dim:
                 raise ValidationError(f"dataset {spec.name!r} params.{key} must have one entry per "
                                       f"dimension ({dim}), got {p[key]!r}")
-    if n is None and "generator" in p:
-        raise ValidationError(f"{where} needs params key n: nothing else sets its row count")
+        check_size(f"{where}: {n} rows of {dim} values (params.n)", n * dim)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # Dataset refuses what overflowed
             return _KINDS[kind].build(p, n, dim, seed)

@@ -8,23 +8,23 @@ its data, and the stages take both from it, so its pools and calibration
 mix come from the seed that built it. prepare_data expects a validated
 config, which run_experiment (validating once) and the CLI commands give.
 
-run_experiment goes stage by stage across the seeds. It prepares every
-seed's data once (refusing, before anything trains, sets the nets cannot
-read, auxiliary outliers that reappear in a test set and test sets too
-small for the base rate). Of each seed's DataBundle it keeps the stacked
-training part and an EvalRecord: the inlier test split, every test set's
-base-rate pool rows and the outlier rows scoring forwards for them (and,
-when the config calibrates, the validation split and the whole test
-sets). It trains all baselines in lockstep as one stack of nets, then
-fine-tunes (or trains scratch_oe) all of them in lockstep, and takes each
-classifier's accuracy on its training split. When the config calibrates,
-one calibration.tune_temperature call then fits every seed's baseline
-and final temperatures on the validation splits of the EvalRecords.
+run_experiment goes stage by stage across the seeds. prepare_run prepares
+every seed's data once, as it does the one seed of the train, finetune and
+eval commands (refusing, before anything trains, sets the nets cannot read,
+auxiliary outliers that reappear in a test set and test sets too small for
+the base rate). Of each seed it keeps the stacked training part
+and an EvalRecord: the inlier test split, every test set's base-rate pool
+rows and the outlier rows scoring forwards for them (and, when the config
+calibrates, the validation split and the whole test sets). All baselines
+train in lockstep as one stack of nets, then all fine-tune (or train
+scratch_oe), and each classifier's accuracy is taken on its training split.
+With calibration, one calibration.tune_temperature call fits every seed's
+baseline and final temperatures on the EvalRecords' validation splits.
 Finally run_seed evaluates and calibrates one seed at a time from its
-EvalRecord, and summarize takes every metric's mean over the
-seeds. run_experiment returns that ExperimentResult and prints and writes
-nothing; the run command hands it to reports, which imports this module
-and not the other way round.
+EvalRecord, and summarize takes every metric's mean over the seeds.
+run_experiment returns that ExperimentResult and prints and writes nothing;
+the run command hands it to reports, which imports this module and not the
+other way round.
 Every detector's model is a plain nn_core.NetworkParams, a classifier or
 a density net (density.layout), so one stack serves both kinds.
 A seed's models are bit-identical to the ones it would train alone, as a
@@ -54,7 +54,7 @@ from .. import nn_core
 from .. import scoring as scoring_mod
 from ..errors import DivergenceError, ValidationError
 from .config import ExperimentConfig
-from .datasets import Dataset, check_disjoint, materialize
+from .datasets import Dataset, check_disjoint, check_size, materialize
 
 # Role ids for seed derivation. Never renumber: stored artifacts depend on them.
 ROLE_DIN = 0
@@ -111,8 +111,8 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
     if a test outlier set and the inlier test split cannot form a pool at
     the config's base rate, if any auxiliary outlier row reappears in a
     test outlier set, if a classifier detector's d_in rows have no
-    labels, or if d_in gives the nets fewer than two outputs (one class,
-    or an alphabet of one symbol). config must be validated."""
+    labels, or if d_in gives the nets fewer than two outputs or more
+    parameters than numpy can hold. config must be validated."""
     din = materialize(config.d_in, n=None, seed=_ss(seed, ROLE_DIN))
     n = din.n
     order = np.random.default_rng(_ss(seed, ROLE_SPLIT)).permutation(n)
@@ -149,6 +149,9 @@ def prepare_data(config: ExperimentConfig, seed: int) -> DataBundle:
         what = f"{dims[-1]} class" if din.alphabet_size is None else f"alphabet_size {dims[-1]}"
         raise ValidationError(f"detector {config.detector!r} needs at least two classes or symbols, but "
                               f"d_in {config.d_in.name!r} has {what}")
+    keys = "model.hidden_dims, model.context_window" if config.detector == "density_bpp" else "model.hidden_dims"
+    check_size(f"nets of layer widths {dims} (d_in {config.d_in.name!r}, {keys})",
+               sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])))
     return DataBundle(int(seed), din_train, din_val, din_test, oe, tests, dims)
 
 
@@ -166,11 +169,6 @@ def validation_sets(config: ExperimentConfig, bundle: DataBundle) -> dict:
     return vals
 
 
-# ---------------------------------------------------------------------------
-# Training. Every stage trains the seeds of a TrainingSet in lockstep, as one
-# stack of nets on nn_core's engine, and returns one model per seed.
-
-
 @dataclass
 class TrainingSet:
     """What training reads of every bundle, stacked along a leading seed axis:
@@ -183,38 +181,74 @@ class TrainingSet:
     layer_dims: list
 
 
-def training_set(bundles, count: int | None = None) -> TrainingSet:
-    """Stack the training part of one bundle per seed, in bundle order.
+class PoolRows(NamedTuple):
+    """One test set's base-rate pool: the inlier test rows it keeps, and
+    the (forward, index) pair from scoring.choose_forward for its outlier
+    rows."""
 
-    The stacks are allocated for count seeds (by default len(bundles)) at
-    the first bundle's shapes, and each bundle's training part is copied
-    in as it is drawn, so bundles may be a generator of count bundles that
-    holds one at a time: no part of a bundle but its copied rows outlives
-    it. Symbol sequences and class labels are stacked in the smallest
-    unsigned dtype that holds their alphabet or class count (nn_core.Batch
-    widens labels for training).
-    """
-    count = len(bundles) if count is None else count
-    for i, b in enumerate(bundles):
-        din = b.din_train
+    in_rows: np.ndarray
+    forward: np.ndarray
+    index: np.ndarray | None
+
+
+@dataclass
+class EvalRecord:
+    """What evaluation and calibration read of one seed's DataBundle: its
+    seed, inlier test split and every test set's PoolRows by name, and
+    only when the config calibrates, the validation split that
+    fit_temperatures fits on and the whole test sets, which
+    calibration_eval pools."""
+
+    seed: int
+    din_test: Dataset
+    pools: dict  # test outlier set name -> PoolRows
+    din_val: Dataset | None = None
+    tests: dict | None = None
+
+
+def prepare_run(config: ExperimentConfig, seeds) -> tuple:
+    """(TrainingSet, EvalRecord list) of the seeds, in order: all that a
+    command which trains or evaluates reads. Each seed's DataBundle is
+    dropped before the next is prepared: its training part is copied into
+    stacks allocated at the first bundle's shapes (symbols and class labels
+    in the smallest unsigned dtype that holds them; nn_core.Batch widens
+    labels), and of its test sets its EvalRecord keeps the pool rows, drawn
+    once from the set sizes (metrics.base_rate_rows, seeded per set) so that
+    baseline and final models share them, and the outlier rows scoring
+    forwards for them."""
+    count, records = len(seeds), []
+    for i, seed in enumerate(seeds):
+        bundle = prepare_data(config, seed)
+        din = bundle.din_train
         if i == 0:
             dtype = np.float64 if din.alphabet_size is None else np.min_scalar_type(din.alphabet_size)
             train = TrainingSet(
-                [],
+                [int(s) for s in seeds],
                 np.empty((count, *din.rows.shape), dtype),
-                None if din.labels is None else np.empty((count, din.n), np.min_scalar_type(b.layer_dims[-1])),
-                None if b.oe is None else np.empty((count, *b.oe.rows.shape), dtype),
-                b.layer_dims,
+                None if din.labels is None else np.empty((count, din.n), np.min_scalar_type(bundle.layer_dims[-1])),
+                None if bundle.oe is None else np.empty((count, *bundle.oe.rows.shape), dtype),
+                bundle.layer_dims,
             )
-        train.seeds.append(b.seed)
         train.rows[i] = din.rows
         if train.labels is not None:
             train.labels[i] = din.labels  # each in [0, class count), as prepare_data checked
         if train.oe_rows is not None:
-            train.oe_rows[i] = b.oe.rows
-    if len(train.seeds) != count:
-        raise ValueError(f"training_set expected {count} bundles, got {len(train.seeds)}")
-    return train
+            train.oe_rows[i] = bundle.oe.rows
+        pools = {}
+        for j, (name, data) in enumerate(bundle.tests.items()):
+            in_rows, out_rows = metrics_mod.base_rate_rows(bundle.din_test.n, data.n, ratio=config.base_rate,
+                                                           seed=_ss(bundle.seed, ROLE_BASE_RATE, j))
+            in_rows = in_rows.astype(np.min_scalar_type(bundle.din_test.n))  # every record outlasts training
+            pools[name] = PoolRows(in_rows, *scoring_mod.choose_forward(config.detector, data.rows, out_rows))
+        kept = (bundle.din_val, bundle.tests) if config.calibration else ()
+        records.append(EvalRecord(bundle.seed, bundle.din_test, pools, *kept))
+        del bundle, din, data  # freed before the next seed's bundle is built
+    return train, records
+
+
+# ---------------------------------------------------------------------------
+# Training. Every stage trains the seeds of a TrainingSet in lockstep, as one
+# stack of nets on nn_core's engine, and returns one model per seed.
 
 
 def _initial_stack(config: ExperimentConfig, train: TrainingSet) -> nn_core.NetworkParams:
@@ -306,20 +340,11 @@ def train_models(config: ExperimentConfig) -> tuple:
     stage trained in lockstep across the seeds, with calibration every
     seed's temperatures in one fit, and every seed's EvalRecord.
 
-    Every seed's data are prepared once, and checked for auxiliary-outlier
-    overlap, before any training starts; of each bundle only its training
-    set and its EvalRecord are kept. A classifier's training accuracy reads
-    its seed's row of the stacked training set.
+    prepare_run prepares every seed's data once, and checks it for
+    auxiliary-outlier overlap, before any training starts. A classifier's
+    training accuracy reads its seed's row of the stacked training set.
     """
-    records = []
-
-    def bundles():
-        for s in config.seeds:
-            bundle = prepare_data(config, s)
-            records.append(eval_record(config, bundle))
-            yield bundle
-
-    train = training_set(bundles(), count=len(config.seeds))
+    train, records = prepare_run(config, config.seeds)
     baselines = train_baseline(config, train)
     if config.pipeline == "finetune_oe":
         finals = finetune_oe(config, train, baselines)
@@ -343,49 +368,6 @@ def classifier_accuracy(params: nn_core.NetworkParams, rows: np.ndarray, labels:
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-
-class PoolRows(NamedTuple):
-    """One test set's base-rate pool: the inlier test rows it keeps, and
-    the (forward, index) pair from scoring.choose_forward for its outlier
-    rows."""
-
-    in_rows: np.ndarray
-    forward: np.ndarray
-    index: np.ndarray | None
-
-
-@dataclass
-class EvalRecord:
-    """What evaluation and calibration read of one seed's DataBundle: its
-    seed, inlier test split and every test set's PoolRows by name, and
-    only when the config calibrates, the validation split that
-    fit_temperatures fits on and the whole test sets, which
-    calibration_eval pools."""
-
-    seed: int
-    din_test: Dataset
-    pools: dict  # test outlier set name -> PoolRows
-    din_val: Dataset | None = None
-    tests: dict | None = None
-
-
-def eval_record(config: ExperimentConfig, bundle: DataBundle) -> EvalRecord:
-    """The bundle's EvalRecord. Each set's pool rows are drawn once, from
-    the set sizes alone (metrics.base_rate_rows, seeded per set from the
-    bundle's seed), so baseline and fine-tuned models are compared on
-    identical example pools; of each outlier set only the rows that
-    scoring forwards for its pool are kept."""
-    pools = {}
-    for i, (name, data) in enumerate(bundle.tests.items()):
-        in_rows, out_rows = metrics_mod.base_rate_rows(
-            bundle.din_test.n, data.n, ratio=config.base_rate, seed=_ss(bundle.seed, ROLE_BASE_RATE, i)
-        )
-        in_rows = in_rows.astype(np.min_scalar_type(bundle.din_test.n))  # every record outlasts training
-        pools[name] = PoolRows(in_rows, *scoring_mod.choose_forward(config.detector, data.rows, out_rows))
-    if config.calibration:
-        return EvalRecord(bundle.seed, bundle.din_test, pools, bundle.din_val, bundle.tests)
-    return EvalRecord(bundle.seed, bundle.din_test, pools)
 
 
 def _refuse_non_finite(where: str, what: str, *arrays) -> None:
@@ -432,7 +414,7 @@ def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, fin
     temperatures is the (baseline, final) pair from fit_temperatures. The
     pool mixes in-distribution test rows with pooled test outliers at equal
     counts, drawn from the record's seed; outliers count as incorrect. The
-    record must hold the whole test sets (eval_record of a calibrating
+    record must hold the whole test sets (prepare_run under a calibrating
     config). The forwards run with numpy's float warnings off: a pool
     confidence that overflowed to NaN is refused, naming the seed and the
     model."""

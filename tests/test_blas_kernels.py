@@ -1,5 +1,6 @@
-"""The bit claims of forward, kept-row scoring (score_rows) and the mixture
-generators under every OpenBLAS kernel this host can run.
+"""The bit claims of forward, kept-row scoring (score_rows), the mixture
+generators and forward at one and at two BLAS threads (threads) under
+every OpenBLAS kernel this host can run.
 
 OpenBLAS picks its gemm kernel by CPU when it loads, and each kernel sums
 in its own order. OPENBLAS_CORETYPE forces a kernel for one process, so
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 KERNELS = ("Nehalem", "Sandybridge", "Haswell", "SkylakeX")
-CHECKS = ("forward", "score_rows", "generators")
+CHECKS = ("forward", "score_rows", "generators", "threads")
 
 # the kernel-name getter as exported by numpy's scipy-openblas wheel and
 # by plain 64-bit-integer and 32-bit-integer builds
@@ -58,9 +59,10 @@ def _same_bits(a, b) -> bool:
 
 def child_report() -> None:
     """Print, as JSON, the kernel this process runs and, by check, the
-    cases that fail under it."""
+    cases that fail under it (None for threads when no loaded OpenBLAS
+    could be set to two threads)."""
     from oewb import density, nn_core, scoring
-    from oewb.harness import datasets
+    from oewb.harness import cli, datasets
     from oewb.harness.config import DatasetSpec
 
     import oracles
@@ -98,6 +100,20 @@ def child_report() -> None:
                                     dim=dim)
         if _digest(data) != want:
             failures["generators"].append(case)
+    # the CLI's one thread against two, which a threaded gemm splits the rows between
+    controls = cli._blas_thread_controls()
+    net = nn_core.init_network([2, 32, 32, 4], seed=1)
+    for n in (4097, 8193, 20000):
+        x = np.random.default_rng(n).normal(size=(n, 2)) * 3.0
+        at = []
+        for threads in (1, 2):
+            for _, put in controls:
+                put(threads)
+            at.append(nn_core.forward(net, x))
+        if not _same_bits(*at):
+            failures["threads"].append(f"n={n}")
+    if not controls or any(get() != 2 for get, _ in controls):
+        failures["threads"] = None
     print(json.dumps({"kernel": corename(), "failures": failures}))
 
 
@@ -115,12 +131,18 @@ def _child(kernel: str) -> dict:
 # On Nehalem and Haswell a gemm computes the rows of its last, short tile
 # (Haswell: of one row; Nehalem: of one or two) with other bits than the
 # same rows inside a full tile, so kept rows at the end of either pass move.
-_TAIL_ROWS_MOVE = {("Nehalem", "score_rows"), ("Haswell", "score_rows")}
+# On the same two kernels a forward of 4,097 or 8,193 rows gives other bits
+# at two BLAS threads than at one (20,000 rows agree); the CLI runs one.
+_MOVES = {
+    ("Nehalem", "score_rows"): "a row in a gemm's short last tile moves",
+    ("Haswell", "score_rows"): "a row in a gemm's short last tile moves",
+    ("Nehalem", "threads"): "a second BLAS thread moves a forward's bits",
+    ("Haswell", "threads"): "a second BLAS thread moves a forward's bits",
+}
 
 
 @pytest.mark.parametrize("kernel, check", [
-    pytest.param(k, c, marks=pytest.mark.xfail(strict=True, reason="a row in a gemm's short last tile moves")
-                 if (k, c) in _TAIL_ROWS_MOVE else ())
+    pytest.param(k, c, marks=pytest.mark.xfail(strict=True, reason=_MOVES[k, c]) if (k, c) in _MOVES else ())
     for k in KERNELS for c in CHECKS
 ])
 def test_bit_claims_hold_under_the_kernel(kernel, check):
@@ -132,4 +154,6 @@ def test_bit_claims_hold_under_the_kernel(kernel, check):
     report = _child(kernel)
     if report["kernel"] != kernel:
         pytest.skip(f"asked for {kernel}, the child loaded {report['kernel']}")
+    if report["failures"][check] is None:
+        pytest.skip("the child could not run OpenBLAS on two threads")
     assert report["failures"][check] == []

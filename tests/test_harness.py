@@ -143,9 +143,15 @@ def _first_seed(trained):
     return models[0], records[0]
 
 
-def _evaluate(model, config, bundle):
-    """evaluate_detector on the EvalRecord of bundle, as the eval command builds it."""
-    return pipeline.evaluate_detector(model, "model", config, pipeline.eval_record(config, bundle))
+def _train(config, seed):
+    """The TrainingSet of one seed, as the train and finetune commands build it."""
+    return pipeline.prepare_run(config, [seed])[0]
+
+
+def _evaluate(model, config, seed):
+    """evaluate_detector on the EvalRecord of one seed, as the eval command builds it."""
+    _, [record] = pipeline.prepare_run(config, [seed])
+    return pipeline.evaluate_detector(model, "model", config, record)
 
 
 class TestConfigValidation:
@@ -895,8 +901,9 @@ class TestTrainingPipeline:
         config = _tiny_config(lam=0.0)
         seed = 3
         bundle = pipeline.prepare_data(config, seed)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
+        train = _train(config, seed)
+        baseline = pipeline.train_baseline(config, train)[0]
+        tuned = pipeline.finetune_oe(config, train, [baseline])[0]
 
         X, y = bundle.din_train.rows, bundle.din_train.labels
         n = X.shape[0]
@@ -923,55 +930,84 @@ class TestTrainingPipeline:
 
     def test_zero_finetune_epochs_returns_baseline(self):
         config = _tiny_config(finetune_epochs=0)
-        bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        assert pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0] is baseline
+        train = _train(config, 0)
+        baseline = pipeline.train_baseline(config, train)[0]
+        assert pipeline.finetune_oe(config, train, [baseline])[0] is baseline
 
     def test_baseline_is_deterministic(self):
         config = _tiny_config()
-        bundle = pipeline.prepare_data(config, seed=4)
-        a = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        b = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        a = pipeline.train_baseline(config, _train(config, 4))[0]
+        b = pipeline.train_baseline(config, _train(config, 4))[0]
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
     def test_baseline_fits_separable_clusters(self):
         config = _tiny_config(epochs=20)
         bundle = pipeline.prepare_data(config, seed=0)
-        model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        model = pipeline.train_baseline(config, _train(config, 0))[0]
         assert pipeline.classifier_accuracy(model, bundle.din_train.rows, bundle.din_train.labels) >= 0.95
         assert pipeline.classifier_accuracy(model, bundle.din_val.rows, bundle.din_val.labels) >= 0.9
 
     def test_scratch_differs_from_finetune(self):
         config = _tiny_config()
-        bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
-        scratch = pipeline.train_scratch_oe(config, pipeline.training_set([bundle]))[0]
+        train = _train(config, 0)
+        baseline = pipeline.train_baseline(config, train)[0]
+        tuned = pipeline.finetune_oe(config, train, [baseline])[0]
+        scratch = pipeline.train_scratch_oe(config, train)[0]
         assert any(
             not np.array_equal(a, b) for a, b in zip(tuned.arrays(), scratch.arrays())
         )
 
     def test_finetune_leaves_baseline_untouched(self):
         config = _tiny_config()
-        bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
+        train = _train(config, 0)
+        baseline = pipeline.train_baseline(config, train)[0]
         before = [a.copy() for a in baseline.arrays()]
-        pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
+        pipeline.finetune_oe(config, train, [baseline])[0]
         for a, b in zip(baseline.arrays(), before):
             assert np.array_equal(a, b)
 
-    def test_training_set_takes_seeds_and_widths_from_the_bundles(self):
+    def test_prepare_run_takes_seeds_and_widths_from_the_bundles(self):
         config = _tiny_config(seeds=(3, 1))
-        train = pipeline.training_set((pipeline.prepare_data(config, s) for s in config.seeds), count=2)
-        assert train.seeds == [3, 1]
+        train, records = pipeline.prepare_run(config, config.seeds)
+        assert train.seeds == [r.seed for r in records] == [3, 1]
         assert train.layer_dims == [2, 8, 3]
-        with pytest.raises(ValueError, match="training_set expected 3 bundles, got 2"):
-            pipeline.training_set((pipeline.prepare_data(config, s) for s in config.seeds), count=3)
+
+    @pytest.mark.parametrize("detector", ["msp", "density_bpp"])
+    def test_a_seed_prepared_alone_is_its_slice_of_a_run(self, detector):
+        # what the train, finetune and eval commands read of one seed is, bit
+        # for bit, what a run of every seed keeps of it
+        def bits(a):
+            return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+        def data_bits(d):
+            return bits(d.rows), bits(d.labels), d.alphabet_size
+
+        seeds = (4, 0, 7)
+        config = (_tiny_config(seeds=seeds, calibration=True) if detector == "msp"
+                  else _tiny_density_config(seeds=seeds))
+        train, records = pipeline.prepare_run(config, seeds)
+        for i, seed in enumerate(seeds):
+            solo, [record] = pipeline.prepare_run(config, [seed])
+            assert solo.seeds == [seed] and solo.layer_dims == train.layer_dims
+            for whole, alone in ((train.rows, solo.rows), (train.labels, solo.labels), (train.oe_rows, solo.oe_rows)):
+                assert bits(alone) == (None if whole is None else bits(whole[i : i + 1]))
+            want = records[i]
+            assert record.seed == want.seed == seed
+            assert data_bits(record.din_test) == data_bits(want.din_test)
+            assert list(record.pools) == list(want.pools) == [spec.name for spec in config.d_out_test]
+            for name, pool in record.pools.items():
+                assert [bits(a) for a in pool] == [bits(a) for a in want.pools[name]]
+            if config.calibration:
+                assert data_bits(record.din_val) == data_bits(want.din_val)
+                assert list(record.tests) == list(want.tests)
+                assert all(data_bits(record.tests[name]) == data_bits(want.tests[name]) for name in record.tests)
+            else:
+                assert record.din_val is record.tests is want.din_val is want.tests is None
 
     def test_stacked_divergence_names_the_diverging_seed(self):
         config = _tiny_config(seeds=(3, 4))
-        train = pipeline.training_set((pipeline.prepare_data(config, s) for s in config.seeds), count=2)
+        train, _ = pipeline.prepare_run(config, config.seeds)
         train.rows[1] *= 1e300
         with pytest.raises(DivergenceError) as err:
             pipeline.train_baseline(config, train)
@@ -993,8 +1029,8 @@ class TestEvaluation:
     def test_pools_respect_base_rate(self):
         config = _tiny_config(base_rate=(1, 2))
         bundle = pipeline.prepare_data(config, seed=0)
-        model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        _, pools = _evaluate(model, config, bundle)
+        model = pipeline.train_baseline(config, _train(config, 0))[0]
+        _, pools = _evaluate(model, config, 0)
         pool = pools["ring"]
         n_in, n_out = bundle.din_test.n, bundle.tests["ring"].n
         m = min(n_out // 1, n_in // 2)
@@ -1003,10 +1039,9 @@ class TestEvaluation:
 
     def test_pool_subsample_is_seeded_per_set(self):
         config = _tiny_config()
-        bundle = pipeline.prepare_data(config, seed=5)
-        model = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        _, p1 = _evaluate(model, config, bundle)
-        _, p2 = _evaluate(model, config, bundle)
+        model = pipeline.train_baseline(config, _train(config, 5))[0]
+        _, p1 = _evaluate(model, config, 5)
+        _, p2 = _evaluate(model, config, 5)
         assert np.array_equal(p1["ring"].in_scores, p2["ring"].in_scores)
         assert np.array_equal(p1["ring"].out_scores, p2["ring"].out_scores)
 
@@ -1014,11 +1049,11 @@ class TestEvaluation:
         # The subsample indices depend only on (seed, role, set index), so a
         # score that both models agree on lands in both pools or neither.
         config = _tiny_config(base_rate=(1, 1))
-        bundle = pipeline.prepare_data(config, seed=0)
-        baseline = pipeline.train_baseline(config, pipeline.training_set([bundle]))[0]
-        tuned = pipeline.finetune_oe(config, pipeline.training_set([bundle]), [baseline])[0]
-        _, pb = _evaluate(baseline, config, bundle)
-        _, pf = _evaluate(tuned, config, bundle)
+        train = _train(config, 0)
+        baseline = pipeline.train_baseline(config, train)[0]
+        tuned = pipeline.finetune_oe(config, train, [baseline])[0]
+        _, pb = _evaluate(baseline, config, 0)
+        _, pf = _evaluate(tuned, config, 0)
         assert pb["ring"].in_scores.size == pf["ring"].in_scores.size
         assert pb["ring"].out_scores.size == pf["ring"].out_scores.size
 
@@ -1026,12 +1061,12 @@ class TestEvaluation:
         config = _tiny_config(seeds=(5,))
         models, record = _first_seed(pipeline.train_models(config))
         sr = pipeline.run_seed(config, 5, models, record)
-        _, pools = _evaluate(models.final, config, pipeline.prepare_data(config, 5))
+        _, pools = _evaluate(models.final, config, 5)
         assert set(pools) == set(sr.pools) == {"ring"}
         got, want = pools["ring"], sr.pools["ring"]
         assert np.array_equal(got.in_scores.view(np.int64), want.in_scores.view(np.int64))
         assert np.array_equal(got.out_scores.view(np.int64), want.out_scores.view(np.int64))
-        _, other = _evaluate(models.final, config, pipeline.prepare_data(config, 6))
+        _, other = _evaluate(models.final, config, 6)
         assert not np.array_equal(other["ring"].out_scores, pools["ring"].out_scores)
 
     def test_large_pools_score_only_their_kept_outlier_rows(self, monkeypatch):
@@ -1054,7 +1089,7 @@ class TestEvaluation:
             return original(model, kind, dataset)
 
         monkeypatch.setattr(pipeline.scoring_mod, "score_dataset", counting)
-        _, pools = _evaluate(model, config, bundle)
+        _, pools = _evaluate(model, config, 0)
         assert rows_scored == [2070, 2070, 200]
         in_scores = original(model, "msp", bundle.din_test.rows)
         for i, name in enumerate(("big", "small")):
@@ -1103,7 +1138,7 @@ class TestEvaluation:
         assert record.din_val is None and record.tests is None
         assert record.din_test.rows.tobytes() == bundle.din_test.rows.tobytes()
         sr = pipeline.run_seed(config, 3, models, record)
-        _, fresh = _evaluate(models.final, config, bundle)
+        _, fresh = _evaluate(models.final, config, 3)
         assert set(sr.pools) == set(fresh) == {"big", "small"}
         for name, pool in fresh.items():
             assert sr.pools[name].in_scores.tobytes() == pool.in_scores.tobytes()
@@ -1506,6 +1541,127 @@ class TestCli:
         for entry, seed, m in zip(per_seed, config.seeds, models):
             train = pipeline.prepare_data(config, seed).din_train
             assert entry["train_accuracy"] == pipeline.classifier_accuracy(m.final, train.rows, train.labels)
+
+    def test_every_command_that_trains_or_evaluates_prepares_its_data_in_one_call(self, tmp_path, monkeypatch):
+        path = self._write_config(tmp_path, seeds=(0, 1), epochs=1, finetune_epochs=1)
+        out = tmp_path / "out"
+        assert cli.main(["train", "-c", str(path), "-o", str(out), "-q"]) == 0
+        assert cli.main(["finetune", "-c", str(path), "-o", str(out), "-q", "--params",
+                         str(out / "baseline_seed0.bin")]) == 0
+        calls = []
+        prepare_run, prepare_data = pipeline.prepare_run, pipeline.prepare_data
+
+        def counted_run(config, seeds):
+            calls.append(("prepare_run", tuple(seeds)))
+            return prepare_run(config, seeds)
+
+        def counted_data(config, seed):
+            calls.append(("prepare_data", seed))
+            return prepare_data(config, seed)
+
+        monkeypatch.setattr(pipeline, "prepare_run", counted_run)
+        monkeypatch.setattr(pipeline, "prepare_data", counted_data)
+        for argv, seeds in (
+            (["run", "-o", str(tmp_path / "run")], (0, 1)),
+            (["train", "-o", str(tmp_path / "train"), "--seed", "1"], (1,)),
+            (["finetune", "-o", str(tmp_path / "tuned"), "--params", str(out / "baseline_seed0.bin")], (0,)),
+            (["eval", "-o", str(tmp_path / "eval"), "--params", str(out / "finetuned_seed0.bin")], (0,)),
+        ):
+            calls.clear()
+            assert cli.main([*argv, "-c", str(path), "-q"]) == 0, argv
+            assert calls == [("prepare_run", seeds), *(("prepare_data", s) for s in seeds)], argv
+
+    @pytest.mark.parametrize("command", ["make-data", "run"])
+    @pytest.mark.parametrize("preset, edits, message", [
+        pytest.param("preset_2d", {"d_out_test.0.params.n": 2**63},
+                     "dataset 'ring' (ring) params.n must be below 2**63", id="test-n-2**63"),
+        pytest.param("preset_2d", {"d_out_test.0.params.n": 2**62},
+                     "dataset 'ring' (ring): 4611686018427387904 rows of 2 values (params.n) need "
+                     "73786976294838206464 bytes", id="test-n-2**62"),
+        pytest.param("preset_2d", {"d_out_oe.params.n": 2**63},
+                     "dataset 'box_noise' (uniform_box) params.n must be below 2**63", id="oe-n"),
+        pytest.param("preset_2d", {"d_in.params.n_per_cluster": 2**63},
+                     "dataset 'clusters2d' (synthetic_gaussian_mixture) params.n_per_cluster must be below 2**63",
+                     id="n_per_cluster"),
+        pytest.param("preset_2d", {"d_in.params.dim": 2**63},
+                     "dataset 'clusters2d' (synthetic_gaussian_mixture) params.dim must be below 2**63", id="dim"),
+        pytest.param("preset_2d", {"d_in.params.dim": 2**62},
+                     "dataset 'clusters2d' (synthetic_gaussian_mixture): 4 cluster means of 4611686018427387904 "
+                     "values (params.k, params.dim) need", id="dim-2**62"),
+        pytest.param("preset_2d", {"d_in.params.k": 2**63},
+                     "dataset 'clusters2d' (synthetic_gaussian_mixture) params.k must be below 2**63", id="k"),
+        pytest.param("preset_2d", {"d_in.params.k": 2**62, "d_in.params.class_subset": [0, 1]},
+                     "dataset 'clusters2d' (synthetic_gaussian_mixture): 4611686018427387904 cluster means of 2 "
+                     "values (params.k, params.dim) need", id="k-2**62-subset"),
+        pytest.param("preset_density", {"d_in.params.length": 2**63},
+                     "dataset 'walks_p70' (markov_chain) params.length must be below 2**63", id="length"),
+        pytest.param("preset_density", {"d_in.params.n": 2**61},
+                     "dataset 'walks_p70' (markov_chain): 2305843009213693952 walks of 16 symbols "
+                     "(params.n, params.length) need", id="walks-n-2**61"),
+        pytest.param("preset_density", {"d_in.params.alphabet_size": 2**63},
+                     "dataset 'walks_p70' (markov_chain) params.alphabet_size must be below 2**63",
+                     id="alphabet_size"),
+        pytest.param("preset_density", {"d_in.params.alphabet_size": 2**62, "d_in.params.starts": None,
+                                        "d_out_oe.params.alphabet_size": 2**62,
+                                        "d_out_test.0.params.alphabet_size": 2**62},
+                     "nets of layer widths [9223372036854775810, 32, 4611686018427387904] (d_in 'walks_p70', "
+                     "model.hidden_dims, model.context_window) need", id="alphabet_size-2**62-no-starts"),
+        pytest.param("preset_2d", {"model.hidden_dims": [2**62]},
+                     "nets of layer widths [2, 4611686018427387904, 4] (d_in 'clusters2d', model.hidden_dims) "
+                     "need 258254417031933722656 bytes", id="hidden_dims"),
+        pytest.param("preset_density", {"model.context_window": 2**62},
+                     "nets of layer widths [41505174165846491136, 32, 8] (d_in 'walks_p70', model.hidden_dims, "
+                     "model.context_window) need", id="context_window"),
+    ])
+    def test_a_size_no_numpy_array_can_hold_exits_one_before_any_array(
+        self, tmp_path, capsys, command, preset, edits, message
+    ):
+        # every refusal comes before numpy is asked for the array, so no case
+        # allocates it; an edit to None drops the key
+        config = get_preset(preset)
+        config.seeds, config.epochs, config.finetune_epochs = (0,), 1, 1
+        wire = config.to_dict()
+        for dotted, value in edits.items():
+            *parents, key = dotted.split(".")
+            node = wire
+            for part in parents:
+                node = node[int(part)] if part.isdigit() else node[part]
+            if value is None:
+                del node[key]
+            else:
+                node[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(wire))
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1, err
+        assert "and no array holds 2**63 or more" in err or "must be below 2**63, got " in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["make-data", "run"])
+    @pytest.mark.parametrize("role", ["label", "symbol"])
+    def test_a_csv_integer_past_int64_exits_one_naming_the_file(self, tmp_path, capsys, command, role):
+        big = "99999999999999999999"
+        if role == "label":
+            csv_path = tmp_path / "din.csv"
+            csv_path.write_text("x0,x1,label\n" + "".join(f"{i / 10},{i / 5},{i % 3}\n" for i in range(60))
+                                + f"1.0,2.0,{big}\n")
+            config = _tiny_config(d_in=DatasetSpec("file", "din", path=str(csv_path)))
+            why = "class labels must lie in [0, 2**63)"
+        else:
+            csv_path = tmp_path / "periodic.csv"
+            csv_path.write_text("s0,s1,s2\n" + "".join(f"{i % 4},{(i + 1) % 4},{(i + 2) % 4}\n" for i in range(40))
+                                + f"1,{big},2\n")
+            config = _tiny_density_config(
+                d_out_test=[DatasetSpec("file", "periodic", {"alphabet_size": 8}, path=str(csv_path))])
+            why = "symbols must lie in [0, 8)"
+        path = tmp_path / "cfg.json"
+        save_config(config, path)
+        out = tmp_path / "out"
+        assert cli.main([command, "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert capsys.readouterr().err == f"error: {csv_path}: {why}\n"
+        assert not out.exists()
 
     def test_calibrate_refuses_an_out_path_naming_a_file(self, tmp_path, capsys):
         predictions = tmp_path / "preds.csv"
@@ -2064,7 +2220,7 @@ class TestCli:
 
             config = load_config(path)
             model = nn_core.load_params(tuned)
-            _, pools = _evaluate(model, config, pipeline.prepare_data(config, 0))
+            _, pools = _evaluate(model, config, 0)
             reference = tmp_path / f"reference_{detector}.csv"
             reference_reports.write_pool_scores(reference, pools[test_set])
             assert (out / f"scores_{test_set}_seed0.csv").read_bytes() == reference.read_bytes(), detector

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oewb.harness import cli
+from test_blas_kernels import corename
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -36,4 +37,5 @@ def test_report_tree_matches_recorded_digests(tmp_path, workload, seed):
     assert cli.main(["run", "-c", str(config), "-o", str(out), "-q"]) == 0
     got = checks.tree_digests(out)
     mismatched = sorted(rel for rel in set(got) | set(recorded) if got.get(rel) != recorded.get(rel))
-    assert not mismatched, f"report files differ from bench/digests.json: {mismatched}"
+    assert not mismatched, (f"report files differ from bench/digests.json, which holds SkylakeX bytes, under "
+                            f"the OpenBLAS kernel {corename()!r}: {mismatched}")
