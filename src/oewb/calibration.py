@@ -57,7 +57,7 @@ def adaptive_bins(confidence):
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
-def _nll_at(logits, top, picked, temps) -> np.ndarray:
+def _nll_at(logits, top, picked, temps, work: nn_core.Workspace) -> np.ndarray:
     """Mean cross-entropy of logits[f] / t for every temperature t in row f
     of temps: the (F, T) losses of (F, n, k) logits, given top =
     class_max(logits) and picked, the (F, n) label logits.
@@ -81,7 +81,7 @@ def _nll_at(logits, top, picked, temps) -> np.ndarray:
         m = top[:, None, :, 0] / t
         z = logits[:, None, :, :] / t[..., None]
         z -= m[..., None]
-        s = np.log(nn_core.class_sum(np.exp(z, out=z)))
+        s = np.log(nn_core.class_sum(np.exp(z, out=z), work))
         lp = picked[:, None, :] / t
         lp -= m
         lp -= s
@@ -122,14 +122,15 @@ def tune_temperature(logits, labels) -> np.ndarray:
         fit, row = np.argwhere(bad)[0]
         raise ValidationError(f"fit {fit}: logits of row {row} are not all finite")
 
-    top = nn_core.class_max(logits)
+    work = nn_core.Workspace()
+    top = nn_core.class_max(logits, work)
     picked = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
 
     def nll_at(t: np.ndarray) -> np.ndarray:
-        return _nll_at(logits, top, picked, t[:, None])[:, 0]
+        return _nll_at(logits, top, picked, t[:, None], work)[:, 0]
 
     grid = np.unique(np.concatenate((np.logspace(-2.0, 2.0, 200), [1.0])))
-    ces = _nll_at(logits, top, picked, np.broadcast_to(grid, (logits.shape[0], grid.size)))
+    ces = _nll_at(logits, top, picked, np.broadcast_to(grid, (logits.shape[0], grid.size)), work)
     best = np.argmin(ces, axis=-1)
     a = _libm(math.log, grid[np.maximum(best - 1, 0)])
     b = _libm(math.log, grid[np.minimum(best + 1, grid.size - 1)])

@@ -78,20 +78,16 @@ def context_windows(seqs, context_window: int, alphabet_size: int):
     return windows.reshape(*lead[:-1], -1, c), arr.reshape(*lead[:-1], -1)
 
 
-def one_hot_windows(windows: np.ndarray, alphabet_size: int, work: nn_core.Workspace | None = None) -> np.ndarray:
+def one_hot_windows(windows: np.ndarray, alphabet_size: int, work: nn_core.Workspace) -> np.ndarray:
     """float64 one-hot rows of shape (..., c*(V+1)) for (..., c) windows:
     symbol w at window slot j of row r sets flat entry (r*c + j)*(V+1) + w
-    of a zeroed array, as indexing rows of np.eye(V + 1) would. With a
-    workspace the array is its one-hot buffer, zero-filled and written in
-    place, which the next call overwrites."""
+    of a zeroed array, as indexing rows of np.eye(V + 1) would. The array
+    is the workspace's one-hot buffer, zero-filled and written in place,
+    which the next call overwrites."""
     width = int(alphabet_size) + 1
-    shape = (*windows.shape[:-1], windows.shape[-1] * width)
-    if work is None:
-        out = np.zeros(shape)
-    else:
-        out = work.take("one-hot", shape)
-        out.fill(0.0)
-    runs = nn_core._bound(work, nn_core._FlatIndex, out, width)
+    out = work.take("one-hot", (*windows.shape[:-1], windows.shape[-1] * width))
+    out.fill(0.0)
+    runs = work.bound(nn_core._FlatIndex, out, width)
     runs.flat[runs.at(windows)] = 1.0
     return out
 
@@ -103,23 +99,23 @@ def context_features(seqs, context_window: int, alphabet_size: int):
     shape (n*D,)), with a leading seed axis for a stack's sequences.
     """
     windows, targets = context_windows(seqs, context_window, alphabet_size)
-    return one_hot_windows(windows, alphabet_size), targets
+    return one_hot_windows(windows, alphabet_size, nn_core.Workspace()), targets
 
 
-def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape, work: nn_core.Workspace | None = None) -> tuple:
+def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape, work: nn_core.Workspace) -> tuple:
     """Per-sequence NLL in nats from the logits of every position row: the
     target entries of nn_core.log_softmax(logits), without forming it.
 
     Returns (nll, e, s): e is exp(z - max z) per row, written over logits,
     and s its class sums, softmax's numerators and denominators as
-    nn_core.softmax forms them. A workspace binds the class max and sum to
-    logits, and the next sum over them overwrites s."""
+    nn_core.softmax forms them. The workspace binds the class max and sum
+    to logits, and the next sum over them overwrites s."""
     z = np.subtract(logits, nn_core.class_max(logits, work), out=logits)
     tok = np.take_along_axis(z, targets[..., None], axis=-1)
     np.exp(z, out=z)
-    s = nn_core.class_sum(z, keepdims=True, work=work)
+    s = nn_core.class_sum(z, work, keepdims=True)
     tok -= np.log(s)
-    return -nn_core.class_sum(tok.reshape(shape)), z, s
+    return -nn_core.class_sum(tok.reshape(shape), work), z, s
 
 
 def nll_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
@@ -128,7 +124,7 @@ def nll_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
     arr = _as_seq_matrix(seqs, V)
     feats, targets = context_features(arr, c, V)
     logits = nn_core.forward(net, feats)
-    return _sequence_nll(logits, targets, arr.shape)[0]
+    return _sequence_nll(logits, targets, arr.shape, nn_core.Workspace())[0]
 
 
 def bits_per_dim_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
@@ -171,9 +167,9 @@ def margin_grad(
     in_seqs,
     out_seqs,
     margin: float,
+    work: nn_core.Workspace,
     mle_weight: float = 1.0,
     margin_weight: float = 1.0,
-    work: nn_core.Workspace | None = None,
 ) -> np.ndarray:
     """Exact gradient of mle_weight * mean-position CE on inliers plus
     margin_weight * mean hinge max(0, margin + nll_in - nll_out), as an
@@ -186,8 +182,8 @@ def margin_grad(
     Only one group's activations are alive at a time: the outlier group
     runs forward for its NLL, the inlier group for its NLL and backward
     pass, and then the outlier group again for its backward pass, from
-    the integer windows its first pass kept. With a workspace the
-    gradient is the workspace's, valid until its next step.
+    the integer windows its first pass kept. The gradient is the
+    workspace's, valid until its next step.
     """
     if not margin > 0:
         raise ValidationError("margin must be positive")
@@ -217,7 +213,7 @@ def margin_grad(
     g = _weighted_ce_backward(net, nn_core._minus_one_hot(e_in, t_in, work), cache, w_in, work, "grad")
     del cache  # the inlier rows go before the outlier pass runs again
     logits, cache = _group_pass(net, win_out, V, work)
-    dlog = nn_core.ce_logit_grad(logits, t_out, out=logits, work=work)
+    dlog = nn_core.ce_logit_grad(logits, t_out, work, out=logits)
     g += _weighted_ce_backward(net, dlog, cache, w_out, work, "outlier grad")
     return g
 
@@ -247,6 +243,6 @@ def finetune_density_oe(
         margin = float(a.shape[-1])
 
     def step_grad(net, batch, oe_batch, work):
-        return margin_grad(net, batch[0], oe_batch, margin, mle_weight, margin_weight, work)
+        return margin_grad(net, batch[0], oe_batch, margin, work, mle_weight, margin_weight)
 
     return nn_core.train_loop(net, step_grad, (a,), _as_seq_matrix(oe_seqs, V), **settings)

@@ -63,7 +63,8 @@ def _type_name(hint) -> str:
 
 def typed(value, hint, key: str):
     """value as a field declared `hint`, refused unless it already has that
-    type. key names the value in the error."""
+    type; an integer for a float must be one a float can hold. key names
+    the value in the error."""
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
         return None if value is None else typed(value, args[0], key)
@@ -85,7 +86,12 @@ def typed(value, hint, key: str):
         return origin(typed(v, item, f"{key}[{i}]") for i, v in enumerate(value))
     if not _is(value, hint):
         raise ValidationError(f"{key} must be {_type_name(hint)}, got {value!r}")
-    return float(value) if hint is float else value
+    if hint is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ValidationError(f"{key} must be a number a float can hold, got an integer past 1.8e308") from None
 
 
 def _from_json(cls, d, path: str = ""):
@@ -213,6 +219,10 @@ class ExperimentConfig:
             raise ValidationError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.epochs < 1 or self.finetune_epochs < 0:
             raise ValidationError("epoch counts out of range")
+        for key in ("epochs", "finetune_epochs"):  # the schedule divides by its step count as a float
+            if getattr(self, key) >= 2**63:
+                raise ValidationError(f"{key} must be below 2**63, got an integer of "
+                                      f"{getattr(self, key).bit_length()} bits")
         if len(self.base_rate) != 2 or min(self.base_rate) < 1:
             raise ValidationError("base_rate must be two positive integers (out, in)")
         if not 0 < self.n_level <= 100:

@@ -36,10 +36,11 @@ reproducible.
 
 A run binds once what its steps derive from shapes alone: a net its
 transposed weights and bias rows, the run's Workspace every buffer and
-view a step writes or reads. A gradient that forward_cached and
-backward compute through the workspace is the workspace's array, valid
-until the run's next step; sgd_step reads it before then. Without a
-workspace every array is fresh.
+view a step writes or reads. Every pass takes its arrays from a
+workspace: a run passes its own, and each one-off entry point (forward,
+grad, max_softmax, log_softmax) makes one per call. A gradient that
+forward_cached and backward compute is the workspace's array, valid until
+the run's next step; sgd_step reads it before then.
 """
 
 from __future__ import annotations
@@ -176,8 +177,9 @@ def init_network(layer_dims, seed, activation: str = "relu") -> NetworkParams:
 
 
 class Workspace:
-    """What every step of one training run reuses: buffers by role, and
-    whatever a step derives from array shapes alone.
+    """Where every pass gets its arrays: what the steps of one training run
+    reuse, buffers by role and whatever a step derives from array shapes
+    alone. A one-off call makes a workspace of its own.
 
     A stack's activations are large enough that allocating them afresh on
     every step costs more in page faults than the arithmetic they hold,
@@ -247,39 +249,27 @@ class Workspace:
         return z
 
 
-def _out(work: Workspace | None, role, shape, dtype=np.float64):
-    """An output array from the workspace, or None to let numpy allocate."""
-    return None if work is None else work.take(role, shape, dtype)
-
-
-def _bound(work: Workspace | None, make, array: np.ndarray, *args):
-    """make(array, *args): afresh, or the workspace's for this array."""
-    return make(array, *args) if work is None else work.bound(make, array, *args)
-
-
-def _act(z: np.ndarray, name: str, work: Workspace | None) -> np.ndarray:
-    """The activation of z, written over z. Relu takes the max against
-    zeros, for the bits of a max against the scalar 0.0, whose loop numpy
-    runs several times slower: the workspace's zero array of z's shape, or
-    else one zero row that numpy broadcasts. A fresh zero array of z's
-    shape per call costs more than the scalar once malloc clears it."""
+def _act(z: np.ndarray, name: str, work: Workspace) -> np.ndarray:
+    """The activation of z, written over z. Relu takes the max against the
+    workspace's zero array of z's shape, for the bits of a max against the
+    scalar 0.0, whose loop numpy runs several times slower."""
     if name == "relu":
-        return np.maximum(z, np.zeros(z.shape[-1]) if work is None else work.zeros(z.shape), out=z)
+        return np.maximum(z, work.zeros(z.shape), out=z)
     return np.tanh(z, out=z)
 
 
-def _delta_below(params: NetworkParams, i: int, delta, a, work: Workspace | None) -> np.ndarray:
+def _delta_below(params: NetworkParams, i: int, delta, a, work: Workspace) -> np.ndarray:
     """The delta at the pre-activation of hidden layer i-1, written over its
     activation a = act(z) once a has been read: (delta @ W_i) * act'(z),
     where relu'(z) is a > 0 and tanh'(z) is 1 - a * a."""
     w = params.weights[i]
     if params.activation == "relu":
-        mask = np.greater(a, 0, out=_out(work, ("mask", i), a.shape, bool))
+        mask = np.greater(a, 0, out=work.take(("mask", i), a.shape, bool))
         da = np.matmul(delta, w, out=a)
     else:
         mask = np.multiply(a, a, out=a)
         np.subtract(1.0, mask, out=mask)
-        da = np.matmul(delta, w, out=_out(work, "delta", a.shape))
+        da = np.matmul(delta, w, out=work.take("delta", a.shape))
     return np.multiply(da, mask, out=a)
 
 
@@ -296,21 +286,21 @@ def _input_matrix(params: NetworkParams, inputs) -> np.ndarray:
     return X
 
 
-def forward_cached(params: NetworkParams, inputs, work: Workspace | None = None) -> tuple:
+def forward_cached(params: NetworkParams, inputs, work: Workspace) -> tuple:
     """Forward pass keeping activations; returns (logits, cache).
 
     The cache lists the input of every layer: the rows, then each hidden
     activation, which is applied in place to its pre-activation. For a
-    stack every array gains the leading seed axis of params.vector. With a
-    workspace, the logits and cache live in its arrays until the next
-    forward pass through it.
+    stack every array gains the leading seed axis of params.vector. The
+    logits and cache live in the workspace's arrays until the next forward
+    pass through it.
     """
     X = _input_matrix(params, inputs)
     acts = [X]
     a = X
     last = len(params.weights) - 1
     for i, (w_t, b_row) in enumerate(zip(params._weights_t, params._bias_rows)):
-        z = np.matmul(a, w_t, out=_out(work, ("layer", i), (*a.shape[:-1], w_t.shape[-1])))
+        z = np.matmul(a, w_t, out=work.take(("layer", i), (*a.shape[:-1], w_t.shape[-1])))
         z += b_row
         if i < last:
             a = _act(z, params.activation, work)
@@ -320,7 +310,7 @@ def forward_cached(params: NetworkParams, inputs, work: Workspace | None = None)
 
 def forward(params: NetworkParams, inputs) -> np.ndarray:
     """Class logits for the (n, d) rows of one net, as a fresh (n, k) array."""
-    return forward_cached(params, inputs)[0]
+    return forward_cached(params, inputs, Workspace())[0]
 
 
 class _ClassMax:
@@ -339,13 +329,13 @@ class _ClassMax:
         return m
 
 
-def class_max(z: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+def class_max(z: np.ndarray, work: Workspace) -> np.ndarray:
     """z.max(axis=-1, keepdims=True), as one np.maximum per class column:
     over a handful of classes that is several times faster than a reduce
-    along the short last axis, and the values are the same. With a
-    workspace, the columns and the result are bound to z once, and the
-    next call on z overwrites the result."""
-    return _bound(work, _ClassMax, z)()
+    along the short last axis, and the values are the same. The workspace
+    binds the columns and the result to z once, and the next call on z
+    overwrites the result."""
+    return work.bound(_ClassMax, z)()
 
 
 class _ClassSum:
@@ -382,7 +372,7 @@ class _ClassSum:
         return self.result
 
 
-def class_sum(z: np.ndarray, keepdims: bool = False, work: Workspace | None = None) -> np.ndarray:
+def class_sum(z: np.ndarray, work: Workspace, keepdims: bool = False) -> np.ndarray:
     """z.sum(axis=-1), bit for bit, as a few adds over whole class columns
     in the order numpy's reduce adds each row: a reduce along a short last
     axis costs more. Below 8 classes the reduce adds the entries one by one
@@ -392,16 +382,16 @@ def class_sum(z: np.ndarray, keepdims: bool = False, work: Workspace | None = No
     into +0.0. From 16 classes on the reduce's blocks of 8 cost more as
     columns than the reduce itself, so the reduce runs; so it does for an
     array that is not C-contiguous, which numpy may sum in another order.
-    With a workspace, the columns and the result of the column adds are
-    bound to z once, and the next call on z overwrites the result.
+    The workspace binds the columns and the result of the column adds to z
+    once, and the next call on z overwrites the result.
     """
     k = z.shape[-1]
     if not 0 < k < 16 or not z.flags.c_contiguous:
         return z.sum(axis=-1, keepdims=keepdims)
-    return _bound(work, _ClassSum, z, keepdims)()
+    return work.bound(_ClassSum, z, keepdims)()
 
 
-def _shifted_exp(logits, temperature: float, out=None, work: Workspace | None = None) -> np.ndarray:
+def _shifted_exp(logits, temperature: float, work: Workspace, out=None) -> np.ndarray:
     """exp(z - max z) per row, z = logits / temperature: softmax's numerators."""
     if not temperature > 0:
         raise ValidationError("temperature must be positive")
@@ -412,14 +402,14 @@ def _shifted_exp(logits, temperature: float, out=None, work: Workspace | None = 
     return np.exp(e, out=e)
 
 
-def softmax(logits, out=None, work: Workspace | None = None) -> np.ndarray:
+def softmax(logits, work: Workspace, out=None) -> np.ndarray:
     """Row-wise softmax of logits, max-subtracted for stability.
 
-    out, when given, receives the result and may be the logits array. A
+    out, when given, receives the result and may be the logits array. The
     workspace binds the class max and class sum to the arrays they read.
     """
-    e = _shifted_exp(logits, 1.0, out, work)
-    e /= class_sum(e, keepdims=True, work=work)
+    e = _shifted_exp(logits, 1.0, work, out)
+    e /= class_sum(e, work, keepdims=True)
     return e
 
 
@@ -431,14 +421,16 @@ def max_softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
     sum is softmax's own reduction, whose order sets the bits. out, when
     given, holds the numerators and may be the logits array.
     """
-    return 1.0 / class_sum(_shifted_exp(logits, temperature, out))
+    work = Workspace()
+    return 1.0 / class_sum(_shifted_exp(logits, temperature, work, out), work)
 
 
 def log_softmax(logits) -> np.ndarray:
     """Row-wise log of softmax(logits), as a fresh array; logits are only read."""
+    work = Workspace()
     z = np.array(logits, dtype=np.float64)
-    z -= class_max(z)
-    z -= np.log(class_sum(np.exp(z), keepdims=True))
+    z -= class_max(z, work)
+    z -= np.log(class_sum(np.exp(z), work, keepdims=True))
     return z
 
 
@@ -457,56 +449,48 @@ class _FlatIndex:
         return np.add(self.starts, offsets.ravel(), out=self._at)
 
 
-def ce_logit_grad(logits, labels: np.ndarray, out=None, work: Workspace | None = None) -> np.ndarray:
+def ce_logit_grad(logits, labels: np.ndarray, work: Workspace, out=None) -> np.ndarray:
     """softmax(logits) - one_hot(labels): the gradient of the summed
     cross-entropy with respect to the logits, as a fresh array or in out
     (which may be the logits array, and must be C-contiguous). The label
     entries are found through one flat index: row r's entry sits at
-    r * k + labels[r] of the flattened rows. A workspace binds the class
+    r * k + labels[r] of the flattened rows. The workspace binds the class
     columns, the sum and max buffers and the row starts to out once."""
-    return _minus_one_hot(softmax(logits, out=out, work=work), labels, work)
+    return _minus_one_hot(softmax(logits, work, out), labels, work)
 
 
-def _minus_one_hot(p: np.ndarray, labels: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+def _minus_one_hot(p: np.ndarray, labels: np.ndarray, work: Workspace) -> np.ndarray:
     """p - one_hot(labels), written over the C-contiguous rows p, whose
     entry labels[r] of row r sits at r * k + labels[r] of the flattened rows.
-    A workspace binds that flat index to p once."""
+    The workspace binds that flat index to p once."""
     if not p.flags.c_contiguous:
         raise ValidationError("ce_logit_grad writes only into a C-contiguous array")
-    rows = _bound(work, _FlatIndex, p, p.shape[-1])
+    rows = work.bound(_FlatIndex, p, p.shape[-1])
     rows.flat[rows.at(labels)] -= 1.0
     return p
 
 
-def backward(params: NetworkParams, cache, dlogits, work: Workspace | None = None, *,
-             role="grad") -> np.ndarray:
+def backward(params: NetworkParams, cache, dlogits, work: Workspace, *, role="grad") -> np.ndarray:
     """Parameter gradient from per-example gradients at the logits.
 
     dlogits is (n, k); a stack adds its seed axis in front. The caller
     bakes any 1/n factors into this upstream gradient; this routine only
     applies the chain rule. It uses up the cache: each hidden
     activation is overwritten by the delta below it once it has been read.
-    Returns an array in the layout of params.vector: a fresh one, or with
-    a workspace its gradient of role (Workspace.grad), valid until the
-    next backward pass of that role. Two gradients that are summed need
-    two roles.
+    Returns the workspace's gradient of role (Workspace.grad), in the
+    layout of params.vector and valid until the next backward pass of that
+    role. Two gradients that are summed need two roles.
     """
-    acts = cache
-    n_layers = len(params.weights)
-    if work is None:
-        out = np.empty_like(params.vector)
-        views = params.split(out)
-    else:
-        out, views = work.grad(role, params)
+    out, views = work.grad(role, params)
     delta = np.asarray(dlogits, dtype=np.float64)
-    for i in range(n_layers - 1, -1, -1):
-        np.matmul(delta.swapaxes(-1, -2), acts[i], out=views[2 * i])
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(delta.swapaxes(-1, -2), cache[i], out=views[2 * i])
         if delta.shape[-1] > 1:  # the rows in sequence, as the reduce adds them, in less time
             np.einsum("...nk->...k", delta, out=views[2 * i + 1])
         else:  # along one column the reduce sums pairwise, and einsum does not
             np.add.reduce(delta, axis=-2, out=views[2 * i + 1])
         if i > 0:
-            delta = _delta_below(params, i, delta, acts[i], work)
+            delta = _delta_below(params, i, delta, cache[i], work)
     return out
 
 
@@ -527,7 +511,7 @@ def _check_batches(params: NetworkParams, lam, in_batch, oe_batch) -> float:
     return lam
 
 
-def _objective_grad(params: NetworkParams, lam: float, X, y, oe_X, work: Workspace | None = None) -> np.ndarray:
+def _objective_grad(params: NetworkParams, lam: float, X, y, oe_X, work: Workspace) -> np.ndarray:
     """The gradient behind grad and train_classifier, on checked rows.
 
     X, y and oe_X carry the seed axis of a stack when params is one; oe_X
@@ -537,16 +521,16 @@ def _objective_grad(params: NetworkParams, lam: float, X, y, oe_X, work: Workspa
     +=: one pass over the concatenated rows would sum the weight gradients
     in another order and move the bits. Each term's logit gradient is
     written over its logits, in the operation order of
-    lam * (softmax(logits) - 1 / k) / m for the outlier term. With a
-    workspace the gradient is the workspace's, valid until its next step.
+    lam * (softmax(logits) - 1 / k) / m for the outlier term. The gradient
+    is the workspace's, valid until its next step.
     """
     logits, cache = forward_cached(params, X, work)
-    dlog = ce_logit_grad(logits, y, out=logits, work=work)
+    dlog = ce_logit_grad(logits, y, work, out=logits)
     dlog /= X.shape[-2]
     g = backward(params, cache, dlog, work)
     if lam > 0:
         ologits, ocache = forward_cached(params, oe_X, work)
-        dout = softmax(ologits, out=ologits, work=work)
+        dout = softmax(ologits, work, out=ologits)
         dout -= 1.0 / params.n_classes
         dout *= lam
         dout /= oe_X.shape[-2]
@@ -565,7 +549,8 @@ def grad(params: NetworkParams, lam: float, in_batch: Batch, oe_batch: Batch | N
     batches are whole sequences, not rows.
     """
     lam = _check_batches(params, lam, in_batch, oe_batch)
-    return _objective_grad(params, lam, in_batch.inputs, in_batch.labels, oe_batch.inputs if lam > 0 else None)
+    oe_X = oe_batch.inputs if lam > 0 else None
+    return _objective_grad(params, lam, in_batch.inputs, in_batch.labels, oe_X, Workspace())
 
 
 @dataclass

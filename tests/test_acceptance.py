@@ -123,7 +123,7 @@ def _density_case(rng):
     mids += [float(gaps[-1] + 1.0), float(np.abs(gaps).max() + 1.0)]
     margin = next(m for m in mids if m > 0 and np.min(np.abs(m - gaps)) >= 0.1)
     mw, gw = 1.0, 0.7
-    analytic = density.margin_grad(model, a, b, margin, mle_weight=mw, margin_weight=gw)
+    analytic = density.margin_grad(model, a, b, margin, nn_core.Workspace(), mle_weight=mw, margin_weight=gw)
 
     def loss(q):
         mle = float(np.mean(density.nll_batch(q, a) / D))

@@ -158,7 +158,7 @@ def _calibrated_logits(rng, n, k, scale=1.0):
     """Logit rows whose labels are drawn from their own softmax; dividing by
     `scale` recovers a calibrated model, so tuning should find T = scale."""
     z = rng.normal(size=(n, k)) * 2.0
-    p = nn_core.softmax(z)
+    p = nn_core.softmax(z, nn_core.Workspace())
     labels = np.array([rng.choice(k, p=row) for row in p])
     return z * scale, labels
 
@@ -251,9 +251,10 @@ class TestTuneTemperature:
     def _assert_probe_is_ce_loss(logits, labels, temps):
         # logits (F, n, k), labels (F, n), temps (F, T): every fit at every one of its temperatures
         temps = np.asarray(temps, dtype=np.float64)
-        top = nn_core.class_max(logits)
+        work = nn_core.Workspace()
+        top = nn_core.class_max(logits, work)
         picked = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
-        got = cal._nll_at(logits, top, picked, temps)
+        got = cal._nll_at(logits, top, picked, temps, work)
         want = np.array([[objectives.ce_loss(z / t, y) for t in ts] for z, y, ts in zip(logits, labels, temps)])
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -340,7 +341,7 @@ class TestTuneTemperature:
         z = rng.normal(size=(100, 6)) * 4
         for t in (0.07, 1.0, 31.0):
             assert np.array_equal(
-                np.argmax(nn_core.softmax(z / t), axis=1), np.argmax(z, axis=1)
+                np.argmax(nn_core.softmax(z / t, nn_core.Workspace()), axis=1), np.argmax(z, axis=1)
             )
 
 

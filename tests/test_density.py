@@ -70,14 +70,19 @@ class TestOneHotWindows:
     @pytest.mark.parametrize("c", [1, 2, 3])
     @pytest.mark.parametrize("V", [2, 3, 8, 10])
     def test_equals_rows_of_the_identity_bit_for_bit(self, stacked, dtype, c, V):
-        # window symbols run over the alphabet and the start symbol V
+        # window symbols run over the alphabet and the start symbol V. One
+        # workspace writes a full, a short and a full batch in turn, so each
+        # pass must clear the ones a wider pass left in its buffer; the last
+        # batch repeats the shape before it and reuses the bound flat index.
         rng = np.random.default_rng(V * 10 + c)
-        windows = rng.integers(0, V + 1, size=(3, 11, c) if stacked else (11, c)).astype(dtype)
-        want = np.eye(V + 1, dtype=np.float64)[windows].reshape(*windows.shape[:-1], -1)
-        got = density.one_hot_windows(windows, V)
-        assert got.dtype == np.float64
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        work = nn_core.Workspace()
+        for n in (11, 4, 11, 11):
+            windows = rng.integers(0, V + 1, size=(3, n, c) if stacked else (n, c)).astype(dtype)
+            want = np.eye(V + 1, dtype=np.float64)[windows].reshape(*windows.shape[:-1], -1)
+            got = density.one_hot_windows(windows, V, work)
+            assert got.dtype == np.float64
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestNll:
@@ -103,7 +108,7 @@ class TestNll:
             window = padded[t : t + c]
             feat = eye[window].reshape(1, -1)
             logits = nn_core.forward(m, feat)
-            p = nn_core.softmax(logits)[0]
+            p = nn_core.softmax(logits, nn_core.Workspace())[0]
             total += -math.log(p[seq[t]])
         got = density.nll_batch(m, seq[None])[0]
         assert got == pytest.approx(total, abs=1e-10)
@@ -220,7 +225,7 @@ class TestMarginGrad:
         assert active.any() and not active.all()
         mw, gw = 1.0, 0.7
 
-        analytic = density.margin_grad(m, a, b, margin, mle_weight=mw, margin_weight=gw)
+        analytic = density.margin_grad(m, a, b, margin, nn_core.Workspace(), mle_weight=mw, margin_weight=gw)
 
         def loss(q):
             mle = float(np.mean(density.nll_batch(q, a) / D))
@@ -244,8 +249,8 @@ class TestMarginGrad:
         margin = float(np.min(slack) / 2)
         assert margin > 0  # the setup must actually satisfy the hinge
 
-        with_hinge = density.margin_grad(m, a, b, margin, mle_weight=1.0, margin_weight=1.0)
-        mle_only = density.margin_grad(m, a, b, margin, mle_weight=1.0, margin_weight=0.0)
+        with_hinge = density.margin_grad(m, a, b, margin, nn_core.Workspace(), mle_weight=1.0, margin_weight=1.0)
+        mle_only = density.margin_grad(m, a, b, margin, nn_core.Workspace(), mle_weight=1.0, margin_weight=0.0)
         assert np.array_equal(with_hinge, mle_only)
 
     def test_identical_pairs_have_cancelling_hinge_gradient(self):
@@ -254,15 +259,17 @@ class TestMarginGrad:
         V = 3
         m = nn_core.init_network(density.ar_layer_dims(V, 2, (6,)), 5)
         seqs = np.random.default_rng(0).integers(0, V, size=(6, 7))
-        g = density.margin_grad(m, seqs, seqs, margin=4.0, mle_weight=0.0, margin_weight=1.0)
+        g = density.margin_grad(m, seqs, seqs, 4.0, nn_core.Workspace(), mle_weight=0.0, margin_weight=1.0)
         assert np.max(np.abs(g)) < 1e-14
 
     def test_unequal_batch_sizes_rejected(self):
         m = _uniform_model(V=3)
         with pytest.raises(ValidationError, match="margin pairs require equally sized inlier/outlier batches"):
-            density.margin_grad(m, np.zeros((2, 4), dtype=np.int64), np.zeros((3, 4), dtype=np.int64), 4.0)
+            density.margin_grad(m, np.zeros((2, 4), dtype=np.int64), np.zeros((3, 4), dtype=np.int64), 4.0,
+                                nn_core.Workspace())
         with pytest.raises(ValidationError, match="margin must be positive"):
-            density.margin_grad(m, np.zeros((2, 4), dtype=np.int64), np.zeros((2, 4), dtype=np.int64), 0.0)
+            density.margin_grad(m, np.zeros((2, 4), dtype=np.int64), np.zeros((2, 4), dtype=np.int64), 0.0,
+                                nn_core.Workspace())
 
 
 class TestFinetune:
@@ -333,7 +340,7 @@ class TestFinetune:
             hinge = float(
                 np.mean(np.maximum(0.0, margin + density.nll_batch(m, a) - density.nll_batch(m, b)))
             )
-            g = density.margin_grad(m, a, b, margin)
+            g = density.margin_grad(m, a, b, margin, nn_core.Workspace())
             nn_core.sgd_step(m, g, state)
             mle_after = np.mean(density.nll_batch(m, a)) / D
             assert mle_after - mle_before <= abs(hinge) + 1e-12
@@ -344,8 +351,9 @@ class TestNormalization:
         m = nn_core.init_network(density.ar_layer_dims(5, 3, (7,)), 11)
         seqs = np.random.default_rng(1).integers(0, 5, size=(4, 6))
         feats, _ = density.context_features(seqs, *density.layout(m))
-        logits, _ = nn_core.forward_cached(m, feats)
-        p = nn_core.softmax(logits)
+        work = nn_core.Workspace()
+        logits, _ = nn_core.forward_cached(m, feats, work)
+        p = nn_core.softmax(logits, work)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("D", [1, 3, 5, 8])

@@ -1639,6 +1639,61 @@ class TestCli:
         assert "and no array holds 2**63 or more" in err or "must be below 2**63, got " in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dotted, key", [
+        pytest.param("d_out_test.0.params.radius", "dataset 'ring' params.radius", id="radius"),
+        pytest.param("d_out_test.1.params.mean.0", "dataset 'shifted_gaussian' params.mean[0]", id="mean"),
+        pytest.param("model.lr0", "model.lr0", id="lr0"),
+        pytest.param("lambda", "lambda", id="lambda"),
+    ])
+    def test_a_float_setting_past_float_range_exits_one_naming_the_key(self, tmp_path, capsys, dotted, key):
+        # JSON integers have no bound, and past about 1.8e308 no float holds one
+        config = get_preset("preset_2d")
+        config.seeds = (0,)
+        wire = config.to_dict()
+        *parents, last = dotted.split(".")
+        node = wire
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[int(last) if last.isdigit() else last] = 10**400
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(wire))
+        message = f"{key} must be a number a float can hold, got an integer past 1.8e308"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["make-data", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, key, value", [
+        ("preset_2d", "epochs", 10**400),
+        ("preset_2d", "epochs", 2**1100),
+        ("preset_2d", "epochs", 2**63),
+        ("preset_2d", "finetune_epochs", 10**400),
+        ("preset_2d", "finetune_epochs", 2**63),
+        ("preset_density", "epochs", 2**63),
+        ("preset_density", "finetune_epochs", 10**400),
+    ], ids=["2d-epochs-10**400", "2d-epochs-2**1100", "2d-epochs-2**63", "2d-finetune-10**400",
+            "2d-finetune-2**63", "density-epochs-2**63", "density-finetune-10**400"])
+    def test_an_epoch_count_of_2_63_or_more_exits_one_before_any_data(self, tmp_path, capsys, monkeypatch, preset,
+                                                                        key, value):
+        # the schedule divides by its step count as a float; below 2**63
+        # epochs that count stays far inside float range
+        monkeypatch.setattr(pipeline, "prepare_data", None)  # nothing may be prepared
+        config = get_preset(preset)
+        config.seeds = (0,)
+        wire = config.to_dict()
+        wire[key] = 2**63 - 1
+        ExperimentConfig.from_dict(wire)
+        wire[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(wire))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be below 2**63, got an integer of " \
+                                          f"{value.bit_length()} bits\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["make-data", "run"])
     @pytest.mark.parametrize("role", ["label", "symbol"])
     def test_a_csv_integer_past_int64_exits_one_naming_the_file(self, tmp_path, capsys, command, role):

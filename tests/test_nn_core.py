@@ -1,5 +1,6 @@
 """Dense network forward/backward, optimizer, schedule, and serialization."""
 
+import inspect
 import re
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oewb import nn_core, objectives
+from oewb import density, nn_core, objectives
 from oewb.errors import ValidationError
 
 import fd
 import oracles
+import reference_training as ref
 
 
 def _zeroed(dims, activation="relu"):
@@ -56,7 +58,7 @@ class TestForward:
     def test_equals_forward_cached_bit_for_bit(self, activation, dims):
         p = nn_core.init_network(dims, seed=5, activation=activation)
         x = np.random.default_rng(1).normal(size=(257, 3)) * 3.0
-        cached_logits, _ = nn_core.forward_cached(p, x)
+        cached_logits, _ = nn_core.forward_cached(p, x, nn_core.Workspace())
         assert np.array_equal(nn_core.forward(p, x), cached_logits)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -84,7 +86,7 @@ class TestForward:
         with pytest.raises(ValidationError, match="input width 5 does not match network input dim 2"):
             nn_core.forward(p, np.zeros((1, 5)))
         with pytest.raises(ValidationError, match="input width 5 does not match network input dim 2"):
-            nn_core.forward_cached(p, np.zeros((1, 5)))
+            nn_core.forward_cached(p, np.zeros((1, 5)), nn_core.Workspace())
         with pytest.raises(ValidationError, match=r"inputs must form an \(n, d\) matrix per net"):
             nn_core.forward(p, np.zeros(2))
 
@@ -153,28 +155,35 @@ class TestClassSum:
         values = st.one_of(st.sampled_from(_SUM_EDGE_VALUES), st.floats(allow_nan=False))
         z = data.draw(hnp.arrays(np.float64, (*lead, k), elements=values))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = nn_core.class_sum(z, keepdims=keepdims)
+            got = nn_core.class_sum(z, nn_core.Workspace(), keepdims=keepdims)
             want = z.sum(axis=-1, keepdims=keepdims)
         assert _same_bits(got, want)
 
     @pytest.mark.parametrize("k", [8, 9, 15, 16, 17, 24, 127, 128, 129, 200, 300])
     def test_block_boundaries_bit_for_bit(self, k):
         # the 8-accumulator tree starts at 8 and the reduce takes over at
-        # 16; numpy's reduce adds a second block at 16 and halves above 128
-        z = _sum_rows(np.random.default_rng(k), (3, 40, k))
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = z.sum(axis=-1)
-            assert _same_bits(nn_core.class_sum(z), want)
-            assert _same_bits(nn_core.class_sum(z, keepdims=True), want[..., None])
+        # 16; numpy's reduce adds a second block at 16 and halves above 128.
+        # One workspace sums a full, a short and a full batch in turn, as at
+        # the end of an epoch; the last is summed twice, so its columns and
+        # result buffers are bound once and then reused.
+        rng = np.random.default_rng(k)
+        work = nn_core.Workspace()
+        for n in (40, 33, 40, 40):
+            z = work.take("rows", (3, n, k))
+            z[...] = _sum_rows(rng, (3, n, k))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = z.sum(axis=-1)
+                assert _same_bits(nn_core.class_sum(z, work), want)
+                assert _same_bits(nn_core.class_sum(z, work, keepdims=True), want[..., None])
 
     @pytest.mark.parametrize("k", [3, 9, 20])
     def test_a_non_contiguous_array_sums_as_its_reduce_does(self, k):
         z = np.random.default_rng(k).standard_normal((k, 50)).T * 1e3
-        assert _same_bits(nn_core.class_sum(z), z.sum(axis=-1))
+        assert _same_bits(nn_core.class_sum(z, nn_core.Workspace()), z.sum(axis=-1))
 
     def test_a_row_of_negative_zeros_sums_to_positive_zero(self):
         for k in (3, 8, 17):
-            got = nn_core.class_sum(np.full((1, k), -0.0))
+            got = nn_core.class_sum(np.full((1, k), -0.0), nn_core.Workspace())
             assert got.view(np.int64).tolist() == [0]
 
 
@@ -183,7 +192,7 @@ class TestSoftmax:
     @settings(max_examples=300, deadline=None)
     def test_max_softmax_is_the_softmax_max_bit_for_bit(self, z, t):
         got = nn_core.max_softmax(z, t)
-        want = nn_core.softmax(np.asarray(z) / t).max(axis=-1)
+        want = nn_core.softmax(np.asarray(z) / t, nn_core.Workspace()).max(axis=-1)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         # written over the logits, as scoring does
@@ -194,11 +203,11 @@ class TestSoftmax:
         assert nn_core.max_softmax([[900.0, 0.0, -5.0, 1.0]]).tolist() == [1.0]
 
     def test_symmetric_pair(self):
-        assert np.allclose(nn_core.softmax([[0.0, 0.0]]), [[0.5, 0.5]], atol=1e-15)
+        assert np.allclose(nn_core.softmax([[0.0, 0.0]], nn_core.Workspace()), [[0.5, 0.5]], atol=1e-15)
 
     def test_constant_row_any_temperature(self):
         for c in (-3.0, 0.0, 17.5):
-            assert np.allclose(nn_core.softmax([[c, c, c]]), 1.0 / 3.0, atol=1e-15)
+            assert np.allclose(nn_core.softmax([[c, c, c]], nn_core.Workspace()), 1.0 / 3.0, atol=1e-15)
             for t in (0.5, 1.0, 4.0):
                 assert np.allclose(nn_core.max_softmax([[c, c, c]], t), 1.0 / 3.0, atol=1e-15)
 
@@ -223,10 +232,11 @@ class TestSoftmax:
     @settings(max_examples=200, deadline=None)
     def test_rows_sum_to_one_and_shift_invariance(self, rows, shift):
         z = np.array(rows)
-        p = nn_core.softmax(z)
+        work = nn_core.Workspace()
+        p = nn_core.softmax(z, work)
         assert np.all(p >= 0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
-        assert np.max(np.abs(nn_core.softmax(z + shift) - p)) < 1e-12
+        assert np.max(np.abs(nn_core.softmax(z + shift, work) - p)) < 1e-12
 
     def test_log_softmax_agrees_with_log_of_softmax(self):
         z = np.random.default_rng(1).normal(size=(4, 5)) * 3
@@ -234,7 +244,7 @@ class TestSoftmax:
         lp = nn_core.log_softmax(z)
         # a fresh array; the logits are only read
         assert not np.shares_memory(lp, z) and np.array_equal(z, before)
-        assert np.max(np.abs(lp - np.log(nn_core.softmax(z)))) < 1e-12
+        assert np.max(np.abs(lp - np.log(nn_core.softmax(z, nn_core.Workspace())))) < 1e-12
 
     def test_log_softmax_stable_at_extreme_logits(self):
         lp = nn_core.log_softmax([[1000.0, 0.0]])
@@ -311,9 +321,14 @@ class TestGrad:
         assert ortho < along / 100.0
 
 
+def _vector(arrays):
+    """Per-layer arrays of one net as one vector in the layout of NetworkParams.vector."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 def _indexed_ce_logit_grad(logits, labels):
     """softmax(logits) - one_hot(labels) with the labels set through np.indices."""
-    out = nn_core.softmax(logits)
+    out = nn_core.softmax(logits, nn_core.Workspace())
     out[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
     return out
 
@@ -327,10 +342,10 @@ class TestLogitGradients:
         logits = rng.standard_normal((*lead, k)) * 30.0
         labels = rng.integers(0, k, size=lead).astype(label_dtype)
         want = _indexed_ce_logit_grad(logits, labels)
-        assert _same_bits(nn_core.ce_logit_grad(logits, labels), want)
+        assert _same_bits(nn_core.ce_logit_grad(logits, labels, nn_core.Workspace()), want)
         # written over the logits, as the training step does
         own = logits.copy()
-        assert nn_core.ce_logit_grad(own, labels, out=own) is own
+        assert nn_core.ce_logit_grad(own, labels, nn_core.Workspace(), out=own) is own
         assert _same_bits(own, want)
 
     @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 15, 16, 17])
@@ -347,21 +362,22 @@ class TestLogitGradients:
             logits[...] = _sum_rows(rng, (3, n, k)) if n == 40 else rng.standard_normal((3, n, k)) * 30.0
             labels = rng.integers(0, k, size=(3, n))
             with np.errstate(over="ignore", invalid="ignore"):
-                want = nn_core.ce_logit_grad(logits.copy(), labels)
-                assert nn_core.ce_logit_grad(logits, labels, out=logits, work=work) is logits
+                want = _indexed_ce_logit_grad(logits, labels)
+                assert nn_core.ce_logit_grad(logits, labels, work, out=logits) is logits
             assert _same_bits(logits, want)
 
     def test_ce_logit_grad_refuses_a_strided_out(self):
         logits = np.zeros((4, 6))
         with pytest.raises(ValidationError, match="ce_logit_grad writes only into a C-contiguous array"):
-            nn_core.ce_logit_grad(logits[:, ::2], np.zeros(4, dtype=np.int64), out=logits[:, ::2])
+            nn_core.ce_logit_grad(logits[:, ::2], np.zeros(4, dtype=np.int64), nn_core.Workspace(), out=logits[:, ::2])
 
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.7])
-    @pytest.mark.parametrize("with_workspace", [False, True])
-    def test_objective_grad_equals_the_expression_form_bit_for_bit(self, stacked, lam, with_workspace):
-        # the inlier term as softmax - one_hot, the outlier term as
-        # lam * (softmax(logits) - 1 / k) / m, each on fresh arrays
+    @pytest.mark.parametrize("workspace", ["fresh", "reused"])
+    def test_objective_grad_equals_the_expression_form_bit_for_bit(self, stacked, lam, workspace):
+        # the reference composition, one net at a time: the inlier term as
+        # softmax - one_hot, the outlier term as lam * (softmax(logits) -
+        # 1 / k) / m, each on fresh arrays, summed per layer
         rng = np.random.default_rng(21)
         nets = [nn_core.init_network([3, 6, 5], seed=s) for s in range(3 if stacked else 1)]
         p = nn_core.NetworkParams.stack(nets) if stacked else nets[0]
@@ -369,13 +385,12 @@ class TestLogitGradients:
         X = rng.standard_normal((*lead, 9, 3)) * 2.0
         y = rng.integers(0, 5, size=(*lead, 9))
         oe_X = rng.standard_normal((*lead, 7, 3)) * 4.0
-        logits, cache = nn_core.forward_cached(p, X)
-        dlog = _indexed_ce_logit_grad(logits, y)
-        dlog /= 9
-        want = nn_core.backward(p, cache, dlog)
-        ologits, ocache = nn_core.forward_cached(p, oe_X)
-        want += nn_core.backward(p, ocache, lam * (nn_core.softmax(ologits) - 1.0 / 5) / 7)
-        work = nn_core.Workspace() if with_workspace else None
+        Xs, ys, oes = X.reshape(-1, 9, 3), y.reshape(-1, 9), oe_X.reshape(-1, 7, 3)
+        want = np.stack([_vector(ref.grad(ref.RefNet(net), lam, nn_core.Batch(Xs[s], ys[s]), nn_core.Batch(oes[s])))
+                         for s, net in enumerate(nets)]).reshape(p.vector.shape)
+        work = nn_core.Workspace()
+        if workspace == "reused":  # a workspace that has served a pass of another shape
+            nn_core._objective_grad(p, lam, X[..., :4, :], y[..., :4], oe_X[..., :2, :], work)
         for _ in range(2):  # a workspace gives the same bits on its second use
             assert _same_bits(nn_core._objective_grad(p, lam, X, y, oe_X, work), want)
 
@@ -390,30 +405,37 @@ class TestVectorLoops:
     scalar-operand maximum and the reduce they replace."""
 
     @pytest.mark.parametrize("shape", [(7,), (40, 3), (3, 40, 32), (2, 5, 1)])
-    @pytest.mark.parametrize("with_workspace", [False, True])
-    def test_relu_gives_the_bytes_of_a_max_against_scalar_zero(self, shape, with_workspace):
+    @pytest.mark.parametrize("workspace", ["fresh", "reused"])
+    def test_relu_gives_the_bytes_of_a_max_against_scalar_zero(self, shape, workspace):
+        # a full, a short and a full batch in turn through one workspace; a
+        # reused one has already served a pass of another shape
         rng = np.random.default_rng(len(shape))
-        z = rng.standard_normal(shape)
-        pick = rng.random(shape) < 0.6
-        z[pick] = rng.choice(np.concatenate([_SUM_EDGE_VALUES, _NAN_PAYLOADS]), size=int(pick.sum()))
-        want = np.maximum(z, 0.0)
-        work = nn_core.Workspace() if with_workspace else None
-        for _ in range(2):  # a workspace's zero array, made and then reused
-            got = z.copy()
-            assert nn_core._act(got, "relu", work) is got
-            assert got.tobytes() == want.tobytes()
+        work = nn_core.Workspace()
+        if workspace == "reused":
+            nn_core._act(np.ones((*shape[:-1], shape[-1] + 1)), "relu", work)
+        short = (*shape[:-2], max(1, shape[-2] // 3), shape[-1]) if len(shape) > 1 else (shape[0] // 2,)
+        for s in (shape, short, shape):
+            z = rng.standard_normal(s)
+            pick = rng.random(s) < 0.6
+            z[pick] = rng.choice(np.concatenate([_SUM_EDGE_VALUES, _NAN_PAYLOADS]), size=int(pick.sum()))
+            want = np.maximum(z, 0.0)
+            for _ in range(2):  # the workspace's zero array, made and then reused
+                got = z.copy()
+                assert nn_core._act(got, "relu", work) is got
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("S", [None, 1, 2, 5, 10], ids=["single", "S1", "S2", "S5", "S10"])
     def test_bias_rows_equal_the_row_reduce_bit_for_bit(self, S):
         # width 1 takes the reduce itself, every other width einsum
         lead = () if S is None else (S,)
         rng = np.random.default_rng(S or 0)
+        work = nn_core.Workspace()
         for k in [1, *range(2, 20), 31, 32, 33, 64]:
             nets = [nn_core.init_network([1, k], seed=s) for s in range(S or 1)]
             p = nets[0] if S is None else nn_core.NetworkParams.stack(nets)
             for n in (1, 2, 3, 7, 8, 9, 16, 17, 63, 64, 65, 1024):
                 delta = rng.standard_normal((*lead, n, k)) * 10.0 ** rng.integers(-8, 8, size=(*lead, n, k))
-                bias = p.split(nn_core.backward(p, [np.ones((*lead, n, 1))], delta))[1]
+                bias = p.split(nn_core.backward(p, [np.ones((*lead, n, 1))], delta, work))[1]
                 assert _same_bits(bias, np.add.reduce(delta, axis=-2)), (k, n)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 32])
@@ -424,7 +446,7 @@ class TestVectorLoops:
         pick = rng.random(delta.shape) < 0.05
         delta[pick] = rng.choice([np.inf, -np.inf, np.nan, *_NAN_PAYLOADS], size=int(pick.sum()))
         with np.errstate(invalid="ignore"):
-            bias = p.split(nn_core.backward(p, [np.ones((3, 17, 1))], delta))[1]
+            bias = p.split(nn_core.backward(p, [np.ones((3, 17, 1))], delta, nn_core.Workspace()))[1]
             want = np.add.reduce(delta, axis=-2)
         assert np.array_equal(np.isnan(bias), np.isnan(want))
         finite = ~np.isnan(want)
@@ -475,14 +497,18 @@ class TestWorkspace:
         lead = (3,) if stacked else ()
         rng = np.random.default_rng(7)
         work = nn_core.Workspace()
+        members = [ref.RefNet(net) for net in (nets if stacked else nets[:1])]
         for n in (32, 32, 9, 32, 9):  # full and short batches in turn
             X = rng.standard_normal((*lead, n, 5)) * 2.0
             dlog = rng.standard_normal((*lead, n, 4))
-            want_logits, cache = nn_core.forward_cached(p, X)
-            want = nn_core.backward(p, cache, dlog)
+            # the reference composition, one net at a time on fresh arrays
+            passes = [ref.forward_cached(r, x) for r, x in zip(members, X.reshape(-1, n, 5))]
+            want_logits = np.stack([z for z, _ in passes]).reshape(*lead, n, 4)
+            want = np.stack([_vector(ref.backward(r, cache, d))
+                             for r, (_, cache), d in zip(members, passes, dlog.reshape(-1, n, 4))])
             logits, cache = nn_core.forward_cached(p, X, work)
             assert _same_bits(logits, want_logits)
-            assert _same_bits(nn_core.backward(p, cache, dlog, work), want)
+            assert _same_bits(nn_core.backward(p, cache, dlog, work), want.reshape(p.vector.shape))
 
     def test_a_gradient_lasts_until_the_next_backward_pass_of_its_role(self):
         p = nn_core.init_network([3, 6, 4], seed=0)
@@ -499,6 +525,19 @@ class TestWorkspace:
         assert not np.shares_memory(first, other)
         assert np.array_equal(first, kept)
         assert grad("grad") is first
+
+    def test_no_pass_takes_a_default_workspace(self):
+        # every pass gets its arrays from a workspace its caller passes; none
+        # falls back to fresh arrays when the workspace is left out
+        defaults = {f"{module.__name__}.{name}": inspect.signature(fn).parameters["work"].default
+                    for module in (nn_core, density) for name, fn in vars(module).items()
+                    if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and "work" in inspect.signature(fn).parameters}
+        passes = {"forward_cached", "backward", "_objective_grad", "class_max", "class_sum", "_shifted_exp",
+                  "softmax", "ce_logit_grad", "_minus_one_hot", "_act", "_delta_below"}
+        assert {f"oewb.nn_core.{name}" for name in passes} <= set(defaults)
+        assert {f"oewb.density.{name}" for name in ("one_hot_windows", "_sequence_nll", "margin_grad")} <= set(defaults)
+        assert {name for name, default in defaults.items() if default is not inspect.Parameter.empty} == set()
 
     def test_take_hands_out_one_view_per_shape_of_one_buffer(self):
         work = nn_core.Workspace()

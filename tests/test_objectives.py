@@ -36,7 +36,7 @@ class TestCeLoss:
 
     def test_finite_when_the_true_class_probability_underflows(self):
         # softmax gives the true class exactly 0.0 here; the loss is the logit gap
-        assert nn_core.softmax(np.array([[-800.0, 800.0]]))[0, 0] == 0.0
+        assert nn_core.softmax(np.array([[-800.0, 800.0]]), nn_core.Workspace())[0, 0] == 0.0
         assert objectives.ce_loss([[-800.0, 800.0]], [0]) == 1600.0
 
 
@@ -61,10 +61,11 @@ class TestUniformCe:
         # H(U; softmax(z)) has gradient softmax(z) - 1/k; descending from a
         # random start must approach log k, the global minimum at uniform
         rng = np.random.default_rng(42)
+        work = nn_core.Workspace()
         for k in (2, 5, 10):
             z = rng.normal(size=k) * 2
             for _ in range(3000):
-                z -= 1.0 * (nn_core.softmax(z[None, :])[0] - 1.0 / k)
+                z -= 1.0 * (nn_core.softmax(z[None, :], work)[0] - 1.0 / k)
             assert objectives.uniform_ce(z[None, :]) - math.log(k) < 1e-6
 
     def test_single_class_rejected(self):

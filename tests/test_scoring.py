@@ -44,7 +44,7 @@ class TestMspScore:
         net = nn_core.init_network([2, 16, 4], seed=1)
         X = np.random.default_rng(3).normal(scale=4.0, size=(500, 2))
         got = scoring.score_dataset(net, "msp", X)
-        want = -nn_core.softmax(nn_core.forward(net, X)).max(axis=1)
+        want = -nn_core.softmax(nn_core.forward(net, X), nn_core.Workspace()).max(axis=1)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
