@@ -92,14 +92,15 @@ def one_hot_windows(windows: np.ndarray, alphabet_size: int, work: nn_core.Works
     return out
 
 
-def context_features(seqs, context_window: int, alphabet_size: int):
+def context_features(seqs, context_window: int, alphabet_size: int, work: nn_core.Workspace):
     """One-hot context windows for every position of every sequence.
 
     Returns (features of shape (n*D, c*(V+1)), next-symbol targets of
-    shape (n*D,)), with a leading seed axis for a stack's sequences.
+    shape (n*D,)), with a leading seed axis for a stack's sequences. The
+    features are the workspace's one-hot buffer (one_hot_windows).
     """
     windows, targets = context_windows(seqs, context_window, alphabet_size)
-    return one_hot_windows(windows, alphabet_size, nn_core.Workspace()), targets
+    return one_hot_windows(windows, alphabet_size, work), targets
 
 
 def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape, work: nn_core.Workspace) -> tuple:
@@ -118,18 +119,19 @@ def _sequence_nll(logits: np.ndarray, targets: np.ndarray, shape, work: nn_core.
     return -nn_core.class_sum(tok.reshape(shape), work), z, s
 
 
-def nll_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
-    """Per-sequence negative log-likelihood in nats for equal-length sequences."""
+def nll_batch(net: nn_core.NetworkParams, seqs, work: nn_core.Workspace) -> np.ndarray:
+    """Per-sequence negative log-likelihood in nats for equal-length
+    sequences, as a fresh array; the forward runs through the workspace."""
     c, V = layout(net)
     arr = _as_seq_matrix(seqs, V)
-    feats, targets = context_features(arr, c, V)
-    logits = nn_core.forward(net, feats)
-    return _sequence_nll(logits, targets, arr.shape, nn_core.Workspace())[0]
+    feats, targets = context_features(arr, c, V, work)
+    logits = nn_core.forward(net, feats, work)
+    return _sequence_nll(logits, targets, arr.shape, work)[0]
 
 
-def bits_per_dim_batch(net: nn_core.NetworkParams, seqs) -> np.ndarray:
+def bits_per_dim_batch(net: nn_core.NetworkParams, seqs, work: nn_core.Workspace) -> np.ndarray:
     """Per-sequence nll_batch / (D * ln 2): average bits per symbol."""
-    return nll_batch(net, seqs) / (np.shape(seqs)[-1] * LN2)
+    return nll_batch(net, seqs, work) / (np.shape(seqs)[-1] * LN2)
 
 
 def train_density(net: nn_core.NetworkParams, data, **settings) -> nn_core.NetworkParams:

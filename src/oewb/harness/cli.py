@@ -120,7 +120,7 @@ def cmd_eval(args) -> int:
     config, seed, out = _preamble(args)
     train, [record] = pipeline.prepare_run(config, [seed])
     model = _load_model(config, train.layer_dims, args.params)
-    rep, pools = pipeline.evaluate_detector(model, f"model {args.params}", config, record)
+    rep, pools = pipeline.evaluate_detector(model, f"model {args.params}", config, record, nn_core.Workspace())
     write_json(_mkdir(out) / f"eval_seed{seed}.json", {name: asdict(r) for name, r in rep.items()})
     for name, pool in pools.items():
         reports.write_pool_scores(out / f"scores_{name}_seed{seed}.csv", pool)

@@ -279,7 +279,7 @@ def load_config(path) -> ExperimentConfig:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {p}: {getattr(exc, 'strerror', None) or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ValidationError(f"config file {p} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(payload)
 

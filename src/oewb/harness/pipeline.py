@@ -21,7 +21,10 @@ scratch_oe), and each classifier's accuracy is taken on its training split.
 With calibration, one calibration.tune_temperature call fits every seed's
 baseline and final temperatures on the EvalRecords' validation splits.
 Finally run_seed evaluates and calibrates one seed at a time from its
-EvalRecord, and summarize takes every metric's mean over the seeds.
+EvalRecord, and summarize takes every metric's mean over the seeds. Every
+forward after training, from the temperature fit and accuracy to the last
+calibration pool, runs through one nn_core.Workspace, which
+run_experiment makes and drops before it returns.
 run_experiment returns that ExperimentResult and prints and writes nothing;
 the run command hands it to reports, which imports this module and not the
 other way round.
@@ -325,17 +328,22 @@ class SeedModels(NamedTuple):
     train_accuracy: float | None = None
 
 
-def fit_temperatures(pairs, records) -> list:
+def fit_temperatures(pairs, records, work: nn_core.Workspace) -> list:
     """The (baseline, final) temperatures of every seed's (baseline, final)
     models on the validation split of its EvalRecord, all fitted in one
-    tune_temperature call over a stack of two fits per seed."""
-    logits = np.stack([nn_core.forward(m, r.din_val.rows) for pair, r in zip(pairs, records) for m in pair])
+    tune_temperature call over a stack of two fits per seed. Each forward
+    runs through the workspace and is copied into the stack before the
+    next one overwrites it."""
+    fits = [(m, r.din_val.rows) for pair, r in zip(pairs, records) for m in pair]
+    logits = np.empty((len(fits), len(fits[0][1]), fits[0][0].n_classes))
+    for row, (model, rows) in zip(logits, fits):
+        row[...] = nn_core.forward(model, rows, work)
     labels = np.stack([r.din_val.labels for r in records for _ in range(2)])
     temps = calib_mod.tune_temperature(logits, labels).tolist()
     return list(zip(temps[0::2], temps[1::2]))
 
 
-def train_models(config: ExperimentConfig) -> tuple:
+def train_models(config: ExperimentConfig, work: nn_core.Workspace) -> tuple:
     """(SeedModels, EvalRecord) lists over the seeds of the config: each
     stage trained in lockstep across the seeds, with calibration every
     seed's temperatures in one fit, and every seed's EvalRecord.
@@ -343,6 +351,8 @@ def train_models(config: ExperimentConfig) -> tuple:
     prepare_run prepares every seed's data once, and checks it for
     auxiliary-outlier overlap, before any training starts. A classifier's
     training accuracy reads its seed's row of the stacked training set.
+    The forwards after training (temperatures, accuracy) run through the
+    workspace.
     """
     train, records = prepare_run(config, config.seeds)
     baselines = train_baseline(config, train)
@@ -353,16 +363,18 @@ def train_models(config: ExperimentConfig) -> tuple:
     else:
         finals = baselines
     pairs = list(zip(baselines, finals))
-    temps = fit_temperatures(pairs, records) if config.calibration else [None] * len(pairs)
+    temps = fit_temperatures(pairs, records, work) if config.calibration else [None] * len(pairs)
     accs = [None] * len(pairs) if train.labels is None else [
-        classifier_accuracy(f, rows, labels) for f, rows, labels in zip(finals, train.rows, train.labels)
+        classifier_accuracy(f, rows, labels, work) for f, rows, labels in zip(finals, train.rows, train.labels)
     ]
     return [SeedModels(b, f, t, a) for (b, f), t, a in zip(pairs, temps, accs)], records
 
 
-def classifier_accuracy(params: nn_core.NetworkParams, rows: np.ndarray, labels: np.ndarray) -> float:
-    """The share of rows whose largest logit is at their label."""
-    logits = nn_core.forward(params, rows)
+def classifier_accuracy(params: nn_core.NetworkParams, rows: np.ndarray, labels: np.ndarray,
+                        work: nn_core.Workspace) -> float:
+    """The share of rows whose largest logit is at their label; the forward
+    runs through the workspace."""
+    logits = nn_core.forward(params, rows, work)
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
@@ -376,7 +388,7 @@ def _refuse_non_finite(where: str, what: str, *arrays) -> None:
         raise ValidationError(f"{where}: {bad} of {sum(a.size for a in arrays)} {what} are not finite")
 
 
-def evaluate_detector(model, name: str, config: ExperimentConfig, record: EvalRecord):
+def evaluate_detector(model, name: str, config: ExperimentConfig, record: EvalRecord, work: nn_core.Workspace):
     """Scored base-rate pools and detection reports for every test outlier set.
 
     Returns (reports, pools) keyed by set name. Only what the pools read is
@@ -385,13 +397,13 @@ def evaluate_detector(model, name: str, config: ExperimentConfig, record: EvalRe
     kept rows, with the bits of a whole-set pass (scoring.choose_forward).
     The forwards run with numpy's float warnings off: a pool score that
     overflowed to inf or NaN is refused, naming the seed, the model (name)
-    and the test set.
+    and the test set. Every forward runs through the workspace.
     """
     reports, pools = {}, {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        in_scores = scoring_mod.score_dataset(model, config.detector, record.din_test.rows)
+        in_scores = scoring_mod.score_dataset(model, config.detector, record.din_test.rows, work)
         for set_name, (in_rows, forward, index) in record.pools.items():
-            out_scores = scoring_mod.score_dataset(model, config.detector, forward)
+            out_scores = scoring_mod.score_dataset(model, config.detector, forward, work)
             pool = metrics_mod.ScoredSet(in_scores[in_rows], out_scores if index is None else out_scores[index])
             _refuse_non_finite(f"seed {record.seed}, {name}, test set {set_name!r}", "scores",
                                pool.in_scores, pool.out_scores)
@@ -400,14 +412,15 @@ def evaluate_detector(model, name: str, config: ExperimentConfig, record: EvalRe
     return reports, pools
 
 
-def _confidences(params, data: Dataset, temperature: float):
-    logits = nn_core.forward(params, data.rows)
-    conf = nn_core.max_softmax(logits, temperature)
+def _confidences(params, data: Dataset, temperature: float, work: nn_core.Workspace):
+    logits = nn_core.forward(params, data.rows, work)
+    conf = nn_core.max_softmax(logits, work, temperature)
     correct = np.argmax(logits, axis=1) == data.labels
     return conf, correct
 
 
-def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, final, temperatures) -> dict:
+def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, final, temperatures,
+                     work: nn_core.Workspace) -> dict:
     """Mixed-pool calibration comparison: baseline model at its tuned
     temperature, exposure-trained model at its own, and the latter after
     rescaling confidences to the [1/k, 1] -> [0, 1] posterior range.
@@ -417,14 +430,14 @@ def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, fin
     record must hold the whole test sets (prepare_run under a calibrating
     config). The forwards run with numpy's float warnings off: a pool
     confidence that overflowed to NaN is refused, naming the seed and the
-    model."""
+    model. Every forward runs through the workspace."""
     k = final.n_classes
     ood_rows = np.concatenate([d.rows for d in record.tests.values()], axis=0)
     out = {}
     for tag, model, temp in zip(("baseline", "final"), (baseline, final), temperatures):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            conf_in, correct_in = _confidences(model, record.din_test, temp)
-            conf_ood = nn_core.max_softmax(nn_core.forward(model, ood_rows), temp)
+            conf_in, correct_in = _confidences(model, record.din_test, temp, work)
+            conf_ood = nn_core.max_softmax(nn_core.forward(model, ood_rows, work), work, temp)
         conf, correct = calib_mod.mixed_prediction_records(
             conf_in, correct_in, conf_ood, seed=_ss(record.seed, ROLE_CALIBRATION)
         )
@@ -457,13 +470,15 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def run_seed(config: ExperimentConfig, seed: int, models: SeedModels, record: EvalRecord) -> SeedResult:
+def run_seed(config: ExperimentConfig, seed: int, models: SeedModels, record: EvalRecord,
+             work: nn_core.Workspace) -> SeedResult:
     """Evaluation and calibration of one seed's SeedModels on its
-    EvalRecord, both from train_models; no data are prepared here."""
+    EvalRecord, both from train_models, with every forward through the
+    workspace; no data are prepared here."""
     baseline, final, temps, acc = models
-    base_reports, _ = evaluate_detector(baseline, "baseline model", config, record)
-    final_reports, pools = evaluate_detector(final, "final model", config, record)
-    cal = calibration_eval(config, record, baseline, final, temps) if config.calibration else None
+    base_reports, _ = evaluate_detector(baseline, "baseline model", config, record, work)
+    final_reports, pools = evaluate_detector(final, "final model", config, record, work)
+    cal = calibration_eval(config, record, baseline, final, temps, work) if config.calibration else None
     return SeedResult(seed, {"baseline": base_reports, "final": final_reports}, pools, cal, acc)
 
 
@@ -490,8 +505,14 @@ def summarize(config: ExperimentConfig, seed_results) -> dict:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Every seed trained, evaluated and summarized; nothing is printed or
-    written (the run command writes the report tree)."""
+    written (the run command writes the report tree).
+
+    Every forward after training runs through one Workspace, whose buffers
+    fit the largest of them. It is dropped when this returns, so it does
+    not add to the peak memory of report writing."""
     config.validate()
-    trained, records = train_models(config)
-    results = [run_seed(config, s, models, record) for s, models, record in zip(config.seeds, trained, records)]
+    work = nn_core.Workspace()
+    trained, records = train_models(config, work)
+    results = [run_seed(config, s, models, record, work)
+               for s, models, record in zip(config.seeds, trained, records)]
     return ExperimentResult(config, results, summarize(config, results))

@@ -97,7 +97,7 @@ def _aupr(tp, fp) -> float:
     recall = tp / tp[-1]
     precision = tp / (tp + fp)
     prev = np.concatenate(([0.0], recall[:-1]))
-    return float(math.fsum((recall - prev) * precision))
+    return float(math.fsum(((recall - prev) * precision).tolist()))
 
 
 def _fpr_at_tpr(tp, fp, n_percent: float) -> float:

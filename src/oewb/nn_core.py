@@ -36,11 +36,13 @@ reproducible.
 
 A run binds once what its steps derive from shapes alone: a net its
 transposed weights and bias rows, the run's Workspace every buffer and
-view a step writes or reads. Every pass takes its arrays from a
-workspace: a run passes its own, and each one-off entry point (forward,
-grad, max_softmax, log_softmax) makes one per call. A gradient that
-forward_cached and backward compute is the workspace's array, valid until
-the run's next step; sgd_step reads it before then.
+view a step writes or reads. Every pass takes its arrays from the
+workspace its caller passes: the one train_loop makes for a training
+run, or the one an experiment reuses for every forward after training.
+Only grad makes one per call. A gradient that forward_cached and
+backward compute is the workspace's array, valid until the run's next
+step; sgd_step reads it before then. The logits of forward are the
+workspace's too, valid until its next forward.
 """
 
 from __future__ import annotations
@@ -177,9 +179,9 @@ def init_network(layer_dims, seed, activation: str = "relu") -> NetworkParams:
 
 
 class Workspace:
-    """Where every pass gets its arrays: what the steps of one training run
-    reuse, buffers by role and whatever a step derives from array shapes
-    alone. A one-off call makes a workspace of its own.
+    """Where every pass gets its arrays: what the steps of one training run,
+    or the forwards of one evaluation, reuse, buffers by role and whatever
+    a step derives from array shapes alone.
 
     A stack's activations are large enough that allocating them afresh on
     every step costs more in page faults than the arithmetic they hold,
@@ -193,7 +195,8 @@ class Workspace:
       buffers of class_max and class_sum, and the flat view and run
       starts of a scatter, kept until another array asks for them, as a
       short batch does once per epoch;
-    - one read-only zero array per shape (zeros), which relu reads.
+    - one read-only zero buffer, grown like a role's, and its view for
+      each shape (zeros), which relu reads.
     An array taken for a role is overwritten by the next pass that takes
     it, and a gradient by the next backward pass of its role: in a
     training run, by the next step.
@@ -204,22 +207,25 @@ class Workspace:
         self._views = {}  # (role, shape, dtype) -> view of the role's buffer
         self._grads = {}  # role -> (array, its per-layer views, the layout they follow)
         self._bound = {}  # (make, *args) -> (array, make(array, *args))
-        self._zeros = {}  # shape -> read-only zero array
 
     def take(self, role, shape: tuple, dtype=np.float64) -> np.ndarray:
         """The role's buffer as an array of shape, which the next take of
         the role overwrites. A role holds one dtype."""
         view = self._views.get((role, shape, dtype))
-        if view is None:
-            size = math.prod(shape)
-            buf = self._buffers.get(role)
-            if buf is not None and buf.dtype != dtype:
-                raise TypeError(f"workspace role {role!r} holds {buf.dtype}, not {np.dtype(dtype)}")
-            if buf is None or buf.size < size:
-                buf = self._buffers[role] = np.empty(size, dtype)
-                # the views of an outgrown buffer are not handed out again
-                self._views = {key: v for key, v in self._views.items() if key[0] != role}
-            view = self._views[role, shape, dtype] = buf[:size].reshape(shape)
+        return self._new_view(role, shape, dtype, np.empty) if view is None else view
+
+    def _new_view(self, role, shape: tuple, dtype, make) -> np.ndarray:
+        """The view of shape of the role's buffer, which make(size, dtype)
+        allocates anew when the shape outgrows it."""
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is not None and buf.dtype != dtype:
+            raise TypeError(f"workspace role {role!r} holds {buf.dtype}, not {np.dtype(dtype)}")
+        if buf is None or buf.size < size:
+            buf = self._buffers[role] = make(size, dtype)
+            # the views of an outgrown buffer are not handed out again
+            self._views = {key: v for key, v in self._views.items() if key[0] != role}
+        view = self._views[role, shape, dtype] = buf[:size].reshape(shape)
         return view
 
     def grad(self, role, params: NetworkParams) -> tuple:
@@ -240,13 +246,21 @@ class Workspace:
         return entry[1]
 
     def zeros(self, shape: tuple) -> np.ndarray:
-        """A C-contiguous zero array of shape, made once per shape and
-        read-only, so no write can leave it nonzero."""
-        z = self._zeros.get(shape)
-        if z is None:
-            z = self._zeros[shape] = np.zeros(shape)
-            z.flags.writeable = False
-        return z
+        """A C-contiguous zero array of shape: the view of one zero buffer,
+        grown to the largest shape asked for, as take's. The buffer is
+        read-only, so no write can leave a view of it nonzero."""
+        view = self._views.get((_ZEROS, shape, np.float64))
+        return self._new_view(_ZEROS, shape, np.float64, _read_only_zeros) if view is None else view
+
+
+_ZEROS = object()  # the workspace role of the zero buffer, which no caller of take can name
+
+
+def _read_only_zeros(size: int, dtype) -> np.ndarray:
+    """Workspace.zeros's buffer: size zeros that no write can change."""
+    z = np.zeros(size, dtype)
+    z.flags.writeable = False
+    return z
 
 
 def _act(z: np.ndarray, name: str, work: Workspace) -> np.ndarray:
@@ -308,9 +322,10 @@ def forward_cached(params: NetworkParams, inputs, work: Workspace) -> tuple:
     return z, acts
 
 
-def forward(params: NetworkParams, inputs) -> np.ndarray:
-    """Class logits for the (n, d) rows of one net, as a fresh (n, k) array."""
-    return forward_cached(params, inputs, Workspace())[0]
+def forward(params: NetworkParams, inputs, work: Workspace) -> np.ndarray:
+    """Class logits for the (n, d) rows of one net: the workspace's (n, k)
+    array, which the next forward pass through it overwrites."""
+    return forward_cached(params, inputs, work)[0]
 
 
 class _ClassMax:
@@ -413,21 +428,20 @@ def softmax(logits, work: Workspace, out=None) -> np.ndarray:
     return e
 
 
-def max_softmax(logits, temperature: float = 1.0, out=None) -> np.ndarray:
-    """softmax(logits / temperature).max(axis=-1), bit for bit, as 1 / sum.
+def max_softmax(logits, work: Workspace, temperature: float = 1.0, out=None) -> np.ndarray:
+    """softmax(logits / temperature).max(axis=-1), bit for bit, as 1 / sum,
+    in a fresh array.
 
     The largest numerator is exp(0) = 1 exactly, and dividing every entry
     by the same sum is monotone, so no quotient rounds above 1 / sum. The
     sum is softmax's own reduction, whose order sets the bits. out, when
     given, holds the numerators and may be the logits array.
     """
-    work = Workspace()
     return 1.0 / class_sum(_shifted_exp(logits, temperature, work, out), work)
 
 
-def log_softmax(logits) -> np.ndarray:
+def log_softmax(logits, work: Workspace) -> np.ndarray:
     """Row-wise log of softmax(logits), as a fresh array; logits are only read."""
-    work = Workspace()
     z = np.array(logits, dtype=np.float64)
     z -= class_max(z, work)
     z -= np.log(class_sum(np.exp(z), work, keepdims=True))

@@ -21,7 +21,7 @@ def _log_probs(logits) -> np.ndarray:
         v = v[None, :]
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ValidationError("expected a nonempty (n, k) array")
-    return nn_core.log_softmax(v)
+    return nn_core.log_softmax(v, nn_core.Workspace())
 
 
 def ce_loss(logits, labels) -> float:
@@ -57,14 +57,17 @@ def multiclass_oe_loss(in_batch, oe_batch, params, lam: float) -> float:
         raise ValidationError("lam must be nonnegative")
     if in_batch.labels is None:
         raise ValidationError("in-distribution batch needs labels")
-    logits_in = nn_core.forward(params, in_batch.inputs)
+    # the workspace owns the logits: the inlier loss is taken before the
+    # outlier forward overwrites them
+    work = nn_core.Workspace()
+    logits_in = nn_core.forward(params, in_batch.inputs, work)
     loss = ce_loss(logits_in, in_batch.labels)
     if lam > 0:
         if oe_batch is None:
             raise ValidationError("positive lam needs an outlier batch")
         if oe_batch.labels is not None:
             raise ValidationError("outlier batch must be unlabeled")
-        logits_oe = nn_core.forward(params, oe_batch.inputs)
+        logits_oe = nn_core.forward(params, oe_batch.inputs, work)
         loss += lam * uniform_ce(logits_oe)
     return float(loss)
 

@@ -26,18 +26,19 @@ DETECTORS = ("msp", "uniform_ce", "density_bpp")
 ALONE_ROWS = 2048
 
 
-def score_dataset(model, kind: str, dataset) -> np.ndarray:
-    """Per-example anomaly scores for a whole dataset, in input order."""
+def score_dataset(model, kind: str, dataset, work: nn_core.Workspace) -> np.ndarray:
+    """Per-example anomaly scores for a whole dataset, in input order, as
+    a fresh array; the forward runs through the workspace."""
     if kind not in DETECTORS:
         raise ValidationError(f"unknown detector kind {kind!r}")
     if not isinstance(model, nn_core.NetworkParams):
         raise ValidationError(f"{kind} scoring needs network parameters")
     if kind == "density_bpp":
-        return density_mod.bits_per_dim_batch(model, dataset)
-    logits = nn_core.forward(model, np.asarray(dataset, dtype=np.float64))
+        return density_mod.bits_per_dim_batch(model, dataset, work)
+    logits = nn_core.forward(model, np.asarray(dataset, dtype=np.float64), work)
     if kind == "msp":
-        return -nn_core.max_softmax(logits, out=logits)
-    return nn_core.log_softmax(logits).mean(axis=1)
+        return -nn_core.max_softmax(logits, work, out=logits)
+    return nn_core.log_softmax(logits, work).mean(axis=1)
 
 
 def choose_forward(kind: str, dataset, rows: np.ndarray) -> tuple:

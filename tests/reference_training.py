@@ -155,7 +155,7 @@ def train_classifier(params, lam, X, y, oe_X, *, epochs, batch_size, lr0, moment
 
 
 def nll_batch(net: RefNet, seqs, c, V):
-    feats, targets = density.context_features(seqs, c, V)
+    feats, targets = density.context_features(seqs, c, V, nn_core.Workspace())
     logits, _ = forward_cached(net, feats)
     lp = log_softmax(logits)
     return -lp[np.arange(targets.size), targets].reshape(seqs.shape).sum(axis=1)
@@ -169,7 +169,7 @@ def margin_grad(net: RefNet, a, b, c, V, margin, mle_weight, margin_weight):
     w_out = np.repeat(-margin_weight * active / n_pairs, b.shape[1])
 
     def weighted_backward(seqs, w):
-        feats, targets = density.context_features(seqs, c, V)
+        feats, targets = density.context_features(seqs, c, V, nn_core.Workspace())
         logits, cache = forward_cached(net, feats)
         return backward(net, cache, (softmax(logits) - one_hot(targets, V)) * w[:, None])
 
@@ -179,7 +179,7 @@ def margin_grad(net: RefNet, a, b, c, V, margin, mle_weight, margin_weight):
 def train_density(model, seqs, *, epochs, batch_size, lr0, momentum, weight_decay, seed):
     """Maximum likelihood over position rows, one-hot built per step."""
     c, V = density.layout(model)
-    feats, targets = density.context_features(seqs, c, V)
+    feats, targets = density.context_features(seqs, c, V, nn_core.Workspace())
     net = RefNet(model)
     rows = feats.shape[0]
     bs = min(batch_size, rows)

@@ -96,7 +96,7 @@ def _classifier_case(rng, kind: str, lam: float):
         analytic = nn_core.grad(params, 0.0, batch)
 
         def loss(p):
-            return objectives.ce_loss(nn_core.forward(p, X), y)
+            return objectives.ce_loss(nn_core.forward(p, X, nn_core.Workspace()), y)
 
     else:  # multiclass_oe
         analytic = nn_core.grad(params, lam, batch, oe if lam > 0 else None)
@@ -118,7 +118,7 @@ def _density_case(rng):
     )
     a = rng.integers(0, V, size=(n, D))
     b = rng.integers(0, V, size=(n, D))
-    gaps = np.sort(density.nll_batch(model, b) - density.nll_batch(model, a))
+    gaps = np.sort(density.nll_batch(model, b, nn_core.Workspace()) - density.nll_batch(model, a, nn_core.Workspace()))
     mids = [float(x) for x in (gaps[:-1] + gaps[1:]) / 2]
     mids += [float(gaps[-1] + 1.0), float(np.abs(gaps).max() + 1.0)]
     margin = next(m for m in mids if m > 0 and np.min(np.abs(m - gaps)) >= 0.1)
@@ -126,9 +126,10 @@ def _density_case(rng):
     analytic = density.margin_grad(model, a, b, margin, nn_core.Workspace(), mle_weight=mw, margin_weight=gw)
 
     def loss(q):
-        mle = float(np.mean(density.nll_batch(q, a) / D))
+        work = nn_core.Workspace()  # nll_batch returns fresh arrays
+        mle = float(np.mean(density.nll_batch(q, a, work) / D))
         hinge = float(
-            np.mean(np.maximum(0.0, margin + density.nll_batch(q, a) - density.nll_batch(q, b)))
+            np.mean(np.maximum(0.0, margin + density.nll_batch(q, a, work) - density.nll_batch(q, b, work)))
         )
         return mw * mle + gw * hinge
 
@@ -400,7 +401,7 @@ def test_criterion_9_generators_and_normalization(capsys):
             models = (model,)
         space = np.array(list(itertools.product(range(V), repeat=D)), dtype=np.int64)
         for m in models:
-            total = float(np.sum(np.exp(-density.nll_batch(m, space))))
+            total = float(np.sum(np.exp(-density.nll_batch(m, space, nn_core.Workspace()))))
             worst_gap = max(worst_gap, abs(total - 1.0))
     if worst_gap > 1e-9:
         failures.append(f"normalization gap {worst_gap:.2e}")
@@ -465,13 +466,14 @@ ACCURACY_DROP = 0.02
 def test_criterion_11_exposure_keeps_the_classifier(capsys, pipe):
     t0 = time.perf_counter()
     config = get_preset("preset_2d", pipeline=pipe)
-    trained, _ = pipeline.train_models(config)
+    trained, _ = pipeline.train_models(config, nn_core.Workspace())
     tests = [pipeline.prepare_data(config, s).din_test for s in config.seeds]
-    acc = np.array([[pipeline.classifier_accuracy(m, test.rows, test.labels)
+    acc = np.array([[pipeline.classifier_accuracy(m, test.rows, test.labels, nn_core.Workspace())
                      for m in (models.baseline, models.final)] for test, models in zip(tests, trained)])
     base, final = acc.mean(axis=0)
     # the detector only scores, so uniform_ce trains the nets msp trains
-    uce = pipeline.train_models(get_preset("preset_2d", pipeline=pipe, detector="uniform_ce", seeds=(0,)))[0][0]
+    uce = pipeline.train_models(get_preset("preset_2d", pipeline=pipe, detector="uniform_ce", seeds=(0,)),
+                                nn_core.Workspace())[0][0]
     same = all(np.array_equal(a.vector, b.vector) for a, b in zip(uce[:2], trained[0][:2]))
     elapsed = time.perf_counter() - t0
     ok = same and final >= base - ACCURACY_DROP

@@ -75,7 +75,7 @@ def child_report() -> None:
             for n in (4097, 8193, 20000):
                 p = nn_core.init_network(dims, seed=5, activation=activation)
                 x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
-                if not _same_bits(nn_core.forward(p, x), oracles.forward_per_layer(p, x)):
+                if not _same_bits(nn_core.forward(p, x, nn_core.Workspace()), oracles.forward_per_layer(p, x)):
                     failures["forward"].append(f"{activation} {dims} n={n}")
         # the kept rows hold the set's last row, which ends the whole-set
         # pass, and with an odd count their own pass ends on a single row
@@ -85,14 +85,15 @@ def child_report() -> None:
                 net = nn_core.init_network([2, 32, 32, 4], seed=n, activation=activation)
                 X = rng.normal(scale=4.0, size=(n, 2))
                 rows = np.sort(np.append(rng.choice(n - 1, size=kept - 1, replace=False), n - 1))
-                if not _same_bits(_score_rows(net, kind, X, rows), scoring.score_dataset(net, kind, X)[rows]):
+                whole = scoring.score_dataset(net, kind, X, nn_core.Workspace())
+                if not _same_bits(_score_rows(net, kind, X, rows), whole[rows]):
                     failures["score_rows"].append(f"{kind} {activation} n={n} kept={kept}")
     # 16 position rows per sequence: 128 sequences make an ALONE_ROWS-row forward
     net = nn_core.init_network(density.ar_layer_dims(8, 2, (32,)), 3)
     seqs = np.random.default_rng(4).integers(0, 8, size=(300, 16))
     rows = np.sort(np.random.default_rng(5).choice(300, size=scoring.ALONE_ROWS // 16, replace=False))
     if not _same_bits(_score_rows(net, "density_bpp", seqs, rows),
-                      scoring.score_dataset(net, "density_bpp", seqs)[rows]):
+                      scoring.score_dataset(net, "density_bpp", seqs, nn_core.Workspace())[rows]):
         failures["score_rows"].append("density_bpp")
     for case in ("synthetic_gaussian_mixture_k", "synthetic_gaussian_mixture_n"):
         kind, params, n, dim, want = SOURCE_CASES[case]
@@ -109,7 +110,7 @@ def child_report() -> None:
         for threads in (1, 2):
             for _, put in controls:
                 put(threads)
-            at.append(nn_core.forward(net, x))
+            at.append(nn_core.forward(net, x, nn_core.Workspace()))
         if not _same_bits(*at):
             failures["threads"].append(f"n={n}")
     if not controls or any(get() != 2 for get, _ in controls):

@@ -42,14 +42,14 @@ class TestDiscreteSequence:
     def test_validation(self):
         m = _uniform_model(V=4)
         with pytest.raises(ValidationError, match=r"sequences must form a nonempty \(n, D\) integer matrix"):
-            density.nll_batch(m, np.zeros((2, 0), dtype=np.int64))
+            density.nll_batch(m, np.zeros((2, 0), dtype=np.int64), nn_core.Workspace())
         with pytest.raises(ValidationError, match=r"layer widths \[4, 4, 1\] are not a density layout"):
             density.layout(nn_core.init_network(density.ar_layer_dims(1, 2, (4,)), 0))
         with pytest.raises(ValidationError, match="symbol outside the alphabet"):
-            density.nll_batch(m, [[0, 4]])
+            density.nll_batch(m, [[0, 4]], nn_core.Workspace())
         with pytest.raises(ValidationError, match=r"nonempty \(n, D\) integer matrix"):
-            density.nll_batch(m, [0, 1, 2])  # one sequence is a (1, D) matrix
-        assert density.nll_batch(m, [[0, 1, 2]]).shape == (1,)
+            density.nll_batch(m, [0, 1, 2], nn_core.Workspace())  # one sequence is a (1, D) matrix
+        assert density.nll_batch(m, [[0, 1, 2]], nn_core.Workspace()).shape == (1,)
 
     def test_model_shape_validation(self):
         assert density.layout(nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)) == (2, 3)
@@ -61,7 +61,7 @@ class TestDiscreteSequence:
             with pytest.raises(ValidationError, match="not a density layout"):
                 density.layout(net)
             with pytest.raises(ValidationError, match="not a density layout"):
-                density.nll_batch(net, [[0, 0]])
+                density.nll_batch(net, [[0, 0]], nn_core.Workspace())
 
 
 class TestOneHotWindows:
@@ -89,11 +89,11 @@ class TestNll:
     def test_uniform_model_gives_d_log_v(self):
         m = _uniform_model(V=5)
         seq = [[0, 3, 1, 4, 2, 2, 0]]
-        assert density.nll_batch(m, seq)[0] == pytest.approx(7 * math.log(5), abs=1e-12)
+        assert density.nll_batch(m, seq, nn_core.Workspace())[0] == pytest.approx(7 * math.log(5), abs=1e-12)
 
     def test_single_position_half_probability(self):
         m = _uniform_model(V=2)
-        assert np.allclose(density.nll_batch(m, [[0], [1]]), LN2, rtol=0, atol=1e-15)
+        assert np.allclose(density.nll_batch(m, [[0], [1]], nn_core.Workspace()), LN2, rtol=0, atol=1e-15)
 
     def test_matches_per_step_chain_rule_oracle(self):
         V, c = 4, 3
@@ -107,10 +107,10 @@ class TestNll:
         for t in range(seq.size):
             window = padded[t : t + c]
             feat = eye[window].reshape(1, -1)
-            logits = nn_core.forward(m, feat)
+            logits = nn_core.forward(m, feat, nn_core.Workspace())
             p = nn_core.softmax(logits, nn_core.Workspace())[0]
             total += -math.log(p[seq[t]])
-        got = density.nll_batch(m, seq[None])[0]
+        got = density.nll_batch(m, seq[None], nn_core.Workspace())[0]
         assert got == pytest.approx(total, abs=1e-10)
         assert got >= 0.0
 
@@ -118,48 +118,51 @@ class TestNll:
         V = 3
         m = nn_core.init_network(density.ar_layer_dims(V, 2, (5,)), 1)
         seqs = np.random.default_rng(2).integers(0, V, size=(6, 7))
-        batch = density.nll_batch(m, seqs)
-        singles = np.array([density.nll_batch(m, s[None])[0] for s in seqs])
+        batch = density.nll_batch(m, seqs, nn_core.Workspace())
+        singles = np.array([density.nll_batch(m, s[None], nn_core.Workspace())[0] for s in seqs])
         assert np.max(np.abs(batch - singles)) < 1e-12
 
     def test_symbol_outside_alphabet_rejected(self):
         m = _uniform_model(V=3)
         with pytest.raises(ValidationError, match="symbol outside the alphabet"):
-            density.nll_batch(m, [[0, 3]])
+            density.nll_batch(m, [[0, 3]], nn_core.Workspace())
         with pytest.raises(ValidationError, match="symbol outside the alphabet"):
-            density.nll_batch(m, [[-1]])
+            density.nll_batch(m, [[-1]], nn_core.Workspace())
 
     def test_symbols_that_are_not_whole_numbers_rejected(self):
         m = _uniform_model(V=3)
         for bad in (0.5, 2.5, -0.5, float("nan")):
             with pytest.raises(ValidationError, match="symbols must be whole numbers"):
-                density.nll_batch(m, np.full((2, 3), bad))
+                density.nll_batch(m, np.full((2, 3), bad), nn_core.Workspace())
         with pytest.raises(ValidationError, match="symbol outside the alphabet"):  # inf is whole, and too large
-            density.nll_batch(m, np.full((2, 3), float("inf")))
+            density.nll_batch(m, np.full((2, 3), float("inf")), nn_core.Workspace())
         # whole numbers held as floats score as the integers they equal
-        assert np.array_equal(density.nll_batch(m, np.full((2, 3), 2.0)), density.nll_batch(m, np.full((2, 3), 2)))
+        work = nn_core.Workspace()
+        assert np.array_equal(density.nll_batch(m, np.full((2, 3), 2.0), work),
+                              density.nll_batch(m, np.full((2, 3), 2), work))
 
 
 class TestBitsPerDim:
     def test_exact_nats_to_bits_conversion(self):
         m = nn_core.init_network(density.ar_layer_dims(4, 2, (6,)), 3)
         seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
-        assert np.array_equal(density.bits_per_dim_batch(m, seqs), density.nll_batch(m, seqs) / (9 * LN2))
+        work = nn_core.Workspace()
+        assert np.array_equal(density.bits_per_dim_batch(m, seqs, work), density.nll_batch(m, seqs, work) / (9 * LN2))
 
     def test_uniform_model_gives_log2_v(self):
         m = _uniform_model(V=8)
-        assert density.bits_per_dim_batch(m, [[0, 1, 2, 3]])[0] == pytest.approx(3.0, abs=1e-12)
+        assert density.bits_per_dim_batch(m, [[0, 1, 2, 3]], nn_core.Workspace())[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_byte_alphabet_uniform_is_eight_bits(self):
         m = _uniform_model(V=256, c=1, hidden=(2,))
         seq = [[0, 17, 255, 128]]
-        assert density.bits_per_dim_batch(m, seq)[0] == pytest.approx(8.0, abs=1e-12)
+        assert density.bits_per_dim_batch(m, seq, nn_core.Workspace())[0] == pytest.approx(8.0, abs=1e-12)
 
     def test_batch_variant_agrees(self):
         m = nn_core.init_network(density.ar_layer_dims(4, 2, (6,)), 3)
         seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
-        batch = density.bits_per_dim_batch(m, seqs)
-        singles = [density.bits_per_dim_batch(m, s[None])[0] for s in seqs]
+        batch = density.bits_per_dim_batch(m, seqs, nn_core.Workspace())
+        singles = [density.bits_per_dim_batch(m, s[None], nn_core.Workspace())[0] for s in seqs]
         assert np.max(np.abs(batch - np.array(singles))) < 1e-12
 
 
@@ -167,9 +170,9 @@ class TestTrainDensity:
     def test_constant_sequences_drive_nll_toward_zero(self):
         data = np.zeros((50, 8), dtype=np.int64)
         m = nn_core.init_network(density.ar_layer_dims(2, 2, (8,)), 0)
-        before = np.mean(density.nll_batch(m, data))
+        before = np.mean(density.nll_batch(m, data, nn_core.Workspace()))
         trained = _solo(density.train_density, m, data, epochs=30, batch_size=32, lr0=0.5, seed=0)
-        after = np.mean(density.nll_batch(trained, data))
+        after = np.mean(density.nll_batch(trained, data, nn_core.Workspace()))
         assert after < before
         assert after < 0.05
 
@@ -178,7 +181,7 @@ class TestTrainDensity:
         data = np.random.default_rng(1).integers(0, V, size=(400, 12))
         m = nn_core.init_network(density.ar_layer_dims(V, 2, (8,)), 1)
         trained = _solo(density.train_density, m, data, epochs=15, batch_size=32, lr0=0.2, seed=1)
-        bpp = float(np.mean(density.bits_per_dim_batch(trained, data)))
+        bpp = float(np.mean(density.bits_per_dim_batch(trained, data, nn_core.Workspace())))
         assert abs(bpp - math.log2(V)) < 0.1
 
     def test_structured_inliers_priced_below_held_out_outliers(self):
@@ -189,8 +192,8 @@ class TestTrainDensity:
         held_out = rng.integers(0, V, size=(80, 12))
         m = nn_core.init_network(density.ar_layer_dims(V, 2, (16,)), 4)
         trained = _solo(density.train_density, m, train, epochs=10, batch_size=32, lr0=0.2, seed=4)
-        bpp_in = float(np.mean(density.bits_per_dim_batch(trained, held_in)))
-        bpp_out = float(np.mean(density.bits_per_dim_batch(trained, held_out)))
+        bpp_in = float(np.mean(density.bits_per_dim_batch(trained, held_in, nn_core.Workspace())))
+        bpp_out = float(np.mean(density.bits_per_dim_batch(trained, held_out, nn_core.Workspace())))
         assert bpp_in < bpp_out
 
     def test_training_is_deterministic(self):
@@ -214,8 +217,8 @@ class TestMarginGrad:
         rng = np.random.default_rng(8)
         a = rng.integers(0, V, size=(4, D))
         b = rng.integers(0, V, size=(4, D))
-        nll_in = density.nll_batch(m, a)
-        nll_out = density.nll_batch(m, b)
+        nll_in = density.nll_batch(m, a, nn_core.Workspace())
+        nll_out = density.nll_batch(m, b, nn_core.Workspace())
         # pick a positive margin well away from every hinge kink, sitting
         # between gaps so both active and inactive pairs are exercised
         gaps = np.sort(nll_out - nll_in)
@@ -228,9 +231,10 @@ class TestMarginGrad:
         analytic = density.margin_grad(m, a, b, margin, nn_core.Workspace(), mle_weight=mw, margin_weight=gw)
 
         def loss(q):
-            mle = float(np.mean(density.nll_batch(q, a) / D))
+            work = nn_core.Workspace()  # nll_batch returns fresh arrays
+            mle = float(np.mean(density.nll_batch(q, a, work) / D))
             hinge = float(
-                np.mean(np.maximum(0.0, margin + density.nll_batch(q, a) - density.nll_batch(q, b)))
+                np.mean(np.maximum(0.0, margin + density.nll_batch(q, a, work) - density.nll_batch(q, b, work)))
             )
             return mw * mle + gw * hinge
 
@@ -245,7 +249,7 @@ class TestMarginGrad:
         m = _solo(density.train_density, m, train, epochs=20, batch_size=32, lr0=0.5, seed=3)
         a = np.zeros((5, 8), dtype=np.int64)
         b = rng.integers(1, V, size=(5, 8))
-        slack = density.nll_batch(m, b) - density.nll_batch(m, a)
+        slack = density.nll_batch(m, b, nn_core.Workspace()) - density.nll_batch(m, a, nn_core.Workspace())
         margin = float(np.min(slack) / 2)
         assert margin > 0  # the setup must actually satisfy the hinge
 
@@ -294,8 +298,8 @@ class TestFinetune:
         def auroc_of(model):
             return metrics.auroc(
                 metrics.ScoredSet(
-                    density.bits_per_dim_batch(model, test_in),
-                    density.bits_per_dim_batch(model, test_out),
+                    density.bits_per_dim_batch(model, test_in, nn_core.Workspace()),
+                    density.bits_per_dim_batch(model, test_out, nn_core.Workspace()),
                 )
             )
 
@@ -306,8 +310,9 @@ class TestFinetune:
         tuned = _solo(density.finetune_density_oe, base, train_in, oe, epochs=2, batch_size=32, lr0=0.05, seed=1)
 
         def gap(model):
+            work = nn_core.Workspace()
             return float(
-                np.mean(density.nll_batch(model, test_out)) - np.mean(density.nll_batch(model, test_in))
+                np.mean(density.nll_batch(model, test_out, work)) - np.mean(density.nll_batch(model, test_in, work))
             )
 
         assert gap(tuned) > gap(base)
@@ -336,13 +341,14 @@ class TestFinetune:
         state = nn_core.init_optimizer(m, lr0=1e-3, total_steps=20)
         margin = float(D)
         for _ in range(20):
-            mle_before = np.mean(density.nll_batch(m, a)) / D
+            work = nn_core.Workspace()
+            mle_before = np.mean(density.nll_batch(m, a, work)) / D
             hinge = float(
-                np.mean(np.maximum(0.0, margin + density.nll_batch(m, a) - density.nll_batch(m, b)))
+                np.mean(np.maximum(0.0, margin + density.nll_batch(m, a, work) - density.nll_batch(m, b, work)))
             )
             g = density.margin_grad(m, a, b, margin, nn_core.Workspace())
             nn_core.sgd_step(m, g, state)
-            mle_after = np.mean(density.nll_batch(m, a)) / D
+            mle_after = np.mean(density.nll_batch(m, a, nn_core.Workspace())) / D
             assert mle_after - mle_before <= abs(hinge) + 1e-12
 
 
@@ -350,7 +356,7 @@ class TestNormalization:
     def test_predictive_rows_sum_to_one(self):
         m = nn_core.init_network(density.ar_layer_dims(5, 3, (7,)), 11)
         seqs = np.random.default_rng(1).integers(0, 5, size=(4, 6))
-        feats, _ = density.context_features(seqs, *density.layout(m))
+        feats, _ = density.context_features(seqs, *density.layout(m), nn_core.Workspace())
         work = nn_core.Workspace()
         logits, _ = nn_core.forward_cached(m, feats, work)
         p = nn_core.softmax(logits, work)
@@ -361,7 +367,7 @@ class TestNormalization:
         # sum of exp(-nll) over every binary sequence of length D must be 1
         m = nn_core.init_network(density.ar_layer_dims(2, 2, (6,)), 17)
         grid = np.array(np.meshgrid(*[[0, 1]] * D, indexing="ij")).reshape(D, -1).T
-        total = float(np.sum(np.exp(-density.nll_batch(m, grid))))
+        total = float(np.sum(np.exp(-density.nll_batch(m, grid, nn_core.Workspace()))))
         assert abs(total - 1.0) < 1e-9
 
     def test_brute_force_after_training_still_normalized(self):
@@ -369,7 +375,7 @@ class TestNormalization:
         m = nn_core.init_network(density.ar_layer_dims(2, 2, (6,)), 0)
         m = _solo(density.train_density, m, data, epochs=5, batch_size=32, lr0=0.1, seed=0)
         grid = np.array(np.meshgrid(*[[0, 1]] * 6, indexing="ij")).reshape(6, -1).T
-        total = float(np.sum(np.exp(-density.nll_batch(m, grid))))
+        total = float(np.sum(np.exp(-density.nll_batch(m, grid, nn_core.Workspace()))))
         assert abs(total - 1.0) < 1e-9
 
 
@@ -390,4 +396,5 @@ class TestSerialization:
         path = tmp_path / "density.bin"
         nn_core.save_params(m, path)
         q = nn_core.load_params(path)
-        assert np.array_equal(density.nll_batch(m, seqs), density.nll_batch(q, seqs))
+        work = nn_core.Workspace()
+        assert np.array_equal(density.nll_batch(m, seqs, work), density.nll_batch(q, seqs, work))

@@ -11,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +152,7 @@ def _train(config, seed):
 def _evaluate(model, config, seed):
     """evaluate_detector on the EvalRecord of one seed, as the eval command builds it."""
     _, [record] = pipeline.prepare_run(config, [seed])
-    return pipeline.evaluate_detector(model, "model", config, record)
+    return pipeline.evaluate_detector(model, "model", config, record, nn_core.Workspace())
 
 
 class TestConfigValidation:
@@ -945,8 +946,9 @@ class TestTrainingPipeline:
         config = _tiny_config(epochs=20)
         bundle = pipeline.prepare_data(config, seed=0)
         model = pipeline.train_baseline(config, _train(config, 0))[0]
-        assert pipeline.classifier_accuracy(model, bundle.din_train.rows, bundle.din_train.labels) >= 0.95
-        assert pipeline.classifier_accuracy(model, bundle.din_val.rows, bundle.din_val.labels) >= 0.9
+        work = nn_core.Workspace()
+        assert pipeline.classifier_accuracy(model, bundle.din_train.rows, bundle.din_train.labels, work) >= 0.95
+        assert pipeline.classifier_accuracy(model, bundle.din_val.rows, bundle.din_val.labels, work) >= 0.9
 
     def test_scratch_differs_from_finetune(self):
         config = _tiny_config()
@@ -1016,7 +1018,8 @@ class TestTrainingPipeline:
 
     def test_density_seed_run(self):
         config = _tiny_density_config()
-        sr = pipeline.run_seed(config, 0, *_first_seed(pipeline.train_models(config)))
+        work = nn_core.Workspace()
+        sr = pipeline.run_seed(config, 0, *_first_seed(pipeline.train_models(config, work)), work)
         assert set(sr.reports) == {"baseline", "final"}
         assert set(sr.reports["final"]) == {"periodic"}
         assert sr.train_accuracy is None
@@ -1059,8 +1062,8 @@ class TestEvaluation:
 
     def test_a_bundle_draws_the_pools_of_its_own_seed(self):
         config = _tiny_config(seeds=(5,))
-        models, record = _first_seed(pipeline.train_models(config))
-        sr = pipeline.run_seed(config, 5, models, record)
+        models, record = _first_seed(pipeline.train_models(config, nn_core.Workspace()))
+        sr = pipeline.run_seed(config, 5, models, record, nn_core.Workspace())
         _, pools = _evaluate(models.final, config, 5)
         assert set(pools) == set(sr.pools) == {"ring"}
         got, want = pools["ring"], sr.pools["ring"]
@@ -1084,17 +1087,17 @@ class TestEvaluation:
         model = nn_core.init_network([2, 8, 3], seed=0)
         original, rows_scored = pipeline.scoring_mod.score_dataset, []
 
-        def counting(model, kind, dataset):
+        def counting(model, kind, dataset, work):
             rows_scored.append(len(dataset))
-            return original(model, kind, dataset)
+            return original(model, kind, dataset, work)
 
         monkeypatch.setattr(pipeline.scoring_mod, "score_dataset", counting)
         _, pools = _evaluate(model, config, 0)
         assert rows_scored == [2070, 2070, 200]
-        in_scores = original(model, "msp", bundle.din_test.rows)
+        in_scores = original(model, "msp", bundle.din_test.rows, nn_core.Workspace())
         for i, name in enumerate(("big", "small")):
             want = metrics.enforce_base_rate(
-                in_scores, original(model, "msp", bundle.tests[name].rows),
+                in_scores, original(model, "msp", bundle.tests[name].rows, nn_core.Workspace()),
                 ratio=(1, 1), seed=pipeline._ss(0, pipeline.ROLE_BASE_RATE, i),
             )
             assert np.array_equal(pools[name].in_scores.view(np.int64), want.in_scores.view(np.int64))
@@ -1125,7 +1128,7 @@ class TestEvaluation:
                  for name, n in (("big", 5000), ("small", 200))]
         config = _tiny_config(d_in=DatasetSpec("synthetic_gaussian_mixture", "blobs", blobs),
                               d_out_test=rings, base_rate=(1, 1), seeds=(3,), epochs=1, finetune_epochs=1)
-        models, record = _first_seed(pipeline.train_models(config))
+        models, record = _first_seed(pipeline.train_models(config, nn_core.Workspace()))
         bundle = pipeline.prepare_data(config, 3)
         kept = metrics.base_rate_rows(2070, 5000, (1, 1), pipeline._ss(3, pipeline.ROLE_BASE_RATE, 0))[1]
         assert 2070 == kept.size >= pipeline.scoring_mod.ALONE_ROWS
@@ -1137,7 +1140,7 @@ class TestEvaluation:
         # a run that does not calibrate keeps neither the validation split nor the whole test sets
         assert record.din_val is None and record.tests is None
         assert record.din_test.rows.tobytes() == bundle.din_test.rows.tobytes()
-        sr = pipeline.run_seed(config, 3, models, record)
+        sr = pipeline.run_seed(config, 3, models, record, nn_core.Workspace())
         _, fresh = _evaluate(models.final, config, 3)
         assert set(sr.pools) == set(fresh) == {"big", "small"}
         for name, pool in fresh.items():
@@ -1146,7 +1149,8 @@ class TestEvaluation:
 
     def test_calibration_eval_structure(self):
         config = _tiny_config(calibration=True, epochs=8)
-        sr = pipeline.run_seed(config, 0, *_first_seed(pipeline.train_models(config)))
+        work = nn_core.Workspace()
+        sr = pipeline.run_seed(config, 0, *_first_seed(pipeline.train_models(config, work)), work)
         cal = sr.calibration
         assert set(cal) == {"baseline_temp", "final_temp", "final_temp_rescaled"}
         for rep in cal.values():
@@ -1182,13 +1186,13 @@ class TestEvaluation:
 
     def test_a_calibrating_run_fits_on_the_validation_split_each_record_keeps(self, tmp_path):
         config = self._overlapping_config(seeds=(0, 1, 2))
-        trained, records = pipeline.train_models(config)
+        trained, records = pipeline.train_models(config, nn_core.Workspace())
         for seed, record in zip(config.seeds, records):
             val = pipeline.prepare_data(config, seed).din_val
             assert record.din_val.rows.tobytes() == val.rows.tobytes()
             assert record.din_val.labels.tobytes() == val.labels.tobytes()
         assert len({record.din_val.rows.tobytes() for record in records}) == 3
-        temps = pipeline.fit_temperatures([(m.baseline, m.final) for m in trained], records)
+        temps = pipeline.fit_temperatures([(m.baseline, m.final) for m in trained], records, nn_core.Workspace())
         assert temps == [m.temperatures for m in trained]
         reports.write_reports(tmp_path / "run", pipeline.run_experiment(config))
         for seed, (baseline_temp, final_temp) in zip(config.seeds, temps):
@@ -1200,18 +1204,60 @@ class TestEvaluation:
         config = self._overlapping_config(seeds=(0, 1, 2))
         reports.write_reports(tmp_path / "run", pipeline.run_experiment(config))
         solo = self._overlapping_config(seeds=(1,))
-        models, record = _first_seed(pipeline.train_models(solo))
+        models, record = _first_seed(pipeline.train_models(solo, nn_core.Workspace()))
         baseline, final, temps, _ = models
-        sr = pipeline.run_seed(solo, 1, models, record)
+        sr = pipeline.run_seed(solo, 1, models, record, nn_core.Workspace())
         # each temperature is the one fit of its own model on the seed's validation split
         val = pipeline.prepare_data(solo, 1).din_val
-        fits = np.stack([nn_core.forward(m, val.rows) for m in (baseline, final)])
+        fits = np.stack([nn_core.forward(m, val.rows, nn_core.Workspace()) for m in (baseline, final)])
         assert temps == tuple(pipeline.calib_mod.tune_temperature(f[None], val.labels[None])[0] for f in fits)
         assert 0.01 < temps[1] < temps[0] < 100.0
         reports.write_reports(tmp_path / "solo", pipeline.ExperimentResult(solo, [sr], pipeline.summarize(solo, [sr])))
         name = "calibration_seed1.json"
         assert (tmp_path / "solo" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
         assert json.loads((tmp_path / "solo" / name).read_text())["final_temp"]["temperature"] == temps[1]
+
+    def test_fit_temperatures_copies_each_forward_out_of_the_shared_workspace(self):
+        # the workspace owns the logits of its last forward: a stack of the
+        # forwards' own arrays would repeat the last model's logits
+        config = self._overlapping_config(seeds=(0, 1))
+        trained, records = pipeline.train_models(config, nn_core.Workspace())
+        pairs = [(m.baseline, m.final) for m in trained]
+        temps = pipeline.fit_temperatures(pairs, records, nn_core.Workspace())
+        logits = np.stack([nn_core.forward(m, r.din_val.rows, nn_core.Workspace())
+                           for pair, r in zip(pairs, records) for m in pair])
+        labels = np.stack([r.din_val.labels for r in records for _ in range(2)])
+        want = pipeline.calib_mod.tune_temperature(logits, labels).tolist()
+        assert temps == list(zip(want[0::2], want[1::2]))
+        assert len(set(want)) == 4
+
+    @pytest.mark.parametrize("preset", ["preset_2d", "preset_density"])
+    def test_a_run_evaluates_through_one_workspace_and_keeps_none(self, monkeypatch, preset):
+        # every forward after training reuses one workspace, and no workspace
+        # outlives run_experiment: report writing must not hold its buffers
+        made, served = [], []
+
+        class Tracked(nn_core.Workspace):
+            def __init__(self):
+                super().__init__()
+                self.serial = len(made)
+                made.append(weakref.ref(self))
+
+        forward = nn_core.forward
+
+        def recording_forward(params, inputs, work):
+            served.append(work.serial)
+            return forward(params, inputs, work)
+
+        monkeypatch.setattr(nn_core, "Workspace", Tracked)
+        monkeypatch.setattr(nn_core, "forward", recording_forward)
+        config = get_preset(preset, seeds=(0, 1), **({"calibration": True} if preset == "preset_2d" else {}))
+        config.epochs, config.finetune_epochs = 2, 1
+        exp = pipeline.run_experiment(config)
+        assert len(exp.seed_results) == 2
+        assert len(set(served)) == 1 and len(served) > 2 * 2 * len(config.d_out_test)
+        assert len(made) > 1  # training makes its own
+        assert [ref for ref in made if ref() is not None] == []
 
 
 class TestReports:
@@ -1535,12 +1581,13 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 0
         config = load_config(path)
-        models, _ = pipeline.train_models(config)
+        models, _ = pipeline.train_models(config, nn_core.Workspace())
         per_seed = json.loads((out / "summary.json").read_text())["per_seed"]
         assert [entry["seed"] for entry in per_seed] == [0, 1]
         for entry, seed, m in zip(per_seed, config.seeds, models):
             train = pipeline.prepare_data(config, seed).din_train
-            assert entry["train_accuracy"] == pipeline.classifier_accuracy(m.final, train.rows, train.labels)
+            work = nn_core.Workspace()
+            assert entry["train_accuracy"] == pipeline.classifier_accuracy(m.final, train.rows, train.labels, work)
 
     def test_every_command_that_trains_or_evaluates_prepares_its_data_in_one_call(self, tmp_path, monkeypatch):
         path = self._write_config(tmp_path, seeds=(0, 1), epochs=1, finetune_epochs=1)
@@ -1663,6 +1710,20 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["make-data", "-c", str(path), "-o", str(out), "-q"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_an_integer_past_the_digit_limit_exits_one_as_invalid_json(self, tmp_path, capsys):
+        # Python reads no JSON integer of more than 4,300 digits
+        wire = get_preset("preset_2d").to_dict()
+        wire["lambda"] = "LAMBDA"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(wire).replace('"LAMBDA"', "1" + "0" * 5000))
+        with pytest.raises(ValidationError, match="is not valid JSON: .*digits"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["make-data", "-c", str(path), "-o", str(out), "-q"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path} is not valid JSON: ") and err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("preset, key, value", [
@@ -2383,9 +2444,9 @@ class TestCli:
         run_models = {}
         run_seed = pipeline.run_seed
 
-        def recording_run_seed(config, seed, models, record):
+        def recording_run_seed(config, seed, models, record, work):
             run_models[seed] = models
-            return run_seed(config, seed, models, record)
+            return run_seed(config, seed, models, record, work)
 
         monkeypatch.setattr(pipeline, "run_seed", recording_run_seed)
         assert cli.main(["run", "-c", str(path), "-o", str(tmp_path / "run"), "-q"]) == 0

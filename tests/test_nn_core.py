@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oewb import density, nn_core, objectives
+from oewb import density, nn_core, objectives, scoring
 from oewb.errors import ValidationError
+from oewb.harness import pipeline
 
 import fd
 import oracles
@@ -27,14 +28,14 @@ def _zeroed(dims, activation="relu"):
 class TestForward:
     def test_zero_parameters_give_zero_logits(self):
         p = _zeroed([3, 4, 2])
-        logits = nn_core.forward(p, np.random.default_rng(0).normal(size=(5, 3)))
+        logits = nn_core.forward(p, np.random.default_rng(0).normal(size=(5, 3)), nn_core.Workspace())
         assert np.array_equal(logits, np.zeros((5, 2)))
 
     def test_single_identity_layer_passes_input_through(self):
         p = _zeroed([3, 3])
         p.weights[0][...] = np.eye(3)
         x = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(nn_core.forward(p, x), x)
+        assert np.array_equal(nn_core.forward(p, x, nn_core.Workspace()), x)
 
     def test_matches_explicit_matrix_arithmetic(self):
         # straight-line oracle for a 2-4-3 relu net on a fixed input
@@ -42,7 +43,7 @@ class TestForward:
         x = np.array([[0.3, -1.2], [2.0, 0.5]])
         h = np.maximum(x @ p.weights[0].T + p.biases[0], 0.0)
         expected = h @ p.weights[1].T + p.biases[1]
-        logits = nn_core.forward(p, x)
+        logits = nn_core.forward(p, x, nn_core.Workspace())
         assert np.max(np.abs(logits - expected)) < 1e-12
 
     def test_tanh_variant_matches_oracle(self):
@@ -50,7 +51,7 @@ class TestForward:
         x = np.array([[0.3, -1.2]])
         h = np.tanh(x @ p.weights[0].T + p.biases[0])
         expected = h @ p.weights[1].T + p.biases[1]
-        logits = nn_core.forward(p, x)
+        logits = nn_core.forward(p, x, nn_core.Workspace())
         assert np.max(np.abs(logits - expected)) < 1e-12
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -59,7 +60,7 @@ class TestForward:
         p = nn_core.init_network(dims, seed=5, activation=activation)
         x = np.random.default_rng(1).normal(size=(257, 3)) * 3.0
         cached_logits, _ = nn_core.forward_cached(p, x, nn_core.Workspace())
-        assert np.array_equal(nn_core.forward(p, x), cached_logits)
+        assert np.array_equal(nn_core.forward(p, x, nn_core.Workspace()), cached_logits)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("dims", [[3, 16, 4], [3, 16, 8, 4]])
@@ -67,7 +68,7 @@ class TestForward:
     def test_keeps_the_bits_of_a_plain_per_layer_pass(self, activation, dims, n):
         p = nn_core.init_network(dims, seed=5, activation=activation)
         x = np.random.default_rng(n).normal(size=(n, 3)) * 3.0
-        got, want = nn_core.forward(p, x), oracles.forward_per_layer(p, x)
+        got, want = nn_core.forward(p, x, nn_core.Workspace()), oracles.forward_per_layer(p, x)
         assert got.shape == want.shape == (n, dims[-1])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -75,20 +76,20 @@ class TestForward:
         p = nn_core.init_network([3, 16, 8, 4], seed=5)
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(5000, 3)), rng.normal(size=(5000, 3))
-        first = nn_core.forward(p, x)
+        first = nn_core.forward(p, x, nn_core.Workspace())
         kept = first.copy()
-        second = nn_core.forward(p, y)
+        second = nn_core.forward(p, y, nn_core.Workspace())
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
 
     def test_dimension_mismatch_rejected(self):
         p = nn_core.init_network([2, 4, 3], seed=0)
         with pytest.raises(ValidationError, match="input width 5 does not match network input dim 2"):
-            nn_core.forward(p, np.zeros((1, 5)))
+            nn_core.forward(p, np.zeros((1, 5)), nn_core.Workspace())
         with pytest.raises(ValidationError, match="input width 5 does not match network input dim 2"):
             nn_core.forward_cached(p, np.zeros((1, 5)), nn_core.Workspace())
         with pytest.raises(ValidationError, match=r"inputs must form an \(n, d\) matrix per net"):
-            nn_core.forward(p, np.zeros(2))
+            nn_core.forward(p, np.zeros(2), nn_core.Workspace())
 
     def test_batch_validation(self):
         with pytest.raises(ValidationError, match=r"batch inputs must form a nonempty \(n, d\) matrix"):
@@ -191,16 +192,16 @@ class TestSoftmax:
     @given(z=_logit_rows(), t=st.sampled_from([0.01, 1.0, 37.5, 100.0]))
     @settings(max_examples=300, deadline=None)
     def test_max_softmax_is_the_softmax_max_bit_for_bit(self, z, t):
-        got = nn_core.max_softmax(z, t)
+        got = nn_core.max_softmax(z, nn_core.Workspace(), t)
         want = nn_core.softmax(np.asarray(z) / t, nn_core.Workspace()).max(axis=-1)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         # written over the logits, as scoring does
-        in_place = nn_core.max_softmax(z, t, out=z)
+        in_place = nn_core.max_softmax(z, nn_core.Workspace(), t, out=z)
         assert np.array_equal(in_place.view(np.int64), want.view(np.int64))
 
     def test_max_softmax_of_a_saturated_row_is_one(self):
-        assert nn_core.max_softmax([[900.0, 0.0, -5.0, 1.0]]).tolist() == [1.0]
+        assert nn_core.max_softmax([[900.0, 0.0, -5.0, 1.0]], nn_core.Workspace()).tolist() == [1.0]
 
     def test_symmetric_pair(self):
         assert np.allclose(nn_core.softmax([[0.0, 0.0]], nn_core.Workspace()), [[0.5, 0.5]], atol=1e-15)
@@ -209,17 +210,17 @@ class TestSoftmax:
         for c in (-3.0, 0.0, 17.5):
             assert np.allclose(nn_core.softmax([[c, c, c]], nn_core.Workspace()), 1.0 / 3.0, atol=1e-15)
             for t in (0.5, 1.0, 4.0):
-                assert np.allclose(nn_core.max_softmax([[c, c, c]], t), 1.0 / 3.0, atol=1e-15)
+                assert np.allclose(nn_core.max_softmax([[c, c, c]], nn_core.Workspace(), t), 1.0 / 3.0, atol=1e-15)
 
     def test_temperature_rescales_logits(self):
-        a = nn_core.max_softmax([[2.0, 0.0]], 2.0)
-        b = nn_core.max_softmax([[1.0, 0.0]], 1.0)
+        a = nn_core.max_softmax([[2.0, 0.0]], nn_core.Workspace(), 2.0)
+        b = nn_core.max_softmax([[1.0, 0.0]], nn_core.Workspace(), 1.0)
         assert np.allclose(a, b, atol=1e-15)
 
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_nonpositive_temperature_rejected(self, t):
         with pytest.raises(ValidationError, match="temperature must be positive"):
-            nn_core.max_softmax([[1.0, 2.0]], temperature=t)
+            nn_core.max_softmax([[1.0, 2.0]], nn_core.Workspace(), temperature=t)
 
     @given(
         rows=st.lists(
@@ -241,13 +242,13 @@ class TestSoftmax:
     def test_log_softmax_agrees_with_log_of_softmax(self):
         z = np.random.default_rng(1).normal(size=(4, 5)) * 3
         before = z.copy()
-        lp = nn_core.log_softmax(z)
+        lp = nn_core.log_softmax(z, nn_core.Workspace())
         # a fresh array; the logits are only read
         assert not np.shares_memory(lp, z) and np.array_equal(z, before)
         assert np.max(np.abs(lp - np.log(nn_core.softmax(z, nn_core.Workspace())))) < 1e-12
 
     def test_log_softmax_stable_at_extreme_logits(self):
-        lp = nn_core.log_softmax([[1000.0, 0.0]])
+        lp = nn_core.log_softmax([[1000.0, 0.0]], nn_core.Workspace())
         assert np.all(np.isfinite(lp))
         assert abs(lp[0, 0]) < 1e-12
 
@@ -306,7 +307,7 @@ class TestGrad:
         g = nn_core.grad(p, 0.0, batch)
 
         def loss(q):
-            return objectives.ce_loss(nn_core.forward(q, batch.inputs), batch.labels)
+            return objectives.ce_loss(nn_core.forward(q, batch.inputs, nn_core.Workspace()), batch.labels)
 
         d = rng.normal(size=g.size)
         d -= (d @ g) / (g @ g) * g
@@ -483,9 +484,12 @@ class TestVectorLoops:
                            lr0=0.1, seed=[0, 1, 2])
         work = works[0]
         assert all(w is work for w in works)
-        # full and short batches of inliers and outliers through two hidden layers
-        assert sorted(work._zeros) == [(3, 5, 8), (3, 16, 8)]
-        assert all(not z.view(np.int64).any() for z in work._zeros.values())
+        # full and short batches of inliers and outliers through two hidden
+        # layers, as views of one zero buffer
+        zeros = {key[1]: view for key, view in work._views.items() if key[0] is nn_core._ZEROS}
+        assert sorted(zeros) == [(3, 5, 8), (3, 16, 8)]
+        assert all(np.shares_memory(z, work._buffers[nn_core._ZEROS]) for z in zeros.values())
+        assert not work._buffers[nn_core._ZEROS].view(np.int64).any()
 
 
 class TestWorkspace:
@@ -530,14 +534,49 @@ class TestWorkspace:
         # every pass gets its arrays from a workspace its caller passes; none
         # falls back to fresh arrays when the workspace is left out
         defaults = {f"{module.__name__}.{name}": inspect.signature(fn).parameters["work"].default
-                    for module in (nn_core, density) for name, fn in vars(module).items()
+                    for module in (nn_core, density, scoring, pipeline) for name, fn in vars(module).items()
                     if inspect.isfunction(fn) and fn.__module__ == module.__name__
                     and "work" in inspect.signature(fn).parameters}
-        passes = {"forward_cached", "backward", "_objective_grad", "class_max", "class_sum", "_shifted_exp",
-                  "softmax", "ce_logit_grad", "_minus_one_hot", "_act", "_delta_below"}
+        passes = {"forward_cached", "forward", "backward", "_objective_grad", "class_max", "class_sum",
+                  "_shifted_exp", "softmax", "max_softmax", "log_softmax", "ce_logit_grad", "_minus_one_hot",
+                  "_act", "_delta_below"}
         assert {f"oewb.nn_core.{name}" for name in passes} <= set(defaults)
-        assert {f"oewb.density.{name}" for name in ("one_hot_windows", "_sequence_nll", "margin_grad")} <= set(defaults)
+        assert {f"oewb.density.{name}" for name in ("one_hot_windows", "context_features", "_sequence_nll",
+                                                   "nll_batch", "bits_per_dim_batch", "margin_grad")} <= set(defaults)
+        assert "oewb.scoring.score_dataset" in defaults
+        # every forward of a run after training takes the run's workspace
+        assert {f"oewb.harness.pipeline.{name}" for name in (
+            "train_models", "fit_temperatures", "classifier_accuracy", "evaluate_detector", "calibration_eval",
+            "run_seed")} <= set(defaults)
         assert {name for name, default in defaults.items() if default is not inspect.Parameter.empty} == set()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_one_workspace_serves_forwards_of_every_size(self, activation):
+        # an evaluation runs forwards of many sizes through one workspace;
+        # each keeps the bits of a forward through a fresh one
+        p = nn_core.init_network([2, 32, 32, 4], seed=3, activation=activation)
+        rng = np.random.default_rng(2)
+        work = nn_core.Workspace()
+        for n in (14000, 3000, 14000):
+            x = rng.normal(scale=4.0, size=(n, 2))
+            got = nn_core.forward(p, x, work)
+            assert _same_bits(got, nn_core.forward(p, x, nn_core.Workspace()))
+        # the workspace owns the logits: the next forward overwrites them
+        assert np.shares_memory(got, nn_core.forward(p, x[:3000], work))
+
+    def test_zero_views_stay_zero_and_read_only_when_the_buffer_grows(self):
+        work = nn_core.Workspace()
+        small = work.zeros((3000, 32))
+        assert work.zeros((3000, 32)) is small
+        large = work.zeros((14000, 32))  # outgrows the buffer
+        again = work.zeros((3000, 32))
+        assert again is not small and np.shares_memory(again, large)
+        assert np.shares_memory(work.zeros((2, 5)), large)  # any smaller shape views the one buffer
+        for z in (small, large, again):
+            assert z.flags.c_contiguous and not z.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                z[0, 0] = 1.0
+            assert not z.view(np.int64).any()
 
     def test_take_hands_out_one_view_per_shape_of_one_buffer(self):
         work = nn_core.Workspace()
@@ -674,7 +713,7 @@ def _full_batch_epochs(seed, epochs=50):
     state = nn_core.init_optimizer(p, lr0=0.05, total_steps=epochs, weight_decay=0.0)
     losses = []
     for _ in range(epochs):
-        lp = nn_core.log_softmax(nn_core.forward(p, batch.inputs))
+        lp = nn_core.log_softmax(nn_core.forward(p, batch.inputs, nn_core.Workspace()), nn_core.Workspace())
         losses.append(float(np.mean(-lp[np.arange(len(batch)), batch.labels])))
         nn_core.sgd_step(p, nn_core.grad(p, 0.0, batch), state)
     return p, losses

@@ -84,7 +84,7 @@ class TestMulticlassOeLoss:
     def test_lam_zero_reduces_to_plain_ce(self):
         inb, oe = _batches()
         p = nn_core.init_network([2, 6, 3], seed=1)
-        logits = nn_core.forward(p, inb.inputs)
+        logits = nn_core.forward(p, inb.inputs, nn_core.Workspace())
         assert objectives.multiclass_oe_loss(inb, oe, p, lam=0.0) == objectives.ce_loss(
             logits, inb.labels
         )
@@ -92,8 +92,8 @@ class TestMulticlassOeLoss:
     def test_linear_combination_of_components(self):
         inb, oe = _batches()
         p = nn_core.init_network([2, 6, 3], seed=1)
-        logits_in = nn_core.forward(p, inb.inputs)
-        logits_oe = nn_core.forward(p, oe.inputs)
+        logits_in = nn_core.forward(p, inb.inputs, nn_core.Workspace())
+        logits_oe = nn_core.forward(p, oe.inputs, nn_core.Workspace())
         expected = objectives.ce_loss(logits_in, inb.labels) + 0.5 * objectives.uniform_ce(logits_oe)
         assert objectives.multiclass_oe_loss(inb, oe, p, lam=0.5) == pytest.approx(expected, abs=1e-12)
 
@@ -107,8 +107,9 @@ class TestMulticlassOeLoss:
         a = (1.0 + math.sqrt(1.0 - 4.0 * math.exp(-2.0))) / 2.0  # -(log a + log(1-a))/2 = 1
         inb = nn_core.Batch([[math.log(p_true / (1 - p_true)), 0.0]], labels=[0])
         oe = nn_core.Batch([[math.log(a / (1 - a)), 0.0]])
-        assert objectives.ce_loss(nn_core.forward(p, inb.inputs), [0]) == pytest.approx(1.0, abs=1e-12)
-        assert objectives.uniform_ce(nn_core.forward(p, oe.inputs)) == pytest.approx(1.0, abs=1e-12)
+        work = nn_core.Workspace()  # each loss is taken before the next forward overwrites the logits
+        assert objectives.ce_loss(nn_core.forward(p, inb.inputs, work), [0]) == pytest.approx(1.0, abs=1e-12)
+        assert objectives.uniform_ce(nn_core.forward(p, oe.inputs, work)) == pytest.approx(1.0, abs=1e-12)
         assert objectives.multiclass_oe_loss(inb, oe, p, lam=0.5) == pytest.approx(1.5, abs=1e-12)
 
     def test_monotone_nondecreasing_in_lam(self):
@@ -206,7 +207,7 @@ class TestExposureTrainingEffect:
             nn_core.sgd_step(p, nn_core.grad(p, 0.0, inb), state)
 
         def held_out_uce(q):
-            return objectives.uniform_ce(nn_core.forward(q, oe_held.inputs))
+            return objectives.uniform_ce(nn_core.forward(q, oe_held.inputs, nn_core.Workspace()))
 
         before = held_out_uce(p)
         state = nn_core.init_optimizer(p, lr0=0.05, total_steps=8, weight_decay=0.0)

@@ -19,7 +19,7 @@ def _identity_net(k):
 
 def _logit_scores(kind, logits):
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    return scoring.score_dataset(_identity_net(logits.shape[1]), kind, logits)
+    return scoring.score_dataset(_identity_net(logits.shape[1]), kind, logits, nn_core.Workspace())
 
 
 def _uniform_density(V, c=2, hidden=(4,)):
@@ -43,8 +43,8 @@ class TestMspScore:
     def test_equals_the_negated_softmax_max_bit_for_bit(self):
         net = nn_core.init_network([2, 16, 4], seed=1)
         X = np.random.default_rng(3).normal(scale=4.0, size=(500, 2))
-        got = scoring.score_dataset(net, "msp", X)
-        want = -nn_core.softmax(nn_core.forward(net, X), nn_core.Workspace()).max(axis=1)
+        got = scoring.score_dataset(net, "msp", X, nn_core.Workspace())
+        want = -nn_core.softmax(nn_core.forward(net, X, nn_core.Workspace()), nn_core.Workspace()).max(axis=1)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -69,14 +69,15 @@ class TestBppScore:
     def test_delegates_to_bits_per_dim(self):
         m = nn_core.init_network(density.ar_layer_dims(4, 2, (6,)), 0)
         seqs = np.random.default_rng(0).integers(0, 4, size=(5, 9))
+        work = nn_core.Workspace()
         assert np.array_equal(
-            scoring.score_dataset(m, "density_bpp", seqs), density.bits_per_dim_batch(m, seqs)
+            scoring.score_dataset(m, "density_bpp", seqs, work), density.bits_per_dim_batch(m, seqs, work)
         )
 
     def test_zero_weight_model_gives_log2_v(self):
         for V in (2, 5, 8):
             seqs = np.random.default_rng(V).integers(0, V, size=(3, 6))
-            got = scoring.score_dataset(_uniform_density(V), "density_bpp", seqs)
+            got = scoring.score_dataset(_uniform_density(V), "density_bpp", seqs, nn_core.Workspace())
             assert np.max(np.abs(got - math.log2(V))) < 1e-12
 
 
@@ -93,7 +94,7 @@ class TestOrientation:
         ).unstack()[0]
         pattern = np.zeros(8, dtype=np.int64)
         weird = np.array([0, 1] * 4, dtype=np.int64)
-        scores = scoring.score_dataset(m, "density_bpp", np.stack([weird, pattern]))
+        scores = scoring.score_dataset(m, "density_bpp", np.stack([weird, pattern]), nn_core.Workspace())
         assert scores[0] > scores[1]
 
 
@@ -114,31 +115,31 @@ def _classifier():
 class TestScoreDataset:
     def test_empty_dataset_gives_empty_scores(self):
         p = _classifier()
-        assert scoring.score_dataset(p, "msp", np.zeros((0, 2))).size == 0
+        assert scoring.score_dataset(p, "msp", np.zeros((0, 2)), nn_core.Workspace()).size == 0
         m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)
-        assert scoring.score_dataset(m, "density_bpp", np.zeros((0, 5), dtype=np.int64)).size == 0
+        assert scoring.score_dataset(m, "density_bpp", np.zeros((0, 5), dtype=np.int64), nn_core.Workspace()).size == 0
 
     def test_singleton_matches_pointwise_ops(self):
         p = _classifier()
         x = np.array([[0.4, -1.3]])
-        z = nn_core.forward(p, x)[0]
+        z = nn_core.forward(p, x, nn_core.Workspace())[0]
         probs = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
-        assert scoring.score_dataset(p, "msp", x)[0] == pytest.approx(-probs.max(), abs=1e-12)
-        assert scoring.score_dataset(p, "uniform_ce", x)[0] == pytest.approx(
+        assert scoring.score_dataset(p, "msp", x, nn_core.Workspace())[0] == pytest.approx(-probs.max(), abs=1e-12)
+        assert scoring.score_dataset(p, "uniform_ce", x, nn_core.Workspace())[0] == pytest.approx(
             np.mean(np.log(probs)), abs=1e-12
         )
         m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 1)
         seq = np.array([[0, 2, 1, 0]], dtype=np.int64)
-        assert scoring.score_dataset(m, "density_bpp", seq)[0] == pytest.approx(
-            density.nll_batch(m, seq)[0] / (4 * math.log(2.0)), abs=1e-12
+        assert scoring.score_dataset(m, "density_bpp", seq, nn_core.Workspace())[0] == pytest.approx(
+            density.nll_batch(m, seq, nn_core.Workspace())[0] / (4 * math.log(2.0)), abs=1e-12
         )
 
     def test_permutation_equivariance(self):
         p = _classifier()
         X = np.random.default_rng(1).normal(size=(20, 2))
         perm = np.random.default_rng(2).permutation(20)
-        direct = scoring.score_dataset(p, "msp", X)[perm]
-        permuted = scoring.score_dataset(p, "msp", X[perm])
+        direct = scoring.score_dataset(p, "msp", X, nn_core.Workspace())[perm]
+        permuted = scoring.score_dataset(p, "msp", X[perm], nn_core.Workspace())
         assert np.array_equal(direct, permuted)
 
     def test_density_scores_refuse_symbols_that_are_not_whole_numbers(self):
@@ -146,9 +147,9 @@ class TestScoreDataset:
         # fraction is refused rather than truncated to a symbol
         m = nn_core.init_network(density.ar_layer_dims(3, 2, (4,)), 0)
         with pytest.raises(ValidationError, match="whole numbers"):
-            scoring.score_dataset(m, "density_bpp", np.full((2, 3), 0.5))
-        whole = scoring.score_dataset(m, "density_bpp", np.full((2, 3), 2.0))
-        assert np.array_equal(whole, scoring.score_dataset(m, "density_bpp", np.full((2, 3), 2)))
+            scoring.score_dataset(m, "density_bpp", np.full((2, 3), 0.5), nn_core.Workspace())
+        whole = scoring.score_dataset(m, "density_bpp", np.full((2, 3), 2.0), nn_core.Workspace())
+        assert np.array_equal(whole, scoring.score_dataset(m, "density_bpp", np.full((2, 3), 2), nn_core.Workspace()))
 
     def test_incompatible_model_detector_pairings_rejected(self):
         p = _classifier()
@@ -156,18 +157,18 @@ class TestScoreDataset:
         X = np.zeros((2, 2))
         seqs = np.zeros((2, 4), dtype=np.int64)
         with pytest.raises(ValidationError, match=r"layer widths \[2, 6, 3\] are not a density layout"):
-            scoring.score_dataset(p, "density_bpp", X)
+            scoring.score_dataset(p, "density_bpp", X, nn_core.Workspace())
         with pytest.raises(ValidationError, match="input width 4 does not match network input dim 8"):
-            scoring.score_dataset(m, "msp", seqs)
+            scoring.score_dataset(m, "msp", seqs, nn_core.Workspace())
         with pytest.raises(ValidationError, match="unknown detector kind 'mahalanobis'"):
-            scoring.score_dataset(p, "mahalanobis", X)
+            scoring.score_dataset(p, "mahalanobis", X, nn_core.Workspace())
 
 
 def _score_rows(net, kind, dataset, rows):
     """The scores of the rows of dataset as evaluation takes them: the
     forward choose_forward picks, scored, then narrowed by its index."""
     forward, index = scoring.choose_forward(kind, dataset, rows)
-    scores = scoring.score_dataset(net, kind, forward)
+    scores = scoring.score_dataset(net, kind, forward, nn_core.Workspace())
     return scores if index is None else scores[index]
 
 
@@ -182,9 +183,9 @@ class TestScoreRows:
         seen = []
         original = scoring.score_dataset
 
-        def spy(model, kind, dataset):
+        def spy(model, kind, dataset, work):
             seen.append(len(dataset))
-            return original(model, kind, dataset)
+            return original(model, kind, dataset, work)
 
         monkeypatch.setattr(scoring, "score_dataset", spy)
         return original, seen
@@ -201,7 +202,7 @@ class TestScoreRows:
         rows = np.sort(rng.choice(n, size=kept, replace=False))
         original, seen = self._spy(monkeypatch)
         got = _score_rows(net, kind, X, rows)
-        whole = original(net, kind, X)
+        whole = original(net, kind, X, nn_core.Workspace())
         assert np.array_equal(got.view(np.int64), whole[rows].view(np.int64))
         alone = kept >= 2048 and kept < n
         assert seen == [kept if alone else n]
@@ -214,7 +215,7 @@ class TestScoreRows:
         rows = np.sort(np.random.default_rng(5).choice(300, size=kept, replace=False))
         original, seen = self._spy(monkeypatch)
         got = _score_rows(net, "density_bpp", seqs, rows)
-        whole = original(net, "density_bpp", seqs)
+        whole = original(net, "density_bpp", seqs, nn_core.Workspace())
         assert np.array_equal(got.view(np.int64), whole[rows].view(np.int64))
         assert seen == [128 if kept == 128 else 300]
 
@@ -222,5 +223,5 @@ class TestScoreRows:
         X = np.random.default_rng(6).normal(size=(3000, 2))
         original, seen = self._spy(monkeypatch)
         got = _score_rows(_classifier(), "msp", X, np.arange(3000))
-        assert np.array_equal(got, original(_classifier(), "msp", X))
+        assert np.array_equal(got, original(_classifier(), "msp", X, nn_core.Workspace()))
         assert seen == [3000]
