@@ -15,7 +15,9 @@ nn_core.train_loop, which draws and gathers every batch: a stack of nets
 per net. Each trainer supplies only the gradient of one step, which
 writes its batch's one-hot rows into the run's workspace buffer, zeroed
 and set to one at flat indices, and sums over classes and positions
-with nn_core.class_sum, which keeps the bits of numpy's reduce.
+with nn_core.class_sum, which keeps the bits of numpy's reduce. The
+margin step calls nn_core's forward_cached and backward itself, weighting
+each group's logit gradient per row in place.
 """
 
 from __future__ import annotations
@@ -152,18 +154,6 @@ def train_density(net: nn_core.NetworkParams, data, **settings) -> nn_core.Netwo
     return nn_core.train_loop(net, step_grad, context_windows(data, c, V), **settings)
 
 
-def _group_pass(net, windows: np.ndarray, V: int, work):
-    """Forward pass over one group's position rows: (logits, cache)."""
-    return nn_core.forward_cached(net, one_hot_windows(windows, V, work), work)
-
-
-def _weighted_ce_backward(net, dlog, cache, w, work, role) -> np.ndarray:
-    """The backward pass of per-row weighted cross-entropy from its
-    unweighted logit gradient dlog (nn_core.ce_logit_grad), which it uses up."""
-    dlog *= w[..., None]
-    return nn_core.backward(net, cache, dlog, work, role=role)
-
-
 def margin_grad(
     net: nn_core.NetworkParams,
     in_seqs,
@@ -196,10 +186,10 @@ def margin_grad(
         raise ValidationError("margin pairs require equally sized inlier/outlier batches")
     n_pairs = a.shape[-2]
     win_out, t_out = context_windows(b, c, V)
-    logits = _group_pass(net, win_out, V, work)[0]
+    logits = nn_core.forward_cached(net, one_hot_windows(win_out, V, work), work)[0]
     nll_out = _sequence_nll(logits, t_out, b.shape, work)[0]
     win_in, t_in = context_windows(a, c, V)
-    logits, cache = _group_pass(net, win_in, V, work)
+    logits, cache = nn_core.forward_cached(net, one_hot_windows(win_in, V, work), work)
     nll_in, e_in, s_in = _sequence_nll(logits, t_in, a.shape, work)
     active = (margin + nll_in - nll_out) > 0
 
@@ -212,11 +202,14 @@ def margin_grad(
     # the inlier softmax is the nll pass's numerators over their sums,
     # divided as ce_logit_grad would
     e_in /= s_in
-    g = _weighted_ce_backward(net, nn_core._minus_one_hot(e_in, t_in, work), cache, w_in, work, "grad")
+    dlog = nn_core._minus_one_hot(e_in, t_in, work)
+    dlog *= w_in[..., None]
+    g = nn_core.backward(net, cache, dlog, work)
     del cache  # the inlier rows go before the outlier pass runs again
-    logits, cache = _group_pass(net, win_out, V, work)
+    logits, cache = nn_core.forward_cached(net, one_hot_windows(win_out, V, work), work)
     dlog = nn_core.ce_logit_grad(logits, t_out, work, out=logits)
-    g += _weighted_ce_backward(net, dlog, cache, w_out, work, "outlier grad")
+    dlog *= w_out[..., None]
+    g += nn_core.backward(net, cache, dlog, work, role="outlier grad")
     return g
 
 

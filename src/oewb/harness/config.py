@@ -1,10 +1,11 @@
 """Experiment configuration: dataset specs, model settings, validation.
 
 The three dataclasses are the config schema. A JSON config's keys are
-their fields, with lam written "lambda" and base_rate as "out:in". Each
-value must already have its field's declared type: nothing is cast, and
-the one value accepted for another type is an integer for a number. An
-absent field keeps its dataclass default. Validation then checks ranges
+their fields, with lam written "lambda" and base_rate as "out:in", each
+at most once per object. Each value must already have its field's
+declared type: nothing is cast, and the one value accepted for another
+type is an integer for a number. An absent field keeps its dataclass
+default. Validation then checks ranges
 and structure. Every dataset spec, in every role, must resolve through
 datasets.check_params, which owns what a spec may say. The auxiliary
 outlier spec must differ from every test outlier spec once both are
@@ -271,12 +272,27 @@ class ExperimentConfig:
         return _from_json(cls, d).validate()
 
 
+def _unique_keys(pairs) -> dict:
+    """The object of a JSON file's (key, value) pairs, refusing a repeated
+    key, which json would resolve silently to its last value."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ValidationError(f"key {key!r} appears more than once in one object")
+        d[key] = value
+    return d
+
+
 def load_config(path) -> ExperimentConfig:
+    """The validated config of a JSON file, which may start with a UTF-8
+    byte-order mark and may not repeat a key within one object."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config file {p} does not exist")
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        payload = json.loads(p.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
+    except ValidationError as exc:
+        raise ValidationError(f"config file {p}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {p}: {getattr(exc, 'strerror', None) or exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit

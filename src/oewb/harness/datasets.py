@@ -128,12 +128,13 @@ def read_csv_rows(path, what: str):
     """(line number, cells) of a CSV file: the header, then every nonblank
     row, each refused unless it is as wide as the header. Every refusal,
     a file that cannot be read or decoded included, is a ValidationError
-    naming the file; what names the kind of file."""
+    naming the file; what names the kind of file. A UTF-8 byte-order mark,
+    as spreadsheet tools write one, is not part of the first column name."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"{what} {p} does not exist")
     try:
-        with open(p, newline="", encoding="utf-8") as fh:
+        with open(p, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

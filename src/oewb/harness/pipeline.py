@@ -214,8 +214,8 @@ def prepare_run(config: ExperimentConfig, seeds) -> tuple:
     command which trains or evaluates reads. Each seed's DataBundle is
     dropped before the next is prepared: its training part is copied into
     stacks allocated at the first bundle's shapes (symbols and class labels
-    in the smallest unsigned dtype that holds them; nn_core.Batch widens
-    labels), and of its test sets its EvalRecord keeps the pool rows, drawn
+    in the smallest unsigned dtype that holds them, which training keeps),
+    and of its test sets its EvalRecord keeps the pool rows, drawn
     once from the set sizes (metrics.base_rate_rows, seeded per set) so that
     baseline and final models share them, and the outlier rows scoring
     forwards for them."""
@@ -284,10 +284,8 @@ def _fit(config: ExperimentConfig, stack, train: TrainingSet, stage: str, role: 
         elif density:
             stack = density_mod.train_density(stack, train.rows, **settings)
         else:
-            lam = config.lam if exposed else 0.0
-            oe_batch = nn_core.Batch(train.oe_rows) if lam > 0 else None
             stack = nn_core.train_classifier(
-                stack, lam, nn_core.Batch(train.rows, train.labels), oe_batch, **settings
+                stack, config.lam if exposed else 0.0, train.rows, train.labels, train.oe_rows, **settings
             )
     except DivergenceError as exc:
         raise DivergenceError(f"seed {train.seeds[exc.member]}, stage {stage}: {exc}", exc.member) from exc
@@ -412,13 +410,6 @@ def evaluate_detector(model, name: str, config: ExperimentConfig, record: EvalRe
     return reports, pools
 
 
-def _confidences(params, data: Dataset, temperature: float, work: nn_core.Workspace):
-    logits = nn_core.forward(params, data.rows, work)
-    conf = nn_core.max_softmax(logits, work, temperature)
-    correct = np.argmax(logits, axis=1) == data.labels
-    return conf, correct
-
-
 def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, final, temperatures,
                      work: nn_core.Workspace) -> dict:
     """Mixed-pool calibration comparison: baseline model at its tuned
@@ -436,7 +427,9 @@ def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, fin
     out = {}
     for tag, model, temp in zip(("baseline", "final"), (baseline, final), temperatures):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            conf_in, correct_in = _confidences(model, record.din_test, temp, work)
+            logits = nn_core.forward(model, record.din_test.rows, work)
+            conf_in = nn_core.max_softmax(logits, work, temp)
+            correct_in = np.argmax(logits, axis=1) == record.din_test.labels
             conf_ood = nn_core.max_softmax(nn_core.forward(model, ood_rows, work), work, temp)
         conf, correct = calib_mod.mixed_prediction_records(
             conf_in, correct_in, conf_ood, seed=_ss(record.seed, ROLE_CALIBRATION)

@@ -30,7 +30,9 @@ permutations and outlier order, and one Nesterov step updates the whole
 (S, P) matrix in place. The loop alone draws batches: it gathers every
 net's rows from each data array and from the outliers and hands them to
 the trainer's step gradient, so train_classifier and density's MLE and
-margin trainers each supply only the gradient of one step. The input
+margin trainers each supply only the gradient of one step. They take
+plain stacked arrays and do not scan the rows: the loop's finiteness
+check catches a non-finite row at the step that reads it. The input
 parameters are copied once and never mutated; seeded runs are bitwise
 reproducible.
 
@@ -66,7 +68,8 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 class Batch:
     """Row-vector inputs with optional integer class labels: an (n, d)
     matrix with (n,) labels, or an (S, n, d) stack with (S, n) labels that
-    feeds a stack of S nets."""
+    feeds a stack of S nets. The checked input of grad and of the loss
+    values in objectives; the trainers take plain arrays."""
 
     inputs: np.ndarray
     labels: np.ndarray | None = None
@@ -508,25 +511,28 @@ def backward(params: NetworkParams, cache, dlogits, work: Workspace, *, role="gr
     return out
 
 
-def _check_batches(params: NetworkParams, lam, in_batch, oe_batch) -> float:
-    """Reject a negative lam and batches the loss cannot use; returns lam
-    as a float. The outlier batch is needed, and read, only when lam > 0."""
+def _check_labels(params: NetworkParams, lam, labels, oe) -> float:
+    """Reject a negative lam, missing or non-integer labels or labels
+    outside [0, n_classes), and no outliers at lam > 0; returns lam as a
+    float."""
     lam = float(lam)
     if not lam >= 0:
         raise ValidationError("lam must be nonnegative")
-    if in_batch is None:
-        raise ValidationError("training needs an in-distribution batch")
-    if in_batch.labels is None:
+    if labels is None:
         raise ValidationError("training needs labels on the in-distribution batch")
-    if np.any(in_batch.labels >= params.n_classes):
+    if labels.dtype.kind not in "iu":
+        raise ValidationError(f"class labels must be integers, not {labels.dtype}")
+    if np.any(labels < 0):
+        raise ValidationError("negative class label")
+    if np.any(labels >= params.n_classes):
         raise ValidationError(f"class label out of range for {params.n_classes} classes")
-    if lam > 0 and oe_batch is None:
+    if lam > 0 and oe is None:
         raise ValidationError("positive lam needs an outlier batch")
     return lam
 
 
 def _objective_grad(params: NetworkParams, lam: float, X, y, oe_X, work: Workspace) -> np.ndarray:
-    """The gradient behind grad and train_classifier, on checked rows.
+    """The gradient behind grad and train_classifier, on checked labels.
 
     X, y and oe_X carry the seed axis of a stack when params is one; oe_X
     is read only when lam > 0. The inlier pass is done with the workspace
@@ -562,7 +568,9 @@ def grad(params: NetworkParams, lam: float, in_batch: Batch, oe_batch: Batch | N
     loss lives with the density model (density.margin_grad) because its
     batches are whole sequences, not rows.
     """
-    lam = _check_batches(params, lam, in_batch, oe_batch)
+    if in_batch is None:
+        raise ValidationError("training needs an in-distribution batch")
+    lam = _check_labels(params, lam, in_batch.labels, oe_batch)
     oe_X = oe_batch.inputs if lam > 0 else None
     return _objective_grad(params, lam, in_batch.inputs, in_batch.labels, oe_X, Workspace())
 
@@ -726,24 +734,24 @@ def train_loop(
 def train_classifier(
     params: NetworkParams,
     lam: float,
-    in_batch: Batch,
-    oe_batch: Batch | None = None,
+    rows: np.ndarray,
+    labels: np.ndarray,
+    oe_rows: np.ndarray | None = None,
     **settings,
 ) -> NetworkParams:
-    """train_loop on grad's classifier loss at outlier weight lam, over
-    whole-set batches.
+    """train_loop on grad's classifier loss at outlier weight lam.
 
-    params is a stack of S nets and the (S, n, d) batches hold each net's
-    rows. The batches are checked once per run. settings are train_loop's
-    keyword arguments, with one seed per net.
+    params is a stack of S nets, rows each net's (S, n, d) inlier rows,
+    labels their (S, n) integer classes, checked once and trained in their
+    own dtype, and oe_rows the (S, m, d) outliers, read only when lam > 0.
+    settings are train_loop's keyword arguments, with one seed per net.
     """
-    lam = _check_batches(params, lam, in_batch, oe_batch)
+    lam = _check_labels(params, lam, labels, oe_rows)
 
     def step_grad(net, batch, oe_X, work):
         return _objective_grad(net, lam, *batch, oe_X, work)
 
-    oe = oe_batch.inputs if lam > 0 else None
-    return train_loop(params, step_grad, (in_batch.inputs, in_batch.labels), oe, **settings)
+    return train_loop(params, step_grad, (rows, labels), oe_rows if lam > 0 else None, **settings)
 
 
 def save_params(params: NetworkParams, path) -> None:

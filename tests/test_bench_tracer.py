@@ -68,13 +68,14 @@ RUNS = {
     "preset_density": ("preset_density", {}),
     "calibrated": ("preset_2d", {"calibration": True}),
 }
-# Rows no run reaches. nn_core.grad and objectives.ce_loss serve the
-# finite-difference checks and the loss-value path; the metrics wrappers
-# are library surface that only tests call (runs go through metrics.sweep
-# and metrics.base_rate_rows).
+# Rows no run reaches. nn_core.grad, nn_core.Batch and objectives.ce_loss
+# serve the finite-difference checks and the loss-value path (training
+# takes plain arrays); the metrics wrappers are library surface that only
+# tests call (runs go through metrics.sweep and metrics.base_rate_rows).
 KNOWN_DEAD = {
-    "nn_core.grad", "objectives.ce_loss", "metrics.auroc", "metrics.aupr", "metrics.fpr_at_tpr",
-    "metrics.roc_points", "metrics.pr_points", "metrics.enforce_base_rate", "metrics.enforce_base_rate.rows",
+    "nn_core.grad", "nn_core.Batch", "nn_core.Batch.rows", "objectives.ce_loss", "metrics.auroc", "metrics.aupr",
+    "metrics.fpr_at_tpr", "metrics.roc_points", "metrics.pr_points", "metrics.enforce_base_rate",
+    "metrics.enforce_base_rate.rows",
 }
 
 

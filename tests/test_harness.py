@@ -458,6 +458,28 @@ class TestConfigSerialization:
         with pytest.raises(ValidationError, match="JSON"):
             load_config(p)
 
+    # a repeated key, spliced in ahead of its first spelling, at each level
+    # a config nests objects: the top, the model and a dataset's params
+    @pytest.mark.parametrize("opening, key", [
+        ("{", "epochs"), ('"model": {', "lr0"), ('"params": {', "n_per_cluster"),
+    ], ids=["top", "model", "params"])
+    def test_a_repeated_key_is_refused_by_name(self, tmp_path, capsys, opening, key):
+        p = tmp_path / "cfg.json"
+        save_config(_tiny_config(), p)
+        text = p.read_text()
+        assert text.count(f'"{key}"') == 1
+        p.write_text(text.replace(opening, f'{opening}"{key}": 1, ', 1))
+        with pytest.raises(ValidationError, match=f"{p}: key '{key}' appears more than once"):
+            load_config(p)
+        assert cli.main(["run", "-c", str(p), "-o", str(tmp_path / "out"), "-q"]) == 1
+        assert f"key '{key}' appears more than once" in capsys.readouterr().err
+
+    def test_a_config_with_a_byte_order_mark_loads(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        save_config(_tiny_config(), p)
+        p.write_text(p.read_text(), encoding="utf-8-sig")
+        assert load_config(p).to_dict() == _tiny_config().to_dict()
+
     def test_presets_validate(self):
         for name in PRESET_NAMES:
             cfg = get_preset(name)
@@ -614,6 +636,15 @@ class TestDatasetFiles:
             datasets.read_csv(p)
         with pytest.raises(ValidationError, match="missing.csv does not exist"):
             datasets.read_csv(tmp_path / "missing.csv")
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_column_name(self, tmp_path):
+        # spreadsheet tools write one; read into the name, it would make the
+        # label column a feature column
+        p = tmp_path / "d.csv"
+        p.write_text("label,x0,x1\n0,1.0,2.0\n2,3.0,4.0\n", encoding="utf-8-sig")
+        back = datasets.read_csv(p)
+        assert np.array_equal(back.rows, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(back.labels, [0, 2])
 
     def test_sequence_csv_round_trip(self, tmp_path):
         data = _walks(9, 2, length=6, alphabet_size=4, p_step=0.8, p_stay=0.1)
@@ -1006,6 +1037,28 @@ class TestTrainingPipeline:
                 assert all(data_bits(record.tests[name]) == data_bits(want.tests[name]) for name in record.tests)
             else:
                 assert record.din_val is record.tests is want.din_val is want.tests is None
+
+    def test_every_classifier_stage_trains_on_the_training_sets_own_arrays(self, monkeypatch):
+        # no stage copies or widens the stacks prepare_run built: the labels
+        # train in its narrow dtype
+        seen = []
+
+        def spy(net, step_grad, data, oe=None, **settings):
+            seen.append((data, oe))
+            return train_loop(net, step_grad, data, oe, **settings)
+
+        train_loop = nn_core.train_loop
+        monkeypatch.setattr(nn_core, "train_loop", spy)
+        config = _tiny_config(seeds=(3, 4))
+        train, _ = pipeline.prepare_run(config, config.seeds)
+        baselines = pipeline.train_baseline(config, train)
+        pipeline.finetune_oe(config, train, baselines)
+        pipeline.train_scratch_oe(config, train)
+        assert len(seen) == 3
+        assert train.labels.dtype == np.uint8
+        for (rows, labels), oe in seen:
+            assert rows is train.rows and labels is train.labels
+        assert seen[0][1] is None and seen[1][1] is seen[2][1] is train.oe_rows
 
     def test_stacked_divergence_names_the_diverging_seed(self):
         config = _tiny_config(seeds=(3, 4))
@@ -2522,6 +2575,12 @@ class TestCli:
         payload = json.loads((tmp_path / "preds_calibration.json").read_text())
         assert set(payload) >= {"rms_error", "mad_error", "soft_f1", "bin_count"}
         assert payload["mad_error"] <= payload["rms_error"] + 1e-15
+
+    def test_calibrate_reads_a_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        pred = tmp_path / "preds.csv"
+        pred.write_text("confidence,correct\n0.25,0\n0.75,1\n", encoding="utf-8-sig")
+        assert cli.main(["calibrate", str(pred), "-o", str(tmp_path), "-q"]) == 0
+        assert json.loads((tmp_path / "preds_calibration.json").read_text())["bin_count"] >= 1
 
     def test_calibrate_rejects_missing_columns(self, tmp_path, capsys):
         pred = tmp_path / "preds.csv"

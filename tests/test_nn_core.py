@@ -283,7 +283,7 @@ class TestGrad:
         with pytest.raises(ValidationError, match="lam must be nonnegative"):
             nn_core.grad(p, -0.1, batch, oe)
         with pytest.raises(ValidationError, match="lam must be nonnegative"):
-            nn_core.train_classifier(p, -0.1, batch, oe, epochs=1, batch_size=4, lr0=0.1)
+            nn_core.train_classifier(p, -0.1, batch.inputs, batch.labels, oe.inputs, epochs=1, batch_size=4, lr0=0.1)
 
     def test_matches_finite_differences_on_2_8_3_net(self):
         rng = np.random.default_rng(5)

@@ -49,7 +49,7 @@ def test_classifier_loop_matches_reference(lam, activation, dims):
     X, y, oe_X = _classifier_data()
     params = nn_core.init_network(dims, seed=5, activation=activation)
     stack = nn_core.NetworkParams.stack([params])
-    trained = nn_core.train_classifier(stack, lam, nn_core.Batch(X[None], y[None]), nn_core.Batch(oe_X[None]), **SOLO)
+    trained = nn_core.train_classifier(stack, lam, X[None], y[None], oe_X[None], **SOLO)
     assert np.array_equal(stack.vector[0], params.vector)
     _assert_same(trained.unstack()[0], ref.train_classifier(params, lam, X, y, oe_X, **SETTINGS))
 
@@ -88,7 +88,33 @@ def test_divergence_names_the_epoch():
     params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
     settings = {**SOLO, "lr0": 1e100, "epochs": 3}
     with pytest.raises(DivergenceError, match="epoch 1 of 3"):
-        nn_core.train_classifier(params, 0.0, nn_core.Batch(X[None], y[None]), **settings)
+        nn_core.train_classifier(params, 0.0, X[None], y[None], **settings)
+
+
+@pytest.mark.parametrize("lam, labels, outliers, message", [
+    (0.0, lambda y: y - 1, True, "negative class label"),
+    (0.0, lambda y: y + 1, True, "class label out of range for 3 classes"),
+    (0.0, lambda y: None, True, "training needs labels"),
+    (0.0, lambda y: y.astype(float), True, "class labels must be integers, not float64"),
+    (0.5, lambda y: y, False, "positive lam needs an outlier batch"),
+    (-0.5, lambda y: y, True, "lam must be nonnegative"),
+], ids=["negative", "out-of-range", "missing", "float", "no-outliers", "negative-lam"])
+def test_the_classifier_trainer_refuses_what_its_loss_cannot_use(lam, labels, outliers, message):
+    X, y, oe_X = _classifier_data()
+    params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
+    with pytest.raises(ValidationError, match=message):
+        nn_core.train_classifier(params, lam, X[None], labels(y[None]), oe_X[None] if outliers else None, **SOLO)
+
+
+def test_a_non_finite_row_diverges_at_the_step_that_reads_it():
+    # the trainer does not rescan its rows: a NaN reaches the parameters in
+    # the step whose batch holds it, and the loop's check names that step
+    X, y, _ = _classifier_data()
+    X[17, 1] = np.nan
+    params = nn_core.NetworkParams.stack([nn_core.init_network([2, 8, 3], seed=0)])
+    with pytest.raises(DivergenceError) as err:
+        nn_core.train_classifier(params, 0.0, X[None], y[None], **{**SOLO, "batch_size": len(X)})
+    assert str(err.value) == "parameters became non-finite in step 1 of 1 of epoch 1 of 2"
 
 
 def _no_step(net, batch, oe_batch, work):
@@ -150,9 +176,7 @@ def test_stacked_classifier_loop_matches_reference_per_member(lam, activation, d
     stack = nn_core.NetworkParams.stack(nets)
     before = stack.vector.copy()
     X, y, oe_X = (np.stack(parts) for parts in zip(*data))
-    trained = nn_core.train_classifier(
-        stack, lam, nn_core.Batch(X, y), nn_core.Batch(oe_X), **_stack_settings()
-    )
+    trained = nn_core.train_classifier(stack, lam, X, y, oe_X, **_stack_settings())
     assert np.array_equal(stack.vector, before)
     assert trained.vector.shape == before.shape
     for net, (Xm, ym, oe_m), seed, got in zip(nets, data, STACK_SEEDS, trained.unstack()):
@@ -197,7 +221,7 @@ def test_stacked_density_margin_finetune_matches_reference_per_member():
 
 def _train_classifier(stack, data, **settings):
     X, y, oe_X = (np.stack(parts) for parts in zip(*data))
-    return nn_core.train_classifier(stack, 0.5, nn_core.Batch(X, y), nn_core.Batch(oe_X), **settings)
+    return nn_core.train_classifier(stack, 0.5, X, y, oe_X, **settings)
 
 
 def _train_density(stack, data, **settings):
@@ -229,8 +253,6 @@ def test_divergence_names_the_member_and_its_step():
         w[...] = 1e200
     X, y, _ = (np.stack(parts) for parts in zip(*data))
     with pytest.raises(DivergenceError) as err:
-        nn_core.train_classifier(
-            nn_core.NetworkParams.stack(nets), 0.0, nn_core.Batch(X, y), **_stack_settings()
-        )
+        nn_core.train_classifier(nn_core.NetworkParams.stack(nets), 0.0, X, y, **_stack_settings())
     assert err.value.member == 1
     assert str(err.value) == "parameters became non-finite in step 1 of 4 of epoch 1 of 2"
