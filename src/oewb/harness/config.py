@@ -13,9 +13,12 @@ resolved, so a default spelled out does not make a copy pass (the
 materialized rows are additionally scanned for duplicates at run time).
 No two outlier specs may share a name, the experiment name must name one
 directory under runs/, and the detector x pipeline pairs in REFUSED_PAIRS
-are rejected. Validation outlier specs (d_out_val) are materialized by
-make-data alone and echoed in the resolved config; no stage of a run
-reads them, and nothing selects hyperparameters.
+are rejected. The pipelines are finetune_oe (exposure fine-tuning of the
+trained baseline) and scratch_oe (exposure training from random init);
+every run also reports its baselines, so none stops at them. Validation
+outlier specs (d_out_val) are materialized by make-data alone and echoed
+in the resolved config; no stage of a run reads them, and nothing
+selects hyperparameters.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from ..errors import ValidationError
 from ..scoring import DETECTORS
 from . import datasets  # which imports this module back: each reads the other's names only at call time
 
-PIPELINES = ("baseline_only", "finetune_oe", "scratch_oe")
+PIPELINES = ("finetune_oe", "scratch_oe")
 # Detector x pipeline pairs that do not work on the presets, refused with why.
 REFUSED_PAIRS = {
     ("density_bpp", "scratch_oe"): "from random init the margin loss meets its margin at position 0 alone, "
@@ -199,9 +202,9 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         datasets.file_name_part(self.name, "experiment name", directory=True)  # without -o: runs/<name>
         if self.detector not in DETECTORS:
-            raise ValidationError(f"unknown detector {self.detector!r}")
+            raise ValidationError(f"unknown detector {self.detector!r}; the detectors are {', '.join(DETECTORS)}")
         if self.pipeline not in PIPELINES:
-            raise ValidationError(f"unknown pipeline {self.pipeline!r}")
+            raise ValidationError(f"unknown pipeline {self.pipeline!r}; the pipelines are {', '.join(PIPELINES)}")
         refused = REFUSED_PAIRS.get((self.detector, self.pipeline))
         if refused:
             raise ValidationError(
@@ -233,10 +236,7 @@ class ExperimentConfig:
         outliers = [spec for spec in (self.d_out_oe, *self.d_out_test, *self.d_out_val) if spec is not None]
         for spec in (self.d_in, *outliers):
             spec.validate()
-        needs_oe = self.pipeline in ("finetune_oe", "scratch_oe") and (
-            self.lam > 0 or self.detector == "density_bpp"
-        )
-        if needs_oe and self.d_out_oe is None:
+        if (self.lam > 0 or self.detector == "density_bpp") and self.d_out_oe is None:
             raise ValidationError(f"pipeline {self.pipeline!r} needs an auxiliary outlier spec")
         if self.d_out_oe is not None:
             oe_recipe = self.d_out_oe.recipe()

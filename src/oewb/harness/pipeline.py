@@ -16,8 +16,9 @@ the base rate). Of each seed it keeps the stacked training part
 and an EvalRecord: the inlier test split, every test set's base-rate pool
 rows and the outlier rows scoring forwards for them (and, when the config
 calibrates, the validation split and the whole test sets). All baselines
-train in lockstep as one stack of nets, then all fine-tune (or train
-scratch_oe), and each classifier's accuracy is taken on its training split.
+train in lockstep as one stack of nets, then all fine-tune (finetune_oe)
+or all train anew with exposure (scratch_oe), and each classifier's
+accuracy is taken on its training split.
 With calibration, one calibration.tune_temperature call fits every seed's
 baseline and final temperatures on the EvalRecords' validation splits.
 Finally run_seed evaluates and calibrates one seed at a time from its
@@ -271,8 +272,6 @@ def _fit(config: ExperimentConfig, stack, train: TrainingSet, stage: str, role: 
     """
     m = config.model
     density = config.detector == "density_bpp"
-    if exposed and (density or config.lam > 0) and train.oe_rows is None:
-        raise ValidationError("exposure training needs auxiliary outlier data")
     settings = dict(epochs=epochs, batch_size=m.batch_size, lr0=lr0, momentum=m.momentum,
                     weight_decay=m.weight_decay, seed=[_ss(s, role) for s in train.seeds])
     try:
@@ -354,12 +353,10 @@ def train_models(config: ExperimentConfig, work: nn_core.Workspace) -> tuple:
     """
     train, records = prepare_run(config, config.seeds)
     baselines = train_baseline(config, train)
-    if config.pipeline == "finetune_oe":
-        finals = finetune_oe(config, train, baselines)
-    elif config.pipeline == "scratch_oe":
+    if config.pipeline == "scratch_oe":
         finals = train_scratch_oe(config, train)
     else:
-        finals = baselines
+        finals = finetune_oe(config, train, baselines)
     pairs = list(zip(baselines, finals))
     temps = fit_temperatures(pairs, records, work) if config.calibration else [None] * len(pairs)
     accs = [None] * len(pairs) if train.labels is None else [

@@ -80,10 +80,7 @@ def preset_2d(
     ).validate()
 
 
-def preset_density(
-    pipeline: str = "finetune_oe",
-    seeds=(0, 1, 2, 3, 4),
-) -> ExperimentConfig:
+def preset_density(seeds=(0, 1, 2, 3, 4)) -> ExperimentConfig:
     length, alphabet = 16, 8
     d_in = DatasetSpec(
         kind="generator",
@@ -132,7 +129,6 @@ def preset_density(
         d_out_oe=d_out_oe,
         d_out_test=d_out_test,
         detector="density_bpp",
-        pipeline=pipeline,
         lam=1.0,
         seeds=tuple(seeds),
         epochs=10,

@@ -202,7 +202,7 @@ def test_criterion_2_metric_oracles(capsys):
 
 EXPOSURE_PAIRS = [
     (d, p) for d in DETECTORS for p in PIPELINES
-    if d != "density_bpp" and p != "baseline_only" and (d, p) not in REFUSED_PAIRS
+    if d != "density_bpp" and (d, p) not in REFUSED_PAIRS
 ]
 RUN_FIXTURES = {
     ("msp", "finetune_oe"): "msp_run",
@@ -210,6 +210,14 @@ RUN_FIXTURES = {
     ("msp", "scratch_oe"): "scratch_run",
     ("uniform_ce", "scratch_oe"): "uce_scratch_run",
 }
+
+
+def test_every_accepted_pair_is_gated():
+    # criterion 3 runs each classifier pair's fixture, criterion 5 the density preset's one pair
+    accepted = {(d, p) for d in DETECTORS for p in PIPELINES} - set(REFUSED_PAIRS)
+    density = get_preset("preset_density")
+    assert (density.detector, density.pipeline) == ("density_bpp", "finetune_oe")
+    assert accepted == set(RUN_FIXTURES) | {("density_bpp", "finetune_oe")}
 
 
 @pytest.mark.parametrize("detector,pipe", EXPOSURE_PAIRS)

@@ -33,6 +33,7 @@ from oewb.harness.config import (
 from oewb.harness.presets import PRESET_NAMES, get_preset
 
 import reference_reports
+from test_blas_kernels import corename
 
 
 # one byte past the limit on the names files are named after, in 101 characters
@@ -636,6 +637,16 @@ class TestDatasetFiles:
             datasets.read_csv(p)
         with pytest.raises(ValidationError, match="missing.csv does not exist"):
             datasets.read_csv(tmp_path / "missing.csv")
+
+    def test_blank_lines_in_a_dataset_csv_are_skipped(self, tmp_path):
+        data = self._vectors()
+        p = tmp_path / "d.csv"
+        datasets.write_csv(p, data)
+        header, *rows = p.read_text().splitlines(keepends=True)
+        p.write_text(header + "\n" + "\n".join(rows) + "\n\n")
+        back = datasets.read_csv(p)
+        assert np.array_equal(back.rows, data.rows)
+        assert np.array_equal(back.labels, data.labels)
 
     def test_a_byte_order_mark_is_not_part_of_the_first_column_name(self, tmp_path):
         # spreadsheet tools write one; read into the name, it would make the
@@ -1843,14 +1854,15 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "make-data"])
     def test_a_one_symbol_density_d_in_exits_one(self, tmp_path, capsys, command):
-        # every set holds the one symbol, so only the alphabet's size is wrong
-        for name in ("ones", "periodic"):
+        # every set holds the one symbol, so only the alphabet's size is wrong; the auxiliary walks are
+        # shorter, which keeps them row-disjoint from the test walks
+        for name, length in (("ones", 8), ("periodic", 8), ("short", 4)):
             datasets.write_csv(tmp_path / f"{name}.csv",
-                               datasets.Dataset(np.zeros((40, 8), dtype=np.int64), alphabet_size=1))
+                               datasets.Dataset(np.zeros((40, length), dtype=np.int64), alphabet_size=1))
         config = _tiny_density_config(
             d_in=DatasetSpec("file", "ones", {"alphabet_size": 1}, path=str(tmp_path / "ones.csv")),
             d_out_test=[DatasetSpec("file", "periodic", {"alphabet_size": 1}, path=str(tmp_path / "periodic.csv"))],
-            d_out_oe=None, pipeline="baseline_only",
+            d_out_oe=DatasetSpec("file", "short", {"alphabet_size": 1}, path=str(tmp_path / "short.csv")),
         )
         path = tmp_path / "cfg.json"
         save_config(config, path)
@@ -1869,6 +1881,15 @@ class TestCli:
         assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
         assert ("error: detector 'msp' needs at least two classes or symbols, but d_in 'rows' has 1 class"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_a_dataset_csv_with_only_a_label_column_exits_one(self, tmp_path, capsys):
+        lab = tmp_path / "lab.csv"
+        lab.write_text("label\n0\n1\n")
+        path = self._write_config(tmp_path, d_in=DatasetSpec("file", "lab", path=str(lab)))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert f"error: {lab}: no feature columns" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1946,7 +1967,8 @@ class TestCli:
         "key, value",
         [("calibration", "false"), ("epochs", 2.9), ("epochs", True), ("lambda", True), ("n_level", True),
          ("model.batch_size", 64.9), ("model.context_window", "2"), ("model.lr0", "0.1"),
-         ("seeds", [0.0]), ("d_out_test", {"kind": "generator"}), ("d_in.name", 3), ("d_in.params", [])],
+         ("seeds", [0.0]), ("d_out_test", {"kind": "generator"}), ("d_in.name", 3), ("d_in.params", []),
+         ("model", 5), ("d_in", "clusters")],
     )
     def test_mistyped_value_exits_one_naming_the_field(self, tmp_path, capsys, monkeypatch, key, value):
         monkeypatch.setattr(pipeline, "train_models", None)  # nothing may train
@@ -2349,6 +2371,38 @@ class TestCli:
         assert "'density_bpp' with pipeline 'scratch_oe'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("pipeline", "baseline_only", "unknown pipeline 'baseline_only'; the pipelines are finetune_oe, scratch_oe"),
+         ("pipeline", "finetune", "unknown pipeline 'finetune'; the pipelines are finetune_oe, scratch_oe"),
+         ("detector", "mps", "unknown detector 'mps'; the detectors are msp, uniform_ce, density_bpp")],
+    )
+    def test_an_unknown_detector_or_pipeline_exits_one_naming_the_accepted_ones(
+        self, tmp_path, capsys, key, value, message
+    ):
+        body = _tiny_config().to_dict()
+        body[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [([1, 2], "a config must be a JSON object, got [1, 2]"),
+         ({**_tiny_config().to_dict(), "d_out_test": []}, "at least one test outlier spec is required")],
+        ids=["list", "no_test_set"],
+    )
+    def test_a_config_that_is_no_object_or_has_no_test_set_exits_one(self, tmp_path, capsys, body, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(path), "-o", str(out), "-q"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_internal_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         path = self._write_config(tmp_path)
 
@@ -2412,6 +2466,20 @@ class TestCli:
         rc = cli.main(["eval", "-c", str(path), "-o", str(tmp_path / "out"), "-q", "--params", str(params)])
         assert rc == 1
         assert "head flag 1" in capsys.readouterr().err
+
+    def test_eval_refuses_a_parameter_file_with_a_nan_weight(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        params = tmp_path / "nan.bin"
+        nn_core.save_params(nn_core.init_network([2, 8, 3], seed=0), params)
+        blob = bytearray(params.read_bytes())
+        start = 12 + 4 * 3 + 2  # the first weight, after the dims, the activation code and the head flag
+        blob[start:start + 8] = struct.pack("<d", float("nan"))
+        params.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        assert cli.main(["eval", "-c", str(path), "-o", str(out), "-q", "--params", str(params)]) == 1
+        assert (f"error: bad parameter file {params}: layer 0 has non-finite parameters"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_eval_and_finetune_refuse_a_net_that_is_no_density_layout(self, tmp_path, capsys):
         # input width 10 is no multiple of V + 1 = 4 for the 3 output symbols
@@ -2591,7 +2659,7 @@ class TestCli:
         "row,what",
         [("nan,1", "confidence"), ("inf,1", "confidence"), ("1.5,1", "confidence"),
          ("-0.1,0", "confidence"), ("0.5,2", "correct"), ("0.5,-1", "correct"),
-         ("0.5,1,extra", "expected 2 fields, got 3")],
+         ("0.5,1,extra", "expected 2 fields, got 3"), ("abc,1", "could not convert")],
     )
     def test_calibrate_rejects_bad_rows_with_file_and_line(self, tmp_path, capsys, row, what):
         pred = tmp_path / "preds.csv"
@@ -2600,6 +2668,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{pred}:3:" in err and what in err
         assert not (tmp_path / "preds_calibration.json").exists()
+
+    def test_calibrate_refuses_a_file_with_only_a_header(self, tmp_path, capsys):
+        pred = tmp_path / "hdr.csv"
+        pred.write_text("confidence,correct\n")
+        assert cli.main(["calibrate", str(pred), "-o", str(tmp_path), "-q"]) == 1
+        assert f"error: {pred}: no prediction rows" in capsys.readouterr().err
+        assert not (tmp_path / "hdr_calibration.json").exists()
+
+    def test_calibrate_skips_blank_lines(self, tmp_path, capsys):
+        rows = ["0.25,0", "0.75,1", "0.9,1"]
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("confidence,correct\n" + "".join(row + "\n" for row in rows))
+        spaced.write_text("confidence,correct\n\n" + "\n\n".join(rows) + "\n\n")
+        for pred in (plain, spaced):
+            assert cli.main(["calibrate", str(pred), "-o", str(tmp_path), "-q"]) == 0
+        assert (tmp_path / "spaced_calibration.json").read_bytes() == (tmp_path / "plain_calibration.json").read_bytes()
 
     def test_calibrate_takes_no_seed(self, tmp_path, capsys, monkeypatch):
         # calibrate reads no config, so there is no seed to override
@@ -2615,6 +2699,46 @@ class TestCli:
         assert done.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_run_prints_the_readme_table_then_where_the_reports_went(self, tmp_path, capsys, preset):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = re.search(rf"```\n({preset}: detector=.*?)```", readme, re.S).group(1)
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", preset, "-o", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert printed.out == f"{table}reports written to {out}\n", (
+            f"README.md's Quick start tables hold SkylakeX bits; this run used the OpenBLAS kernel {corename()!r}")
+
+    def test_each_command_prints_what_it_wrote(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        out, data = tmp_path / "out", tmp_path / "data"
+
+        def printed(*argv):
+            assert cli.main(list(argv)) == 0
+            got = capsys.readouterr()
+            assert got.err == "", argv[0]
+            return got.out
+
+        baseline, tuned = out / "baseline_seed0.bin", out / "finetuned_seed0.bin"
+        assert printed("train", "-c", str(path), "-o", str(out)) == f"baseline model written to {baseline}\n"
+        assert (printed("finetune", "-c", str(path), "-o", str(out), "--params", str(baseline))
+                == f"fine-tuned model written to {tuned}\n")
+        lines = printed("eval", "-c", str(path), "-o", str(out), "--params", str(tuned))
+        reps = json.loads((out / "eval_seed0.json").read_text())
+        assert list(reps) == ["ring"]
+        assert lines == "".join(f"{name}: auroc={r['auroc']:.4f} aupr={r['aupr']:.4f} "
+                                f"fpr@{r['n_level']:g}={r['fpr_at_n']:.4f}\n" for name, r in reps.items())
+        pred = tmp_path / "preds.csv"
+        pred.write_text("confidence,correct\n0.25,0\n0.75,1\n0.9,1\n")
+        lines = printed("calibrate", str(pred), "-o", str(out))
+        report = out / "preds_calibration.json"
+        r = json.loads(report.read_text())
+        assert lines == (f"rms={r['rms_error']:.6f} mad={r['mad_error']:.6f} soft_f1={r['soft_f1']:.6f}\n"
+                         f"calibration report written to {report}\n")
+        assert printed("make-data", "-c", str(path), "-o", str(data)) == f"6 dataset files written to {data}\n"
+        assert len(list(data.iterdir())) == 6
 
     def test_a_run_validates_its_config_at_most_twice(self, tmp_path, monkeypatch):
         # once as the JSON is read and once as run_experiment starts; the
