@@ -69,7 +69,8 @@ def context_windows(seqs, context_window: int, alphabet_size: int):
 
     Returns (windows of shape (n*D, c), next-symbol targets of shape
     (n*D,)); a stack's (S, n, D) sequences give (S, n*D, c) and (S, n*D).
-    Row order is sequence-major, then position.
+    Row order is sequence-major, then position. This is the one symbol
+    check of nll_batch and margin_grad (_as_seq_matrix).
     """
     arr = _as_seq_matrix(seqs, alphabet_size)
     *lead, length = arr.shape
@@ -125,10 +126,9 @@ def nll_batch(net: nn_core.NetworkParams, seqs, work: nn_core.Workspace) -> np.n
     """Per-sequence negative log-likelihood in nats for equal-length
     sequences, as a fresh array; the forward runs through the workspace."""
     c, V = layout(net)
-    arr = _as_seq_matrix(seqs, V)
-    feats, targets = context_features(arr, c, V, work)
+    feats, targets = context_features(seqs, c, V, work)
     logits = nn_core.forward(net, feats, work)
-    return _sequence_nll(logits, targets, arr.shape, work)[0]
+    return _sequence_nll(logits, targets, np.shape(seqs), work)[0]
 
 
 def bits_per_dim_batch(net: nn_core.NetworkParams, seqs, work: nn_core.Workspace) -> np.ndarray:
@@ -180,25 +180,24 @@ def margin_grad(
     if not margin > 0:
         raise ValidationError("margin must be positive")
     c, V = layout(net)
-    a = _as_seq_matrix(in_seqs, V)
-    b = _as_seq_matrix(out_seqs, V)
-    if a.shape[:-1] != b.shape[:-1]:
+    win_in, t_in = context_windows(in_seqs, c, V)
+    win_out, t_out = context_windows(out_seqs, c, V)
+    a, b = np.shape(in_seqs), np.shape(out_seqs)
+    if a[:-1] != b[:-1]:
         raise ValidationError("margin pairs require equally sized inlier/outlier batches")
-    n_pairs = a.shape[-2]
-    win_out, t_out = context_windows(b, c, V)
+    n_pairs = a[-2]
     logits = nn_core.forward_cached(net, one_hot_windows(win_out, V, work), work)[0]
-    nll_out = _sequence_nll(logits, t_out, b.shape, work)[0]
-    win_in, t_in = context_windows(a, c, V)
+    nll_out = _sequence_nll(logits, t_out, b, work)[0]
     logits, cache = nn_core.forward_cached(net, one_hot_windows(win_in, V, work), work)
-    nll_in, e_in, s_in = _sequence_nll(logits, t_in, a.shape, work)
+    nll_in, e_in, s_in = _sequence_nll(logits, t_in, a, work)
     active = (margin + nll_in - nll_out) > 0
 
     # per-row weights: the MLE mean over all inlier rows plus the hinge
     # share of each active pair, spread over that pair's position rows
-    w_in_seq = mle_weight / (n_pairs * a.shape[-1]) + margin_weight * active / n_pairs
+    w_in_seq = mle_weight / (n_pairs * a[-1]) + margin_weight * active / n_pairs
     w_out_seq = -margin_weight * active / n_pairs
-    w_in = np.repeat(w_in_seq, a.shape[-1], axis=-1)
-    w_out = np.repeat(w_out_seq, b.shape[-1], axis=-1)
+    w_in = np.repeat(w_in_seq, a[-1], axis=-1)
+    w_out = np.repeat(w_out_seq, b[-1], axis=-1)
     # the inlier softmax is the nll pass's numerators over their sums,
     # divided as ce_logit_grad would
     e_in /= s_in

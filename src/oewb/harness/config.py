@@ -132,16 +132,6 @@ class DatasetSpec:
     params: dict = field(default_factory=dict)
     path: str | None = None
 
-    def validate(self) -> "DatasetSpec":
-        """Refused unless datasets.check_params resolves it."""
-        datasets.check_params(self)
-        return self
-
-    def recipe(self) -> tuple:
-        """What the spec builds from: kind, path and resolved params, so a
-        default spelled out gives the recipe that leaving it out gives."""
-        return self.kind, self.path, datasets.check_params(self)
-
 
 @dataclass
 class ModelSettings:
@@ -234,14 +224,14 @@ class ExperimentConfig:
         if not self.d_out_test:
             raise ValidationError("at least one test outlier spec is required")
         outliers = [spec for spec in (self.d_out_oe, *self.d_out_test, *self.d_out_val) if spec is not None]
-        for spec in (self.d_in, *outliers):
-            spec.validate()
+        # what each spec builds from, its params resolved, so a default
+        # spelled out gives the recipe that leaving it out gives
+        recipes = [(spec.kind, spec.path, datasets.check_params(spec)) for spec in (self.d_in, *outliers)]
         if (self.lam > 0 or self.detector == "density_bpp") and self.d_out_oe is None:
             raise ValidationError(f"pipeline {self.pipeline!r} needs an auxiliary outlier spec")
         if self.d_out_oe is not None:
-            oe_recipe = self.d_out_oe.recipe()
-            for t in self.d_out_test:
-                if t.recipe() == oe_recipe:
+            for t, recipe in zip(self.d_out_test, recipes[2:]):
+                if recipe == recipes[1]:
                     raise ValidationError(
                         f"auxiliary outlier spec must be disjoint from test spec {t.name!r}"
                     )

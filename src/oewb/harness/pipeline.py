@@ -412,22 +412,23 @@ def calibration_eval(config: ExperimentConfig, record: EvalRecord, baseline, fin
     """Mixed-pool calibration comparison: baseline model at its tuned
     temperature, exposure-trained model at its own, and the latter after
     rescaling confidences to the [1/k, 1] -> [0, 1] posterior range.
-    temperatures is the (baseline, final) pair from fit_temperatures. The
-    pool mixes in-distribution test rows with pooled test outliers at equal
-    counts, drawn from the record's seed; outliers count as incorrect. The
-    record must hold the whole test sets (prepare_run under a calibrating
-    config). The forwards run with numpy's float warnings off: a pool
-    confidence that overflowed to NaN is refused, naming the seed and the
-    model. Every forward runs through the workspace."""
+    temperatures is the (baseline, final) pair from fit_temperatures, each
+    positive, and a model's confidences are max_softmax of its logits / T.
+    The pool mixes in-distribution test rows with pooled test outliers at
+    equal counts, drawn from the record's seed; outliers count as
+    incorrect. The record must hold the whole test sets (prepare_run under
+    a calibrating config). The forwards run with numpy's float warnings
+    off: a pool confidence that overflowed to NaN is refused, naming the
+    seed and the model. Every forward runs through the workspace."""
     k = final.n_classes
     ood_rows = np.concatenate([d.rows for d in record.tests.values()], axis=0)
     out = {}
     for tag, model, temp in zip(("baseline", "final"), (baseline, final), temperatures):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             logits = nn_core.forward(model, record.din_test.rows, work)
-            conf_in = nn_core.max_softmax(logits, work, temp)
+            conf_in = nn_core.max_softmax(logits / temp, work)
             correct_in = np.argmax(logits, axis=1) == record.din_test.labels
-            conf_ood = nn_core.max_softmax(nn_core.forward(model, ood_rows, work), work, temp)
+            conf_ood = nn_core.max_softmax(nn_core.forward(model, ood_rows, work) / temp, work)
         conf, correct = calib_mod.mixed_prediction_records(
             conf_in, correct_in, conf_ood, seed=_ss(record.seed, ROLE_CALIBRATION)
         )

@@ -8,7 +8,8 @@ oracles in the test suite:
 * AUROC: Mann-Whitney pairwise statistic; tied out/in pairs count 0.5.
 * AUPR: average precision over the descending sweep of distinct score
   thresholds (step curve, no trapezoid interpolation).
-* FPR@N: threshold at the ceil(N% * n_out)-th largest outlier score;
+* FPR@N: threshold at the ceil(N% * n_out)-th largest outlier score, the
+  ceiling exact for N's shortest decimal (1.1% of 3,000 is 33, not 34);
   detection means score >= threshold, ties included on the detect side.
 
 All three, and the ROC/PR curve points, are read off one sweep: a single
@@ -105,8 +106,16 @@ def _fpr_at_tpr(tp, fp, n_percent: float) -> float:
     block whose cumulative tp reaches k; fp counts the inliers at or above it."""
     if not 0 < n_percent <= 100:
         raise ValidationError("n_percent must lie in (0, 100]")
-    k = math.ceil(n_percent * int(tp[-1]) / 100.0)
+    k = _threshold_rank(n_percent, int(tp[-1]))
     return int(fp[np.searchsorted(tp, k)]) / int(fp[-1])
+
+
+def _threshold_rank(n_percent: float, n_out: int) -> int:
+    """ceil(N% * n_out) for N as repr writes it, in integers (importing
+    fractions would load decimal into every run)."""
+    digits, _, exp = repr(float(n_percent)).partition("e")
+    whole, _, frac = digits.partition(".")
+    return -(-int(whole + frac) * n_out // 10 ** (len(frac) - int(exp or 0) + 2))
 
 
 def auroc(s: ScoredSet) -> float:

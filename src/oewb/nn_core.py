@@ -409,13 +409,9 @@ def class_sum(z: np.ndarray, work: Workspace, keepdims: bool = False) -> np.ndar
     return work.bound(_ClassSum, z, keepdims)()
 
 
-def _shifted_exp(logits, temperature: float, work: Workspace, out=None) -> np.ndarray:
-    """exp(z - max z) per row, z = logits / temperature: softmax's numerators."""
-    if not temperature > 0:
-        raise ValidationError("temperature must be positive")
+def _shifted_exp(logits, work: Workspace, out=None) -> np.ndarray:
+    """exp(z - max z) per row of the logits z: softmax's numerators."""
     z = np.asarray(logits, dtype=np.float64)
-    if temperature != 1.0:
-        z = z / temperature
     e = np.subtract(z, class_max(z, work), out=out)
     return np.exp(e, out=e)
 
@@ -426,21 +422,21 @@ def softmax(logits, work: Workspace, out=None) -> np.ndarray:
     out, when given, receives the result and may be the logits array. The
     workspace binds the class max and class sum to the arrays they read.
     """
-    e = _shifted_exp(logits, 1.0, work, out)
+    e = _shifted_exp(logits, work, out)
     e /= class_sum(e, work, keepdims=True)
     return e
 
 
-def max_softmax(logits, work: Workspace, temperature: float = 1.0, out=None) -> np.ndarray:
-    """softmax(logits / temperature).max(axis=-1), bit for bit, as 1 / sum,
-    in a fresh array.
+def max_softmax(logits, work: Workspace, out=None) -> np.ndarray:
+    """softmax(logits).max(axis=-1), bit for bit, as 1 / sum, in a fresh
+    array. A temperature T is applied by passing logits / T.
 
     The largest numerator is exp(0) = 1 exactly, and dividing every entry
     by the same sum is monotone, so no quotient rounds above 1 / sum. The
     sum is softmax's own reduction, whose order sets the bits. out, when
     given, holds the numerators and may be the logits array.
     """
-    return 1.0 / class_sum(_shifted_exp(logits, temperature, work, out), work)
+    return 1.0 / class_sum(_shifted_exp(logits, work, out), work)
 
 
 def log_softmax(logits, work: Workspace) -> np.ndarray:

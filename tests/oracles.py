@@ -8,6 +8,7 @@ array per layer, as one whole-set pass does.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,11 +52,14 @@ def aupr_sweep(in_scores, out_scores) -> float:
     return math.fsum(terms)
 
 
+def threshold_rank(n_percent, n_out: int) -> int:
+    """ceil(N% * n_out), exact for N's shortest decimal form."""
+    return math.ceil(Fraction(repr(float(n_percent))) * n_out / 100)
+
+
 def fpr_at_tpr_sweep(in_scores, out_scores, n_percent) -> float:
-    """FPR at the ceil(N% * n_out)-th largest outlier score, detection >= t."""
-    n_out = len(out_scores)
-    k = math.ceil(n_percent * n_out / 100.0)
-    t = sorted(out_scores, reverse=True)[k - 1]
+    """FPR at the threshold_rank-th largest outlier score, detection >= t."""
+    t = sorted(out_scores, reverse=True)[threshold_rank(n_percent, len(out_scores)) - 1]
     return sum(1 for s in in_scores if s >= t) / len(in_scores)
 
 

@@ -85,6 +85,13 @@ class TestOneHotWindows:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _count_checks(monkeypatch) -> list:
+    """The sequence arrays density._as_seq_matrix checks from now on, in order."""
+    checked, check = [], density._as_seq_matrix
+    monkeypatch.setattr(density, "_as_seq_matrix", lambda seqs, V: checked.append(seqs) or check(seqs, V))
+    return checked
+
+
 class TestNll:
     def test_uniform_model_gives_d_log_v(self):
         m = _uniform_model(V=5)
@@ -121,6 +128,12 @@ class TestNll:
         batch = density.nll_batch(m, seqs, nn_core.Workspace())
         singles = np.array([density.nll_batch(m, s[None], nn_core.Workspace())[0] for s in seqs])
         assert np.max(np.abs(batch - singles)) < 1e-12
+
+    def test_the_sequences_are_checked_once(self, monkeypatch):
+        checked = _count_checks(monkeypatch)
+        seqs = np.zeros((3, 5), dtype=np.int64)
+        density.nll_batch(_uniform_model(V=3), seqs, nn_core.Workspace())
+        assert [id(a) for a in checked] == [id(seqs)]
 
     def test_symbol_outside_alphabet_rejected(self):
         m = _uniform_model(V=3)
@@ -265,6 +278,24 @@ class TestMarginGrad:
         seqs = np.random.default_rng(0).integers(0, V, size=(6, 7))
         g = density.margin_grad(m, seqs, seqs, 4.0, nn_core.Workspace(), mle_weight=0.0, margin_weight=1.0)
         assert np.max(np.abs(g)) < 1e-14
+
+    def test_each_group_is_checked_once(self, monkeypatch):
+        checked = _count_checks(monkeypatch)
+        rng = np.random.default_rng(4)
+        a, b = rng.integers(0, 3, size=(2, 4, 5)), rng.integers(0, 3, size=(2, 4, 5))
+        stack = nn_core.NetworkParams.stack([_uniform_model(V=3)] * 2)
+        density.margin_grad(stack, a, b, 4.0, nn_core.Workspace())
+        assert [id(seqs) for seqs in checked] == [id(a), id(b)]
+
+    def test_a_bad_inlier_batch_is_refused_before_any_forward(self, monkeypatch):
+        # the outlier group runs forward first, so both are windowed before it
+        def forward_cached(*args):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(nn_core, "forward_cached", forward_cached)
+        with pytest.raises(ValidationError, match="symbol outside the alphabet"):
+            density.margin_grad(_uniform_model(V=3), np.full((2, 4), 3, dtype=np.int64),
+                                np.zeros((2, 4), dtype=np.int64), 4.0, nn_core.Workspace())
 
     def test_unequal_batch_sizes_rejected(self):
         m = _uniform_model(V=3)

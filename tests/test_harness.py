@@ -193,7 +193,7 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=re.escape(f"experiment name {name!r} is not UTF-8 text")):
             _tiny_config(name=name)
         with pytest.raises(ValidationError, match=re.escape(f"dataset name {name!r} is not UTF-8 text")):
-            DatasetSpec("generator", name, {"generator": "uniform_box"}).validate()
+            datasets.check_params(DatasetSpec("generator", name, {"generator": "uniform_box"}))
 
     def test_seed_too_long_for_a_file_name(self):
         _tiny_config(seeds=(2**64 - 1,))
@@ -263,6 +263,19 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="auxiliary outlier spec must be disjoint from test spec 'ring'"):
             _tiny_config(d_out_oe=DatasetSpec("generator", "ring_copy", params))
 
+    def test_validate_resolves_each_spec_once(self, monkeypatch):
+        # one datasets.check_params pass serves both the spec checks and the
+        # auxiliary-versus-test recipe comparison
+        config = _tiny_config(d_out_test=[
+            DatasetSpec("generator", "ring", {"generator": "ring", "radius": 6.0, "n": 60}),
+            DatasetSpec("generator", "noise", {"generator": "gaussian", "n": 60}),
+        ])
+        resolved, resolve = [], datasets.check_params
+        monkeypatch.setattr(datasets, "check_params", lambda spec: resolved.append(spec) or resolve(spec))
+        config.validate()
+        specs = (config.d_in, config.d_out_oe, *config.d_out_test, *config.d_out_val)
+        assert [id(spec) for spec in resolved] == [id(spec) for spec in specs]
+
     def test_oe_file_spec_naming_a_test_file_with_its_default_label_column_is_refused(self):
         with pytest.raises(ValidationError, match="disjoint from test spec 'rows'"):
             _tiny_config(d_out_oe=DatasetSpec("file", "rows_copy", {"label_column": "label"}, path="rows.csv"),
@@ -273,7 +286,7 @@ class TestConfigValidation:
         spec = DatasetSpec("generator", "ring", {"generator": "ring", "radius": 6.0, "n": 60}, path="x.csv")
         message = "dataset 'ring' \\(ring\\) does not read path; only file datasets do"
         with pytest.raises(ValidationError, match=message):
-            spec.validate()
+            datasets.check_params(spec)
         with pytest.raises(ValidationError, match=message):
             datasets.materialize(spec, n=None, seed=0, dim=2)
 
@@ -315,22 +328,22 @@ class TestConfigValidation:
 
     def test_dataset_spec_validation(self):
         with pytest.raises(ValidationError, match="unknown dataset kind 'parquet'"):
-            DatasetSpec("parquet", "x").validate()
+            datasets.check_params(DatasetSpec("parquet", "x"))
         with pytest.raises(ValidationError, match="dataset spec needs a name"):
-            DatasetSpec("generator", "", {"generator": "uniform_box"}).validate()
+            datasets.check_params(DatasetSpec("generator", "", {"generator": "uniform_box"}))
         with pytest.raises(ValidationError, match="file dataset 'x' needs a path"):
-            DatasetSpec("file", "x").validate()
+            datasets.check_params(DatasetSpec("file", "x"))
         with pytest.raises(ValidationError, match=r"generator dataset 'x' needs params\['generator'\] as a string"):
-            DatasetSpec("generator", "x", {}).validate()
+            datasets.check_params(DatasetSpec("generator", "x", {}))
 
     @pytest.mark.parametrize("name", ["../x", "ring/x", "/abs", "back\\slash", "nul\0"])
     def test_a_dataset_name_that_cannot_be_a_file_name_is_refused(self, name):
         with pytest.raises(ValidationError, match=re.escape(f"dataset name {name!r} holds a path separator")):
-            DatasetSpec("generator", name, {"generator": "uniform_box"}).validate()
+            datasets.check_params(DatasetSpec("generator", name, {"generator": "uniform_box"}))
 
     @pytest.mark.parametrize("name", ["..", "a..b,c", "x y"])
     def test_a_dataset_name_without_a_separator_is_accepted(self, name):
-        DatasetSpec("generator", name, {"generator": "uniform_box"}).validate()
+        datasets.check_params(DatasetSpec("generator", name, {"generator": "uniform_box"}))
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../x", "runs/x", "/abs", "back\\slash", "nul\0"])
     def test_an_experiment_name_that_is_no_directory_name_is_refused(self, name):

@@ -100,6 +100,21 @@ class TestFprAtTpr:
         # at 100% the threshold drops to 4 and half the inliers alarm
         assert metrics.fpr_at_tpr(_ss([1.0, 3.0, 5.0, 7.0], [4.0, 8.0]), 100.0) == 0.5
 
+    def test_the_threshold_rank_is_the_exact_ceiling_of_the_level(self):
+        # 1.1% of 3,000 outliers is the 33rd largest, where the float
+        # 1.1 * 3000 / 100.0 = 33.00000000000001 would round up to the 34th
+        # and count the one inlier scored between the two
+        outs = np.arange(3000.0, 0.0, -1.0)  # the k-th largest is 3001 - k
+        ins = np.concatenate(([2967.5], np.zeros(2999)))
+        assert metrics.fpr_at_tpr(_ss(ins, outs), 1.1) == 0.0
+        assert oracles.fpr_at_tpr_sweep(ins, outs, 1.1) == 0.0
+        assert metrics.fpr_at_tpr(_ss(ins, outs), 1.2) == 1 / 3000
+
+    @pytest.mark.parametrize("n_out", [1, 7, 2999, 3000, 10**6 + 3])
+    def test_the_threshold_rank_equals_the_exact_oracle(self, n_out):
+        levels = [i / 100 for i in range(1, 10001)] + [1e-5, 1.5e-7, 5e-324, 33.333333333333336, 99.99999999999999]
+        assert [metrics._threshold_rank(n, n_out) for n in levels] == [oracles.threshold_rank(n, n_out) for n in levels]
+
     def test_level_bounds(self):
         s = _ss([1.0], [2.0])
         with pytest.raises(ValidationError, match=r"n_percent must lie in \(0, 100\]"):
